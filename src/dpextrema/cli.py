@@ -202,6 +202,8 @@ def _cmd_ci(args) -> int:
         r = cv.chosen_r
         extra["cv"] = {
             "chosen_r": cv.chosen_r,
+            "grid": list(cv.grid),
+            "criterion": cv.criterion.tolist(),
             "budget_parallel_view": cv.budget_parallel_view,
             "budget_sequential_view": cv.budget_sequential_view,
         }

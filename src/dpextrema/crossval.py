@@ -9,6 +9,18 @@ coordinates after removing the variance the held-out estimate contributes;
 the r minimizing the aggregated score wins, with ties broken toward the
 larger (weaker) correction.
 
+The estimators see the data only through additive sufficient statistics, so
+CV runs on per-fold sufficient statistics: the data are clamped once, each
+fold's statistics are computed once, and each training set's statistics are
+the total minus its fold.  All 2v estimates are released as one stack, with
+the noise scales derived once and one eigendecomposition repairing every
+matrix, and the training replicas of all folds are drawn together.  Each
+release has the law of the single-set estimator run on that subset.  Any
+data class with a ``fold_statistics`` method can be cross-validated: a
+partitioned Gaussian is cross-validated on its interest block, and
+regression with nuisance covariates removes the nuisance fit from each
+set's residual through the blocks X^T X, X^T Z and X^T y.
+
 Budget accounting for this procedure is genuinely ambiguous: the held-out
 folds are disjoint (parallel composition applies) but the training sets
 overlap across rounds.  Both readings are therefore reported side by side:
@@ -19,18 +31,12 @@ overlap across rounds.  Both readings are therefore reported side by side:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ParameterError
 from .extrema import DEFAULT_B_INNER, bias_reduced_from_draws
-from .models import (
-    GaussianData,
-    RegressionData,
-    gaussian_private_mle,
-    regression_private_mle,
-)
 
 DEFAULT_GRID = (1.0 / 30.0, 1.0 / 15.0, 1.0 / 10.0, 1.0 / 5.0)
 DEFAULT_FOLDS = 5
@@ -84,37 +90,26 @@ class CVResult:
         return self.budget_sequential_view
 
 
-def _subset(data, idx: np.ndarray):
-    # imported lazily to keep the partial-privacy module optional here
-    from .partial import PartitionedGaussianData
+def _estimate(stats, budget, rng: np.random.Generator, b_inner: int):
+    """Release all 2v fold estimates at once and draw the training replicas.
 
-    if isinstance(data, GaussianData):
-        return GaussianData(data.x[idx], data.bounds)
-    if isinstance(data, PartitionedGaussianData):
-        x2 = None if data.x2 is None else data.x2[idx]
-        return PartitionedGaussianData(data.x1[idx], x2, data.bounds)
-    if isinstance(data, RegressionData):
-        return RegressionData(data.X[idx], data.y[idx], data.x_bounds, data.y_bounds)
-    raise ParameterError(
-        f"cross-validation does not support {type(data).__name__}; "
-        "fold subsets must remain valid inputs for the estimator"
+    ``stats`` holds one row of clamped statistics per fold.  Each training set
+    is the total minus its fold, so rows [0, v) of the release are the
+    training sets and rows [v, 2v) the held-out folds.  Returns the release
+    and the (v, b_inner, k) training draws, shared across the grid because
+    the correction only shifts them.
+    """
+    v = stats.n.size
+    sets = replace(
+        stats,
+        **{
+            name: np.concatenate([a.sum(axis=0) - a, a])
+            for name in stats.ADDITIVE
+            if (a := getattr(stats, name)) is not None
+        },
     )
-
-
-def _estimate(data, budget, rng, tag: str):
-    from .partial import PartitionedGaussianData, partial_gaussian_private_mle
-
-    if isinstance(data, PartitionedGaussianData):
-        return partial_gaussian_private_mle(data, budget, rng, statistic_prefix=tag)
-    if isinstance(data, GaussianData):
-        return gaussian_private_mle(data, budget, rng, statistic_prefix=tag)
-    return regression_private_mle(data, budget, rng, statistic_prefix=tag)
-
-
-def _min_fold_size(data) -> int:
-    if isinstance(data, RegressionData):
-        return data.k + 1
-    return 2
+    release = sets.release(budget, rng)
+    return release, release.bootstrap_draws(b_inner, rng, v)
 
 
 def cv_choose_r(
@@ -125,6 +120,7 @@ def cv_choose_r(
 ) -> CVResult:
     """Pick the correction strength from ``config.grid`` by cross-validation.
 
+    ``data`` is any data class with a ``fold_statistics`` method.
     Deterministic given the data, budget, config, and generator state.  Every
     fold estimation uses the same per-statistic budget split as a full run.
     """
@@ -136,61 +132,41 @@ def cv_choose_r(
 
     perm = rng.permutation(n)
     folds = np.array_split(perm, v)
-    min_size = _min_fold_size(data)
-    if min(f.size for f in folds) < min_size:
+    stats = data.fold_statistics(folds)
+    if min(f.size for f in folds) < stats.min_rows:
         raise ParameterError("a fold is too small for the model estimator")
 
-    m = len(config.grid)
-    h = np.empty((m, v, 0))
-    per_fold: list[dict] = []
-    estimation_totals: list[float] = []
-
-    for j, ref_idx in enumerate(folds):
-        train_idx = np.concatenate([f for i, f in enumerate(folds) if i != j])
-        train = _subset(data, np.sort(train_idx))
-        ref = _subset(data, np.sort(ref_idx))
-
-        est_train = _estimate(train, budget, rng, tag=f"cv:fold{j}:train")
-        # draws are shared across the grid: the correction only shifts them
-        draws, _ = est_train.bootstrap_draws(config.b_inner, rng)
-        est_ref = _estimate(ref, budget, rng, tag=f"cv:fold{j}:ref")
-        ref_sd = np.sqrt(est_ref.coordinate_variances(private=True))
-
-        k1 = est_ref.beta_priv.size
-        if h.shape[2] == 0:
-            h = np.empty((m, v, k1))
-        reduced = np.array(
-            [bias_reduced_from_draws(est_train.beta_priv, draws, r, train.n) for r in config.grid]
-        )
-        h[:, j, :] = (reduced[:, None] - est_ref.beta_priv[None, :]) ** 2 - ref_sd[None, :] ** 2
-
-        estimation_totals.append(est_train.ledger.total_sequential())
-        estimation_totals.append(est_ref.ledger.total_sequential())
-        per_fold.append(
-            {
-                "fold": j,
-                "train_n": train.n,
-                "ref_n": ref.n,
-                "train_beta": est_train.beta_priv.tolist(),
-                "ref_beta": est_ref.beta_priv.tolist(),
-                "reduced_max": reduced.tolist(),
-            }
-        )
+    release, draws = _estimate(stats, budget, rng, config.b_inner)
+    beta, sizes = release.beta, release.n
+    # (grid, fold) bias-reduced maxima of the training estimates
+    reduced = bias_reduced_from_draws(beta[:v], draws, np.asarray(config.grid), sizes[:v])
+    h = (reduced[:, :, None] - beta[None, v:]) ** 2 - release.coordinate_variances()[None, v:]
 
     criterion = h.sum(axis=1).min(axis=1) / v
     best = 0
-    for l in range(1, m):
+    for l in range(1, len(config.grid)):
         if criterion[l] <= criterion[best]:  # ties go to the larger r
             best = l
 
+    per_estimate = release.ledger.total_sequential()
     return CVResult(
         chosen_r=config.grid[best],
         grid=config.grid,
         criterion=criterion,
         h=h,
         fold_sizes=tuple(f.size for f in folds),
-        budget_parallel_view=max(estimation_totals) if estimation_totals else 0.0,
-        budget_sequential_view=float(sum(estimation_totals)),
+        budget_parallel_view=per_estimate,
+        budget_sequential_view=2 * v * per_estimate,
         budget_handling=config.budget_handling,
-        per_fold=per_fold,
+        per_fold=[
+            {
+                "fold": j,
+                "train_n": int(sizes[j]),
+                "ref_n": int(sizes[v + j]),
+                "train_beta": beta[j].tolist(),
+                "ref_beta": beta[v + j].tolist(),
+                "reduced_max": reduced[:, j].tolist(),
+            }
+            for j in range(v)
+        ],
     )

@@ -71,15 +71,20 @@ class ExtremaEstimate(Protocol):
     def coordinate_variances(self, private: bool = ...) -> np.ndarray: ...
 
 
-def correction_factor(r: float, n: int) -> float:
-    """Shrinkage factor 1 - n^(r - 0.5) for r in (0, 0.5] or FULL_CORRECTION."""
-    if n < 2:
+def correction_factor(r, n):
+    """Shrinkage factor 1 - n^(r - 0.5) for r in (0, 0.5] or FULL_CORRECTION.
+
+    Arrays of r and n broadcast against each other.  Since n^(-inf) = 0, the
+    sentinel's factor is exactly 1.
+    """
+    r_arr = np.asarray(r, dtype=float)
+    n_arr = np.asarray(n, dtype=float)
+    if np.any(n_arr < 2):
         raise ParameterError("correction needs n >= 2")
-    if r == FULL_CORRECTION:
-        return 1.0
-    if not (0.0 < r <= 0.5) or math.isnan(r):
+    if not np.all(((0.0 < r_arr) & (r_arr <= 0.5)) | (r_arr == FULL_CORRECTION)):
         raise ParameterError("r must lie in (0, 0.5] or be FULL_CORRECTION")
-    return 1.0 - float(n) ** (r - 0.5)
+    factor = 1.0 - n_arr ** (r_arr - 0.5)
+    return float(factor) if factor.ndim == 0 else factor
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,13 +297,27 @@ def bonferroni_lower_limit(
     )
 
 
-def bias_reduced_from_draws(beta_priv: np.ndarray, draws: np.ndarray, r: float, n: int) -> float:
-    """Bias-reduced maximum from precomputed replica draws."""
-    beta = np.asarray(beta_priv, dtype=float).ravel()
-    beta_max = float(beta.max())
-    correction = bias_correction(beta, r, n)
-    replica_max = (draws + correction.shifts).max(axis=1)
-    return beta_max - (float(replica_max.mean()) - beta_max)
+def bias_reduced_from_draws(beta_priv: np.ndarray, draws: np.ndarray, r, n):
+    """Bias-reduced maximum from precomputed replica draws.
+
+    Also takes a stack of S estimates at once: ``beta_priv`` (S, k) with
+    ``draws`` (S, B, k) and ``n`` (S,).  A vector of m values of ``r`` shares
+    the draws, and the result then has shape (m, S), or (m,) for one estimate.
+    A NaN row of ``draws`` (a failed draw) is left out of the mean.
+    """
+    beta = np.asarray(beta_priv, dtype=float)
+    beta_max = beta.max(axis=-1)
+    r_arr = np.reshape(r, np.shape(r) + (1,) * beta_max.ndim)
+    shifts = np.asarray(correction_factor(r_arr, n))[..., None] * (beta_max[..., None] - beta)
+    # replicas along the contiguous axis: a max across k rows of replicas is
+    # vectorized, while a max along a short contiguous axis of k is not
+    shifted = np.add(np.swapaxes(draws, -1, -2), shifts[..., :, None], order="C")
+    replica_max = shifted.max(axis=-2)
+    mean = replica_max.mean(axis=-1)
+    if np.isnan(mean).any():
+        mean = np.nanmean(replica_max, axis=-1)
+    reduced = beta_max - (mean - beta_max)
+    return float(reduced) if reduced.ndim == 0 else reduced
 
 
 def bias_reduced_estimate(

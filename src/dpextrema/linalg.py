@@ -18,16 +18,45 @@ _ABSOLUTE_FLOOR = 1e-12
 
 
 class RepairResult(NamedTuple):
+    """One repair; :func:`psd_repair_stack` fills each field per matrix."""
+
     matrix: np.ndarray
     shift: float        # total eigenvalue mass added by clipping
     floor: float
     degenerate: bool    # shift exceeded the repair budget
 
 
-def psd_floor(matrix: np.ndarray, floor_scale: float = PSD_FLOOR_SCALE) -> float:
-    k = matrix.shape[0]
-    tr = float(np.trace(matrix))
-    return max(floor_scale * max(tr, 0.0) / k, _ABSOLUTE_FLOOR)
+def psd_floor(matrix: np.ndarray, floor_scale: float = PSD_FLOOR_SCALE):
+    """Eigenvalue floor of a symmetric matrix, or of each one in a (..., k, k) stack."""
+    k = matrix.shape[-1]
+    tr = np.trace(matrix, axis1=-2, axis2=-1)
+    return np.maximum(floor_scale * np.maximum(tr, 0.0) / k, _ABSOLUTE_FLOOR)
+
+
+def psd_repair_stack(
+    matrices: np.ndarray,
+    floor_scale: float = PSD_FLOOR_SCALE,
+    budget_fraction: float = REPAIR_BUDGET_FRACTION,
+) -> tuple[RepairResult, np.ndarray, np.ndarray]:
+    """:func:`psd_repair` applied to each matrix of an (F, k, k) stack.
+
+    One ``eigh`` serves the whole stack.  Returns the repair, whose fields hold
+    one entry per matrix, and the clipped eigenvalues and eigenvectors of the
+    repaired matrices, from which square roots need no second decomposition.
+    """
+    m = np.asarray(matrices, dtype=float)
+    floor = psd_floor(m, floor_scale)
+    eigvals, eigvecs = np.linalg.eigh(m)
+    clipped = np.maximum(eigvals, floor[:, None])
+    shift = np.sum(clipped - eigvals, axis=-1)
+    repaired = m.copy()
+    clip = eigvals[:, 0] < floor  # unclipped matrices are returned unchanged
+    if clip.any():
+        vecs = eigvecs[clip]
+        r = (vecs * clipped[clip, None, :]) @ np.swapaxes(vecs, -1, -2)
+        repaired[clip] = 0.5 * (r + np.swapaxes(r, -1, -2))
+    budget = budget_fraction * np.maximum(np.trace(m, axis1=-2, axis2=-1), 0.0)
+    return RepairResult(repaired, shift, floor, shift > budget), clipped, eigvecs
 
 
 def psd_repair(
@@ -41,21 +70,25 @@ def psd_repair(
     at or above the floor.
     """
     m = np.asarray(matrix, dtype=float)
-    floor = psd_floor(m, floor_scale)
-    eigvals, eigvecs = np.linalg.eigh(m)
-    if eigvals[0] >= floor:
-        return RepairResult(m, 0.0, floor, False)
-    clipped = np.maximum(eigvals, floor)
-    shift = float(np.sum(clipped - eigvals))
-    repaired = (eigvecs * clipped) @ eigvecs.T
-    repaired = 0.5 * (repaired + repaired.T)
-    budget = budget_fraction * max(float(np.trace(m)), 0.0)
-    return RepairResult(repaired, shift, floor, shift > budget)
+    stack, _, _ = psd_repair_stack(m[None], floor_scale, budget_fraction)
+    shift = float(stack.shift[0])
+    return RepairResult(
+        stack.matrix[0] if shift > 0.0 else m,
+        shift,
+        float(stack.floor[0]),
+        bool(stack.degenerate[0]),
+    )
+
+
+def eigen_sqrt(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
+    """Symmetric square root from an eigendecomposition, of one matrix or a stack.
+
+    Tiny negative eigenvalues are treated as 0.
+    """
+    root = np.sqrt(np.maximum(eigvals, 0.0))
+    return (eigvecs * root[..., None, :]) @ np.swapaxes(eigvecs, -1, -2)
 
 
 def sym_sqrt(matrix: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root; tiny negative eigenvalues are treated as 0."""
-    m = np.asarray(matrix, dtype=float)
-    eigvals, eigvecs = np.linalg.eigh(m)
-    root = np.sqrt(np.maximum(eigvals, 0.0))
-    return (eigvecs * root) @ eigvecs.T
+    return eigen_sqrt(*np.linalg.eigh(np.asarray(matrix, dtype=float)))

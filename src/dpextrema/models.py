@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .linalg import RepairResult, psd_floor, psd_repair, sym_sqrt
+from .linalg import RepairResult, eigen_sqrt, psd_floor, psd_repair, psd_repair_stack, sym_sqrt
 from .privacy import (
     Bounds,
     LaplaceSpec,
@@ -41,11 +41,17 @@ from .privacy import (
 )
 
 SIGMA2_FLOOR = 1e-8
+#: Released statistics of a regression estimate, in budget-split order.
+REGRESSION_STATISTICS = ("gram", "xty", "rss")
 
 __all__ = [
     "GaussianData",
+    "GaussianStack",
+    "GaussianStatistics",
     "PrivatizedGaussianEstimate",
     "RegressionData",
+    "RegressionStack",
+    "RegressionStatistics",
     "PrivatizedRegressionEstimate",
     "SIGMA2_FLOOR",
     "gaussian_private_mle",
@@ -82,6 +88,9 @@ class GaussianData:
     @property
     def k(self) -> int:
         return self.x.shape[1]
+
+    def fold_statistics(self, folds: list[np.ndarray]) -> "GaussianStatistics":
+        return GaussianStatistics.of_folds(self.bounds.clamp(self.x), self.bounds, folds)
 
 
 @dataclass(eq=False)
@@ -178,11 +187,35 @@ class PrivatizedGaussianEstimate:
         }
 
 
-def _gaussian_from_noisy_stats(noisy_sum: np.ndarray, noisy_gram: np.ndarray, n: int):
-    """Mean and (unrepaired) covariance implied by the noisy sufficient statistics."""
+def _gaussian_from_noisy_stats(noisy_sum: np.ndarray, noisy_gram: np.ndarray, n):
+    """Mean and (unrepaired) covariance implied by the noisy sufficient statistics.
+
+    Also takes a stack of releases, with one count per release in ``n``.
+    """
+    n = np.asarray(n, dtype=float)[..., None]
     mu = noisy_sum / n
-    sigma = noisy_gram / (n - 1) - np.outer(noisy_sum, noisy_sum) / (n * (n - 1))
-    return mu, 0.5 * (sigma + sigma.T)
+    outer = noisy_sum[..., :, None] * noisy_sum[..., None, :]
+    sigma = noisy_gram / (n[..., None] - 1) - outer / (n * (n - 1))[..., None]
+    return mu, 0.5 * (sigma + np.swapaxes(sigma, -1, -2))
+
+
+def _gaussian_noise_specs(bounds: Bounds, eps_sum: float, eps_gram: float):
+    """Laplace noise of the coordinate sums and of the gram matrix's free entries."""
+    k = bounds.k
+    sum_spec = LaplaceSpec.from_budget(
+        sensitivity_sum_bounded(bounds.lower, bounds.upper).delta, eps_sum, k
+    )
+    gram_spec = LaplaceSpec.from_budget(
+        sensitivity_gram_bounded(bounds.lower, bounds.upper).delta, eps_gram, k * (k + 1) // 2
+    )
+    return sum_spec, gram_spec
+
+
+def _ledger(prefix: str, names: tuple[str, ...], epsilons: tuple[float, ...]) -> PrivacyLedger:
+    ledger = PrivacyLedger()
+    for name, eps in zip(names, epsilons):
+        ledger = ledger.charge(f"{prefix}:{name}", eps)
+    return ledger
 
 
 def gaussian_private_mle(
@@ -201,33 +234,20 @@ def gaussian_private_mle(
     eps_sum, eps_gram = split_budget(budget, 2)
     x = data.bounds.clamp(data.x)
     n, k = x.shape
-
-    sum_spec = LaplaceSpec.from_budget(
-        sensitivity_sum_bounded(data.bounds.lower, data.bounds.upper).delta, eps_sum, k
-    )
-    gram_scale = LaplaceSpec.from_budget(
-        sensitivity_gram_bounded(data.bounds.lower, data.bounds.upper).delta,
-        eps_gram,
-        k * (k + 1) // 2,
-    )
+    sum_spec, gram_spec = _gaussian_noise_specs(data.bounds, eps_sum, eps_gram)
 
     noisy_sum = x.sum(axis=0) + sum_spec.sample(rng)
-    noisy_gram = x.T @ x + laplace_symmetric_sample(gram_scale.scale, k, rng)
+    noisy_gram = x.T @ x + laplace_symmetric_sample(gram_spec.scale, k, rng)
     mu, sigma = _gaussian_from_noisy_stats(noisy_sum, noisy_gram, n)
     repair = psd_repair(sigma)
 
-    ledger = (
-        PrivacyLedger()
-        .charge(f"{statistic_prefix}:sum", eps_sum)
-        .charge(f"{statistic_prefix}:gram", eps_gram)
-    )
     return PrivatizedGaussianEstimate(
         mu_priv=mu,
         sigma_priv=repair.matrix,
         n=n,
-        ledger=ledger,
+        ledger=_ledger(statistic_prefix, ("sum", "gram"), (eps_sum, eps_gram)),
         sum_noise=sum_spec,
-        gram_noise=gram_scale,
+        gram_noise=gram_spec,
         noisy_sum=noisy_sum,
         noisy_gram=noisy_gram,
         repair=repair,
@@ -284,6 +304,12 @@ class RegressionData:
     @property
     def k(self) -> int:
         return self.X.shape[1]
+
+    def fold_statistics(self, folds: list[np.ndarray]) -> "RegressionStatistics":
+        return RegressionStatistics.of_folds(
+            self.x_bounds.clamp(self.X), self.y_bounds.clamp(self.y), None, folds,
+            self.x_bounds, self.y_bounds, 0.0,
+        )
 
 
 @dataclass(eq=False)
@@ -350,7 +376,7 @@ class PrivatizedRegressionEstimate:
 
         systems = np.broadcast_to(self.S_priv, (size, k, k)).copy()
         if privacy_noise and not self.gram_noise.is_zero:
-            systems += self._symmetric_noise_batch(size, rng) / m
+            systems += laplace_symmetric_sample(self.gram_noise.scale, k, rng, size) / m
 
         draws = np.empty((size, k))
         bad = self._near_singular(systems, floor)
@@ -363,7 +389,9 @@ class PrivatizedRegressionEstimate:
             retry_idx = np.flatnonzero(bad)
             retries = np.broadcast_to(self.S_priv, (retry_idx.size, k, k)).copy()
             if privacy_noise and not self.gram_noise.is_zero:
-                retries += self._symmetric_noise_batch(retry_idx.size, rng) / m
+                retries += (
+                    laplace_symmetric_sample(self.gram_noise.scale, k, rng, retry_idx.size) / m
+                )
             still_bad = self._near_singular(retries, floor)
             ok = ~still_bad
             if ok.any():
@@ -374,15 +402,6 @@ class PrivatizedRegressionEstimate:
                 keep[retry_idx[still_bad]] = False
                 draws = draws[keep]
         return draws, failed
-
-    def _symmetric_noise_batch(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        k = self.k
-        w = np.zeros((size, k, k))
-        iu = np.triu_indices(k)
-        w[:, iu[0], iu[1]] = rng.laplace(0.0, self.gram_noise.scale, size=(size, iu[0].size))
-        il = np.tril_indices(k, -1)
-        w[:, il[0], il[1]] = w[:, il[1], il[0]]
-        return w
 
     @staticmethod
     def _near_singular(systems: np.ndarray, floor: float) -> np.ndarray:
@@ -433,6 +452,25 @@ class PrivatizedRegressionEstimate:
         }
 
 
+_SINGULAR_GRAM = "noisy gram matrix is irreparably singular; widen the budget or bounds"
+
+
+def _regression_noise_specs(z_bounds: Bounds, y_bounds: Bounds, eps_gram: float, eps_xty: float):
+    """Laplace noise of the gram matrix's free entries and of the cross product."""
+    k = z_bounds.k
+    gram_spec = LaplaceSpec.from_budget(
+        sensitivity_gram_bounded(z_bounds.lower, z_bounds.upper).delta, eps_gram, k * (k + 1) // 2
+    )
+    xty_spec = LaplaceSpec.from_budget(
+        sensitivity_cross_bounded(
+            z_bounds.lower, z_bounds.upper, y_bounds.lower, y_bounds.upper
+        ).delta,
+        eps_xty,
+        k,
+    )
+    return gram_spec, xty_spec
+
+
 def _noisy_gram_solve(
     Z: np.ndarray,
     y: np.ndarray,
@@ -444,25 +482,12 @@ def _noisy_gram_solve(
 ):
     """Shared core: noisy normal equations (Z^T Z + W1) beta = Z^T y + W2."""
     n, k = Z.shape
-    gram_spec = LaplaceSpec.from_budget(
-        sensitivity_gram_bounded(z_bounds.lower, z_bounds.upper).delta,
-        eps_gram,
-        k * (k + 1) // 2,
-    )
-    xty_spec = LaplaceSpec.from_budget(
-        sensitivity_cross_bounded(
-            z_bounds.lower, z_bounds.upper, y_bounds.lower, y_bounds.upper
-        ).delta,
-        eps_xty,
-        k,
-    )
+    gram_spec, xty_spec = _regression_noise_specs(z_bounds, y_bounds, eps_gram, eps_xty)
     noisy_gram = Z.T @ Z + laplace_symmetric_sample(gram_spec.scale, k, rng)
     noisy_xty = Z.T @ y + xty_spec.sample(rng)
     repair = psd_repair(noisy_gram / n)
     if repair.degenerate:
-        raise NumericError(
-            "noisy gram matrix is irreparably singular; widen the budget or bounds"
-        )
+        raise NumericError(_SINGULAR_GRAM)
     s_priv = repair.matrix
     beta = np.linalg.solve(n * s_priv, noisy_xty)
     return beta, s_priv, gram_spec, xty_spec, noisy_gram, noisy_xty, repair
@@ -523,18 +548,12 @@ def regression_private_mle(
         float(resid @ resid) / dof, beta, data.x_bounds, data.y_bounds, eps_rss, dof, 0.0, rng
     )
 
-    ledger = (
-        PrivacyLedger()
-        .charge(f"{statistic_prefix}:gram", eps_gram)
-        .charge(f"{statistic_prefix}:xty", eps_xty)
-        .charge(f"{statistic_prefix}:rss", eps_rss)
-    )
     return PrivatizedRegressionEstimate(
         beta_priv=beta,
         sigma2_priv=sigma2,
         S_priv=s_priv,
         n=n,
-        ledger=ledger,
+        ledger=_ledger(statistic_prefix, REGRESSION_STATISTICS, (eps_gram, eps_xty, eps_rss)),
         gram_noise=gram_spec,
         xty_noise=xty_spec,
         rss_noise=rss_spec,
@@ -552,3 +571,234 @@ def regression_bootstrap_draw(
 ) -> np.ndarray:
     """One bootstrap replica of the privatized coefficients (see the estimate method)."""
     return est.bootstrap_draw(rng, n=n, privacy_noise=privacy_noise)
+
+
+# ---------------------------------------------------------------------------
+# stacked releases of many data sets
+# ---------------------------------------------------------------------------
+#
+# Cross-validation estimates on 2v overlapping data sets.  Both estimators
+# see the data only through additive sufficient statistics, so the sets are
+# described by one row of clamped statistics each and released together: the
+# noise scales are derived once, and one eigh repairs the whole stack.
+
+
+@dataclass(frozen=True, eq=False)
+class GaussianStatistics:
+    """Clamped count, coordinate sums and gram matrix of each of F data sets."""
+
+    bounds: Bounds
+    n: np.ndarray      # (F,)
+    sums: np.ndarray   # (F, k)
+    grams: np.ndarray  # (F, k, k)
+
+    # class attributes, not fields: the statistics that add up over sets, and
+    # the fewest rows a set needs (the covariance divides by n - 1)
+    ADDITIVE = ("n", "sums", "grams")
+    min_rows = 2
+
+    @classmethod
+    def of_folds(
+        cls, x: np.ndarray, bounds: Bounds, folds: list[np.ndarray]
+    ) -> "GaussianStatistics":
+        """Statistics of the rows of the clamped ``x`` indexed by each fold."""
+        parts = [x[f] for f in folds]
+        return cls(
+            bounds,
+            np.array([p.shape[0] for p in parts]),
+            np.stack([p.sum(axis=0) for p in parts]),
+            np.stack([p.T @ p for p in parts]),
+        )
+
+    def release(self, budget, rng: np.random.Generator) -> "GaussianStack":
+        """Every set's :func:`gaussian_private_mle` release, as one stack."""
+        eps_sum, eps_gram = split_budget(budget, 2)
+        sum_spec, gram_spec = _gaussian_noise_specs(self.bounds, eps_sum, eps_gram)
+        sets, k = self.sums.shape
+        noisy_sum = self.sums + sum_spec.sample(rng, sets)
+        noisy_gram = self.grams + laplace_symmetric_sample(gram_spec.scale, k, rng, sets)
+        mu, sigma = _gaussian_from_noisy_stats(noisy_sum, noisy_gram, self.n)
+        repair, eigvals, eigvecs = psd_repair_stack(sigma)
+        return GaussianStack(
+            beta=mu,
+            sigma=repair.matrix,
+            sigma_sqrt=eigen_sqrt(eigvals, eigvecs),
+            n=self.n.astype(float),
+            sum_noise=sum_spec,
+            ledger=_ledger("cv", ("sum", "gram"), (eps_sum, eps_gram)),
+        )
+
+
+@dataclass(eq=False)
+class GaussianStack:
+    """Privatized means and repaired covariances of F data sets."""
+
+    beta: np.ndarray        # (F, k) released means
+    sigma: np.ndarray       # (F, k, k)
+    sigma_sqrt: np.ndarray  # (F, k, k)
+    n: np.ndarray           # (F,)
+    sum_noise: LaplaceSpec
+    ledger: PrivacyLedger   # the charges of one set's release
+
+    def coordinate_variances(self) -> np.ndarray:
+        """(F, k) private plug-in variances, as the single estimate computes them."""
+        n = self.n[:, None]
+        v = np.maximum(np.diagonal(self.sigma, axis1=-2, axis2=-1), 0.0) / n
+        if not self.sum_noise.is_zero:
+            v = v + 2.0 * self.sum_noise.scale**2 / n**2
+        return v
+
+    def bootstrap_draws(self, size: int, rng: np.random.Generator, sets: int) -> np.ndarray:
+        """(sets, size, k) bootstrap replicas of the first ``sets`` releases.
+
+        Each set's replicas follow :meth:`PrivatizedGaussianEstimate.bootstrap_draws`.
+        """
+        n = self.n[:sets, None, None]
+        z = rng.standard_normal((sets, size, self.beta.shape[1]))
+        draws = self.beta[:sets, None, :] + (z @ self.sigma_sqrt[:sets]) / np.sqrt(n)
+        if not self.sum_noise.is_zero:
+            draws = draws + self.sum_noise.sample(rng, (sets, size)) / n
+        return draws
+
+
+@dataclass(frozen=True, eq=False)
+class RegressionStatistics:
+    """Clamped Z^T Z, Z^T y and y^T y, with the count, of each of F data sets.
+
+    Nuisance covariates X add X^T X, X^T Z and X^T y.  Their fit is never
+    released: it is removed from each set's residual, and ``fit_bound`` bounds
+    |x^T gamma| in the residual-variance sensitivity.
+    """
+
+    z_bounds: Bounds
+    y_bounds: Bounds
+    fit_bound: float
+    n: np.ndarray                 # (F,)
+    ztz: np.ndarray               # (F, k, k)
+    zty: np.ndarray               # (F, k)
+    yty: np.ndarray               # (F,)
+    xtx: np.ndarray | None = None
+    xtz: np.ndarray | None = None
+    xty: np.ndarray | None = None
+
+    # a class attribute, not a field: the statistics that add up over sets
+    ADDITIVE = ("n", "ztz", "zty", "yty", "xtx", "xtz", "xty")
+
+    @classmethod
+    def of_folds(
+        cls,
+        Z: np.ndarray,
+        y: np.ndarray,
+        X: np.ndarray | None,
+        folds: list[np.ndarray],
+        z_bounds: Bounds,
+        y_bounds: Bounds,
+        fit_bound: float,
+    ) -> "RegressionStatistics":
+        """Statistics of the rows indexed by each fold; Z and y come clamped."""
+        rows = []
+        for f in folds:
+            z, t = Z[f], y[f]
+            row = [f.size, z.T @ z, z.T @ t, t @ t]
+            if X is not None:
+                x = X[f]
+                row += [x.T @ x, x.T @ z, x.T @ t]
+            rows.append(row)
+        return cls(z_bounds, y_bounds, float(fit_bound), *(np.stack(s) for s in zip(*rows)))
+
+    @property
+    def min_rows(self) -> int:
+        """Fewest rows a set needs for one residual degree of freedom."""
+        k2 = 0 if self.xtx is None else self.xtx.shape[-1]
+        return self.zty.shape[1] + k2 + 1
+
+    def release(self, budget, rng: np.random.Generator) -> "RegressionStack":
+        """Every set's regression release, as :func:`regression_private_mle` or,
+        with nuisance covariates, the partial estimator would make it.
+
+        Raises :class:`NumericError` when any set's noisy gram matrix is
+        irreparably singular.
+        """
+        eps_gram, eps_xty, eps_rss = split_budget(budget, 3)
+        gram_spec, xty_spec = _regression_noise_specs(
+            self.z_bounds, self.y_bounds, eps_gram, eps_xty
+        )
+        sets, k = self.zty.shape
+        noisy_gram = self.ztz + laplace_symmetric_sample(gram_spec.scale, k, rng, sets)
+        noisy_xty = self.zty + xty_spec.sample(rng, sets)
+        n = self.n.astype(float)[:, None, None]
+        repair, _, _ = psd_repair_stack(noisy_gram / n)
+        if repair.degenerate.any():
+            raise NumericError(_SINGULAR_GRAM)
+        beta = _solve_batch(n * repair.matrix, noisy_xty)
+
+        # |y - Z beta|^2 from the statistics, less what the nuisance fit explains
+        rss = (
+            self.yty
+            - 2.0 * np.einsum("fi,fi->f", beta, self.zty)
+            + np.einsum("fi,fij,fj->f", beta, self.ztz, beta)
+        )
+        if self.xtx is not None:
+            xtr = self.xty - np.einsum("fij,fj->fi", self.xtz, beta)
+            rss = rss - np.einsum("fi,fij,fj->f", xtr, np.linalg.pinv(self.xtx), xtr)
+        dof = self.n - (self.min_rows - 1)
+
+        ledger = _ledger("cv", REGRESSION_STATISTICS, (eps_gram, eps_xty, eps_rss))
+        estimates = []
+        for f in range(sets):
+            sigma2, rss_spec = _residual_noise_scale(
+                float(rss[f]) / dof[f], beta[f], self.z_bounds, self.y_bounds,
+                eps_rss, int(dof[f]), self.fit_bound, rng,
+            )
+            s_priv = repair.matrix[f]
+            estimates.append(
+                PrivatizedRegressionEstimate(
+                    beta_priv=beta[f],
+                    sigma2_priv=sigma2,
+                    S_priv=s_priv,
+                    n=int(self.n[f]),
+                    ledger=ledger,
+                    gram_noise=gram_spec,
+                    xty_noise=xty_spec,
+                    rss_noise=rss_spec,
+                    noisy_gram=noisy_gram[f],
+                    noisy_xty=noisy_xty[f],
+                    repair=RepairResult(
+                        s_priv, float(repair.shift[f]), float(repair.floor[f]), False
+                    ),
+                )
+            )
+        return RegressionStack(estimates)
+
+
+@dataclass(eq=False)
+class RegressionStack:
+    """Privatized regression releases of F data sets, one estimate per set."""
+
+    estimates: list[PrivatizedRegressionEstimate]
+
+    @property
+    def beta(self) -> np.ndarray:
+        return np.stack([e.beta_priv for e in self.estimates])
+
+    @property
+    def n(self) -> np.ndarray:
+        return np.array([e.n for e in self.estimates], dtype=float)
+
+    @property
+    def ledger(self) -> PrivacyLedger:
+        return self.estimates[0].ledger
+
+    def coordinate_variances(self) -> np.ndarray:
+        return np.stack([e.coordinate_variances() for e in self.estimates])
+
+    def bootstrap_draws(self, size: int, rng: np.random.Generator, sets: int) -> np.ndarray:
+        """(sets, size, k) bootstrap replicas of the first ``sets`` estimates.
+
+        A draw that failed after its retry is left as a NaN row.
+        """
+        draws = np.full((sets, size, self.estimates[0].k), np.nan)
+        for f, est in enumerate(self.estimates[:sets]):
+            d, _ = est.bootstrap_draws(size, rng)
+            draws[f, : d.shape[0]] = d
+        return draws

@@ -26,14 +26,18 @@ from dataclasses import dataclass, field
 
 from .errors import ParameterError
 from .models import (
+    REGRESSION_STATISTICS,
     GaussianData,
+    GaussianStatistics,
     PrivatizedGaussianEstimate,
     PrivatizedRegressionEstimate,
+    RegressionStatistics,
+    _ledger,
     _noisy_gram_solve,
     _residual_noise_scale,
     gaussian_private_mle,
 )
-from .privacy import Bounds, PrivacyLedger, split_budget
+from .privacy import Bounds, split_budget
 
 __all__ = [
     "NuisanceRegressionData",
@@ -78,6 +82,10 @@ class PartitionedGaussianData:
     @property
     def k1(self) -> int:
         return self.x1.shape[1]
+
+    def fold_statistics(self, folds: list[np.ndarray]) -> GaussianStatistics:
+        """Statistics of the interest block only; the nuisance block is never released."""
+        return GaussianStatistics.of_folds(self.bounds.clamp(self.x1), self.bounds, folds)
 
 
 @dataclass(eq=False)
@@ -185,6 +193,19 @@ class NuisanceRegressionData:
     def k2(self) -> int:
         return 0 if self.X is None else self.X.shape[1]
 
+    @property
+    def fit_bound(self) -> float:
+        """Bound on |x^T gamma| used in the residual-variance sensitivity."""
+        if self.nuisance_fit_bound is not None:
+            return float(self.nuisance_fit_bound)
+        return 0.0 if self.X is None else float(self.y_bounds.magnitudes[0])
+
+    def fold_statistics(self, folds: list[np.ndarray]) -> RegressionStatistics:
+        return RegressionStatistics.of_folds(
+            self.z_bounds.clamp(self.Z), self.y_bounds.clamp(self.y), self.X, folds,
+            self.z_bounds, self.y_bounds, self.fit_bound,
+        )
+
 
 @dataclass(eq=False)
 class PartialRegressionEstimate(PrivatizedRegressionEstimate):
@@ -216,15 +237,9 @@ def partial_regression_private_mle(
     if data.X is not None:
         gamma, *_ = np.linalg.lstsq(data.X, y - Z @ beta, rcond=None)
         resid = y - Z @ beta - data.X @ gamma
-        fit_bound = (
-            float(data.y_bounds.magnitudes[0])
-            if data.nuisance_fit_bound is None
-            else float(data.nuisance_fit_bound)
-        )
     else:
         gamma = None
         resid = y - Z @ beta
-        fit_bound = 0.0 if data.nuisance_fit_bound is None else float(data.nuisance_fit_bound)
 
     dof = n - data.k1 - data.k2
     sigma2, rss_spec = _residual_noise_scale(
@@ -234,22 +249,16 @@ def partial_regression_private_mle(
         data.y_bounds,
         eps_rss,
         dof,
-        fit_bound,
+        data.fit_bound,
         rng,
     )
 
-    ledger = (
-        PrivacyLedger()
-        .charge(f"{statistic_prefix}:gram", eps_gram)
-        .charge(f"{statistic_prefix}:xty", eps_xty)
-        .charge(f"{statistic_prefix}:rss", eps_rss)
-    )
     return PartialRegressionEstimate(
         beta_priv=beta,
         sigma2_priv=sigma2,
         S_priv=s_priv,
         n=n,
-        ledger=ledger,
+        ledger=_ledger(statistic_prefix, REGRESSION_STATISTICS, (eps_gram, eps_xty, eps_rss)),
         gram_noise=gram_spec,
         xty_noise=xty_spec,
         rss_noise=rss_spec,

@@ -180,13 +180,17 @@ class LaplaceSpec:
     def is_zero(self) -> bool:
         return self.scale == 0.0
 
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    def sample(
+        self, rng: np.random.Generator, size: int | tuple[int, ...] | None = None
+    ) -> np.ndarray:
         """i.i.d. draws with density (1/2b) exp(-|w|/b); zeros when b == 0.
 
-        Draws taken through this method are simulation noise (bootstrap
-        replicas of the mechanism); they never touch the privacy ledger.
+        The result has shape ``(dimension,)``, or ``(*size, dimension)`` for an
+        integer or tuple ``size``.  Draws taken through this method are
+        simulation noise (bootstrap replicas of the mechanism); they never
+        touch the privacy ledger.
         """
-        shape = self.dimension if size is None else (size, self.dimension)
+        shape = self.dimension if size is None else (*np.atleast_1d(size).tolist(), self.dimension)
         if self.is_zero:
             return np.zeros(shape)
         return rng.laplace(0.0, self.scale, size=shape)
@@ -197,8 +201,10 @@ def laplace_sample(spec: LaplaceSpec, rng: np.random.Generator) -> np.ndarray:
     return spec.sample(rng)
 
 
-def laplace_symmetric_sample(scale: float, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Symmetric k x k Laplace noise matrix.
+def laplace_symmetric_sample(
+    scale: float, k: int, rng: np.random.Generator, size: int | None = None
+) -> np.ndarray:
+    """Symmetric k x k Laplace noise matrix, or a (size, k, k) stack of them.
 
     Entries are drawn i.i.d. on the diagonal and upper triangle and mirrored
     below, so the noisy matrix stays symmetric.  Mirrored pairs count twice in
@@ -206,15 +212,16 @@ def laplace_symmetric_sample(scale: float, k: int, rng: np.random.Generator) -> 
     """
     if k < 1:
         raise ParameterError("matrix dimension must be >= 1")
+    lead = () if size is None else (size,)
     if scale == 0.0:
-        return np.zeros((k, k))
+        return np.zeros((*lead, k, k))
     if not math.isfinite(scale) or scale < 0:
         raise ParameterError("Laplace scale must be finite and >= 0")
-    w = np.zeros((k, k))
+    w = np.zeros((*lead, k, k))
     iu = np.triu_indices(k)
-    w[iu] = rng.laplace(0.0, scale, size=iu[0].size)
+    w[..., iu[0], iu[1]] = rng.laplace(0.0, scale, size=(*lead, iu[0].size))
     il = np.tril_indices(k, -1)
-    w[il] = w[il[1], il[0]]
+    w[..., il[0], il[1]] = w[..., il[1], il[0]]
     return w
 
 

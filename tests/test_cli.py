@@ -38,6 +38,20 @@ def write_regression_csv(path, n=400, seed=0):
     return path
 
 
+def write_orthogonal_regression_csv(path, n=2000, seed=0):
+    """Two interest columns, one nuisance column orthogonal to them, then y."""
+    rng = np.random.default_rng(seed)
+    Z = rng.uniform(-1.0, 1.0, (n, 2))
+    x = rng.standard_normal(n)
+    x = x - Z @ np.linalg.solve(Z.T @ Z, Z.T @ x)
+    y = Z @ np.array([0.0, 0.5]) + 0.8 * x + rng.standard_normal(n)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["z0", "z1", "x0", "y"])
+        writer.writerows(np.column_stack([Z, x, y]).tolist())
+    return path
+
+
 class TestCiGaussian:
     def test_deterministic_rerun(self, tmp_path, capsys):
         data = write_gaussian_csv(tmp_path / "data.csv")
@@ -87,13 +101,20 @@ class TestCiGaussian:
 
     def test_cv_choice_of_r(self, tmp_path, capsys):
         data = write_gaussian_csv(tmp_path / "data.csv")
+        out = tmp_path / "res.json"
         args = [
             "ci", "gaussian", "--input", str(data), "--bounds=-5:5",
             "--epsilon", "1.5", "--r", "cv", "--seed", "5", "--B", "200",
-            "--b-inner", "60",
+            "--b-inner", "60", "--output", str(out),
         ]
         assert run_cli(args) == 0
         assert "chosen r" in capsys.readouterr().out
+        payload = json.loads(out.read_text())
+        cv = payload["cv"]
+        assert cv["chosen_r"] == payload["result"]["r_used"]
+        assert cv["chosen_r"] in cv["grid"]
+        assert len(cv["criterion"]) == len(cv["grid"])
+        assert all(math.isfinite(c) for c in cv["criterion"])
 
     def test_missing_epsilon_is_usage_error(self, tmp_path):
         data = write_gaussian_csv(tmp_path / "data.csv")
@@ -136,6 +157,18 @@ class TestCiRegression:
         ]
         assert run_cli(args) == 2
         assert "sensitivity is undefined without bounds" in capsys.readouterr().err
+
+    def test_partial_cv_choice_of_r(self, tmp_path, capsys):
+        data = write_orthogonal_regression_csv(tmp_path / "orth.csv")
+        out = tmp_path / "res.json"
+        args = [
+            "ci", "regression", "--input", str(data), "--bounds=-1:1",
+            "--y-bounds=-8:8", "--epsilon", "1.5", "--partial", "2", "--r", "cv",
+            "--seed", "3", "--B", "300", "--b-inner", "60", "--output", str(out),
+        ]
+        assert run_cli(args) == 0
+        payload = json.loads(out.read_text())
+        assert payload["result"]["r_used"] in payload["cv"]["grid"]
 
     def test_numeric_degeneracy_exit_code(self, tmp_path, capsys):
         data = write_regression_csv(tmp_path / "reg.csv", n=40)

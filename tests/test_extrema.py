@@ -11,6 +11,7 @@ from dpextrema.extrema import (
     FULL_CORRECTION,
     bias_correction,
     bias_reduced_estimate,
+    bias_reduced_from_draws,
     bonferroni_lower_limit,
     bootstrap_statistic,
     correction_factor,
@@ -284,3 +285,26 @@ class TestBiasReducedEstimate:
         est = gaussian_estimate()
         with pytest.raises(ParameterError):
             bias_reduced_estimate(est, 0.1, np.random.default_rng(0), B_inner=49)
+
+    def test_stacked_call_matches_one_estimate_at_a_time(self):
+        rng = np.random.default_rng(12)
+        beta = rng.standard_normal((3, 4))
+        draws = beta[:, None, :] + 0.1 * rng.standard_normal((3, 70, 4))
+        n = np.array([90.0, 120.0, 400.0])
+        grid = np.array([1 / 30, 0.2, 0.5, FULL_CORRECTION])
+        stacked = bias_reduced_from_draws(beta, draws, grid, n)
+        assert stacked.shape == (4, 3)
+        for l, r in enumerate(grid):
+            for f in range(3):
+                one = bias_reduced_from_draws(beta[f], draws[f], r, int(n[f]))
+                assert isinstance(one, float)
+                assert stacked[l, f] == pytest.approx(one, rel=1e-14, abs=1e-14)
+
+    def test_nan_rows_are_left_out(self):
+        rng = np.random.default_rng(13)
+        beta = rng.standard_normal(3)
+        draws = beta + 0.1 * rng.standard_normal((60, 3))
+        padded = np.vstack([draws, np.full((5, 3), np.nan)])
+        assert bias_reduced_from_draws(beta, padded, 0.1, 200) == pytest.approx(
+            bias_reduced_from_draws(beta, draws, 0.1, 200), rel=1e-14
+        )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dpextrema.errors import NumericError, ParameterError
-from dpextrema.linalg import psd_repair, sym_sqrt
+from dpextrema.linalg import eigen_sqrt, psd_repair, psd_repair_stack, sym_sqrt
 from dpextrema.models import (
     SIGMA2_FLOOR,
     GaussianData,
@@ -50,6 +50,22 @@ class TestLinalgHelpers:
     def test_repair_flags_degenerate_shift(self):
         m = np.array([[1.0, 0.0], [0.0, -0.5]])  # needs a 50%-of-trace shift
         assert psd_repair(m).degenerate
+
+    def test_stack_repair_matches_one_matrix_at_a_time(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((6, 3, 3))
+        shifts = np.array([0.0, 0.5, 2.0, 0.0, 8.0, 0.1])[:, None, None]
+        stack = a @ np.swapaxes(a, 1, 2) - shifts * np.eye(3)
+        repair, eigvals, eigvecs = psd_repair_stack(stack)
+        assert repair.shift[0] == 0.0 and repair.degenerate.any() and not repair.degenerate.all()
+        for f, m in enumerate(stack):
+            one = psd_repair(m)
+            assert np.allclose(repair.matrix[f], one.matrix, atol=1e-12)
+            assert repair.shift[f] == pytest.approx(one.shift, abs=1e-12)
+            assert repair.floor[f] == one.floor
+            assert repair.degenerate[f] == one.degenerate
+            root = eigen_sqrt(eigvals[f], eigvecs[f])
+            assert np.allclose(root @ root, one.matrix, atol=1e-10)
 
     def test_sym_sqrt_squares_back(self):
         rng = np.random.default_rng(7)

@@ -69,6 +69,14 @@ class TestLaplaceSampling:
         assert np.array_equal(w, w.T)
         assert laplace_symmetric_sample(0.0, 4, rng).sum() == 0.0
 
+    def test_symmetric_stack_draws_like_single_matrices(self):
+        stack = laplace_symmetric_sample(1.5, 3, np.random.default_rng(4), size=5)
+        assert stack.shape == (5, 3, 3)
+        assert np.array_equal(stack, np.swapaxes(stack, 1, 2))
+        rng = np.random.default_rng(4)
+        assert np.array_equal(stack[0], laplace_symmetric_sample(1.5, 3, rng))
+        assert laplace_symmetric_sample(0.0, 3, rng, size=2).shape == (2, 3, 3)
+
 
 class TestSensitivities:
     def test_sum_unit_box(self):
