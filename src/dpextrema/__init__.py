@@ -13,7 +13,6 @@ from .extrema import (
     bias_correction,
     bias_reduced_estimate,
     bonferroni_lower_limit,
-    bootstrap_statistic,
     correction_factor,
     naive_lower_limit,
     ppb_limit_from_draws,
@@ -34,9 +33,7 @@ from .models import (
     PrivatizedGaussianEstimate,
     PrivatizedRegressionEstimate,
     RegressionData,
-    gaussian_bootstrap_draw,
     gaussian_private_mle,
-    regression_bootstrap_draw,
     regression_private_mle,
 )
 from .partial import (
@@ -45,7 +42,6 @@ from .partial import (
     PartialRegressionEstimate,
     PartitionedGaussianData,
     partial_gaussian_private_mle,
-    partial_regression_bootstrap_draw,
     partial_regression_private_mle,
 )
 from .privacy import (

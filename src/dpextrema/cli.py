@@ -125,8 +125,11 @@ def _budget(epsilon: float, count: int, split):
 
 def _print_result(result, estimate, seed: int, extra: dict | None = None, output=None):
     ledger = estimate.ledger
+    release = estimate.to_dict()
+    repair = release["repair"]
     payload = {
         "result": result.to_dict(),
+        "estimate": {"noise_scales": release["noise_scales"], "repair": repair},
         "ledger": ledger.to_dict(),
         "seed": seed,
     }
@@ -138,6 +141,7 @@ def _print_result(result, estimate, seed: int, extra: dict | None = None, output
     if result.B:
         print(f"B           = {result.B} ({result.failed_draws} failed draws)")
     print(f"budget      = sequential {ledger.total_sequential():g} | parallel view {ledger.total_parallel():g}")
+    print(f"repair      = shift {repair['shift']:g}" + (" (degenerate)" if repair["degenerate"] else ""))
     if extra and "cv" in extra:
         cv = extra["cv"]
         print(

@@ -49,7 +49,6 @@ __all__ = [
     "bias_correction",
     "bias_reduced_estimate",
     "bonferroni_lower_limit",
-    "bootstrap_statistic",
     "correction_factor",
     "naive_lower_limit",
     "ppb_limit_from_draws",
@@ -110,16 +109,10 @@ def bias_correction(beta_priv: np.ndarray, r: float, n: int) -> BiasCorrection:
     return BiasCorrection(shifts=shifts, r=r, n=int(n))
 
 
-def bootstrap_statistic(beta_star_priv, correction, beta_max_priv: float, n: int) -> float:
-    """Centered, scaled maximum of one shifted bootstrap replica."""
-    shifts = correction.shifts if isinstance(correction, BiasCorrection) else np.asarray(correction, float)
-    star = np.asarray(beta_star_priv, dtype=float).ravel()
-    if star.shape != shifts.shape:
-        raise ParameterError("replica and correction dimensions differ")
-    return math.sqrt(n) * float((star + shifts - beta_max_priv).max())
-
-
 def _statistic_batch(draws: np.ndarray, shifts: np.ndarray, beta_max: float, n: int) -> np.ndarray:
+    """Centered, scaled maximum of each shifted replica in a (B, k) draw array."""
+    if draws.shape[-1:] != shifts.shape:
+        raise ParameterError("replica and correction dimensions differ")
     return math.sqrt(n) * ((draws + shifts) - beta_max).max(axis=1)
 
 

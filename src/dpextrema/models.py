@@ -18,7 +18,10 @@ resample mean of n i.i.d. N(mu, Sigma) draws has the exact law N(mu, Sigma/n),
 so the mean is drawn directly from that law.  This is an identity, not an
 approximation, and keeps Monte Carlo studies tractable.  The regression
 bootstrap is already formulated in terms of the released statistics and never
-touches the design matrix again.
+touches the design matrix again.  Each regression replica solves its own
+noisy system S + W/n; a Weyl bound on the noise certifies most systems
+non-singular without an eigenvalue check, and without simulated gram noise
+the one system S is checked once and solved against every replica at once.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ from .privacy import (
 )
 
 SIGMA2_FLOOR = 1e-8
+#: Relative slack of the Weyl certificate in the regression bootstrap.  It is
+#: far above the rounding error of eigvalsh, so a certified system can never
+#: be one that the eigenvalue check would have flagged.
+_CERTIFY_MARGIN = 1e-8
 #: Released statistics of a regression estimate, in budget-split order.
 REGRESSION_STATISTICS = ("gram", "xty", "rss")
 
@@ -55,9 +62,7 @@ __all__ = [
     "PrivatizedRegressionEstimate",
     "SIGMA2_FLOOR",
     "gaussian_private_mle",
-    "gaussian_bootstrap_draw",
     "regression_private_mle",
-    "regression_bootstrap_draw",
 ]
 
 
@@ -149,15 +154,6 @@ class PrivatizedGaussianEstimate:
         if privacy_noise and not self.sum_noise.is_zero:
             draws = draws + self.sum_noise.sample(rng, size) / m
         return draws, 0
-
-    def bootstrap_draw(
-        self,
-        rng: np.random.Generator,
-        n: int | None = None,
-        privacy_noise: bool = True,
-    ) -> np.ndarray:
-        draws, _ = self.bootstrap_draws(1, rng, n=n, privacy_noise=privacy_noise)
-        return draws[0]
 
     def coordinate_variances(self, private: bool = True) -> np.ndarray:
         """Plug-in variance of each released mean coordinate.
@@ -252,16 +248,6 @@ def gaussian_private_mle(
         noisy_gram=noisy_gram,
         repair=repair,
     )
-
-
-def gaussian_bootstrap_draw(
-    est: PrivatizedGaussianEstimate,
-    n: int,
-    rng: np.random.Generator,
-    privacy_noise: bool = True,
-) -> np.ndarray:
-    """One bootstrap replica of the privatized mean (see the estimate method)."""
-    return est.bootstrap_draw(rng, n=n, privacy_noise=privacy_noise)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +348,15 @@ class PrivatizedRegressionEstimate:
         estimation scales.  A draw whose noisy matrix is numerically singular
         is retried once with fresh W1; a second failure drops the draw and is
         counted in the returned failure total.
+
+        Only systems that may be singular get an eigenvalue check.  By Weyl's
+        inequality every eigenvalue of S + W1/n lies within
+        ||W1/n||_2 <= ||W1/n||_F of one of S, so a system whose Frobenius bound
+        leaves the least eigenvalue of S above the floor, by a margin relative
+        to the scale that covers rounding, is certified non-singular.  Without
+        gram noise every system is S: it is checked once, and a singular S
+        fails every draw, while a regular one is solved against all right-hand
+        sides at once.
         """
         m = self.n if n is None else int(n)
         if m < 1:
@@ -374,12 +369,14 @@ class PrivatizedRegressionEstimate:
             c = c + self.xty_noise.sample(rng, size) / math.sqrt(m)
         rhs = (self.S_priv @ self.beta_priv)[None, :] + c / math.sqrt(m)
 
-        systems = np.broadcast_to(self.S_priv, (size, k, k)).copy()
-        if privacy_noise and not self.gram_noise.is_zero:
-            systems += laplace_symmetric_sample(self.gram_noise.scale, k, rng, size) / m
+        if not privacy_noise or self.gram_noise.is_zero:
+            if self._near_singular(self.S_priv[None], floor)[0]:
+                return np.empty((0, k)), size
+            return np.linalg.solve(self.S_priv, rhs.T).T, 0
 
+        s_eigvals = np.linalg.eigvalsh(self.S_priv)
+        systems, bad = self._noisy_systems(size, m, rng, floor, s_eigvals)
         draws = np.empty((size, k))
-        bad = self._near_singular(systems, floor)
         good = ~bad
         if good.any():
             draws[good] = _solve_batch(systems[good], rhs[good])
@@ -387,12 +384,7 @@ class PrivatizedRegressionEstimate:
         failed = 0
         if bad.any():
             retry_idx = np.flatnonzero(bad)
-            retries = np.broadcast_to(self.S_priv, (retry_idx.size, k, k)).copy()
-            if privacy_noise and not self.gram_noise.is_zero:
-                retries += (
-                    laplace_symmetric_sample(self.gram_noise.scale, k, rng, retry_idx.size) / m
-                )
-            still_bad = self._near_singular(retries, floor)
+            retries, still_bad = self._noisy_systems(retry_idx.size, m, rng, floor, s_eigvals)
             ok = ~still_bad
             if ok.any():
                 draws[retry_idx[ok]] = _solve_batch(retries[ok], rhs[retry_idx[ok]])
@@ -403,21 +395,28 @@ class PrivatizedRegressionEstimate:
                 draws = draws[keep]
         return draws, failed
 
+    def _noisy_systems(
+        self, count: int, m: int, rng: np.random.Generator, floor: float, s_eigvals: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``count`` systems S + W1/m and their near-singularity flags.
+
+        ``s_eigvals`` are the ascending eigenvalues of S; only the systems that
+        the Weyl bound does not certify go through :meth:`_near_singular`.
+        """
+        noise = laplace_symmetric_sample(self.gram_noise.scale, self.k, rng, count)
+        noise /= m
+        systems = self.S_priv + noise
+        bound = np.sqrt(np.einsum("bij,bij->b", noise, noise))
+        margin = _CERTIFY_MARGIN * (s_eigvals[-1] + bound)
+        flags = s_eigvals[0] - bound - margin < floor
+        if flags.any():
+            flags[flags] = self._near_singular(systems[flags], floor)
+        return systems, flags
+
     @staticmethod
     def _near_singular(systems: np.ndarray, floor: float) -> np.ndarray:
         eigvals = np.linalg.eigvalsh(systems)
         return np.abs(eigvals).min(axis=1) < floor
-
-    def bootstrap_draw(
-        self,
-        rng: np.random.Generator,
-        n: int | None = None,
-        privacy_noise: bool = True,
-    ) -> np.ndarray:
-        draws, failed = self.bootstrap_draws(1, rng, n=n, privacy_noise=privacy_noise)
-        if failed:
-            raise NumericError("bootstrap system singular after one retry")
-        return draws[0]
 
     def coordinate_variances(self, private: bool = True) -> np.ndarray:
         """Plug-in variance of each released coefficient.
@@ -561,16 +560,6 @@ def regression_private_mle(
         noisy_xty=noisy_xty,
         repair=repair,
     )
-
-
-def regression_bootstrap_draw(
-    est: PrivatizedRegressionEstimate,
-    n: int,
-    rng: np.random.Generator,
-    privacy_noise: bool = True,
-) -> np.ndarray:
-    """One bootstrap replica of the privatized coefficients (see the estimate method)."""
-    return est.bootstrap_draw(rng, n=n, privacy_noise=privacy_noise)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ __all__ = [
     "PartialRegressionEstimate",
     "PartitionedGaussianData",
     "partial_gaussian_private_mle",
-    "partial_regression_bootstrap_draw",
     "partial_regression_private_mle",
 ]
 
@@ -209,6 +208,12 @@ class NuisanceRegressionData:
 
 @dataclass(eq=False)
 class PartialRegressionEstimate(PrivatizedRegressionEstimate):
+    """Interest-coefficient release; it bootstraps as the plain regression does.
+
+    The scaled gram matrix comes from Z^T Z, and the nuisance fit is part of
+    the fitted model and is not resampled.
+    """
+
     # non-private nuisance coefficients; internal only
     _gamma: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -267,18 +272,3 @@ def partial_regression_private_mle(
         repair=repair,
         _gamma=gamma,
     )
-
-
-def partial_regression_bootstrap_draw(
-    est: PartialRegressionEstimate,
-    n: int,
-    rng: np.random.Generator,
-    privacy_noise: bool = True,
-) -> np.ndarray:
-    """One bootstrap replica of the interest coefficients.
-
-    Identical recipe to the plain regression bootstrap, with the scaled gram
-    matrix built from Z^T Z; the nuisance fit is part of the fitted model and
-    is not resampled.
-    """
-    return est.bootstrap_draw(rng, n=n, privacy_noise=privacy_noise)

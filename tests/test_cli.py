@@ -108,13 +108,34 @@ class TestCiGaussian:
             "--b-inner", "60", "--output", str(out),
         ]
         assert run_cli(args) == 0
-        assert "chosen r" in capsys.readouterr().out
+        stdout = capsys.readouterr().out
+        assert "chosen r" in stdout
         payload = json.loads(out.read_text())
         cv = payload["cv"]
         assert cv["chosen_r"] == payload["result"]["r_used"]
         assert cv["chosen_r"] in cv["grid"]
         assert len(cv["criterion"]) == len(cv["grid"])
         assert all(math.isfinite(c) for c in cv["criterion"])
+        # at this budget the +-5 box makes the gram noise swamp the covariance
+        repair = payload["estimate"]["repair"]
+        assert repair["degenerate"] and repair["shift"] > 0.0
+        assert f"repair      = shift {repair['shift']:g} (degenerate)\n" in stdout
+        assert set(payload["estimate"]["noise_scales"]) == {"sum", "gram"}
+
+    def test_release_diagnostics_without_noise(self, tmp_path, capsys):
+        data = write_gaussian_csv(tmp_path / "data.csv")
+        out = tmp_path / "res.json"
+        args = [
+            "ci", "gaussian", "--input", str(data), "--bounds=-5:5",
+            "--epsilon", "inf", "--seed", "5", "--B", "200", "--output", str(out),
+        ]
+        assert run_cli(args) == 0
+        assert "repair      = shift 0\n" in capsys.readouterr().out
+        estimate = json.loads(out.read_text())["estimate"]
+        assert estimate == {
+            "noise_scales": {"sum": 0.0, "gram": 0.0},
+            "repair": {"shift": 0.0, "degenerate": False},
+        }
 
     def test_missing_epsilon_is_usage_error(self, tmp_path):
         data = write_gaussian_csv(tmp_path / "data.csv")
@@ -148,6 +169,7 @@ class TestCiRegression:
         assert run_cli(args) == 0
         out = capsys.readouterr().out
         assert "sequential" in out and "parallel view" in out
+        assert "repair      = shift " in out
 
     def test_missing_response_bounds_refused(self, tmp_path, capsys):
         data = write_regression_csv(tmp_path / "reg.csv")

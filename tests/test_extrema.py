@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from dpextrema.errors import DegeneracyError, ParameterError
 from dpextrema.extrema import (
     FULL_CORRECTION,
+    _statistic_batch,
     bias_correction,
     bias_reduced_estimate,
     bias_reduced_from_draws,
     bonferroni_lower_limit,
-    bootstrap_statistic,
     correction_factor,
     naive_lower_limit,
     ppb_limit_from_draws,
@@ -83,17 +83,18 @@ class TestBiasCorrection:
 
 class TestBootstrapStatistic:
     def test_hand_computed_example(self):
-        value = bootstrap_statistic(np.array([0.0, 0.0]), np.array([0.0, 0.4]), 0.7, 100)
-        assert value == pytest.approx(-3.0)
+        value = _statistic_batch(np.array([[0.0, 0.0]]), np.array([0.0, 0.4]), 0.7, 100)
+        assert value.shape == (1,)
+        assert value[0] == pytest.approx(-3.0)
         # brute-force max over coordinates agrees
-        assert value == pytest.approx(
+        assert value[0] == pytest.approx(
             10.0 * max(0.0 + 0.0 - 0.7, 0.0 + 0.4 - 0.7)
         )
 
     def test_zero_at_the_attained_max(self):
         beta = np.array([0.3, 0.7])
         c = bias_correction(beta, 0.5, 400)
-        assert bootstrap_statistic(beta, c, beta.max(), 400) == 0.0
+        assert _statistic_batch(beta[None, :], c.shifts, beta.max(), 400)[0] == 0.0
 
     @settings(max_examples=50, deadline=None)
     @given(st.permutations(list(range(5))))
@@ -101,13 +102,13 @@ class TestBootstrapStatistic:
         rng = np.random.default_rng(12)
         star = rng.standard_normal(5)
         shifts = np.abs(rng.standard_normal(5))
-        base = bootstrap_statistic(star, shifts, 0.4, 50)
+        base = _statistic_batch(star[None, :], shifts, 0.4, 50)[0]
         p = np.array(perm)
-        assert bootstrap_statistic(star[p], shifts[p], 0.4, 50) == base
+        assert _statistic_batch(star[None, p], shifts[p], 0.4, 50)[0] == base
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ParameterError):
-            bootstrap_statistic(np.zeros(3), np.zeros(2), 0.0, 10)
+            _statistic_batch(np.zeros((1, 3)), np.zeros(2), 0.0, 10)
 
 
 class TestQuantile:

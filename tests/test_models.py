@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 
 from dpextrema.errors import NumericError, ParameterError
-from dpextrema.linalg import eigen_sqrt, psd_repair, psd_repair_stack, sym_sqrt
+from dpextrema.linalg import eigen_sqrt, psd_floor, psd_repair, psd_repair_stack, sym_sqrt
 from dpextrema.models import (
     SIGMA2_FLOOR,
     GaussianData,
     PrivatizedRegressionEstimate,
     RegressionData,
-    gaussian_bootstrap_draw,
     gaussian_private_mle,
-    regression_bootstrap_draw,
     regression_private_mle,
 )
-from dpextrema.privacy import Bounds, LaplaceSpec, PrivacyLedger
+from dpextrema.privacy import Bounds, LaplaceSpec, PrivacyLedger, laplace_symmetric_sample
 
 WIDE = 5.0  # box that never clips the small test datasets below
 
@@ -106,8 +104,8 @@ class TestGaussianEstimator:
         est2 = gaussian_private_mle(data, 1.5, np.random.default_rng(99))
         assert np.array_equal(est1.mu_priv, est2.mu_priv)
         assert np.array_equal(est1.sigma_priv, est2.sigma_priv)
-        d1 = est1.bootstrap_draw(np.random.default_rng(5))
-        d2 = est2.bootstrap_draw(np.random.default_rng(5))
+        d1, _ = est1.bootstrap_draws(1, np.random.default_rng(5))
+        d2, _ = est2.bootstrap_draws(1, np.random.default_rng(5))
         assert np.array_equal(d1, d2)
 
     def test_clamping_idempotence(self):
@@ -181,11 +179,11 @@ class TestGaussianBootstrap:
         assert np.all(np.abs(draws.mean(axis=0) - est.mu_priv) < 3 * se)
         assert np.all(np.abs(draws.var(axis=0) - target_var) < 0.10 * target_var)
 
-    def test_single_draw_wrapper(self):
+    def test_single_draw(self):
         rng = np.random.default_rng(23)
         est = gaussian_private_mle(make_gaussian(rng), 1.0, rng)
-        d = gaussian_bootstrap_draw(est, est.n, np.random.default_rng(9))
-        assert d.shape == (est.k,)
+        d, failed = est.bootstrap_draws(1, np.random.default_rng(9), n=est.n)
+        assert d.shape == (1, est.k) and failed == 0
 
     def test_coordinate_variances(self):
         rng = np.random.default_rng(24)
@@ -272,7 +270,127 @@ def make_degenerate_regression_estimate():
     )
 
 
+def make_near_floor_regression_estimate(seed, lam, rel_scale, k=3, n=100):
+    """An estimate whose least eigenvalue ``lam`` sits a few floors above the
+    singularity floor, with gram noise of ``rel_scale * lam`` per scaled entry."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    s = (q * np.r_[np.linspace(1.0, 0.5, k - 1), lam]) @ q.T
+    s = 0.5 * (s + s.T)
+    return PrivatizedRegressionEstimate(
+        beta_priv=rng.standard_normal(k),
+        sigma2_priv=1.0,
+        S_priv=s,
+        n=n,
+        ledger=PrivacyLedger(),
+        gram_noise=LaplaceSpec(rel_scale * lam * n, k * (k + 1) // 2),
+        xty_noise=LaplaceSpec(0.5, k),
+        rss_noise=LaplaceSpec(0.0, 1),
+        noisy_gram=n * s,
+        noisy_xty=np.zeros(k),
+        repair=psd_repair(s),
+    )
+
+
+def reference_bootstrap_draws(est, size, rng, n=None, privacy_noise=True):
+    """The regression bootstrap with an eigenvalue check of every system."""
+    m = est.n if n is None else int(n)
+    k = est.k
+    floor = psd_floor(est.S_priv)
+
+    c = rng.standard_normal((size, k)) @ est._score_cov_sqrt().T
+    if privacy_noise and not est.xty_noise.is_zero:
+        c = c + est.xty_noise.sample(rng, size) / math.sqrt(m)
+    rhs = (est.S_priv @ est.beta_priv)[None, :] + c / math.sqrt(m)
+
+    def attempt(count):
+        systems = np.broadcast_to(est.S_priv, (count, k, k)).copy()
+        if privacy_noise and not est.gram_noise.is_zero:
+            systems += laplace_symmetric_sample(est.gram_noise.scale, k, rng, count) / m
+        return systems, np.abs(np.linalg.eigvalsh(systems)).min(axis=1) < floor
+
+    def solve(systems, b):
+        return np.linalg.solve(systems, b[:, :, None])[:, :, 0]
+
+    systems, bad = attempt(size)
+    draws = np.empty((size, k))
+    if (~bad).any():
+        draws[~bad] = solve(systems[~bad], rhs[~bad])
+    failed = 0
+    if bad.any():
+        retry_idx = np.flatnonzero(bad)
+        retries, still_bad = attempt(retry_idx.size)
+        if (~still_bad).any():
+            draws[retry_idx[~still_bad]] = solve(retries[~still_bad], rhs[retry_idx[~still_bad]])
+        failed = int(still_bad.sum())
+        keep = np.ones(size, dtype=bool)
+        keep[retry_idx[still_bad]] = False
+        draws = draws[keep]
+    return draws, failed
+
+
 class TestRegressionBootstrap:
+    def test_weyl_screen_matches_checking_every_system(self, monkeypatch):
+        checked = []
+        near_singular = PrivatizedRegressionEstimate._near_singular
+
+        def counting(systems, floor):
+            checked.append(len(systems))
+            return near_singular(systems, floor)
+
+        monkeypatch.setattr(PrivatizedRegressionEstimate, "_near_singular", staticmethod(counting))
+        size, attempted, failed_total = 300, 0, 0
+        for seed in range(3):
+            for lam in (3e-8, 1e-7):
+                for rel_scale in (0.15, 0.6, 2.0):
+                    est = make_near_floor_regression_estimate(seed, lam, rel_scale)
+                    for m in (None, 60):
+                        draws, failed = est.bootstrap_draws(size, np.random.default_rng(seed), n=m)
+                        ref_draws, ref_failed = reference_bootstrap_draws(
+                            est, size, np.random.default_rng(seed), n=m
+                        )
+                        assert failed == ref_failed
+                        assert np.array_equal(draws, ref_draws)
+                        attempted += size + failed
+                        failed_total += failed
+        # systems fell on both sides of the bound, and some failed their retry
+        assert 0 < sum(checked) < attempted
+        assert failed_total > 0
+
+    def test_weyl_screen_on_released_estimates(self):
+        # n = 50, eps = 0.2 releases clip eigenvalues (or fail); k = 8 is regular
+        compared, clipped = 0, 0
+        for n, k, eps, seeds in ((50, 2, 0.2, range(40)), (400, 8, 50.0, range(3))):
+            for seed in seeds:
+                rng = np.random.default_rng(seed)
+                data = make_regression(rng, n=n, k=k)
+                try:
+                    est = regression_private_mle(data, eps, rng)
+                except NumericError:
+                    continue
+                draws, failed = est.bootstrap_draws(200, np.random.default_rng(seed))
+                ref = reference_bootstrap_draws(est, 200, np.random.default_rng(seed))
+                assert failed == ref[1]
+                assert np.array_equal(draws, ref[0])
+                compared += 1
+                clipped += est.repair.shift > 0.0
+        assert compared > 3 and clipped > 0
+
+    def test_noiseless_draws_match_per_draw_solves(self):
+        rng = np.random.default_rng(44)
+        est = regression_private_mle(make_regression(rng, n=400, k=4), 20.0, rng)
+        for privacy_noise in (False, True):
+            if privacy_noise:
+                est.gram_noise = LaplaceSpec(0.0, est.gram_noise.dimension)
+            draws, failed = est.bootstrap_draws(
+                500, np.random.default_rng(3), privacy_noise=privacy_noise
+            )
+            ref, ref_failed = reference_bootstrap_draws(
+                est, 500, np.random.default_rng(3), privacy_noise=privacy_noise
+            )
+            assert failed == ref_failed == 0
+            assert np.allclose(draws, ref, rtol=1e-12, atol=0.0)
+
     def test_zero_noise_draw_covariance(self):
         # with zero noise, sqrt(n) (beta* - beta) ~ N(0, sigma2 S^{-1})
         rng = np.random.default_rng(41)
@@ -294,15 +412,18 @@ class TestRegressionBootstrap:
         est = regression_private_mle(make_regression(rng, n=120), math.inf, rng)
         est.sigma2_priv = 0.0
         est._cov_sqrt = None
-        draw = est.bootstrap_draw(np.random.default_rng(0))
-        assert np.allclose(draw, est.beta_priv, atol=1e-14)
+        draws, failed = est.bootstrap_draws(1, np.random.default_rng(0))
+        assert failed == 0
+        assert np.allclose(draws[0], est.beta_priv, atol=1e-14)
 
-    def test_every_draw_failing_raises_and_counts(self):
+    def test_every_draw_failing_is_counted(self):
         est = make_degenerate_regression_estimate()
         draws, failed = est.bootstrap_draws(50, np.random.default_rng(1))
         assert failed == 50 and draws.shape == (0, 2)
-        with pytest.raises(NumericError):
-            regression_bootstrap_draw(est, est.n, np.random.default_rng(1))
+        draws, failed = est.bootstrap_draws(1, np.random.default_rng(1), n=est.n)
+        assert failed == 1 and draws.shape == (0, 2)
+        draws, failed = est.bootstrap_draws(50, np.random.default_rng(1), privacy_noise=False)
+        assert failed == 50 and draws.shape == (0, 2)
 
     def test_coordinate_variances_private_exceeds_nonprivate(self):
         rng = np.random.default_rng(43)

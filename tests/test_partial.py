@@ -11,7 +11,6 @@ from dpextrema.partial import (
     NuisanceRegressionData,
     PartitionedGaussianData,
     partial_gaussian_private_mle,
-    partial_regression_bootstrap_draw,
     partial_regression_private_mle,
 )
 from dpextrema.privacy import Bounds
@@ -226,15 +225,16 @@ class TestPartialRegression:
         est = partial_regression_private_mle(data, math.inf, rng)
         est.sigma2_priv = 0.0
         est._cov_sqrt = None
-        draw = partial_regression_bootstrap_draw(est, est.n, np.random.default_rng(0))
-        assert np.allclose(draw, est.beta_priv, atol=1e-14)
+        draws, failed = est.bootstrap_draws(1, np.random.default_rng(0), n=est.n)
+        assert failed == 0
+        assert np.allclose(draws[0], est.beta_priv, atol=1e-14)
 
     def test_draw_determinism(self):
         rng = np.random.default_rng(68)
         data = trial_design(rng)
         est = partial_regression_private_mle(data, 1.5, rng)
-        d1 = partial_regression_bootstrap_draw(est, est.n, np.random.default_rng(9))
-        d2 = partial_regression_bootstrap_draw(est, est.n, np.random.default_rng(9))
+        d1, _ = est.bootstrap_draws(1, np.random.default_rng(9), n=est.n)
+        d2, _ = est.bootstrap_draws(1, np.random.default_rng(9), n=est.n)
         assert np.array_equal(d1, d2)
 
     def test_trial_design_coverage_at_desk_scale(self):
