@@ -39,10 +39,8 @@ from .models import (
 from .partial import (
     NuisanceRegressionData,
     PartialGaussianEstimate,
-    PartialRegressionEstimate,
     PartitionedGaussianData,
     partial_gaussian_private_mle,
-    partial_regression_private_mle,
 )
 from .privacy import (
     Bounds,

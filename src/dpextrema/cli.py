@@ -19,6 +19,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,13 +35,8 @@ from .harness import (
     run_experiment,
 )
 from .models import GaussianData, RegressionData, gaussian_private_mle, regression_private_mle
-from .partial import (
-    NuisanceRegressionData,
-    PartitionedGaussianData,
-    partial_gaussian_private_mle,
-    partial_regression_private_mle,
-)
-from .privacy import Bounds
+from .partial import NuisanceRegressionData, PartitionedGaussianData, partial_gaussian_private_mle
+from .privacy import Bounds, split_budget
 
 
 def _parse_bounds(text: str, k: int, what: str) -> Bounds:
@@ -104,23 +100,14 @@ def _is_float(cell: str) -> bool:
         return False
 
 
-def _split_arg(text: str | None, count: int):
-    if text is None or text.strip().lower() in ("", "equal"):
-        return None
-    shares = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    if len(shares) != count or any(s <= 0 for s in shares) or abs(sum(shares) - 1.0) > 1e-9:
-        raise ParameterError(f"split must be {count} positive shares summing to 1")
-    return shares
-
-
-def _budget(epsilon: float, count: int, split):
-    if split is None:
-        from .privacy import split_budget
-
-        return split_budget(epsilon, count)
-    if math.isinf(epsilon):
-        return (math.inf,) * count
-    return tuple(s * epsilon for s in split)
+def _budget(args, count: int):
+    """Per-statistic epsilons from ``--epsilon`` and the optional ``--split`` shares."""
+    text = (args.split or "").strip().lower()
+    try:
+        shares = None if text in ("", "equal") else [float(t) for t in text.split(",") if t.strip()]
+    except ValueError as exc:
+        raise ParameterError(f"cannot parse split {args.split!r}") from exc
+    return split_budget(_parse_epsilon(args.epsilon), count, shares)
 
 
 def _print_result(result, estimate, seed: int, extra: dict | None = None, output=None):
@@ -158,7 +145,6 @@ def _print_result(result, estimate, seed: int, extra: dict | None = None, output
 def _cmd_ci(args) -> int:
     header, data = _read_csv_matrix(args.input)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    epsilon = _parse_epsilon(args.epsilon)
     extra: dict = {}
 
     if args.model == "gaussian":
@@ -167,8 +153,7 @@ def _cmd_ci(args) -> int:
         if not (1 <= k1 <= k):
             raise ParameterError(f"--partial must name between 1 and {k} interest columns")
         bounds = _parse_bounds(args.bounds, k1, "coordinate")
-        split = _split_arg(args.split, 2)
-        budget = _budget(epsilon, 2, split)
+        budget = _budget(args, 2)
         if args.partial:
             pdata = PartitionedGaussianData(data[:, :k1], data[:, k1:] if k1 < k else None, bounds)
             est = partial_gaussian_private_mle(pdata, budget, rng)
@@ -189,16 +174,13 @@ def _cmd_ci(args) -> int:
             raise ParameterError("response bounds are mandatory: sensitivity is undefined without bounds")
         y_bounds = _parse_bounds(args.y_bounds, 1, "response")
         bounds = _parse_bounds(args.bounds, k1, "design")
-        split = _split_arg(args.split, 3)
-        budget = _budget(epsilon, 3, split)
+        budget = _budget(args, 3)
         if args.partial:
-            ndata = NuisanceRegressionData(X[:, :k1], X[:, k1:] if k1 < k else None, y, bounds, y_bounds)
-            est = partial_regression_private_mle(ndata, budget, rng)
-            cv_data = ndata
+            X2 = X[:, k1:] if k1 < k else None
+            cv_data = NuisanceRegressionData(X[:, :k1], X2, y, bounds, y_bounds)
         else:
-            rdata = RegressionData(X, y, bounds, y_bounds)
-            est = regression_private_mle(rdata, budget, rng)
-            cv_data = rdata
+            cv_data = RegressionData(X, y, bounds, y_bounds)
+        est = regression_private_mle(cv_data, budget, rng)
 
     token = args.r.strip().lower()
     if token == "cv":
@@ -221,14 +203,13 @@ def _cmd_ci(args) -> int:
 def _cmd_cv(args) -> int:
     header, data = _read_csv_matrix(args.input)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    epsilon = _parse_epsilon(args.epsilon)
     grid = tuple(parse_r_token(tok) for tok in args.grid.split(","))
     config = CVConfig(folds=args.folds, grid=grid, b_inner=args.b_inner)
 
     if args.model == "gaussian":
         bounds = _parse_bounds(args.bounds, data.shape[1], "coordinate")
         cv_data = GaussianData(data, bounds)
-        budget = _budget(epsilon, 2, _split_arg(args.split, 2))
+        budget = _budget(args, 2)
     else:
         X, y = data[:, :-1], data[:, -1]
         if args.y_bounds is None:
@@ -236,7 +217,7 @@ def _cmd_cv(args) -> int:
         cv_data = RegressionData(
             X, y, _parse_bounds(args.bounds, X.shape[1], "design"), _parse_bounds(args.y_bounds, 1, "response")
         )
-        budget = _budget(epsilon, 3, _split_arg(args.split, 3))
+        budget = _budget(args, 3)
 
     cv = cv_choose_r(cv_data, budget, rng, config)
     print(f"chosen_r = {format_r_token(cv.chosen_r)}")
@@ -269,12 +250,8 @@ def _cmd_cv(args) -> int:
 def _cmd_simulate(args) -> int:
     config = load_config(args.config)
     if args.reps:
-        from dataclasses import replace
-
         config = replace(config, reps=args.reps)
     if args.workers:
-        from dataclasses import replace
-
         config = replace(config, workers=args.workers)
     report = run_experiment(config)
     report.to_csv(args.output)

@@ -14,12 +14,13 @@ CV runs on per-fold sufficient statistics: the data are clamped once, each
 fold's statistics are computed once, and each training set's statistics are
 the total minus its fold.  All 2v estimates are released as one stack, with
 the noise scales derived once and one eigendecomposition repairing every
-matrix, and the training replicas of all folds are drawn together.  Each
-release has the law of the single-set estimator run on that subset.  Any
-data class with a ``fold_statistics`` method can be cross-validated: a
-partitioned Gaussian is cross-validated on its interest block, and
-regression with nuisance covariates removes the nuisance fit from each
-set's residual through the blocks X^T X, X^T Z and X^T y.
+matrix, and the training replicas of all folds are drawn together.  This is
+the release every estimate goes through (a single estimate is a stack of one
+set), so each fold's release has the law of the single-set estimator on that
+subset.  Any data class with a ``fold_statistics`` method can be
+cross-validated: a partitioned Gaussian is cross-validated on its interest
+block, and regression with nuisance covariates removes the nuisance fit from
+each set's residual through the blocks X^T X, X^T Z and X^T y.
 
 Budget accounting for this procedure is genuinely ambiguous: the held-out
 folds are disjoint (parallel composition applies) but the training sets
@@ -49,7 +50,6 @@ class CVConfig:
     folds: int = DEFAULT_FOLDS
     grid: tuple[float, ...] = DEFAULT_GRID
     b_inner: int = DEFAULT_B_INNER
-    budget_handling: str = "parallel"  # or "worst_case_sequential"
 
     def __post_init__(self):
         if self.folds < 2:
@@ -66,8 +66,6 @@ class CVConfig:
             raise ParameterError("candidate grid must be sorted ascending")
         if self.b_inner < 50:
             raise ParameterError("b_inner must be >= 50")
-        if self.budget_handling not in ("parallel", "worst_case_sequential"):
-            raise ParameterError(f"unknown budget handling {self.budget_handling!r}")
         object.__setattr__(self, "grid", grid)
 
 
@@ -80,14 +78,7 @@ class CVResult:
     fold_sizes: tuple[int, ...]
     budget_parallel_view: float      # one estimation run's total
     budget_sequential_view: float    # every fold estimation at full price
-    budget_handling: str
     per_fold: list[dict] = field(default_factory=list)
-
-    @property
-    def budget_total(self) -> float:
-        if self.budget_handling == "parallel":
-            return self.budget_parallel_view
-        return self.budget_sequential_view
 
 
 def _estimate(stats, budget, rng: np.random.Generator, b_inner: int):
@@ -157,7 +148,6 @@ def cv_choose_r(
         fold_sizes=tuple(f.size for f in folds),
         budget_parallel_view=per_estimate,
         budget_sequential_view=2 * v * per_estimate,
-        budget_handling=config.budget_handling,
         per_fold=[
             {
                 "fold": j,

@@ -166,6 +166,11 @@ def _method_tag(r: float, privacy_noise: bool) -> str:
     return "semi_naive" if r == 0.5 else "ppb"
 
 
+def _check_alpha(alpha: float) -> None:
+    if math.isnan(alpha) or not (0.0 < alpha < 0.5):
+        raise ParameterError("alpha must lie in (0, 0.5)")
+
+
 def ppb_limit_from_draws(
     beta_priv: np.ndarray,
     draws: np.ndarray,
@@ -180,8 +185,7 @@ def ppb_limit_from_draws(
     Useful when several values of r are evaluated on one replica set: the
     correction only shifts the replicas, so the draws can be shared.
     """
-    if math.isnan(alpha) or not (0.0 < alpha < 0.5):
-        raise ParameterError("alpha must lie in (0, 0.5)")
+    _check_alpha(alpha)
     beta = np.asarray(beta_priv, dtype=float).ravel()
     beta_max = float(beta.max())
     correction = bias_correction(beta, r, n)
@@ -222,8 +226,6 @@ def ppb_lower_limit(
     """
     if B < 100:
         raise ParameterError("B must be >= 100")
-    if math.isnan(alpha) or not (0.0 < alpha < 0.5):
-        raise ParameterError("alpha must lie in (0, 0.5)")
     m = estimate.n if n is None else int(n)
     draws, failed = estimate.bootstrap_draws(B, rng, n=m, privacy_noise=privacy_noise)
     return ppb_limit_from_draws(
@@ -249,8 +251,7 @@ def naive_lower_limit(
     coordinate with (under ``private``) the Laplace noise variance of its
     release, so the baseline is not handicapped by unaccounted noise.
     """
-    if math.isnan(alpha) or not (0.0 < alpha < 0.5):
-        raise ParameterError("alpha must lie in (0, 0.5)")
+    _check_alpha(alpha)
     m = estimate.n if n is None else int(n)
     beta = np.asarray(estimate.beta_priv, dtype=float).ravel()
     j = int(np.argmax(beta))
@@ -273,8 +274,7 @@ def bonferroni_lower_limit(
     n: int | None = None,
 ) -> ConfidenceResult:
     """Max of per-coordinate limits at level 1 - alpha/k (union bound)."""
-    if math.isnan(alpha) or not (0.0 < alpha < 0.5):
-        raise ParameterError("alpha must lie in (0, 0.5)")
+    _check_alpha(alpha)
     m = estimate.n if n is None else int(n)
     beta = np.asarray(estimate.beta_priv, dtype=float).ravel()
     k = beta.size

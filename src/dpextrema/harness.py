@@ -38,12 +38,7 @@ from .extrema import (
     ppb_limit_from_draws,
 )
 from .models import GaussianData, RegressionData, gaussian_private_mle, regression_private_mle
-from .partial import (
-    NuisanceRegressionData,
-    PartitionedGaussianData,
-    partial_gaussian_private_mle,
-    partial_regression_private_mle,
-)
+from .partial import NuisanceRegressionData, PartitionedGaussianData, partial_gaussian_private_mle
 from .privacy import Bounds, split_budget
 
 MODELS = ("gaussian", "regression", "partial_gaussian", "partial_regression")
@@ -173,14 +168,8 @@ class ExperimentConfig:
         if self.design not in ("resampled", "fixed"):
             raise ParameterError("design must be 'resampled' or 'fixed'")
         if self.split is not None:
-            shares = tuple(float(s) for s in self.split)
-            if len(shares) != self.statistic_count:
-                raise ParameterError(
-                    f"split needs {self.statistic_count} shares for model {self.model!r}"
-                )
-            if any(s <= 0 for s in shares) or abs(sum(shares) - 1.0) > 1e-9:
-                raise ParameterError("split shares must be positive and sum to 1")
-            object.__setattr__(self, "split", shares)
+            object.__setattr__(self, "split", tuple(float(s) for s in self.split))
+            self.budget_for(1.0)  # rejects shares that do not fit the model
         if self.model in ("gaussian", "partial_gaussian"):
             mu = self.mu if self.mu is not None else (0.0,) * self.k
             if len(mu) != self.k:
@@ -209,11 +198,7 @@ class ExperimentConfig:
         return 2 if self.model in ("gaussian", "partial_gaussian") else 3
 
     def budget_for(self, epsilon: float):
-        if self.split is None:
-            return split_budget(epsilon, self.statistic_count)
-        if math.isinf(epsilon):
-            return (math.inf,) * self.statistic_count
-        return tuple(s * epsilon for s in self.split)
+        return split_budget(epsilon, self.statistic_count, self.split)
 
     @property
     def truth_label(self) -> str:
@@ -380,9 +365,7 @@ def _estimate(config: ExperimentConfig, data, budget, rng):
         return gaussian_private_mle(data, budget, rng)
     if config.model == "partial_gaussian":
         return partial_gaussian_private_mle(data, budget, rng)
-    if config.model == "regression":
-        return regression_private_mle(data, budget, rng)
-    return partial_regression_private_mle(data, budget, rng)
+    return regression_private_mle(data, budget, rng)
 
 
 # ---------------------------------------------------------------------------

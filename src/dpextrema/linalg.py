@@ -25,6 +25,12 @@ class RepairResult(NamedTuple):
     floor: float
     degenerate: bool    # shift exceeded the repair budget
 
+    def at(self, f: int) -> "RepairResult":
+        """The repair of matrix ``f`` of a stacked repair."""
+        return RepairResult(
+            self.matrix[f], float(self.shift[f]), float(self.floor[f]), bool(self.degenerate[f])
+        )
+
 
 def psd_floor(matrix: np.ndarray, floor_scale: float = PSD_FLOOR_SCALE):
     """Eigenvalue floor of a symmetric matrix, or of each one in a (..., k, k) stack."""
@@ -70,14 +76,8 @@ def psd_repair(
     at or above the floor.
     """
     m = np.asarray(matrix, dtype=float)
-    stack, _, _ = psd_repair_stack(m[None], floor_scale, budget_fraction)
-    shift = float(stack.shift[0])
-    return RepairResult(
-        stack.matrix[0] if shift > 0.0 else m,
-        shift,
-        float(stack.floor[0]),
-        bool(stack.degenerate[0]),
-    )
+    repair = psd_repair_stack(m[None], floor_scale, budget_fraction)[0].at(0)
+    return repair if repair.shift > 0.0 else repair._replace(matrix=m)
 
 
 def eigen_sqrt(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:

@@ -8,10 +8,14 @@ Two concrete model families are implemented:
 
 Both estimators add Laplace noise to the sufficient statistics (sums, gram
 matrices, cross products) and post-process the noisy statistics into point
-estimates.  Their bootstrap draws replay the estimation recipe on data
-simulated from the fitted model, adding fresh simulation-only Laplace noise of
-the same scale so the extra randomness of privatization is reflected in the
-bootstrap distribution.
+estimates; they never look at rows after forming the statistics.  One recipe
+per model does this, ``GaussianStatistics.release`` and
+``RegressionStatistics.release``, on a stack of data sets: a single estimate
+is the release of a stack of one set, and cross-validation releases all of
+its folds' training and held-out sets at once.  The bootstrap draws replay
+the estimation recipe on data simulated from the fitted model, adding fresh
+simulation-only Laplace noise of the same scale so the extra randomness of
+privatization is reflected in the bootstrap distribution.
 
 The Gaussian bootstrap never materializes the n simulated observations: the
 resample mean of n i.i.d. N(mu, Sigma) draws has the exact law N(mu, Sigma/n),
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .linalg import RepairResult, eigen_sqrt, psd_floor, psd_repair, psd_repair_stack, sym_sqrt
+from .linalg import RepairResult, eigen_sqrt, psd_floor, psd_repair_stack, sym_sqrt
 from .privacy import (
     Bounds,
     LaplaceSpec,
@@ -214,11 +218,16 @@ def _ledger(prefix: str, names: tuple[str, ...], epsilons: tuple[float, ...]) ->
     return ledger
 
 
+def _release_whole(data, budget, rng: np.random.Generator):
+    """Release ``data`` as a stack of one set that holds every row.
+
+    The set is the fold ``slice(None)``, a view, so no row is copied.
+    """
+    return data.fold_statistics([slice(None)]).release(budget, rng)
+
+
 def gaussian_private_mle(
-    data: GaussianData,
-    budget,
-    rng: np.random.Generator,
-    statistic_prefix: str = "gaussian",
+    data: GaussianData, budget, rng: np.random.Generator
 ) -> PrivatizedGaussianEstimate:
     """Privatized mean and covariance from noisy sums and second moments.
 
@@ -226,26 +235,20 @@ def gaussian_private_mle(
     sufficient statistics) or a pair of per-statistic epsilons.  The noisy
     covariance is repaired onto the PSD cone; a repair that shifts eigenvalue
     mass beyond the budget marks the estimate as degenerate but does not fail.
+    The data are released by :meth:`GaussianStatistics.release`, as a stack of
+    one set.
     """
-    eps_sum, eps_gram = split_budget(budget, 2)
-    x = data.bounds.clamp(data.x)
-    n, k = x.shape
-    sum_spec, gram_spec = _gaussian_noise_specs(data.bounds, eps_sum, eps_gram)
-
-    noisy_sum = x.sum(axis=0) + sum_spec.sample(rng)
-    noisy_gram = x.T @ x + laplace_symmetric_sample(gram_spec.scale, k, rng)
-    mu, sigma = _gaussian_from_noisy_stats(noisy_sum, noisy_gram, n)
-    repair = psd_repair(sigma)
-
+    stack = _release_whole(data, budget, rng)
+    repair = stack.repair.at(0)
     return PrivatizedGaussianEstimate(
-        mu_priv=mu,
+        mu_priv=stack.beta[0],
         sigma_priv=repair.matrix,
-        n=n,
-        ledger=_ledger(statistic_prefix, ("sum", "gram"), (eps_sum, eps_gram)),
-        sum_noise=sum_spec,
-        gram_noise=gram_spec,
-        noisy_sum=noisy_sum,
-        noisy_gram=noisy_gram,
+        n=int(stack.n[0]),
+        ledger=stack.ledger,
+        sum_noise=stack.sum_noise,
+        gram_noise=stack.gram_noise,
+        noisy_sum=stack.noisy_sum[0],
+        noisy_gram=stack.noisy_gram[0],
         repair=repair,
     )
 
@@ -470,28 +473,6 @@ def _regression_noise_specs(z_bounds: Bounds, y_bounds: Bounds, eps_gram: float,
     return gram_spec, xty_spec
 
 
-def _noisy_gram_solve(
-    Z: np.ndarray,
-    y: np.ndarray,
-    z_bounds: Bounds,
-    y_bounds: Bounds,
-    eps_gram: float,
-    eps_xty: float,
-    rng: np.random.Generator,
-):
-    """Shared core: noisy normal equations (Z^T Z + W1) beta = Z^T y + W2."""
-    n, k = Z.shape
-    gram_spec, xty_spec = _regression_noise_specs(z_bounds, y_bounds, eps_gram, eps_xty)
-    noisy_gram = Z.T @ Z + laplace_symmetric_sample(gram_spec.scale, k, rng)
-    noisy_xty = Z.T @ y + xty_spec.sample(rng)
-    repair = psd_repair(noisy_gram / n)
-    if repair.degenerate:
-        raise NumericError(_SINGULAR_GRAM)
-    s_priv = repair.matrix
-    beta = np.linalg.solve(n * s_priv, noisy_xty)
-    return beta, s_priv, gram_spec, xty_spec, noisy_gram, noisy_xty, repair
-
-
 def _residual_noise_scale(
     rss_mean: float,
     beta: np.ndarray,
@@ -519,57 +500,31 @@ def _residual_noise_scale(
     return max(sigma2, SIGMA2_FLOOR), rss_spec
 
 
-def regression_private_mle(
-    data: RegressionData,
-    budget,
-    rng: np.random.Generator,
-    statistic_prefix: str = "regression",
-) -> PrivatizedRegressionEstimate:
+def regression_private_mle(data, budget, rng: np.random.Generator) -> PrivatizedRegressionEstimate:
     """Privatized OLS coefficients and residual variance.
 
-    ``budget`` is a total epsilon split equally across the three released
-    statistics (gram matrix, cross product, residual mean square) or an
-    explicit triple.  Residuals are computed against the clamped data with the
-    released coefficients, then noised; the variance is clipped below at a
-    small positive floor so the bootstrap stays well defined.
+    ``data`` is :class:`RegressionData` or, with nuisance covariates,
+    :class:`~dpextrema.partial.NuisanceRegressionData`.  ``budget`` is a total
+    epsilon split equally across the three released statistics (gram matrix,
+    cross product, residual mean square) or an explicit triple.  The data are
+    released by :meth:`RegressionStatistics.release`, as a stack of one set:
+    the residual sum of squares comes from the statistics, less what the
+    nuisance fit explains, and its noisy mean is clipped below at a small
+    positive floor so the bootstrap stays well defined.  Raises
+    :class:`NumericError` when the noisy gram matrix is irreparably singular.
     """
-    eps_gram, eps_xty, eps_rss = split_budget(budget, 3)
-    X = data.x_bounds.clamp(data.X)
-    y = data.y_bounds.clamp(data.y)
-    n, k = X.shape
-
-    beta, s_priv, gram_spec, xty_spec, noisy_gram, noisy_xty, repair = _noisy_gram_solve(
-        X, y, data.x_bounds, data.y_bounds, eps_gram, eps_xty, rng
-    )
-    resid = y - X @ beta
-    dof = n - k
-    sigma2, rss_spec = _residual_noise_scale(
-        float(resid @ resid) / dof, beta, data.x_bounds, data.y_bounds, eps_rss, dof, 0.0, rng
-    )
-
-    return PrivatizedRegressionEstimate(
-        beta_priv=beta,
-        sigma2_priv=sigma2,
-        S_priv=s_priv,
-        n=n,
-        ledger=_ledger(statistic_prefix, REGRESSION_STATISTICS, (eps_gram, eps_xty, eps_rss)),
-        gram_noise=gram_spec,
-        xty_noise=xty_spec,
-        rss_noise=rss_spec,
-        noisy_gram=noisy_gram,
-        noisy_xty=noisy_xty,
-        repair=repair,
-    )
+    return _release_whole(data, budget, rng).estimates[0]
 
 
 # ---------------------------------------------------------------------------
 # stacked releases of many data sets
 # ---------------------------------------------------------------------------
 #
-# Cross-validation estimates on 2v overlapping data sets.  Both estimators
-# see the data only through additive sufficient statistics, so the sets are
-# described by one row of clamped statistics each and released together: the
-# noise scales are derived once, and one eigh repairs the whole stack.
+# Both estimators see the data only through additive sufficient statistics,
+# so a data set is described by one row of clamped statistics, and every
+# release goes through these classes: a single estimate is a stack of one set,
+# and cross-validation releases its 2v overlapping sets together, with the
+# noise scales derived once and one eigh repairing the whole stack.
 
 
 @dataclass(frozen=True, eq=False)
@@ -590,17 +545,18 @@ class GaussianStatistics:
     def of_folds(
         cls, x: np.ndarray, bounds: Bounds, folds: list[np.ndarray]
     ) -> "GaussianStatistics":
-        """Statistics of the rows of the clamped ``x`` indexed by each fold."""
+        """Statistics of the rows of the clamped ``x`` indexed by each fold
+        (an index array or a slice)."""
         parts = [x[f] for f in folds]
         return cls(
             bounds,
             np.array([p.shape[0] for p in parts]),
-            np.stack([p.sum(axis=0) for p in parts]),
-            np.stack([p.T @ p for p in parts]),
+            np.array([p.sum(axis=0) for p in parts]),
+            np.array([p.T @ p for p in parts]),
         )
 
     def release(self, budget, rng: np.random.Generator) -> "GaussianStack":
-        """Every set's :func:`gaussian_private_mle` release, as one stack."""
+        """Every set's Gaussian release, as one stack."""
         eps_sum, eps_gram = split_budget(budget, 2)
         sum_spec, gram_spec = _gaussian_noise_specs(self.bounds, eps_sum, eps_gram)
         sets, k = self.sums.shape
@@ -610,11 +566,14 @@ class GaussianStatistics:
         repair, eigvals, eigvecs = psd_repair_stack(sigma)
         return GaussianStack(
             beta=mu,
-            sigma=repair.matrix,
+            repair=repair,
             sigma_sqrt=eigen_sqrt(eigvals, eigvecs),
             n=self.n.astype(float),
             sum_noise=sum_spec,
-            ledger=_ledger("cv", ("sum", "gram"), (eps_sum, eps_gram)),
+            gram_noise=gram_spec,
+            noisy_sum=noisy_sum,
+            noisy_gram=noisy_gram,
+            ledger=_ledger("gaussian", ("sum", "gram"), (eps_sum, eps_gram)),
         )
 
 
@@ -623,16 +582,19 @@ class GaussianStack:
     """Privatized means and repaired covariances of F data sets."""
 
     beta: np.ndarray        # (F, k) released means
-    sigma: np.ndarray       # (F, k, k)
+    repair: RepairResult    # repaired (F, k, k) covariances, one entry per set
     sigma_sqrt: np.ndarray  # (F, k, k)
     n: np.ndarray           # (F,)
     sum_noise: LaplaceSpec
+    gram_noise: LaplaceSpec
+    noisy_sum: np.ndarray   # (F, k) released coordinate sums
+    noisy_gram: np.ndarray  # (F, k, k) released second-moment matrices
     ledger: PrivacyLedger   # the charges of one set's release
 
     def coordinate_variances(self) -> np.ndarray:
         """(F, k) private plug-in variances, as the single estimate computes them."""
         n = self.n[:, None]
-        v = np.maximum(np.diagonal(self.sigma, axis1=-2, axis2=-1), 0.0) / n
+        v = np.maximum(np.diagonal(self.repair.matrix, axis1=-2, axis2=-1), 0.0) / n
         if not self.sum_noise.is_zero:
             v = v + 2.0 * self.sum_noise.scale**2 / n**2
         return v
@@ -684,16 +646,17 @@ class RegressionStatistics:
         y_bounds: Bounds,
         fit_bound: float,
     ) -> "RegressionStatistics":
-        """Statistics of the rows indexed by each fold; Z and y come clamped."""
+        """Statistics of the rows indexed by each fold (an index array or a
+        slice); Z and y come clamped."""
         rows = []
         for f in folds:
             z, t = Z[f], y[f]
-            row = [f.size, z.T @ z, z.T @ t, t @ t]
+            row = [t.size, z.T @ z, z.T @ t, t @ t]
             if X is not None:
                 x = X[f]
                 row += [x.T @ x, x.T @ z, x.T @ t]
             rows.append(row)
-        return cls(z_bounds, y_bounds, float(fit_bound), *(np.stack(s) for s in zip(*rows)))
+        return cls(z_bounds, y_bounds, float(fit_bound), *(np.array(s) for s in zip(*rows)))
 
     @property
     def min_rows(self) -> int:
@@ -702,8 +665,7 @@ class RegressionStatistics:
         return self.zty.shape[1] + k2 + 1
 
     def release(self, budget, rng: np.random.Generator) -> "RegressionStack":
-        """Every set's regression release, as :func:`regression_private_mle` or,
-        with nuisance covariates, the partial estimator would make it.
+        """Every set's regression release, one estimate per set.
 
         Raises :class:`NumericError` when any set's noisy gram matrix is
         irreparably singular.
@@ -732,19 +694,18 @@ class RegressionStatistics:
             rss = rss - np.einsum("fi,fij,fj->f", xtr, np.linalg.pinv(self.xtx), xtr)
         dof = self.n - (self.min_rows - 1)
 
-        ledger = _ledger("cv", REGRESSION_STATISTICS, (eps_gram, eps_xty, eps_rss))
+        ledger = _ledger("regression", REGRESSION_STATISTICS, (eps_gram, eps_xty, eps_rss))
         estimates = []
         for f in range(sets):
             sigma2, rss_spec = _residual_noise_scale(
                 float(rss[f]) / dof[f], beta[f], self.z_bounds, self.y_bounds,
                 eps_rss, int(dof[f]), self.fit_bound, rng,
             )
-            s_priv = repair.matrix[f]
             estimates.append(
                 PrivatizedRegressionEstimate(
                     beta_priv=beta[f],
                     sigma2_priv=sigma2,
-                    S_priv=s_priv,
+                    S_priv=repair.matrix[f],
                     n=int(self.n[f]),
                     ledger=ledger,
                     gram_noise=gram_spec,
@@ -752,9 +713,7 @@ class RegressionStatistics:
                     rss_noise=rss_spec,
                     noisy_gram=noisy_gram[f],
                     noisy_xty=noisy_xty[f],
-                    repair=RepairResult(
-                        s_priv, float(repair.shift[f]), float(repair.floor[f]), False
-                    ),
+                    repair=repair.at(f),
                 )
             )
         return RegressionStack(estimates)

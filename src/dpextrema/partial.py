@@ -12,7 +12,11 @@ Two instantiations:
 * regression with nuisance covariates orthogonal to the design of interest
   (e.g. randomized-trial interaction terms vs. centered pre-treatment
   covariates), where only the statistics of the interest design are noised
-  and the nuisance fit enters solely through the residual variance.
+  and the nuisance fit enters solely through the residual variance.  This
+  data class is released by :func:`~dpextrema.models.regression_private_mle`
+  like plain regression data: its statistics add X^T X, X^T Z and X^T y, from
+  which the release removes the nuisance fit from the residual sum of
+  squares.  The fit itself is never formed, kept or released.
 
 Downstream inference (bias correction, bootstrap scaling) uses the sample
 size of the privatized block, which the returned estimates carry as ``n``.
@@ -26,26 +30,19 @@ from dataclasses import dataclass, field
 
 from .errors import ParameterError
 from .models import (
-    REGRESSION_STATISTICS,
     GaussianData,
     GaussianStatistics,
     PrivatizedGaussianEstimate,
-    PrivatizedRegressionEstimate,
     RegressionStatistics,
-    _ledger,
-    _noisy_gram_solve,
-    _residual_noise_scale,
     gaussian_private_mle,
 )
-from .privacy import Bounds, split_budget
+from .privacy import Bounds
 
 __all__ = [
     "NuisanceRegressionData",
     "PartialGaussianEstimate",
-    "PartialRegressionEstimate",
     "PartitionedGaussianData",
     "partial_gaussian_private_mle",
-    "partial_regression_private_mle",
 ]
 
 
@@ -95,10 +92,7 @@ class PartialGaussianEstimate(PrivatizedGaussianEstimate):
 
 
 def partial_gaussian_private_mle(
-    data: PartitionedGaussianData,
-    budget,
-    rng: np.random.Generator,
-    statistic_prefix: str = "gaussian",
+    data: PartitionedGaussianData, budget, rng: np.random.Generator
 ) -> PartialGaussianEstimate:
     """Privatize only the interest-block statistics of a partitioned Gaussian.
 
@@ -107,9 +101,7 @@ def partial_gaussian_private_mle(
     means and covariance blocks are computed without noise, with the noisy
     interest sum plugged in where that statistic appears, and kept internal.
     """
-    base = gaussian_private_mle(
-        GaussianData(data.x1, data.bounds), budget, rng, statistic_prefix=statistic_prefix
-    )
+    base = gaussian_private_mle(GaussianData(data.x1, data.bounds), budget, rng)
     nuisance: dict = {}
     if data.x2 is not None:
         n = data.n
@@ -119,18 +111,7 @@ def partial_gaussian_private_mle(
         nuisance["mu2"] = sum2 / n
         nuisance["sigma12"] = (x1.T @ x2 - np.outer(base.noisy_sum, sum2) / n) / (n - 1)
         nuisance["sigma22"] = (x2.T @ x2 - np.outer(sum2, sum2) / n) / (n - 1)
-    return PartialGaussianEstimate(
-        mu_priv=base.mu_priv,
-        sigma_priv=base.sigma_priv,
-        n=base.n,
-        ledger=base.ledger,
-        sum_noise=base.sum_noise,
-        gram_noise=base.gram_noise,
-        noisy_sum=base.noisy_sum,
-        noisy_gram=base.noisy_gram,
-        repair=base.repair,
-        _nuisance=nuisance,
-    )
+    return PartialGaussianEstimate(**vars(base), _nuisance=nuisance)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,71 +185,3 @@ class NuisanceRegressionData:
             self.z_bounds.clamp(self.Z), self.y_bounds.clamp(self.y), self.X, folds,
             self.z_bounds, self.y_bounds, self.fit_bound,
         )
-
-
-@dataclass(eq=False)
-class PartialRegressionEstimate(PrivatizedRegressionEstimate):
-    """Interest-coefficient release; it bootstraps as the plain regression does.
-
-    The scaled gram matrix comes from Z^T Z, and the nuisance fit is part of
-    the fitted model and is not resampled.
-    """
-
-    # non-private nuisance coefficients; internal only
-    _gamma: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-
-def partial_regression_private_mle(
-    data: NuisanceRegressionData,
-    budget,
-    rng: np.random.Generator,
-    statistic_prefix: str = "regression",
-) -> PartialRegressionEstimate:
-    """Privatize only the interest-design statistics Z^T Z and Z^T y.
-
-    The nuisance coefficients are fit without noise (they are needed for the
-    residual variance) and never released.  With no nuisance covariates the
-    output matches the plain regression estimator draw for draw.
-    """
-    eps_gram, eps_xty, eps_rss = split_budget(budget, 3)
-    Z = data.z_bounds.clamp(data.Z)
-    y = data.y_bounds.clamp(data.y)
-    n = data.n
-
-    beta, s_priv, gram_spec, xty_spec, noisy_gram, noisy_xty, repair = _noisy_gram_solve(
-        Z, y, data.z_bounds, data.y_bounds, eps_gram, eps_xty, rng
-    )
-
-    if data.X is not None:
-        gamma, *_ = np.linalg.lstsq(data.X, y - Z @ beta, rcond=None)
-        resid = y - Z @ beta - data.X @ gamma
-    else:
-        gamma = None
-        resid = y - Z @ beta
-
-    dof = n - data.k1 - data.k2
-    sigma2, rss_spec = _residual_noise_scale(
-        float(resid @ resid) / dof,
-        beta,
-        data.z_bounds,
-        data.y_bounds,
-        eps_rss,
-        dof,
-        data.fit_bound,
-        rng,
-    )
-
-    return PartialRegressionEstimate(
-        beta_priv=beta,
-        sigma2_priv=sigma2,
-        S_priv=s_priv,
-        n=n,
-        ledger=_ledger(statistic_prefix, REGRESSION_STATISTICS, (eps_gram, eps_xty, eps_rss)),
-        gram_noise=gram_spec,
-        xty_noise=xty_spec,
-        rss_noise=rss_spec,
-        noisy_gram=noisy_gram,
-        noisy_xty=noisy_xty,
-        repair=repair,
-        _gamma=gamma,
-    )

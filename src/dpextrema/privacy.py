@@ -92,21 +92,14 @@ class Bounds:
 
 @dataclass(frozen=True)
 class SensitivitySpec:
-    """L1 sensitivity of one released statistic.
-
-    ``derivation`` records whether the value came from the declared data
-    bounds or was supplied directly by the caller.
-    """
+    """L1 sensitivity of one released statistic."""
 
     statistic_id: str
     delta: float
-    derivation: str = "bound_derived"  # or "user_supplied"
 
     def __post_init__(self):
         if not math.isfinite(self.delta) or self.delta < 0:
             raise ParameterError(f"sensitivity for {self.statistic_id!r} must be finite and >= 0")
-        if self.derivation not in ("bound_derived", "user_supplied"):
-            raise ParameterError(f"unknown sensitivity derivation {self.derivation!r}")
 
 
 def sensitivity_sum_bounded(lower, upper) -> SensitivitySpec:
@@ -284,12 +277,13 @@ class PrivacyLedger:
         }
 
 
-def split_budget(budget, count: int) -> tuple[float, ...]:
+def split_budget(budget, count: int, shares=None) -> tuple[float, ...]:
     """Resolve a total-or-per-statistic budget into per-statistic epsilons.
 
-    A scalar is divided equally across the ``count`` statistics (the division
-    of an infinite total is still infinite).  A sequence of length ``count``
-    is taken as explicit per-statistic budgets.
+    A scalar is divided across the ``count`` statistics: equally, or by
+    ``shares``, which must be ``count`` positive fractions summing to 1 (any
+    share of an infinite total is still infinite).  A sequence of length
+    ``count`` is taken as explicit per-statistic budgets.
     """
     if count < 1:
         raise ParameterError("budget split needs at least one statistic")
@@ -297,7 +291,13 @@ def split_budget(budget, count: int) -> tuple[float, ...]:
         eps = float(budget)
         if math.isnan(eps) or eps <= 0:
             raise ParameterError("total epsilon must be positive")
-        return (eps / count if math.isfinite(eps) else math.inf,) * count
+        if shares is None:
+            return (eps / count if math.isfinite(eps) else math.inf,) * count
+        shares = tuple(float(s) for s in shares)
+        fits = all(s > 0 for s in shares) and abs(sum(shares) - 1.0) <= 1e-9  # False on NaN
+        if len(shares) != count or not fits:
+            raise ParameterError(f"split must be {count} positive shares summing to 1")
+        return tuple(s * eps for s in shares)
     parts = tuple(float(e) for e in budget)
     if len(parts) != count:
         raise ParameterError(f"expected {count} per-statistic budgets, got {len(parts)}")

@@ -147,6 +147,21 @@ class TestCiGaussian:
         assert proc.returncode == 2
         assert "--epsilon" in proc.stderr
 
+    def test_split_shares_divide_the_budget(self, tmp_path, capsys):
+        data = write_gaussian_csv(tmp_path / "data.csv")
+        out = tmp_path / "res.json"
+        args = [
+            "ci", "gaussian", "--input", str(data), "--bounds=-5:5", "--epsilon", "1.5",
+            "--seed", "1", "--B", "200",
+        ]
+        assert run_cli(args + ["--split", "0.3,0.7", "--output", str(out)]) == 0
+        charges = json.loads(out.read_text())["ledger"]["charges"]
+        assert [c["statistic"] for c in charges] == ["gaussian:sum", "gaussian:gram"]
+        assert [c["epsilon"] for c in charges] == pytest.approx([0.45, 1.05], rel=1e-15)
+        for bad in ("0.3,0.6", "0.3,0.3,0.4", "-0.5,1.5", "nan,nan", "half,half"):
+            assert run_cli(args + [f"--split={bad}"]) == 2
+            assert "split" in capsys.readouterr().err
+
     def test_malformed_cell_reports_row_and_column(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1.0,2.0\n1.0,oops\n")

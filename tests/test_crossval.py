@@ -11,11 +11,7 @@ from dpextrema.models import (
     gaussian_private_mle,
     regression_private_mle,
 )
-from dpextrema.partial import (
-    NuisanceRegressionData,
-    PartitionedGaussianData,
-    partial_regression_private_mle,
-)
+from dpextrema.partial import NuisanceRegressionData, PartitionedGaussianData
 from dpextrema.privacy import Bounds
 
 
@@ -68,12 +64,6 @@ class TestCvChooseR:
         # charges all 2v fold estimations sequentially
         assert cv.budget_parallel_view == pytest.approx(1.5)
         assert cv.budget_sequential_view == pytest.approx(2 * 5 * 1.5)
-        assert cv.budget_total == cv.budget_parallel_view
-        worst = cv_choose_r(
-            data, 1.5, np.random.default_rng(3),
-            CVConfig(b_inner=60, budget_handling="worst_case_sequential"),
-        )
-        assert worst.budget_total == pytest.approx(15.0)
 
     def test_zero_noise_budget_views_are_zero(self):
         cv = cv_choose_r(
@@ -176,7 +166,7 @@ def _nuisance_case():
     data = nuisance_regression_data(seed=18, n=300)
     # a subset of an orthogonal design is not orthogonal; the estimator
     # still uses only its statistics, which is what CV reproduces
-    return data, lambda idx: partial_regression_private_mle(
+    return data, lambda idx: regression_private_mle(
         NuisanceRegressionData(
             data.Z[idx], data.X[idx], data.y[idx], data.z_bounds, data.y_bounds,
             orthogonality_tolerance=math.inf,
@@ -224,7 +214,3 @@ class TestCVConfig:
     def test_too_few_folds_rejected(self):
         with pytest.raises(ParameterError):
             CVConfig(folds=1)
-
-    def test_unknown_budget_handling_rejected(self):
-        with pytest.raises(ParameterError):
-            CVConfig(budget_handling="optimistic")

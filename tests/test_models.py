@@ -13,7 +13,16 @@ from dpextrema.models import (
     gaussian_private_mle,
     regression_private_mle,
 )
-from dpextrema.privacy import Bounds, LaplaceSpec, PrivacyLedger, laplace_symmetric_sample
+from dpextrema.partial import NuisanceRegressionData
+from dpextrema.privacy import (
+    Bounds,
+    LaplaceSpec,
+    PrivacyLedger,
+    laplace_symmetric_sample,
+    sensitivity_cross_bounded,
+    sensitivity_gram_bounded,
+    split_budget,
+)
 
 WIDE = 5.0  # box that never clips the small test datasets below
 
@@ -250,6 +259,111 @@ class TestRegressionEstimator:
         est = regression_private_mle(make_regression(rng, n=200), 1.5, rng)
         assert est.ledger.total() == pytest.approx(1.5)
         assert len(est.ledger.charges) == 3
+
+
+def reference_regression_release(data, budget, rng):
+    """The row-based regression release, kept as the reference.
+
+    Solves the noisy normal equations, takes the residuals of the clamped
+    rows, removes the nuisance fit by least squares on X, and noises the
+    residual mean square.  Returns the released values by name.
+    """
+    eps_gram, eps_xty, eps_rss = split_budget(budget, 3)
+    if isinstance(data, RegressionData):
+        Z, X, z_bounds, fit_bound = data.X, None, data.x_bounds, 0.0
+    else:
+        Z, X, z_bounds, fit_bound = data.Z, data.X, data.z_bounds, data.fit_bound
+    Z, y = z_bounds.clamp(Z), data.y_bounds.clamp(data.y)
+    n, k = Z.shape
+    gram_spec = LaplaceSpec.from_budget(
+        sensitivity_gram_bounded(z_bounds.lower, z_bounds.upper).delta, eps_gram, k * (k + 1) // 2
+    )
+    xty_spec = LaplaceSpec.from_budget(
+        sensitivity_cross_bounded(
+            z_bounds.lower, z_bounds.upper, data.y_bounds.lower, data.y_bounds.upper
+        ).delta,
+        eps_xty,
+        k,
+    )
+    noisy_gram = Z.T @ Z + laplace_symmetric_sample(gram_spec.scale, k, rng)
+    noisy_xty = Z.T @ y + xty_spec.sample(rng)
+    repair = psd_repair(noisy_gram / n)
+    if repair.degenerate:
+        raise NumericError("irreparable")
+    beta = np.linalg.solve(n * repair.matrix, noisy_xty)
+
+    resid = y - Z @ beta
+    dof = n - k
+    if X is not None:
+        gamma, *_ = np.linalg.lstsq(X, resid, rcond=None)
+        resid = resid - X @ gamma
+        dof -= X.shape[1]
+    m_res = data.y_bounds.magnitudes[0] + np.sum(z_bounds.magnitudes * np.abs(beta)) + fit_bound
+    rss_spec = LaplaceSpec.from_budget(float(m_res) ** 2 / dof, eps_rss, 1)
+    sigma2 = max(float(resid @ resid) / dof + float(rss_spec.sample(rng)[0]), SIGMA2_FLOOR)
+    ledger = PrivacyLedger()
+    for name, eps in zip(("gram", "xty", "rss"), (eps_gram, eps_xty, eps_rss)):
+        ledger = ledger.charge(f"regression:{name}", eps)
+    return dict(
+        beta=beta, S=repair.matrix, noisy_gram=noisy_gram, noisy_xty=noisy_xty,
+        scales=(gram_spec.scale, xty_spec.scale, rss_spec.scale), sigma2=sigma2, ledger=ledger,
+    )
+
+
+def orthogonal_nuisance_data(rng, n, with_x=True):
+    """Interest design Z and, optionally, nuisance covariates X orthogonal to it."""
+    Z = rng.uniform(-1.0, 1.0, (n, 2))
+    x = rng.standard_normal((n, 2))
+    X = x - Z @ np.linalg.solve(Z.T @ Z, Z.T @ x)
+    y = Z @ np.array([0.2, 0.5]) + X @ np.array([1.0, -0.5]) + rng.standard_normal(n)
+    return NuisanceRegressionData(
+        Z, X if with_x else None, y, Bounds.symmetric(1.0, 2), Bounds.symmetric(8.0, 1)
+    )
+
+
+class TestSingleSetReleaseReference:
+    """The one-set stacked release reproduces the row-based recipe."""
+
+    CASES = {
+        "regression": lambda rng, n: make_regression(rng, n=n, k=3),
+        "nuisance": lambda rng, n: orthogonal_nuisance_data(rng, n),
+        "no-nuisance": lambda rng, n: orthogonal_nuisance_data(rng, n, with_x=False),
+    }
+
+    @staticmethod
+    def compare(data, budget, seed):
+        try:
+            ref = reference_regression_release(data, budget, np.random.default_rng(seed))
+        except NumericError:
+            with pytest.raises(NumericError):
+                regression_private_mle(data, budget, np.random.default_rng(seed))
+            return None
+        est = regression_private_mle(data, budget, np.random.default_rng(seed))
+        assert np.array_equal(est.beta_priv, ref["beta"])
+        assert np.array_equal(est.S_priv, ref["S"])
+        assert np.array_equal(est.noisy_gram, ref["noisy_gram"])
+        assert np.array_equal(est.noisy_xty, ref["noisy_xty"])
+        assert (est.gram_noise.scale, est.xty_noise.scale, est.rss_noise.scale) == ref["scales"]
+        assert est.ledger == ref["ledger"]
+        assert est.sigma2_priv == pytest.approx(ref["sigma2"], rel=1e-12, abs=0.0)
+        return est
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_row_recipe(self, case):
+        for seed in range(5):
+            data = self.CASES[case](np.random.default_rng(seed), 400)
+            assert self.compare(data, 1.5, seed) is not None
+            assert self.compare(data, math.inf, seed) is not None
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_row_recipe_on_clipped_releases(self, case):
+        # n = 50, eps = 0.2: most releases are irreparable, a few clip eigenvalues
+        clipped = 0
+        for seed in range(80):
+            data = self.CASES[case](np.random.default_rng(seed), 50)
+            est = self.compare(data, 0.2, seed)
+            clipped += est is not None and est.repair.shift > 0.0
+        assert clipped > 0
 
 
 def make_degenerate_regression_estimate():

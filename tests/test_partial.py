@@ -11,7 +11,6 @@ from dpextrema.partial import (
     NuisanceRegressionData,
     PartitionedGaussianData,
     partial_gaussian_private_mle,
-    partial_regression_private_mle,
 )
 from dpextrema.privacy import Bounds
 
@@ -154,7 +153,7 @@ class TestPartialRegression:
     def test_zero_noise_matches_block_ols(self):
         rng = np.random.default_rng(61)
         data = trial_design(rng)
-        est = partial_regression_private_mle(data, math.inf, rng)
+        est = regression_private_mle(data, math.inf, rng)
         z_only = np.linalg.solve(data.Z.T @ data.Z, data.Z.T @ data.y)
         full_design = np.hstack([data.Z, data.X])
         full_ols = np.linalg.solve(full_design.T @ full_design, full_design.T @ data.y)
@@ -166,7 +165,7 @@ class TestPartialRegression:
         Z = rng.uniform(0.0, 1.0, (400, 2))
         y = Z @ np.array([0.0, 1.0]) + rng.standard_normal(400)
         zb, yb = Bounds(np.zeros(2), np.ones(2)), Bounds.symmetric(5.0, 1)
-        partial = partial_regression_private_mle(
+        partial = regression_private_mle(
             NuisanceRegressionData(Z, None, y, zb, yb), 1.5, np.random.default_rng(7)
         )
         plain = regression_private_mle(RegressionData(Z, y, zb, yb), 1.5, np.random.default_rng(7))
@@ -182,20 +181,26 @@ class TestPartialRegression:
         with pytest.raises(ParameterError):
             NuisanceRegressionData(Z, X, y, Bounds(np.zeros(2), np.ones(2)), Bounds.symmetric(5.0, 1))
 
-    def test_gamma_is_internal_only(self):
+    def test_nuisance_statistics_are_internal_only(self):
+        # the release removes the nuisance fit through X^T X, X^T Z and X^T y;
+        # none of them may reach the released surface
         rng = np.random.default_rng(64)
         data = trial_design(rng)
-        est = partial_regression_private_mle(data, 1.5, rng)
-        assert est._gamma is not None and est._gamma.size == data.k2
+        est = regression_private_mle(data, 1.5, rng)
+        Z, y = data.z_bounds.clamp(data.Z), data.y_bounds.clamp(data.y)
+        nuisance = np.concatenate(
+            [(data.X.T @ data.X).ravel(), (data.X.T @ Z).ravel(), data.X.T @ y]
+        )
         serialized = json.dumps(est.to_dict()) + repr(est)
-        for value in est._gamma:
+        for value in nuisance[nuisance != 0.0]:
             assert repr(float(value)) not in serialized
-        assert "gamma" not in serialized
+        for name in ("gamma", "xtx", "xtz"):
+            assert name not in serialized
 
     def test_reduction_recomputes_from_noisy_statistics_alone(self):
         rng = np.random.default_rng(65)
         data = trial_design(rng)
-        est = partial_regression_private_mle(data, 1.5, rng)
+        est = regression_private_mle(data, 1.5, rng)
         from dpextrema.linalg import psd_repair
 
         s = psd_repair(est.noisy_gram / est.n).matrix
@@ -205,7 +210,7 @@ class TestPartialRegression:
     def test_zero_noise_draw_covariance(self):
         rng = np.random.default_rng(66)
         data = trial_design(rng, n=600)
-        est = partial_regression_private_mle(data, math.inf, rng)
+        est = regression_private_mle(data, math.inf, rng)
         B = 2000
         draws, failed = est.bootstrap_draws(B, np.random.default_rng(3))
         assert failed == 0
@@ -222,7 +227,7 @@ class TestPartialRegression:
     def test_zero_score_identity_draw(self):
         rng = np.random.default_rng(67)
         data = trial_design(rng)
-        est = partial_regression_private_mle(data, math.inf, rng)
+        est = regression_private_mle(data, math.inf, rng)
         est.sigma2_priv = 0.0
         est._cov_sqrt = None
         draws, failed = est.bootstrap_draws(1, np.random.default_rng(0), n=est.n)
@@ -232,7 +237,7 @@ class TestPartialRegression:
     def test_draw_determinism(self):
         rng = np.random.default_rng(68)
         data = trial_design(rng)
-        est = partial_regression_private_mle(data, 1.5, rng)
+        est = regression_private_mle(data, 1.5, rng)
         d1, _ = est.bootstrap_draws(1, np.random.default_rng(9), n=est.n)
         d2, _ = est.bootstrap_draws(1, np.random.default_rng(9), n=est.n)
         assert np.array_equal(d1, d2)
@@ -246,7 +251,7 @@ class TestPartialRegression:
         for rep in range(reps):
             rng = np.random.default_rng(np.random.SeedSequence(505, spawn_key=(rep,)))
             data = trial_design(rng, n=800, beta=beta)
-            est = partial_regression_private_mle(data, 1.5, rng)
+            est = regression_private_mle(data, 1.5, rng)
             res = ppb_lower_limit(est, 0.1, rng, B=400)
             covered += res.lower_limit <= max(beta)
         assert 0.90 <= covered / reps <= 0.97
