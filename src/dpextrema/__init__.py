@@ -47,7 +47,6 @@ from .privacy import (
     LaplaceSpec,
     PrivacyLedger,
     SensitivitySpec,
-    laplace_sample,
     laplace_scale,
     laplace_symmetric_sample,
     sensitivity_cross_bounded,

@@ -9,6 +9,12 @@ Subcommands:
 * ``simulate``: run a Monte Carlo experiment described by a config file.
 * ``plot-data``: reshape one or more report CSVs into plot-ready tidy CSV.
 
+``ci`` and ``cv`` share one input path.  Their common flags come from one
+parent parser, one loader turns the CSV and the bounds into a data class
+(``cv`` always reads whole data, as ``--partial 0``), and the estimator is
+picked from that class.  Epsilon, split shares and the printed epsilon go
+through the parsers and the formatter that config files and reports use.
+
 Exit codes: 0 success, 2 validation error, 3 numeric degeneracy.
 """
 
@@ -17,7 +23,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import replace
 
@@ -28,15 +33,20 @@ from .errors import DegeneracyError, NumericError, ParameterError
 from .extrema import ppb_lower_limit
 from .harness import (
     ExperimentReport,
+    divide_budget,
     emit_plot_data,
+    estimator_for,
+    format_epsilon,
     format_r_token,
     load_config,
+    parse_number,
     parse_r_token,
+    parse_split,
     run_experiment,
 )
-from .models import GaussianData, RegressionData, gaussian_private_mle, regression_private_mle
-from .partial import NuisanceRegressionData, PartitionedGaussianData, partial_gaussian_private_mle
-from .privacy import Bounds, split_budget
+from .models import GaussianData, RegressionData
+from .partial import NuisanceRegressionData, PartitionedGaussianData
+from .privacy import Bounds
 
 
 def _parse_bounds(text: str, k: int, what: str) -> Bounds:
@@ -56,16 +66,6 @@ def _parse_bounds(text: str, k: int, what: str) -> Bounds:
     lower = np.array([p[0] for p in parsed])
     upper = np.array([p[1] for p in parsed])
     return Bounds(lower, upper)
-
-
-def _parse_epsilon(text: str) -> float:
-    t = text.strip().lower()
-    if t in ("inf", "infinity"):
-        return math.inf
-    try:
-        return float(t)
-    except ValueError as exc:
-        raise ParameterError(f"cannot parse epsilon {text!r}") from exc
 
 
 def _read_csv_matrix(path) -> tuple[list[str], np.ndarray]:
@@ -100,17 +100,60 @@ def _is_float(cell: str) -> bool:
         return False
 
 
-def _budget(args, count: int):
-    """Per-statistic epsilons from ``--epsilon`` and the optional ``--split`` shares."""
-    text = (args.split or "").strip().lower()
-    try:
-        shares = None if text in ("", "equal") else [float(t) for t in text.split(",") if t.strip()]
-    except ValueError as exc:
-        raise ParameterError(f"cannot parse split {args.split!r}") from exc
-    return split_budget(_parse_epsilon(args.epsilon), count, shares)
+def _load_data(args):
+    """The data class that the CSV and the flags of ``ci`` or ``cv`` describe.
+
+    Regression input has the response as its last column.  ``--partial K1``
+    keeps the first K1 columns (of the design, for regression) as the ones of
+    interest and the rest as nuisance; 0 reads every column as of interest.
+    """
+    _, data = _read_csv_matrix(args.input)
+    regression = args.model == "regression"
+    if regression and data.shape[1] < 2:
+        raise ParameterError("regression input needs at least one design column plus y")
+    x = data[:, :-1] if regression else data
+    k = x.shape[1]
+    k1 = args.partial if args.partial else k
+    if not (1 <= k1 <= k):
+        raise ParameterError(f"--partial must name between 1 and {k} interest columns")
+    nuisance = x[:, k1:] if k1 < k else None
+    if not regression:
+        bounds = _parse_bounds(args.bounds, k1, "coordinate")
+        if args.partial:
+            return PartitionedGaussianData(x[:, :k1], nuisance, bounds)
+        return GaussianData(x, bounds)
+    if args.y_bounds is None:
+        raise ParameterError("response bounds are mandatory: sensitivity is undefined without bounds")
+    y, y_bounds = data[:, -1], _parse_bounds(args.y_bounds, 1, "response")
+    bounds = _parse_bounds(args.bounds, k1, "design")
+    if args.partial:
+        return NuisanceRegressionData(x[:, :k1], nuisance, y, bounds, y_bounds)
+    return RegressionData(x, y, bounds, y_bounds)
 
 
-def _print_result(result, estimate, seed: int, extra: dict | None = None, output=None):
+def _budget(args):
+    """The budget of ``--epsilon``, divided by the ``--split`` shares if given."""
+    return divide_budget(parse_number(args.epsilon, "epsilon"), parse_split(args.split))
+
+
+def _cv_block(cv) -> dict:
+    """A cross-validation result as the JSON of ``ci --r cv`` and of ``cv`` carry it."""
+    return {
+        "chosen_r": cv.chosen_r,
+        "grid": list(cv.grid),
+        "criterion": cv.criterion.tolist(),
+        "budget_parallel_view": cv.budget_parallel_view,
+        "budget_sequential_view": cv.budget_sequential_view,
+    }
+
+
+def _write_json(path, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+    print(f"wrote {path}")
+
+
+def _print_result(result, estimate, seed: int, extra: dict, output=None):
     ledger = estimate.ledger
     release = estimate.to_dict()
     repair = release["repair"]
@@ -119,9 +162,8 @@ def _print_result(result, estimate, seed: int, extra: dict | None = None, output
         "estimate": {"noise_scales": release["noise_scales"], "repair": repair},
         "ledger": ledger.to_dict(),
         "seed": seed,
+        **extra,
     }
-    if extra:
-        payload.update(extra)
     print(f"lower_limit = {result.lower_limit:.6g}")
     print(f"level       = {result.level:g}")
     print(f"method      = {result.method}" + (f" (r = {format_r_token(result.r_used)})" if result.r_used is not None else ""))
@@ -129,7 +171,7 @@ def _print_result(result, estimate, seed: int, extra: dict | None = None, output
         print(f"B           = {result.B} ({result.failed_draws} failed draws)")
     print(f"budget      = sequential {ledger.total_sequential():g} | parallel view {ledger.total_parallel():g}")
     print(f"repair      = shift {repair['shift']:g}" + (" (degenerate)" if repair["degenerate"] else ""))
-    if extra and "cv" in extra:
+    if "cv" in extra:
         cv = extra["cv"]
         print(
             f"cv          = chosen r {format_r_token(cv['chosen_r'])}; budget "
@@ -137,89 +179,32 @@ def _print_result(result, estimate, seed: int, extra: dict | None = None, output
         )
     print(f"seed        = {seed}")
     if output:
-        with open(output, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"wrote {output}")
+        _write_json(output, payload)
 
 
 def _cmd_ci(args) -> int:
-    header, data = _read_csv_matrix(args.input)
+    data = _load_data(args)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
+    budget = _budget(args)
+    est = estimator_for(data)(data, budget, rng)
     extra: dict = {}
-
-    if args.model == "gaussian":
-        k = data.shape[1]
-        k1 = args.partial if args.partial else k
-        if not (1 <= k1 <= k):
-            raise ParameterError(f"--partial must name between 1 and {k} interest columns")
-        bounds = _parse_bounds(args.bounds, k1, "coordinate")
-        budget = _budget(args, 2)
-        if args.partial:
-            pdata = PartitionedGaussianData(data[:, :k1], data[:, k1:] if k1 < k else None, bounds)
-            est = partial_gaussian_private_mle(pdata, budget, rng)
-            cv_data = pdata
-        else:
-            gdata = GaussianData(data, bounds)
-            est = gaussian_private_mle(gdata, budget, rng)
-            cv_data = gdata
-    else:
-        if data.shape[1] < 2:
-            raise ParameterError("regression input needs at least one design column plus y")
-        X, y = data[:, :-1], data[:, -1]
-        k = X.shape[1]
-        k1 = args.partial if args.partial else k
-        if not (1 <= k1 <= k):
-            raise ParameterError(f"--partial must name between 1 and {k} interest columns")
-        if args.y_bounds is None:
-            raise ParameterError("response bounds are mandatory: sensitivity is undefined without bounds")
-        y_bounds = _parse_bounds(args.y_bounds, 1, "response")
-        bounds = _parse_bounds(args.bounds, k1, "design")
-        budget = _budget(args, 3)
-        if args.partial:
-            X2 = X[:, k1:] if k1 < k else None
-            cv_data = NuisanceRegressionData(X[:, :k1], X2, y, bounds, y_bounds)
-        else:
-            cv_data = RegressionData(X, y, bounds, y_bounds)
-        est = regression_private_mle(cv_data, budget, rng)
-
-    token = args.r.strip().lower()
-    if token == "cv":
-        cv = cv_choose_r(cv_data, budget, rng, CVConfig(folds=args.folds, b_inner=args.b_inner))
+    if args.r.strip().lower() == "cv":
+        cv = cv_choose_r(data, budget, rng, CVConfig(folds=args.folds, b_inner=args.b_inner))
         r = cv.chosen_r
-        extra["cv"] = {
-            "chosen_r": cv.chosen_r,
-            "grid": list(cv.grid),
-            "criterion": cv.criterion.tolist(),
-            "budget_parallel_view": cv.budget_parallel_view,
-            "budget_sequential_view": cv.budget_sequential_view,
-        }
+        extra["cv"] = _cv_block(cv)
     else:
-        r = parse_r_token(token)
+        r = parse_r_token(args.r)
     result = ppb_lower_limit(est, r, rng, alpha=args.alpha, B=args.B)
     _print_result(result, est, args.seed, extra, args.output)
     return 0
 
 
 def _cmd_cv(args) -> int:
-    header, data = _read_csv_matrix(args.input)
+    data = _load_data(args)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     grid = tuple(parse_r_token(tok) for tok in args.grid.split(","))
     config = CVConfig(folds=args.folds, grid=grid, b_inner=args.b_inner)
-
-    if args.model == "gaussian":
-        bounds = _parse_bounds(args.bounds, data.shape[1], "coordinate")
-        cv_data = GaussianData(data, bounds)
-        budget = _budget(args, 2)
-    else:
-        X, y = data[:, :-1], data[:, -1]
-        if args.y_bounds is None:
-            raise ParameterError("response bounds are mandatory: sensitivity is undefined without bounds")
-        cv_data = RegressionData(
-            X, y, _parse_bounds(args.bounds, X.shape[1], "design"), _parse_bounds(args.y_bounds, 1, "response")
-        )
-        budget = _budget(args, 3)
-
-    cv = cv_choose_r(cv_data, budget, rng, config)
+    cv = cv_choose_r(data, _budget(args), rng, config)
     print(f"chosen_r = {format_r_token(cv.chosen_r)}")
     print("criterion by grid value:")
     for r, c in zip(cv.grid, cv.criterion):
@@ -230,20 +215,7 @@ def _cmd_cv(args) -> int:
     )
     print(f"seed     = {args.seed}")
     if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(
-                {
-                    "chosen_r": cv.chosen_r,
-                    "grid": list(cv.grid),
-                    "criterion": cv.criterion.tolist(),
-                    "budget_parallel_view": cv.budget_parallel_view,
-                    "budget_sequential_view": cv.budget_sequential_view,
-                    "seed": args.seed,
-                },
-                fh,
-                indent=2,
-            )
-        print(f"wrote {args.output}")
+        _write_json(args.output, {**_cv_block(cv), "seed": args.seed})
     return 0
 
 
@@ -257,10 +229,9 @@ def _cmd_simulate(args) -> int:
     report.to_csv(args.output)
     print(f"wrote {args.output} ({len(report.rows)} rows)")
     for row in report.rows:
-        eps = "inf" if math.isinf(row.epsilon) else f"{row.epsilon:g}"
         r = f" r={row.r}" if row.r else ""
         print(
-            f"  {row.method}{r} eps={eps}: coverage {row.coverage:.3f} "
+            f"  {row.method}{r} eps={format_epsilon(row.epsilon)}: coverage {row.coverage:.3f} "
             f"(se {row.coverage_se:.3f}), mean length {row.mean_length:.4f}"
         )
     return 0
@@ -282,41 +253,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--input", required=True, help="CSV with a header row, one observation per row")
+    shared.add_argument("--bounds", required=True,
+                        help="declared coordinate box, lo:hi[,lo:hi...]; use --bounds=-5:5 for negative bounds")
+    shared.add_argument("--epsilon", required=True, help="total privacy budget (or 'inf')")
+    shared.add_argument("--split", default=None, help="per-statistic budget shares, e.g. 0.5,0.5")
+    shared.add_argument("--folds", type=int, default=5, help="cross-validation folds")
+    shared.add_argument("--b-inner", type=int, default=200, dest="b_inner")
+    shared.add_argument("--seed", type=int, required=True)
+    shared.add_argument("--output", default=None, help="optional JSON output path")
+    response = argparse.ArgumentParser(add_help=False)
+    response.add_argument("--y-bounds", default=None, dest="y_bounds", help="response range lo:hi")
+
     ci = sub.add_parser("ci", help="one-shot lower confidence limit from a CSV")
     ci_sub = ci.add_subparsers(dest="model", required=True)
-    for model in ("gaussian", "regression"):
-        p = ci_sub.add_parser(model)
-        p.add_argument("--input", required=True, help="CSV with a header row, one observation per row")
-        p.add_argument("--bounds", required=True,
-                       help="declared coordinate box, lo:hi[,lo:hi...]; use --bounds=-5:5 for negative bounds")
-        p.add_argument("--epsilon", required=True, help="total privacy budget (or 'inf')")
-        p.add_argument("--split", default=None, help="per-statistic budget shares, e.g. 0.5,0.5")
+    for model, parents in (("gaussian", [shared]), ("regression", [shared, response])):
+        p = ci_sub.add_parser(model, parents=parents)
         p.add_argument("--r", default="1/10", help="correction strength: float, fraction, 'full', or 'cv'")
         p.add_argument("--alpha", type=float, default=0.05)
         p.add_argument("--B", type=int, default=1000)
-        p.add_argument("--folds", type=int, default=5, help="folds when --r cv")
-        p.add_argument("--b-inner", type=int, default=200, dest="b_inner")
-        p.add_argument("--seed", type=int, required=True)
         p.add_argument("--partial", type=int, default=0, metavar="K1",
                        help="privatize only the first K1 columns; the rest are nuisance")
-        p.add_argument("--output", default=None, help="optional JSON output path")
-        if model == "regression":
-            p.add_argument("--y-bounds", default=None, dest="y_bounds", help="response range lo:hi")
         p.set_defaults(func=_cmd_ci, model=model)
 
-    cv = sub.add_parser("cv", help="cross-validated choice of the correction strength")
+    cv = sub.add_parser("cv", parents=[shared, response],
+                        help="cross-validated choice of the correction strength")
     cv.add_argument("--model", choices=("gaussian", "regression"), default="gaussian")
-    cv.add_argument("--input", required=True)
-    cv.add_argument("--bounds", required=True)
-    cv.add_argument("--y-bounds", default=None, dest="y_bounds")
-    cv.add_argument("--epsilon", required=True)
-    cv.add_argument("--split", default=None)
     cv.add_argument("--grid", default="1/30,1/15,1/10,1/5")
-    cv.add_argument("--folds", type=int, default=5)
-    cv.add_argument("--b-inner", type=int, default=200, dest="b_inner")
-    cv.add_argument("--seed", type=int, required=True)
-    cv.add_argument("--output", default=None)
-    cv.set_defaults(func=_cmd_cv)
+    cv.set_defaults(func=_cmd_cv, partial=0)
 
     sim = sub.add_parser("simulate", help="Monte Carlo coverage/length experiment")
     sim.add_argument("--config", required=True, help="key = value sections file")

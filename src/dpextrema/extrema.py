@@ -64,7 +64,7 @@ class ExtremaEstimate(Protocol):
     n: int
 
     def bootstrap_draws(
-        self, size: int, rng: np.random.Generator, n: int | None = ..., privacy_noise: bool = ...
+        self, size: int, rng: np.random.Generator, privacy_noise: bool = ...
     ) -> tuple[np.ndarray, int]: ...
 
     def coordinate_variances(self, private: bool = ...) -> np.ndarray: ...
@@ -109,11 +109,20 @@ def bias_correction(beta_priv: np.ndarray, r: float, n: int) -> BiasCorrection:
     return BiasCorrection(shifts=shifts, r=r, n=int(n))
 
 
+def _replica_maxima(draws: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Largest coordinate of each shifted replica: (..., B, k) draws and
+    (..., k) shifts give (..., B) maxima."""
+    # replicas along the contiguous axis: a max across k rows of replicas is
+    # vectorized, while a max along a short contiguous axis of k is not
+    shifted = np.add(np.swapaxes(draws, -1, -2), shifts[..., :, None], order="C")
+    return shifted.max(axis=-2)
+
+
 def _statistic_batch(draws: np.ndarray, shifts: np.ndarray, beta_max: float, n: int) -> np.ndarray:
     """Centered, scaled maximum of each shifted replica in a (B, k) draw array."""
     if draws.shape[-1:] != shifts.shape:
         raise ParameterError("replica and correction dimensions differ")
-    return math.sqrt(n) * ((draws + shifts) - beta_max).max(axis=1)
+    return math.sqrt(n) * (_replica_maxima(draws, shifts) - beta_max)
 
 
 def quantile(values, p: float) -> float:
@@ -213,7 +222,6 @@ def ppb_lower_limit(
     rng: np.random.Generator,
     alpha: float = 0.05,
     B: int = DEFAULT_B,
-    n: int | None = None,
     privacy_noise: bool = True,
 ) -> ConfidenceResult:
     """Privatized parametric bootstrap lower limit for the coordinate maximum.
@@ -226,13 +234,12 @@ def ppb_lower_limit(
     """
     if B < 100:
         raise ParameterError("B must be >= 100")
-    m = estimate.n if n is None else int(n)
-    draws, failed = estimate.bootstrap_draws(B, rng, n=m, privacy_noise=privacy_noise)
+    draws, failed = estimate.bootstrap_draws(B, rng, privacy_noise=privacy_noise)
     return ppb_limit_from_draws(
         estimate.beta_priv,
         draws,
         r,
-        m,
+        estimate.n,
         alpha=alpha,
         failed_draws=failed,
         method=_method_tag(r, privacy_noise),
@@ -240,10 +247,7 @@ def ppb_lower_limit(
 
 
 def naive_lower_limit(
-    estimate: ExtremaEstimate,
-    alpha: float = 0.05,
-    private: bool = True,
-    n: int | None = None,
+    estimate: ExtremaEstimate, alpha: float = 0.05, private: bool = True
 ) -> ConfidenceResult:
     """Normal-approximation limit on the winning coordinate, ignoring selection.
 
@@ -252,7 +256,6 @@ def naive_lower_limit(
     release, so the baseline is not handicapped by unaccounted noise.
     """
     _check_alpha(alpha)
-    m = estimate.n if n is None else int(n)
     beta = np.asarray(estimate.beta_priv, dtype=float).ravel()
     j = int(np.argmax(beta))
     se = math.sqrt(float(estimate.coordinate_variances(private=private)[j]))
@@ -261,21 +264,17 @@ def naive_lower_limit(
     return ConfidenceResult(
         lower_limit=lower,
         level=1.0 - alpha,
-        c_alpha=z * se * math.sqrt(m),
+        c_alpha=z * se * math.sqrt(estimate.n),
         B=None,
         method="naive_private" if private else "naive_nonprivate",
     )
 
 
 def bonferroni_lower_limit(
-    estimate: ExtremaEstimate,
-    alpha: float = 0.05,
-    private: bool = True,
-    n: int | None = None,
+    estimate: ExtremaEstimate, alpha: float = 0.05, private: bool = True
 ) -> ConfidenceResult:
     """Max of per-coordinate limits at level 1 - alpha/k (union bound)."""
     _check_alpha(alpha)
-    m = estimate.n if n is None else int(n)
     beta = np.asarray(estimate.beta_priv, dtype=float).ravel()
     k = beta.size
     se = np.sqrt(estimate.coordinate_variances(private=private))
@@ -284,7 +283,7 @@ def bonferroni_lower_limit(
     return ConfidenceResult(
         lower_limit=lower,
         level=1.0 - alpha,
-        c_alpha=(float(beta.max()) - lower) * math.sqrt(m),
+        c_alpha=(float(beta.max()) - lower) * math.sqrt(estimate.n),
         B=None,
         method="bonferroni_private" if private else "bonferroni_nonprivate",
     )
@@ -302,10 +301,7 @@ def bias_reduced_from_draws(beta_priv: np.ndarray, draws: np.ndarray, r, n):
     beta_max = beta.max(axis=-1)
     r_arr = np.reshape(r, np.shape(r) + (1,) * beta_max.ndim)
     shifts = np.asarray(correction_factor(r_arr, n))[..., None] * (beta_max[..., None] - beta)
-    # replicas along the contiguous axis: a max across k rows of replicas is
-    # vectorized, while a max along a short contiguous axis of k is not
-    shifted = np.add(np.swapaxes(draws, -1, -2), shifts[..., :, None], order="C")
-    replica_max = shifted.max(axis=-2)
+    replica_max = _replica_maxima(draws, shifts)
     mean = replica_max.mean(axis=-1)
     if np.isnan(mean).any():
         mean = np.nanmean(replica_max, axis=-1)
@@ -314,11 +310,7 @@ def bias_reduced_from_draws(beta_priv: np.ndarray, draws: np.ndarray, r, n):
 
 
 def bias_reduced_estimate(
-    estimate: ExtremaEstimate,
-    r: float,
-    rng: np.random.Generator,
-    B_inner: int = DEFAULT_B_INNER,
-    n: int | None = None,
+    estimate: ExtremaEstimate, r: float, rng: np.random.Generator, B_inner: int = DEFAULT_B_INNER
 ) -> float:
     """Estimate of the maximum with the bootstrap selection bias subtracted.
 
@@ -327,8 +319,7 @@ def bias_reduced_estimate(
     """
     if B_inner < 50:
         raise ParameterError("B_inner must be >= 50")
-    m = estimate.n if n is None else int(n)
-    draws, failed = estimate.bootstrap_draws(B_inner, rng, n=m, privacy_noise=True)
+    draws, failed = estimate.bootstrap_draws(B_inner, rng)
     if failed > MAX_FAILED_FRACTION * B_inner:
         raise DegeneracyError(f"{failed} of {B_inner} bootstrap draws failed")
-    return bias_reduced_from_draws(estimate.beta_priv, draws, r, m)
+    return bias_reduced_from_draws(estimate.beta_priv, draws, r, estimate.n)

@@ -15,6 +15,14 @@ Simulation bounds: experiments declare the data box as truth +/- a configured
 half-width (3 sigma-equivalents by default), mirroring how a practitioner
 declares plausible data ranges a priori.  Sensitivities derive from that box
 and the data are clamped into it, so the stated privacy guarantee is honest.
+
+One input path with the CLI: config values and the CLI flags are read by the
+same parsers (:func:`parse_number`, :func:`parse_floats`, :func:`parse_split`),
+so a malformed value is a :class:`ParameterError` that names its key, and
+:func:`estimator_for` picks the estimator from the data class for both.  A
+``split`` is checked here without a statistic count (positive shares summing
+to 1); whether it has one share per released statistic is checked by the
+model's release, at the first private estimate of :func:`run_experiment`.
 """
 
 from __future__ import annotations
@@ -23,7 +31,8 @@ import concurrent.futures
 import configparser
 import csv
 import math
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .crossval import DEFAULT_FOLDS, DEFAULT_GRID, CVConfig, cv_choose_r
@@ -39,28 +48,11 @@ from .extrema import (
 )
 from .models import GaussianData, RegressionData, gaussian_private_mle, regression_private_mle
 from .partial import NuisanceRegressionData, PartitionedGaussianData, partial_gaussian_private_mle
-from .privacy import Bounds, split_budget
+from .privacy import Bounds
 
 MODELS = ("gaussian", "regression", "partial_gaussian", "partial_regression")
 BOOTSTRAP_METHODS = ("ppb", "npb", "rppb", "semi_naive")
 BASELINE_METHODS = ("naive", "bonferroni")
-
-REPORT_COLUMNS = (
-    "model",
-    "method",
-    "r",
-    "epsilon",
-    "truth",
-    "n",
-    "k",
-    "coverage",
-    "coverage_se",
-    "mean_length",
-    "reps",
-    "B",
-    "seed",
-    "failed_draws",
-)
 
 __all__ = [
     "ExperimentConfig",
@@ -68,10 +60,17 @@ __all__ = [
     "MethodSpec",
     "ReportRow",
     "REPORT_COLUMNS",
+    "check_shares",
+    "divide_budget",
     "emit_plot_data",
+    "estimator_for",
+    "format_epsilon",
     "format_r_token",
     "load_config",
+    "parse_floats",
+    "parse_number",
     "parse_r_token",
+    "parse_split",
     "run_experiment",
 ]
 
@@ -94,6 +93,61 @@ def format_r_token(r: float) -> str:
     if r == FULL_CORRECTION:
         return "full"
     return f"{r:g}"
+
+
+def format_epsilon(epsilon: float) -> str:
+    """An epsilon as reports and the CLI print it: ``%g``, which writes ``inf``."""
+    return f"{epsilon:g}"
+
+
+def parse_number(text: str, what: str) -> float:
+    """One number (``inf`` included) from a flag or config value named ``what``."""
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ParameterError(f"cannot parse {what} {text!r}") from exc
+
+
+def parse_floats(text: str, what: str) -> tuple[float, ...]:
+    """A comma- or semicolon-separated list of numbers, read by :func:`parse_number`."""
+    tokens = (tok.strip() for tok in text.replace(";", ",").split(","))
+    return tuple(parse_number(tok, what) for tok in tokens if tok)
+
+
+def check_shares(shares) -> tuple[float, ...]:
+    """Budget shares as floats, which must be positive and sum to 1.
+
+    How many statistics share the budget is left to the model's release.
+    """
+    shares = tuple(float(s) for s in shares)
+    if not (all(s > 0 for s in shares) and abs(sum(shares) - 1.0) <= 1e-9):  # False on NaN, inf
+        raise ParameterError("split must be positive shares summing to 1")
+    return shares
+
+
+def parse_split(text: str | None) -> tuple[float, ...] | None:
+    """Budget shares from ``text``; ``None``, the equal split, for ``equal`` or nothing."""
+    t = (text or "").strip().lower()
+    return None if t in ("", "equal") else check_shares(parse_floats(t, "split"))
+
+
+def divide_budget(epsilon: float, shares: tuple[float, ...] | None):
+    """Per-statistic epsilons by ``shares``, or the total, which the release splits equally."""
+    return epsilon if shares is None else tuple(s * epsilon for s in shares)
+
+
+def estimator_for(data):
+    """The estimator that releases ``data``, picked by its class.
+
+    The table is built on each call, so it holds whatever the module names
+    are bound to at that time (the benchmark's span recorder rebinds them).
+    """
+    return {
+        GaussianData: gaussian_private_mle,
+        PartitionedGaussianData: partial_gaussian_private_mle,
+        RegressionData: regression_private_mle,
+        NuisanceRegressionData: regression_private_mle,
+    }[type(data)]
 
 
 @dataclass(frozen=True)
@@ -168,8 +222,7 @@ class ExperimentConfig:
         if self.design not in ("resampled", "fixed"):
             raise ParameterError("design must be 'resampled' or 'fixed'")
         if self.split is not None:
-            object.__setattr__(self, "split", tuple(float(s) for s in self.split))
-            self.budget_for(1.0)  # rejects shares that do not fit the model
+            object.__setattr__(self, "split", check_shares(self.split))
         if self.model in ("gaussian", "partial_gaussian"):
             mu = self.mu if self.mu is not None else (0.0,) * self.k
             if len(mu) != self.k:
@@ -192,13 +245,6 @@ class ExperimentConfig:
         if self.model == "partial_regression":
             gamma = self.gamma if self.gamma is not None else (0.0,) * max(self.k_nuisance, 0)
             object.__setattr__(self, "gamma", tuple(float(v) for v in gamma))
-
-    @property
-    def statistic_count(self) -> int:
-        return 2 if self.model in ("gaussian", "partial_gaussian") else 3
-
-    def budget_for(self, epsilon: float):
-        return split_budget(epsilon, self.statistic_count, self.split)
 
     @property
     def truth_label(self) -> str:
@@ -230,8 +276,9 @@ class ReportRow:
     seed: int
     failed_draws: int
 
-    def as_record(self) -> dict:
-        return {c: getattr(self, c) for c in REPORT_COLUMNS}
+
+#: Report CSV columns, in the order of the ``ReportRow`` fields.
+REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
 @dataclass
@@ -243,34 +290,14 @@ class ExperimentReport:
             writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
             writer.writeheader()
             for row in self.rows:
-                rec = row.as_record()
-                rec["epsilon"] = "inf" if math.isinf(row.epsilon) else f"{row.epsilon:g}"
-                writer.writerow(rec)
+                writer.writerow(vars(row) | {"epsilon": format_epsilon(row.epsilon)})
 
     @classmethod
     def from_csv(cls, path) -> "ExperimentReport":
-        rows = []
+        kinds = typing.get_type_hints(ReportRow)  # column -> type, e.g. "n" -> int
         with open(path, newline="") as fh:
-            for rec in csv.DictReader(fh):
-                rows.append(
-                    ReportRow(
-                        model=rec["model"],
-                        method=rec["method"],
-                        r=rec["r"],
-                        epsilon=float(rec["epsilon"]),
-                        truth=rec["truth"],
-                        n=int(rec["n"]),
-                        k=int(rec["k"]),
-                        coverage=float(rec["coverage"]),
-                        coverage_se=float(rec["coverage_se"]),
-                        mean_length=float(rec["mean_length"]),
-                        reps=int(rec["reps"]),
-                        B=int(rec["B"]),
-                        seed=int(rec["seed"]),
-                        failed_draws=int(rec["failed_draws"]),
-                    )
-                )
-        return cls(rows)
+            records = list(csv.DictReader(fh))
+        return cls([ReportRow(**{c: kinds[c](rec[c]) for c in REPORT_COLUMNS}) for rec in records])
 
     def merge(self, other: "ExperimentReport") -> "ExperimentReport":
         return ExperimentReport(self.rows + other.rows)
@@ -360,14 +387,6 @@ def _generate_data(config: ExperimentConfig, rng: np.random.Generator, fixed_des
     )
 
 
-def _estimate(config: ExperimentConfig, data, budget, rng):
-    if config.model == "gaussian":
-        return gaussian_private_mle(data, budget, rng)
-    if config.model == "partial_gaussian":
-        return partial_gaussian_private_mle(data, budget, rng)
-    return regression_private_mle(data, budget, rng)
-
-
 # ---------------------------------------------------------------------------
 # one replication
 # ---------------------------------------------------------------------------
@@ -384,8 +403,9 @@ def _outcome(result: ConfidenceResult, true_max: float):
 def _run_replication(config: ExperimentConfig, eps_index: int, rep: int, fixed_design):
     """All method outcomes for one replication; keyed by (method label, r token)."""
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, eps_index, rep)))
-    epsilon = config.epsilons[eps_index]
+    budget = divide_budget(config.epsilons[eps_index], config.split)
     data = _generate_data(config, rng, fixed_design)
+    estimate = estimator_for(data)
     true_max = config.true_max
 
     est = None
@@ -395,13 +415,13 @@ def _run_replication(config: ExperimentConfig, eps_index: int, rep: int, fixed_d
     def private_estimate():
         nonlocal est
         if est is None:
-            est = _estimate(config, data, config.budget_for(epsilon), rng)
+            est = estimate(data, budget, rng)
         return est
 
     def nonprivate_estimate():
         nonlocal est_inf
         if est_inf is None:
-            est_inf = _estimate(config, data, math.inf, rng)
+            est_inf = estimate(data, math.inf, rng)
         return est_inf
 
     def draws_for(e, privacy_noise=True):
@@ -414,7 +434,7 @@ def _run_replication(config: ExperimentConfig, eps_index: int, rep: int, fixed_d
         if token == "cv":
             cv = cv_choose_r(
                 data,
-                config.budget_for(epsilon) if e is est else math.inf,
+                budget if e is est else math.inf,
                 rng,
                 CVConfig(folds=config.cv_folds, grid=config.cv_grid, b_inner=config.b_inner),
             )
@@ -525,28 +545,14 @@ def _replication_task(args):
 # ---------------------------------------------------------------------------
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.replace(";", ",").split(",") if tok.strip())
-
-
-def _parse_mu(text: str, k: int) -> tuple[float, ...]:
+def _parse_truth(text: str, k: int, what: str) -> tuple[float, ...]:
+    """A truth vector: numbers, or the shorthands ``zeros`` and ``zeros+1``."""
     t = text.strip().lower()
     if t == "zeros":
         return (0.0,) * k
     if t == "zeros+1":
         return (0.0,) * (k - 1) + (1.0,)
-    values = _parse_floats(text)
-    return values
-
-
-def _parse_epsilons(text: str) -> tuple[float, ...]:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip().lower()
-        if not tok:
-            continue
-        out.append(math.inf if tok in ("inf", "infinity") else float(tok))
-    return tuple(out)
+    return parse_floats(text, what)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -574,7 +580,7 @@ def load_config(path) -> ExperimentConfig:
             model=model,
             n=n,
             k=k,
-            epsilons=_parse_epsilons(exp.get("epsilon", "")),
+            epsilons=parse_floats(exp.get("epsilon", ""), "epsilon"),
             seed=exp.getint("seed"),
             reps=exp.getint("reps", 1000),
             alpha=exp.getfloat("alpha", 0.05),
@@ -595,21 +601,15 @@ def load_config(path) -> ExperimentConfig:
 
     if "cv_grid" in exp:
         kwargs["cv_grid"] = tuple(parse_r_token(t) for t in exp.get("cv_grid").split(","))
-    split_text = exp.get("split", "equal").strip().lower()
-    if split_text not in ("equal", ""):
-        kwargs["split"] = _parse_floats(split_text)
-    if "mu" in exp:
-        kwargs["mu"] = _parse_mu(exp.get("mu"), k)
-    if "sigma_diag" in exp:
-        kwargs["sigma_diag"] = _parse_floats(exp.get("sigma_diag"))
-    if "mu_nuisance" in exp:
-        kwargs["mu_nuisance"] = _parse_mu(exp.get("mu_nuisance"), kwargs["k_nuisance"])
-    if "beta" in exp:
-        kwargs["beta"] = _parse_mu(exp.get("beta"), k)
-    if "gamma" in exp:
-        kwargs["gamma"] = _parse_floats(exp.get("gamma"))
+    kwargs["split"] = parse_split(exp.get("split"))
+    for key, size in (("mu", k), ("mu_nuisance", kwargs["k_nuisance"]), ("beta", k)):
+        if key in exp:
+            kwargs[key] = _parse_truth(exp.get(key), size, key)
+    for key in ("sigma_diag", "gamma"):
+        if key in exp:
+            kwargs[key] = parse_floats(exp.get(key), key)
     if "y_half_width" in exp:
-        kwargs["y_half_width"] = exp.getfloat("y_half_width")
+        kwargs["y_half_width"] = parse_number(exp.get("y_half_width"), "y_half_width")
 
     methods: list[MethodSpec] = []
     for name, value in parser["methods"].items():
@@ -656,7 +656,7 @@ def emit_plot_data(report: ExperimentReport, axis: str, path) -> None:
     records = []
     for row in report.rows:
         if axis == "epsilon":
-            value = "inf" if math.isinf(row.epsilon) else f"{row.epsilon:g}"
+            value = format_epsilon(row.epsilon)
         elif axis == "k":
             value = str(row.k)
         else:

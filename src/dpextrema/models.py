@@ -136,11 +136,7 @@ class PrivatizedGaussianEstimate:
         return self._sigma_sqrt
 
     def bootstrap_draws(
-        self,
-        size: int,
-        rng: np.random.Generator,
-        n: int | None = None,
-        privacy_noise: bool = True,
+        self, size: int, rng: np.random.Generator, privacy_noise: bool = True
     ) -> tuple[np.ndarray, int]:
         """Draw ``size`` bootstrap replicas of the privatized mean.
 
@@ -150,13 +146,10 @@ class PrivatizedGaussianEstimate:
         Laplace term (the ablation that ignores privatization randomness).
         Returns (draws, failed_count); Gaussian draws cannot fail.
         """
-        m = self.n if n is None else int(n)
-        if m < 1:
-            raise ParameterError("bootstrap sample size must be >= 1")
         z = rng.standard_normal((size, self.k))
-        draws = self.mu_priv + (z @ self.sigma_sqrt().T) / math.sqrt(m)
+        draws = self.mu_priv + (z @ self.sigma_sqrt().T) / math.sqrt(self.n)
         if privacy_noise and not self.sum_noise.is_zero:
-            draws = draws + self.sum_noise.sample(rng, size) / m
+            draws = draws + self.sum_noise.sample(rng, size) / self.n
         return draws, 0
 
     def coordinate_variances(self, private: bool = True) -> np.ndarray:
@@ -338,11 +331,7 @@ class PrivatizedRegressionEstimate:
         return self._s_inv
 
     def bootstrap_draws(
-        self,
-        size: int,
-        rng: np.random.Generator,
-        n: int | None = None,
-        privacy_noise: bool = True,
+        self, size: int, rng: np.random.Generator, privacy_noise: bool = True
     ) -> tuple[np.ndarray, int]:
         """Draw bootstrap replicas of the privatized coefficients.
 
@@ -361,16 +350,13 @@ class PrivatizedRegressionEstimate:
         fails every draw, while a regular one is solved against all right-hand
         sides at once.
         """
-        m = self.n if n is None else int(n)
-        if m < 1:
-            raise ParameterError("bootstrap sample size must be >= 1")
         k = self.k
         floor = psd_floor(self.S_priv)
 
         c = rng.standard_normal((size, k)) @ self._score_cov_sqrt().T
         if privacy_noise and not self.xty_noise.is_zero:
-            c = c + self.xty_noise.sample(rng, size) / math.sqrt(m)
-        rhs = (self.S_priv @ self.beta_priv)[None, :] + c / math.sqrt(m)
+            c = c + self.xty_noise.sample(rng, size) / math.sqrt(self.n)
+        rhs = (self.S_priv @ self.beta_priv)[None, :] + c / math.sqrt(self.n)
 
         if not privacy_noise or self.gram_noise.is_zero:
             if self._near_singular(self.S_priv[None], floor)[0]:
@@ -378,7 +364,7 @@ class PrivatizedRegressionEstimate:
             return np.linalg.solve(self.S_priv, rhs.T).T, 0
 
         s_eigvals = np.linalg.eigvalsh(self.S_priv)
-        systems, bad = self._noisy_systems(size, m, rng, floor, s_eigvals)
+        systems, bad = self._noisy_systems(size, rng, floor, s_eigvals)
         draws = np.empty((size, k))
         good = ~bad
         if good.any():
@@ -387,7 +373,7 @@ class PrivatizedRegressionEstimate:
         failed = 0
         if bad.any():
             retry_idx = np.flatnonzero(bad)
-            retries, still_bad = self._noisy_systems(retry_idx.size, m, rng, floor, s_eigvals)
+            retries, still_bad = self._noisy_systems(retry_idx.size, rng, floor, s_eigvals)
             ok = ~still_bad
             if ok.any():
                 draws[retry_idx[ok]] = _solve_batch(retries[ok], rhs[retry_idx[ok]])
@@ -399,15 +385,15 @@ class PrivatizedRegressionEstimate:
         return draws, failed
 
     def _noisy_systems(
-        self, count: int, m: int, rng: np.random.Generator, floor: float, s_eigvals: np.ndarray
+        self, count: int, rng: np.random.Generator, floor: float, s_eigvals: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``count`` systems S + W1/m and their near-singularity flags.
+        """``count`` systems S + W1/n and their near-singularity flags.
 
         ``s_eigvals`` are the ascending eigenvalues of S; only the systems that
         the Weyl bound does not certify go through :meth:`_near_singular`.
         """
         noise = laplace_symmetric_sample(self.gram_noise.scale, self.k, rng, count)
-        noise /= m
+        noise /= self.n
         systems = self.S_priv + noise
         bound = np.sqrt(np.einsum("bij,bij->b", noise, noise))
         margin = _CERTIFY_MARGIN * (s_eigvals[-1] + bound)

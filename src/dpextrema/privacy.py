@@ -26,7 +26,6 @@ __all__ = [
     "LaplaceSpec",
     "PrivacyLedger",
     "SensitivitySpec",
-    "laplace_sample",
     "laplace_scale",
     "laplace_symmetric_sample",
     "sensitivity_cross_bounded",
@@ -189,11 +188,6 @@ class LaplaceSpec:
         return rng.laplace(0.0, self.scale, size=shape)
 
 
-def laplace_sample(spec: LaplaceSpec, rng: np.random.Generator) -> np.ndarray:
-    """Draw a noise vector of ``spec.dimension`` i.i.d. Laplace(0, scale) values."""
-    return spec.sample(rng)
-
-
 def laplace_symmetric_sample(
     scale: float, k: int, rng: np.random.Generator, size: int | None = None
 ) -> np.ndarray:
@@ -277,13 +271,12 @@ class PrivacyLedger:
         }
 
 
-def split_budget(budget, count: int, shares=None) -> tuple[float, ...]:
+def split_budget(budget, count: int) -> tuple[float, ...]:
     """Resolve a total-or-per-statistic budget into per-statistic epsilons.
 
-    A scalar is divided across the ``count`` statistics: equally, or by
-    ``shares``, which must be ``count`` positive fractions summing to 1 (any
-    share of an infinite total is still infinite).  A sequence of length
-    ``count`` is taken as explicit per-statistic budgets.
+    A scalar is divided equally across the ``count`` statistics (any share of
+    an infinite total is still infinite).  A sequence is taken as explicit
+    per-statistic budgets, one for each of the ``count`` statistics.
     """
     if count < 1:
         raise ParameterError("budget split needs at least one statistic")
@@ -291,16 +284,10 @@ def split_budget(budget, count: int, shares=None) -> tuple[float, ...]:
         eps = float(budget)
         if math.isnan(eps) or eps <= 0:
             raise ParameterError("total epsilon must be positive")
-        if shares is None:
-            return (eps / count if math.isfinite(eps) else math.inf,) * count
-        shares = tuple(float(s) for s in shares)
-        fits = all(s > 0 for s in shares) and abs(sum(shares) - 1.0) <= 1e-9  # False on NaN
-        if len(shares) != count or not fits:
-            raise ParameterError(f"split must be {count} positive shares summing to 1")
-        return tuple(s * eps for s in shares)
+        return (eps / count if math.isfinite(eps) else math.inf,) * count
     parts = tuple(float(e) for e in budget)
     if len(parts) != count:
-        raise ParameterError(f"expected {count} per-statistic budgets, got {len(parts)}")
+        raise ParameterError(f"the budget split has {len(parts)} parts for {count} statistics")
     for e in parts:
         if math.isnan(e) or e <= 0:
             raise ParameterError("every per-statistic epsilon must be positive")

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -8,7 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from dpextrema.cli import main
+from dpextrema.cli import build_parser, main
 
 
 def run_cli(args):
@@ -229,8 +230,70 @@ class TestCvCommand:
         assert payload["chosen_r"] in payload["grid"]
         assert payload["budget_sequential_view"] == pytest.approx(10 * 1.5)
 
+    @pytest.mark.parametrize("command", [["ci", "regression"], ["cv", "--model", "regression"]])
+    def test_response_only_input_refused(self, tmp_path, capsys, command):
+        data = tmp_path / "y.csv"
+        data.write_text("y\n" + "\n".join(str(i % 7) for i in range(50)) + "\n")
+        args = command + [
+            "--input", str(data), "--bounds=-1:1", "--y-bounds=-6:6", "--epsilon", "3", "--seed", "9",
+        ]
+        assert run_cli(args) == 2
+        assert "at least one design column plus y" in capsys.readouterr().err
+
+
+def subcommand(parser, *names):
+    for name in names:
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = action.choices[name]
+    return parser
+
+
+SHARED_FLAGS = [
+    "--input", "--bounds", "--epsilon", "--split", "--folds", "--b-inner", "--seed", "--output",
+]
+
+
+@pytest.mark.parametrize(
+    "names, flags",
+    [
+        (("ci", "gaussian"), SHARED_FLAGS + ["--r", "--alpha", "--B", "--partial"]),
+        (("ci", "regression"), SHARED_FLAGS + ["--r", "--alpha", "--B", "--partial", "--y-bounds"]),
+        (("cv",), SHARED_FLAGS + ["--model", "--y-bounds", "--grid"]),
+        (("simulate",), ["--config", "--output", "--reps", "--workers"]),
+        (("plot-data",), ["--report", "--axis", "--output"]),
+    ],
+)
+def test_option_strings_per_subcommand(names, flags):
+    parser = subcommand(build_parser(), *names)
+    options = {s for action in parser._actions for s in action.option_strings}
+    assert options == {"-h", "--help", *flags}
+
 
 class TestSimulateAndPlot:
+    def test_split_with_the_wrong_share_count_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            textwrap.dedent(
+                """
+                [experiment]
+                model = gaussian
+                n = 200
+                k = 2
+                epsilon = 1.5
+                split = 0.3, 0.3, 0.4
+                seed = 4
+                reps = 2
+                B = 200
+
+                [methods]
+                ppb = 1/10
+                """
+            )
+        )
+        code = run_cli(["simulate", "--config", str(cfg), "--output", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert "split" in capsys.readouterr().err
+
     def test_end_to_end(self, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"
         cfg.write_text(

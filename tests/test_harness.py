@@ -127,6 +127,12 @@ class TestRunExperiment:
         with pytest.raises(ParameterError):
             MethodSpec("ppb")  # bootstrap method without r values
 
+    def test_split_share_count_is_checked_by_the_release(self):
+        # the shares fit any model until the release, which knows its count
+        cfg = small_config(split=(0.3, 0.3, 0.4), reps=2)
+        with pytest.raises(ParameterError, match="split"):
+            run_experiment(cfg)
+
 
 class TestReportIO:
     def test_csv_round_trip(self, tmp_path):
@@ -314,3 +320,35 @@ class TestConfigFile:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ParameterError):
             load_config(tmp_path / "absent.ini")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "mu = 0, x",
+            "split = 0.5, abc",
+            "beta = 0, x",
+            "gamma = 0.5, x",
+            "sigma_diag = 1, x",
+            "mu_nuisance = 0, x",
+            "y_half_width = wide",
+        ],
+    )
+    def test_malformed_number_names_its_key(self, tmp_path, line):
+        path = self.write(
+            tmp_path,
+            f"""
+            [experiment]
+            model = gaussian
+            n = 100
+            k = 2
+            epsilon = 1.5
+            seed = 1
+            {line}
+
+            [methods]
+            ppb = 1/10
+            """,
+        )
+        key = line.split(" = ")[0]
+        with pytest.raises(ParameterError, match=key):
+            load_config(path)

@@ -191,7 +191,7 @@ class TestGaussianBootstrap:
     def test_single_draw(self):
         rng = np.random.default_rng(23)
         est = gaussian_private_mle(make_gaussian(rng), 1.0, rng)
-        d, failed = est.bootstrap_draws(1, np.random.default_rng(9), n=est.n)
+        d, failed = est.bootstrap_draws(1, np.random.default_rng(9))
         assert d.shape == (1, est.k) and failed == 0
 
     def test_coordinate_variances(self):
@@ -406,10 +406,9 @@ def make_near_floor_regression_estimate(seed, lam, rel_scale, k=3, n=100):
     )
 
 
-def reference_bootstrap_draws(est, size, rng, n=None, privacy_noise=True):
+def reference_bootstrap_draws(est, size, rng, privacy_noise=True):
     """The regression bootstrap with an eigenvalue check of every system."""
-    m = est.n if n is None else int(n)
-    k = est.k
+    m, k = est.n, est.k
     floor = psd_floor(est.S_priv)
 
     c = rng.standard_normal((size, k)) @ est._score_cov_sqrt().T
@@ -457,11 +456,11 @@ class TestRegressionBootstrap:
         for seed in range(3):
             for lam in (3e-8, 1e-7):
                 for rel_scale in (0.15, 0.6, 2.0):
-                    est = make_near_floor_regression_estimate(seed, lam, rel_scale)
-                    for m in (None, 60):
-                        draws, failed = est.bootstrap_draws(size, np.random.default_rng(seed), n=m)
+                    for n in (100, 60):
+                        est = make_near_floor_regression_estimate(seed, lam, rel_scale, n=n)
+                        draws, failed = est.bootstrap_draws(size, np.random.default_rng(seed))
                         ref_draws, ref_failed = reference_bootstrap_draws(
-                            est, size, np.random.default_rng(seed), n=m
+                            est, size, np.random.default_rng(seed)
                         )
                         assert failed == ref_failed
                         assert np.array_equal(draws, ref_draws)
@@ -534,7 +533,7 @@ class TestRegressionBootstrap:
         est = make_degenerate_regression_estimate()
         draws, failed = est.bootstrap_draws(50, np.random.default_rng(1))
         assert failed == 50 and draws.shape == (0, 2)
-        draws, failed = est.bootstrap_draws(1, np.random.default_rng(1), n=est.n)
+        draws, failed = est.bootstrap_draws(1, np.random.default_rng(1))
         assert failed == 1 and draws.shape == (0, 2)
         draws, failed = est.bootstrap_draws(50, np.random.default_rng(1), privacy_noise=False)
         assert failed == 50 and draws.shape == (0, 2)

@@ -230,7 +230,7 @@ class TestPartialRegression:
         est = regression_private_mle(data, math.inf, rng)
         est.sigma2_priv = 0.0
         est._cov_sqrt = None
-        draws, failed = est.bootstrap_draws(1, np.random.default_rng(0), n=est.n)
+        draws, failed = est.bootstrap_draws(1, np.random.default_rng(0))
         assert failed == 0
         assert np.allclose(draws[0], est.beta_priv, atol=1e-14)
 
@@ -238,8 +238,8 @@ class TestPartialRegression:
         rng = np.random.default_rng(68)
         data = trial_design(rng)
         est = regression_private_mle(data, 1.5, rng)
-        d1, _ = est.bootstrap_draws(1, np.random.default_rng(9), n=est.n)
-        d2, _ = est.bootstrap_draws(1, np.random.default_rng(9), n=est.n)
+        d1, _ = est.bootstrap_draws(1, np.random.default_rng(9))
+        d2, _ = est.bootstrap_draws(1, np.random.default_rng(9))
         assert np.array_equal(d1, d2)
 
     def test_trial_design_coverage_at_desk_scale(self):

@@ -12,7 +12,6 @@ from dpextrema.privacy import (
     Bounds,
     LaplaceSpec,
     PrivacyLedger,
-    laplace_sample,
     laplace_scale,
     laplace_symmetric_sample,
     sensitivity_cross_bounded,
@@ -26,14 +25,14 @@ class TestLaplaceSampling:
     def test_moments_large_sample(self):
         # Laplace(0, b) has mean 0 and variance 2 b^2
         rng = np.random.default_rng(101)
-        draws = laplace_sample(LaplaceSpec(scale=1.0, dimension=100_000), rng)
+        draws = LaplaceSpec(scale=1.0, dimension=100_000).sample(rng)
         assert abs(draws.mean()) < 3.0 * 1.0 * math.sqrt(2.0 / 100_000)
         assert abs(draws.var() - 2.0) < 0.05 * 2.0
 
     def test_kolmogorov_smirnov_against_analytic_cdf(self):
         rng = np.random.default_rng(2024)
         b = 1.7
-        draws = laplace_sample(LaplaceSpec(scale=b, dimension=100_000), rng)
+        draws = LaplaceSpec(scale=b, dimension=100_000).sample(rng)
         result = stats.kstest(draws, stats.laplace(scale=b).cdf)
         assert result.pvalue > 0.001
 
@@ -41,7 +40,7 @@ class TestLaplaceSampling:
         rng = np.random.default_rng(0)
         spec = LaplaceSpec.from_budget(5.0, math.inf, dimension=7)
         assert spec.scale == 0.0
-        assert np.array_equal(laplace_sample(spec, rng), np.zeros(7))
+        assert np.array_equal(spec.sample(rng), np.zeros(7))
 
     def test_scale_from_budget(self):
         assert LaplaceSpec.from_budget(2.0, 0.5).scale == 4.0
@@ -59,8 +58,8 @@ class TestLaplaceSampling:
 
     def test_determinism(self):
         spec = LaplaceSpec(scale=2.0, dimension=10)
-        a = laplace_sample(spec, np.random.default_rng(5))
-        b = laplace_sample(spec, np.random.default_rng(5))
+        a = spec.sample(np.random.default_rng(5))
+        b = spec.sample(np.random.default_rng(5))
         assert np.array_equal(a, b)
 
     def test_symmetric_sample_is_symmetric(self):
