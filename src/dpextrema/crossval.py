@@ -12,15 +12,16 @@ larger (weaker) correction.
 The estimators see the data only through additive sufficient statistics, so
 CV runs on per-fold sufficient statistics: the data are clamped once, each
 fold's statistics are computed once, and each training set's statistics are
-the total minus its fold.  All 2v estimates are released as one stack, with
-the noise scales derived once and one eigendecomposition repairing every
-matrix, and the training replicas of all folds are drawn together.  This is
-the release every estimate goes through (a single estimate is a stack of one
-set), so each fold's release has the law of the single-set estimator on that
-subset.  Any data class with a ``fold_statistics`` method can be
-cross-validated: a partitioned Gaussian is cross-validated on its interest
-block, and regression with nuisance covariates removes the nuisance fit from
-each set's residual through the blocks X^T X, X^T Z and X^T y.
+the total minus its fold.  All 2v estimates are released as one stacked
+estimate, with the noise scales derived once and one eigendecomposition
+repairing every matrix, and the training replicas of all folds are drawn in
+one ``replica_draws`` call.  This is the release every estimate goes through
+(a single estimate is set 0 of a stack of one), so each fold's release has
+the law of the single-set estimator on that subset.  Any data class with a
+``fold_statistics`` method can be cross-validated: a partitioned Gaussian is
+cross-validated on its interest block, and regression with nuisance
+covariates removes the nuisance fit from each set's residual through the
+blocks X^T X, X^T Z and X^T y.
 
 Budget accounting for this procedure is genuinely ambiguous: the held-out
 folds are disjoint (parallel composition applies) but the training sets
@@ -88,7 +89,7 @@ def _estimate(stats, budget, rng: np.random.Generator, b_inner: int):
     is the total minus its fold, so rows [0, v) of the release are the
     training sets and rows [v, 2v) the held-out folds.  Returns the release
     and the (v, b_inner, k) training draws, shared across the grid because
-    the correction only shifts them.
+    the correction only shifts them; a failed draw is a NaN row.
     """
     v = stats.n.size
     sets = replace(
@@ -100,7 +101,7 @@ def _estimate(stats, budget, rng: np.random.Generator, b_inner: int):
         },
     )
     release = sets.release(budget, rng)
-    return release, release.bootstrap_draws(b_inner, rng, v)
+    return release, release.replica_draws(b_inner, rng, v)[0]
 
 
 def cv_choose_r(
@@ -128,10 +129,10 @@ def cv_choose_r(
         raise ParameterError("a fold is too small for the model estimator")
 
     release, draws = _estimate(stats, budget, rng, config.b_inner)
-    beta, sizes = release.beta, release.n
+    beta, sizes = release.betas, release.sizes
     # (grid, fold) bias-reduced maxima of the training estimates
     reduced = bias_reduced_from_draws(beta[:v], draws, np.asarray(config.grid), sizes[:v])
-    h = (reduced[:, :, None] - beta[None, v:]) ** 2 - release.coordinate_variances()[None, v:]
+    h = (reduced[:, :, None] - beta[None, v:]) ** 2 - release.variances()[None, v:]
 
     criterion = h.sum(axis=1).min(axis=1) / v
     best = 0

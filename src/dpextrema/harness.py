@@ -208,6 +208,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ParameterError(f"unknown model {self.model!r}")
+        for key in ("n", "k"):
+            value = getattr(self, key)
+            if value is None or value < 1:
+                raise ParameterError(f"{key} must be a positive integer, got {value!r}")
         if self.reps < 1:
             raise ParameterError("reps must be >= 1")
         if self.seed is None:

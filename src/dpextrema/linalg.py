@@ -4,6 +4,11 @@ Laplace noise can push a covariance or scaled gram matrix off the positive
 semidefinite cone; the estimators repair it by clipping eigenvalues at a small
 floor relative to the matrix scale, and flag the repair as degenerate when the
 total eigenvalue shift exceeds a fraction of the trace.
+
+The helpers take an (F, k, k) stack as well as one matrix: a release of F
+data sets is repaired by one ``eigh``, and a bootstrap takes its covariance
+roots with one :func:`sym_sqrt` of the repaired stack, the only root path of
+both models.
 """
 
 from __future__ import annotations
@@ -43,12 +48,11 @@ def psd_repair_stack(
     matrices: np.ndarray,
     floor_scale: float = PSD_FLOOR_SCALE,
     budget_fraction: float = REPAIR_BUDGET_FRACTION,
-) -> tuple[RepairResult, np.ndarray, np.ndarray]:
+) -> RepairResult:
     """:func:`psd_repair` applied to each matrix of an (F, k, k) stack.
 
-    One ``eigh`` serves the whole stack.  Returns the repair, whose fields hold
-    one entry per matrix, and the clipped eigenvalues and eigenvectors of the
-    repaired matrices, from which square roots need no second decomposition.
+    One ``eigh`` serves the whole stack.  The repair's fields hold one entry
+    per matrix.
     """
     m = np.asarray(matrices, dtype=float)
     floor = psd_floor(m, floor_scale)
@@ -62,7 +66,7 @@ def psd_repair_stack(
         r = (vecs * clipped[clip, None, :]) @ np.swapaxes(vecs, -1, -2)
         repaired[clip] = 0.5 * (r + np.swapaxes(r, -1, -2))
     budget = budget_fraction * np.maximum(np.trace(m, axis1=-2, axis2=-1), 0.0)
-    return RepairResult(repaired, shift, floor, shift > budget), clipped, eigvecs
+    return RepairResult(repaired, shift, floor, shift > budget)
 
 
 def psd_repair(
@@ -76,19 +80,13 @@ def psd_repair(
     at or above the floor.
     """
     m = np.asarray(matrix, dtype=float)
-    repair = psd_repair_stack(m[None], floor_scale, budget_fraction)[0].at(0)
+    repair = psd_repair_stack(m[None], floor_scale, budget_fraction).at(0)
     return repair if repair.shift > 0.0 else repair._replace(matrix=m)
 
 
-def eigen_sqrt(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
-    """Symmetric square root from an eigendecomposition, of one matrix or a stack.
-
-    Tiny negative eigenvalues are treated as 0.
-    """
+def sym_sqrt(matrix: np.ndarray) -> np.ndarray:
+    """Symmetric PSD square root of a matrix, or of each one in a (..., k, k)
+    stack; tiny negative eigenvalues are treated as 0."""
+    eigvals, eigvecs = np.linalg.eigh(np.asarray(matrix, dtype=float))
     root = np.sqrt(np.maximum(eigvals, 0.0))
     return (eigvecs * root[..., None, :]) @ np.swapaxes(eigvecs, -1, -2)
-
-
-def sym_sqrt(matrix: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root; tiny negative eigenvalues are treated as 0."""
-    return eigen_sqrt(*np.linalg.eigh(np.asarray(matrix, dtype=float)))

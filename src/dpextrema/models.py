@@ -10,9 +10,12 @@ Both estimators add Laplace noise to the sufficient statistics (sums, gram
 matrices, cross products) and post-process the noisy statistics into point
 estimates; they never look at rows after forming the statistics.  One recipe
 per model does this, ``GaussianStatistics.release`` and
-``RegressionStatistics.release``, on a stack of data sets: a single estimate
-is the release of a stack of one set, and cross-validation releases all of
-its folds' training and held-out sets at once.  The bootstrap draws replay
+``RegressionStatistics.release``, on a stack of data sets, and it returns the
+model's one estimate class, which holds all F sets along a leading axis.  A
+single estimate is that class with F = 1, and its scalar fields read set 0;
+cross-validation releases all of its folds' training and held-out sets at
+once and draws every training set's replicas in one ``replica_draws`` call,
+of which a single estimate's ``bootstrap_draws`` is set 0.  The bootstrap draws replay
 the estimation recipe on data simulated from the fitted model, adding fresh
 simulation-only Laplace noise of the same scale so the extra randomness of
 privatization is reflected in the bootstrap distribution.
@@ -24,8 +27,9 @@ approximation, and keeps Monte Carlo studies tractable.  The regression
 bootstrap is already formulated in terms of the released statistics and never
 touches the design matrix again.  Each regression replica solves its own
 noisy system S + W/n; a Weyl bound on the noise certifies most systems
-non-singular without an eigenvalue check, and without simulated gram noise
-the one system S is checked once and solved against every replica at once.
+non-singular without an eigenvalue check, in one pass over every set's
+systems, and without simulated gram noise each set's S is checked once and
+solved against all of its replicas at once.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .linalg import RepairResult, eigen_sqrt, psd_floor, psd_repair_stack, sym_sqrt
+from .linalg import RepairResult, psd_floor, psd_repair_stack, sym_sqrt
 from .privacy import (
     Bounds,
     LaplaceSpec,
@@ -57,11 +61,9 @@ REGRESSION_STATISTICS = ("gram", "xty", "rss")
 
 __all__ = [
     "GaussianData",
-    "GaussianStack",
     "GaussianStatistics",
     "PrivatizedGaussianEstimate",
     "RegressionData",
-    "RegressionStack",
     "RegressionStatistics",
     "PrivatizedRegressionEstimate",
     "SIGMA2_FLOOR",
@@ -102,70 +104,121 @@ class GaussianData:
         return GaussianStatistics.of_folds(self.bounds.clamp(self.x), self.bounds, folds)
 
 
-@dataclass(eq=False)
-class PrivatizedGaussianEstimate:
-    """Noisy mean/covariance release plus everything needed to bootstrap it."""
+class _Stacked:
+    """What both models' estimates share: F released data sets stacked along a
+    leading axis, with ``betas`` (F, k), ``sizes`` (F,) and the repaired
+    matrices ``repairs``.  A single estimate is a stack of one, and the scalar
+    accessors below read its set 0.
 
-    mu_priv: np.ndarray
-    sigma_priv: np.ndarray
-    n: int
-    ledger: PrivacyLedger
-    sum_noise: LaplaceSpec
-    gram_noise: LaplaceSpec
-    noisy_sum: np.ndarray   # released coordinate sum, noise included
-    noisy_gram: np.ndarray  # released second-moment matrix, noise included
-    repair: RepairResult
-    _sigma_sqrt: np.ndarray | None = field(default=None, repr=False, compare=False)
+    Each model defines its own ``bootstrap_draws`` over :meth:`_set_zero_draws`
+    because the traced benchmark (``bench/spans.py``) times it by class name.
+    """
 
     @property
     def k(self) -> int:
-        return self.mu_priv.size
+        return self.betas.shape[1]
+
+    @property
+    def n(self) -> int:
+        return int(self.sizes[0])
 
     @property
     def beta_priv(self) -> np.ndarray:
-        """Coordinates of interest (the component means)."""
-        return self.mu_priv
+        """Coordinates of interest of set 0."""
+        return self.betas[0]
+
+    @property
+    def repair(self) -> RepairResult:
+        return self.repairs.at(0)
 
     @property
     def degenerate(self) -> bool:
-        return self.repair.degenerate
+        return bool(self.repairs.degenerate[0])
 
-    def sigma_sqrt(self) -> np.ndarray:
-        if self._sigma_sqrt is None:
-            self._sigma_sqrt = sym_sqrt(self.sigma_priv)
-        return self._sigma_sqrt
+    def _set_zero_draws(self, size: int, rng: np.random.Generator, privacy_noise: bool):
+        """Set 0 of :meth:`replica_draws` with its failed rows dropped, and their count."""
+        draws, failed = self.replica_draws(size, rng, 1, privacy_noise)
+        count = int(np.count_nonzero(failed))
+        return (draws[0][~failed[0]] if count else draws[0]), count
 
-    def bootstrap_draws(
-        self, size: int, rng: np.random.Generator, privacy_noise: bool = True
-    ) -> tuple[np.ndarray, int]:
-        """Draw ``size`` bootstrap replicas of the privatized mean.
+    def coordinate_variances(self, private: bool = True) -> np.ndarray:
+        """Row 0 of :meth:`variances`."""
+        return self.variances(private)[0]
+
+
+@dataclass(eq=False)
+class PrivatizedGaussianEstimate(_Stacked):
+    """Noisy means and repaired covariances of F data sets, plus everything
+    needed to bootstrap them."""
+
+    betas: np.ndarray        # (F, k) released means
+    repairs: RepairResult    # repaired (F, k, k) covariances, one entry per set
+    sizes: np.ndarray        # (F,) row counts
+    ledger: PrivacyLedger    # the charges of one set's release
+    sum_noise: LaplaceSpec
+    gram_noise: LaplaceSpec
+    noisy_sums: np.ndarray   # (F, k) released coordinate sums, noise included
+    noisy_grams: np.ndarray  # (F, k, k) released second-moment matrices, noise included
+    _root: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def mu_priv(self) -> np.ndarray:
+        return self.betas[0]
+
+    @property
+    def sigma_priv(self) -> np.ndarray:
+        return self.repairs.matrix[0]
+
+    @property
+    def noisy_sum(self) -> np.ndarray:
+        return self.noisy_sums[0]
+
+    @property
+    def noisy_gram(self) -> np.ndarray:
+        return self.noisy_grams[0]
+
+    def replica_draws(
+        self, size: int, rng: np.random.Generator, sets: int, privacy_noise: bool = True
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(sets, size, k) bootstrap replicas of the first ``sets`` privatized
+        means, and their (sets, size) failure mask, all False.
 
         Each replica is the mean of n simulated observations from
         N(mu_priv, sigma_priv) plus a fresh simulation-only Laplace noise of
         the estimation scale, divided by n.  ``privacy_noise=False`` skips the
         Laplace term (the ablation that ignores privatization randomness).
-        Returns (draws, failed_count); Gaussian draws cannot fail.
         """
-        z = rng.standard_normal((size, self.k))
-        draws = self.mu_priv + (z @ self.sigma_sqrt().T) / math.sqrt(self.n)
+        if self._root is None:
+            self._root = sym_sqrt(self.repairs.matrix)
+        n = self.sizes[:sets, None, None]
+        z = rng.standard_normal((sets, size, self.k)) @ np.swapaxes(self._root[:sets], -1, -2)
+        draws = self.betas[:sets, None, :] + z / np.sqrt(n)
         if privacy_noise and not self.sum_noise.is_zero:
-            draws = draws + self.sum_noise.sample(rng, size) / self.n
-        return draws, 0
+            draws = draws + self.sum_noise.sample(rng, (sets, size)) / n
+        return draws, np.zeros((sets, size), dtype=bool)
 
-    def coordinate_variances(self, private: bool = True) -> np.ndarray:
-        """Plug-in variance of each released mean coordinate.
+    def bootstrap_draws(
+        self, size: int, rng: np.random.Generator, privacy_noise: bool = True
+    ) -> tuple[np.ndarray, int]:
+        """``size`` replicas of set 0 and the failure count, which is 0."""
+        return self._set_zero_draws(size, rng, privacy_noise)
+
+    def variances(self, private: bool = True) -> np.ndarray:
+        """(F, k) plug-in variances of the released mean coordinates.
 
         The private variant adds the Laplace noise variance 2 b^2 / n^2 of the
         privatized sum; both variants use only released quantities.
         """
+        n = self.sizes[:, None]
         # reconstruction rounding in the PSD repair can leave a diagonal entry
         # a few ulps below zero in extreme-noise regimes
-        v = np.maximum(np.diag(self.sigma_priv), 0.0) / self.n
+        v = np.maximum(np.diagonal(self.repairs.matrix, axis1=-2, axis2=-1), 0.0) / n
         if private and not self.sum_noise.is_zero:
-            v = v + 2.0 * self.sum_noise.scale**2 / self.n**2
+            v = v + 2.0 * self.sum_noise.scale**2 / n**2
         return v
 
     def to_dict(self) -> dict:
+        """Set 0's release."""
         return {
             "model": "gaussian",
             "n": self.n,
@@ -211,14 +264,6 @@ def _ledger(prefix: str, names: tuple[str, ...], epsilons: tuple[float, ...]) ->
     return ledger
 
 
-def _release_whole(data, budget, rng: np.random.Generator):
-    """Release ``data`` as a stack of one set that holds every row.
-
-    The set is the fold ``slice(None)``, a view, so no row is copied.
-    """
-    return data.fold_statistics([slice(None)]).release(budget, rng)
-
-
 def gaussian_private_mle(
     data: GaussianData, budget, rng: np.random.Generator
 ) -> PrivatizedGaussianEstimate:
@@ -229,21 +274,9 @@ def gaussian_private_mle(
     covariance is repaired onto the PSD cone; a repair that shifts eigenvalue
     mass beyond the budget marks the estimate as degenerate but does not fail.
     The data are released by :meth:`GaussianStatistics.release`, as a stack of
-    one set.
+    one set: the fold ``slice(None)``, a view, so no row is copied.
     """
-    stack = _release_whole(data, budget, rng)
-    repair = stack.repair.at(0)
-    return PrivatizedGaussianEstimate(
-        mu_priv=stack.beta[0],
-        sigma_priv=repair.matrix,
-        n=int(stack.n[0]),
-        ledger=stack.ledger,
-        sum_noise=stack.sum_noise,
-        gram_noise=stack.gram_noise,
-        noisy_sum=stack.noisy_sum[0],
-        noisy_gram=stack.noisy_gram[0],
-        repair=repair,
-    )
+    return data.fold_statistics([slice(None)]).release(budget, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +286,7 @@ def gaussian_private_mle(
 
 def _solve_batch(systems: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve a stack of k x k systems against a stack of k-vectors."""
-    return np.linalg.solve(systems, rhs[:, :, None])[:, :, 0]
+    return np.linalg.solve(systems, rhs[..., None])[..., 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,132 +328,147 @@ class RegressionData:
 
 
 @dataclass(eq=False)
-class PrivatizedRegressionEstimate:
-    """Noisy coefficient release with the scaled gram matrix used to bootstrap it."""
+class PrivatizedRegressionEstimate(_Stacked):
+    """Noisy coefficients of F data sets, with the scaled gram matrices used to
+    bootstrap them."""
 
-    beta_priv: np.ndarray
-    sigma2_priv: float
-    S_priv: np.ndarray          # repaired (X^T X + noise) / n
-    n: int
-    ledger: PrivacyLedger
-    gram_noise: LaplaceSpec     # noise on X^T X (per free entry)
-    xty_noise: LaplaceSpec      # noise on X^T y
-    rss_noise: LaplaceSpec      # noise on the residual mean square
-    noisy_gram: np.ndarray
-    noisy_xty: np.ndarray
-    repair: RepairResult
-    _cov_sqrt: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _s_inv: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def k(self) -> int:
-        return self.beta_priv.size
+    betas: np.ndarray        # (F, k) released coefficients
+    sigma2s: np.ndarray      # (F,) released residual mean squares
+    repairs: RepairResult    # repaired (F, k, k) scaled grams S = (Z^T Z + noise) / n
+    sizes: np.ndarray        # (F,) row counts
+    ledger: PrivacyLedger    # the charges of one set's release
+    gram_noise: LaplaceSpec  # noise on Z^T Z (per free entry)
+    xty_noise: LaplaceSpec   # noise on Z^T y
+    rss_scales: np.ndarray   # (F,) Laplace scales of the residual mean squares
+    noisy_grams: np.ndarray  # (F, k, k)
+    noisy_xtys: np.ndarray   # (F, k)
+    _root: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
-    def degenerate(self) -> bool:
-        return self.repair.degenerate
+    def sigma2_priv(self) -> float:
+        return float(self.sigma2s[0])
 
-    def _score_cov_sqrt(self) -> np.ndarray:
-        if self._cov_sqrt is None:
-            self._cov_sqrt = sym_sqrt(self.sigma2_priv * self.S_priv)
-        return self._cov_sqrt
+    @property
+    def S_priv(self) -> np.ndarray:
+        return self.repairs.matrix[0]
 
-    def _s_priv_inv(self) -> np.ndarray:
-        if self._s_inv is None:
-            self._s_inv = np.linalg.inv(self.S_priv)
-        return self._s_inv
+    @property
+    def rss_noise(self) -> LaplaceSpec:
+        return LaplaceSpec(self.rss_scales[0])
 
-    def bootstrap_draws(
-        self, size: int, rng: np.random.Generator, privacy_noise: bool = True
-    ) -> tuple[np.ndarray, int]:
-        """Draw bootstrap replicas of the privatized coefficients.
+    @property
+    def noisy_gram(self) -> np.ndarray:
+        return self.noisy_grams[0]
 
-        Each replica solves (S + W1/n) b = S beta + (C + W2/sqrt(n)) / sqrt(n)
+    @property
+    def noisy_xty(self) -> np.ndarray:
+        return self.noisy_xtys[0]
+
+    def replica_draws(
+        self, size: int, rng: np.random.Generator, sets: int, privacy_noise: bool = True
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(sets, size, k) bootstrap replicas of the first ``sets`` coefficient
+        releases, and their (sets, size) failure mask; a failed draw is a NaN row.
+
+        Each replica of set f solves (S + W1/n) b = S beta + (C + W2/sqrt(n)) / sqrt(n)
         with C ~ N(0, sigma2 S) and fresh simulation-only noise W1, W2 of the
         estimation scales.  A draw whose noisy matrix is numerically singular
-        is retried once with fresh W1; a second failure drops the draw and is
-        counted in the returned failure total.
+        is retried once with fresh W1; a second failure marks the draw failed.
+        The generator serves every set's scores, then every set's systems,
+        then the retries of all sets together.
 
         Only systems that may be singular get an eigenvalue check.  By Weyl's
         inequality every eigenvalue of S + W1/n lies within
         ||W1/n||_2 <= ||W1/n||_F of one of S, so a system whose Frobenius bound
         leaves the least eigenvalue of S above the floor, by a margin relative
         to the scale that covers rounding, is certified non-singular.  Without
-        gram noise every system is S: it is checked once, and a singular S
-        fails every draw, while a regular one is solved against all right-hand
-        sides at once.
+        gram noise every system of a set is its S: each S is checked once, and
+        a singular one fails every draw of its set, while a regular one is
+        solved against all its right-hand sides at once.
         """
-        k = self.k
-        floor = psd_floor(self.S_priv)
+        if self._root is None:
+            self._root = sym_sqrt(self.sigma2s[:, None, None] * self.repairs.matrix)
+        S = self.repairs.matrix[:sets]
+        root_n = np.sqrt(self.sizes[:sets, None, None])
+        floor = psd_floor(S)
 
-        c = rng.standard_normal((size, k)) @ self._score_cov_sqrt().T
+        c = rng.standard_normal((sets, size, self.k)) @ np.swapaxes(self._root[:sets], -1, -2)
         if privacy_noise and not self.xty_noise.is_zero:
-            c = c + self.xty_noise.sample(rng, size) / math.sqrt(self.n)
-        rhs = (self.S_priv @ self.beta_priv)[None, :] + c / math.sqrt(self.n)
+            c = c + self.xty_noise.sample(rng, (sets, size)) / root_n
+        rhs = (S @ self.betas[:sets, :, None])[:, None, :, 0] + c / root_n
 
+        eye = np.eye(self.k)  # stands in for a failed system, so one solve serves the rest
         if not privacy_noise or self.gram_noise.is_zero:
-            if self._near_singular(self.S_priv[None], floor)[0]:
-                return np.empty((0, k)), size
-            return np.linalg.solve(self.S_priv, rhs.T).T, 0
+            singular = self._near_singular(S, floor)
+            systems = np.where(singular[:, None, None], eye, S)
+            draws = np.swapaxes(np.linalg.solve(systems, np.swapaxes(rhs, -1, -2)), -1, -2)
+            draws[singular] = np.nan
+            return draws, np.repeat(singular[:, None], size, axis=1)
 
-        s_eigvals = np.linalg.eigvalsh(self.S_priv)
-        systems, bad = self._noisy_systems(size, rng, floor, s_eigvals)
-        draws = np.empty((size, k))
-        good = ~bad
-        if good.any():
-            draws[good] = _solve_batch(systems[good], rhs[good])
-
-        failed = 0
+        s_eigvals = np.linalg.eigvalsh(S)
+        owners = np.arange(sets)[:, None]  # one per set: each S_f is broadcast over its draws
+        systems, bad = self._noisy_systems(owners, (sets, size), rng, floor, s_eigvals)
         if bad.any():
-            retry_idx = np.flatnonzero(bad)
-            retries, still_bad = self._noisy_systems(retry_idx.size, rng, floor, s_eigvals)
-            ok = ~still_bad
-            if ok.any():
-                draws[retry_idx[ok]] = _solve_batch(retries[ok], rhs[retry_idx[ok]])
-            failed = int(still_bad.sum())
-            if failed:
-                keep = np.ones(size, dtype=bool)
-                keep[retry_idx[still_bad]] = False
-                draws = draws[keep]
-        return draws, failed
+            retry = np.flatnonzero(bad)
+            retries, failed = self._noisy_systems(retry // size, retry.shape, rng, floor, s_eigvals)
+            systems.reshape(-1, self.k, self.k)[retry] = retries
+            bad.reshape(-1)[retry] = failed
+            systems[bad] = eye
+        draws = _solve_batch(systems, rhs)
+        draws[bad] = np.nan
+        return draws, bad
+
+    def bootstrap_draws(
+        self, size: int, rng: np.random.Generator, privacy_noise: bool = True
+    ) -> tuple[np.ndarray, int]:
+        """``size`` replicas of set 0, with the failed draws dropped, and their count."""
+        return self._set_zero_draws(size, rng, privacy_noise)
 
     def _noisy_systems(
-        self, count: int, rng: np.random.Generator, floor: float, s_eigvals: np.ndarray
+        self, owner: np.ndarray, shape: tuple, rng: np.random.Generator, floor, s_eigvals
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``count`` systems S + W1/n and their near-singularity flags.
+        """Systems S_f + W1/n_f of ``shape`` and their near-singularity flags.
 
-        ``s_eigvals`` are the ascending eigenvalues of S; only the systems that
-        the Weyl bound does not certify go through :meth:`_near_singular`.
+        ``owner`` holds the set f of each system and broadcasts to ``shape``.
+        ``floor`` and ``s_eigvals`` (ascending) are per set; only the systems
+        that the Weyl bound does not certify go through :meth:`_near_singular`.
         """
-        noise = laplace_symmetric_sample(self.gram_noise.scale, self.k, rng, count)
-        noise /= self.n
-        systems = self.S_priv + noise
-        bound = np.sqrt(np.einsum("bij,bij->b", noise, noise))
-        margin = _CERTIFY_MARGIN * (s_eigvals[-1] + bound)
-        flags = s_eigvals[0] - bound - margin < floor
+        k = self.k
+        noise = laplace_symmetric_sample(self.gram_noise.scale, k, rng, math.prod(shape))
+        noise = noise.reshape(*shape, k, k)
+        noise /= self.sizes[owner][..., None, None]
+        systems = self.repairs.matrix[owner] + noise
+        bound = np.sqrt(np.einsum("...ij,...ij->...", noise, noise))
+        eigvals = s_eigvals[owner]
+        margin = _CERTIFY_MARGIN * (eigvals[..., -1] + bound)
+        floor = np.broadcast_to(floor[owner], shape)
+        flags = eigvals[..., 0] - bound - margin < floor
         if flags.any():
-            flags[flags] = self._near_singular(systems[flags], floor)
+            flags[flags] = self._near_singular(systems[flags], floor[flags])
         return systems, flags
 
     @staticmethod
-    def _near_singular(systems: np.ndarray, floor: float) -> np.ndarray:
+    def _near_singular(systems: np.ndarray, floor) -> np.ndarray:
         eigvals = np.linalg.eigvalsh(systems)
         return np.abs(eigvals).min(axis=1) < floor
 
-    def coordinate_variances(self, private: bool = True) -> np.ndarray:
-        """Plug-in variance of each released coefficient.
+    def variances(self, private: bool = True) -> np.ndarray:
+        """(F, k) plug-in variances of the released coefficients.
 
         sigma2 * S^{-1} / n for the sampling part; the private variant adds
         the propagated Laplace variance of the noisy cross product,
         S^{-1} (2 b^2 I) S^{-1} / n^2.
         """
-        s_inv = self._s_priv_inv()
-        v = self.sigma2_priv * np.diag(s_inv) / self.n
+        s_inv = np.linalg.inv(self.repairs.matrix)
+        n = self.sizes[:, None]
+        v = self.sigma2s[:, None] * np.diagonal(s_inv, axis1=-2, axis2=-1) / n
         if private and not self.xty_noise.is_zero:
-            v = v + 2.0 * self.xty_noise.scale**2 * np.diag(s_inv @ s_inv) / self.n**2
+            s_inv2 = np.diagonal(s_inv @ s_inv, axis1=-2, axis2=-1)
+            v = v + 2.0 * self.xty_noise.scale**2 * s_inv2 / n**2
         return v
 
     def to_dict(self) -> dict:
+        """Set 0's release."""
         return {
             "model": "regression",
             "n": self.n,
@@ -459,33 +507,6 @@ def _regression_noise_specs(z_bounds: Bounds, y_bounds: Bounds, eps_gram: float,
     return gram_spec, xty_spec
 
 
-def _residual_noise_scale(
-    rss_mean: float,
-    beta: np.ndarray,
-    z_bounds: Bounds,
-    y_bounds: Bounds,
-    eps_rss: float,
-    dof: int,
-    extra_fit_bound: float,
-    rng: np.random.Generator,
-) -> tuple[float, LaplaceSpec]:
-    """Privatize the residual mean square.
-
-    The per-record squared residual is bounded by the box ranges and the
-    already-released coefficients (post-processing of a DP output may
-    calibrate the next mechanism), so the sensitivity is
-    (m_y + sum_j m_j |beta_j| + extra)^2 / dof.
-    """
-    m_res = float(
-        y_bounds.magnitudes[0]
-        + np.sum(z_bounds.magnitudes * np.abs(beta))
-        + extra_fit_bound
-    )
-    rss_spec = LaplaceSpec.from_budget(m_res**2 / dof, eps_rss, 1)
-    sigma2 = rss_mean + float(rss_spec.sample(rng)[0])
-    return max(sigma2, SIGMA2_FLOOR), rss_spec
-
-
 def regression_private_mle(data, budget, rng: np.random.Generator) -> PrivatizedRegressionEstimate:
     """Privatized OLS coefficients and residual variance.
 
@@ -499,7 +520,7 @@ def regression_private_mle(data, budget, rng: np.random.Generator) -> Privatized
     positive floor so the bootstrap stays well defined.  Raises
     :class:`NumericError` when the noisy gram matrix is irreparably singular.
     """
-    return _release_whole(data, budget, rng).estimates[0]
+    return data.fold_statistics([slice(None)]).release(budget, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +531,8 @@ def regression_private_mle(data, budget, rng: np.random.Generator) -> Privatized
 # so a data set is described by one row of clamped statistics, and every
 # release goes through these classes: a single estimate is a stack of one set,
 # and cross-validation releases its 2v overlapping sets together, with the
-# noise scales derived once and one eigh repairing the whole stack.
+# noise scales derived once, one eigh repairing the whole stack and one vector
+# Laplace draw noising every set's residual mean square.
 
 
 @dataclass(frozen=True, eq=False)
@@ -541,61 +563,24 @@ class GaussianStatistics:
             np.array([p.T @ p for p in parts]),
         )
 
-    def release(self, budget, rng: np.random.Generator) -> "GaussianStack":
-        """Every set's Gaussian release, as one stack."""
+    def release(self, budget, rng: np.random.Generator) -> PrivatizedGaussianEstimate:
+        """Every set's Gaussian release, as one stacked estimate."""
         eps_sum, eps_gram = split_budget(budget, 2)
         sum_spec, gram_spec = _gaussian_noise_specs(self.bounds, eps_sum, eps_gram)
         sets, k = self.sums.shape
         noisy_sum = self.sums + sum_spec.sample(rng, sets)
         noisy_gram = self.grams + laplace_symmetric_sample(gram_spec.scale, k, rng, sets)
         mu, sigma = _gaussian_from_noisy_stats(noisy_sum, noisy_gram, self.n)
-        repair, eigvals, eigvecs = psd_repair_stack(sigma)
-        return GaussianStack(
-            beta=mu,
-            repair=repair,
-            sigma_sqrt=eigen_sqrt(eigvals, eigvecs),
-            n=self.n.astype(float),
+        return PrivatizedGaussianEstimate(
+            betas=mu,
+            repairs=psd_repair_stack(sigma),
+            sizes=self.n,
+            ledger=_ledger("gaussian", ("sum", "gram"), (eps_sum, eps_gram)),
             sum_noise=sum_spec,
             gram_noise=gram_spec,
-            noisy_sum=noisy_sum,
-            noisy_gram=noisy_gram,
-            ledger=_ledger("gaussian", ("sum", "gram"), (eps_sum, eps_gram)),
+            noisy_sums=noisy_sum,
+            noisy_grams=noisy_gram,
         )
-
-
-@dataclass(eq=False)
-class GaussianStack:
-    """Privatized means and repaired covariances of F data sets."""
-
-    beta: np.ndarray        # (F, k) released means
-    repair: RepairResult    # repaired (F, k, k) covariances, one entry per set
-    sigma_sqrt: np.ndarray  # (F, k, k)
-    n: np.ndarray           # (F,)
-    sum_noise: LaplaceSpec
-    gram_noise: LaplaceSpec
-    noisy_sum: np.ndarray   # (F, k) released coordinate sums
-    noisy_gram: np.ndarray  # (F, k, k) released second-moment matrices
-    ledger: PrivacyLedger   # the charges of one set's release
-
-    def coordinate_variances(self) -> np.ndarray:
-        """(F, k) private plug-in variances, as the single estimate computes them."""
-        n = self.n[:, None]
-        v = np.maximum(np.diagonal(self.repair.matrix, axis1=-2, axis2=-1), 0.0) / n
-        if not self.sum_noise.is_zero:
-            v = v + 2.0 * self.sum_noise.scale**2 / n**2
-        return v
-
-    def bootstrap_draws(self, size: int, rng: np.random.Generator, sets: int) -> np.ndarray:
-        """(sets, size, k) bootstrap replicas of the first ``sets`` releases.
-
-        Each set's replicas follow :meth:`PrivatizedGaussianEstimate.bootstrap_draws`.
-        """
-        n = self.n[:sets, None, None]
-        z = rng.standard_normal((sets, size, self.beta.shape[1]))
-        draws = self.beta[:sets, None, :] + (z @ self.sigma_sqrt[:sets]) / np.sqrt(n)
-        if not self.sum_noise.is_zero:
-            draws = draws + self.sum_noise.sample(rng, (sets, size)) / n
-        return draws
 
 
 @dataclass(frozen=True, eq=False)
@@ -650,8 +635,8 @@ class RegressionStatistics:
         k2 = 0 if self.xtx is None else self.xtx.shape[-1]
         return self.zty.shape[1] + k2 + 1
 
-    def release(self, budget, rng: np.random.Generator) -> "RegressionStack":
-        """Every set's regression release, one estimate per set.
+    def release(self, budget, rng: np.random.Generator) -> PrivatizedRegressionEstimate:
+        """Every set's regression release, as one stacked estimate.
 
         Raises :class:`NumericError` when any set's noisy gram matrix is
         irreparably singular.
@@ -664,10 +649,10 @@ class RegressionStatistics:
         noisy_gram = self.ztz + laplace_symmetric_sample(gram_spec.scale, k, rng, sets)
         noisy_xty = self.zty + xty_spec.sample(rng, sets)
         n = self.n.astype(float)[:, None, None]
-        repair, _, _ = psd_repair_stack(noisy_gram / n)
-        if repair.degenerate.any():
+        repairs = psd_repair_stack(noisy_gram / n)
+        if repairs.degenerate.any():
             raise NumericError(_SINGULAR_GRAM)
-        beta = _solve_batch(n * repair.matrix, noisy_xty)
+        beta = _solve_batch(n * repairs.matrix, noisy_xty)
 
         # |y - Z beta|^2 from the statistics, less what the nuisance fit explains
         rss = (
@@ -680,59 +665,28 @@ class RegressionStatistics:
             rss = rss - np.einsum("fi,fij,fj->f", xtr, np.linalg.pinv(self.xtx), xtr)
         dof = self.n - (self.min_rows - 1)
 
-        ledger = _ledger("regression", REGRESSION_STATISTICS, (eps_gram, eps_xty, eps_rss))
-        estimates = []
-        for f in range(sets):
-            sigma2, rss_spec = _residual_noise_scale(
-                float(rss[f]) / dof[f], beta[f], self.z_bounds, self.y_bounds,
-                eps_rss, int(dof[f]), self.fit_bound, rng,
-            )
-            estimates.append(
-                PrivatizedRegressionEstimate(
-                    beta_priv=beta[f],
-                    sigma2_priv=sigma2,
-                    S_priv=repair.matrix[f],
-                    n=int(self.n[f]),
-                    ledger=ledger,
-                    gram_noise=gram_spec,
-                    xty_noise=xty_spec,
-                    rss_noise=rss_spec,
-                    noisy_gram=noisy_gram[f],
-                    noisy_xty=noisy_xty[f],
-                    repair=repair.at(f),
-                )
-            )
-        return RegressionStack(estimates)
-
-
-@dataclass(eq=False)
-class RegressionStack:
-    """Privatized regression releases of F data sets, one estimate per set."""
-
-    estimates: list[PrivatizedRegressionEstimate]
-
-    @property
-    def beta(self) -> np.ndarray:
-        return np.stack([e.beta_priv for e in self.estimates])
-
-    @property
-    def n(self) -> np.ndarray:
-        return np.array([e.n for e in self.estimates], dtype=float)
-
-    @property
-    def ledger(self) -> PrivacyLedger:
-        return self.estimates[0].ledger
-
-    def coordinate_variances(self) -> np.ndarray:
-        return np.stack([e.coordinate_variances() for e in self.estimates])
-
-    def bootstrap_draws(self, size: int, rng: np.random.Generator, sets: int) -> np.ndarray:
-        """(sets, size, k) bootstrap replicas of the first ``sets`` estimates.
-
-        A draw that failed after its retry is left as a NaN row.
-        """
-        draws = np.full((sets, size, self.estimates[0].k), np.nan)
-        for f, est in enumerate(self.estimates[:sets]):
-            d, _ = est.bootstrap_draws(size, rng)
-            draws[f, : d.shape[0]] = d
-        return draws
+        # The residual mean square is noised last.  Its sensitivity may use the
+        # released coefficients (post-processing of a DP output may calibrate
+        # the next mechanism): a record's squared residual is at most
+        # (m_y + sum_j m_j |beta_j| + fit_bound)^2, over dof.
+        m_res = (
+            self.y_bounds.magnitudes[0]
+            + np.sum(self.z_bounds.magnitudes * np.abs(beta), axis=1)
+            + self.fit_bound
+        )
+        rss_scales = np.zeros(sets) if math.isinf(eps_rss) else m_res**2 / dof / eps_rss
+        sigma2 = rss / dof
+        drawn = rss_scales > 0.0  # a zero scale draws nothing
+        sigma2[drawn] += rng.laplace(0.0, rss_scales[drawn])
+        return PrivatizedRegressionEstimate(
+            betas=beta,
+            sigma2s=np.maximum(sigma2, SIGMA2_FLOOR),
+            repairs=repairs,
+            sizes=self.n,
+            ledger=_ledger("regression", REGRESSION_STATISTICS, (eps_gram, eps_xty, eps_rss)),
+            gram_noise=gram_spec,
+            xty_noise=xty_spec,
+            rss_scales=rss_scales,
+            noisy_grams=noisy_gram,
+            noisy_xtys=noisy_xty,
+        )

@@ -240,14 +240,6 @@ class PrivacyLedger:
             raise LedgerError(f"statistic {statistic_id!r} already charged in this estimation")
         return replace(self, charges=self.charges + ((statistic_id, float(epsilon)),))
 
-    def merge(self, other: "PrivacyLedger") -> "PrivacyLedger":
-        if other.regime != self.regime:
-            raise LedgerError("cannot merge ledgers with different composition regimes")
-        merged = self
-        for sid, eps in other.charges:
-            merged = merged.charge(sid, eps)
-        return merged
-
     def total(self) -> float:
         if self.regime == "sequential":
             return self.total_sequential()

@@ -294,6 +294,17 @@ class TestSimulateAndPlot:
         assert code == 2
         assert "split" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, present", [("n", "k = 2"), ("k", "n = 200")], ids=["n", "k"])
+    def test_missing_size_key_exits_2(self, tmp_path, capsys, key, present):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            f"[experiment]\nmodel = gaussian\n{present}\n"
+            "epsilon = 1.5\nseed = 4\nreps = 2\nB = 200\n\n[methods]\nppb = 1/10\n"
+        )
+        code = run_cli(["simulate", "--config", str(cfg), "--output", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must be a positive integer")
+
     def test_end_to_end(self, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"
         cfg.write_text(

@@ -352,3 +352,22 @@ class TestConfigFile:
         key = line.split(" = ")[0]
         with pytest.raises(ParameterError, match=key):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "key, lines",
+        [
+            ("n", ["k = 2"]),
+            ("k", ["n = 100"]),
+            ("n", ["n = 0", "k = 2"]),
+            ("k", ["n = 100", "k = -1"]),
+        ],
+        ids=["no-n", "no-k", "zero-n", "negative-k"],
+    )
+    def test_missing_or_nonpositive_size_names_its_key(self, tmp_path, key, lines):
+        path = tmp_path / "exp.ini"
+        path.write_text(
+            "[experiment]\nmodel = gaussian\n" + "\n".join(lines)
+            + "\nepsilon = 1.5\nseed = 1\n\n[methods]\nppb = 1/10\n"
+        )
+        with pytest.raises(ParameterError, match=rf"^{key} must be a positive integer"):
+            load_config(path)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from dpextrema.errors import NumericError, ParameterError
-from dpextrema.linalg import eigen_sqrt, psd_floor, psd_repair, psd_repair_stack, sym_sqrt
+from dpextrema.linalg import RepairResult, psd_floor, psd_repair, psd_repair_stack, sym_sqrt
 from dpextrema.models import (
     SIGMA2_FLOOR,
     GaussianData,
+    GaussianStatistics,
     PrivatizedRegressionEstimate,
     RegressionData,
     gaussian_private_mle,
@@ -63,7 +64,7 @@ class TestLinalgHelpers:
         a = rng.standard_normal((6, 3, 3))
         shifts = np.array([0.0, 0.5, 2.0, 0.0, 8.0, 0.1])[:, None, None]
         stack = a @ np.swapaxes(a, 1, 2) - shifts * np.eye(3)
-        repair, eigvals, eigvecs = psd_repair_stack(stack)
+        repair = psd_repair_stack(stack)
         assert repair.shift[0] == 0.0 and repair.degenerate.any() and not repair.degenerate.all()
         for f, m in enumerate(stack):
             one = psd_repair(m)
@@ -71,7 +72,7 @@ class TestLinalgHelpers:
             assert repair.shift[f] == pytest.approx(one.shift, abs=1e-12)
             assert repair.floor[f] == one.floor
             assert repair.degenerate[f] == one.degenerate
-            root = eigen_sqrt(eigvals[f], eigvecs[f])
+            root = sym_sqrt(repair.matrix[f])
             assert np.allclose(root @ root, one.matrix, atol=1e-10)
 
     def test_sym_sqrt_squares_back(self):
@@ -193,6 +194,34 @@ class TestGaussianBootstrap:
         est = gaussian_private_mle(make_gaussian(rng), 1.0, rng)
         d, failed = est.bootstrap_draws(1, np.random.default_rng(9))
         assert d.shape == (1, est.k) and failed == 0
+
+    def test_stacked_replicas_follow_each_sets_root(self):
+        # folds of different sizes, small enough at eps = 0.3 that some
+        # covariance repairs clip
+        rng = np.random.default_rng(25)
+        x = make_gaussian(rng, n=90, k=3, half_width=3.0).x
+        folds = [slice(0, 8), slice(8, 20), slice(20, 50), slice(50, 90)]
+        clipped = 0
+        for seed in range(6):
+            est = GaussianStatistics.of_folds(x, Bounds.symmetric(3.0, 3), folds).release(
+                0.3, np.random.default_rng(seed)
+            )
+            clipped += int((est.repairs.shift > 0.0).sum())
+            for privacy_noise in (True, False):
+                rng = np.random.default_rng(seed)
+                draws, failed = est.replica_draws(200, rng, 3, privacy_noise)
+                ref = np.random.default_rng(seed)
+                z = ref.standard_normal((3, 200, 3))
+                noise = est.sum_noise.sample(ref, (3, 200))
+                assert draws.shape == (3, 200, 3) and not failed.any()
+                for f in range(3):
+                    n = est.sizes[f]
+                    root = sym_sqrt(est.repairs.matrix[f])
+                    expected = est.betas[f] + (z[f] @ root.T) / math.sqrt(n)
+                    if privacy_noise:
+                        expected = expected + noise[f] / n
+                    assert np.array_equal(draws[f], expected)
+        assert clipped > 0
 
     def test_coordinate_variances(self):
         rng = np.random.default_rng(24)
@@ -370,17 +399,17 @@ def make_degenerate_regression_estimate():
     """An estimate whose bootstrap systems are singular on every attempt."""
     s = np.diag([1e-20, 1.0])  # min |eig| far below the repair floor
     return PrivatizedRegressionEstimate(
-        beta_priv=np.array([0.0, 1.0]),
-        sigma2_priv=1.0,
-        S_priv=s,
-        n=100,
+        betas=np.array([[0.0, 1.0]]),
+        sigma2s=np.ones(1),
+        # S itself, not its repair, so the singular matrix reaches the bootstrap
+        repairs=RepairResult(s[None], np.zeros(1), np.atleast_1d(psd_floor(s)), np.zeros(1, bool)),
+        sizes=np.array([100]),
         ledger=PrivacyLedger(),
         gram_noise=LaplaceSpec(0.0, 3),
         xty_noise=LaplaceSpec(0.0, 2),
-        rss_noise=LaplaceSpec(0.0, 1),
-        noisy_gram=100 * s,
-        noisy_xty=np.zeros(2),
-        repair=psd_repair(np.eye(2)),
+        rss_scales=np.zeros(1),
+        noisy_grams=100 * s[None],
+        noisy_xtys=np.zeros((1, 2)),
     )
 
 
@@ -392,18 +421,71 @@ def make_near_floor_regression_estimate(seed, lam, rel_scale, k=3, n=100):
     s = (q * np.r_[np.linspace(1.0, 0.5, k - 1), lam]) @ q.T
     s = 0.5 * (s + s.T)
     return PrivatizedRegressionEstimate(
-        beta_priv=rng.standard_normal(k),
-        sigma2_priv=1.0,
-        S_priv=s,
-        n=n,
+        betas=rng.standard_normal((1, k)),
+        sigma2s=np.ones(1),
+        repairs=psd_repair_stack(s[None]),
+        sizes=np.array([n]),
         ledger=PrivacyLedger(),
         gram_noise=LaplaceSpec(rel_scale * lam * n, k * (k + 1) // 2),
         xty_noise=LaplaceSpec(0.5, k),
-        rss_noise=LaplaceSpec(0.0, 1),
-        noisy_gram=n * s,
-        noisy_xty=np.zeros(k),
-        repair=psd_repair(s),
+        rss_scales=np.zeros(1),
+        noisy_grams=n * s[None],
+        noisy_xtys=np.zeros((1, k)),
     )
+
+
+def stack_regression_estimates(estimates):
+    """One estimate whose sets are the given single estimates, which must share
+    their noise specs."""
+    first = estimates[0]
+
+    def cat(name):
+        return np.concatenate([getattr(e, name) for e in estimates])
+
+    return PrivatizedRegressionEstimate(
+        betas=cat("betas"),
+        sigma2s=cat("sigma2s"),
+        repairs=RepairResult(*(np.concatenate(f) for f in zip(*(e.repairs for e in estimates)))),
+        sizes=cat("sizes"),
+        ledger=first.ledger,
+        gram_noise=first.gram_noise,
+        xty_noise=first.xty_noise,
+        rss_scales=cat("rss_scales"),
+        noisy_grams=cat("noisy_grams"),
+        noisy_xtys=cat("noisy_xtys"),
+    )
+
+
+def reference_replica_draws(est, size, rng, sets, privacy_noise=True):
+    """The stacked regression bootstrap with an eigenvalue check and a solve of
+    every system, in the stacked draw order: every set's scores, then every
+    set's systems, then the retries of all sets together."""
+    k = est.k
+    S, n = est.repairs.matrix[:sets], est.sizes[:sets]
+    floor = psd_floor(S)
+
+    z = rng.standard_normal((sets, size, k))
+    c = np.stack([z[f] @ sym_sqrt(est.sigma2s[f] * S[f]).T for f in range(sets)])
+    if privacy_noise and not est.xty_noise.is_zero:
+        c = c + est.xty_noise.sample(rng, (sets, size)) / np.sqrt(n)[:, None, None]
+    s_beta = np.stack([S[f] @ est.betas[f] for f in range(sets)])
+    rhs = s_beta[:, None, :] + c / np.sqrt(n)[:, None, None]
+
+    def attempt(owners):
+        systems = S[owners]
+        if privacy_noise and not est.gram_noise.is_zero:
+            noise = laplace_symmetric_sample(est.gram_noise.scale, k, rng, owners.size)
+            systems = systems + noise / n[owners, None, None]
+        return systems, np.abs(np.linalg.eigvalsh(systems)).min(axis=1) < floor[owners]
+
+    owners = np.repeat(np.arange(sets), size)
+    systems, bad = attempt(owners)
+    retry = np.flatnonzero(bad)
+    systems[retry], bad[retry] = attempt(owners[retry])
+    draws = np.full((sets * size, k), np.nan)
+    for i in np.flatnonzero(~bad):
+        draws[i] = np.linalg.solve(systems[i], rhs.reshape(-1, k)[i])
+    return draws.reshape(sets, size, k), bad.reshape(sets, size)
 
 
 def reference_bootstrap_draws(est, size, rng, privacy_noise=True):
@@ -411,7 +493,7 @@ def reference_bootstrap_draws(est, size, rng, privacy_noise=True):
     m, k = est.n, est.k
     floor = psd_floor(est.S_priv)
 
-    c = rng.standard_normal((size, k)) @ est._score_cov_sqrt().T
+    c = rng.standard_normal((size, k)) @ sym_sqrt(est.sigma2_priv * est.S_priv).T
     if privacy_noise and not est.xty_noise.is_zero:
         c = c + est.xty_noise.sample(rng, size) / math.sqrt(m)
     rhs = (est.S_priv @ est.beta_priv)[None, :] + c / math.sqrt(m)
@@ -523,8 +605,8 @@ class TestRegressionBootstrap:
         # zero score covariance and zero noise reproduce the estimate exactly
         rng = np.random.default_rng(42)
         est = regression_private_mle(make_regression(rng, n=120), math.inf, rng)
-        est.sigma2_priv = 0.0
-        est._cov_sqrt = None
+        est.sigma2s[0] = 0.0
+        est._root = None
         draws, failed = est.bootstrap_draws(1, np.random.default_rng(0))
         assert failed == 0
         assert np.allclose(draws[0], est.beta_priv, atol=1e-14)
@@ -537,6 +619,64 @@ class TestRegressionBootstrap:
         assert failed == 1 and draws.shape == (0, 2)
         draws, failed = est.bootstrap_draws(50, np.random.default_rng(1), privacy_noise=False)
         assert failed == 50 and draws.shape == (0, 2)
+
+    def test_stacked_draws_match_checking_every_system(self, monkeypatch):
+        checked = []
+        near_singular = PrivatizedRegressionEstimate._near_singular
+
+        def counting(systems, floor):
+            checked.append(len(systems))
+            return near_singular(systems, floor)
+
+        monkeypatch.setattr(PrivatizedRegressionEstimate, "_near_singular", staticmethod(counting))
+        # near-floor and well-conditioned sets of different sizes, all with the
+        # same gram noise scale, as the sets of one release have
+        scale = 6e-6
+        cases = [(0, 3e-8, 100), (1, 0.4, 60), (2, 1e-7, 60), (3, 0.3, 100), (4, 6e-7, 60)]
+        estimates = [
+            make_near_floor_regression_estimate(seed, lam, scale / (lam * n), n=n)
+            for seed, lam, n in cases
+        ]
+        # the last set's other eigenvalues are raised by 30, and its floor with
+        # them (to 2e-7), so a floor taken from another set would miss its failures
+        s = estimates[-1].S_priv
+        v = np.linalg.eigh(s)[1][:, :1]
+        estimates[-1].repairs = psd_repair_stack((s + 30.0 * (np.eye(3) - v @ v.T))[None])
+        est = stack_regression_estimates(estimates)
+        size, sets = 300, len(cases)
+        failed_sets = set()
+        for seed in range(4):
+            draws, failed = est.replica_draws(size, np.random.default_rng(seed), sets)
+            ref_draws, ref_failed = reference_replica_draws(
+                est, size, np.random.default_rng(seed), sets
+            )
+            assert np.array_equal(failed, ref_failed)
+            assert np.array_equal(draws, ref_draws, equal_nan=True)
+            assert np.isnan(draws[failed]).all() and not np.isnan(draws[~failed]).any()
+            failed_sets |= set(np.flatnonzero(failed.any(axis=1)))
+        # only near-floor sets failed, and the bound spared most systems a check
+        assert 4 in failed_sets and failed_sets <= {0, 2, 4}
+        assert 0 < sum(checked) < 4 * size * sets
+
+        # without gram noise, each set's S is checked once and solved once
+        checked.clear()
+        draws, failed = est.replica_draws(size, np.random.default_rng(9), 3, privacy_noise=False)
+        ref_draws, ref_failed = reference_replica_draws(
+            est, size, np.random.default_rng(9), 3, privacy_noise=False
+        )
+        assert checked == [3] and not failed.any() and not ref_failed.any()
+        # one solve against many right-hand sides rounds apart from one solve
+        # per draw, by up to the condition number (3e7 here) times eps
+        assert np.allclose(draws, ref_draws, rtol=1e-7, atol=0.0)
+
+        # a singular S fails every draw of its set, as NaN rows, and only those
+        est = stack_regression_estimates(
+            [make_degenerate_regression_estimate(), make_near_floor_regression_estimate(5, 0.3, 0.0, k=2)]
+        )
+        draws, failed = est.replica_draws(50, np.random.default_rng(2), 2)
+        ref_draws, ref_failed = reference_replica_draws(est, 50, np.random.default_rng(2), 2)
+        assert np.array_equal(failed, ref_failed) and failed[0].all() and not failed[1].any()
+        assert np.isnan(draws[0]).all() and np.allclose(draws[1], ref_draws[1], rtol=1e-12, atol=0.0)
 
     def test_coordinate_variances_private_exceeds_nonprivate(self):
         rng = np.random.default_rng(43)

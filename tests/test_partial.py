@@ -228,8 +228,8 @@ class TestPartialRegression:
         rng = np.random.default_rng(67)
         data = trial_design(rng)
         est = regression_private_mle(data, math.inf, rng)
-        est.sigma2_priv = 0.0
-        est._cov_sqrt = None
+        est.sigma2s[0] = 0.0
+        est._root = None
         draws, failed = est.bootstrap_draws(1, np.random.default_rng(0))
         assert failed == 0
         assert np.allclose(draws[0], est.beta_priv, atol=1e-14)
