@@ -37,7 +37,6 @@ from .models import (
     regression_private_mle,
 )
 from .partial import (
-    NuisanceRegressionData,
     PartialGaussianEstimate,
     PartitionedGaussianData,
     partial_gaussian_private_mle,

@@ -28,9 +28,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .crossval import CVConfig, cv_choose_r
+from .crossval import DEFAULT_FOLDS, DEFAULT_GRID, CVConfig, cv_choose_r
 from .errors import DegeneracyError, NumericError, ParameterError
-from .extrema import ppb_lower_limit
+from .extrema import DEFAULT_B, DEFAULT_B_INNER, ppb_lower_limit
 from .harness import (
     ExperimentReport,
     divide_budget,
@@ -39,13 +39,14 @@ from .harness import (
     format_epsilon,
     format_r_token,
     load_config,
+    parse_grid,
     parse_number,
     parse_r_token,
     parse_split,
     run_experiment,
 )
 from .models import GaussianData, RegressionData
-from .partial import NuisanceRegressionData, PartitionedGaussianData
+from .partial import PartitionedGaussianData
 from .privacy import Bounds
 
 
@@ -116,19 +117,15 @@ def _load_data(args):
     k1 = args.partial if args.partial else k
     if not (1 <= k1 <= k):
         raise ParameterError(f"--partial must name between 1 and {k} interest columns")
-    nuisance = x[:, k1:] if k1 < k else None
     if not regression:
         bounds = _parse_bounds(args.bounds, k1, "coordinate")
         if args.partial:
-            return PartitionedGaussianData(x[:, :k1], nuisance, bounds)
+            return PartitionedGaussianData(x[:, :k1], x[:, k1:] if k1 < k else None, bounds)
         return GaussianData(x, bounds)
     if args.y_bounds is None:
         raise ParameterError("response bounds are mandatory: sensitivity is undefined without bounds")
     y, y_bounds = data[:, -1], _parse_bounds(args.y_bounds, 1, "response")
-    bounds = _parse_bounds(args.bounds, k1, "design")
-    if args.partial:
-        return NuisanceRegressionData(x[:, :k1], nuisance, y, bounds, y_bounds)
-    return RegressionData(x, y, bounds, y_bounds)
+    return RegressionData(x[:, :k1], y, _parse_bounds(args.bounds, k1, "design"), y_bounds, x[:, k1:])
 
 
 def _budget(args):
@@ -202,7 +199,7 @@ def _cmd_ci(args) -> int:
 def _cmd_cv(args) -> int:
     data = _load_data(args)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    grid = tuple(parse_r_token(tok) for tok in args.grid.split(","))
+    grid = DEFAULT_GRID if args.grid is None else parse_grid(args.grid)
     config = CVConfig(folds=args.folds, grid=grid, b_inner=args.b_inner)
     cv = cv_choose_r(data, _budget(args), rng, config)
     print(f"chosen_r = {format_r_token(cv.chosen_r)}")
@@ -259,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="declared coordinate box, lo:hi[,lo:hi...]; use --bounds=-5:5 for negative bounds")
     shared.add_argument("--epsilon", required=True, help="total privacy budget (or 'inf')")
     shared.add_argument("--split", default=None, help="per-statistic budget shares, e.g. 0.5,0.5")
-    shared.add_argument("--folds", type=int, default=5, help="cross-validation folds")
-    shared.add_argument("--b-inner", type=int, default=200, dest="b_inner")
+    shared.add_argument("--folds", type=int, default=DEFAULT_FOLDS, help="cross-validation folds")
+    shared.add_argument("--b-inner", type=int, default=DEFAULT_B_INNER, dest="b_inner")
     shared.add_argument("--seed", type=int, required=True)
     shared.add_argument("--output", default=None, help="optional JSON output path")
     response = argparse.ArgumentParser(add_help=False)
@@ -272,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = ci_sub.add_parser(model, parents=parents)
         p.add_argument("--r", default="1/10", help="correction strength: float, fraction, 'full', or 'cv'")
         p.add_argument("--alpha", type=float, default=0.05)
-        p.add_argument("--B", type=int, default=1000)
+        p.add_argument("--B", type=int, default=DEFAULT_B)
         p.add_argument("--partial", type=int, default=0, metavar="K1",
                        help="privatize only the first K1 columns; the rest are nuisance")
         p.set_defaults(func=_cmd_ci, model=model)
@@ -280,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv = sub.add_parser("cv", parents=[shared, response],
                         help="cross-validated choice of the correction strength")
     cv.add_argument("--model", choices=("gaussian", "regression"), default="gaussian")
-    cv.add_argument("--grid", default="1/30,1/15,1/10,1/5")
+    cv.add_argument("--grid", default=None)
     cv.set_defaults(func=_cmd_cv, partial=0)
 
     sim = sub.add_parser("simulate", help="Monte Carlo coverage/length experiment")

@@ -19,9 +19,9 @@ one ``replica_draws`` call.  This is the release every estimate goes through
 (a single estimate is set 0 of a stack of one), so each fold's release has
 the law of the single-set estimator on that subset.  Any data class with a
 ``fold_statistics`` method can be cross-validated: a partitioned Gaussian is
-cross-validated on its interest block, and regression with nuisance
-covariates removes the nuisance fit from each set's residual through the
-blocks X^T X, X^T Z and X^T y.
+cross-validated on its interest block, and ``RegressionData(..., nuisance=W)``
+removes the nuisance fit from each set's residual through the blocks W^T W,
+W^T X and W^T y.
 
 Budget accounting for this procedure is genuinely ambiguous: the held-out
 folds are disjoint (parallel composition applies) but the training sets

@@ -199,6 +199,8 @@ def ppb_limit_from_draws(
     beta_max = float(beta.max())
     correction = bias_correction(beta, r, n)
     b_total = draws.shape[0] + failed_draws
+    if b_total < 100:
+        raise ParameterError("B must be >= 100")
     if failed_draws > MAX_FAILED_FRACTION * b_total:
         raise DegeneracyError(
             f"{failed_draws} of {b_total} bootstrap draws failed; estimate too degenerate"
@@ -232,9 +234,8 @@ def ppb_lower_limit(
     estimate only.  ``privacy_noise=False`` reproduces the ablation that skips
     the simulated privatization noise (and undercovers).
     """
-    if B < 100:
-        raise ParameterError("B must be >= 100")
-    draws, failed = estimate.bootstrap_draws(B, rng, privacy_noise=privacy_noise)
+    # ppb_limit_from_draws refuses a B below 100; a negative one draws nothing
+    draws, failed = estimate.bootstrap_draws(max(B, 0), rng, privacy_noise=privacy_noise)
     return ppb_limit_from_draws(
         estimate.beta_priv,
         draws,

@@ -17,7 +17,8 @@ declares plausible data ranges a priori.  Sensitivities derive from that box
 and the data are clamped into it, so the stated privacy guarantee is honest.
 
 One input path with the CLI: config values and the CLI flags are read by the
-same parsers (:func:`parse_number`, :func:`parse_floats`, :func:`parse_split`),
+same parsers (:func:`parse_number`, :func:`parse_floats`, :func:`parse_split`,
+:func:`parse_grid`),
 so a malformed value is a :class:`ParameterError` that names its key, and
 :func:`estimator_for` picks the estimator from the data class for both.  A
 ``split`` is checked here without a statistic count (positive shares summing
@@ -47,7 +48,7 @@ from .extrema import (
     ppb_limit_from_draws,
 )
 from .models import GaussianData, RegressionData, gaussian_private_mle, regression_private_mle
-from .partial import NuisanceRegressionData, PartitionedGaussianData, partial_gaussian_private_mle
+from .partial import PartitionedGaussianData, partial_gaussian_private_mle
 from .privacy import Bounds
 
 MODELS = ("gaussian", "regression", "partial_gaussian", "partial_regression")
@@ -68,6 +69,7 @@ __all__ = [
     "format_r_token",
     "load_config",
     "parse_floats",
+    "parse_grid",
     "parse_number",
     "parse_r_token",
     "parse_split",
@@ -87,6 +89,11 @@ def parse_r_token(token: str) -> float:
         return float(t)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"cannot parse r value {token!r}") from exc
+
+
+def parse_grid(text: str) -> tuple[float, ...]:
+    """A cross-validation grid: comma-separated tokens read by :func:`parse_r_token`."""
+    return tuple(parse_r_token(tok) for tok in text.split(","))
 
 
 def format_r_token(r: float) -> str:
@@ -146,7 +153,6 @@ def estimator_for(data):
         GaussianData: gaussian_private_mle,
         PartitionedGaussianData: partial_gaussian_private_mle,
         RegressionData: regression_private_mle,
-        NuisanceRegressionData: regression_private_mle,
     }[type(data)]
 
 
@@ -248,6 +254,8 @@ class ExperimentConfig:
                 raise ParameterError("sigma2 must be positive")
         if self.model == "partial_regression":
             gamma = self.gamma if self.gamma is not None else (0.0,) * max(self.k_nuisance, 0)
+            if self.k_nuisance and len(gamma) != self.k_nuisance:  # gamma alone sets the width
+                raise ParameterError("gamma length does not match k_nuisance")
             object.__setattr__(self, "gamma", tuple(float(v) for v in gamma))
 
     @property
@@ -361,24 +369,19 @@ def _generate_data(config: ExperimentConfig, rng: np.random.Generator, fixed_des
             X, y, Bounds.symmetric(hx, config.k), Bounds.symmetric(y_hw, 1)
         )
     # partial_regression: interest design = subgroup x treatment indicators,
-    # nuisance covariates centered within treated cells so Z^T X = 0 exactly
+    # nuisance covariates centered within treated cells so X^T W = 0 exactly
     beta = np.asarray(config.beta, dtype=float)
     gamma = np.asarray(config.gamma, dtype=float)
-    k2 = gamma.size
     groups = rng.integers(0, config.k, size=config.n)
     treated = rng.integers(0, 2, size=config.n)
-    Z = np.zeros((config.n, config.k))
-    Z[np.arange(config.n), groups] = treated
-    X = None
-    if k2 > 0:
-        X = rng.uniform(-1.0, 1.0, (config.n, k2))
-        for s in range(config.k):
-            cell = (groups == s) & (treated == 1)
-            if cell.any():
-                X[cell] -= X[cell].mean(axis=0)
-    y = Z @ beta + (X @ gamma if X is not None else 0.0) + math.sqrt(
-        config.sigma2
-    ) * rng.standard_normal(config.n)
+    X = np.zeros((config.n, config.k))
+    X[np.arange(config.n), groups] = treated
+    W = rng.uniform(-1.0, 1.0, (config.n, gamma.size))  # no draw when gamma is empty
+    for s in range(config.k):
+        cell = (groups == s) & (treated == 1)
+        if cell.any():
+            W[cell] -= W[cell].mean(axis=0)
+    y = X @ beta + W @ gamma + math.sqrt(config.sigma2) * rng.standard_normal(config.n)
     y_hw = config.y_half_width
     if y_hw is None:
         y_hw = float(
@@ -386,8 +389,8 @@ def _generate_data(config: ExperimentConfig, rng: np.random.Generator, fixed_des
             + 2.0 * np.sum(np.abs(gamma))
             + 4.0 * math.sqrt(config.sigma2)
         )
-    return NuisanceRegressionData(
-        Z, X, y, Bounds(np.zeros(config.k), np.ones(config.k)), Bounds.symmetric(y_hw, 1)
+    return RegressionData(
+        X, y, Bounds(np.zeros(config.k), np.ones(config.k)), Bounds.symmetric(y_hw, 1), W
     )
 
 
@@ -604,7 +607,7 @@ def load_config(path) -> ExperimentConfig:
         raise ParameterError("the epsilon key is mandatory (a privacy budget must be declared)")
 
     if "cv_grid" in exp:
-        kwargs["cv_grid"] = tuple(parse_r_token(t) for t in exp.get("cv_grid").split(","))
+        kwargs["cv_grid"] = parse_grid(exp.get("cv_grid"))
     kwargs["split"] = parse_split(exp.get("split"))
     for key, size in (("mu", k), ("mu_nuisance", kwargs["k_nuisance"]), ("beta", k)):
         if key in exp:

@@ -4,7 +4,10 @@ Two concrete model families are implemented:
 
 * multivariate Gaussian observations, where the coordinates of interest are
   the component means, and
-* linear regression, where the coordinates of interest are the coefficients.
+* linear regression, where the coordinates of interest are the coefficients;
+  ``RegressionData(X, y, x_bounds, y_bounds, nuisance=W)`` adds nuisance
+  covariates W orthogonal to X, whose fit is removed from the residual
+  variance but never released, so only the statistics of X are noised.
 
 Both estimators add Laplace noise to the sufficient statistics (sums, gram
 matrices, cross products) and post-process the noisy statistics into point
@@ -58,6 +61,8 @@ SIGMA2_FLOOR = 1e-8
 _CERTIFY_MARGIN = 1e-8
 #: Released statistics of a regression estimate, in budget-split order.
 REGRESSION_STATISTICS = ("gram", "xty", "rss")
+#: Largest |X^T W| entry, per row, of a nuisance block W counted as orthogonal.
+ORTHOGONALITY_TOLERANCE = 1e-8
 
 __all__ = [
     "GaussianData",
@@ -291,26 +296,46 @@ def _solve_batch(systems: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RegressionData:
-    """Design matrix and response with declared bounds for rows of X and for y."""
+    """Design matrix and response with declared bounds for rows of X and for y.
+
+    ``nuisance`` is an optional (n, k2) block of covariates W orthogonal to X
+    (|X^T W| at most ``ORTHOGONALITY_TOLERANCE * n`` per entry), as in a
+    randomized trial with covariates centered within its arms.  The
+    coefficients of X then depend on the statistics of X alone, so only those
+    are noised; the nuisance fit is removed from the residual and never
+    released.  ``None`` or an empty (n, 0) block is plain regression.
+    """
 
     X: np.ndarray
     y: np.ndarray
     x_bounds: Bounds
     y_bounds: Bounds
+    nuisance: np.ndarray | None = None
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
         y = np.asarray(self.y, dtype=float).ravel()
         if X.ndim != 2 or X.shape[0] != y.size:
             raise ParameterError("X must be (n, k) with one response per row")
-        if X.shape[0] <= X.shape[1]:
-            raise ParameterError("regression needs n > k")
         if X.shape[1] != self.x_bounds.k:
             raise ParameterError("x_bounds dimension does not match the design")
         if self.y_bounds.k != 1:
             raise ParameterError("y_bounds must be a scalar range")
+        W = None
+        if self.nuisance is not None and np.asarray(self.nuisance).size > 0:
+            W = np.atleast_2d(np.asarray(self.nuisance, dtype=float))
+            if W.shape[0] != X.shape[0]:
+                raise ParameterError("the nuisance block must have one row per response")
+            if np.abs(X.T @ W).max() > ORTHOGONALITY_TOLERANCE * X.shape[0]:
+                raise ParameterError(
+                    "X^T nuisance is not numerically zero; the nuisance block must be "
+                    "orthogonal to the design"
+                )
+        if X.shape[0] <= X.shape[1] + (0 if W is None else W.shape[1]):
+            raise ParameterError("regression needs n > k plus the nuisance columns")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "nuisance", W)
 
     @property
     def n(self) -> int:
@@ -322,8 +347,8 @@ class RegressionData:
 
     def fold_statistics(self, folds: list[np.ndarray]) -> "RegressionStatistics":
         return RegressionStatistics.of_folds(
-            self.x_bounds.clamp(self.X), self.y_bounds.clamp(self.y), None, folds,
-            self.x_bounds, self.y_bounds, 0.0,
+            self.x_bounds.clamp(self.X), self.y_bounds.clamp(self.y), self.nuisance, folds,
+            self.x_bounds, self.y_bounds,
         )
 
 
@@ -334,11 +359,11 @@ class PrivatizedRegressionEstimate(_Stacked):
 
     betas: np.ndarray        # (F, k) released coefficients
     sigma2s: np.ndarray      # (F,) released residual mean squares
-    repairs: RepairResult    # repaired (F, k, k) scaled grams S = (Z^T Z + noise) / n
+    repairs: RepairResult    # repaired (F, k, k) scaled grams S = (X^T X + noise) / n
     sizes: np.ndarray        # (F,) row counts
     ledger: PrivacyLedger    # the charges of one set's release
-    gram_noise: LaplaceSpec  # noise on Z^T Z (per free entry)
-    xty_noise: LaplaceSpec   # noise on Z^T y
+    gram_noise: LaplaceSpec  # noise on X^T X (per free entry)
+    xty_noise: LaplaceSpec   # noise on X^T y
     rss_scales: np.ndarray   # (F,) Laplace scales of the residual mean squares
     noisy_grams: np.ndarray  # (F, k, k)
     noisy_xtys: np.ndarray   # (F, k)
@@ -491,15 +516,15 @@ class PrivatizedRegressionEstimate(_Stacked):
 _SINGULAR_GRAM = "noisy gram matrix is irreparably singular; widen the budget or bounds"
 
 
-def _regression_noise_specs(z_bounds: Bounds, y_bounds: Bounds, eps_gram: float, eps_xty: float):
+def _regression_noise_specs(x_bounds: Bounds, y_bounds: Bounds, eps_gram: float, eps_xty: float):
     """Laplace noise of the gram matrix's free entries and of the cross product."""
-    k = z_bounds.k
+    k = x_bounds.k
     gram_spec = LaplaceSpec.from_budget(
-        sensitivity_gram_bounded(z_bounds.lower, z_bounds.upper).delta, eps_gram, k * (k + 1) // 2
+        sensitivity_gram_bounded(x_bounds.lower, x_bounds.upper).delta, eps_gram, k * (k + 1) // 2
     )
     xty_spec = LaplaceSpec.from_budget(
         sensitivity_cross_bounded(
-            z_bounds.lower, z_bounds.upper, y_bounds.lower, y_bounds.upper
+            x_bounds.lower, x_bounds.upper, y_bounds.lower, y_bounds.upper
         ).delta,
         eps_xty,
         k,
@@ -507,11 +532,13 @@ def _regression_noise_specs(z_bounds: Bounds, y_bounds: Bounds, eps_gram: float,
     return gram_spec, xty_spec
 
 
-def regression_private_mle(data, budget, rng: np.random.Generator) -> PrivatizedRegressionEstimate:
+def regression_private_mle(
+    data: RegressionData, budget, rng: np.random.Generator
+) -> PrivatizedRegressionEstimate:
     """Privatized OLS coefficients and residual variance.
 
-    ``data`` is :class:`RegressionData` or, with nuisance covariates,
-    :class:`~dpextrema.partial.NuisanceRegressionData`.  ``budget`` is a total
+    ``data`` may carry a nuisance block (``RegressionData(..., nuisance=W)``);
+    only the statistics of X are noised either way.  ``budget`` is a total
     epsilon split equally across the three released statistics (gram matrix,
     cross product, residual mean square) or an explicit triple.  The data are
     released by :meth:`RegressionStatistics.release`, as a stack of one set:
@@ -585,55 +612,52 @@ class GaussianStatistics:
 
 @dataclass(frozen=True, eq=False)
 class RegressionStatistics:
-    """Clamped Z^T Z, Z^T y and y^T y, with the count, of each of F data sets.
+    """Clamped X^T X, X^T y and y^T y, with the count, of each of F data sets.
 
-    Nuisance covariates X add X^T X, X^T Z and X^T y.  Their fit is never
-    released: it is removed from each set's residual, and ``fit_bound`` bounds
-    |x^T gamma| in the residual-variance sensitivity.
+    A nuisance block W adds W^T W, W^T X and W^T y.  Its fit is never
+    released: it is removed from each set's residual.
     """
 
-    z_bounds: Bounds
+    x_bounds: Bounds
     y_bounds: Bounds
-    fit_bound: float
     n: np.ndarray                 # (F,)
-    ztz: np.ndarray               # (F, k, k)
-    zty: np.ndarray               # (F, k)
+    xtx: np.ndarray               # (F, k, k)
+    xty: np.ndarray               # (F, k)
     yty: np.ndarray               # (F,)
-    xtx: np.ndarray | None = None
-    xtz: np.ndarray | None = None
-    xty: np.ndarray | None = None
+    wtw: np.ndarray | None = None
+    wtx: np.ndarray | None = None
+    wty: np.ndarray | None = None
 
     # a class attribute, not a field: the statistics that add up over sets
-    ADDITIVE = ("n", "ztz", "zty", "yty", "xtx", "xtz", "xty")
+    ADDITIVE = ("n", "xtx", "xty", "yty", "wtw", "wtx", "wty")
 
     @classmethod
     def of_folds(
         cls,
-        Z: np.ndarray,
+        X: np.ndarray,
         y: np.ndarray,
-        X: np.ndarray | None,
+        W: np.ndarray | None,
         folds: list[np.ndarray],
-        z_bounds: Bounds,
+        x_bounds: Bounds,
         y_bounds: Bounds,
-        fit_bound: float,
     ) -> "RegressionStatistics":
         """Statistics of the rows indexed by each fold (an index array or a
-        slice); Z and y come clamped."""
+        slice); X and y come clamped, the nuisance block W is never clamped."""
         rows = []
         for f in folds:
-            z, t = Z[f], y[f]
-            row = [t.size, z.T @ z, z.T @ t, t @ t]
-            if X is not None:
-                x = X[f]
-                row += [x.T @ x, x.T @ z, x.T @ t]
+            x, t = X[f], y[f]
+            row = [t.size, x.T @ x, x.T @ t, t @ t]
+            if W is not None:
+                w = W[f]
+                row += [w.T @ w, w.T @ x, w.T @ t]
             rows.append(row)
-        return cls(z_bounds, y_bounds, float(fit_bound), *(np.array(s) for s in zip(*rows)))
+        return cls(x_bounds, y_bounds, *(np.array(s) for s in zip(*rows)))
 
     @property
     def min_rows(self) -> int:
         """Fewest rows a set needs for one residual degree of freedom."""
-        k2 = 0 if self.xtx is None else self.xtx.shape[-1]
-        return self.zty.shape[1] + k2 + 1
+        k2 = 0 if self.wtw is None else self.wtw.shape[-1]
+        return self.xty.shape[1] + k2 + 1
 
     def release(self, budget, rng: np.random.Generator) -> PrivatizedRegressionEstimate:
         """Every set's regression release, as one stacked estimate.
@@ -643,36 +667,40 @@ class RegressionStatistics:
         """
         eps_gram, eps_xty, eps_rss = split_budget(budget, 3)
         gram_spec, xty_spec = _regression_noise_specs(
-            self.z_bounds, self.y_bounds, eps_gram, eps_xty
+            self.x_bounds, self.y_bounds, eps_gram, eps_xty
         )
-        sets, k = self.zty.shape
-        noisy_gram = self.ztz + laplace_symmetric_sample(gram_spec.scale, k, rng, sets)
-        noisy_xty = self.zty + xty_spec.sample(rng, sets)
+        sets, k = self.xty.shape
+        noisy_gram = self.xtx + laplace_symmetric_sample(gram_spec.scale, k, rng, sets)
+        noisy_xty = self.xty + xty_spec.sample(rng, sets)
         n = self.n.astype(float)[:, None, None]
         repairs = psd_repair_stack(noisy_gram / n)
         if repairs.degenerate.any():
             raise NumericError(_SINGULAR_GRAM)
         beta = _solve_batch(n * repairs.matrix, noisy_xty)
 
-        # |y - Z beta|^2 from the statistics, less what the nuisance fit explains
+        # |y - X beta|^2 from the statistics, less what the nuisance fit explains
         rss = (
             self.yty
-            - 2.0 * np.einsum("fi,fi->f", beta, self.zty)
-            + np.einsum("fi,fij,fj->f", beta, self.ztz, beta)
+            - 2.0 * np.einsum("fi,fi->f", beta, self.xty)
+            + np.einsum("fi,fij,fj->f", beta, self.xtx, beta)
         )
-        if self.xtx is not None:
-            xtr = self.xty - np.einsum("fij,fj->fi", self.xtz, beta)
-            rss = rss - np.einsum("fi,fij,fj->f", xtr, np.linalg.pinv(self.xtx), xtr)
+        # a record's nuisance fit |w^T gamma| is taken to be at most the
+        # response magnitude; W is never clamped, so this is assumed, not enforced
+        m_fit = 0.0
+        if self.wtw is not None:
+            wtr = self.wty - np.einsum("fij,fj->fi", self.wtx, beta)
+            rss = rss - np.einsum("fi,fij,fj->f", wtr, np.linalg.pinv(self.wtw), wtr)
+            m_fit = self.y_bounds.magnitudes[0]
         dof = self.n - (self.min_rows - 1)
 
         # The residual mean square is noised last.  Its sensitivity may use the
         # released coefficients (post-processing of a DP output may calibrate
         # the next mechanism): a record's squared residual is at most
-        # (m_y + sum_j m_j |beta_j| + fit_bound)^2, over dof.
+        # (m_y + sum_j m_j |beta_j| + m_fit)^2, over dof.
         m_res = (
             self.y_bounds.magnitudes[0]
-            + np.sum(self.z_bounds.magnitudes * np.abs(beta), axis=1)
-            + self.fit_bound
+            + np.sum(self.x_bounds.magnitudes * np.abs(beta), axis=1)
+            + m_fit
         )
         rss_scales = np.zeros(sets) if math.isinf(eps_rss) else m_res**2 / dof / eps_rss
         sigma2 = rss / dof

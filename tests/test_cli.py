@@ -196,6 +196,18 @@ class TestCiRegression:
         assert run_cli(args) == 2
         assert "sensitivity is undefined without bounds" in capsys.readouterr().err
 
+    def test_partial_with_every_column_is_plain_regression(self, tmp_path, capsys):
+        # --partial 2 on a two-column design leaves an empty nuisance block
+        data = write_regression_csv(tmp_path / "reg.csv")
+        args = [
+            "ci", "regression", "--input", str(data), "--bounds=-1:1",
+            "--y-bounds=-6:6", "--epsilon", "1.5", "--seed", "3", "--B", "300",
+        ]
+        plain, partial = tmp_path / "plain.json", tmp_path / "partial.json"
+        assert run_cli(args + ["--output", str(plain)]) == 0
+        assert run_cli(args + ["--partial", "2", "--output", str(partial)]) == 0
+        assert plain.read_bytes() == partial.read_bytes()
+
     def test_partial_cv_choice_of_r(self, tmp_path, capsys):
         data = write_orthogonal_regression_csv(tmp_path / "orth.csv")
         out = tmp_path / "res.json"
@@ -337,6 +349,16 @@ class TestSimulateAndPlot:
             rows = list(csv.reader(fh))
         assert rows[0] == ["axis_value", "method", "coverage", "mean_length"]
         assert len(rows) == 1 + 4  # two methods x two budgets
+
+    def test_small_b_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            "[experiment]\nmodel = gaussian\nn = 200\nk = 2\n"
+            "epsilon = 1.5\nseed = 4\nreps = 2\nB = 50\n\n[methods]\nppb = 1/10\n"
+        )
+        code = run_cli(["simulate", "--config", str(cfg), "--output", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert "error: B must be >= 100" in capsys.readouterr().err
 
     def test_single_axis_value_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from dpextrema.models import (
     gaussian_private_mle,
     regression_private_mle,
 )
-from dpextrema.partial import NuisanceRegressionData, PartitionedGaussianData
+from dpextrema.partial import PartitionedGaussianData
 from dpextrema.privacy import Bounds
+
+from test_models import orthogonal_block, reference_regression_release
 
 
 def gaussian_data(seed=0, n=200, k=2, mu=(0.0, 0.0)):
@@ -107,7 +110,7 @@ class TestCvChooseR:
         data = nuisance_regression_data(seed=14, n=2000)
         cv = cv_choose_r(data, 3.0, np.random.default_rng(8), CVConfig(b_inner=60))
         assert cv.chosen_r in CVConfig().grid
-        assert cv.h.shape == (len(CVConfig().grid), CVConfig().folds, data.k1)
+        assert cv.h.shape == (len(CVConfig().grid), CVConfig().folds, data.k)
 
     def test_supports_partitioned_gaussian(self):
         rng = np.random.default_rng(12)
@@ -124,13 +127,12 @@ class TestCvChooseR:
 
 
 def nuisance_regression_data(seed, n):
-    """Interest design Z with nuisance covariates X orthogonal to it."""
+    """Design X with nuisance covariates W orthogonal to it."""
     rng = np.random.default_rng(seed)
-    Z = rng.uniform(-1, 1, (n, 2))
-    x = rng.standard_normal((n, 2))
-    X = x - Z @ np.linalg.solve(Z.T @ Z, Z.T @ x)
-    y = Z @ np.array([0.2, 0.5]) + X @ np.array([1.0, -0.5]) + rng.standard_normal(n)
-    return NuisanceRegressionData(Z, X, y, Bounds.symmetric(1.0, 2), Bounds.symmetric(8.0, 1))
+    X = rng.uniform(-1, 1, (n, 2))
+    W = orthogonal_block(X, rng.standard_normal((n, 2)))
+    y = X @ np.array([0.2, 0.5]) + W @ np.array([1.0, -0.5]) + rng.standard_normal(n)
+    return RegressionData(X, y, Bounds.symmetric(1.0, 2), Bounds.symmetric(8.0, 1), W)
 
 
 def _gaussian_case():
@@ -164,16 +166,20 @@ def _regression_case():
 
 def _nuisance_case():
     data = nuisance_regression_data(seed=18, n=300)
-    # a subset of an orthogonal design is not orthogonal; the estimator
-    # still uses only its statistics, which is what CV reproduces
-    return data, lambda idx: regression_private_mle(
-        NuisanceRegressionData(
-            data.Z[idx], data.X[idx], data.y[idx], data.z_bounds, data.y_bounds,
-            orthogonality_tolerance=math.inf,
-        ),
-        math.inf,
-        np.random.default_rng(0),
-    )
+
+    # a subset of an orthogonal design is not orthogonal, so it is no valid
+    # RegressionData; the row-based reference releases it from its rows
+    def estimate_subset(idx):
+        ref = reference_regression_release(
+            data.X[idx], data.y[idx], data.x_bounds, data.y_bounds, math.inf,
+            np.random.default_rng(0), data.nuisance[idx],
+        )
+        variances = ref["sigma2"] * np.diag(np.linalg.inv(ref["S"])) / idx.size
+        return SimpleNamespace(
+            n=idx.size, beta_priv=ref["beta"], coordinate_variances=lambda: variances
+        )
+
+    return data, estimate_subset
 
 
 class TestFoldStatisticsReference:

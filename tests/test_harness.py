@@ -353,6 +353,28 @@ class TestConfigFile:
         with pytest.raises(ParameterError, match=key):
             load_config(path)
 
+    def test_gamma_must_match_k_nuisance(self, tmp_path):
+        text = """
+            [experiment]
+            model = partial_regression
+            n = 400
+            k = 2
+            epsilon = 1.5
+            seed = 1
+            {lines}
+
+            [methods]
+            ppb = 1/10
+            """
+        path = self.write(tmp_path, text.format(lines="k_nuisance = 3\n            gamma = 0.5, -0.5"))
+        with pytest.raises(ParameterError, match="gamma"):
+            load_config(path)
+        # gamma alone sets the width, and a matching k_nuisance is accepted
+        path = self.write(tmp_path, text.format(lines="gamma = 0.5, -0.5"))
+        assert load_config(path).gamma == (0.5, -0.5)
+        path = self.write(tmp_path, text.format(lines="k_nuisance = 2\n            gamma = 0.5, -0.5"))
+        assert load_config(path).gamma == (0.5, -0.5)
+
     @pytest.mark.parametrize(
         "key, lines",
         [

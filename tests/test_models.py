@@ -14,7 +14,6 @@ from dpextrema.models import (
     gaussian_private_mle,
     regression_private_mle,
 )
-from dpextrema.partial import NuisanceRegressionData
 from dpextrema.privacy import (
     Bounds,
     LaplaceSpec,
@@ -290,44 +289,88 @@ class TestRegressionEstimator:
         assert len(est.ledger.charges) == 3
 
 
-def reference_regression_release(data, budget, rng):
+def orthogonal_block(X, w):
+    """``w`` with its projection onto the columns of ``X`` removed."""
+    return w - X @ np.linalg.solve(X.T @ X, X.T @ w)
+
+
+class TestRegressionDataNuisance:
+    """``RegressionData`` validates its optional nuisance block once."""
+
+    BOUNDS = (Bounds(np.zeros(2), np.ones(2)), Bounds.symmetric(5.0, 1))
+
+    def test_rows_must_line_up_with_the_design(self):
+        rng = np.random.default_rng(35)
+        X = rng.uniform(0.0, 1.0, (50, 2))
+        W = orthogonal_block(X, rng.standard_normal((50, 2)))
+        with pytest.raises(ParameterError, match="one row per response"):
+            RegressionData(X, rng.standard_normal(50), *self.BOUNDS, nuisance=W[:49])
+
+    def test_orthogonality_violation_rejected(self):
+        rng = np.random.default_rng(63)
+        X = rng.uniform(0.0, 1.0, (50, 2))
+        W = rng.uniform(-1.0, 1.0, (50, 2))  # not orthogonal to X
+        y = rng.standard_normal(50)
+        with pytest.raises(ParameterError):
+            RegressionData(X, y, *self.BOUNDS, nuisance=W)
+
+    def test_needs_a_residual_degree_of_freedom(self):
+        rng = np.random.default_rng(36)
+        X = rng.uniform(0.0, 1.0, (6, 2))
+        W = orthogonal_block(X, rng.standard_normal((6, 4)))
+        y = rng.standard_normal(6)
+        assert RegressionData(X, y, *self.BOUNDS, nuisance=W[:, :3]).nuisance.shape == (6, 3)
+        with pytest.raises(ParameterError, match="n > k"):
+            RegressionData(X, y, *self.BOUNDS, nuisance=W)
+
+    def test_empty_block_is_no_block(self):
+        rng = np.random.default_rng(37)
+        X = rng.uniform(0.0, 1.0, (50, 2))
+        data = RegressionData(X, rng.standard_normal(50), *self.BOUNDS, nuisance=X[:, 2:])
+        assert data.nuisance is None
+        stats = data.fold_statistics([slice(None)])
+        assert stats.wtw is None and stats.min_rows == 3
+
+
+def reference_regression_release(X, y, x_bounds, y_bounds, budget, rng, nuisance=None):
     """The row-based regression release, kept as the reference.
 
-    Solves the noisy normal equations, takes the residuals of the clamped
-    rows, removes the nuisance fit by least squares on X, and noises the
-    residual mean square.  Returns the released values by name.
+    Takes the rows themselves, so it also releases a subset whose nuisance
+    block is not orthogonal to its design.  Solves the noisy normal
+    equations, takes the residuals of the clamped rows, removes the nuisance
+    fit by least squares on the nuisance block, and noises the residual mean
+    square, whose sensitivity takes the nuisance fit to be at most the
+    response magnitude.  Returns the released values by name.
     """
     eps_gram, eps_xty, eps_rss = split_budget(budget, 3)
-    if isinstance(data, RegressionData):
-        Z, X, z_bounds, fit_bound = data.X, None, data.x_bounds, 0.0
-    else:
-        Z, X, z_bounds, fit_bound = data.Z, data.X, data.z_bounds, data.fit_bound
-    Z, y = z_bounds.clamp(Z), data.y_bounds.clamp(data.y)
-    n, k = Z.shape
+    X, y = x_bounds.clamp(X), y_bounds.clamp(y)
+    n, k = X.shape
     gram_spec = LaplaceSpec.from_budget(
-        sensitivity_gram_bounded(z_bounds.lower, z_bounds.upper).delta, eps_gram, k * (k + 1) // 2
+        sensitivity_gram_bounded(x_bounds.lower, x_bounds.upper).delta, eps_gram, k * (k + 1) // 2
     )
     xty_spec = LaplaceSpec.from_budget(
         sensitivity_cross_bounded(
-            z_bounds.lower, z_bounds.upper, data.y_bounds.lower, data.y_bounds.upper
+            x_bounds.lower, x_bounds.upper, y_bounds.lower, y_bounds.upper
         ).delta,
         eps_xty,
         k,
     )
-    noisy_gram = Z.T @ Z + laplace_symmetric_sample(gram_spec.scale, k, rng)
-    noisy_xty = Z.T @ y + xty_spec.sample(rng)
+    noisy_gram = X.T @ X + laplace_symmetric_sample(gram_spec.scale, k, rng)
+    noisy_xty = X.T @ y + xty_spec.sample(rng)
     repair = psd_repair(noisy_gram / n)
     if repair.degenerate:
         raise NumericError("irreparable")
     beta = np.linalg.solve(n * repair.matrix, noisy_xty)
 
-    resid = y - Z @ beta
+    resid = y - X @ beta
     dof = n - k
-    if X is not None:
-        gamma, *_ = np.linalg.lstsq(X, resid, rcond=None)
-        resid = resid - X @ gamma
-        dof -= X.shape[1]
-    m_res = data.y_bounds.magnitudes[0] + np.sum(z_bounds.magnitudes * np.abs(beta)) + fit_bound
+    fit_bound = 0.0
+    if nuisance is not None:
+        gamma, *_ = np.linalg.lstsq(nuisance, resid, rcond=None)
+        resid = resid - nuisance @ gamma
+        dof -= nuisance.shape[1]
+        fit_bound = y_bounds.magnitudes[0]
+    m_res = y_bounds.magnitudes[0] + np.sum(x_bounds.magnitudes * np.abs(beta)) + fit_bound
     rss_spec = LaplaceSpec.from_budget(float(m_res) ** 2 / dof, eps_rss, 1)
     sigma2 = max(float(resid @ resid) / dof + float(rss_spec.sample(rng)[0]), SIGMA2_FLOOR)
     ledger = PrivacyLedger()
@@ -339,14 +382,13 @@ def reference_regression_release(data, budget, rng):
     )
 
 
-def orthogonal_nuisance_data(rng, n, with_x=True):
-    """Interest design Z and, optionally, nuisance covariates X orthogonal to it."""
-    Z = rng.uniform(-1.0, 1.0, (n, 2))
-    x = rng.standard_normal((n, 2))
-    X = x - Z @ np.linalg.solve(Z.T @ Z, Z.T @ x)
-    y = Z @ np.array([0.2, 0.5]) + X @ np.array([1.0, -0.5]) + rng.standard_normal(n)
-    return NuisanceRegressionData(
-        Z, X if with_x else None, y, Bounds.symmetric(1.0, 2), Bounds.symmetric(8.0, 1)
+def orthogonal_nuisance_data(rng, n, with_w=True):
+    """Design X and, optionally, nuisance covariates W orthogonal to it."""
+    X = rng.uniform(-1.0, 1.0, (n, 2))
+    W = orthogonal_block(X, rng.standard_normal((n, 2)))
+    y = X @ np.array([0.2, 0.5]) + W @ np.array([1.0, -0.5]) + rng.standard_normal(n)
+    return RegressionData(
+        X, y, Bounds.symmetric(1.0, 2), Bounds.symmetric(8.0, 1), W if with_w else None
     )
 
 
@@ -356,13 +398,16 @@ class TestSingleSetReleaseReference:
     CASES = {
         "regression": lambda rng, n: make_regression(rng, n=n, k=3),
         "nuisance": lambda rng, n: orthogonal_nuisance_data(rng, n),
-        "no-nuisance": lambda rng, n: orthogonal_nuisance_data(rng, n, with_x=False),
+        "no-nuisance": lambda rng, n: orthogonal_nuisance_data(rng, n, with_w=False),
     }
 
     @staticmethod
     def compare(data, budget, seed):
         try:
-            ref = reference_regression_release(data, budget, np.random.default_rng(seed))
+            ref = reference_regression_release(
+                data.X, data.y, data.x_bounds, data.y_bounds, budget,
+                np.random.default_rng(seed), data.nuisance,
+            )
         except NumericError:
             with pytest.raises(NumericError):
                 regression_private_mle(data, budget, np.random.default_rng(seed))

@@ -4,14 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from dpextrema.errors import ParameterError
 from dpextrema.extrema import ppb_lower_limit
 from dpextrema.models import GaussianData, RegressionData, gaussian_private_mle, regression_private_mle
-from dpextrema.partial import (
-    NuisanceRegressionData,
-    PartitionedGaussianData,
-    partial_gaussian_private_mle,
-)
+from dpextrema.partial import PartitionedGaussianData, partial_gaussian_private_mle
 from dpextrema.privacy import Bounds
 
 
@@ -39,17 +34,17 @@ class ScriptedRng:
 def trial_design(rng, n=400, k1=2, k2=2, beta=(0.0, 0.5), gamma=(0.5, -0.5), sigma=1.0):
     groups = rng.integers(0, k1, size=n)
     treated = rng.integers(0, 2, size=n)
-    Z = np.zeros((n, k1))
-    Z[np.arange(n), groups] = treated
-    X = rng.uniform(-1.0, 1.0, (n, k2))
+    X = np.zeros((n, k1))
+    X[np.arange(n), groups] = treated
+    W = rng.uniform(-1.0, 1.0, (n, k2))
     for s in range(k1):
         cell = (groups == s) & (treated == 1)
         if cell.any():
-            X[cell] -= X[cell].mean(axis=0)
-    y = Z @ np.asarray(beta) + X @ np.asarray(gamma) + sigma * rng.standard_normal(n)
+            W[cell] -= W[cell].mean(axis=0)
+    y = X @ np.asarray(beta) + W @ np.asarray(gamma) + sigma * rng.standard_normal(n)
     y_hw = float(np.max(np.abs(beta)) + 2 * np.sum(np.abs(gamma)) + 4 * sigma)
-    return NuisanceRegressionData(
-        Z, X, y, Bounds(np.zeros(k1), np.ones(k1)), Bounds.symmetric(y_hw, 1)
+    return RegressionData(
+        X, y, Bounds(np.zeros(k1), np.ones(k1)), Bounds.symmetric(y_hw, 1), nuisance=W
     )
 
 
@@ -154,47 +149,38 @@ class TestPartialRegression:
         rng = np.random.default_rng(61)
         data = trial_design(rng)
         est = regression_private_mle(data, math.inf, rng)
-        z_only = np.linalg.solve(data.Z.T @ data.Z, data.Z.T @ data.y)
-        full_design = np.hstack([data.Z, data.X])
+        x_only = np.linalg.solve(data.X.T @ data.X, data.X.T @ data.y)
+        full_design = np.hstack([data.X, data.nuisance])
         full_ols = np.linalg.solve(full_design.T @ full_design, full_design.T @ data.y)
-        assert np.allclose(est.beta_priv, z_only, rtol=1e-10, atol=1e-12)
-        assert np.allclose(est.beta_priv, full_ols[: data.k1], rtol=1e-8, atol=1e-10)
+        assert np.allclose(est.beta_priv, x_only, rtol=1e-10, atol=1e-12)
+        assert np.allclose(est.beta_priv, full_ols[: data.k], rtol=1e-8, atol=1e-10)
 
     def test_no_nuisance_reduces_to_plain_regression(self):
+        # an empty (n, 0) nuisance block is no block at all
         rng = np.random.default_rng(62)
-        Z = rng.uniform(0.0, 1.0, (400, 2))
-        y = Z @ np.array([0.0, 1.0]) + rng.standard_normal(400)
-        zb, yb = Bounds(np.zeros(2), np.ones(2)), Bounds.symmetric(5.0, 1)
+        X = rng.uniform(0.0, 1.0, (400, 2))
+        y = X @ np.array([0.0, 1.0]) + rng.standard_normal(400)
+        xb, yb = Bounds(np.zeros(2), np.ones(2)), Bounds.symmetric(5.0, 1)
         partial = regression_private_mle(
-            NuisanceRegressionData(Z, None, y, zb, yb), 1.5, np.random.default_rng(7)
+            RegressionData(X, y, xb, yb, nuisance=np.zeros((400, 0))), 1.5, np.random.default_rng(7)
         )
-        plain = regression_private_mle(RegressionData(Z, y, zb, yb), 1.5, np.random.default_rng(7))
+        plain = regression_private_mle(RegressionData(X, y, xb, yb), 1.5, np.random.default_rng(7))
         assert np.array_equal(partial.beta_priv, plain.beta_priv)
         assert partial.sigma2_priv == plain.sigma2_priv
         assert np.array_equal(partial.S_priv, plain.S_priv)
 
-    def test_orthogonality_violation_rejected(self):
-        rng = np.random.default_rng(63)
-        Z = rng.uniform(0.0, 1.0, (50, 2))
-        X = rng.uniform(-1.0, 1.0, (50, 2))  # not orthogonal to Z
-        y = rng.standard_normal(50)
-        with pytest.raises(ParameterError):
-            NuisanceRegressionData(Z, X, y, Bounds(np.zeros(2), np.ones(2)), Bounds.symmetric(5.0, 1))
-
     def test_nuisance_statistics_are_internal_only(self):
-        # the release removes the nuisance fit through X^T X, X^T Z and X^T y;
+        # the release removes the nuisance fit through W^T W, W^T X and W^T y;
         # none of them may reach the released surface
         rng = np.random.default_rng(64)
         data = trial_design(rng)
         est = regression_private_mle(data, 1.5, rng)
-        Z, y = data.z_bounds.clamp(data.Z), data.y_bounds.clamp(data.y)
-        nuisance = np.concatenate(
-            [(data.X.T @ data.X).ravel(), (data.X.T @ Z).ravel(), data.X.T @ y]
-        )
+        X, y, W = data.x_bounds.clamp(data.X), data.y_bounds.clamp(data.y), data.nuisance
+        nuisance = np.concatenate([(W.T @ W).ravel(), (W.T @ X).ravel(), W.T @ y])
         serialized = json.dumps(est.to_dict()) + repr(est)
         for value in nuisance[nuisance != 0.0]:
             assert repr(float(value)) not in serialized
-        for name in ("gamma", "xtx", "xtz"):
+        for name in ("gamma", "xtx", "xtz", "wtw", "wtx"):
             assert name not in serialized
 
     def test_reduction_recomputes_from_noisy_statistics_alone(self):
