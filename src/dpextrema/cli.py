@@ -35,7 +35,6 @@ from .harness import (
     ExperimentReport,
     divide_budget,
     emit_plot_data,
-    estimator_for,
     format_epsilon,
     format_r_token,
     load_config,
@@ -45,8 +44,8 @@ from .harness import (
     parse_split,
     run_experiment,
 )
-from .models import GaussianData, RegressionData
-from .partial import PartitionedGaussianData
+from .models import GaussianData, RegressionData, gaussian_private_mle, regression_private_mle
+from .partial import PartitionedGaussianData, partial_gaussian_private_mle
 from .privacy import Bounds
 
 
@@ -99,6 +98,19 @@ def _is_float(cell: str) -> bool:
         return True
     except ValueError:
         return False
+
+
+def estimator_for(data):
+    """The estimator that releases ``data``, picked by its class.
+
+    The table is built on each call, so it holds whatever the module names
+    are bound to at that time (the benchmark's span recorder rebinds them).
+    """
+    return {
+        GaussianData: gaussian_private_mle,
+        PartitionedGaussianData: partial_gaussian_private_mle,
+        RegressionData: regression_private_mle,
+    }[type(data)]
 
 
 def _load_data(args):

@@ -23,6 +23,11 @@ cross-validated on its interest block, and ``RegressionData(..., nuisance=W)``
 removes the nuisance fit from each set's residual through the blocks W^T W,
 W^T X and W^T y.
 
+A Monte Carlo block cross-validates R data sets at once: given a sequence of
+data sets and a :class:`~dpextrema.privacy.GeneratorStack` with one generator
+per set, each set shuffles with its own generator, all 2vR fold estimates are
+one stacked release, and the result holds one choice per data set.
+
 Budget accounting for this procedure is genuinely ambiguous: the held-out
 folds are disjoint (parallel composition applies) but the training sets
 overlap across rounds.  Both readings are therefore reported side by side:
@@ -39,6 +44,8 @@ import numpy as np
 
 from .errors import ParameterError
 from .extrema import DEFAULT_B_INNER, bias_reduced_from_draws
+from .models import stack_statistics
+from .privacy import GeneratorStack
 
 DEFAULT_GRID = (1.0 / 30.0, 1.0 / 15.0, 1.0 / 10.0, 1.0 / 5.0)
 DEFAULT_FOLDS = 5
@@ -72,36 +79,57 @@ class CVConfig:
 
 @dataclass(eq=False)
 class CVResult:
-    chosen_r: float
+    """The choices for R data sets; the scalar accessors read data set 0."""
+
+    chosen_rs: np.ndarray            # (R,) chosen grid value per data set
     grid: tuple[float, ...]
-    criterion: np.ndarray            # aggregated score per grid value
-    h: np.ndarray                    # (grid, fold, coordinate) scores
+    criteria: np.ndarray             # (R, grid) aggregated scores
+    hs: np.ndarray                   # (R, grid, fold, coordinate) scores
     fold_sizes: tuple[int, ...]
     budget_parallel_view: float      # one estimation run's total
     budget_sequential_view: float    # every fold estimation at full price
-    per_fold: list[dict] = field(default_factory=list)
+    per_fold: list[dict] = field(default_factory=list)  # of data set 0
+
+    @property
+    def chosen_r(self) -> float:
+        return float(self.chosen_rs[0])
+
+    @property
+    def criterion(self) -> np.ndarray:
+        return self.criteria[0]
 
 
-def _estimate(stats, budget, rng: np.random.Generator, b_inner: int):
-    """Release all 2v fold estimates at once and draw the training replicas.
+def _estimate(stats, budget, rng: GeneratorStack, b_inner: int):
+    """Release all 2v fold estimates of every data set at once and draw the
+    training replicas.
 
-    ``stats`` holds one row of clamped statistics per fold.  Each training set
-    is the total minus its fold, so rows [0, v) of the release are the
-    training sets and rows [v, 2v) the held-out folds.  Returns the release
-    and the (v, b_inner, k) training draws, shared across the grid because
-    the correction only shifts them; a failed draw is a NaN row.
+    ``stats`` holds one row of clamped statistics per fold, v rows per data
+    set and one data set per generator of ``rng``.  Each training set is its
+    data set's total minus its fold, so each data set has 2v consecutive rows
+    in the release: its v training sets, then its v held-out folds.  Returns
+    the release and the (R v, b_inner, k) training draws, shared across the
+    grid because the correction only shifts them; a failed draw is a NaN row.
     """
-    v = stats.n.size
+    R = len(rng)
+    v = stats.n.size // R
+
+    def train_then_folds(a):
+        a = a.reshape(R, v, *a.shape[1:])
+        return np.concatenate([a.sum(axis=1, keepdims=True) - a, a], axis=1).reshape(
+            2 * R * v, *a.shape[2:]
+        )
+
     sets = replace(
         stats,
         **{
-            name: np.concatenate([a.sum(axis=0) - a, a])
+            name: train_then_folds(a)
             for name in stats.ADDITIVE
             if (a := getattr(stats, name)) is not None
         },
     )
     release = sets.release(budget, rng)
-    return release, release.replica_draws(b_inner, rng, v)[0]
+    train = release.take((2 * v * np.arange(R)[:, None] + np.arange(v)).ravel())
+    return release, train.replica_draws(b_inner, rng, R * v)[0]
 
 
 def cv_choose_r(
@@ -112,51 +140,61 @@ def cv_choose_r(
 ) -> CVResult:
     """Pick the correction strength from ``config.grid`` by cross-validation.
 
-    ``data`` is any data class with a ``fold_statistics`` method.
-    Deterministic given the data, budget, config, and generator state.  Every
-    fold estimation uses the same per-statistic budget split as a full run.
+    ``data`` is any data class with a ``fold_statistics`` method, or a
+    sequence of R such data sets of one size with ``rng`` a
+    :class:`~dpextrema.privacy.GeneratorStack` of R generators, one per set.
+    Deterministic given the data, budget, config, and generator states.
+    Every fold estimation uses the same per-statistic budget split as a full
+    run.
     """
     config = config or CVConfig()
-    n = data.n
+    data_sets = list(data) if isinstance(data, (list, tuple)) else [data]
+    rng = GeneratorStack.of(rng)
+    n = data_sets[0].n
+    if any(d.n != n for d in data_sets):
+        raise ParameterError("cross-validated data sets must have one size")
     v = config.folds
     if n < 2 * v:
         raise ParameterError(f"need n >= {2 * v} observations for {v} folds")
 
-    perm = rng.permutation(n)
-    folds = np.array_split(perm, v)
-    stats = data.fold_statistics(folds)
-    if min(f.size for f in folds) < stats.min_rows:
+    folds = [np.array_split(perm, v) for perm in rng.permutation(n)]
+    stats = stack_statistics([d.fold_statistics(f) for d, f in zip(data_sets, folds)])
+    if min(f.size for f in folds[0]) < stats.min_rows:
         raise ParameterError("a fold is too small for the model estimator")
 
     release, draws = _estimate(stats, budget, rng, config.b_inner)
-    beta, sizes = release.betas, release.sizes
-    # (grid, fold) bias-reduced maxima of the training estimates
-    reduced = bias_reduced_from_draws(beta[:v], draws, np.asarray(config.grid), sizes[:v])
-    h = (reduced[:, :, None] - beta[None, v:]) ** 2 - release.variances()[None, v:]
+    R, grid = len(data_sets), np.asarray(config.grid)
+    beta = release.betas.reshape(R, 2, v, -1)  # (set, training/held-out, fold, coordinate)
+    sizes = release.sizes.reshape(R, 2, v)
+    # (grid, set, fold) bias-reduced maxima of the training estimates
+    reduced = bias_reduced_from_draws(
+        beta[:, 0].reshape(R * v, -1), draws, grid, sizes[:, 0].ravel()
+    ).reshape(grid.size, R, v)
+    held_out = release.variances().reshape(R, 2, v, -1)[:, 1]
+    h = (reduced[..., None] - beta[None, :, 1]) ** 2 - held_out[None]
 
-    criterion = h.sum(axis=1).min(axis=1) / v
-    best = 0
-    for l in range(1, len(config.grid)):
-        if criterion[l] <= criterion[best]:  # ties go to the larger r
-            best = l
+    criteria = h.sum(axis=2).min(axis=2) / v  # (grid, set)
+    best = np.zeros(R, dtype=int)
+    for l in range(1, grid.size):  # ties go to the larger r
+        best = np.where(criteria[l] <= criteria[best, np.arange(R)], l, best)
 
     per_estimate = release.ledger.total_sequential()
     return CVResult(
-        chosen_r=config.grid[best],
+        chosen_rs=grid[best],
         grid=config.grid,
-        criterion=criterion,
-        h=h,
-        fold_sizes=tuple(f.size for f in folds),
+        criteria=criteria.T,
+        hs=np.moveaxis(h, 1, 0),
+        fold_sizes=tuple(f.size for f in folds[0]),
         budget_parallel_view=per_estimate,
         budget_sequential_view=2 * v * per_estimate,
         per_fold=[
             {
                 "fold": j,
-                "train_n": int(sizes[j]),
-                "ref_n": int(sizes[v + j]),
-                "train_beta": beta[j].tolist(),
-                "ref_beta": beta[v + j].tolist(),
-                "reduced_max": reduced[:, j].tolist(),
+                "train_n": int(sizes[0, 0, j]),
+                "ref_n": int(sizes[0, 1, j]),
+                "train_beta": beta[0, 0, j].tolist(),
+                "ref_beta": beta[0, 1, j].tolist(),
+                "reduced_max": reduced[:, 0, j].tolist(),
             }
             for j in range(v)
         ],

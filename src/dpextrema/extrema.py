@@ -17,6 +17,11 @@ for coverage.  Normal-approximation and Bonferroni baselines are provided for
 comparison, using only released quantities so they satisfy the same privacy
 guarantee.
 
+Every limit is computed for a stack of R estimates at once (``ppb_limits``,
+``naive_limits``, ``bonferroni_limits``), which is how the Monte Carlo harness
+computes a block of replications; the single-estimate functions are that
+computation on a stack of one.
+
 Minima are out of scope: negate the data (or coordinates) and the resulting
 limit, which turns an upper extremum problem into this one.
 """
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .errors import DegeneracyError, ParameterError
 
@@ -48,10 +53,13 @@ __all__ = [
     "FULL_CORRECTION",
     "bias_correction",
     "bias_reduced_estimate",
+    "bonferroni_limits",
     "bonferroni_lower_limit",
     "correction_factor",
+    "naive_limits",
     "naive_lower_limit",
     "ppb_limit_from_draws",
+    "ppb_limits",
     "ppb_lower_limit",
     "quantile",
 ]
@@ -118,11 +126,21 @@ def _replica_maxima(draws: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     return shifted.max(axis=-2)
 
 
-def _statistic_batch(draws: np.ndarray, shifts: np.ndarray, beta_max: float, n: int) -> np.ndarray:
-    """Centered, scaled maximum of each shifted replica in a (B, k) draw array."""
-    if draws.shape[-1:] != shifts.shape:
+def _statistic_batch(draws: np.ndarray, shifts: np.ndarray, beta_max, n) -> np.ndarray:
+    """Centered, scaled maximum of each shifted replica: (..., B, k) draws,
+    (..., k) shifts and (...) maxima and sizes give (..., B) values."""
+    if draws.shape[-1:] != shifts.shape[-1:]:
         raise ParameterError("replica and correction dimensions differ")
-    return math.sqrt(n) * (_replica_maxima(draws, shifts) - beta_max)
+    centered = _replica_maxima(draws, shifts) - np.asarray(beta_max)[..., None]
+    return np.sqrt(n)[..., None] * centered
+
+
+def _order_statistics(values: np.ndarray, valid: np.ndarray, p: float) -> np.ndarray:
+    """The ceil(p * (m + 1))-th smallest of each row's m = ``valid`` values,
+    the index clamped into [1, m]; NaN values (failed draws) sort last."""
+    idx = np.minimum(np.maximum(np.ceil(p * (valid + 1)), 1), valid).astype(np.intp) - 1
+    part = np.partition(values, np.unique(idx), axis=-1)
+    return np.take_along_axis(part, idx[..., None], axis=-1)[..., 0]
 
 
 def quantile(values, p: float) -> float:
@@ -136,8 +154,7 @@ def quantile(values, p: float) -> float:
         raise ParameterError("quantile of an empty sample")
     if math.isnan(p) or not (0.0 < p < 1.0):
         raise ParameterError("quantile level must lie in (0, 1)")
-    idx = min(max(math.ceil(p * (v.size + 1)), 1), v.size)
-    return float(np.sort(v)[idx - 1])
+    return float(_order_statistics(v, np.array(v.size), p))
 
 
 @dataclass(frozen=True)
@@ -180,6 +197,32 @@ def _check_alpha(alpha: float) -> None:
         raise ParameterError("alpha must lie in (0, 0.5)")
 
 
+def ppb_limits(betas, draws, failed, r, n, alpha: float = 0.05):
+    """Bootstrap lower limits of a stack of R estimates.
+
+    ``betas`` is (R, k) and ``draws`` (R, B, k) holds every attempted draw,
+    a failed one as a NaN row, with ``failed`` (R,) counting them; ``r`` and
+    ``n`` are scalars or (R,) arrays.  Each estimate is checked as one: B of
+    at least 100 counting failed draws, at most 1 % of them failed, and r in
+    range.  Returns the (R,) lower limits and their (R,) ``c_alpha``.
+    """
+    _check_alpha(alpha)
+    betas = np.asarray(betas, dtype=float)
+    beta_max = betas.max(axis=-1)
+    shifts = np.asarray(correction_factor(r, n))[..., None] * (beta_max[..., None] - betas)
+    b_total = draws.shape[-2]
+    if b_total < 100:
+        raise ParameterError("B must be >= 100")
+    degenerate = failed > MAX_FAILED_FRACTION * b_total
+    if degenerate.any():
+        raise DegeneracyError(
+            f"{failed[degenerate][0]} of {b_total} bootstrap draws failed; estimate too degenerate"
+        )
+    t_values = _statistic_batch(draws, shifts, beta_max, n)
+    c_alpha = _order_statistics(t_values, b_total - failed, 1.0 - alpha)
+    return beta_max - c_alpha / np.sqrt(n), c_alpha
+
+
 def ppb_limit_from_draws(
     beta_priv: np.ndarray,
     draws: np.ndarray,
@@ -191,27 +234,21 @@ def ppb_limit_from_draws(
 ) -> ConfidenceResult:
     """Assemble the bootstrap lower limit from precomputed replica draws.
 
-    Useful when several values of r are evaluated on one replica set: the
-    correction only shifts the replicas, so the draws can be shared.
+    ``draws`` holds the successful draws only; ``failed_draws`` counts the
+    others.  Useful when several values of r are evaluated on one replica
+    set: the correction only shifts the replicas, so the draws can be shared.
     """
-    _check_alpha(alpha)
     beta = np.asarray(beta_priv, dtype=float).ravel()
-    beta_max = float(beta.max())
-    correction = bias_correction(beta, r, n)
-    b_total = draws.shape[0] + failed_draws
-    if b_total < 100:
-        raise ParameterError("B must be >= 100")
-    if failed_draws > MAX_FAILED_FRACTION * b_total:
-        raise DegeneracyError(
-            f"{failed_draws} of {b_total} bootstrap draws failed; estimate too degenerate"
-        )
-    t_values = _statistic_batch(draws, correction.shifts, beta_max, n)
-    c_alpha = quantile(t_values, 1.0 - alpha)
+    if failed_draws:  # ppb_limits reads failed draws as NaN rows
+        draws = np.concatenate([draws, np.full((failed_draws, beta.size), np.nan)])
+    lower, c_alpha = ppb_limits(
+        beta[None], draws[None], np.array([failed_draws]), r, np.array([n]), alpha
+    )
     return ConfidenceResult(
-        lower_limit=beta_max - c_alpha / math.sqrt(n),
+        lower_limit=float(lower[0]),
         level=1.0 - alpha,
-        c_alpha=c_alpha,
-        B=draws.shape[0],
+        c_alpha=float(c_alpha[0]),
+        B=draws.shape[0] - failed_draws,
         method=method or _method_tag(r, True),
         r_used=r,
         failed_draws=failed_draws,
@@ -247,6 +284,38 @@ def ppb_lower_limit(
     )
 
 
+def naive_limits(betas, variances, n, alpha: float = 0.05):
+    """Normal-approximation limits of a stack of R estimates: (R, k) released
+    coordinates and their variances, (R,) sizes; returns the (R,) lower
+    limits and their (R,) ``c_alpha``."""
+    _check_alpha(alpha)
+    j = np.argmax(betas, axis=-1)[..., None]
+    se = np.sqrt(np.take_along_axis(variances, j, axis=-1)[..., 0])
+    z = float(ndtri(1.0 - alpha))
+    return np.take_along_axis(betas, j, axis=-1)[..., 0] - z * se, z * se * np.sqrt(n)
+
+
+def bonferroni_limits(betas, variances, n, alpha: float = 0.05):
+    """Bonferroni limits of a stack of R estimates, laid out as in :func:`naive_limits`."""
+    _check_alpha(alpha)
+    z = float(ndtri(1.0 - alpha / betas.shape[-1]))
+    lower = (betas - z * np.sqrt(variances)).max(axis=-1)
+    return lower, (betas.max(axis=-1) - lower) * np.sqrt(n)
+
+
+def _baseline(limits, estimate: ExtremaEstimate, alpha: float, private: bool, method: str):
+    beta = np.asarray(estimate.beta_priv, dtype=float).ravel()
+    variances = estimate.coordinate_variances(private=private)
+    lower, c_alpha = limits(beta[None], variances[None], np.array([estimate.n]), alpha)
+    return ConfidenceResult(
+        lower_limit=float(lower[0]),
+        level=1.0 - alpha,
+        c_alpha=float(c_alpha[0]),
+        B=None,
+        method=f"{method}_{'private' if private else 'nonprivate'}",
+    )
+
+
 def naive_lower_limit(
     estimate: ExtremaEstimate, alpha: float = 0.05, private: bool = True
 ) -> ConfidenceResult:
@@ -256,38 +325,14 @@ def naive_lower_limit(
     coordinate with (under ``private``) the Laplace noise variance of its
     release, so the baseline is not handicapped by unaccounted noise.
     """
-    _check_alpha(alpha)
-    beta = np.asarray(estimate.beta_priv, dtype=float).ravel()
-    j = int(np.argmax(beta))
-    se = math.sqrt(float(estimate.coordinate_variances(private=private)[j]))
-    z = float(norm.ppf(1.0 - alpha))
-    lower = float(beta[j]) - z * se
-    return ConfidenceResult(
-        lower_limit=lower,
-        level=1.0 - alpha,
-        c_alpha=z * se * math.sqrt(estimate.n),
-        B=None,
-        method="naive_private" if private else "naive_nonprivate",
-    )
+    return _baseline(naive_limits, estimate, alpha, private, "naive")
 
 
 def bonferroni_lower_limit(
     estimate: ExtremaEstimate, alpha: float = 0.05, private: bool = True
 ) -> ConfidenceResult:
     """Max of per-coordinate limits at level 1 - alpha/k (union bound)."""
-    _check_alpha(alpha)
-    beta = np.asarray(estimate.beta_priv, dtype=float).ravel()
-    k = beta.size
-    se = np.sqrt(estimate.coordinate_variances(private=private))
-    z = float(norm.ppf(1.0 - alpha / k))
-    lower = float((beta - z * se).max())
-    return ConfidenceResult(
-        lower_limit=lower,
-        level=1.0 - alpha,
-        c_alpha=(float(beta.max()) - lower) * math.sqrt(estimate.n),
-        B=None,
-        method="bonferroni_private" if private else "bonferroni_nonprivate",
-    )
+    return _baseline(bonferroni_limits, estimate, alpha, private, "bonferroni")
 
 
 def bias_reduced_from_draws(beta_priv: np.ndarray, draws: np.ndarray, r, n):

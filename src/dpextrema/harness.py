@@ -11,6 +11,15 @@ regression design uses ``spawn_key=(1,)``.  Reports are therefore a pure
 function of the configuration, independent of worker count and execution
 order.
 
+Replications run in blocks of R, as stacks: each replication generates its
+data with its own generator, and then every release, bootstrap draw,
+cross-validation and limit of the block is one stacked computation, while a
+:class:`~dpextrema.privacy.GeneratorStack` keeps drawing each replication's
+rows from that replication's generator, in the order it would draw them
+alone.  So the block size, like the worker count, changes no result; a
+failing block is rerun one replication at a time, so a study aborts with the
+error of its first failing replication.
+
 Simulation bounds: experiments declare the data box as truth +/- a configured
 half-width (3 sigma-equivalents by default), mirroring how a practitioner
 declares plausible data ranges a priori.  Sensitivities derive from that box
@@ -19,8 +28,7 @@ and the data are clamped into it, so the stated privacy guarantee is honest.
 One input path with the CLI: config values and the CLI flags are read by the
 same parsers (:func:`parse_number`, :func:`parse_floats`, :func:`parse_split`,
 :func:`parse_grid`),
-so a malformed value is a :class:`ParameterError` that names its key, and
-:func:`estimator_for` picks the estimator from the data class for both.  A
+so a malformed value is a :class:`ParameterError` that names its key.  A
 ``split`` is checked here without a statistic count (positive shares summing
 to 1); whether it has one share per released statistic is checked by the
 model's release, at the first private estimate of :func:`run_experiment`.
@@ -37,19 +45,18 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .crossval import DEFAULT_FOLDS, DEFAULT_GRID, CVConfig, cv_choose_r
-from .errors import ParameterError
+from .errors import NumericError, ParameterError
 from .extrema import (
     DEFAULT_B,
     DEFAULT_B_INNER,
     FULL_CORRECTION,
-    ConfidenceResult,
-    bonferroni_lower_limit,
-    naive_lower_limit,
-    ppb_limit_from_draws,
+    bonferroni_limits,
+    naive_limits,
+    ppb_limits,
 )
-from .models import GaussianData, RegressionData, gaussian_private_mle, regression_private_mle
-from .partial import PartitionedGaussianData, partial_gaussian_private_mle
-from .privacy import Bounds
+from .models import GaussianData, RegressionData, stack_statistics
+from .partial import PartitionedGaussianData
+from .privacy import Bounds, GeneratorStack
 
 MODELS = ("gaussian", "regression", "partial_gaussian", "partial_regression")
 BOOTSTRAP_METHODS = ("ppb", "npb", "rppb", "semi_naive")
@@ -64,7 +71,6 @@ __all__ = [
     "check_shares",
     "divide_budget",
     "emit_plot_data",
-    "estimator_for",
     "format_epsilon",
     "format_r_token",
     "load_config",
@@ -143,19 +149,6 @@ def divide_budget(epsilon: float, shares: tuple[float, ...] | None):
     return epsilon if shares is None else tuple(s * epsilon for s in shares)
 
 
-def estimator_for(data):
-    """The estimator that releases ``data``, picked by its class.
-
-    The table is built on each call, so it holds whatever the module names
-    are bound to at that time (the benchmark's span recorder rebinds them).
-    """
-    return {
-        GaussianData: gaussian_private_mle,
-        PartitionedGaussianData: partial_gaussian_private_mle,
-        RegressionData: regression_private_mle,
-    }[type(data)]
-
-
 @dataclass(frozen=True)
 class MethodSpec:
     """One configured method: a bootstrap variant with r tokens, or a baseline."""
@@ -220,6 +213,8 @@ class ExperimentConfig:
                 raise ParameterError(f"{key} must be a positive integer, got {value!r}")
         if self.reps < 1:
             raise ParameterError("reps must be >= 1")
+        if self.workers < 1:
+            raise ParameterError(f"workers must be a positive integer, got {self.workers!r}")
         if self.seed is None:
             raise ParameterError("a seed is mandatory")
         if not self.epsilons:
@@ -395,92 +390,113 @@ def _generate_data(config: ExperimentConfig, rng: np.random.Generator, fixed_des
 
 
 # ---------------------------------------------------------------------------
-# one replication
+# blocks of replications
 # ---------------------------------------------------------------------------
 
+#: Values a block may hold in its largest array, which sets how many
+#: replications run as one stack.
+BLOCK_VALUES = 64_000
 
-def _outcome(result: ConfidenceResult, true_max: float):
-    return (
-        result.lower_limit <= true_max,
-        true_max - result.lower_limit,
-        result.failed_draws,
+
+def _replication_values(config: ExperimentConfig) -> int:
+    """The larger of one replication's bootstrap array and its data, in values.
+
+    The bootstrap array holds B draws of d values: k per Gaussian replica,
+    k^2 per regression system.  The data hold n rows of the k interest
+    columns, the nuisance columns and, in regression, the response.
+    """
+    regression = config.model in ("regression", "partial_regression")
+    d = config.k**2 if regression else config.k
+    width = config.k + max(config.k_nuisance, len(config.gamma or ())) + regression
+    return max(config.B * d, config.n * width)
+
+
+def _block_size(config: ExperimentConfig) -> int:
+    """Replications per block: BLOCK_VALUES / :func:`_replication_values`, at
+    least 1, at most reps.
+
+    So a block's largest array is no larger than one replication's bootstrap
+    array at B = 1000, k = 8 in regression, and a study whose data alone
+    exceed that runs one replication at a time.
+    """
+    return min(config.reps, max(1, BLOCK_VALUES // _replication_values(config)))
+
+
+def _block_outcomes(config: ExperimentConfig, eps_index: int, reps: range, fixed_design):
+    """Every method's outcomes for the replications ``reps``, run as one stack.
+
+    Keyed by (method label, r token); each outcome is three (R,) arrays:
+    covered, lower-limit distance below the true maximum, failed draws.
+    Replication i draws from its own generator, exactly what it would draw
+    alone: the stacked releases, bootstrap draws and cross-validation give
+    generator i the rows of replication i.
+    """
+    rng = GeneratorStack(
+        np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, eps_index, i)))
+        for i in reps
     )
-
-
-def _run_replication(config: ExperimentConfig, eps_index: int, rep: int, fixed_design):
-    """All method outcomes for one replication; keyed by (method label, r token)."""
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, eps_index, rep)))
     budget = divide_budget(config.epsilons[eps_index], config.split)
-    data = _generate_data(config, rng, fixed_design)
-    estimate = estimator_for(data)
-    true_max = config.true_max
+    data = [_generate_data(config, g, fixed_design) for g in rng.generators]
+    stats = stack_statistics([d.fold_statistics([slice(None)]) for d in data])
+    releases = {}  # private -> stacked estimate
+    draws = {}  # (private, privacy_noise) -> (draws, failed counts)
 
-    est = None
-    est_inf = None
-    draws = {}  # (estimate id, privacy_noise) -> (draws, failed)
+    def release(private):
+        if private not in releases:
+            releases[private] = stats.release(budget if private else math.inf, rng)
+        return releases[private]
 
-    def private_estimate():
-        nonlocal est
-        if est is None:
-            est = estimate(data, budget, rng)
-        return est
-
-    def nonprivate_estimate():
-        nonlocal est_inf
-        if est_inf is None:
-            est_inf = estimate(data, math.inf, rng)
-        return est_inf
-
-    def draws_for(e, privacy_noise=True):
-        key = (id(e), privacy_noise)
-        if key not in draws:
-            draws[key] = e.bootstrap_draws(config.B, rng, privacy_noise=privacy_noise)
-        return draws[key]
-
-    def bootstrap_result(e, token, privacy_noise=True):
+    def bootstrap_limits(private, token, privacy_noise=True):
+        e = release(private)
         if token == "cv":
-            cv = cv_choose_r(
-                data,
-                budget if e is est else math.inf,
-                rng,
-                CVConfig(folds=config.cv_folds, grid=config.cv_grid, b_inner=config.b_inner),
-            )
-            r = cv.chosen_r
+            cv_config = CVConfig(folds=config.cv_folds, grid=config.cv_grid, b_inner=config.b_inner)
+            r = cv_choose_r(data, budget if private else math.inf, rng, cv_config).chosen_rs
         else:
             r = parse_r_token(token)
-        d, failed = draws_for(e, privacy_noise)
-        return ppb_limit_from_draws(
-            e.beta_priv, d, r, e.n, alpha=config.alpha, failed_draws=failed
-        )
+        key = (private, privacy_noise)
+        if key not in draws:
+            d, failed = e.replica_draws(config.B, rng, len(reps), privacy_noise)
+            draws[key] = d, failed.sum(axis=1)
+        d, failed = draws[key]
+        return ppb_limits(e.betas, d, failed, r, e.sizes, config.alpha)[0], failed
 
+    def baseline_limits(limits, private):
+        e = release(private)
+        return limits(e.betas, e.variances(private), e.sizes, config.alpha)[0], 0
+
+    true_max = config.true_max
     outcomes = {}
+
+    def record(key, lower, failed):
+        outcomes[key] = (lower <= true_max, true_max - lower, np.broadcast_to(failed, lower.shape))
+
     for spec in config.methods:
-        if spec.name == "ppb":
-            e = private_estimate()
+        if spec.name in ("ppb", "npb", "rppb"):
             for token in spec.r_tokens:
-                outcomes[(spec.label, token)] = _outcome(bootstrap_result(e, token), true_max)
-        elif spec.name == "npb":
-            e = nonprivate_estimate()
-            for token in spec.r_tokens:
-                outcomes[(spec.label, token)] = _outcome(bootstrap_result(e, token), true_max)
-        elif spec.name == "rppb":
-            e = private_estimate()
-            for token in spec.r_tokens:
-                outcomes[(spec.label, token)] = _outcome(
-                    bootstrap_result(e, token, privacy_noise=False), true_max
+                record(
+                    (spec.label, token),
+                    *bootstrap_limits(spec.name != "npb", token, privacy_noise=spec.name != "rppb"),
                 )
         elif spec.name == "semi_naive":
-            e = private_estimate()
-            outcomes[(spec.label, "0.5")] = _outcome(bootstrap_result(e, "0.5"), true_max)
-        elif spec.name == "naive":
-            e = private_estimate() if spec.private else nonprivate_estimate()
-            res = naive_lower_limit(e, alpha=config.alpha, private=spec.private)
-            outcomes[(spec.label, "")] = _outcome(res, true_max)
-        elif spec.name == "bonferroni":
-            e = private_estimate() if spec.private else nonprivate_estimate()
-            res = bonferroni_lower_limit(e, alpha=config.alpha, private=spec.private)
-            outcomes[(spec.label, "")] = _outcome(res, true_max)
+            record((spec.label, "0.5"), *bootstrap_limits(True, "0.5"))
+        else:
+            limits = naive_limits if spec.name == "naive" else bonferroni_limits
+            record((spec.label, ""), *baseline_limits(limits, spec.private))
     return outcomes
+
+
+def _run_block(config: ExperimentConfig, eps_index: int, reps: range, fixed_design):
+    """:func:`_block_outcomes`; on an error, that of the block's first failing
+    replication, found by running the block one replication at a time, so
+    the study aborts as a serial run of single replications would."""
+    try:
+        return _block_outcomes(config, eps_index, reps, fixed_design)
+    except (NumericError, ParameterError):
+        if len(reps) == 1:
+            raise
+        for rep in reps:
+            _block_outcomes(config, eps_index, range(rep, rep + 1), fixed_design)
+        raise
 
 
 def _fixed_design_for(config: ExperimentConfig):
@@ -495,32 +511,27 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every configured method over ``reps`` replications per epsilon.
 
     Returns one aggregated report row per (method, r, epsilon) combination.
-    Deterministic given the configuration; the worker count only affects wall
-    time.
+    Replications run in blocks of :func:`_block_size`, mapped over a process
+    pool when ``workers > 1``.  Deterministic given the configuration; the
+    block size and the worker count only affect wall time.
     """
     fixed_design = _fixed_design_for(config)
+    size = _block_size(config)
+    blocks = [range(s, min(s + size, config.reps)) for s in range(0, config.reps, size)]
     rows: list[ReportRow] = []
     for eps_index, epsilon in enumerate(config.epsilons):
+        tasks = [(config, eps_index, block, fixed_design) for block in blocks]
         if config.workers > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
-                per_rep = list(
-                    pool.map(
-                        _replication_task,
-                        [(config, eps_index, rep, fixed_design) for rep in range(config.reps)],
-                        chunksize=max(1, config.reps // (8 * config.workers)),
-                    )
-                )
+                chunk = max(1, len(tasks) // (8 * config.workers))
+                per_block = list(pool.map(_run_block, *zip(*tasks), chunksize=chunk))
         else:
-            per_rep = [
-                _run_replication(config, eps_index, rep, fixed_design)
-                for rep in range(config.reps)
-            ]
+            per_block = [_run_block(*task) for task in tasks]
 
-        keys = list(per_rep[0].keys())
-        for key in keys:
-            covered = np.array([out[key][0] for out in per_rep], dtype=float)
-            lengths = np.array([out[key][1] for out in per_rep], dtype=float)
-            failed = int(sum(out[key][2] for out in per_rep))
+        for key in per_block[0]:
+            covered, lengths, failed = (
+                np.concatenate([outcomes[key][i] for outcomes in per_block]) for i in range(3)
+            )
             coverage = float(covered.mean())
             rows.append(
                 ReportRow(
@@ -537,14 +548,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     reps=config.reps,
                     B=config.B,
                     seed=config.seed,
-                    failed_draws=failed,
+                    failed_draws=int(failed.sum()),
                 )
             )
     return ExperimentReport(rows)
-
-
-def _replication_task(args):
-    return _run_replication(*args)
 
 
 # ---------------------------------------------------------------------------

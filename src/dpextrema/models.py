@@ -18,10 +18,14 @@ model's one estimate class, which holds all F sets along a leading axis.  A
 single estimate is that class with F = 1, and its scalar fields read set 0;
 cross-validation releases all of its folds' training and held-out sets at
 once and draws every training set's replicas in one ``replica_draws`` call,
-of which a single estimate's ``bootstrap_draws`` is set 0.  The bootstrap draws replay
-the estimation recipe on data simulated from the fitted model, adding fresh
-simulation-only Laplace noise of the same scale so the extra randomness of
-privatization is reflected in the bootstrap distribution.
+of which a single estimate's ``bootstrap_draws`` is set 0.  The Monte Carlo
+harness releases a block of replications the same way, with a
+:class:`~dpextrema.privacy.GeneratorStack` holding one generator per
+replication, so each replication draws what it would draw alone.  The
+bootstrap draws replay the estimation recipe on data simulated from the
+fitted model, adding fresh simulation-only Laplace noise of the same scale so
+the extra randomness of privatization is reflected in the bootstrap
+distribution.
 
 The Gaussian bootstrap never materializes the n simulated observations: the
 resample mean of n i.i.d. N(mu, Sigma) draws has the exact law N(mu, Sigma/n),
@@ -38,13 +42,14 @@ solved against all of its replicas at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import NumericError, ParameterError
 from .linalg import RepairResult, psd_floor, psd_repair_stack, sym_sqrt
 from .privacy import (
     Bounds,
+    GeneratorStack,
     LaplaceSpec,
     PrivacyLedger,
     laplace_symmetric_sample,
@@ -74,6 +79,7 @@ __all__ = [
     "SIGMA2_FLOOR",
     "gaussian_private_mle",
     "regression_private_mle",
+    "stack_statistics",
 ]
 
 
@@ -150,6 +156,15 @@ class _Stacked:
         """Row 0 of :meth:`variances`."""
         return self.variances(private)[0]
 
+    def take(self, rows: np.ndarray):
+        """The sets ``rows`` of this stack, as a stack of their own."""
+        per_set = {
+            f.name: value[rows]
+            for f in fields(self)
+            if isinstance(value := getattr(self, f.name), np.ndarray)
+        }
+        return replace(self, **per_set, repairs=RepairResult(*(a[rows] for a in self.repairs)))
+
 
 @dataclass(eq=False)
 class PrivatizedGaussianEstimate(_Stacked):
@@ -192,7 +207,10 @@ class PrivatizedGaussianEstimate(_Stacked):
         N(mu_priv, sigma_priv) plus a fresh simulation-only Laplace noise of
         the estimation scale, divided by n.  ``privacy_noise=False`` skips the
         Laplace term (the ablation that ignores privatization randomness).
+        With a :class:`GeneratorStack` of R generators, generator i draws the
+        i-th of R equal groups of sets.
         """
+        rng = GeneratorStack.of(rng)
         if self._root is None:
             self._root = sym_sqrt(self.repairs.matrix)
         n = self.sizes[:sets, None, None]
@@ -400,7 +418,9 @@ class PrivatizedRegressionEstimate(_Stacked):
         estimation scales.  A draw whose noisy matrix is numerically singular
         is retried once with fresh W1; a second failure marks the draw failed.
         The generator serves every set's scores, then every set's systems,
-        then the retries of all sets together.
+        then the retries of all sets together.  With a :class:`GeneratorStack`
+        of R generators, generator i serves the i-th of R equal groups of sets
+        so, in that order, and draws its own retries.
 
         Only systems that may be singular get an eigenvalue check.  By Weyl's
         inequality every eigenvalue of S + W1/n lies within
@@ -411,6 +431,7 @@ class PrivatizedRegressionEstimate(_Stacked):
         a singular one fails every draw of its set, while a regular one is
         solved against all its right-hand sides at once.
         """
+        rng = GeneratorStack.of(rng)
         if self._root is None:
             self._root = sym_sqrt(self.sigma2s[:, None, None] * self.repairs.matrix)
         S = self.repairs.matrix[:sets]
@@ -435,7 +456,9 @@ class PrivatizedRegressionEstimate(_Stacked):
         systems, bad = self._noisy_systems(owners, (sets, size), rng, floor, s_eigvals)
         if bad.any():
             retry = np.flatnonzero(bad)
-            retries, failed = self._noisy_systems(retry // size, retry.shape, rng, floor, s_eigvals)
+            retries, failed = self._noisy_systems(
+                retry // size, retry.shape, rng, floor, s_eigvals, rng.owners(sets)[retry // size]
+            )
             systems.reshape(-1, self.k, self.k)[retry] = retries
             bad.reshape(-1)[retry] = failed
             systems[bad] = eye
@@ -450,16 +473,19 @@ class PrivatizedRegressionEstimate(_Stacked):
         return self._set_zero_draws(size, rng, privacy_noise)
 
     def _noisy_systems(
-        self, owner: np.ndarray, shape: tuple, rng: np.random.Generator, floor, s_eigvals
+        self, owner: np.ndarray, shape: tuple, rng: GeneratorStack, floor, s_eigvals, generator=None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Systems S_f + W1/n_f of ``shape`` and their near-singularity flags.
 
-        ``owner`` holds the set f of each system and broadcasts to ``shape``.
+        ``owner`` holds the set f of each system and broadcasts to ``shape``;
+        ``generator`` names the generator of each system of a ragged draw.
         ``floor`` and ``s_eigvals`` (ascending) are per set; only the systems
         that the Weyl bound does not certify go through :meth:`_near_singular`.
         """
         k = self.k
-        noise = laplace_symmetric_sample(self.gram_noise.scale, k, rng, math.prod(shape))
+        noise = laplace_symmetric_sample(
+            self.gram_noise.scale, k, rng, math.prod(shape), generator
+        )
         noise = noise.reshape(*shape, k, k)
         noise /= self.sizes[owner][..., None, None]
         systems = self.repairs.matrix[owner] + noise
@@ -557,9 +583,25 @@ def regression_private_mle(
 # Both estimators see the data only through additive sufficient statistics,
 # so a data set is described by one row of clamped statistics, and every
 # release goes through these classes: a single estimate is a stack of one set,
-# and cross-validation releases its 2v overlapping sets together, with the
-# noise scales derived once, one eigh repairing the whole stack and one vector
-# Laplace draw noising every set's residual mean square.
+# cross-validation releases its 2v overlapping sets together, and a Monte
+# Carlo block releases every replication's sets together, with the noise
+# scales derived once, one eigh repairing the whole stack and one vector
+# Laplace draw noising every set's residual mean square.  A release given a
+# GeneratorStack of R generators draws the noise of the i-th of R equal
+# groups of sets from generator i.
+
+
+def stack_statistics(parts):
+    """One statistics stack holding the sets of every stack in ``parts``, in order."""
+    first = parts[0]
+    return replace(
+        first,
+        **{
+            name: np.concatenate([getattr(p, name) for p in parts])
+            for name in first.ADDITIVE
+            if getattr(first, name) is not None
+        },
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -659,12 +701,27 @@ class RegressionStatistics:
         k2 = 0 if self.wtw is None else self.wtw.shape[-1]
         return self.xty.shape[1] + k2 + 1
 
+    def _rss(self, beta: np.ndarray, rows: slice) -> np.ndarray:
+        """|y - X beta|^2 of the sets ``rows`` from the statistics, less what
+        the nuisance fit explains."""
+        beta = beta[rows]
+        rss = (
+            self.yty[rows]
+            - 2.0 * np.einsum("fi,fi->f", beta, self.xty[rows])
+            + np.einsum("fi,fij,fj->f", beta, self.xtx[rows], beta)
+        )
+        if self.wtw is not None:
+            wtr = self.wty[rows] - np.einsum("fij,fj->fi", self.wtx[rows], beta)
+            rss = rss - np.einsum("fi,fij,fj->f", wtr, np.linalg.pinv(self.wtw[rows]), wtr)
+        return rss
+
     def release(self, budget, rng: np.random.Generator) -> PrivatizedRegressionEstimate:
         """Every set's regression release, as one stacked estimate.
 
         Raises :class:`NumericError` when any set's noisy gram matrix is
         irreparably singular.
         """
+        rng = GeneratorStack.of(rng)
         eps_gram, eps_xty, eps_rss = split_budget(budget, 3)
         gram_spec, xty_spec = _regression_noise_specs(
             self.x_bounds, self.y_bounds, eps_gram, eps_xty
@@ -677,20 +734,12 @@ class RegressionStatistics:
         if repairs.degenerate.any():
             raise NumericError(_SINGULAR_GRAM)
         beta = _solve_batch(n * repairs.matrix, noisy_xty)
-
-        # |y - X beta|^2 from the statistics, less what the nuisance fit explains
-        rss = (
-            self.yty
-            - 2.0 * np.einsum("fi,fi->f", beta, self.xty)
-            + np.einsum("fi,fij,fj->f", beta, self.xtx, beta)
-        )
+        # einsum's summation order depends on how many sets it sees, so each
+        # generator's sets are summed as a stack of their own, as they are alone
+        rss = np.concatenate([self._rss(beta, rows) for rows in rng.chunks(sets)])
         # a record's nuisance fit |w^T gamma| is taken to be at most the
         # response magnitude; W is never clamped, so this is assumed, not enforced
-        m_fit = 0.0
-        if self.wtw is not None:
-            wtr = self.wty - np.einsum("fij,fj->fi", self.wtx, beta)
-            rss = rss - np.einsum("fi,fij,fj->f", wtr, np.linalg.pinv(self.wtw), wtr)
-            m_fit = self.y_bounds.magnitudes[0]
+        m_fit = 0.0 if self.wtw is None else self.y_bounds.magnitudes[0]
         dof = self.n - (self.min_rows - 1)
 
         # The residual mean square is noised last.  Its sensitivity may use the
@@ -705,7 +754,7 @@ class RegressionStatistics:
         rss_scales = np.zeros(sets) if math.isinf(eps_rss) else m_res**2 / dof / eps_rss
         sigma2 = rss / dof
         drawn = rss_scales > 0.0  # a zero scale draws nothing
-        sigma2[drawn] += rng.laplace(0.0, rss_scales[drawn])
+        sigma2[drawn] += rng.laplace(0.0, rss_scales[drawn], owner=rng.owners(sets)[drawn])
         return PrivatizedRegressionEstimate(
             betas=beta,
             sigma2s=np.maximum(sigma2, SIGMA2_FLOOR),

@@ -11,6 +11,12 @@ derived sensitivities exact or conservative.
 collapses to zero, the sampler returns exact zeros, and no budget is charged.
 Non-private baselines and oracle tests run through the same code path as the
 private estimators.
+
+Every draw goes through a :class:`GeneratorStack`: R generators, one per
+replication of a Monte Carlo block, that fill the rows of one array together.
+A plain ``numpy.random.Generator`` is a stack of one, so a single release and
+a block of releases run the same code, and each generator draws exactly what
+it would draw alone.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from .errors import LedgerError, ParameterError
 
 __all__ = [
     "Bounds",
+    "GeneratorStack",
     "LaplaceSpec",
     "PrivacyLedger",
     "SensitivitySpec",
@@ -45,6 +52,67 @@ def _as_bound_arrays(lower, upper) -> tuple[np.ndarray, np.ndarray]:
     if np.any(lo > up):
         raise ParameterError("lower bound exceeds upper bound")
     return lo, up
+
+
+class GeneratorStack:
+    """R generators that draw one array together, each filling its own rows.
+
+    The leading axis of a draw is split into R equal chunks, and generator i
+    fills chunk i with the draw of that chunk's shape; so a stacked estimate
+    whose sets are grouped by replication draws every replication's sets from
+    that replication's generator.  A ragged draw names the generator of each
+    leading row in ``owner`` instead (ascending).  :meth:`of` turns a plain
+    ``numpy.random.Generator`` into a stack of one, which draws straight from
+    its generator, with no split and no copy.
+    """
+
+    def __init__(self, generators):
+        self.generators = tuple(generators)
+
+    @classmethod
+    def of(cls, rng) -> "GeneratorStack":
+        return rng if isinstance(rng, cls) else cls((rng,))
+
+    def __len__(self) -> int:
+        return len(self.generators)
+
+    def owners(self, rows: int) -> np.ndarray:
+        """The generator of each of ``rows`` leading rows split into equal chunks."""
+        per, rest = divmod(rows, len(self.generators))
+        if rest:
+            raise ParameterError(f"{rows} rows do not split among {len(self.generators)} generators")
+        return np.arange(rows) // per
+
+    def chunks(self, rows: int, owner=None) -> list[slice]:
+        """The leading rows of each generator: equal chunks, or by ``owner``."""
+        if owner is None:
+            owner = self.owners(rows)
+        ends = np.searchsorted(owner, np.arange(len(self.generators)), side="right")
+        return [slice(start, end) for start, end in zip([0, *ends[:-1]], ends)]
+
+    def standard_normal(self, size: tuple[int, ...]) -> np.ndarray:
+        if len(self.generators) == 1:
+            return self.generators[0].standard_normal(size)
+        out = np.empty(size)
+        for rng, rows in zip(self.generators, self.chunks(size[0])):
+            rng.standard_normal(out=out[rows])
+        return out
+
+    def laplace(self, loc: float, scale, size=None, owner=None) -> np.ndarray:
+        """Laplace draws of ``size`` (the shape of an array ``scale`` by default);
+        an array ``scale`` holds one scale per leading row."""
+        size = np.shape(scale) if size is None else size
+        if len(self.generators) == 1:
+            return self.generators[0].laplace(loc, scale, size)
+        out = np.empty(size)
+        for rng, rows in zip(self.generators, self.chunks(size[0], owner)):
+            part = scale if np.ndim(scale) == 0 else scale[rows]
+            out[rows] = rng.laplace(loc, part, out[rows].shape)  # an empty chunk draws nothing
+        return out
+
+    def permutation(self, n: int) -> np.ndarray:
+        """One permutation of range(n) per generator, as an (R, n) array."""
+        return np.stack([rng.permutation(n) for rng in self.generators])
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,22 +248,24 @@ class LaplaceSpec:
         The result has shape ``(dimension,)``, or ``(*size, dimension)`` for an
         integer or tuple ``size``.  Draws taken through this method are
         simulation noise (bootstrap replicas of the mechanism); they never
-        touch the privacy ledger.
+        touch the privacy ledger.  ``rng`` may be a :class:`GeneratorStack`.
         """
-        shape = self.dimension if size is None else (*np.atleast_1d(size).tolist(), self.dimension)
+        shape = (self.dimension,) if size is None else (*np.atleast_1d(size).tolist(), self.dimension)
         if self.is_zero:
             return np.zeros(shape)
-        return rng.laplace(0.0, self.scale, size=shape)
+        return GeneratorStack.of(rng).laplace(0.0, self.scale, shape)
 
 
 def laplace_symmetric_sample(
-    scale: float, k: int, rng: np.random.Generator, size: int | None = None
+    scale: float, k: int, rng: np.random.Generator, size: int | None = None, owner=None
 ) -> np.ndarray:
     """Symmetric k x k Laplace noise matrix, or a (size, k, k) stack of them.
 
     Entries are drawn i.i.d. on the diagonal and upper triangle and mirrored
     below, so the noisy matrix stays symmetric.  Mirrored pairs count twice in
     the matrix L1 norm, which the gram/cross sensitivity bounds already cover.
+    ``rng`` may be a :class:`GeneratorStack`, and ``owner`` then names the
+    generator of each matrix of a ragged stack.
     """
     if k < 1:
         raise ParameterError("matrix dimension must be >= 1")
@@ -206,7 +276,7 @@ def laplace_symmetric_sample(
         raise ParameterError("Laplace scale must be finite and >= 0")
     w = np.zeros((*lead, k, k))
     iu = np.triu_indices(k)
-    w[..., iu[0], iu[1]] = rng.laplace(0.0, scale, size=(*lead, iu[0].size))
+    w[..., iu[0], iu[1]] = GeneratorStack.of(rng).laplace(0.0, scale, (*lead, iu[0].size), owner)
     il = np.tril_indices(k, -1)
     w[..., il[0], il[1]] = w[..., il[1], il[0]]
     return w

@@ -350,6 +350,19 @@ class TestSimulateAndPlot:
         assert rows[0] == ["axis_value", "method", "coverage", "mean_length"]
         assert len(rows) == 1 + 4  # two methods x two budgets
 
+    def test_negative_workers_flag_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            "[experiment]\nmodel = gaussian\nn = 200\nk = 2\n"
+            "epsilon = 1.5\nseed = 4\nreps = 2\nB = 200\n\n[methods]\nppb = 1/10\n"
+        )
+        args = ["simulate", "--config", str(cfg), "--output", str(tmp_path / "r.csv")]
+        code = run_cli(args + ["--workers", "-2"])
+        assert code == 2
+        assert "error: workers must be a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+        assert run_cli(args + ["--workers", "0"]) == 0  # 0 keeps the configured count
+
     def test_small_b_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"
         cfg.write_text(

@@ -13,7 +13,7 @@ from dpextrema.models import (
     regression_private_mle,
 )
 from dpextrema.partial import PartitionedGaussianData
-from dpextrema.privacy import Bounds
+from dpextrema.privacy import Bounds, GeneratorStack
 
 from test_models import orthogonal_block, reference_regression_release
 
@@ -37,7 +37,7 @@ class TestCvChooseR:
         b = cv_choose_r(data, 1.5, np.random.default_rng(21), CVConfig(b_inner=80))
         assert a.chosen_r == b.chosen_r
         assert np.array_equal(a.criterion, b.criterion)
-        assert np.array_equal(a.h, b.h)
+        assert np.array_equal(a.hs, b.hs)
 
     def test_single_element_grid(self):
         config = CVConfig(grid=(0.2,), b_inner=60)
@@ -110,7 +110,7 @@ class TestCvChooseR:
         data = nuisance_regression_data(seed=14, n=2000)
         cv = cv_choose_r(data, 3.0, np.random.default_rng(8), CVConfig(b_inner=60))
         assert cv.chosen_r in CVConfig().grid
-        assert cv.h.shape == (len(CVConfig().grid), CVConfig().folds, data.k)
+        assert cv.hs.shape == (1, len(CVConfig().grid), CVConfig().folds, data.k)
 
     def test_supports_partitioned_gaussian(self):
         rng = np.random.default_rng(12)
@@ -123,7 +123,13 @@ class TestCvChooseR:
     def test_h_scores_shape(self):
         config = CVConfig(b_inner=60)
         cv = cv_choose_r(gaussian_data(seed=13, k=3, mu=(0, 0, 0)), 1.5, np.random.default_rng(7), config)
-        assert cv.h.shape == (len(config.grid), config.folds, 3)
+        assert cv.hs.shape == (1, len(config.grid), config.folds, 3)
+
+    def test_data_sets_of_different_sizes_rejected(self):
+        data_sets = [gaussian_data(seed=1), gaussian_data(seed=2, n=150)]
+        rng = GeneratorStack(np.random.default_rng(seed) for seed in (1, 2))
+        with pytest.raises(ParameterError, match="one size"):
+            cv_choose_r(data_sets, 1.5, rng, CVConfig(b_inner=60))
 
 
 def nuisance_regression_data(seed, n):
@@ -204,7 +210,7 @@ class TestFoldStatisticsReference:
                 (np.asarray(fold["reduced_max"])[:, None] - ref.beta_priv[None, :]) ** 2
                 - ref.coordinate_variances()[None, :]
             )
-            np.testing.assert_allclose(cv.h[:, j, :], expected_h, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(cv.hs[0][:, j, :], expected_h, rtol=1e-9, atol=1e-12)
 
 
 class TestCVConfig:

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,3 +38,17 @@ def test_every_name_the_package_imports_exists():
         or not hasattr(dpextrema, name)
     ]
     assert not missing, f"dpextrema/__init__.py imports undefined names {missing}"
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a second to import; the package needs only
+    # scipy.special, so a fresh `import dpextrema` must not pull it in
+    package_root = str(Path(dpextrema.__file__).resolve().parents[1])
+    code = "import sys, dpextrema; print('scipy.stats' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -5,19 +5,29 @@ import textwrap
 import numpy as np
 import pytest
 
-from dpextrema.errors import ParameterError
+from dpextrema import harness
+from dpextrema.cli import estimator_for
+from dpextrema.crossval import CVConfig, cv_choose_r
+from dpextrema.errors import DegeneracyError, NumericError, ParameterError
 from dpextrema.harness import (
     REPORT_COLUMNS,
     ExperimentConfig,
     ExperimentReport,
     MethodSpec,
+    divide_budget,
     emit_plot_data,
     format_r_token,
     load_config,
     parse_r_token,
     run_experiment,
 )
-from dpextrema.extrema import FULL_CORRECTION
+from dpextrema.extrema import (
+    FULL_CORRECTION,
+    bonferroni_lower_limit,
+    naive_lower_limit,
+    ppb_limit_from_draws,
+)
+from dpextrema.models import PrivatizedRegressionEstimate
 
 
 def small_config(**overrides):
@@ -133,6 +143,178 @@ class TestRunExperiment:
         with pytest.raises(ParameterError, match="split"):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("B", [0, 50])
+    def test_too_few_bootstrap_draws_rejected(self, B):
+        with pytest.raises(ParameterError, match="B must be >= 100"):
+            run_experiment(small_config(B=B, reps=3))
+
+    def test_workers_below_one_rejected(self):
+        with pytest.raises(ParameterError, match="workers"):
+            small_config(workers=0)
+
+
+ALL_METHODS = (
+    MethodSpec("ppb", ("1/10", "cv")),
+    MethodSpec("npb", ("cv", "1/10")),
+    MethodSpec("rppb", ("1/10",)),
+    MethodSpec("semi_naive"),
+    MethodSpec("naive", private=True),
+    MethodSpec("naive", private=False),
+    MethodSpec("bonferroni", private=True),
+    MethodSpec("bonferroni", private=False),
+)
+
+#: One small config per model, with every method; its 7 replications leave a
+#: short last block at block size 3.
+MODEL_CONFIGS = {
+    "gaussian": dict(model="gaussian", mu=(0.0, 0.2)),
+    "partial_gaussian": dict(model="partial_gaussian", k_nuisance=2),
+    "regression": dict(model="regression", n=2000, beta=(0.0, 0.5), epsilons=(20.0, math.inf)),
+    "fixed_regression": dict(
+        model="regression", n=2000, beta=(0.0, 0.5), epsilons=(20.0,), design="fixed"
+    ),
+    "partial_regression": dict(
+        model="partial_regression", n=2000, epsilons=(20.0,), k_nuisance=2, gamma=(0.5, -0.5)
+    ),
+}
+
+
+def model_config(name, **overrides):
+    return small_config(
+        **{"methods": ALL_METHODS, "reps": 7, "B": 100, "b_inner": 50, **MODEL_CONFIGS[name], **overrides}
+    )
+
+
+def oracle_replication(config, eps_index, rep, fixed_design):
+    """One replication as the harness ran it one at a time: its own generator,
+    the single-set public functions, and each estimate and draw made once."""
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, eps_index, rep)))
+    budget = divide_budget(config.epsilons[eps_index], config.split)
+    data = harness._generate_data(config, rng, fixed_design)
+    estimate = estimator_for(data)
+    estimates, draws, results = {}, {}, {}
+
+    def release(private):
+        if private not in estimates:
+            estimates[private] = estimate(data, budget if private else math.inf, rng)
+        return estimates[private]
+
+    def bootstrap(private, token, privacy_noise=True):
+        e = release(private)
+        if token == "cv":
+            cv_config = CVConfig(folds=config.cv_folds, grid=config.cv_grid, b_inner=config.b_inner)
+            r = cv_choose_r(data, budget if private else math.inf, rng, cv_config).chosen_r
+        else:
+            r = parse_r_token(token)
+        if (private, privacy_noise) not in draws:
+            draws[private, privacy_noise] = e.bootstrap_draws(config.B, rng, privacy_noise=privacy_noise)
+        d, failed = draws[private, privacy_noise]
+        return ppb_limit_from_draws(e.beta_priv, d, r, e.n, alpha=config.alpha, failed_draws=failed)
+
+    for spec in config.methods:
+        if spec.name in ("ppb", "npb", "rppb"):
+            for token in spec.r_tokens:
+                results[spec.label, token] = bootstrap(
+                    spec.name != "npb", token, privacy_noise=spec.name != "rppb"
+                )
+        elif spec.name == "semi_naive":
+            results[spec.label, "0.5"] = bootstrap(True, "0.5")
+        else:
+            limit = naive_lower_limit if spec.name == "naive" else bonferroni_lower_limit
+            results[spec.label, ""] = limit(release(spec.private), config.alpha, spec.private)
+    true_max = config.true_max
+    return {
+        key: (res.lower_limit <= true_max, true_max - res.lower_limit, res.failed_draws)
+        for key, res in results.items()
+    }
+
+
+def assert_block_matches_oracle(config, fixed_design):
+    for eps_index in range(len(config.epsilons)):
+        block = harness._block_outcomes(config, eps_index, range(config.reps), fixed_design)
+        for rep in range(config.reps):
+            alone = oracle_replication(config, eps_index, rep, fixed_design)
+            assert list(alone) == list(block)
+            for key, outcome in alone.items():
+                assert outcome == tuple(a[rep] for a in block[key]), (key, rep)
+
+
+def collinear_design(n=400):
+    """A design whose two columns are equal: its gram matrix is singular, so
+    at a large budget the bootstrap's noisy systems sit near the singularity
+    floor and some are retried."""
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+    return np.column_stack([x, x])
+
+
+def collinear_config(epsilon):
+    return small_config(
+        model="regression", n=400, beta=(0.0, 0.5), design="fixed", epsilons=(epsilon,),
+        methods=(MethodSpec("ppb", ("1/10",)), MethodSpec("naive")),
+        seed=3, reps=6,
+    )
+
+
+class TestBlocks:
+    """A block of replications gives each replication what it gets alone."""
+
+    @pytest.mark.parametrize("name", sorted(MODEL_CONFIGS))
+    def test_reports_equal_across_block_sizes_and_workers(self, name, monkeypatch):
+        config = model_config(name)
+        reports = []
+        for per_block in (1, 3, config.reps):
+            monkeypatch.setattr(harness, "BLOCK_VALUES", per_block * harness._replication_values(config))
+            assert harness._block_size(config) == per_block
+            reports.append(run_experiment(config))
+        reports.append(run_experiment(model_config(name, workers=2)))
+        assert all(report == reports[0] for report in reports[1:])
+        assert len(reports[0].rows) == 10 * len(config.epsilons)
+
+    @pytest.mark.parametrize("name", sorted(MODEL_CONFIGS))
+    def test_each_replication_matches_the_single_set_oracle(self, name):
+        config = model_config(name)
+        assert_block_matches_oracle(config, harness._fixed_design_for(config))
+
+    def test_replications_with_retried_systems_match_the_oracle(self, monkeypatch):
+        retried_by = set()
+        noisy_systems = PrivatizedRegressionEstimate._noisy_systems
+
+        def spy(self, owner, shape, rng, floor, s_eigvals, generator=None):
+            if generator is not None and len(rng) > 1:  # a block's retries
+                retried_by.update(np.unique(generator).tolist())
+            return noisy_systems(self, owner, shape, rng, floor, s_eigvals, generator)
+
+        monkeypatch.setattr(PrivatizedRegressionEstimate, "_noisy_systems", spy)
+        assert_block_matches_oracle(collinear_config(1e6), collinear_design())
+        assert len(retried_by) >= 2
+
+    def test_a_failing_study_raises_as_one_replication_at_a_time(self, monkeypatch):
+        # at epsilon 1e7 too many bootstrap systems fail twice
+        config = collinear_config(1e7)
+        monkeypatch.setattr(harness, "_fixed_design_for", lambda config: collinear_design())
+        errors = set()
+        for per_block in (1, 3, config.reps):
+            monkeypatch.setattr(harness, "BLOCK_VALUES", per_block * harness._replication_values(config))
+            with pytest.raises(DegeneracyError) as info:
+                run_experiment(config)
+            errors.add(str(info.value))
+        assert len(errors) == 1
+
+    def test_block_error_is_that_of_its_first_failing_replication(self, monkeypatch):
+        # replication 3 fails early in the block and replication 1 late, so
+        # the block stops at 3's error; a serial run stops at 1's
+        def outcomes(config, eps_index, reps, fixed_design):
+            if 3 in reps:
+                raise DegeneracyError("replication 3")
+            if 1 in reps:
+                raise NumericError("replication 1")
+            return {}
+
+        monkeypatch.setattr(harness, "_block_outcomes", outcomes)
+        with pytest.raises(NumericError, match="replication 1") as info:
+            harness._run_block(small_config(), 0, range(0, 5), None)
+        assert type(info.value) is NumericError
+
 
 class TestReportIO:
     def test_csv_round_trip(self, tmp_path):
@@ -245,6 +427,24 @@ class TestConfigFile:
         labels = [m.label for m in cfg.methods]
         assert labels == ["ppb", "semi_naive", "naive_private", "naive_nonprivate", "bonferroni_private"]
         assert cfg.methods[0].r_tokens == ("1/30", "1/10", "full", "cv")
+
+    def test_workers_key_below_one_rejected(self, tmp_path):
+        path = self.write(
+            tmp_path,
+            """
+            [experiment]
+            n = 100
+            k = 2
+            epsilon = 1
+            seed = 1
+            workers = -4
+
+            [methods]
+            ppb = 1/10
+            """,
+        )
+        with pytest.raises(ParameterError, match="workers"):
+            load_config(path)
 
     def test_zeros_shorthand(self, tmp_path):
         path = self.write(

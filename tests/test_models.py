@@ -16,6 +16,7 @@ from dpextrema.models import (
 )
 from dpextrema.privacy import (
     Bounds,
+    GeneratorStack,
     LaplaceSpec,
     PrivacyLedger,
     laplace_symmetric_sample,
@@ -722,6 +723,32 @@ class TestRegressionBootstrap:
         ref_draws, ref_failed = reference_replica_draws(est, 50, np.random.default_rng(2), 2)
         assert np.array_equal(failed, ref_failed) and failed[0].all() and not failed[1].any()
         assert np.isnan(draws[0]).all() and np.allclose(draws[1], ref_draws[1], rtol=1e-12, atol=0.0)
+
+    def test_each_generator_draws_its_own_sets_and_retries(self, monkeypatch):
+        retried_by = []
+        noisy_systems = PrivatizedRegressionEstimate._noisy_systems
+
+        def spy(self, owner, shape, rng, floor, s_eigvals, generator=None):
+            if generator is not None and len(rng) > 1:  # a stacked call's retries
+                retried_by.extend(np.unique(generator))
+            return noisy_systems(self, owner, shape, rng, floor, s_eigvals, generator)
+
+        monkeypatch.setattr(PrivatizedRegressionEstimate, "_noisy_systems", spy)
+        # two near-floor sets per generator, whose systems are retried
+        scale = 6e-6
+        cases = [(0, 3e-8, 100), (1, 0.4, 60), (2, 1e-7, 60), (4, 6e-7, 60)]
+        est = stack_regression_estimates(
+            [make_near_floor_regression_estimate(seed, lam, scale / (lam * n), n=n) for seed, lam, n in cases]
+        )
+        for seed in range(3):
+            stack = GeneratorStack(np.random.default_rng((seed, i)) for i in range(2))
+            draws, failed = est.replica_draws(300, stack, 4)
+            for i in range(2):
+                pair = est.take(np.arange(2 * i, 2 * i + 2))
+                alone, alone_failed = pair.replica_draws(300, np.random.default_rng((seed, i)), 2)
+                assert np.array_equal(draws[2 * i : 2 * i + 2], alone, equal_nan=True)
+                assert np.array_equal(failed[2 * i : 2 * i + 2], alone_failed)
+        assert set(retried_by) == {0, 1}
 
     def test_coordinate_variances_private_exceeds_nonprivate(self):
         rng = np.random.default_rng(43)

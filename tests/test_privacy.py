@@ -10,6 +10,7 @@ from scipy import stats
 from dpextrema.errors import LedgerError, ParameterError
 from dpextrema.privacy import (
     Bounds,
+    GeneratorStack,
     LaplaceSpec,
     PrivacyLedger,
     laplace_scale,
@@ -75,6 +76,49 @@ class TestLaplaceSampling:
         rng = np.random.default_rng(4)
         assert np.array_equal(stack[0], laplace_symmetric_sample(1.5, 3, rng))
         assert laplace_symmetric_sample(0.0, 3, rng, size=2).shape == (2, 3, 3)
+
+
+def generators(seeds):
+    return [np.random.default_rng(seed) for seed in seeds]
+
+
+class TestGeneratorStack:
+    """Each generator of a stack draws exactly what it would draw alone."""
+
+    def test_equal_chunks_come_from_their_own_generators(self):
+        stack = GeneratorStack(generators((1, 2, 3)))
+        normal = stack.standard_normal((6, 4, 2))
+        noise = stack.laplace(0.0, 1.5, (6, 5))
+        perms = stack.permutation(9)
+        for i, alone in enumerate(generators((1, 2, 3))):
+            assert np.array_equal(normal[2 * i : 2 * i + 2], alone.standard_normal((2, 4, 2)))
+            assert np.array_equal(noise[2 * i : 2 * i + 2], alone.laplace(0.0, 1.5, (2, 5)))
+            assert np.array_equal(perms[i], alone.permutation(9))
+
+    def test_ragged_rows_follow_their_owners(self):
+        stack = GeneratorStack(generators((4, 5, 6)))
+        owner = np.array([0, 0, 2, 2, 2])
+        scales = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        noise = stack.laplace(0.0, scales, owner=owner)
+        symmetric = laplace_symmetric_sample(0.5, 3, stack, 5, owner)
+        first, second, third = generators((4, 5, 6))
+        assert np.array_equal(noise[:2], first.laplace(0.0, scales[:2]))
+        assert np.array_equal(noise[2:], third.laplace(0.0, scales[2:]))
+        assert np.array_equal(symmetric[:2], laplace_symmetric_sample(0.5, 3, first, 2))
+        assert np.array_equal(symmetric[2:], laplace_symmetric_sample(0.5, 3, third, 3))
+        # the generator without rows drew nothing
+        assert second.random() == np.random.default_rng(5).random()
+
+    def test_a_plain_generator_is_a_stack_of_one(self):
+        spec = LaplaceSpec(2.0, 3)
+        stacked = spec.sample(GeneratorStack(generators((7,))), (4, 2))
+        assert np.array_equal(stacked, spec.sample(np.random.default_rng(7), (4, 2)))
+        rng = np.random.default_rng(7)
+        assert GeneratorStack.of(rng).generators == (rng,)
+
+    def test_rows_must_split_evenly(self):
+        with pytest.raises(ParameterError):
+            GeneratorStack(generators((1, 2))).standard_normal((3, 2))
 
 
 class TestSensitivities:
