@@ -36,16 +36,11 @@ from .models import (
     gaussian_private_mle,
     regression_private_mle,
 )
-from .partial import (
-    PartialGaussianEstimate,
-    PartitionedGaussianData,
-    partial_gaussian_private_mle,
-)
+from .partial import PartitionedGaussianData, partial_gaussian_private_mle
 from .privacy import (
     Bounds,
     LaplaceSpec,
     PrivacyLedger,
-    SensitivitySpec,
     laplace_scale,
     laplace_symmetric_sample,
     sensitivity_cross_bounded,

@@ -151,8 +151,7 @@ def _cv_block(cv) -> dict:
         "chosen_r": cv.chosen_r,
         "grid": list(cv.grid),
         "criterion": cv.criterion.tolist(),
-        "budget_parallel_view": cv.budget_parallel_view,
-        "budget_sequential_view": cv.budget_sequential_view,
+        "budget": cv.budget,
     }
 
 
@@ -178,14 +177,11 @@ def _print_result(result, estimate, seed: int, extra: dict, output=None):
     print(f"method      = {result.method}" + (f" (r = {format_r_token(result.r_used)})" if result.r_used is not None else ""))
     if result.B:
         print(f"B           = {result.B} ({result.failed_draws} failed draws)")
-    print(f"budget      = sequential {ledger.total_sequential():g} | parallel view {ledger.total_parallel():g}")
+    print(f"budget      = {ledger.total():g}")
     print(f"repair      = shift {repair['shift']:g}" + (" (degenerate)" if repair["degenerate"] else ""))
     if "cv" in extra:
         cv = extra["cv"]
-        print(
-            f"cv          = chosen r {format_r_token(cv['chosen_r'])}; budget "
-            f"parallel-reading {cv['budget_parallel_view']:g}, worst-case sequential {cv['budget_sequential_view']:g}"
-        )
+        print(f"cv          = chosen r {format_r_token(cv['chosen_r'])}; budget {cv['budget']:g}")
     print(f"seed        = {seed}")
     if output:
         _write_json(output, payload)
@@ -218,10 +214,7 @@ def _cmd_cv(args) -> int:
     print("criterion by grid value:")
     for r, c in zip(cv.grid, cv.criterion):
         print(f"  r = {format_r_token(r):>6} : {c:.6g}")
-    print(
-        f"budget   = parallel-reading {cv.budget_parallel_view:g} | "
-        f"worst-case sequential {cv.budget_sequential_view:g}"
-    )
+    print(f"budget   = {cv.budget:g}")
     print(f"seed     = {args.seed}")
     if args.output:
         _write_json(args.output, {**_cv_block(cv), "seed": args.seed})

@@ -28,11 +28,14 @@ data sets and a :class:`~dpextrema.privacy.GeneratorStack` with one generator
 per set, each set shuffles with its own generator, all 2vR fold estimates are
 one stacked release, and the result holds one choice per data set.
 
-Budget accounting for this procedure is genuinely ambiguous: the held-out
-folds are disjoint (parallel composition applies) but the training sets
-overlap across rounds.  Both readings are therefore reported side by side:
-``budget_parallel_view`` equals the budget of a single estimation run, and
-``budget_sequential_view`` counts every fold estimation at full price.
+Cross-validation costs v times the budget of one estimation.  Each of the 2v
+releases spends that budget on its own set of records, and each record lies
+in exactly v of those sets: the v - 1 training sets that omit its fold, and
+its held-out fold.  Substituting one record therefore changes the input of v
+releases and leaves the other v unchanged, so by sequential composition over
+the releases that see it the whole procedure is (v epsilon)-DP (McSherry,
+*Privacy Integrated Queries*, 2009; Dwork and Roth, 2014).  ``budget``
+reports that total.
 """
 
 from __future__ import annotations
@@ -86,8 +89,7 @@ class CVResult:
     criteria: np.ndarray             # (R, grid) aggregated scores
     hs: np.ndarray                   # (R, grid, fold, coordinate) scores
     fold_sizes: tuple[int, ...]
-    budget_parallel_view: float      # one estimation run's total
-    budget_sequential_view: float    # every fold estimation at full price
+    budget: float                    # v times one estimation's total
     per_fold: list[dict] = field(default_factory=list)  # of data set 0
 
     @property
@@ -178,15 +180,13 @@ def cv_choose_r(
     for l in range(1, grid.size):  # ties go to the larger r
         best = np.where(criteria[l] <= criteria[best, np.arange(R)], l, best)
 
-    per_estimate = release.ledger.total_sequential()
     return CVResult(
         chosen_rs=grid[best],
         grid=config.grid,
         criteria=criteria.T,
         hs=np.moveaxis(h, 1, 0),
         fold_sizes=tuple(f.size for f in folds[0]),
-        budget_parallel_view=per_estimate,
-        budget_sequential_view=2 * v * per_estimate,
+        budget=v * release.ledger.total(),
         per_fold=[
             {
                 "fold": j,

@@ -27,11 +27,11 @@ and the data are clamped into it, so the stated privacy guarantee is honest.
 
 One input path with the CLI: config values and the CLI flags are read by the
 same parsers (:func:`parse_number`, :func:`parse_floats`, :func:`parse_split`,
-:func:`parse_grid`),
-so a malformed value is a :class:`ParameterError` that names its key.  A
-``split`` is checked here without a statistic count (positive shares summing
-to 1); whether it has one share per released statistic is checked by the
-model's release, at the first private estimate of :func:`run_experiment`.
+:func:`parse_grid`), so a malformed value is a :class:`ParameterError` that
+names its key; so is an unknown key.  A ``split`` is checked here without a
+statistic count (positive shares summing to 1); whether it has one share per
+released statistic is checked by the model's release, at the first private
+estimate of :func:`run_experiment`.
 """
 
 from __future__ import annotations
@@ -569,6 +569,35 @@ def _parse_truth(text: str, k: int, what: str) -> tuple[float, ...]:
     return parse_floats(text, what)
 
 
+def _parse_int(text: str, what: str) -> int:
+    """One integer from a config value named ``what``."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ParameterError(f"cannot parse {what} {text!r}") from exc
+
+
+#: The parser of each ``[experiment]`` key's value, called with the value and
+#: the key, which its error names.  ``b`` and ``epsilon`` fill the fields
+#: ``B`` and ``epsilons``; the truth keys of :data:`_TRUTH_SIZES` are read
+#: once the sizes are known.  Any other key is refused.
+_EXPERIMENT_KEYS = {
+    **dict.fromkeys(("model", "design"), lambda text, key: text),
+    **dict.fromkeys(
+        ("n", "k", "seed", "reps", "b", "b_inner", "cv_folds", "workers", "k_nuisance"), _parse_int
+    ),
+    **dict.fromkeys(
+        ("alpha", "bounds_half_width", "sigma2", "x_half_width", "y_half_width"), parse_number
+    ),
+    **dict.fromkeys(("epsilon", "sigma_diag", "gamma"), parse_floats),
+    "cv_grid": lambda text, key: parse_grid(text),
+    "split": lambda text, key: parse_split(text),
+}
+_FIELDS = {"b": "B", "epsilon": "epsilons"}
+#: Truth vectors and the size key their ``zeros`` shorthands take the length of.
+_TRUTH_SIZES = {"mu": "k", "mu_nuisance": "k_nuisance", "beta": "k"}
+
+
 def load_config(path) -> ExperimentConfig:
     """Read an experiment configuration from a key = value sections file.
 
@@ -576,54 +605,31 @@ def load_config(path) -> ExperimentConfig:
     ``[methods]`` section mapping method names to their settings (r tokens for
     the bootstrap variants, ``private``/``nonprivate``/``both`` for the
     baselines, ``on``/``off`` for semi_naive).  See the README for the key
-    list and defaults.
+    list and defaults; an unknown key is refused.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:  # a duplicated key or section, a line outside any section
+        raise ParameterError(f"cannot read config file {path}: {exc}") from exc
     if not read:
         raise ParameterError(f"cannot read config file {path}")
     if "experiment" not in parser or "methods" not in parser:
         raise ParameterError("config needs [experiment] and [methods] sections")
     exp = parser["experiment"]
 
-    try:
-        model = exp.get("model", "gaussian").strip()
-        n = exp.getint("n")
-        k = exp.getint("k")
-        kwargs = dict(
-            model=model,
-            n=n,
-            k=k,
-            epsilons=parse_floats(exp.get("epsilon", ""), "epsilon"),
-            seed=exp.getint("seed"),
-            reps=exp.getint("reps", 1000),
-            alpha=exp.getfloat("alpha", 0.05),
-            B=exp.getint("b", DEFAULT_B),
-            b_inner=exp.getint("b_inner", DEFAULT_B_INNER),
-            cv_folds=exp.getint("cv_folds", DEFAULT_FOLDS),
-            bounds_half_width=exp.getfloat("bounds_half_width", 3.0),
-            workers=exp.getint("workers", 1),
-            design=exp.get("design", "resampled").strip(),
-            sigma2=exp.getfloat("sigma2", 1.0),
-            k_nuisance=exp.getint("k_nuisance", 0),
-            x_half_width=exp.getfloat("x_half_width", 1.0),
-        )
-    except (TypeError, ValueError, configparser.Error) as exc:
-        raise ParameterError(f"bad [experiment] value: {exc}") from exc
-    if kwargs["epsilons"] == ():
+    kwargs = {"model": "gaussian", "n": None, "k": None, "seed": None}
+    for key, text in exp.items():
+        if key in _TRUTH_SIZES:
+            continue
+        if key not in _EXPERIMENT_KEYS:
+            raise ParameterError(f"unknown [experiment] key {key!r}")
+        kwargs[_FIELDS.get(key, key)] = _EXPERIMENT_KEYS[key](text, key)
+    if not kwargs.get("epsilons"):
         raise ParameterError("the epsilon key is mandatory (a privacy budget must be declared)")
-
-    if "cv_grid" in exp:
-        kwargs["cv_grid"] = parse_grid(exp.get("cv_grid"))
-    kwargs["split"] = parse_split(exp.get("split"))
-    for key, size in (("mu", k), ("mu_nuisance", kwargs["k_nuisance"]), ("beta", k)):
+    for key, size in _TRUTH_SIZES.items():
         if key in exp:
-            kwargs[key] = _parse_truth(exp.get(key), size, key)
-    for key in ("sigma_diag", "gamma"):
-        if key in exp:
-            kwargs[key] = parse_floats(exp.get(key), key)
-    if "y_half_width" in exp:
-        kwargs["y_half_width"] = parse_number(exp.get("y_half_width"), "y_half_width")
+            kwargs[key] = _parse_truth(exp[key], kwargs.get(size) or 0, key)
 
     methods: list[MethodSpec] = []
     for name, value in parser["methods"].items():

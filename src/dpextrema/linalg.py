@@ -37,25 +37,21 @@ class RepairResult(NamedTuple):
         )
 
 
-def psd_floor(matrix: np.ndarray, floor_scale: float = PSD_FLOOR_SCALE):
+def psd_floor(matrix: np.ndarray):
     """Eigenvalue floor of a symmetric matrix, or of each one in a (..., k, k) stack."""
     k = matrix.shape[-1]
     tr = np.trace(matrix, axis1=-2, axis2=-1)
-    return np.maximum(floor_scale * np.maximum(tr, 0.0) / k, _ABSOLUTE_FLOOR)
+    return np.maximum(PSD_FLOOR_SCALE * np.maximum(tr, 0.0) / k, _ABSOLUTE_FLOOR)
 
 
-def psd_repair_stack(
-    matrices: np.ndarray,
-    floor_scale: float = PSD_FLOOR_SCALE,
-    budget_fraction: float = REPAIR_BUDGET_FRACTION,
-) -> RepairResult:
+def psd_repair_stack(matrices: np.ndarray) -> RepairResult:
     """:func:`psd_repair` applied to each matrix of an (F, k, k) stack.
 
     One ``eigh`` serves the whole stack.  The repair's fields hold one entry
     per matrix.
     """
     m = np.asarray(matrices, dtype=float)
-    floor = psd_floor(m, floor_scale)
+    floor = psd_floor(m)
     eigvals, eigvecs = np.linalg.eigh(m)
     clipped = np.maximum(eigvals, floor[:, None])
     shift = np.sum(clipped - eigvals, axis=-1)
@@ -65,22 +61,18 @@ def psd_repair_stack(
         vecs = eigvecs[clip]
         r = (vecs * clipped[clip, None, :]) @ np.swapaxes(vecs, -1, -2)
         repaired[clip] = 0.5 * (r + np.swapaxes(r, -1, -2))
-    budget = budget_fraction * np.maximum(np.trace(m, axis1=-2, axis2=-1), 0.0)
+    budget = REPAIR_BUDGET_FRACTION * np.maximum(np.trace(m, axis1=-2, axis2=-1), 0.0)
     return RepairResult(repaired, shift, floor, shift > budget)
 
 
-def psd_repair(
-    matrix: np.ndarray,
-    floor_scale: float = PSD_FLOOR_SCALE,
-    budget_fraction: float = REPAIR_BUDGET_FRACTION,
-) -> RepairResult:
+def psd_repair(matrix: np.ndarray) -> RepairResult:
     """Clip the eigenvalues of a symmetric matrix below at a relative floor.
 
     A no-op (the input is returned unchanged) when all eigenvalues already sit
     at or above the floor.
     """
     m = np.asarray(matrix, dtype=float)
-    repair = psd_repair_stack(m[None], floor_scale, budget_fraction).at(0)
+    repair = psd_repair_stack(m[None]).at(0)
     return repair if repair.shift > 0.0 else repair._replace(matrix=m)
 
 

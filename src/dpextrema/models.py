@@ -272,10 +272,10 @@ def _gaussian_noise_specs(bounds: Bounds, eps_sum: float, eps_gram: float):
     """Laplace noise of the coordinate sums and of the gram matrix's free entries."""
     k = bounds.k
     sum_spec = LaplaceSpec.from_budget(
-        sensitivity_sum_bounded(bounds.lower, bounds.upper).delta, eps_sum, k
+        sensitivity_sum_bounded(bounds.lower, bounds.upper), eps_sum, k
     )
     gram_spec = LaplaceSpec.from_budget(
-        sensitivity_gram_bounded(bounds.lower, bounds.upper).delta, eps_gram, k * (k + 1) // 2
+        sensitivity_gram_bounded(bounds.lower, bounds.upper), eps_gram, k * (k + 1) // 2
     )
     return sum_spec, gram_spec
 
@@ -546,12 +546,10 @@ def _regression_noise_specs(x_bounds: Bounds, y_bounds: Bounds, eps_gram: float,
     """Laplace noise of the gram matrix's free entries and of the cross product."""
     k = x_bounds.k
     gram_spec = LaplaceSpec.from_budget(
-        sensitivity_gram_bounded(x_bounds.lower, x_bounds.upper).delta, eps_gram, k * (k + 1) // 2
+        sensitivity_gram_bounded(x_bounds.lower, x_bounds.upper), eps_gram, k * (k + 1) // 2
     )
     xty_spec = LaplaceSpec.from_budget(
-        sensitivity_cross_bounded(
-            x_bounds.lower, x_bounds.upper, y_bounds.lower, y_bounds.upper
-        ).delta,
+        sensitivity_cross_bounded(x_bounds.lower, x_bounds.upper, y_bounds.lower, y_bounds.upper),
         eps_xty,
         k,
     )

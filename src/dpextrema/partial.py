@@ -2,10 +2,10 @@
 
 Only the means and covariance block of the coordinates of interest are
 privatized, so noise (and budget) is spent on their statistics alone.  The
-nuisance quantities are still estimated, but they stay inside the estimate
-object and never appear on the released surface.  Downstream inference (bias
-correction, bootstrap scaling) uses the sample size of the privatized block,
-which the returned estimate carries as ``n``.
+nuisance block is never read by the release, so nothing computed from it can
+reach the released surface.  Downstream inference (bias correction,
+bootstrap scaling) uses the sample size of the privatized block, which the
+returned estimate carries as ``n``.
 
 Regression with nuisance covariates needs no class of its own: it is
 ``RegressionData(X, y, x_bounds, y_bounds, nuisance=W)`` in
@@ -14,9 +14,9 @@ Regression with nuisance covariates needs no class of its own: it is
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import dataclass
 
-from dataclasses import dataclass, field
+import numpy as np
 
 from .errors import ParameterError
 from .models import (
@@ -28,7 +28,6 @@ from .models import (
 from .privacy import Bounds
 
 __all__ = [
-    "PartialGaussianEstimate",
     "PartitionedGaussianData",
     "partial_gaussian_private_mle",
 ]
@@ -63,40 +62,18 @@ class PartitionedGaussianData:
     def n(self) -> int:
         return self.x1.shape[0]
 
-    @property
-    def k1(self) -> int:
-        return self.x1.shape[1]
-
     def fold_statistics(self, folds: list[np.ndarray]) -> GaussianStatistics:
         """Statistics of the interest block only; the nuisance block is never released."""
         return GaussianStatistics.of_folds(self.bounds.clamp(self.x1), self.bounds, folds)
 
 
-@dataclass(eq=False)
-class PartialGaussianEstimate(PrivatizedGaussianEstimate):
-    # internal-only nuisance estimates; excluded from repr and to_dict so the
-    # released surface stays limited to the privatized block
-    _nuisance: dict = field(default_factory=dict, repr=False, compare=False)
-
-
 def partial_gaussian_private_mle(
     data: PartitionedGaussianData, budget, rng: np.random.Generator
-) -> PartialGaussianEstimate:
+) -> PrivatizedGaussianEstimate:
     """Privatize only the interest-block statistics of a partitioned Gaussian.
 
-    The released estimate is exactly the interest-block release of the full
-    estimator (the block mean depends on its own noisy sum alone).  Nuisance
-    means and covariance blocks are computed without noise, with the noisy
-    interest sum plugged in where that statistic appears, and kept internal.
+    The estimate is exactly the interest-block release of the full estimator
+    (the block mean depends on its own noisy sum alone); the nuisance block
+    is not read.
     """
-    base = gaussian_private_mle(GaussianData(data.x1, data.bounds), budget, rng)
-    nuisance: dict = {}
-    if data.x2 is not None:
-        n = data.n
-        x1 = data.bounds.clamp(data.x1)
-        x2 = data.x2
-        sum2 = x2.sum(axis=0)
-        nuisance["mu2"] = sum2 / n
-        nuisance["sigma12"] = (x1.T @ x2 - np.outer(base.noisy_sum, sum2) / n) / (n - 1)
-        nuisance["sigma22"] = (x2.T @ x2 - np.outer(sum2, sum2) / n) / (n - 1)
-    return PartialGaussianEstimate(**vars(base), _nuisance=nuisance)
+    return gaussian_private_mle(GaussianData(data.x1, data.bounds), budget, rng)

@@ -32,7 +32,6 @@ __all__ = [
     "GeneratorStack",
     "LaplaceSpec",
     "PrivacyLedger",
-    "SensitivitySpec",
     "laplace_scale",
     "laplace_symmetric_sample",
     "sensitivity_cross_bounded",
@@ -157,29 +156,17 @@ class Bounds:
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
 
 
-@dataclass(frozen=True)
-class SensitivitySpec:
-    """L1 sensitivity of one released statistic."""
-
-    statistic_id: str
-    delta: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.delta) or self.delta < 0:
-            raise ParameterError(f"sensitivity for {self.statistic_id!r} must be finite and >= 0")
-
-
-def sensitivity_sum_bounded(lower, upper) -> SensitivitySpec:
+def sensitivity_sum_bounded(lower, upper) -> float:
     """Sensitivity of a coordinatewise sum over data clamped into [lower, upper].
 
     Substituting one clamped record moves the sum by at most the box width in
     each coordinate, so delta is the total width.
     """
     lo, up = _as_bound_arrays(lower, upper)
-    return SensitivitySpec("sum", float(np.sum(up - lo)))
+    return float(np.sum(up - lo))
 
 
-def sensitivity_gram_bounded(lower, upper) -> SensitivitySpec:
+def sensitivity_gram_bounded(lower, upper) -> float:
     """Sensitivity of the second-moment matrix sum over the clamped box.
 
     For a single record x in the box, the full-matrix L1 norm of x x^T is at
@@ -190,26 +177,30 @@ def sensitivity_gram_bounded(lower, upper) -> SensitivitySpec:
     """
     lo, up = _as_bound_arrays(lower, upper)
     m = np.maximum(np.abs(lo), np.abs(up))
-    return SensitivitySpec("gram", float(2.0 * np.sum(m) ** 2))
+    return float(2.0 * np.sum(m) ** 2)
 
 
-def sensitivity_cross_bounded(x_lower, x_upper, y_lower: float, y_upper: float) -> SensitivitySpec:
+def sensitivity_cross_bounded(x_lower, x_upper, y_lower: float, y_upper: float) -> float:
     """Sensitivity of sum_i x_i * y_i for x in a box and scalar y in a range."""
     lo, up = _as_bound_arrays(x_lower, x_upper)
     ylo, yup = _as_bound_arrays(y_lower, y_upper)
     mx = np.maximum(np.abs(lo), np.abs(up))
     my = float(np.max(np.maximum(np.abs(ylo), np.abs(yup))))
-    return SensitivitySpec("cross", float(2.0 * my * np.sum(mx)))
+    return float(2.0 * my * np.sum(mx))
 
 
 def laplace_scale(delta: float, epsilon: float) -> float:
-    """Noise scale b = delta / epsilon; an infinite epsilon yields scale 0."""
+    """Noise scale b = delta / epsilon; an infinite epsilon yields scale 0.
+
+    A non-finite delta (bounds so wide that the sensitivity overflows) is
+    refused at every epsilon, the infinite one included.
+    """
     if math.isnan(epsilon) or epsilon <= 0:
         raise ParameterError("epsilon must be positive (math.inf disables noise)")
-    if math.isinf(epsilon):
-        return 0.0
     if not math.isfinite(delta) or delta < 0:
         raise ParameterError("sensitivity must be finite and >= 0")
+    if math.isinf(epsilon):
+        return 0.0
     return delta / epsilon
 
 
@@ -288,17 +279,12 @@ class PrivacyLedger:
 
     The ledger is a value: :meth:`charge` returns a new ledger.  Charges are
     recorded at estimation time only; bootstrap-simulated noise draws go
-    through :meth:`LaplaceSpec.sample` and never appear here.  Composition
-    follows the configured regime: sequential totals add, parallel totals
-    (mechanisms on disjoint data) take the maximum.
+    through :meth:`LaplaceSpec.sample` and never appear here.  Every charged
+    statistic is computed from the same records, so the charges compose
+    sequentially: the total is their sum.
     """
 
     charges: tuple[tuple[str, float], ...] = ()
-    regime: str = "sequential"  # or "parallel"
-
-    def __post_init__(self):
-        if self.regime not in ("sequential", "parallel"):
-            raise ParameterError(f"unknown composition regime {self.regime!r}")
 
     def charge(self, statistic_id: str, epsilon: float) -> "PrivacyLedger":
         """Append a charge; an infinite epsilon spends nothing and is not logged."""
@@ -311,25 +297,13 @@ class PrivacyLedger:
         return replace(self, charges=self.charges + ((statistic_id, float(epsilon)),))
 
     def total(self) -> float:
-        if self.regime == "sequential":
-            return self.total_sequential()
-        return self.total_parallel()
-
-    def total_sequential(self) -> float:
         # fsum is exactly rounded, so the total is order-independent
         return math.fsum(eps for _, eps in self.charges)
 
-    def total_parallel(self) -> float:
-        if not self.charges:
-            return 0.0
-        return float(max(eps for _, eps in self.charges))
-
     def to_dict(self) -> dict:
         return {
-            "regime": self.regime,
             "charges": [{"statistic": sid, "epsilon": eps} for sid, eps in self.charges],
-            "total_sequential": self.total_sequential(),
-            "total_parallel": self.total_parallel(),
+            "total_sequential": self.total(),  # the former name, which bench/run.py reads
         }
 
 

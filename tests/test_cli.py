@@ -110,9 +110,10 @@ class TestCiGaussian:
         ]
         assert run_cli(args) == 0
         stdout = capsys.readouterr().out
-        assert "chosen r" in stdout
         payload = json.loads(out.read_text())
         cv = payload["cv"]
+        assert f"cv          = chosen r {cv['chosen_r']:g}; budget 7.5\n" in stdout
+        assert "budget      = 1.5\n" in stdout
         assert cv["chosen_r"] == payload["result"]["r_used"]
         assert cv["chosen_r"] in cv["grid"]
         assert len(cv["criterion"]) == len(cv["grid"])
@@ -184,7 +185,7 @@ class TestCiRegression:
         ]
         assert run_cli(args) == 0
         out = capsys.readouterr().out
-        assert "sequential" in out and "parallel view" in out
+        assert "budget      = 1.5\n" in out
         assert "repair      = shift " in out
 
     def test_missing_response_bounds_refused(self, tmp_path, capsys):
@@ -240,7 +241,8 @@ class TestCvCommand:
         assert run_cli(args) == 0
         payload = json.loads(out.read_text())
         assert payload["chosen_r"] in payload["grid"]
-        assert payload["budget_sequential_view"] == pytest.approx(10 * 1.5)
+        assert payload["budget"] == pytest.approx(5 * 1.5)
+        assert "budget   = 7.5\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", [["ci", "regression"], ["cv", "--model", "regression"]])
     def test_response_only_input_refused(self, tmp_path, capsys, command):
@@ -316,6 +318,26 @@ class TestSimulateAndPlot:
         code = run_cli(["simulate", "--config", str(cfg), "--output", str(tmp_path / "r.csv")])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {key} must be a positive integer")
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("n = 200\nrep = 5", "unknown [experiment] key 'rep'"),
+            ("n = 8x0", "cannot parse n '8x0'"),
+            ("n = 200\nn = 300", "option 'n' in section 'experiment' already exists"),
+        ],
+        ids=["unknown", "malformed", "duplicate"],
+    )
+    def test_unknown_or_malformed_key_exits_2(self, tmp_path, capsys, lines, message):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            f"[experiment]\nmodel = gaussian\n{lines}\nk = 2\n"
+            "epsilon = 1.5\nseed = 4\nB = 200\n\n[methods]\nppb = 1/10\n"
+        )
+        code = run_cli(["simulate", "--config", str(cfg), "--output", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_end_to_end(self, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"

@@ -61,19 +61,28 @@ class TestCvChooseR:
             assert fold["train_n"] + fold["ref_n"] == 203
 
     def test_budget_views(self):
+        # each record lies in v of the 2v fold releases (v - 1 training sets
+        # and its held-out fold), so 5-fold CV at epsilon 1.5 costs 7.5
         data = gaussian_data(seed=7)
         cv = cv_choose_r(data, 1.5, np.random.default_rng(3), CVConfig(b_inner=60))
-        # one estimation run spends the full per-run budget; the worst case
-        # charges all 2v fold estimations sequentially
-        assert cv.budget_parallel_view == pytest.approx(1.5)
-        assert cv.budget_sequential_view == pytest.approx(2 * 5 * 1.5)
+        assert cv.budget == pytest.approx(5 * 1.5)
 
     def test_zero_noise_budget_views_are_zero(self):
         cv = cv_choose_r(
             gaussian_data(seed=8), math.inf, np.random.default_rng(4), CVConfig(b_inner=60)
         )
-        assert cv.budget_parallel_view == 0.0
-        assert cv.budget_sequential_view == 0.0
+        assert cv.budget == 0.0
+
+    @pytest.mark.parametrize("v", [2, 5, 10])
+    def test_each_record_lies_in_v_releases(self, v):
+        n = 203  # divisible by none of the fold counts
+        data = gaussian_data(seed=12, n=n)
+        config = CVConfig(folds=v, b_inner=60)
+        cv = cv_choose_r(data, 1.5, np.random.default_rng(v), config)
+        assert sum(fold["train_n"] + fold["ref_n"] for fold in cv.per_fold) == v * n
+        estimate = gaussian_private_mle(data, 1.5, np.random.default_rng(0))
+        assert cv.budget == v * estimate.ledger.total()
+        assert cv_choose_r(data, math.inf, np.random.default_rng(v), config).budget == 0.0
 
     def test_too_few_observations_rejected(self):
         data = gaussian_data(seed=9, n=8)

@@ -1,6 +1,7 @@
 import csv
 import math
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,9 @@ from dpextrema.extrema import (
     ppb_limit_from_draws,
 )
 from dpextrema.models import PrivatizedRegressionEstimate
+
+REPO = Path(__file__).resolve().parent.parent
+SHIPPED_CONFIGS = sorted(REPO.glob("configs/*.ini")) + sorted(REPO.glob("bench/configs/*.ini"))
 
 
 def small_config(**overrides):
@@ -593,3 +597,28 @@ class TestConfigFile:
         )
         with pytest.raises(ParameterError, match=rf"^{key} must be a positive integer"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("n = 100\nrep = 5", "unknown \\[experiment\\] key 'rep'"),
+            ("n = 100\nbounds_halfwidth = 2.8", "unknown \\[experiment\\] key 'bounds_halfwidth'"),
+            ("n = 8x0", "cannot parse n '8x0'"),
+            ("n = 100\nreps = ten", "cannot parse reps 'ten'"),
+            ("n = 100\nn = 200", "option 'n' in section 'experiment' already exists"),
+        ],
+        ids=["rep", "bounds_halfwidth", "n", "reps", "duplicate"],
+    )
+    def test_unknown_or_malformed_key_is_named(self, tmp_path, lines, message):
+        path = tmp_path / "exp.ini"
+        path.write_text(
+            f"[experiment]\nmodel = gaussian\n{lines}\nk = 2\nepsilon = 1.5\nseed = 1\n"
+            "\n[methods]\nppb = 1/10\n"
+        )
+        with pytest.raises(ParameterError, match=message):
+            load_config(path)
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: str(p.relative_to(REPO)))
+def test_every_shipped_config_loads(path):
+    assert load_config(path).reps >= 1

@@ -347,12 +347,10 @@ def reference_regression_release(X, y, x_bounds, y_bounds, budget, rng, nuisance
     X, y = x_bounds.clamp(X), y_bounds.clamp(y)
     n, k = X.shape
     gram_spec = LaplaceSpec.from_budget(
-        sensitivity_gram_bounded(x_bounds.lower, x_bounds.upper).delta, eps_gram, k * (k + 1) // 2
+        sensitivity_gram_bounded(x_bounds.lower, x_bounds.upper), eps_gram, k * (k + 1) // 2
     )
     xty_spec = LaplaceSpec.from_budget(
-        sensitivity_cross_bounded(
-            x_bounds.lower, x_bounds.upper, y_bounds.lower, y_bounds.upper
-        ).delta,
+        sensitivity_cross_bounded(x_bounds.lower, x_bounds.upper, y_bounds.lower, y_bounds.upper),
         eps_xty,
         k,
     )

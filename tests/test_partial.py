@@ -1,9 +1,13 @@
+import contextlib
+import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
+from dpextrema.cli import main
 from dpextrema.extrema import ppb_lower_limit
 from dpextrema.models import GaussianData, RegressionData, gaussian_private_mle, regression_private_mle
 from dpextrema.partial import PartitionedGaussianData, partial_gaussian_private_mle
@@ -29,6 +33,38 @@ class ScriptedRng:
 
     def standard_normal(self, size=None):
         return self._normal.standard_normal(size)
+
+
+def assert_nuisance_unreleased(x1, x2, half_width, tmp_path):
+    """Check that no nuisance statistic of a partitioned Gaussian is released.
+
+    The nuisance mean and the covariance blocks sigma12 and sigma22 are
+    computed here from the data.  None may appear in the estimate's
+    ``to_dict`` or ``repr``, or in the JSON of ``ci gaussian --partial K1``.
+    """
+    k1 = x1.shape[1]
+    bounds = Bounds.symmetric(half_width, k1)
+    est = partial_gaussian_private_mle(
+        PartitionedGaussianData(x1, x2, bounds), 1.5, np.random.default_rng(0)
+    )
+    path, out = tmp_path / "partitioned.csv", tmp_path / "partitioned.json"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{j}" for j in range(k1 + x2.shape[1])])
+        writer.writerows(np.hstack([x1, x2]).tolist())
+    args = [
+        "ci", "gaussian", "--input", str(path), f"--bounds=-{half_width}:{half_width}",
+        "--epsilon", "1.5", "--partial", str(k1), "--seed", "1", "--B", "200", "--output", str(out),
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(args) == 0
+    released = json.dumps(est.to_dict()) + repr(est) + out.read_text()
+
+    cov = np.cov(np.hstack([bounds.clamp(x1), x2]), rowvar=False)
+    nuisance = np.concatenate([x2.mean(axis=0), cov[:k1, k1:].ravel(), cov[k1:, k1:].ravel()])
+    for value in nuisance:
+        assert repr(float(value)) not in released
+    assert "mu2" not in released and "sigma12" not in released
 
 
 def trial_design(rng, n=400, k1=2, k2=2, beta=(0.0, 0.5), gamma=(0.5, -0.5), sigma=1.0):
@@ -96,18 +132,11 @@ class TestPartialGaussian:
         assert partial.sum_noise.scale < full.sum_noise.scale
         assert partial.gram_noise.scale < full.gram_noise.scale
 
-    def test_released_surface_excludes_nuisance(self):
+    def test_released_surface_excludes_nuisance(self, tmp_path):
         rng = np.random.default_rng(55)
+        x1 = rng.standard_normal((120, 2))
         x2 = rng.standard_normal((120, 3)) + 7.0  # distinctive nuisance values
-        data = PartitionedGaussianData(rng.standard_normal((120, 2)), x2, Bounds.symmetric(3.0, 2))
-        est = partial_gaussian_private_mle(data, 1.5, rng)
-        assert set(est._nuisance) == {"mu2", "sigma12", "sigma22"}
-        serialized = json.dumps(est.to_dict()) + repr(est)
-        for value in np.concatenate(
-            [est._nuisance["mu2"], est._nuisance["sigma12"].ravel(), est._nuisance["sigma22"].ravel()]
-        ):
-            assert repr(float(value)) not in serialized
-        assert "mu2" not in serialized and "sigma12" not in serialized
+        assert_nuisance_unreleased(x1, x2, 3.0, tmp_path)
 
     def test_bootstrap_uses_block_sample_size(self):
         rng = np.random.default_rng(56)

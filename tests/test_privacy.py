@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from dpextrema.errors import LedgerError, ParameterError
+from dpextrema.models import GaussianData, gaussian_private_mle
 from dpextrema.privacy import (
     Bounds,
     GeneratorStack,
@@ -123,45 +124,44 @@ class TestGeneratorStack:
 
 class TestSensitivities:
     def test_sum_unit_box(self):
-        assert sensitivity_sum_bounded([0, 0], [1, 1]).delta == 2.0
+        assert sensitivity_sum_bounded([0, 0], [1, 1]) == 2.0
 
     def test_sum_interval_width(self):
-        assert sensitivity_sum_bounded([-1], [1]).delta == 2.0
+        assert sensitivity_sum_bounded([-1], [1]) == 2.0
 
     def test_sum_rectangular_box_matches_corner_search(self):
         lower, upper = np.array([0.0, 0.0]), np.array([2.0, 3.0])
-        spec = sensitivity_sum_bounded(lower, upper)
-        assert spec.delta == 5.0
+        delta = sensitivity_sum_bounded(lower, upper)
+        assert delta == 5.0
         # brute force: sup of ||x - x'||_1 over the box is attained at corners
         corners = list(itertools.product(*zip(lower, upper)))
         sup = max(
             np.abs(np.array(a) - np.array(b)).sum() for a in corners for b in corners
         )
-        assert spec.delta == pytest.approx(sup)
+        assert delta == pytest.approx(sup)
 
     def test_gram_symmetric_interval(self):
-        spec = sensitivity_gram_bounded([-1.0], [1.0])
-        assert spec.delta == 2.0
+        delta = sensitivity_gram_bounded([-1.0], [1.0])
+        assert delta == 2.0
         grid = np.linspace(-1, 1, 201)
         sup = max(abs(x * x - y * y) for x in grid for y in grid)
-        assert sup <= spec.delta
+        assert sup <= delta
 
     def test_gram_zero_box(self):
-        assert sensitivity_gram_bounded([0.0, 0.0], [0.0, 0.0]).delta == 0.0
+        assert sensitivity_gram_bounded([0.0, 0.0], [0.0, 0.0]) == 0.0
 
     def test_gram_unit_square_upper_bounds_grid_search(self):
         lower, upper = np.array([0.0, 0.0]), np.array([1.0, 1.0])
-        spec = sensitivity_gram_bounded(lower, upper)
-        assert spec.delta == 8.0
+        delta = sensitivity_gram_bounded(lower, upper)
+        assert delta == 8.0
         pts = [np.array(c) for c in itertools.product(np.linspace(0, 1, 11), repeat=2)]
         sup = max(
             np.abs(np.outer(a, a) - np.outer(b, b)).sum() for a in pts for b in pts
         )
-        assert sup <= spec.delta
+        assert sup <= delta
 
     def test_cross_sensitivity(self):
-        spec = sensitivity_cross_bounded([-1.0, -1.0], [1.0, 1.0], [-2.0], [2.0])
-        assert spec.delta == 2.0 * 2.0 * 2.0
+        assert sensitivity_cross_bounded([-1.0, -1.0], [1.0, 1.0], [-2.0], [2.0]) == 2.0 * 2.0 * 2.0
 
     def test_inverted_bounds_rejected(self):
         with pytest.raises(ParameterError):
@@ -170,6 +170,16 @@ class TestSensitivities:
     def test_unbounded_rejected(self):
         with pytest.raises(ParameterError):
             sensitivity_sum_bounded([0.0], [math.inf])
+
+    @pytest.mark.parametrize("epsilon", [1.5, math.inf])
+    def test_overflowing_sensitivity_refused_at_every_epsilon(self, epsilon):
+        # finite bounds whose gram sensitivity overflows to inf; the zero-noise
+        # shortcut of an infinite epsilon must not let it through
+        x = np.zeros((10, 2))
+        with np.errstate(over="ignore"):
+            assert sensitivity_gram_bounded([-1e200], [1e200]) == math.inf
+            with pytest.raises(ParameterError, match="sensitivity"):
+                gaussian_private_mle(GaussianData(x, Bounds.symmetric(1e200, 2)), epsilon, rng=None)
 
 
 class TestBounds:
@@ -198,12 +208,6 @@ class TestLedger:
     def test_empty_total(self):
         assert PrivacyLedger().total() == 0.0
 
-    def test_parallel_total_of_equal_fold_charges(self):
-        ledger = PrivacyLedger(regime="parallel")
-        for j in range(5):
-            ledger = ledger.charge(f"fold{j}", 0.3)
-        assert ledger.total() == 0.3
-
     def test_double_charge_rejected(self):
         ledger = PrivacyLedger().charge("stat", 1.0)
         with pytest.raises(LedgerError):
@@ -227,13 +231,14 @@ class TestLedger:
             forward = forward.charge(f"s{i}", eps)
         for i, eps in reversed(list(enumerate(epsilons))):
             backward = backward.charge(f"s{i}", eps)
-        assert forward.total_sequential() == backward.total_sequential()
+        assert forward.total() == backward.total()
 
-    def test_views_exposed_for_both_regimes(self):
+    def test_to_dict_carries_the_charges_and_their_sum(self):
         ledger = PrivacyLedger().charge("a", 1.0).charge("b", 0.25)
-        assert ledger.total_sequential() == 1.25
-        assert ledger.total_parallel() == 1.0
-        assert ledger.to_dict()["total_sequential"] == 1.25
+        assert ledger.to_dict() == {
+            "charges": [{"statistic": "a", "epsilon": 1.0}, {"statistic": "b", "epsilon": 0.25}],
+            "total_sequential": 1.25,
+        }
 
 
 class TestSplitBudget:
