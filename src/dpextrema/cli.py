@@ -24,6 +24,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -69,7 +70,40 @@ def _parse_bounds(text: str, k: int, what: str) -> Bounds:
 
 
 def _read_csv_matrix(path) -> tuple[list[str], np.ndarray]:
-    """Read a numeric CSV with a header row, reporting bad cells by position."""
+    """Read a numeric CSV with a header row, reporting bad cells by position.
+
+    numpy's C parser reads the body.  A body it refuses, or that is not one or
+    more rows of ``len(header)`` numbers, goes to the row reader, which accepts
+    what ``float`` accepts (quoted cells, blank rows) and raises every error.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        plain = header is not None and _numpy_reads_as_float(fh)
+    if plain:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on an empty body
+                data = np.loadtxt(path, delimiter=",", skiprows=reader.line_num, ndmin=2, comments=None)
+        except ValueError:
+            pass
+        else:
+            if len(data) and data.shape[1] == len(header):
+                return header, data
+    return _read_csv_rows(path)
+
+
+def _numpy_reads_as_float(fh) -> bool:
+    """False if the rest of ``fh`` holds U+001C..U+001F, which numpy strips
+    around a number as white space and ``float`` refuses."""
+    for chunk in iter(lambda: fh.read(1 << 16), ""):
+        if any(space in chunk for space in "\x1c\x1d\x1e\x1f"):
+            return False
+    return True
+
+
+def _read_csv_rows(path) -> tuple[list[str], np.ndarray]:
+    """The row-by-row reader: every cell through ``float``, errors by row and column."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:

@@ -83,8 +83,8 @@ __all__ = [
 ]
 
 
-def parse_r_token(token: str) -> float:
-    """Parse a correction-strength token: a float, a fraction, or ``full``."""
+def parse_r_token(token: str, what: str = "r value") -> float:
+    """Parse a correction-strength token named ``what``: a float, a fraction, or ``full``."""
     t = str(token).strip().lower()
     if t == "full":
         return FULL_CORRECTION
@@ -94,12 +94,12 @@ def parse_r_token(token: str) -> float:
             return float(num) / float(den)
         return float(t)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParameterError(f"cannot parse r value {token!r}") from exc
+        raise ParameterError(f"cannot parse {what} {token!r}") from exc
 
 
-def parse_grid(text: str) -> tuple[float, ...]:
-    """A cross-validation grid: comma-separated tokens read by :func:`parse_r_token`."""
-    return tuple(parse_r_token(tok) for tok in text.split(","))
+def parse_grid(text: str, what: str = "r value") -> tuple[float, ...]:
+    """A cross-validation grid named ``what``: comma-separated tokens read by :func:`parse_r_token`."""
+    return tuple(parse_r_token(tok, what) for tok in text.split(","))
 
 
 def format_r_token(r: float) -> str:
@@ -163,8 +163,11 @@ class MethodSpec:
         if self.name in ("ppb", "npb", "rppb") and not self.r_tokens:
             raise ParameterError(f"{self.name} needs at least one r value")
         for token in self.r_tokens:
-            if token != "cv":
-                parse_r_token(token)
+            if token == "cv":
+                continue
+            r = parse_r_token(token, f"{self.name} r token")
+            if not (0.0 < r <= 0.5 or r == FULL_CORRECTION):
+                raise ParameterError(f"{self.name} r token {token!r} must lie in (0, 0.5] or be full")
 
     @property
     def label(self) -> str:
@@ -590,7 +593,7 @@ _EXPERIMENT_KEYS = {
         ("alpha", "bounds_half_width", "sigma2", "x_half_width", "y_half_width"), parse_number
     ),
     **dict.fromkeys(("epsilon", "sigma_diag", "gamma"), parse_floats),
-    "cv_grid": lambda text, key: parse_grid(text),
+    "cv_grid": parse_grid,
     "split": lambda text, key: parse_split(text),
 }
 _FIELDS = {"b": "B", "epsilon": "epsilons"}

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 import numpy as np
 
 from .errors import NumericError, ParameterError
@@ -111,8 +112,13 @@ class GaussianData:
     def k(self) -> int:
         return self.x.shape[1]
 
+    @cached_property
+    def clamped(self) -> np.ndarray:
+        """The rows clamped into the bounds, computed once per data set."""
+        return self.bounds.clamp(self.x)
+
     def fold_statistics(self, folds: list[np.ndarray]) -> "GaussianStatistics":
-        return GaussianStatistics.of_folds(self.bounds.clamp(self.x), self.bounds, folds)
+        return GaussianStatistics.of_folds(self.clamped, self.bounds, folds)
 
 
 class _Stacked:
@@ -363,10 +369,14 @@ class RegressionData:
     def k(self) -> int:
         return self.X.shape[1]
 
+    @cached_property
+    def clamped(self) -> tuple[np.ndarray, np.ndarray]:
+        """X and y clamped into their bounds, computed once per data set."""
+        return self.x_bounds.clamp(self.X), self.y_bounds.clamp(self.y)
+
     def fold_statistics(self, folds: list[np.ndarray]) -> "RegressionStatistics":
         return RegressionStatistics.of_folds(
-            self.x_bounds.clamp(self.X), self.y_bounds.clamp(self.y), self.nuisance, folds,
-            self.x_bounds, self.y_bounds,
+            *self.clamped, self.nuisance, folds, self.x_bounds, self.y_bounds,
         )
 
 

@@ -15,6 +15,7 @@ Regression with nuisance covariates needs no class of its own: it is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,9 +63,14 @@ class PartitionedGaussianData:
     def n(self) -> int:
         return self.x1.shape[0]
 
+    @cached_property
+    def interest(self) -> GaussianData:
+        """The interest block as Gaussian data, which clamps it once."""
+        return GaussianData(self.x1, self.bounds)
+
     def fold_statistics(self, folds: list[np.ndarray]) -> GaussianStatistics:
         """Statistics of the interest block only; the nuisance block is never released."""
-        return GaussianStatistics.of_folds(self.bounds.clamp(self.x1), self.bounds, folds)
+        return self.interest.fold_statistics(folds)
 
 
 def partial_gaussian_private_mle(
@@ -76,4 +82,4 @@ def partial_gaussian_private_mle(
     (the block mean depends on its own noisy sum alone); the nuisance block
     is not read.
     """
-    return gaussian_private_mle(GaussianData(data.x1, data.bounds), budget, rng)
+    return gaussian_private_mle(data.interest, budget, rng)

@@ -163,7 +163,8 @@ def sensitivity_sum_bounded(lower, upper) -> float:
     each coordinate, so delta is the total width.
     """
     lo, up = _as_bound_arrays(lower, upper)
-    return float(np.sum(up - lo))
+    with np.errstate(over="ignore"):  # bounds too wide give inf, which laplace_scale refuses
+        return float(np.sum(up - lo))
 
 
 def sensitivity_gram_bounded(lower, upper) -> float:
@@ -177,7 +178,8 @@ def sensitivity_gram_bounded(lower, upper) -> float:
     """
     lo, up = _as_bound_arrays(lower, upper)
     m = np.maximum(np.abs(lo), np.abs(up))
-    return float(2.0 * np.sum(m) ** 2)
+    with np.errstate(over="ignore"):
+        return float(2.0 * np.sum(m) ** 2)
 
 
 def sensitivity_cross_bounded(x_lower, x_upper, y_lower: float, y_upper: float) -> float:
@@ -186,7 +188,8 @@ def sensitivity_cross_bounded(x_lower, x_upper, y_lower: float, y_upper: float) 
     ylo, yup = _as_bound_arrays(y_lower, y_upper)
     mx = np.maximum(np.abs(lo), np.abs(up))
     my = float(np.max(np.maximum(np.abs(ylo), np.abs(yup))))
-    return float(2.0 * my * np.sum(mx))
+    with np.errstate(over="ignore"):
+        return float(2.0 * my * np.sum(mx))
 
 
 def laplace_scale(delta: float, epsilon: float) -> float:

@@ -4,12 +4,18 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dpextrema import cli
 from dpextrema.cli import build_parser, main
+from dpextrema.errors import ParameterError
 
 
 def run_cli(args):
@@ -176,6 +182,144 @@ class TestCiGaussian:
         assert "row 3" in err and "column 2" in err
 
 
+@pytest.mark.parametrize(
+    "model, bounds",
+    [
+        ("gaussian", ["--bounds=-1e200:1e200"]),
+        ("gaussian", ["--bounds=-1e308:1e308"]),
+        # the gram sensitivity stays finite; the cross one overflows
+        ("regression", ["--bounds=-1e153:1e153", "--y-bounds=-1e155:1e155"]),
+    ],
+    ids=["gram", "sum", "cross"],
+)
+def test_overflowing_bounds_give_one_error_line(tmp_path, capsys, model, bounds):
+    write = write_gaussian_csv if model == "gaussian" else write_regression_csv
+    data = write(tmp_path / "data.csv")
+    args = ["ci", model, "--input", str(data), *bounds, "--epsilon", "1.5", "--seed", "1"]
+    assert run_cli(args) == 2
+    assert capsys.readouterr().err == "error: sensitivity must be finite and >= 0\n"
+
+
+#: Inputs at the edges of what the CSV reader accepts, as file text.
+EDGE_CASES = {
+    "plain": "a,b\n1,2\n3,4\n",
+    "crlf": "a,b\r\n1,2\r\n3,4\r\n",
+    "cr_only": "a,b\r1,2\r3,4\r",
+    "bom": "\ufeffa,b\n1,2\n",
+    "blank_line": "a,b\n1,2\n\n3,4\n",
+    "whitespace_line": "a,b\n1,2\n   \t\n3,4\n",
+    "comma_blank_row": "a,b,c\n1,2,3\n,,\n4,5,6\n",
+    "trailing_comma": "a,b\n1,2,\n",
+    "hex": "a\n0x10\n",
+    "fortran_exponent": "a\n1d3\n",
+    "complex": "a\n1+2j\n",
+    "nbsp": "a,b\n\xa01,2\xa0\n",
+    "arabic_indic_digits": "a\n\u0661\u0662\n",
+    "nan_inf": "a,b\nnan,inf\n-inf,NaN\nInfinity,-infinity\n",
+    "single_row": "a,b,c\n1,2,3\n",
+    "single_column": "a\n1\n2\n",
+    "quoted_cells": 'a,b\n"1","2"\n',
+    "underscore": "a\n1_0\n",
+    "hash": "a,b\n1,2#x\n",
+    "header_only": "a,b\n",
+    "empty": "",
+    "short_rows": "a,b,c\n1,2\n3,4\n",
+    "ragged": "a,b\n1,2\n3\n",
+    "not_a_number": "a,b\n1,x\n",
+    "padded": "a,b\n 1 , 2 \n",
+    "tabs": "a,b\n\t1,2\t\n",
+    "no_final_newline": "a,b\n1,2",
+    "quoted_header": '"a,1",b\n1,2\n',
+    "multiline_header": '"x\n1',
+    "file_separator": "a\n\x1c1\n",
+    "unit_separator": "a\n1\x1f\n",
+    "overflow": "a\n1e400\n",
+    "empty_cell": "a,b\n1,\n",
+    "blank_first_line": "\na,b\n1,2\n",
+    "short_forms": "a,b,c,d\n+.5,5.,-0,1E5\n",
+    "inner_space": "a\n1 2\n",
+    "only_blank_rows": "a\n\n\n",
+    "nul": "a\n1\x00\n",
+}
+
+
+def _read_outcome(read, path):
+    """What a CSV reader makes of ``path``: the header and matrix, or the error text."""
+    try:
+        return read(path)
+    except ParameterError as exc:
+        return str(exc)
+
+
+def assert_reader_matches_row_reader(path):
+    """``_read_csv_matrix`` raises the row reader's error text, or returns its
+    header and a bitwise-equal matrix (NaN counted equal to NaN)."""
+    got = _read_outcome(cli._read_csv_matrix, path)
+    want = _read_outcome(cli._read_csv_rows, path)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert got[0] == want[0]
+    matrix, want_matrix = got[1], want[1]
+    assert matrix.shape == want_matrix.shape and matrix.flags.c_contiguous
+    nan = np.isnan(want_matrix)
+    assert np.array_equal(np.isnan(matrix), nan)
+    assert matrix[~nan].tobytes() == want_matrix[~nan].tobytes()
+
+
+class TestCsvReader:
+    """The C-parsed fast path returns exactly what the row reader returns or raises."""
+
+    @pytest.mark.filterwarnings("error")  # stderr carries the error line only
+    @pytest.mark.parametrize("name", EDGE_CASES)
+    def test_edge_case_matches_the_row_reader(self, tmp_path, name):
+        path = tmp_path / "input.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(EDGE_CASES[name])
+        assert_reader_matches_row_reader(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda k: st.lists(
+                st.lists(
+                    st.tuples(
+                        st.floats(width=64),
+                        st.sampled_from(["{!r}", "{:.17g}", "{:.3f}", "{:g}"]),
+                        st.text(" ", max_size=2),
+                        st.text(" ", max_size=2),
+                    ),
+                    min_size=k, max_size=k,
+                ),
+                min_size=1, max_size=5,
+            )
+        )
+    )
+    def test_written_doubles_match_the_row_reader(self, rows):
+        lines = [",".join(f"{pad}{fmt.format(v)}{tail}" for v, fmt, pad, tail in row) for row in rows]
+        header = ",".join(f"x{j}" for j in range(len(rows[0])))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.csv"
+            path.write_text("\n".join([header, *lines]) + "\n")
+            assert_reader_matches_row_reader(path)
+
+    def test_fast_path_serves_a_plain_file(self, tmp_path, monkeypatch, capsys):
+        # written the way the benchmark writes its ci input; if this file fell
+        # back to the row reader, every other reader test would still pass
+        path = tmp_path / "input.csv"
+        rng = np.random.default_rng(3)
+        np.savetxt(path, rng.standard_normal((200, 3)), delimiter=",",
+                   header="x0,x1,x2", comments="", fmt="%.17g")
+
+        def refuse(path):
+            raise AssertionError("the row reader ran on a plain file")
+
+        monkeypatch.setattr(cli, "_read_csv_rows", refuse)
+        args = ["ci", "gaussian", "--input", str(path), "--bounds=-3:3", "--epsilon", "1.5",
+                "--B", "200", "--seed", "5"]
+        assert run_cli(args) == 0
+
+
 class TestCiRegression:
     def test_runs_and_reports_budget_views(self, tmp_path, capsys):
         data = write_regression_csv(tmp_path / "reg.csv")
@@ -338,6 +482,26 @@ class TestSimulateAndPlot:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize(
+        "experiment, methods, message",
+        [
+            ("cv_grid = 0.1, x", "ppb = cv", "error: cannot parse cv_grid ' x'"),
+            ("", "ppb = 0.7", "error: ppb r token '0.7' must lie in (0, 0.5] or be full"),
+        ],
+        ids=["cv_grid", "method-token"],
+    )
+    def test_bad_r_value_exits_2_before_running(
+        self, tmp_path, capsys, monkeypatch, experiment, methods, message
+    ):
+        monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("the study ran"))
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            f"[experiment]\nmodel = gaussian\nn = 200\nk = 2\n{experiment}\n"
+            f"epsilon = 1.5\nseed = 4\nB = 200\n\n[methods]\n{methods}\n"
+        )
+        code = run_cli(["simulate", "--config", str(cfg), "--output", str(tmp_path / "r.csv")])
+        assert (code, capsys.readouterr().err) == (2, message + "\n")
 
     def test_end_to_end(self, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from dpextrema.cli import estimator_for
 from dpextrema.crossval import CVConfig, cv_choose_r
 from dpextrema.errors import NumericError, ParameterError
 from dpextrema.models import (
@@ -220,6 +221,21 @@ class TestFoldStatisticsReference:
                 - ref.coordinate_variances()[None, :]
             )
             np.testing.assert_allclose(cv.hs[0][:, j, :], expected_h, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "case, clamped_arrays",
+    [(_gaussian_case, 1), (_partitioned_case, 1), (_regression_case, 2), (_nuisance_case, 2)],
+    ids=["gaussian", "partitioned", "regression", "nuisance"],
+)
+def test_estimate_then_cv_clamps_each_array_once(monkeypatch, case, clamped_arrays):
+    data, _ = case()
+    calls = []
+    clamp = Bounds.clamp
+    monkeypatch.setattr(Bounds, "clamp", lambda self, x: calls.append(x) or clamp(self, x))
+    estimator_for(data)(data, math.inf, np.random.default_rng(0))
+    cv_choose_r(data, math.inf, np.random.default_rng(1), CVConfig(b_inner=60))
+    assert len(calls) == clamped_arrays
 
 
 class TestCVConfig:

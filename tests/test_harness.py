@@ -606,8 +606,9 @@ class TestConfigFile:
             ("n = 8x0", "cannot parse n '8x0'"),
             ("n = 100\nreps = ten", "cannot parse reps 'ten'"),
             ("n = 100\nn = 200", "option 'n' in section 'experiment' already exists"),
+            ("n = 100\ncv_grid = 0.1, x", "cannot parse cv_grid ' x'"),
         ],
-        ids=["rep", "bounds_halfwidth", "n", "reps", "duplicate"],
+        ids=["rep", "bounds_halfwidth", "n", "reps", "duplicate", "cv_grid"],
     )
     def test_unknown_or_malformed_key_is_named(self, tmp_path, lines, message):
         path = tmp_path / "exp.ini"
@@ -616,6 +617,24 @@ class TestConfigFile:
             "\n[methods]\nppb = 1/10\n"
         )
         with pytest.raises(ParameterError, match=message):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "methods, message",
+        [
+            ("ppb = 0.7", "ppb r token '0.7' must lie in \\(0, 0.5\\] or be full"),
+            ("npb = 1/10, 0", "npb r token '0' must lie"),
+            ("rppb = 1/10, 1/x", "cannot parse rppb r token '1/x'"),
+        ],
+        ids=["above-half", "zero", "malformed"],
+    )
+    def test_bad_r_token_names_its_method(self, tmp_path, methods, message):
+        path = tmp_path / "exp.ini"
+        path.write_text(
+            "[experiment]\nmodel = gaussian\nn = 100\nk = 2\nepsilon = 1.5\nseed = 1\n"
+            f"\n[methods]\n{methods}\n"
+        )
+        with pytest.raises(ParameterError, match=f"^{message}"):
             load_config(path)
 
 

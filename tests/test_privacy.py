@@ -176,10 +176,9 @@ class TestSensitivities:
         # finite bounds whose gram sensitivity overflows to inf; the zero-noise
         # shortcut of an infinite epsilon must not let it through
         x = np.zeros((10, 2))
-        with np.errstate(over="ignore"):
-            assert sensitivity_gram_bounded([-1e200], [1e200]) == math.inf
-            with pytest.raises(ParameterError, match="sensitivity"):
-                gaussian_private_mle(GaussianData(x, Bounds.symmetric(1e200, 2)), epsilon, rng=None)
+        assert sensitivity_gram_bounded([-1e200], [1e200]) == math.inf
+        with pytest.raises(ParameterError, match="sensitivity"):
+            gaussian_private_mle(GaussianData(x, Bounds.symmetric(1e200, 2)), epsilon, rng=None)
 
 
 class TestBounds:
