@@ -75,22 +75,28 @@ def _read_csv_matrix(path) -> tuple[list[str], np.ndarray]:
     numpy's C parser reads the body.  A body it refuses, or that is not one or
     more rows of ``len(header)`` numbers, goes to the row reader, which accepts
     what ``float`` accepts (quoted cells, blank rows) and raises every error.
+    A file that does not decode is refused by name.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        plain = header is not None and _numpy_reads_as_float(fh)
-    if plain:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on an empty body
-                data = np.loadtxt(path, delimiter=",", skiprows=reader.line_num, ndmin=2, comments=None)
-        except ValueError:
-            pass
-        else:
-            if len(data) and data.shape[1] == len(header):
-                return header, data
-    return _read_csv_rows(path)
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            plain = header is not None and _numpy_reads_as_float(fh)
+        if plain:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on an empty body
+                    data = np.loadtxt(
+                        path, delimiter=",", skiprows=reader.line_num, ndmin=2, comments=None
+                    )
+            except ValueError:
+                pass
+            else:
+                if len(data) and data.shape[1] == len(header):
+                    return header, data
+        return _read_csv_rows(path)
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
 
 
 def _numpy_reads_as_float(fh) -> bool:

@@ -53,7 +53,7 @@ from .privacy import GeneratorStack
 DEFAULT_GRID = (1.0 / 30.0, 1.0 / 15.0, 1.0 / 10.0, 1.0 / 5.0)
 DEFAULT_FOLDS = 5
 
-__all__ = ["CVConfig", "CVResult", "DEFAULT_FOLDS", "DEFAULT_GRID", "cv_choose_r"]
+__all__ = ["CVConfig", "CVResult", "DEFAULT_FOLDS", "DEFAULT_GRID", "check_grid", "cv_choose_r"]
 
 
 @dataclass(frozen=True)
@@ -65,19 +65,25 @@ class CVConfig:
     def __post_init__(self):
         if self.folds < 2:
             raise ParameterError("cross-validation needs at least 2 folds")
-        grid = tuple(float(r) for r in self.grid)
-        if not grid:
-            raise ParameterError("candidate grid is empty")
-        for r in grid:
-            if math.isnan(r) or not (0.0 < r < 0.5):
-                raise ParameterError("grid values must lie strictly inside (0, 0.5)")
-        # nondecreasing, not strictly increasing: duplicated values are legal
-        # and exercise the deterministic tie-break
-        if any(a > b for a, b in zip(grid, grid[1:])):
-            raise ParameterError("candidate grid must be sorted ascending")
+        object.__setattr__(self, "grid", check_grid(self.grid))
         if self.b_inner < 50:
             raise ParameterError("b_inner must be >= 50")
-        object.__setattr__(self, "grid", grid)
+
+
+def check_grid(grid, what: str = "grid") -> tuple[float, ...]:
+    """A candidate grid named ``what`` as a tuple of floats: nonempty, inside
+    (0, 0.5) and nondecreasing."""
+    grid = tuple(float(r) for r in grid)
+    if not grid:
+        raise ParameterError(f"{what} is empty")
+    for r in grid:
+        if math.isnan(r) or not (0.0 < r < 0.5):
+            raise ParameterError(f"{what} values must lie strictly inside (0, 0.5)")
+    # nondecreasing, not strictly increasing: duplicated values are legal
+    # and exercise the deterministic tie-break
+    if any(a > b for a, b in zip(grid, grid[1:])):
+        raise ParameterError(f"{what} must be sorted ascending")
+    return grid
 
 
 @dataclass(eq=False)

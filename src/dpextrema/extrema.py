@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Protocol
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DegeneracyError, ParameterError
 
@@ -291,14 +291,14 @@ def naive_limits(betas, variances, n, alpha: float = 0.05):
     _check_alpha(alpha)
     j = np.argmax(betas, axis=-1)[..., None]
     se = np.sqrt(np.take_along_axis(variances, j, axis=-1)[..., 0])
-    z = float(ndtri(1.0 - alpha))
+    z = NormalDist().inv_cdf(1.0 - alpha)
     return np.take_along_axis(betas, j, axis=-1)[..., 0] - z * se, z * se * np.sqrt(n)
 
 
 def bonferroni_limits(betas, variances, n, alpha: float = 0.05):
     """Bonferroni limits of a stack of R estimates, laid out as in :func:`naive_limits`."""
     _check_alpha(alpha)
-    z = float(ndtri(1.0 - alpha / betas.shape[-1]))
+    z = NormalDist().inv_cdf(1.0 - alpha / betas.shape[-1])
     lower = (betas - z * np.sqrt(variances)).max(axis=-1)
     return lower, (betas.max(axis=-1) - lower) * np.sqrt(n)
 

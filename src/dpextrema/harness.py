@@ -44,7 +44,7 @@ import typing
 from dataclasses import dataclass, field, fields
 import numpy as np
 
-from .crossval import DEFAULT_FOLDS, DEFAULT_GRID, CVConfig, cv_choose_r
+from .crossval import DEFAULT_FOLDS, DEFAULT_GRID, CVConfig, check_grid, cv_choose_r
 from .errors import NumericError, ParameterError
 from .extrema import (
     DEFAULT_B,
@@ -231,6 +231,7 @@ class ExperimentConfig:
             raise ParameterError("design must be 'resampled' or 'fixed'")
         if self.split is not None:
             object.__setattr__(self, "split", check_shares(self.split))
+        object.__setattr__(self, "cv_grid", check_grid(self.cv_grid, "cv_grid"))
         if self.model in ("gaussian", "partial_gaussian"):
             mu = self.mu if self.mu is not None else (0.0,) * self.k
             if len(mu) != self.k:

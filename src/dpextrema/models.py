@@ -759,7 +759,12 @@ class RegressionStatistics:
             + np.sum(self.x_bounds.magnitudes * np.abs(beta), axis=1)
             + m_fit
         )
-        rss_scales = np.zeros(sets) if math.isinf(eps_rss) else m_res**2 / dof / eps_rss
+        with np.errstate(over="ignore"):  # response bounds too wide give inf, refused below
+            rss_scales = np.zeros(sets) if math.isinf(eps_rss) else m_res**2 / dof / eps_rss
+        if not np.isfinite(rss_scales).all():
+            raise ParameterError(
+                "residual-variance noise scale overflows; the response bounds are too wide"
+            )
         sigma2 = rss / dof
         drawn = rss_scales > 0.0  # a zero scale draws nothing
         sigma2[drawn] += rng.laplace(0.0, rss_scales[drawn], owner=rng.owners(sets)[drawn])

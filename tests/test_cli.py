@@ -1,11 +1,13 @@
 import argparse
 import csv
 import json
+import locale
 import math
 import subprocess
 import sys
 import tempfile
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +200,35 @@ def test_overflowing_bounds_give_one_error_line(tmp_path, capsys, model, bounds)
     args = ["ci", model, "--input", str(data), *bounds, "--epsilon", "1.5", "--seed", "1"]
     assert run_cli(args) == 2
     assert capsys.readouterr().err == "error: sensitivity must be finite and >= 0\n"
+
+
+def test_overflowing_residual_scale_gives_one_error_line(tmp_path, capsys):
+    # every sensitivity stays finite; the residual-variance scale m_res^2 overflows
+    data = write_regression_csv(tmp_path / "data.csv")
+    args = [
+        "ci", "regression", "--input", str(data), "--bounds=-1:1", "--y-bounds=-1e200:1e200",
+        "--epsilon", "1.5", "--seed", "1",
+    ]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(args) == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == (
+        "error: residual-variance noise scale overflows; the response bounds are too wide\n"
+    )
+
+
+@pytest.mark.skipif(
+    locale.getpreferredencoding(False).lower().replace("-", "") != "utf8",
+    reason="a 0xff byte decodes in this locale's encoding",
+)
+@pytest.mark.parametrize("command", [["ci", "gaussian"], ["cv"]])
+def test_undecodable_input_gives_one_error_line(tmp_path, capsys, command):
+    data = tmp_path / "latin1.csv"
+    data.write_bytes(b"a,b\n1,2\n3,\xff\n")
+    args = command + ["--input", str(data), "--bounds=-5:5", "--epsilon", "1.5", "--seed", "1"]
+    assert run_cli(args) == 2
+    assert capsys.readouterr().err == f"error: {data}: not utf-8 text (invalid start byte)\n"
 
 
 #: Inputs at the edges of what the CSV reader accepts, as file text.

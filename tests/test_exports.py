@@ -52,3 +52,31 @@ def test_import_leaves_scipy_stats_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+SHIPPED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "gaussian_k2_tied.ini"
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import dpextrema",
+        "from dpextrema.cli import build_parser; build_parser()",
+        f"from dpextrema.harness import load_config; load_config({str(SHIPPED_CONFIG)!r})",
+    ],
+    ids=["import", "build_parser", "load_config"],
+)
+def test_runtime_path_imports_no_scipy(statement):
+    # the runtime needs numpy only; scipy is a test dependency
+    package_root = str(Path(dpextrema.__file__).resolve().parents[1])
+    code = (
+        f"import sys; {statement}; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

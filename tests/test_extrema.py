@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from dpextrema.errors import DegeneracyError, ParameterError
 from dpextrema.extrema import (
@@ -13,8 +14,10 @@ from dpextrema.extrema import (
     bias_correction,
     bias_reduced_estimate,
     bias_reduced_from_draws,
+    bonferroni_limits,
     bonferroni_lower_limit,
     correction_factor,
+    naive_limits,
     naive_lower_limit,
     ppb_limit_from_draws,
     ppb_lower_limit,
@@ -249,6 +252,16 @@ class TestBaselines:
         )
         assert res.method == "naive_private"
         assert res.B is None
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
+    def test_normal_quantiles_match_scipy(self, alpha):
+        # zero estimates with unit variances put each limit at -z
+        for k in range(1, 65):
+            betas, variances, n = np.zeros((1, k)), np.ones((1, k)), np.array([1])
+            naive, _ = naive_limits(betas, variances, n, alpha)
+            bonferroni, _ = bonferroni_limits(betas, variances, n, alpha)
+            assert -naive[0] == pytest.approx(stats.norm.ppf(1.0 - alpha), rel=1e-14, abs=0)
+            assert -bonferroni[0] == pytest.approx(stats.norm.ppf(1.0 - alpha / k), rel=1e-14, abs=0)
 
 
 class TestBiasReducedEstimate:

@@ -607,8 +607,11 @@ class TestConfigFile:
             ("n = 100\nreps = ten", "cannot parse reps 'ten'"),
             ("n = 100\nn = 200", "option 'n' in section 'experiment' already exists"),
             ("n = 100\ncv_grid = 0.1, x", "cannot parse cv_grid ' x'"),
+            ("n = 100\ncv_grid = 0.1, 0.7", "cv_grid values must lie strictly inside \\(0, 0.5\\)"),
+            ("n = 100\ncv_grid = 0.2, 0.1", "cv_grid must be sorted ascending"),
         ],
-        ids=["rep", "bounds_halfwidth", "n", "reps", "duplicate", "cv_grid"],
+        ids=["rep", "bounds_halfwidth", "n", "reps", "duplicate", "cv_grid", "cv_grid-range",
+             "cv_grid-order"],
     )
     def test_unknown_or_malformed_key_is_named(self, tmp_path, lines, message):
         path = tmp_path / "exp.ini"
