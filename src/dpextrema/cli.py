@@ -288,6 +288,17 @@ def _cmd_plot_data(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, as ``SeedSequence`` takes."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dpextrema",
@@ -303,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--split", default=None, help="per-statistic budget shares, e.g. 0.5,0.5")
     shared.add_argument("--folds", type=int, default=DEFAULT_FOLDS, help="cross-validation folds")
     shared.add_argument("--b-inner", type=int, default=DEFAULT_B_INNER, dest="b_inner")
-    shared.add_argument("--seed", type=int, required=True)
+    shared.add_argument("--seed", type=_seed, required=True)
     shared.add_argument("--output", default=None, help="optional JSON output path")
     response = argparse.ArgumentParser(add_help=False)
     response.add_argument("--y-bounds", default=None, dest="y_bounds", help="response range lo:hi")

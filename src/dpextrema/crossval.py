@@ -53,7 +53,7 @@ from .privacy import GeneratorStack
 DEFAULT_GRID = (1.0 / 30.0, 1.0 / 15.0, 1.0 / 10.0, 1.0 / 5.0)
 DEFAULT_FOLDS = 5
 
-__all__ = ["CVConfig", "CVResult", "DEFAULT_FOLDS", "DEFAULT_GRID", "check_grid", "cv_choose_r"]
+__all__ = ["CVConfig", "CVResult", "DEFAULT_FOLDS", "DEFAULT_GRID", "check_cv", "cv_choose_r"]
 
 
 @dataclass(frozen=True)
@@ -63,26 +63,32 @@ class CVConfig:
     b_inner: int = DEFAULT_B_INNER
 
     def __post_init__(self):
-        if self.folds < 2:
-            raise ParameterError("cross-validation needs at least 2 folds")
-        object.__setattr__(self, "grid", check_grid(self.grid))
-        if self.b_inner < 50:
-            raise ParameterError("b_inner must be >= 50")
+        object.__setattr__(self, "grid", check_cv(self.folds, self.grid, self.b_inner))
 
 
-def check_grid(grid, what: str = "grid") -> tuple[float, ...]:
-    """A candidate grid named ``what`` as a tuple of floats: nonempty, inside
-    (0, 0.5) and nondecreasing."""
+def check_cv(
+    folds: int, grid, b_inner: int, folds_key: str = "folds", grid_key: str = "grid"
+) -> tuple[float, ...]:
+    """The cross-validation settings' one check, whose errors name the keys
+    given; returns the grid as a tuple of floats.
+
+    At least 2 folds, a nonempty grid inside (0, 0.5) and nondecreasing, and
+    at least 50 inner draws.
+    """
+    if folds < 2:
+        raise ParameterError(f"{folds_key} must be >= 2 (cross-validation needs at least 2 folds)")
     grid = tuple(float(r) for r in grid)
     if not grid:
-        raise ParameterError(f"{what} is empty")
+        raise ParameterError(f"{grid_key} is empty")
     for r in grid:
         if math.isnan(r) or not (0.0 < r < 0.5):
-            raise ParameterError(f"{what} values must lie strictly inside (0, 0.5)")
+            raise ParameterError(f"{grid_key} values must lie strictly inside (0, 0.5)")
     # nondecreasing, not strictly increasing: duplicated values are legal
     # and exercise the deterministic tie-break
     if any(a > b for a, b in zip(grid, grid[1:])):
-        raise ParameterError(f"{what} must be sorted ascending")
+        raise ParameterError(f"{grid_key} must be sorted ascending")
+    if b_inner < 50:
+        raise ParameterError("b_inner must be >= 50")
     return grid
 
 

@@ -197,6 +197,11 @@ def _check_alpha(alpha: float) -> None:
         raise ParameterError("alpha must lie in (0, 0.5)")
 
 
+def _check_B(B: int) -> None:
+    if B < 100:
+        raise ParameterError("B must be >= 100")
+
+
 def ppb_limits(betas, draws, failed, r, n, alpha: float = 0.05):
     """Bootstrap lower limits of a stack of R estimates.
 
@@ -211,8 +216,7 @@ def ppb_limits(betas, draws, failed, r, n, alpha: float = 0.05):
     beta_max = betas.max(axis=-1)
     shifts = np.asarray(correction_factor(r, n))[..., None] * (beta_max[..., None] - betas)
     b_total = draws.shape[-2]
-    if b_total < 100:
-        raise ParameterError("B must be >= 100")
+    _check_B(b_total)
     degenerate = failed > MAX_FAILED_FRACTION * b_total
     if degenerate.any():
         raise DegeneracyError(

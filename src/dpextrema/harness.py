@@ -44,12 +44,14 @@ import typing
 from dataclasses import dataclass, field, fields
 import numpy as np
 
-from .crossval import DEFAULT_FOLDS, DEFAULT_GRID, CVConfig, check_grid, cv_choose_r
+from .crossval import DEFAULT_FOLDS, DEFAULT_GRID, CVConfig, check_cv, cv_choose_r
 from .errors import NumericError, ParameterError
 from .extrema import (
     DEFAULT_B,
     DEFAULT_B_INNER,
     FULL_CORRECTION,
+    _check_alpha,
+    _check_B,
     bonferroni_limits,
     naive_limits,
     ppb_limits,
@@ -220,6 +222,12 @@ class ExperimentConfig:
             raise ParameterError(f"workers must be a positive integer, got {self.workers!r}")
         if self.seed is None:
             raise ParameterError("a seed is mandatory")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_alpha(self.alpha)
+        _check_B(self.B)
+        if not (0.0 < self.bounds_half_width < math.inf):
+            raise ParameterError("bounds_half_width must be positive and finite")
         if not self.epsilons:
             raise ParameterError("at least one epsilon is required")
         for eps in self.epsilons:
@@ -231,7 +239,10 @@ class ExperimentConfig:
             raise ParameterError("design must be 'resampled' or 'fixed'")
         if self.split is not None:
             object.__setattr__(self, "split", check_shares(self.split))
-        object.__setattr__(self, "cv_grid", check_grid(self.cv_grid, "cv_grid"))
+        object.__setattr__(
+            self, "cv_grid",
+            check_cv(self.cv_folds, self.cv_grid, self.b_inner, "cv_folds", "cv_grid"),
+        )
         if self.model in ("gaussian", "partial_gaussian"):
             mu = self.mu if self.mu is not None else (0.0,) * self.k
             if len(mu) != self.k:

@@ -33,10 +33,12 @@ so the mean is drawn directly from that law.  This is an identity, not an
 approximation, and keeps Monte Carlo studies tractable.  The regression
 bootstrap is already formulated in terms of the released statistics and never
 touches the design matrix again.  Each regression replica solves its own
-noisy system S + W/n; a Weyl bound on the noise certifies most systems
-non-singular without an eigenvalue check, in one pass over every set's
-systems, and without simulated gram noise each set's S is checked once and
-solved against all of its replicas at once.
+noisy system S + W/n.  The symmetric noise W is drawn as its upper triangle,
+which is scaled by 1/n and bounded there and then mirrored into the systems
+by one gather (:func:`~dpextrema.privacy.symmetric_layout`).  A Weyl bound on
+the noise certifies most systems non-singular without an eigenvalue check,
+in one pass over every set's systems, and without simulated gram noise each
+set's S is checked once and solved against all of its replicas at once.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from .privacy import (
     sensitivity_gram_bounded,
     sensitivity_sum_bounded,
     split_budget,
+    symmetric_layout,
 )
 
 SIGMA2_FLOOR = 1e-8
@@ -448,10 +451,11 @@ class PrivatizedRegressionEstimate(_Stacked):
         root_n = np.sqrt(self.sizes[:sets, None, None])
         floor = psd_floor(S)
 
-        c = rng.standard_normal((sets, size, self.k)) @ np.swapaxes(self._root[:sets], -1, -2)
+        rhs = rng.standard_normal((sets, size, self.k)) @ np.swapaxes(self._root[:sets], -1, -2)
         if privacy_noise and not self.xty_noise.is_zero:
-            c = c + self.xty_noise.sample(rng, (sets, size)) / root_n
-        rhs = (S @ self.betas[:sets, :, None])[:, None, :, 0] + c / root_n
+            rhs += self.xty_noise.sample(rng, (sets, size)) / root_n
+        rhs /= root_n
+        rhs += (S @ self.betas[:sets, :, None])[:, None, :, 0]
 
         eye = np.eye(self.k)  # stands in for a failed system, so one solve serves the rest
         if not privacy_noise or self.gram_noise.is_zero:
@@ -491,15 +495,17 @@ class PrivatizedRegressionEstimate(_Stacked):
         ``generator`` names the generator of each system of a ragged draw.
         ``floor`` and ``s_eigvals`` (ascending) are per set; only the systems
         that the Weyl bound does not certify go through :meth:`_near_singular`.
+        W1 is the draw :func:`laplace_symmetric_sample` makes, taken as its
+        upper triangle: it is scaled and bounded there, and gathered once into
+        the systems.
         """
-        k = self.k
-        noise = laplace_symmetric_sample(
-            self.gram_noise.scale, k, rng, math.prod(shape), generator
-        )
-        noise = noise.reshape(*shape, k, k)
-        noise /= self.sizes[owner][..., None, None]
-        systems = self.repairs.matrix[owner] + noise
-        bound = np.sqrt(np.einsum("...ij,...ij->...", noise, noise))
+        index, weights = symmetric_layout(self.k)
+        tri = rng.laplace(0.0, self.gram_noise.scale, (math.prod(shape), weights.size), generator)
+        tri = tri.reshape(*shape, weights.size)
+        tri /= self.sizes[owner][..., None]
+        bound = np.sqrt((tri * tri) @ weights)
+        systems = np.take(tri, index, axis=-1)
+        systems += self.repairs.matrix[owner]
         eigvals = s_eigvals[owner]
         margin = _CERTIFY_MARGIN * (eigvals[..., -1] + bound)
         floor = np.broadcast_to(floor[owner], shape)

@@ -21,6 +21,7 @@ it would draw alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 import numpy as np
@@ -38,6 +39,7 @@ __all__ = [
     "sensitivity_gram_bounded",
     "sensitivity_sum_bounded",
     "split_budget",
+    "symmetric_layout",
 ]
 
 
@@ -250,16 +252,35 @@ class LaplaceSpec:
         return GeneratorStack.of(rng).laplace(0.0, self.scale, shape)
 
 
+@functools.cache
+def symmetric_layout(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """How a symmetric k x k matrix is held as its k(k+1)/2 free entries.
+
+    The free entries are the upper triangle in ``np.triu_indices(k)`` order.
+    Returns the (k, k) position of every matrix entry in that vector, so
+    ``np.take(tri, index, axis=-1)`` mirrors a stack of triangles into full
+    matrices, and the weight of each free entry in the squared Frobenius
+    norm: 1 on the diagonal, 2 off it.  Both arrays are read-only.
+    """
+    rows, cols = np.triu_indices(k)
+    index = np.empty((k, k), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(rows.size)
+    weights = np.where(rows == cols, 1.0, 2.0)
+    index.flags.writeable = weights.flags.writeable = False
+    return index, weights
+
+
 def laplace_symmetric_sample(
     scale: float, k: int, rng: np.random.Generator, size: int | None = None, owner=None
 ) -> np.ndarray:
     """Symmetric k x k Laplace noise matrix, or a (size, k, k) stack of them.
 
-    Entries are drawn i.i.d. on the diagonal and upper triangle and mirrored
-    below, so the noisy matrix stays symmetric.  Mirrored pairs count twice in
-    the matrix L1 norm, which the gram/cross sensitivity bounds already cover.
-    ``rng`` may be a :class:`GeneratorStack`, and ``owner`` then names the
-    generator of each matrix of a ragged stack.
+    Entries are drawn i.i.d. on the diagonal and upper triangle, as one
+    (..., k(k+1)/2) draw in :func:`symmetric_layout` order, and mirrored
+    below by one gather, so the noisy matrix stays symmetric.  Mirrored pairs
+    count twice in the matrix L1 norm, which the gram/cross sensitivity
+    bounds already cover.  ``rng`` may be a :class:`GeneratorStack`, and
+    ``owner`` then names the generator of each matrix of a ragged stack.
     """
     if k < 1:
         raise ParameterError("matrix dimension must be >= 1")
@@ -268,12 +289,9 @@ def laplace_symmetric_sample(
         return np.zeros((*lead, k, k))
     if not math.isfinite(scale) or scale < 0:
         raise ParameterError("Laplace scale must be finite and >= 0")
-    w = np.zeros((*lead, k, k))
-    iu = np.triu_indices(k)
-    w[..., iu[0], iu[1]] = GeneratorStack.of(rng).laplace(0.0, scale, (*lead, iu[0].size), owner)
-    il = np.tril_indices(k, -1)
-    w[..., il[0], il[1]] = w[..., il[1], il[0]]
-    return w
+    index, weights = symmetric_layout(k)
+    tri = GeneratorStack.of(rng).laplace(0.0, scale, (*lead, weights.size), owner)
+    return np.take(tri, index, axis=-1)
 
 
 @dataclass(frozen=True)

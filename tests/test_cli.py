@@ -231,6 +231,18 @@ def test_undecodable_input_gives_one_error_line(tmp_path, capsys, command):
     assert capsys.readouterr().err == f"error: {data}: not utf-8 text (invalid start byte)\n"
 
 
+@pytest.mark.parametrize("command", [["ci", "gaussian"], ["cv"]])
+def test_negative_seed_gives_one_error_line(tmp_path, capsys, command):
+    data = write_gaussian_csv(tmp_path / "data.csv")
+    args = command + ["--input", str(data), "--bounds=-5:5", "--epsilon", "1.5", "--seed", "-1"]
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(args)
+    assert exit_info.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert errors[0].endswith("argument --seed: seed must be a non-negative integer, got '-1'")
+
+
 #: Inputs at the edges of what the CSV reader accepts, as file text.
 EDGE_CASES = {
     "plain": "a,b\n1,2\n3,4\n",
@@ -579,6 +591,17 @@ class TestSimulateAndPlot:
         assert "error: workers must be a positive integer" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
         assert run_cli(args + ["--workers", "0"]) == 0  # 0 keeps the configured count
+
+    def test_negative_seed_config_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("the study ran"))
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            "[experiment]\nmodel = gaussian\nn = 200\nk = 2\n"
+            "epsilon = 1.5\nseed = -3\nreps = 2\nB = 200\n\n[methods]\nppb = 1/10\n"
+        )
+        code = run_cli(["simulate", "--config", str(cfg), "--output", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert (code, err) == (2, "error: seed must be a non-negative integer, got -3\n")
 
     def test_small_b_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"

@@ -156,6 +156,11 @@ class TestRunExperiment:
         with pytest.raises(ParameterError, match="workers"):
             small_config(workers=0)
 
+    def test_negative_seed_rejected(self):
+        # SeedSequence takes non-negative integers only; refuse before any run
+        with pytest.raises(ParameterError, match="^seed must be a non-negative integer, got -3$"):
+            small_config(seed=-3)
+
 
 ALL_METHODS = (
     MethodSpec("ppb", ("1/10", "cv")),
@@ -609,9 +614,14 @@ class TestConfigFile:
             ("n = 100\ncv_grid = 0.1, x", "cannot parse cv_grid ' x'"),
             ("n = 100\ncv_grid = 0.1, 0.7", "cv_grid values must lie strictly inside \\(0, 0.5\\)"),
             ("n = 100\ncv_grid = 0.2, 0.1", "cv_grid must be sorted ascending"),
+            ("n = 100\nB = 50", "^B must be >= 100"),
+            ("n = 100\nalpha = 0.7", "^alpha must lie in \\(0, 0.5\\)"),
+            ("n = 100\nb_inner = 10", "^b_inner must be >= 50"),
+            ("n = 100\ncv_folds = 1", "^cv_folds must be >= 2"),
+            ("n = 100\nbounds_half_width = -1", "^bounds_half_width must be positive"),
         ],
         ids=["rep", "bounds_halfwidth", "n", "reps", "duplicate", "cv_grid", "cv_grid-range",
-             "cv_grid-order"],
+             "cv_grid-order", "B", "alpha", "b_inner", "cv_folds", "bounds_half_width"],
     )
     def test_unknown_or_malformed_key_is_named(self, tmp_path, lines, message):
         path = tmp_path / "exp.ini"

@@ -6,6 +6,7 @@ import pytest
 from dpextrema.errors import NumericError, ParameterError
 from dpextrema.linalg import RepairResult, psd_floor, psd_repair, psd_repair_stack, sym_sqrt
 from dpextrema.models import (
+    _CERTIFY_MARGIN,
     SIGMA2_FLOOR,
     GaussianData,
     GaussianStatistics,
@@ -23,6 +24,7 @@ from dpextrema.privacy import (
     sensitivity_cross_bounded,
     sensitivity_gram_bounded,
     split_budget,
+    symmetric_layout,
 )
 
 WIDE = 5.0  # box that never clips the small test datasets below
@@ -721,6 +723,50 @@ class TestRegressionBootstrap:
         ref_draws, ref_failed = reference_replica_draws(est, 50, np.random.default_rng(2), 2)
         assert np.array_equal(failed, ref_failed) and failed[0].all() and not failed[1].any()
         assert np.isnan(draws[0]).all() and np.allclose(draws[1], ref_draws[1], rtol=1e-12, atol=0.0)
+
+    def test_bench_sized_draws_and_certificate(self, monkeypatch):
+        # the sim-reg-k8 benchmark's estimate: k = 8 null coefficients, n = 4000, eps = 10
+        k, n, size = 8, 4000, 1000
+        rng = np.random.default_rng(8)
+        data = make_regression(rng, n=n, k=k, beta=np.zeros(k))
+        est = regression_private_mle(data, 10.0, rng)
+        draws, failed = est.replica_draws(size, np.random.default_rng(1), 1)
+        ref_draws, ref_failed = reference_replica_draws(est, size, np.random.default_rng(1), 1)
+        assert np.array_equal(failed, ref_failed)
+        assert np.array_equal(draws, ref_draws, equal_nan=True)
+
+        # with every uncertified system reported singular, the flags are
+        # exactly the systems the bound leaves uncertified
+        monkeypatch.setattr(
+            PrivatizedRegressionEstimate, "_near_singular",
+            staticmethod(lambda systems, floor: np.ones(len(systems), dtype=bool)),
+        )
+        # the bound is the Frobenius norm of the full noise matrix W1/n: at
+        # floor 0 with every eigenvalue of S_f at t_f, a system is uncertified
+        # exactly when bound (1 + margin) > t_f (1 - margin), so t_f set just
+        # below, then just above, the norm of system f's own draw pins the bound
+        index, weights = symmetric_layout(k)
+        tri = np.random.default_rng(2).laplace(0.0, est.gram_noise.scale, (size, weights.size))
+        norms = np.linalg.norm(np.take(tri / n, index, axis=-1), axis=(-2, -1))
+        one_per_system = est.take(np.zeros(size, dtype=int))
+        for rel, uncertified in ((1.0 - 1e-14, True), (1.0 + 1e-14, False)):
+            t = norms * (1.0 + _CERTIFY_MARGIN) / (1.0 - _CERTIFY_MARGIN) * rel
+            flags = one_per_system._noisy_systems(
+                np.arange(size), (size,), GeneratorStack.of(np.random.default_rng(2)),
+                np.zeros(size), np.repeat(t[:, None], k, axis=1),
+            )[1]
+            assert (flags == uncertified).all()
+
+        # every system the bound certifies is regular
+        S = est.repairs.matrix[:1]
+        floor = psd_floor(S)
+        systems, uncertified = est._noisy_systems(
+            np.zeros((1, 1), dtype=int), (1, size), GeneratorStack.of(np.random.default_rng(3)),
+            floor, np.linalg.eigvalsh(S),
+        )
+        certified = systems[~uncertified]
+        assert len(certified) > 0.9 * size
+        assert (np.abs(np.linalg.eigvalsh(certified)).min(axis=1) >= floor[0]).all()
 
     def test_each_generator_draws_its_own_sets_and_retries(self, monkeypatch):
         retried_by = []

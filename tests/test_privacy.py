@@ -78,6 +78,27 @@ class TestLaplaceSampling:
         assert np.array_equal(stack[0], laplace_symmetric_sample(1.5, 3, rng))
         assert laplace_symmetric_sample(0.0, 3, rng, size=2).shape == (2, 3, 3)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_symmetric_layout_is_the_upper_triangle_in_row_order(self, k):
+        # one (..., k(k+1)/2) draw filled into np.triu_indices(k) order and
+        # mirrored; a change of triangle order would move every draw
+        def reference(rng, lead):
+            tri = rng.laplace(0.0, 1.5, (*lead, k * (k + 1) // 2))
+            w = np.empty((*lead, k, k))
+            for pos, (i, j) in enumerate(zip(*np.triu_indices(k))):
+                w[..., i, j] = w[..., j, i] = tri[..., pos]
+            return w
+
+        single = laplace_symmetric_sample(1.5, k, np.random.default_rng(k))
+        assert np.array_equal(single, reference(np.random.default_rng(k), ()))
+        stack = laplace_symmetric_sample(1.5, k, np.random.default_rng(k), size=5)
+        assert np.array_equal(stack, reference(np.random.default_rng(k), (5,)))
+        owner = np.array([0, 0, 2, 2, 2])
+        ragged = laplace_symmetric_sample(1.5, k, GeneratorStack(generators((4, 5, 6))), 5, owner)
+        first, _, third = generators((4, 5, 6))
+        assert np.array_equal(ragged[:2], reference(first, (2,)))
+        assert np.array_equal(ragged[2:], reference(third, (3,)))
+
 
 def generators(seeds):
     return [np.random.default_rng(seed) for seed in seeds]
