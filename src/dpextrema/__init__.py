@@ -8,14 +8,11 @@ privatized estimator (including its noise) to calibrate a one-sided limit.
 from .errors import DegeneracyError, LedgerError, NumericError, ParameterError
 from .extrema import (
     FULL_CORRECTION,
-    BiasCorrection,
     ConfidenceResult,
     bias_correction,
-    bias_reduced_estimate,
     bonferroni_lower_limit,
     correction_factor,
     naive_lower_limit,
-    ppb_limit_from_draws,
     ppb_lower_limit,
     quantile,
 )

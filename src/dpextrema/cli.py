@@ -11,9 +11,11 @@ Subcommands:
 
 ``ci`` and ``cv`` share one input path.  Their common flags come from one
 parent parser, one loader turns the CSV and the bounds into a data class
-(``cv`` always reads whole data, as ``--partial 0``), and the estimator is
-picked from that class.  Epsilon, split shares and the printed epsilon go
-through the parsers and the formatter that config files and reports use.
+(``cv`` always reads whole data, as ``--partial 0``), and ``ci`` releases it
+as a stack of one set and bootstraps it with the stacked calls that the Monte
+Carlo harness runs on a block of replications.  Epsilon, split shares and the
+printed epsilon go through the parsers and the formatter that config files
+and reports use.
 
 Exit codes: 0 success, 2 validation error, 3 numeric degeneracy.
 """
@@ -25,7 +27,7 @@ import csv
 import json
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -45,8 +47,8 @@ from .harness import (
     parse_split,
     run_experiment,
 )
-from .models import GaussianData, RegressionData, gaussian_private_mle, regression_private_mle
-from .partial import PartitionedGaussianData, partial_gaussian_private_mle
+from .models import GaussianData, RegressionData
+from .partial import PartitionedGaussianData
 from .privacy import Bounds
 
 
@@ -140,19 +142,6 @@ def _is_float(cell: str) -> bool:
         return False
 
 
-def estimator_for(data):
-    """The estimator that releases ``data``, picked by its class.
-
-    The table is built on each call, so it holds whatever the module names
-    are bound to at that time (the benchmark's span recorder rebinds them).
-    """
-    return {
-        GaussianData: gaussian_private_mle,
-        PartitionedGaussianData: partial_gaussian_private_mle,
-        RegressionData: regression_private_mle,
-    }[type(data)]
-
-
 def _load_data(args):
     """The data class that the CSV and the flags of ``ci`` or ``cv`` describe.
 
@@ -206,7 +195,7 @@ def _print_result(result, estimate, seed: int, extra: dict, output=None):
     release = estimate.to_dict()
     repair = release["repair"]
     payload = {
-        "result": result.to_dict(),
+        "result": asdict(result),
         "estimate": {"noise_scales": release["noise_scales"], "repair": repair},
         "ledger": ledger.to_dict(),
         "seed": seed,
@@ -231,7 +220,7 @@ def _cmd_ci(args) -> int:
     data = _load_data(args)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     budget = _budget(args)
-    est = estimator_for(data)(data, budget, rng)
+    est = data.fold_statistics([slice(None)]).release(budget, rng)
     extra: dict = {}
     if args.r.strip().lower() == "cv":
         cv = cv_choose_r(data, budget, rng, CVConfig(folds=args.folds, b_inner=args.b_inner))

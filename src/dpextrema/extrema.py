@@ -1,6 +1,6 @@
 """Lower confidence limits for the maximum of the coordinates of interest.
 
-The main entry point is :func:`ppb_lower_limit`, the privatized parametric
+The main entry point is :func:`ppb_limits`, the privatized parametric
 bootstrap with selection-bias correction:
 
 1. take the released coordinate estimates and their maximum;
@@ -19,8 +19,10 @@ guarantee.
 
 Every limit is computed for a stack of R estimates at once (``ppb_limits``,
 ``naive_limits``, ``bonferroni_limits``), which is how the Monte Carlo harness
-computes a block of replications; the single-estimate functions are that
-computation on a stack of one.
+computes a block of replications.  The single-estimate functions
+(``ppb_lower_limit``, ``naive_lower_limit``, ``bonferroni_lower_limit``) run
+those calls on a stack of one, set 0 of a released estimate, and wrap the
+result in a :class:`ConfidenceResult`.
 
 Minima are out of scope: negate the data (or coordinates) and the resulting
 limit, which turns an upper extremum problem into this one.
@@ -31,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Protocol
 
 import numpy as np
 
@@ -46,36 +47,20 @@ DEFAULT_B_INNER = 200
 MAX_FAILED_FRACTION = 0.01
 
 __all__ = [
-    "BiasCorrection",
     "ConfidenceResult",
     "DEFAULT_B",
     "DEFAULT_B_INNER",
     "FULL_CORRECTION",
     "bias_correction",
-    "bias_reduced_estimate",
     "bonferroni_limits",
     "bonferroni_lower_limit",
     "correction_factor",
     "naive_limits",
     "naive_lower_limit",
-    "ppb_limit_from_draws",
     "ppb_limits",
     "ppb_lower_limit",
     "quantile",
 ]
-
-
-class ExtremaEstimate(Protocol):
-    """What the engine needs from a model estimate."""
-
-    beta_priv: np.ndarray
-    n: int
-
-    def bootstrap_draws(
-        self, size: int, rng: np.random.Generator, privacy_noise: bool = ...
-    ) -> tuple[np.ndarray, int]: ...
-
-    def coordinate_variances(self, private: bool = ...) -> np.ndarray: ...
 
 
 def correction_factor(r, n):
@@ -94,27 +79,21 @@ def correction_factor(r, n):
     return float(factor) if factor.ndim == 0 else factor
 
 
-@dataclass(frozen=True, eq=False)
-class BiasCorrection:
+def bias_correction(betas, r, n) -> np.ndarray:
     """Per-coordinate upward shifts applied to bootstrap replicas.
 
-    shifts[j] = factor * (max_i beta_i - beta_j), so the shift of the leading
-    coordinate is exactly zero, shifts are nonnegative, and for fixed
-    estimates they are componentwise nonincreasing in r.
+    (..., k) estimates give (..., k) shifts factor * (max_i beta_i - beta_j),
+    with the factor of :func:`correction_factor`, whose r and n broadcast
+    against the leading axes.  The shift of the leading coordinate is exactly
+    zero, shifts are nonnegative, and for fixed estimates they are
+    componentwise nonincreasing in r.
     """
-
-    shifts: np.ndarray
-    r: float
-    n: int
-
-
-def bias_correction(beta_priv: np.ndarray, r: float, n: int) -> BiasCorrection:
-    beta = np.asarray(beta_priv, dtype=float).ravel()
-    if beta.size < 1:
+    betas = np.asarray(betas, dtype=float)
+    if betas.size < 1:
         raise ParameterError("need at least one coordinate")
-    factor = correction_factor(r, n)
-    shifts = factor * (beta.max() - beta)
-    return BiasCorrection(shifts=shifts, r=r, n=int(n))
+    return np.asarray(correction_factor(r, n))[..., None] * (
+        betas.max(axis=-1)[..., None] - betas
+    )
 
 
 def _replica_maxima(draws: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -174,17 +153,6 @@ class ConfidenceResult:
     r_used: float | None = None
     failed_draws: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "lower_limit": self.lower_limit,
-            "level": self.level,
-            "c_alpha": self.c_alpha,
-            "B": self.B,
-            "method": self.method,
-            "r_used": self.r_used,
-            "failed_draws": self.failed_draws,
-        }
-
 
 def _method_tag(r: float, privacy_noise: bool) -> str:
     if not privacy_noise:
@@ -214,7 +182,7 @@ def ppb_limits(betas, draws, failed, r, n, alpha: float = 0.05):
     _check_alpha(alpha)
     betas = np.asarray(betas, dtype=float)
     beta_max = betas.max(axis=-1)
-    shifts = np.asarray(correction_factor(r, n))[..., None] * (beta_max[..., None] - betas)
+    shifts = bias_correction(betas, r, n)
     b_total = draws.shape[-2]
     _check_B(b_total)
     degenerate = failed > MAX_FAILED_FRACTION * b_total
@@ -227,64 +195,32 @@ def ppb_limits(betas, draws, failed, r, n, alpha: float = 0.05):
     return beta_max - c_alpha / np.sqrt(n), c_alpha
 
 
-def ppb_limit_from_draws(
-    beta_priv: np.ndarray,
-    draws: np.ndarray,
-    r: float,
-    n: int,
-    alpha: float = 0.05,
-    failed_draws: int = 0,
-    method: str | None = None,
+def ppb_lower_limit(
+    estimate, r: float, rng: np.random.Generator, alpha: float = 0.05, B: int = DEFAULT_B,
+    privacy_noise: bool = True,
 ) -> ConfidenceResult:
-    """Assemble the bootstrap lower limit from precomputed replica draws.
+    """Privatized parametric bootstrap lower limit for the coordinate maximum
+    of set 0 of a released ``estimate``.
 
-    ``draws`` holds the successful draws only; ``failed_draws`` counts the
-    others.  Useful when several values of r are evaluated on one replica
-    set: the correction only shifts the replicas, so the draws can be shared.
+    Runs ``B`` bootstrap draws of the estimate, applies the bias correction at
+    strength ``r``, and returns the (1 - alpha) limit: :func:`ppb_limits` on a
+    stack of one.  The bootstrap spends no additional privacy budget:
+    replicas are simulated from the released estimate only.
+    ``privacy_noise=False`` reproduces the ablation that skips the simulated
+    privatization noise (and undercovers).
     """
-    beta = np.asarray(beta_priv, dtype=float).ravel()
-    if failed_draws:  # ppb_limits reads failed draws as NaN rows
-        draws = np.concatenate([draws, np.full((failed_draws, beta.size), np.nan)])
-    lower, c_alpha = ppb_limits(
-        beta[None], draws[None], np.array([failed_draws]), r, np.array([n]), alpha
-    )
+    # ppb_limits refuses a B below 100; a negative one draws nothing
+    draws, failed = estimate.replica_draws(max(B, 0), rng, 1, privacy_noise)
+    failed = failed.sum(axis=1)
+    lower, c_alpha = ppb_limits(estimate.betas[:1], draws, failed, r, estimate.sizes[:1], alpha)
     return ConfidenceResult(
         lower_limit=float(lower[0]),
         level=1.0 - alpha,
         c_alpha=float(c_alpha[0]),
-        B=draws.shape[0] - failed_draws,
-        method=method or _method_tag(r, True),
-        r_used=r,
-        failed_draws=failed_draws,
-    )
-
-
-def ppb_lower_limit(
-    estimate: ExtremaEstimate,
-    r: float,
-    rng: np.random.Generator,
-    alpha: float = 0.05,
-    B: int = DEFAULT_B,
-    privacy_noise: bool = True,
-) -> ConfidenceResult:
-    """Privatized parametric bootstrap lower limit for the coordinate maximum.
-
-    Runs ``B`` bootstrap draws of the estimate, applies the bias correction at
-    strength ``r``, and returns the (1 - alpha) limit.  The bootstrap spends
-    no additional privacy budget: replicas are simulated from the released
-    estimate only.  ``privacy_noise=False`` reproduces the ablation that skips
-    the simulated privatization noise (and undercovers).
-    """
-    # ppb_limit_from_draws refuses a B below 100; a negative one draws nothing
-    draws, failed = estimate.bootstrap_draws(max(B, 0), rng, privacy_noise=privacy_noise)
-    return ppb_limit_from_draws(
-        estimate.beta_priv,
-        draws,
-        r,
-        estimate.n,
-        alpha=alpha,
-        failed_draws=failed,
+        B=int(draws.shape[1] - failed[0]),
         method=_method_tag(r, privacy_noise),
+        r_used=r,
+        failed_draws=int(failed[0]),
     )
 
 
@@ -307,10 +243,11 @@ def bonferroni_limits(betas, variances, n, alpha: float = 0.05):
     return lower, (betas.max(axis=-1) - lower) * np.sqrt(n)
 
 
-def _baseline(limits, estimate: ExtremaEstimate, alpha: float, private: bool, method: str):
-    beta = np.asarray(estimate.beta_priv, dtype=float).ravel()
-    variances = estimate.coordinate_variances(private=private)
-    lower, c_alpha = limits(beta[None], variances[None], np.array([estimate.n]), alpha)
+def _baseline(limits, estimate, alpha: float, private: bool, method: str):
+    """``limits`` of set 0 of ``estimate``, a stack of one."""
+    lower, c_alpha = limits(
+        estimate.betas[:1], estimate.variances(private)[:1], estimate.sizes[:1], alpha
+    )
     return ConfidenceResult(
         lower_limit=float(lower[0]),
         level=1.0 - alpha,
@@ -320,9 +257,7 @@ def _baseline(limits, estimate: ExtremaEstimate, alpha: float, private: bool, me
     )
 
 
-def naive_lower_limit(
-    estimate: ExtremaEstimate, alpha: float = 0.05, private: bool = True
-) -> ConfidenceResult:
+def naive_lower_limit(estimate, alpha: float = 0.05, private: bool = True) -> ConfidenceResult:
     """Normal-approximation limit on the winning coordinate, ignoring selection.
 
     The standard error combines the plug-in variance of the selected
@@ -332,9 +267,7 @@ def naive_lower_limit(
     return _baseline(naive_limits, estimate, alpha, private, "naive")
 
 
-def bonferroni_lower_limit(
-    estimate: ExtremaEstimate, alpha: float = 0.05, private: bool = True
-) -> ConfidenceResult:
+def bonferroni_lower_limit(estimate, alpha: float = 0.05, private: bool = True) -> ConfidenceResult:
     """Max of per-coordinate limits at level 1 - alpha/k (union bound)."""
     return _baseline(bonferroni_limits, estimate, alpha, private, "bonferroni")
 
@@ -350,26 +283,9 @@ def bias_reduced_from_draws(beta_priv: np.ndarray, draws: np.ndarray, r, n):
     beta = np.asarray(beta_priv, dtype=float)
     beta_max = beta.max(axis=-1)
     r_arr = np.reshape(r, np.shape(r) + (1,) * beta_max.ndim)
-    shifts = np.asarray(correction_factor(r_arr, n))[..., None] * (beta_max[..., None] - beta)
-    replica_max = _replica_maxima(draws, shifts)
+    replica_max = _replica_maxima(draws, bias_correction(beta, r_arr, n))
     mean = replica_max.mean(axis=-1)
     if np.isnan(mean).any():
         mean = np.nanmean(replica_max, axis=-1)
     reduced = beta_max - (mean - beta_max)
     return float(reduced) if reduced.ndim == 0 else reduced
-
-
-def bias_reduced_estimate(
-    estimate: ExtremaEstimate, r: float, rng: np.random.Generator, B_inner: int = DEFAULT_B_INNER
-) -> float:
-    """Estimate of the maximum with the bootstrap selection bias subtracted.
-
-    Averages the corrected replica maxima over ``B_inner`` draws and removes
-    the estimated bias from the plug-in maximum.
-    """
-    if B_inner < 50:
-        raise ParameterError("B_inner must be >= 50")
-    draws, failed = estimate.bootstrap_draws(B_inner, rng)
-    if failed > MAX_FAILED_FRACTION * B_inner:
-        raise DegeneracyError(f"{failed} of {B_inner} bootstrap draws failed")
-    return bias_reduced_from_draws(estimate.beta_priv, draws, r, estimate.n)

@@ -226,8 +226,10 @@ class ExperimentConfig:
             raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
         _check_alpha(self.alpha)
         _check_B(self.B)
-        if not (0.0 < self.bounds_half_width < math.inf):
-            raise ParameterError("bounds_half_width must be positive and finite")
+        for key in ("bounds_half_width", "x_half_width", "y_half_width"):
+            value = getattr(self, key)
+            if value is not None and not (0.0 < value < math.inf):
+                raise ParameterError(f"{key} must be positive and finite")
         if not self.epsilons:
             raise ParameterError("at least one epsilon is required")
         for eps in self.epsilons:

@@ -18,7 +18,8 @@ model's one estimate class, which holds all F sets along a leading axis.  A
 single estimate is that class with F = 1, and its scalar fields read set 0;
 cross-validation releases all of its folds' training and held-out sets at
 once and draws every training set's replicas in one ``replica_draws`` call,
-of which a single estimate's ``bootstrap_draws`` is set 0.  The Monte Carlo
+and the single-estimate limits of :mod:`~dpextrema.extrema` draw set 0's
+replicas as one ``replica_draws`` call on a stack of one.  The Monte Carlo
 harness releases a block of replications the same way, with a
 :class:`~dpextrema.privacy.GeneratorStack` holding one generator per
 replication, so each replication draws what it would draw alone.  The
@@ -131,7 +132,8 @@ class _Stacked:
     accessors below read its set 0.
 
     Each model defines its own ``bootstrap_draws`` over :meth:`_set_zero_draws`
-    because the traced benchmark (``bench/spans.py``) times it by class name.
+    because the traced benchmark (``bench/spans.py``) times it by class name;
+    nothing in the package calls it.
     """
 
     @property
@@ -160,10 +162,6 @@ class _Stacked:
         draws, failed = self.replica_draws(size, rng, 1, privacy_noise)
         count = int(np.count_nonzero(failed))
         return (draws[0][~failed[0]] if count else draws[0]), count
-
-    def coordinate_variances(self, private: bool = True) -> np.ndarray:
-        """Row 0 of :meth:`variances`."""
-        return self.variances(private)[0]
 
     def take(self, rows: np.ndarray):
         """The sets ``rows`` of this stack, as a stack of their own."""

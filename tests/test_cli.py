@@ -17,7 +17,11 @@ from hypothesis import strategies as st
 
 from dpextrema import cli
 from dpextrema.cli import build_parser, main
+from dpextrema.crossval import CVConfig, cv_choose_r
 from dpextrema.errors import ParameterError
+from dpextrema.extrema import ppb_limits
+from dpextrema.models import GaussianData
+from dpextrema.privacy import Bounds
 
 
 def run_cli(args):
@@ -76,6 +80,30 @@ class TestCiGaussian:
         assert payload["seed"] == 42
         assert payload["ledger"]["total_sequential"] == pytest.approx(1.5)
         assert "lower_limit" in payload["result"]
+
+    @pytest.mark.parametrize("r", ["1/10", "cv"])
+    def test_result_is_the_stacked_path_on_a_stack_of_one(self, tmp_path, capsys, r):
+        # at one seed: a release of one set, then (for --r cv) cross-validation,
+        # then replica_draws and ppb_limits give the result bit for bit
+        data = write_gaussian_csv(tmp_path / "data.csv")
+        out = tmp_path / "res.json"
+        args = [
+            "ci", "gaussian", "--input", str(data), "--bounds=-5:5", "--epsilon", "1.5",
+            "--r", r, "--B", "300", "--b-inner", "60", "--seed", "8", "--output", str(out),
+        ]
+        assert run_cli(args) == 0
+        result = json.loads(out.read_text())["result"]
+
+        x = GaussianData(np.loadtxt(data, delimiter=",", skiprows=1), Bounds.symmetric(5.0, 2))
+        rng = np.random.default_rng(np.random.SeedSequence(8))
+        est = x.fold_statistics([slice(None)]).release(1.5, rng)
+        r_used = cv_choose_r(x, 1.5, rng, CVConfig(b_inner=60)).chosen_r if r == "cv" else 1 / 10
+        draws, failed = est.replica_draws(300, rng, 1)
+        lower, c_alpha = ppb_limits(est.betas, draws, failed.sum(axis=1), r_used, est.sizes)
+        assert result["r_used"] == r_used
+        assert result["lower_limit"] == lower[0]
+        assert result["c_alpha"] == c_alpha[0]
+        assert result["B"] + result["failed_draws"] == 300
 
     def test_single_coordinate_ppb_close_to_naive(self, tmp_path, capsys):
         # one coordinate means no selection: the bootstrap limit and the
@@ -602,6 +630,16 @@ class TestSimulateAndPlot:
         code = run_cli(["simulate", "--config", str(cfg), "--output", str(tmp_path / "r.csv")])
         err = capsys.readouterr().err
         assert (code, err) == (2, "error: seed must be a non-negative integer, got -3\n")
+
+    def test_bad_half_width_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            "[experiment]\nmodel = regression\nn = 200\nk = 2\nx_half_width = -1\n"
+            "epsilon = 1.5\nseed = 4\nreps = 2\nB = 200\n\n[methods]\nppb = 1/10\n"
+        )
+        code = run_cli(["simulate", "--config", str(cfg), "--output", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert (code, err) == (2, "error: x_half_width must be positive and finite\n")
 
     def test_small_b_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"

@@ -4,7 +4,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dpextrema.cli import estimator_for
 from dpextrema.crossval import CVConfig, cv_choose_r
 from dpextrema.errors import NumericError, ParameterError
 from dpextrema.models import (
@@ -192,7 +191,7 @@ def _nuisance_case():
         )
         variances = ref["sigma2"] * np.diag(np.linalg.inv(ref["S"])) / idx.size
         return SimpleNamespace(
-            n=idx.size, beta_priv=ref["beta"], coordinate_variances=lambda: variances
+            n=idx.size, beta_priv=ref["beta"], variances=lambda: variances[None]
         )
 
     return data, estimate_subset
@@ -218,7 +217,7 @@ class TestFoldStatisticsReference:
             np.testing.assert_allclose(fold["ref_beta"], ref.beta_priv, rtol=1e-9, atol=1e-12)
             expected_h = (
                 (np.asarray(fold["reduced_max"])[:, None] - ref.beta_priv[None, :]) ** 2
-                - ref.coordinate_variances()[None, :]
+                - ref.variances()[0][None, :]
             )
             np.testing.assert_allclose(cv.hs[0][:, j, :], expected_h, rtol=1e-9, atol=1e-12)
 
@@ -233,7 +232,7 @@ def test_estimate_then_cv_clamps_each_array_once(monkeypatch, case, clamped_arra
     calls = []
     clamp = Bounds.clamp
     monkeypatch.setattr(Bounds, "clamp", lambda self, x: calls.append(x) or clamp(self, x))
-    estimator_for(data)(data, math.inf, np.random.default_rng(0))
+    data.fold_statistics([slice(None)]).release(math.inf, np.random.default_rng(0))
     cv_choose_r(data, math.inf, np.random.default_rng(1), CVConfig(b_inner=60))
     assert len(calls) == clamped_arrays
 

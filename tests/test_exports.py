@@ -41,8 +41,8 @@ def test_every_name_the_package_imports_exists():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes most of a second to import; the package needs only
-    # scipy.special, so a fresh `import dpextrema` must not pull it in
+    # scipy.stats takes most of a second to import; the package needs no
+    # scipy at all, so a fresh `import dpextrema` must not pull it in
     package_root = str(Path(dpextrema.__file__).resolve().parents[1])
     code = "import sys, dpextrema; print('scipy.stats' in sys.modules)"
     done = subprocess.run(

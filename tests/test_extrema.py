@@ -7,19 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from dpextrema.crossval import CVConfig
 from dpextrema.errors import DegeneracyError, ParameterError
 from dpextrema.extrema import (
     FULL_CORRECTION,
     _statistic_batch,
     bias_correction,
-    bias_reduced_estimate,
     bias_reduced_from_draws,
     bonferroni_limits,
     bonferroni_lower_limit,
     correction_factor,
     naive_limits,
     naive_lower_limit,
-    ppb_limit_from_draws,
+    ppb_limits,
     ppb_lower_limit,
     quantile,
 )
@@ -35,21 +35,30 @@ def gaussian_estimate(seed=1, n=200, k=2, epsilon=1.5):
 
 class TestBiasCorrection:
     def test_r_half_disables_correction(self):
-        c = bias_correction(np.array([0.3, 0.7]), 0.5, 800)
-        assert np.array_equal(c.shifts, [0.0, 0.0])
+        shifts = bias_correction(np.array([0.3, 0.7]), 0.5, 800)
+        assert np.array_equal(shifts, [0.0, 0.0])
 
     def test_full_correction_is_distance_to_max(self):
-        c = bias_correction(np.array([0.3, 0.7]), FULL_CORRECTION, 800)
-        assert np.allclose(c.shifts, [0.4, 0.0])
-        assert c.shifts[1] == 0.0
+        shifts = bias_correction(np.array([0.3, 0.7]), FULL_CORRECTION, 800)
+        assert np.allclose(shifts, [0.4, 0.0])
+        assert shifts[1] == 0.0
 
     def test_formula_against_high_precision_oracle(self):
-        c = bias_correction(np.array([0.3, 0.7]), 1.0 / 10.0, 800)
+        shifts = bias_correction(np.array([0.3, 0.7]), 1.0 / 10.0, 800)
         with mpmath.workdps(50):
             factor = 1 - mpmath.mpf(800) ** (mpmath.mpf(1) / 10 - mpmath.mpf("0.5"))
             expected = float(factor * mpmath.mpf("0.4"))
-        assert c.shifts[0] == pytest.approx(expected, abs=1e-12)
-        assert c.shifts[0] == pytest.approx(0.37244, abs=5e-5)
+        assert shifts[0] == pytest.approx(expected, abs=1e-12)
+        assert shifts[0] == pytest.approx(0.37244, abs=5e-5)
+
+    def test_stack_of_estimates_matches_one_at_a_time(self):
+        rng = np.random.default_rng(14)
+        betas = rng.standard_normal((3, 4))
+        r, n = np.array([0.1, 0.5, FULL_CORRECTION]), np.array([50, 400, 9000])
+        stacked = bias_correction(betas, r, n)
+        assert stacked.shape == (3, 4)
+        for f in range(3):
+            assert np.array_equal(stacked[f], bias_correction(betas[f], r[f], n[f]))
 
     @pytest.mark.parametrize("r", [0.0, -0.2, 0.6, math.nan])
     def test_out_of_range_r_rejected(self, r):
@@ -73,15 +82,15 @@ class TestBiasCorrection:
     def test_invariants(self, beta, r_pair, n):
         beta = np.asarray(beta)
         r_small, r_big = min(r_pair), max(r_pair)
-        c_small = bias_correction(beta, r_small, n)
-        c_big = bias_correction(beta, r_big, n)
-        for c in (c_small, c_big):
-            assert np.all(c.shifts >= 0.0)
-            assert c.shifts[int(np.argmax(beta))] == 0.0
+        s_small = bias_correction(beta, r_small, n)
+        s_big = bias_correction(beta, r_big, n)
+        for shifts in (s_small, s_big):
+            assert np.all(shifts >= 0.0)
+            assert shifts[int(np.argmax(beta))] == 0.0
         # componentwise nonincreasing in r
-        assert np.all(c_small.shifts >= c_big.shifts - 1e-15)
+        assert np.all(s_small >= s_big - 1e-15)
         full = bias_correction(beta, FULL_CORRECTION, n)
-        assert np.all(full.shifts >= c_small.shifts - 1e-15)
+        assert np.all(full >= s_small - 1e-15)
 
 
 class TestBootstrapStatistic:
@@ -96,8 +105,8 @@ class TestBootstrapStatistic:
 
     def test_zero_at_the_attained_max(self):
         beta = np.array([0.3, 0.7])
-        c = bias_correction(beta, 0.5, 400)
-        assert _statistic_batch(beta[None, :], c.shifts, beta.max(), 400)[0] == 0.0
+        shifts = bias_correction(beta, 0.5, 400)
+        assert _statistic_batch(beta[None, :], shifts, beta.max(), 400)[0] == 0.0
 
     @settings(max_examples=50, deadline=None)
     @given(st.permutations(list(range(5))))
@@ -166,23 +175,25 @@ class TestPpbLowerLimit:
         # same draw set: stronger correction shifts every statistic up,
         # so c_alpha is nondecreasing and the limit nonincreasing
         est = gaussian_estimate(seed=5)
-        draws, _ = est.bootstrap_draws(500, np.random.default_rng(8))
-        res_weak = ppb_limit_from_draws(est.beta_priv, draws, 0.4, est.n)
-        res_strong = ppb_limit_from_draws(est.beta_priv, draws, 0.05, est.n)
-        shifts_weak = bias_correction(est.beta_priv, 0.4, est.n).shifts
-        shifts_strong = bias_correction(est.beta_priv, 0.05, est.n).shifts
+        draws, failed = est.replica_draws(500, np.random.default_rng(8), 1)
+        failed = failed.sum(axis=1)
+        lower_weak, c_weak = ppb_limits(est.betas, draws, failed, 0.4, est.sizes)
+        lower_strong, c_strong = ppb_limits(est.betas, draws, failed, 0.05, est.sizes)
+        shifts_weak = bias_correction(est.beta_priv, 0.4, est.n)
+        shifts_strong = bias_correction(est.beta_priv, 0.05, est.n)
         assert np.all(shifts_strong >= shifts_weak)
-        assert res_strong.c_alpha >= res_weak.c_alpha
-        assert res_strong.lower_limit <= res_weak.lower_limit
+        assert c_strong[0] >= c_weak[0]
+        assert lower_strong[0] <= lower_weak[0]
 
     def test_permutation_equivariance_from_draws(self):
         est = gaussian_estimate(seed=6, k=3)
-        draws, _ = est.bootstrap_draws(400, np.random.default_rng(2))
-        base = ppb_limit_from_draws(est.beta_priv, draws, 0.1, est.n)
+        draws, failed = est.replica_draws(400, np.random.default_rng(2), 1)
+        failed = failed.sum(axis=1)
+        base = ppb_limits(est.betas, draws, failed, 0.1, est.sizes)
         perm = np.array([2, 0, 1])
-        permuted = ppb_limit_from_draws(est.beta_priv[perm], draws[:, perm], 0.1, est.n)
-        assert permuted.lower_limit == base.lower_limit
-        assert permuted.c_alpha == base.c_alpha
+        permuted = ppb_limits(est.betas[:, perm], draws[..., perm], failed, 0.1, est.sizes)
+        assert permuted[0][0] == base[0][0]
+        assert permuted[1][0] == base[1][0]
 
     def test_small_b_rejected(self):
         est = gaussian_estimate()
@@ -196,12 +207,42 @@ class TestPpbLowerLimit:
             ppb_lower_limit(est, 0.1, np.random.default_rng(0), alpha=alpha)
 
     def test_failed_draw_budget(self):
+        # failed draws are NaN rows counted in B: 10 of 510 is over 1 %, 5 of
+        # 505 is not, and the limit then reads the 500 valid rows alone
         est = gaussian_estimate()
-        draws, _ = est.bootstrap_draws(500, np.random.default_rng(1))
-        with pytest.raises(DegeneracyError):
-            ppb_limit_from_draws(est.beta_priv, draws, 0.1, est.n, failed_draws=10)
-        res = ppb_limit_from_draws(est.beta_priv, draws, 0.1, est.n, failed_draws=5)
-        assert res.failed_draws == 5
+        draws, _ = est.replica_draws(500, np.random.default_rng(1), 1)
+
+        def limits(failed):
+            padded = np.concatenate([draws, np.full((1, failed, est.k), np.nan)], axis=1)
+            return ppb_limits(est.betas, padded, np.array([failed]), 0.1, est.sizes)
+
+        with pytest.raises(DegeneracyError, match="^10 of 510 bootstrap draws failed"):
+            limits(10)
+        lower, c_alpha = limits(5)
+        shifts = bias_correction(est.beta_priv, 0.1, est.n)
+        t = math.sqrt(est.n) * ((draws[0] + shifts).max(axis=1) - est.beta_priv.max())
+        assert c_alpha[0] == quantile(t, 0.95)
+        assert lower[0] == est.beta_priv.max() - c_alpha[0] / math.sqrt(est.n)
+
+    def test_position_of_failed_rows_does_not_matter(self):
+        # the order statistic sorts NaN rows last, so interleaving them among
+        # the draws gives the limits of appending them, bit for bit
+        rng = np.random.default_rng(15)
+        betas = rng.standard_normal((3, 4))
+        valid = betas[:, None, :] + 0.1 * rng.standard_normal((3, 303, 4))
+        failed = np.array([0, 1, 3])
+        appended = np.full((3, 303, 4), np.nan)
+        interleaved = np.full((3, 303, 4), np.nan)
+        for f, m in enumerate(failed):
+            appended[f, : 303 - m] = valid[f, : 303 - m]
+            keep = np.sort(rng.choice(303, 303 - m, replace=False))
+            interleaved[f, keep] = valid[f, : 303 - m]
+        n = np.array([100, 200, 300])
+        for r in (0.1, FULL_CORRECTION):
+            at_end = ppb_limits(betas, appended, failed, r, n)
+            mixed = ppb_limits(betas, interleaved, failed, r, n)
+            assert np.array_equal(at_end[0], mixed[0])
+            assert np.array_equal(at_end[1], mixed[1])
 
     def test_method_tags(self):
         est = gaussian_estimate()
@@ -269,7 +310,8 @@ class TestBiasReducedEstimate:
         # no selection with one coordinate: the reduction term is the (near
         # zero) single-mean bootstrap bias
         est = gaussian_estimate(k=1, n=400, epsilon=math.inf)
-        value = bias_reduced_estimate(est, 0.1, np.random.default_rng(3), B_inner=400)
+        draws, _ = est.replica_draws(400, np.random.default_rng(3), 1)
+        value = bias_reduced_from_draws(est.beta_priv, draws[0], 0.1, est.n)
         mc_se = math.sqrt(float(est.sigma_priv[0, 0]) / est.n / 400)
         assert abs(value - float(est.beta_priv[0])) <= 3 * mc_se
 
@@ -286,19 +328,24 @@ class TestBiasReducedEstimate:
                 GaussianData(x, Bounds.symmetric(3.0, 2)), 1.5, rng
             )
             raw[rep] = est.beta_priv.max()
-            reduced[rep] = bias_reduced_estimate(est, 0.1, rng, B_inner=200)
+            draws, _ = est.replica_draws(200, rng, 1)
+            reduced[rep] = bias_reduced_from_draws(est.betas, draws, 0.1, est.sizes)[0]
         assert abs(reduced.mean()) < abs(raw.mean())
 
     def test_deterministic(self):
         est = gaussian_estimate()
-        v1 = bias_reduced_estimate(est, 0.1, np.random.default_rng(11))
-        v2 = bias_reduced_estimate(est, 0.1, np.random.default_rng(11))
-        assert v1 == v2
+        v1, v2 = (
+            bias_reduced_from_draws(
+                est.betas, est.replica_draws(200, np.random.default_rng(11), 1)[0], 0.1, est.sizes
+            )
+            for _ in range(2)
+        )
+        assert np.array_equal(v1, v2)
 
     def test_small_b_inner_rejected(self):
-        est = gaussian_estimate()
-        with pytest.raises(ParameterError):
-            bias_reduced_estimate(est, 0.1, np.random.default_rng(0), B_inner=49)
+        # cross-validation, the one caller, takes its inner draw count from CVConfig
+        with pytest.raises(ParameterError, match="^b_inner must be >= 50"):
+            CVConfig(b_inner=49)
 
     def test_stacked_call_matches_one_estimate_at_a_time(self):
         rng = np.random.default_rng(12)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from dpextrema import harness
-from dpextrema.cli import estimator_for
 from dpextrema.crossval import CVConfig, cv_choose_r
 from dpextrema.errors import DegeneracyError, NumericError, ParameterError
 from dpextrema.harness import (
@@ -26,9 +25,11 @@ from dpextrema.extrema import (
     FULL_CORRECTION,
     bonferroni_lower_limit,
     naive_lower_limit,
-    ppb_limit_from_draws,
+    ppb_limits,
+    ppb_lower_limit,
 )
-from dpextrema.models import PrivatizedRegressionEstimate
+from dpextrema.models import PrivatizedRegressionEstimate, RegressionData
+from dpextrema.privacy import Bounds
 
 REPO = Path(__file__).resolve().parent.parent
 SHIPPED_CONFIGS = sorted(REPO.glob("configs/*.ini")) + sorted(REPO.glob("bench/configs/*.ini"))
@@ -196,16 +197,16 @@ def model_config(name, **overrides):
 
 def oracle_replication(config, eps_index, rep, fixed_design):
     """One replication as the harness ran it one at a time: its own generator,
-    the single-set public functions, and each estimate and draw made once."""
+    a release of one set, and each estimate and draw made once."""
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, eps_index, rep)))
     budget = divide_budget(config.epsilons[eps_index], config.split)
     data = harness._generate_data(config, rng, fixed_design)
-    estimate = estimator_for(data)
     estimates, draws, results = {}, {}, {}
 
     def release(private):
         if private not in estimates:
-            estimates[private] = estimate(data, budget if private else math.inf, rng)
+            stats = data.fold_statistics([slice(None)])
+            estimates[private] = stats.release(budget if private else math.inf, rng)
         return estimates[private]
 
     def bootstrap(private, token, privacy_noise=True):
@@ -216,9 +217,11 @@ def oracle_replication(config, eps_index, rep, fixed_design):
         else:
             r = parse_r_token(token)
         if (private, privacy_noise) not in draws:
-            draws[private, privacy_noise] = e.bootstrap_draws(config.B, rng, privacy_noise=privacy_noise)
+            d, failed = e.replica_draws(config.B, rng, 1, privacy_noise)
+            draws[private, privacy_noise] = d, failed.sum(axis=1)
         d, failed = draws[private, privacy_noise]
-        return ppb_limit_from_draws(e.beta_priv, d, r, e.n, alpha=config.alpha, failed_draws=failed)
+        lower, _ = ppb_limits(e.betas, d, failed, r, e.sizes, config.alpha)
+        return float(lower[0]), int(failed[0])
 
     for spec in config.methods:
         if spec.name in ("ppb", "npb", "rppb"):
@@ -230,11 +233,12 @@ def oracle_replication(config, eps_index, rep, fixed_design):
             results[spec.label, "0.5"] = bootstrap(True, "0.5")
         else:
             limit = naive_lower_limit if spec.name == "naive" else bonferroni_lower_limit
-            results[spec.label, ""] = limit(release(spec.private), config.alpha, spec.private)
+            res = limit(release(spec.private), config.alpha, spec.private)
+            results[spec.label, ""] = res.lower_limit, res.failed_draws
     true_max = config.true_max
     return {
-        key: (res.lower_limit <= true_max, true_max - res.lower_limit, res.failed_draws)
-        for key, res in results.items()
+        key: (lower <= true_max, true_max - lower, failed)
+        for key, (lower, failed) in results.items()
     }
 
 
@@ -296,6 +300,20 @@ class TestBlocks:
         monkeypatch.setattr(PrivatizedRegressionEstimate, "_noisy_systems", spy)
         assert_block_matches_oracle(collinear_config(1e6), collinear_design())
         assert len(retried_by) >= 2
+
+    def test_single_set_limit_counts_failed_draws_in_b(self):
+        # a release of one set on the collinear design: its failed draws are
+        # NaN rows among the B requested, so B counts the valid ones
+        x = collinear_design()
+        rng = np.random.default_rng(4)
+        data = RegressionData(
+            x, x @ [0.0, 0.5] + rng.standard_normal(x.shape[0]),
+            Bounds.symmetric(1.0, 2), Bounds.symmetric(6.0, 1),
+        )
+        estimate = data.fold_statistics([slice(None)]).release(1e6, rng)
+        result = ppb_lower_limit(estimate, 0.1, rng, B=1000)
+        assert result.failed_draws > 0
+        assert result.B + result.failed_draws == 1000
 
     def test_a_failing_study_raises_as_one_replication_at_a_time(self, monkeypatch):
         # at epsilon 1e7 too many bootstrap systems fail twice
@@ -619,9 +637,14 @@ class TestConfigFile:
             ("n = 100\nb_inner = 10", "^b_inner must be >= 50"),
             ("n = 100\ncv_folds = 1", "^cv_folds must be >= 2"),
             ("n = 100\nbounds_half_width = -1", "^bounds_half_width must be positive"),
+            ("n = 100\nx_half_width = -1", "^x_half_width must be positive and finite$"),
+            ("n = 100\nx_half_width = inf", "^x_half_width must be positive and finite$"),
+            ("n = 100\nx_half_width = 0", "^x_half_width must be positive and finite$"),
+            ("n = 100\ny_half_width = -2", "^y_half_width must be positive and finite$"),
         ],
         ids=["rep", "bounds_halfwidth", "n", "reps", "duplicate", "cv_grid", "cv_grid-range",
-             "cv_grid-order", "B", "alpha", "b_inner", "cv_folds", "bounds_half_width"],
+             "cv_grid-order", "B", "alpha", "b_inner", "cv_folds", "bounds_half_width",
+             "x_half_width-negative", "x_half_width-inf", "x_half_width-zero", "y_half_width"],
     )
     def test_unknown_or_malformed_key_is_named(self, tmp_path, lines, message):
         path = tmp_path / "exp.ini"

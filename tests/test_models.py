@@ -230,8 +230,8 @@ class TestGaussianBootstrap:
         est = gaussian_private_mle(make_gaussian(rng, n=100, k=2), 1.0, rng)
         base = np.diag(est.sigma_priv) / est.n
         noise = 2 * est.sum_noise.scale**2 / est.n**2
-        assert np.allclose(est.coordinate_variances(private=False), base)
-        assert np.allclose(est.coordinate_variances(private=True), base + noise)
+        assert np.allclose(est.variances(private=False)[0], base)
+        assert np.allclose(est.variances(private=True)[0], base + noise)
 
 
 class TestRegressionEstimator:
@@ -798,5 +798,5 @@ class TestRegressionBootstrap:
         rng = np.random.default_rng(43)
         est = regression_private_mle(make_regression(rng, n=400), 1.5, rng)
         assert np.all(
-            est.coordinate_variances(private=True) > est.coordinate_variances(private=False)
+            est.variances(private=True)[0] > est.variances(private=False)[0]
         )
