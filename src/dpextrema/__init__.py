@@ -33,7 +33,7 @@ from .models import (
     gaussian_private_mle,
     regression_private_mle,
 )
-from .partial import PartitionedGaussianData, partial_gaussian_private_mle
+from .partial import partial_gaussian_private_mle
 from .privacy import (
     Bounds,
     LaplaceSpec,

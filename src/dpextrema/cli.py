@@ -47,8 +47,7 @@ from .harness import (
     parse_split,
     run_experiment,
 )
-from .models import GaussianData, RegressionData
-from .partial import PartitionedGaussianData
+from .models import GaussianData, PrivatizedGaussianEstimate, RegressionData
 from .privacy import Bounds
 
 
@@ -147,7 +146,8 @@ def _load_data(args):
 
     Regression input has the response as its last column.  ``--partial K1``
     keeps the first K1 columns (of the design, for regression) as the ones of
-    interest and the rest as nuisance; 0 reads every column as of interest.
+    interest; 0 reads every column as of interest.  A Gaussian is its first K1
+    columns alone, while regression keeps the rest as its nuisance block.
     """
     _, data = _read_csv_matrix(args.input)
     regression = args.model == "regression"
@@ -159,10 +159,7 @@ def _load_data(args):
     if not (1 <= k1 <= k):
         raise ParameterError(f"--partial must name between 1 and {k} interest columns")
     if not regression:
-        bounds = _parse_bounds(args.bounds, k1, "coordinate")
-        if args.partial:
-            return PartitionedGaussianData(x[:, :k1], x[:, k1:] if k1 < k else None, bounds)
-        return GaussianData(x, bounds)
+        return GaussianData(x[:, :k1], _parse_bounds(args.bounds, k1, "coordinate"))
     if args.y_bounds is None:
         raise ParameterError("response bounds are mandatory: sensitivity is undefined without bounds")
     y, y_bounds = data[:, -1], _parse_bounds(args.y_bounds, 1, "response")
@@ -190,13 +187,26 @@ def _write_json(path, payload: dict) -> None:
     print(f"wrote {path}")
 
 
+def _noise_scales(estimate) -> dict:
+    """The Laplace scales of the released statistics of set 0, in budget-split order."""
+    if isinstance(estimate, PrivatizedGaussianEstimate):
+        return {"sum": estimate.sum_noise.scale, "gram": estimate.gram_noise.scale}
+    return {
+        "gram": estimate.gram_noise.scale,
+        "xty": estimate.xty_noise.scale,
+        "rss": float(estimate.rss_scales[0]),
+    }
+
+
 def _print_result(result, estimate, seed: int, extra: dict, output=None):
     ledger = estimate.ledger
-    release = estimate.to_dict()
-    repair = release["repair"]
+    repair = {
+        "shift": float(estimate.repairs.shift[0]),
+        "degenerate": bool(estimate.repairs.degenerate[0]),
+    }
     payload = {
         "result": asdict(result),
-        "estimate": {"noise_scales": release["noise_scales"], "repair": repair},
+        "estimate": {"noise_scales": _noise_scales(estimate), "repair": repair},
         "ledger": ledger.to_dict(),
         "seed": seed,
         **extra,

@@ -16,12 +16,12 @@ the total minus its fold.  All 2v estimates are released as one stacked
 estimate, with the noise scales derived once and one eigendecomposition
 repairing every matrix, and the training replicas of all folds are drawn in
 one ``replica_draws`` call.  This is the release every estimate goes through
-(a single estimate is set 0 of a stack of one), so each fold's release has
+(a single estimate is a stack of one), so each fold's release has
 the law of the single-set estimator on that subset.  Any data class with a
 ``fold_statistics`` method can be cross-validated: a partitioned Gaussian is
-cross-validated on its interest block, and ``RegressionData(..., nuisance=W)``
-removes the nuisance fit from each set's residual through the blocks W^T W,
-W^T X and W^T y.
+its interest block, plain ``GaussianData``, and ``RegressionData(...,
+nuisance=W)`` removes the nuisance fit from each set's residual through the
+blocks W^T W, W^T X and W^T y.
 
 A Monte Carlo block cross-validates R data sets at once: given a sequence of
 data sets and a :class:`~dpextrema.privacy.GeneratorStack` with one generator
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ParameterError
-from .extrema import DEFAULT_B_INNER, bias_reduced_from_draws
+from .extrema import DEFAULT_B_INNER, _check_failed_draws, bias_reduced_from_draws
 from .models import stack_statistics
 from .privacy import GeneratorStack
 
@@ -143,7 +143,9 @@ def _estimate(stats, budget, rng: GeneratorStack, b_inner: int):
     )
     release = sets.release(budget, rng)
     train = release.take((2 * v * np.arange(R)[:, None] + np.arange(v)).ravel())
-    return release, train.replica_draws(b_inner, rng, R * v)[0]
+    draws, failed = train.replica_draws(b_inner, rng, R * v)
+    _check_failed_draws(failed.sum(axis=1), b_inner)
+    return release, draws
 
 
 def cv_choose_r(
@@ -159,7 +161,8 @@ def cv_choose_r(
     :class:`~dpextrema.privacy.GeneratorStack` of R generators, one per set.
     Deterministic given the data, budget, config, and generator states.
     Every fold estimation uses the same per-statistic budget split as a full
-    run.
+    run.  Raises :class:`~dpextrema.errors.DegeneracyError` when more than 1 %
+    of a training set's inner draws fail, as a limit would.
     """
     config = config or CVConfig()
     data_sets = list(data) if isinstance(data, (list, tuple)) else [data]

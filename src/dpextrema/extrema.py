@@ -170,6 +170,16 @@ def _check_B(B: int) -> None:
         raise ParameterError("B must be >= 100")
 
 
+def _check_failed_draws(failed: np.ndarray, b_total: int) -> None:
+    """Refuse a stack of estimates if any of them failed more than
+    ``MAX_FAILED_FRACTION`` of its ``b_total`` draws; ``failed`` counts each one's."""
+    degenerate = failed > MAX_FAILED_FRACTION * b_total
+    if degenerate.any():
+        raise DegeneracyError(
+            f"{failed[degenerate][0]} of {b_total} bootstrap draws failed; estimate too degenerate"
+        )
+
+
 def ppb_limits(betas, draws, failed, r, n, alpha: float = 0.05):
     """Bootstrap lower limits of a stack of R estimates.
 
@@ -185,11 +195,7 @@ def ppb_limits(betas, draws, failed, r, n, alpha: float = 0.05):
     shifts = bias_correction(betas, r, n)
     b_total = draws.shape[-2]
     _check_B(b_total)
-    degenerate = failed > MAX_FAILED_FRACTION * b_total
-    if degenerate.any():
-        raise DegeneracyError(
-            f"{failed[degenerate][0]} of {b_total} bootstrap draws failed; estimate too degenerate"
-        )
+    _check_failed_draws(failed, b_total)
     t_values = _statistic_batch(draws, shifts, beta_max, n)
     c_alpha = _order_statistics(t_values, b_total - failed, 1.0 - alpha)
     return beta_max - c_alpha / np.sqrt(n), c_alpha

@@ -57,7 +57,6 @@ from .extrema import (
     ppb_limits,
 )
 from .models import GaussianData, RegressionData, stack_statistics
-from .partial import PartitionedGaussianData
 from .privacy import Bounds, GeneratorStack
 
 MODELS = ("gaussian", "regression", "partial_gaussian", "partial_regression")
@@ -198,9 +197,8 @@ class ExperimentConfig:
     # gaussian truth
     mu: tuple[float, ...] | None = None
     sigma_diag: tuple[float, ...] | None = None
-    # partitioned gaussian
+    # partitioned gaussian and partitioned regression
     k_nuisance: int = 0
-    mu_nuisance: tuple[float, ...] | None = None
     # regression truth
     beta: tuple[float, ...] | None = None
     sigma2: float = 1.0
@@ -226,10 +224,16 @@ class ExperimentConfig:
             raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
         _check_alpha(self.alpha)
         _check_B(self.B)
-        for key in ("bounds_half_width", "x_half_width", "y_half_width"):
+        # a value given is checked whatever the model, so a config refuses it at load
+        for key in ("bounds_half_width", "x_half_width", "y_half_width", "sigma2"):
             value = getattr(self, key)
             if value is not None and not (0.0 < value < math.inf):
                 raise ParameterError(f"{key} must be positive and finite")
+        if not all(0.0 < v < math.inf for v in self.sigma_diag or ()):
+            raise ParameterError("sigma_diag must be positive and finite")
+        for key in ("mu", "beta", "gamma"):
+            if not all(map(math.isfinite, getattr(self, key) or ())):
+                raise ParameterError(f"{key} must be finite")
         if not self.epsilons:
             raise ParameterError("at least one epsilon is required")
         for eps in self.epsilons:
@@ -250,20 +254,17 @@ class ExperimentConfig:
             if len(mu) != self.k:
                 raise ParameterError("mu length does not match k")
             object.__setattr__(self, "mu", tuple(float(v) for v in mu))
-        if self.model == "partial_gaussian":
-            if self.k_nuisance < 1:
-                raise ParameterError("partial_gaussian needs k_nuisance >= 1")
-            mu2 = self.mu_nuisance if self.mu_nuisance is not None else (0.0,) * self.k_nuisance
-            if len(mu2) != self.k_nuisance:
-                raise ParameterError("mu_nuisance length does not match k_nuisance")
-            object.__setattr__(self, "mu_nuisance", tuple(float(v) for v in mu2))
+            var = self.sigma_diag if self.sigma_diag is not None else (1.0,) * self.k
+            if len(var) != self.k:
+                raise ParameterError("sigma_diag length does not match k")
+            object.__setattr__(self, "sigma_diag", tuple(float(v) for v in var))
+        if self.model == "partial_gaussian" and self.k_nuisance < 1:
+            raise ParameterError("partial_gaussian needs k_nuisance >= 1")
         if self.model in ("regression", "partial_regression"):
             beta = self.beta if self.beta is not None else (0.0,) * self.k
             if len(beta) != self.k:
                 raise ParameterError("beta length does not match k")
             object.__setattr__(self, "beta", tuple(float(v) for v in beta))
-            if self.sigma2 <= 0:
-                raise ParameterError("sigma2 must be positive")
         if self.model == "partial_regression":
             gamma = self.gamma if self.gamma is not None else (0.0,) * max(self.k_nuisance, 0)
             if self.k_nuisance and len(gamma) != self.k_nuisance:  # gamma alone sets the width
@@ -345,30 +346,16 @@ class ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_truth(config: ExperimentConfig):
-    mu = np.asarray(config.mu, dtype=float)
-    var = (
-        np.asarray(config.sigma_diag, dtype=float)
-        if config.sigma_diag is not None
-        else np.ones(config.k)
-    )
-    if var.size != config.k or np.any(var <= 0):
-        raise ParameterError("sigma_diag must hold k positive variances")
-    return mu, var
-
-
 def _generate_data(config: ExperimentConfig, rng: np.random.Generator, fixed_design):
     h = config.bounds_half_width
-    if config.model == "gaussian":
-        mu, var = _gaussian_truth(config)
-        x = mu + rng.standard_normal((config.n, config.k)) * np.sqrt(var)
+    if config.model in ("gaussian", "partial_gaussian"):
+        mu = np.asarray(config.mu)
+        x = mu + rng.standard_normal((config.n, config.k)) * np.sqrt(config.sigma_diag)
+        if config.model == "partial_gaussian":
+            # the nuisance block is never released, so it is drawn and
+            # discarded: the draw keeps every later draw where it was
+            rng.standard_normal((config.n, config.k_nuisance))
         return GaussianData(x, Bounds.centered(mu, h))
-    if config.model == "partial_gaussian":
-        mu, var = _gaussian_truth(config)
-        mu2 = np.asarray(config.mu_nuisance, dtype=float)
-        x1 = mu + rng.standard_normal((config.n, config.k)) * np.sqrt(var)
-        x2 = mu2 + rng.standard_normal((config.n, config.k_nuisance))
-        return PartitionedGaussianData(x1, x2, Bounds.centered(mu, h))
     if config.model == "regression":
         beta = np.asarray(config.beta, dtype=float)
         hx = config.x_half_width
@@ -455,6 +442,10 @@ def _block_outcomes(config: ExperimentConfig, eps_index: int, reps: range, fixed
     budget = divide_budget(config.epsilons[eps_index], config.split)
     data = [_generate_data(config, g, fixed_design) for g in rng.generators]
     stats = stack_statistics([d.fold_statistics([slice(None)]) for d in data])
+    if not any("cv" in spec.r_tokens for spec in config.methods):
+        # only cross-validation reads the rows again; dropping them here keeps
+        # the rows and their clamped copies out of the bootstrap's peak memory
+        data = None
     releases = {}  # private -> stacked estimate
     draws = {}  # (private, privacy_noise) -> (draws, failed counts)
 
@@ -612,7 +603,7 @@ _EXPERIMENT_KEYS = {
 }
 _FIELDS = {"b": "B", "epsilon": "epsilons"}
 #: Truth vectors and the size key their ``zeros`` shorthands take the length of.
-_TRUTH_SIZES = {"mu": "k", "mu_nuisance": "k_nuisance", "beta": "k"}
+_TRUTH_SIZES = {"mu": "k", "beta": "k"}
 
 
 def load_config(path) -> ExperimentConfig:

@@ -30,12 +30,6 @@ class RepairResult(NamedTuple):
     floor: float
     degenerate: bool    # shift exceeded the repair budget
 
-    def at(self, f: int) -> "RepairResult":
-        """The repair of matrix ``f`` of a stacked repair."""
-        return RepairResult(
-            self.matrix[f], float(self.shift[f]), float(self.floor[f]), bool(self.degenerate[f])
-        )
-
 
 def psd_floor(matrix: np.ndarray):
     """Eigenvalue floor of a symmetric matrix, or of each one in a (..., k, k) stack."""
@@ -72,8 +66,8 @@ def psd_repair(matrix: np.ndarray) -> RepairResult:
     at or above the floor.
     """
     m = np.asarray(matrix, dtype=float)
-    repair = psd_repair_stack(m[None]).at(0)
-    return repair if repair.shift > 0.0 else repair._replace(matrix=m)
+    repaired, shift, floor, degenerate = (a[0] for a in psd_repair_stack(m[None]))
+    return RepairResult(repaired if shift > 0.0 else m, float(shift), float(floor), bool(degenerate))
 
 
 def sym_sqrt(matrix: np.ndarray) -> np.ndarray:

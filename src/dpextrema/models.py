@@ -15,7 +15,7 @@ estimates; they never look at rows after forming the statistics.  One recipe
 per model does this, ``GaussianStatistics.release`` and
 ``RegressionStatistics.release``, on a stack of data sets, and it returns the
 model's one estimate class, which holds all F sets along a leading axis.  A
-single estimate is that class with F = 1, and its scalar fields read set 0;
+single estimate is that class with F = 1, whose arrays hold one row;
 cross-validation releases all of its folds' training and held-out sets at
 once and draws every training set's replicas in one ``replica_draws`` call,
 and the single-estimate limits of :mod:`~dpextrema.extrema` draw set 0's
@@ -128,8 +128,8 @@ class GaussianData:
 class _Stacked:
     """What both models' estimates share: F released data sets stacked along a
     leading axis, with ``betas`` (F, k), ``sizes`` (F,) and the repaired
-    matrices ``repairs``.  A single estimate is a stack of one, and the scalar
-    accessors below read its set 0.
+    matrices ``repairs``.  A single estimate is a stack of one, so its
+    release is row 0 of each array (``betas[0]``, ``repairs.shift[0]``).
 
     Each model defines its own ``bootstrap_draws`` over :meth:`_set_zero_draws`
     because the traced benchmark (``bench/spans.py``) times it by class name;
@@ -139,23 +139,6 @@ class _Stacked:
     @property
     def k(self) -> int:
         return self.betas.shape[1]
-
-    @property
-    def n(self) -> int:
-        return int(self.sizes[0])
-
-    @property
-    def beta_priv(self) -> np.ndarray:
-        """Coordinates of interest of set 0."""
-        return self.betas[0]
-
-    @property
-    def repair(self) -> RepairResult:
-        return self.repairs.at(0)
-
-    @property
-    def degenerate(self) -> bool:
-        return bool(self.repairs.degenerate[0])
 
     def _set_zero_draws(self, size: int, rng: np.random.Generator, privacy_noise: bool):
         """Set 0 of :meth:`replica_draws` with its failed rows dropped, and their count."""
@@ -188,32 +171,17 @@ class PrivatizedGaussianEstimate(_Stacked):
     noisy_grams: np.ndarray  # (F, k, k) released second-moment matrices, noise included
     _root: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    @property
-    def mu_priv(self) -> np.ndarray:
-        return self.betas[0]
-
-    @property
-    def sigma_priv(self) -> np.ndarray:
-        return self.repairs.matrix[0]
-
-    @property
-    def noisy_sum(self) -> np.ndarray:
-        return self.noisy_sums[0]
-
-    @property
-    def noisy_gram(self) -> np.ndarray:
-        return self.noisy_grams[0]
-
     def replica_draws(
         self, size: int, rng: np.random.Generator, sets: int, privacy_noise: bool = True
     ) -> tuple[np.ndarray, np.ndarray]:
         """(sets, size, k) bootstrap replicas of the first ``sets`` privatized
         means, and their (sets, size) failure mask, all False.
 
-        Each replica is the mean of n simulated observations from
-        N(mu_priv, sigma_priv) plus a fresh simulation-only Laplace noise of
-        the estimation scale, divided by n.  ``privacy_noise=False`` skips the
-        Laplace term (the ablation that ignores privatization randomness).
+        Each replica of set f is the mean of n simulated observations from
+        N(betas[f], repairs.matrix[f]) plus a fresh simulation-only Laplace
+        noise of the estimation scale, divided by n.  ``privacy_noise=False``
+        skips the Laplace term (the ablation that ignores privatization
+        randomness).
         With a :class:`GeneratorStack` of R generators, generator i draws the
         i-th of R equal groups of sets.
         """
@@ -246,21 +214,6 @@ class PrivatizedGaussianEstimate(_Stacked):
         if private and not self.sum_noise.is_zero:
             v = v + 2.0 * self.sum_noise.scale**2 / n**2
         return v
-
-    def to_dict(self) -> dict:
-        """Set 0's release."""
-        return {
-            "model": "gaussian",
-            "n": self.n,
-            "k": self.k,
-            "mu_priv": self.mu_priv.tolist(),
-            "sigma_priv": self.sigma_priv.tolist(),
-            "noisy_sum": self.noisy_sum.tolist(),
-            "noisy_gram": self.noisy_gram.tolist(),
-            "noise_scales": {"sum": self.sum_noise.scale, "gram": self.gram_noise.scale},
-            "repair": {"shift": self.repair.shift, "degenerate": self.repair.degenerate},
-            "ledger": self.ledger.to_dict(),
-        }
 
 
 def _gaussian_from_noisy_stats(noisy_sum: np.ndarray, noisy_gram: np.ndarray, n):
@@ -398,26 +351,6 @@ class PrivatizedRegressionEstimate(_Stacked):
     noisy_xtys: np.ndarray   # (F, k)
     _root: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    @property
-    def sigma2_priv(self) -> float:
-        return float(self.sigma2s[0])
-
-    @property
-    def S_priv(self) -> np.ndarray:
-        return self.repairs.matrix[0]
-
-    @property
-    def rss_noise(self) -> LaplaceSpec:
-        return LaplaceSpec(self.rss_scales[0])
-
-    @property
-    def noisy_gram(self) -> np.ndarray:
-        return self.noisy_grams[0]
-
-    @property
-    def noisy_xty(self) -> np.ndarray:
-        return self.noisy_xtys[0]
-
     def replica_draws(
         self, size: int, rng: np.random.Generator, sets: int, privacy_noise: bool = True
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -531,26 +464,6 @@ class PrivatizedRegressionEstimate(_Stacked):
             s_inv2 = np.diagonal(s_inv @ s_inv, axis1=-2, axis2=-1)
             v = v + 2.0 * self.xty_noise.scale**2 * s_inv2 / n**2
         return v
-
-    def to_dict(self) -> dict:
-        """Set 0's release."""
-        return {
-            "model": "regression",
-            "n": self.n,
-            "k": self.k,
-            "beta_priv": self.beta_priv.tolist(),
-            "sigma2_priv": self.sigma2_priv,
-            "S_priv": self.S_priv.tolist(),
-            "noisy_gram": self.noisy_gram.tolist(),
-            "noisy_xty": self.noisy_xty.tolist(),
-            "noise_scales": {
-                "gram": self.gram_noise.scale,
-                "xty": self.xty_noise.scale,
-                "rss": self.rss_noise.scale,
-            },
-            "repair": {"shift": self.repair.shift, "degenerate": self.repair.degenerate},
-            "ledger": self.ledger.to_dict(),
-        }
 
 
 _SINGULAR_GRAM = "noisy gram matrix is irreparably singular; widen the budget or bounds"

@@ -2,10 +2,11 @@
 
 Only the means and covariance block of the coordinates of interest are
 privatized, so noise (and budget) is spent on their statistics alone.  The
-nuisance block is never read by the release, so nothing computed from it can
-reach the released surface.  Downstream inference (bias correction,
-bootstrap scaling) uses the sample size of the privatized block, which the
-returned estimate carries as ``n``.
+interest block is plain :class:`~dpextrema.models.GaussianData`: the nuisance
+columns are never handed to the release, so nothing computed from them can
+reach the released surface.  ``ci gaussian --partial K1`` loads the first K1
+columns this way, and the ``partial_gaussian`` simulation draws its nuisance
+block and discards it.
 
 Regression with nuisance covariates needs no class of its own: it is
 ``RegressionData(X, y, x_bounds, y_bounds, nuisance=W)`` in
@@ -14,72 +15,22 @@ Regression with nuisance covariates needs no class of its own: it is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
-from .errors import ParameterError
-from .models import (
-    GaussianData,
-    GaussianStatistics,
-    PrivatizedGaussianEstimate,
-    gaussian_private_mle,
-)
-from .privacy import Bounds
+from .models import GaussianData, PrivatizedGaussianEstimate, gaussian_private_mle
 
-__all__ = [
-    "PartitionedGaussianData",
-    "partial_gaussian_private_mle",
-]
-
-
-@dataclass(frozen=True, eq=False)
-class PartitionedGaussianData:
-    """Joint observations split into an interest block and a nuisance block.
-
-    Bounds are declared for the interest block only; the nuisance block is
-    never privatized, so it needs no bounds.
-    """
-
-    x1: np.ndarray
-    x2: np.ndarray | None
-    bounds: Bounds
-
-    def __post_init__(self):
-        x1 = np.atleast_2d(np.asarray(self.x1, dtype=float))
-        if x1.shape[0] < 2:
-            raise ParameterError("need at least 2 observations")
-        if x1.shape[1] != self.bounds.k:
-            raise ParameterError("bounds dimension does not match the interest block")
-        object.__setattr__(self, "x1", x1)
-        if self.x2 is not None:
-            x2 = np.atleast_2d(np.asarray(self.x2, dtype=float))
-            if x2.shape[0] != x1.shape[0]:
-                raise ParameterError("interest and nuisance blocks must align by row")
-            object.__setattr__(self, "x2", x2)
-
-    @property
-    def n(self) -> int:
-        return self.x1.shape[0]
-
-    @cached_property
-    def interest(self) -> GaussianData:
-        """The interest block as Gaussian data, which clamps it once."""
-        return GaussianData(self.x1, self.bounds)
-
-    def fold_statistics(self, folds: list[np.ndarray]) -> GaussianStatistics:
-        """Statistics of the interest block only; the nuisance block is never released."""
-        return self.interest.fold_statistics(folds)
+__all__ = ["partial_gaussian_private_mle"]
 
 
 def partial_gaussian_private_mle(
-    data: PartitionedGaussianData, budget, rng: np.random.Generator
+    data: GaussianData, budget, rng: np.random.Generator
 ) -> PrivatizedGaussianEstimate:
-    """Privatize only the interest-block statistics of a partitioned Gaussian.
+    """Privatize the interest block ``data`` of a partitioned Gaussian.
 
     The estimate is exactly the interest-block release of the full estimator
-    (the block mean depends on its own noisy sum alone); the nuisance block
-    is not read.
+    (the block mean depends on its own noisy sum alone), so this is
+    :func:`~dpextrema.models.gaussian_private_mle`.  Nothing in the package
+    calls it: it stays only for the span recorder in ``bench/spans.py``,
+    which times it by name.
     """
-    return gaussian_private_mle(data.interest, budget, rng)
+    return gaussian_private_mle(data, budget, rng)

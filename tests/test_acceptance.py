@@ -132,8 +132,8 @@ def test_criterion_6_zero_noise_oracles(tied_report, separated_report):
         cov = centered.T @ centered / (n - 1)
         worst_gauss = max(
             worst_gauss,
-            np.abs(est.mu_priv - mean).max() / max(np.abs(mean).max(), 1e-9),
-            np.abs(est.sigma_priv - cov).max() / np.abs(cov).max(),
+            np.abs(est.betas[0] - mean).max() / max(np.abs(mean).max(), 1e-9),
+            np.abs(est.repairs.matrix[0] - cov).max() / np.abs(cov).max(),
         )
         m = int(rng.integers(10, 51))
         p = int(rng.integers(1, 5))
@@ -145,7 +145,7 @@ def test_criterion_6_zero_noise_oracles(tied_report, separated_report):
             rng,
         )
         ols = np.linalg.solve(X.T @ X, X.T @ y)
-        worst_reg = max(worst_reg, np.abs(reg.beta_priv - ols).max() / np.abs(ols).max())
+        worst_reg = max(worst_reg, np.abs(reg.betas[0] - ols).max() / np.abs(ols).max())
     _check_upper(6, "gaussian worst relative error", worst_gauss, 1e-10)
     _check_upper(6, "regression worst relative error", worst_reg, 1e-10)
     _check(6, "non-private bootstrap coverage (tied)", tied_report.find("npb", r="1/10").coverage, 0.93, 0.97)
@@ -192,8 +192,8 @@ def test_criterion_7_property_suite(tmp_path):
     x = rng.standard_normal((300, 3))
     est = dp.gaussian_private_mle(dp.GaussianData(x, dp.Bounds.symmetric(4.0, 3)), 1.5, rng)
     res = dp.ppb_lower_limit(est, 0.1, rng, B=500)
-    assert res.lower_limit + res.c_alpha / math.sqrt(est.n) == pytest.approx(
-        est.beta_priv.max(), abs=1e-15
+    assert res.lower_limit + res.c_alpha / math.sqrt(est.sizes[0]) == pytest.approx(
+        est.betas[0].max(), abs=1e-15
     )
     print("criterion 7 [PASS] lower limit + c_alpha / sqrt(n) reproduces the estimate")
 
@@ -214,9 +214,9 @@ def test_criterion_7_property_suite(tmp_path):
     x1, x2 = rng.standard_normal((200, 2)), rng.standard_normal((200, 2)) + 5.0
     assert_nuisance_unreleased(x1, x2, 3.0, tmp_path)
     partial = dp.partial_gaussian_private_mle(
-        dp.PartitionedGaussianData(x1, x2, dp.Bounds.symmetric(3.0, 2)), 1.5, rng
+        dp.GaussianData(x1, dp.Bounds.symmetric(3.0, 2)), 1.5, rng
     )
-    assert np.array_equal(partial.noisy_sum / partial.n, partial.mu_priv)
+    assert np.array_equal(partial.noisy_sums[0] / partial.sizes[0], partial.betas[0])
     print("criterion 7 [PASS] nuisance audit of the released surface and noisy-statistic reduction")
 
     elapsed = time.perf_counter() - start

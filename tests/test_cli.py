@@ -20,7 +20,7 @@ from dpextrema.cli import build_parser, main
 from dpextrema.crossval import CVConfig, cv_choose_r
 from dpextrema.errors import ParameterError
 from dpextrema.extrema import ppb_limits
-from dpextrema.models import GaussianData
+from dpextrema.models import GaussianData, RegressionData
 from dpextrema.privacy import Bounds
 
 
@@ -124,7 +124,7 @@ class TestCiGaussian:
         rng = np.random.default_rng(np.random.SeedSequence(7))
         est = dp.gaussian_private_mle(dp.GaussianData(x, dp.Bounds.symmetric(5.0, 1)), math.inf, rng)
         naive = dp.naive_lower_limit(est, private=False)
-        z_margin = float(est.beta_priv[0]) - naive.lower_limit
+        z_margin = float(est.betas[0, 0]) - naive.lower_limit
         assert abs(ppb_limit - naive.lower_limit) <= 0.2 * z_margin
 
     def test_partial_flag(self, tmp_path, capsys):
@@ -403,6 +403,38 @@ class TestCiRegression:
         assert "budget      = 1.5\n" in out
         assert "repair      = shift " in out
 
+    @pytest.mark.parametrize("partial", [[], ["--partial", "2"]], ids=["plain", "partial"])
+    def test_estimate_block_is_set_zero_of_the_release(self, tmp_path, capsys, partial):
+        data = write_orthogonal_regression_csv(tmp_path / "orth.csv")
+        out = tmp_path / "res.json"
+        args = [
+            "ci", "regression", "--input", str(data), "--bounds=-1:1", "--y-bounds=-8:8",
+            "--epsilon", "1.5", "--seed", "3", "--B", "200", "--output", str(out), *partial,
+        ]
+        assert run_cli(args) == 0
+        estimate = json.loads(out.read_text())["estimate"]
+
+        rows = np.loadtxt(data, delimiter=",", skiprows=1)
+        k1 = 2 if partial else 3
+        x = RegressionData(
+            rows[:, :k1], rows[:, -1], Bounds.symmetric(1.0, k1), Bounds.symmetric(8.0, 1),
+            rows[:, k1:-1],
+        )
+        rng = np.random.default_rng(np.random.SeedSequence(3))
+        est = x.fold_statistics([slice(None)]).release(1.5, rng)
+        expected = {
+            "noise_scales": {
+                "gram": est.gram_noise.scale,
+                "xty": est.xty_noise.scale,
+                "rss": float(est.rss_scales[0]),
+            },
+            "repair": {
+                "shift": float(est.repairs.shift[0]),
+                "degenerate": bool(est.repairs.degenerate[0]),
+            },
+        }
+        assert json.dumps(estimate) == json.dumps(expected)  # key order included
+
     def test_missing_response_bounds_refused(self, tmp_path, capsys):
         data = write_regression_csv(tmp_path / "reg.csv")
         args = [
@@ -540,8 +572,9 @@ class TestSimulateAndPlot:
             ("n = 200\nrep = 5", "unknown [experiment] key 'rep'"),
             ("n = 8x0", "cannot parse n '8x0'"),
             ("n = 200\nn = 300", "option 'n' in section 'experiment' already exists"),
+            ("n = 200\nsigma_diag = nan, 1", "error: sigma_diag must be positive and finite\n"),
         ],
-        ids=["unknown", "malformed", "duplicate"],
+        ids=["unknown", "malformed", "duplicate", "non-finite"],
     )
     def test_unknown_or_malformed_key_exits_2(self, tmp_path, capsys, lines, message):
         cfg = tmp_path / "exp.ini"

@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 
 from dpextrema.crossval import CVConfig, cv_choose_r
-from dpextrema.errors import NumericError, ParameterError
+from dpextrema.errors import DegeneracyError, NumericError, ParameterError
 from dpextrema.models import (
     GaussianData,
     RegressionData,
     gaussian_private_mle,
     regression_private_mle,
 )
-from dpextrema.partial import PartitionedGaussianData
 from dpextrema.privacy import Bounds, GeneratorStack
 
+from test_harness import collinear_design
 from test_models import orthogonal_block, reference_regression_release
 
 
@@ -115,6 +115,18 @@ class TestCvChooseR:
         with pytest.raises(NumericError):
             cv_choose_r(data, 0.05, np.random.default_rng(5), CVConfig(b_inner=60))
 
+    def test_training_draws_over_the_failure_cap_refused(self):
+        # two equal columns: at epsilon 1e7 the noisy systems of a training
+        # set sit at the singularity floor and one of its 60 draws fails,
+        # above the 1 % that a limit allows; at 1e6 none fails
+        X = collinear_design()
+        y = X @ [0.0, 0.5] + np.random.default_rng(4).standard_normal(X.shape[0])
+        data = RegressionData(X, y, Bounds.symmetric(1.0, 2), Bounds.symmetric(6.0, 1))
+        config = CVConfig(b_inner=60)
+        assert cv_choose_r(data, 1e6, np.random.default_rng(3), config).chosen_r in config.grid
+        with pytest.raises(DegeneracyError, match="^1 of 60 bootstrap draws failed"):
+            cv_choose_r(data, 1e7, np.random.default_rng(3), config)
+
     def test_supports_nuisance_regression_data(self):
         data = nuisance_regression_data(seed=14, n=2000)
         cv = cv_choose_r(data, 3.0, np.random.default_rng(8), CVConfig(b_inner=60))
@@ -125,7 +137,8 @@ class TestCvChooseR:
         rng = np.random.default_rng(12)
         x1 = rng.standard_normal((200, 2))
         x2 = rng.standard_normal((200, 3))
-        data = PartitionedGaussianData(x1, x2, Bounds.symmetric(3.0, 2))
+        # the interest columns of the joint matrix, as ci --partial 2 reads them
+        data = GaussianData(np.hstack([x1, x2])[:, :2], Bounds.symmetric(3.0, 2))
         cv = cv_choose_r(data, 1.5, np.random.default_rng(6), CVConfig(b_inner=60))
         assert cv.chosen_r in CVConfig().grid
 
@@ -159,11 +172,10 @@ def _gaussian_case():
 
 def _partitioned_case():
     rng = np.random.default_rng(16)
-    data = PartitionedGaussianData(
-        rng.standard_normal((200, 2)), rng.standard_normal((200, 3)), Bounds.symmetric(3.0, 2)
-    )
+    joint = np.hstack([rng.standard_normal((200, 2)), rng.standard_normal((200, 3))])
+    data = GaussianData(joint[:, :2], Bounds.symmetric(3.0, 2))
     return data, lambda idx: gaussian_private_mle(
-        GaussianData(data.x1[idx], data.bounds), math.inf, np.random.default_rng(0)
+        GaussianData(data.x[idx], data.bounds), math.inf, np.random.default_rng(0)
     )
 
 
@@ -191,7 +203,7 @@ def _nuisance_case():
         )
         variances = ref["sigma2"] * np.diag(np.linalg.inv(ref["S"])) / idx.size
         return SimpleNamespace(
-            n=idx.size, beta_priv=ref["beta"], variances=lambda: variances[None]
+            sizes=np.array([idx.size]), betas=ref["beta"][None], variances=lambda: variances[None]
         )
 
     return data, estimate_subset
@@ -212,11 +224,11 @@ class TestFoldStatisticsReference:
         for j, fold in enumerate(cv.per_fold):
             train = estimate_subset(np.sort(np.concatenate(folds[:j] + folds[j + 1:])))
             ref = estimate_subset(np.sort(folds[j]))
-            assert (fold["train_n"], fold["ref_n"]) == (train.n, ref.n)
-            np.testing.assert_allclose(fold["train_beta"], train.beta_priv, rtol=1e-9, atol=1e-12)
-            np.testing.assert_allclose(fold["ref_beta"], ref.beta_priv, rtol=1e-9, atol=1e-12)
+            assert (fold["train_n"], fold["ref_n"]) == (train.sizes[0], ref.sizes[0])
+            np.testing.assert_allclose(fold["train_beta"], train.betas[0], rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(fold["ref_beta"], ref.betas[0], rtol=1e-9, atol=1e-12)
             expected_h = (
-                (np.asarray(fold["reduced_max"])[:, None] - ref.beta_priv[None, :]) ** 2
+                (np.asarray(fold["reduced_max"])[:, None] - ref.betas[0][None, :]) ** 2
                 - ref.variances()[0][None, :]
             )
             np.testing.assert_allclose(cv.hs[0][:, j, :], expected_h, rtol=1e-9, atol=1e-12)

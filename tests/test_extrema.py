@@ -167,8 +167,8 @@ class TestPpbLowerLimit:
     def test_arithmetic_identity(self):
         est = gaussian_estimate()
         res = ppb_lower_limit(est, 0.1, np.random.default_rng(3), B=500)
-        assert res.lower_limit + res.c_alpha / math.sqrt(est.n) == pytest.approx(
-            est.beta_priv.max(), abs=1e-15
+        assert res.lower_limit + res.c_alpha / math.sqrt(est.sizes[0]) == pytest.approx(
+            est.betas[0].max(), abs=1e-15
         )
 
     def test_monotone_in_correction_strength(self):
@@ -179,8 +179,8 @@ class TestPpbLowerLimit:
         failed = failed.sum(axis=1)
         lower_weak, c_weak = ppb_limits(est.betas, draws, failed, 0.4, est.sizes)
         lower_strong, c_strong = ppb_limits(est.betas, draws, failed, 0.05, est.sizes)
-        shifts_weak = bias_correction(est.beta_priv, 0.4, est.n)
-        shifts_strong = bias_correction(est.beta_priv, 0.05, est.n)
+        shifts_weak = bias_correction(est.betas[0], 0.4, est.sizes[0])
+        shifts_strong = bias_correction(est.betas[0], 0.05, est.sizes[0])
         assert np.all(shifts_strong >= shifts_weak)
         assert c_strong[0] >= c_weak[0]
         assert lower_strong[0] <= lower_weak[0]
@@ -219,10 +219,10 @@ class TestPpbLowerLimit:
         with pytest.raises(DegeneracyError, match="^10 of 510 bootstrap draws failed"):
             limits(10)
         lower, c_alpha = limits(5)
-        shifts = bias_correction(est.beta_priv, 0.1, est.n)
-        t = math.sqrt(est.n) * ((draws[0] + shifts).max(axis=1) - est.beta_priv.max())
+        shifts = bias_correction(est.betas[0], 0.1, est.sizes[0])
+        t = math.sqrt(est.sizes[0]) * ((draws[0] + shifts).max(axis=1) - est.betas[0].max())
         assert c_alpha[0] == quantile(t, 0.95)
-        assert lower[0] == est.beta_priv.max() - c_alpha[0] / math.sqrt(est.n)
+        assert lower[0] == est.betas[0].max() - c_alpha[0] / math.sqrt(est.sizes[0])
 
     def test_position_of_failed_rows_does_not_matter(self):
         # the order statistic sorts NaN rows last, so interleaving them among
@@ -288,8 +288,8 @@ class TestBaselines:
     def test_naive_identity_bookkeeping(self):
         est = gaussian_estimate()
         res = naive_lower_limit(est, private=True)
-        assert res.lower_limit + res.c_alpha / math.sqrt(est.n) == pytest.approx(
-            est.beta_priv.max(), abs=1e-14
+        assert res.lower_limit + res.c_alpha / math.sqrt(est.sizes[0]) == pytest.approx(
+            est.betas[0].max(), abs=1e-14
         )
         assert res.method == "naive_private"
         assert res.B is None
@@ -311,9 +311,9 @@ class TestBiasReducedEstimate:
         # zero) single-mean bootstrap bias
         est = gaussian_estimate(k=1, n=400, epsilon=math.inf)
         draws, _ = est.replica_draws(400, np.random.default_rng(3), 1)
-        value = bias_reduced_from_draws(est.beta_priv, draws[0], 0.1, est.n)
-        mc_se = math.sqrt(float(est.sigma_priv[0, 0]) / est.n / 400)
-        assert abs(value - float(est.beta_priv[0])) <= 3 * mc_se
+        value = bias_reduced_from_draws(est.betas[0], draws[0], 0.1, est.sizes[0])
+        mc_se = math.sqrt(float(est.repairs.matrix[0, 0, 0]) / est.sizes[0] / 400)
+        assert abs(value - float(est.betas[0, 0])) <= 3 * mc_se
 
     def test_reduces_selection_bias_at_tied_means(self):
         # mu = (0, 0): the plug-in max is biased up; the reduced estimate
@@ -327,7 +327,7 @@ class TestBiasReducedEstimate:
             est = gaussian_private_mle(
                 GaussianData(x, Bounds.symmetric(3.0, 2)), 1.5, rng
             )
-            raw[rep] = est.beta_priv.max()
+            raw[rep] = est.betas[0].max()
             draws, _ = est.replica_draws(200, rng, 1)
             reduced[rep] = bias_reduced_from_draws(est.betas, draws, 0.1, est.sizes)[0]
         assert abs(reduced.mean()) < abs(raw.mean())

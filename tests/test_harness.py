@@ -28,7 +28,7 @@ from dpextrema.extrema import (
     ppb_limits,
     ppb_lower_limit,
 )
-from dpextrema.models import PrivatizedRegressionEstimate, RegressionData
+from dpextrema.models import GaussianData, PrivatizedRegressionEstimate, RegressionData
 from dpextrema.privacy import Bounds
 
 REPO = Path(__file__).resolve().parent.parent
@@ -266,6 +266,19 @@ def collinear_config(epsilon):
         methods=(MethodSpec("ppb", ("1/10",)), MethodSpec("naive")),
         seed=3, reps=6,
     )
+
+
+def test_partial_gaussian_draws_and_discards_its_nuisance_block():
+    # the nuisance block is never released, but its draw stays, so every
+    # later draw of a replication is where it was
+    config = small_config(model="partial_gaussian", n=50, k=2, k_nuisance=3, sigma_diag=(1.0, 4.0))
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    data = harness._generate_data(config, rng, None)
+    normals = ref.standard_normal(config.n * (config.k + config.k_nuisance))
+    expected = normals[: config.n * config.k].reshape(config.n, config.k) * [1.0, 2.0]
+    assert type(data) is GaussianData
+    assert np.array_equal(data.x, expected)
+    assert np.array_equal(rng.standard_normal(4), ref.standard_normal(4))
 
 
 class TestBlocks:
@@ -556,7 +569,6 @@ class TestConfigFile:
             "beta = 0, x",
             "gamma = 0.5, x",
             "sigma_diag = 1, x",
-            "mu_nuisance = 0, x",
             "y_half_width = wide",
         ],
     )
@@ -641,10 +653,22 @@ class TestConfigFile:
             ("n = 100\nx_half_width = inf", "^x_half_width must be positive and finite$"),
             ("n = 100\nx_half_width = 0", "^x_half_width must be positive and finite$"),
             ("n = 100\ny_half_width = -2", "^y_half_width must be positive and finite$"),
+            ("n = 100\nmu_nuisance = 0, x", "unknown \\[experiment\\] key 'mu_nuisance'"),
+            ("n = 100\nsigma_diag = nan, 1", "^sigma_diag must be positive and finite$"),
+            ("n = 100\nsigma_diag = inf, 1", "^sigma_diag must be positive and finite$"),
+            ("n = 100\nsigma_diag = 1, 0", "^sigma_diag must be positive and finite$"),
+            ("n = 100\nsigma_diag = 1", "^sigma_diag length does not match k$"),
+            ("n = 100\nmu = inf, 0", "^mu must be finite$"),
+            ("n = 100\nbeta = nan, 0", "^beta must be finite$"),
+            ("n = 100\ngamma = 0.5, -inf", "^gamma must be finite$"),
+            ("n = 100\nsigma2 = nan", "^sigma2 must be positive and finite$"),
+            ("n = 100\nsigma2 = inf", "^sigma2 must be positive and finite$"),
         ],
         ids=["rep", "bounds_halfwidth", "n", "reps", "duplicate", "cv_grid", "cv_grid-range",
              "cv_grid-order", "B", "alpha", "b_inner", "cv_folds", "bounds_half_width",
-             "x_half_width-negative", "x_half_width-inf", "x_half_width-zero", "y_half_width"],
+             "x_half_width-negative", "x_half_width-inf", "x_half_width-zero", "y_half_width",
+             "mu_nuisance", "sigma_diag-nan", "sigma_diag-inf", "sigma_diag-zero",
+             "sigma_diag-length", "mu-inf", "beta-nan", "gamma-inf", "sigma2-nan", "sigma2-inf"],
     )
     def test_unknown_or_malformed_key_is_named(self, tmp_path, lines, message):
         path = tmp_path / "exp.ini"

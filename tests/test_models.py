@@ -98,24 +98,24 @@ class TestGaussianEstimator:
             mean = data.x.mean(axis=0)
             centered = data.x - mean
             cov = centered.T @ centered / (n - 1)
-            assert np.allclose(est.mu_priv, mean, rtol=1e-10, atol=1e-12)
-            assert np.allclose(est.sigma_priv, cov, rtol=1e-10, atol=1e-12)
+            assert np.allclose(est.betas[0], mean, rtol=1e-10, atol=1e-12)
+            assert np.allclose(est.repairs.matrix[0], cov, rtol=1e-10, atol=1e-12)
             assert est.ledger.total() == 0.0
 
     def test_zero_noise_bit_for_bit_equals_manually_zeroed_noise(self):
         rng = np.random.default_rng(12)
         data = make_gaussian(rng)
         est = gaussian_private_mle(data, math.inf, rng)
-        assert np.array_equal(est.noisy_sum, data.x.sum(axis=0))
-        assert np.array_equal(est.noisy_gram, data.x.T @ data.x)
+        assert np.array_equal(est.noisy_sums[0], data.x.sum(axis=0))
+        assert np.array_equal(est.noisy_grams[0], data.x.T @ data.x)
 
     def test_determinism(self):
         rng = np.random.default_rng(13)
         data = make_gaussian(rng)
         est1 = gaussian_private_mle(data, 1.5, np.random.default_rng(99))
         est2 = gaussian_private_mle(data, 1.5, np.random.default_rng(99))
-        assert np.array_equal(est1.mu_priv, est2.mu_priv)
-        assert np.array_equal(est1.sigma_priv, est2.sigma_priv)
+        assert np.array_equal(est1.betas[0], est2.betas[0])
+        assert np.array_equal(est1.repairs.matrix[0], est2.repairs.matrix[0])
         d1, _ = est1.bootstrap_draws(1, np.random.default_rng(5))
         d2, _ = est2.bootstrap_draws(1, np.random.default_rng(5))
         assert np.array_equal(d1, d2)
@@ -129,8 +129,8 @@ class TestGaussianEstimator:
         est_pre = gaussian_private_mle(
             GaussianData(pre_clamped, bounds), 1.0, np.random.default_rng(3)
         )
-        assert np.array_equal(est_raw.mu_priv, est_pre.mu_priv)
-        assert np.array_equal(est_raw.sigma_priv, est_pre.sigma_priv)
+        assert np.array_equal(est_raw.betas[0], est_pre.betas[0])
+        assert np.array_equal(est_raw.repairs.matrix[0], est_pre.repairs.matrix[0])
 
     def test_noise_is_centered_over_replications(self):
         # n=800, k=2, eps=1.5: the replication mean of the private estimate
@@ -143,23 +143,23 @@ class TestGaussianEstimator:
             rng = np.random.default_rng(np.random.SeedSequence(606, spawn_key=(rep,)))
             x = truth + rng.standard_normal((800, 2))
             est = gaussian_private_mle(GaussianData(x, bounds), 1.5, rng)
-            total += est.mu_priv
+            total += est.betas[0]
         assert np.all(np.abs(total / reps - truth) < 0.01)
 
     def test_repair_noop_on_clean_data(self):
         rng = np.random.default_rng(15)
         est = gaussian_private_mle(make_gaussian(rng, n=200), math.inf, rng)
-        assert est.repair.shift == 0.0
-        assert not est.degenerate
+        assert est.repairs.shift[0] == 0.0
+        assert not est.repairs.degenerate[0]
 
     def test_degenerate_repair_flagged_not_raised(self):
         rng = np.random.default_rng(16)
         data = make_gaussian(rng, n=5, k=2, half_width=WIDE)
         est = gaussian_private_mle(data, 0.001, rng)  # noise dwarfs the data
-        assert est.degenerate
+        assert est.repairs.degenerate[0]
         # PSD up to eigendecomposition reconstruction rounding
-        ev = np.linalg.eigvalsh(est.sigma_priv)
-        assert ev.min() >= -1e-9 * np.abs(est.sigma_priv).max()
+        ev = np.linalg.eigvalsh(est.repairs.matrix[0])
+        assert ev.min() >= -1e-9 * np.abs(est.repairs.matrix[0]).max()
 
     def test_n_below_two_rejected(self):
         with pytest.raises(ParameterError):
@@ -178,17 +178,17 @@ class TestGaussianBootstrap:
         est = gaussian_private_mle(make_gaussian(rng, n=100), math.inf, rng)
         draws, failed = est.bootstrap_draws(2000, np.random.default_rng(1))
         assert failed == 0
-        # E*[mean draw] = mu_priv; variance = sigma_priv / n
-        se = np.sqrt(np.diag(est.sigma_priv) / est.n / 2000)
-        assert np.all(np.abs(draws.mean(axis=0) - est.mu_priv) < 3 * se)
+        # E*[mean draw] = betas[0]; variance = repairs.matrix[0] / n
+        se = np.sqrt(np.diag(est.repairs.matrix[0]) / est.sizes[0] / 2000)
+        assert np.all(np.abs(draws.mean(axis=0) - est.betas[0]) < 3 * se)
 
     def test_draw_mean_and_variance_with_noise(self):
         rng = np.random.default_rng(22)
         est = gaussian_private_mle(make_gaussian(rng, n=150, k=2), 2.0, rng)
         draws, _ = est.bootstrap_draws(2000, np.random.default_rng(2))
-        target_var = np.diag(est.sigma_priv) / est.n + 2 * est.sum_noise.scale**2 / est.n**2
+        target_var = np.diag(est.repairs.matrix[0]) / est.sizes[0] + 2 * est.sum_noise.scale**2 / est.sizes[0]**2
         se = np.sqrt(target_var / 2000)
-        assert np.all(np.abs(draws.mean(axis=0) - est.mu_priv) < 3 * se)
+        assert np.all(np.abs(draws.mean(axis=0) - est.betas[0]) < 3 * se)
         assert np.all(np.abs(draws.var(axis=0) - target_var) < 0.10 * target_var)
 
     def test_single_draw(self):
@@ -228,8 +228,8 @@ class TestGaussianBootstrap:
     def test_coordinate_variances(self):
         rng = np.random.default_rng(24)
         est = gaussian_private_mle(make_gaussian(rng, n=100, k=2), 1.0, rng)
-        base = np.diag(est.sigma_priv) / est.n
-        noise = 2 * est.sum_noise.scale**2 / est.n**2
+        base = np.diag(est.repairs.matrix[0]) / est.sizes[0]
+        noise = 2 * est.sum_noise.scale**2 / est.sizes[0]**2
         assert np.allclose(est.variances(private=False)[0], base)
         assert np.allclose(est.variances(private=True)[0], base + noise)
 
@@ -243,7 +243,7 @@ class TestRegressionEstimator:
             data = make_regression(rng, n=n, k=k)
             est = regression_private_mle(data, math.inf, rng)
             ols = np.linalg.solve(data.X.T @ data.X, data.X.T @ data.y)
-            assert np.allclose(est.beta_priv, ols, rtol=1e-10, atol=1e-12)
+            assert np.allclose(est.betas[0], ols, rtol=1e-10, atol=1e-12)
 
     def test_noiseless_responses_zero_variance_before_clipping(self):
         rng = np.random.default_rng(32)
@@ -251,9 +251,9 @@ class TestRegressionEstimator:
         beta = np.array([0.5, -1.0])
         data = RegressionData(X, X @ beta, Bounds.symmetric(1.0, 2), Bounds.symmetric(3.0, 1))
         est = regression_private_mle(data, math.inf, rng)
-        resid = data.y - data.X @ est.beta_priv
+        resid = data.y - data.X @ est.betas[0]
         assert float(resid @ resid) == pytest.approx(0.0, abs=1e-18)
-        assert est.sigma2_priv == SIGMA2_FLOOR  # clipped up from exactly 0
+        assert est.sigma2s[0] == SIGMA2_FLOOR  # clipped up from exactly 0
 
     def test_noise_is_centered_over_replications(self):
         # n=800, k=2, beta=(0,1), eps=1.5: replication mean within 0.02.
@@ -270,7 +270,7 @@ class TestRegressionEstimator:
             y = X @ beta + rng.standard_normal(800)
             data = RegressionData(X, y, Bounds.symmetric(1.0, 2), Bounds.symmetric(5.0, 1))
             est = regression_private_mle(data, (1.0, 0.25, 0.25), rng)
-            total += est.beta_priv
+            total += est.betas[0]
         assert np.all(np.abs(total / reps - beta) < 0.02)
 
     def test_irreparable_singularity_raises(self):
@@ -414,13 +414,13 @@ class TestSingleSetReleaseReference:
                 regression_private_mle(data, budget, np.random.default_rng(seed))
             return None
         est = regression_private_mle(data, budget, np.random.default_rng(seed))
-        assert np.array_equal(est.beta_priv, ref["beta"])
-        assert np.array_equal(est.S_priv, ref["S"])
-        assert np.array_equal(est.noisy_gram, ref["noisy_gram"])
-        assert np.array_equal(est.noisy_xty, ref["noisy_xty"])
-        assert (est.gram_noise.scale, est.xty_noise.scale, est.rss_noise.scale) == ref["scales"]
+        assert np.array_equal(est.betas[0], ref["beta"])
+        assert np.array_equal(est.repairs.matrix[0], ref["S"])
+        assert np.array_equal(est.noisy_grams[0], ref["noisy_gram"])
+        assert np.array_equal(est.noisy_xtys[0], ref["noisy_xty"])
+        assert (est.gram_noise.scale, est.xty_noise.scale, est.rss_scales[0]) == ref["scales"]
         assert est.ledger == ref["ledger"]
-        assert est.sigma2_priv == pytest.approx(ref["sigma2"], rel=1e-12, abs=0.0)
+        assert est.sigma2s[0] == pytest.approx(ref["sigma2"], rel=1e-12, abs=0.0)
         return est
 
     @pytest.mark.parametrize("case", CASES)
@@ -437,7 +437,7 @@ class TestSingleSetReleaseReference:
         for seed in range(80):
             data = self.CASES[case](np.random.default_rng(seed), 50)
             est = self.compare(data, 0.2, seed)
-            clipped += est is not None and est.repair.shift > 0.0
+            clipped += est is not None and est.repairs.shift[0] > 0.0
         assert clipped > 0
 
 
@@ -536,16 +536,16 @@ def reference_replica_draws(est, size, rng, sets, privacy_noise=True):
 
 def reference_bootstrap_draws(est, size, rng, privacy_noise=True):
     """The regression bootstrap with an eigenvalue check of every system."""
-    m, k = est.n, est.k
-    floor = psd_floor(est.S_priv)
+    m, k = est.sizes[0], est.k
+    floor = psd_floor(est.repairs.matrix[0])
 
-    c = rng.standard_normal((size, k)) @ sym_sqrt(est.sigma2_priv * est.S_priv).T
+    c = rng.standard_normal((size, k)) @ sym_sqrt(est.sigma2s[0] * est.repairs.matrix[0]).T
     if privacy_noise and not est.xty_noise.is_zero:
         c = c + est.xty_noise.sample(rng, size) / math.sqrt(m)
-    rhs = (est.S_priv @ est.beta_priv)[None, :] + c / math.sqrt(m)
+    rhs = (est.repairs.matrix[0] @ est.betas[0])[None, :] + c / math.sqrt(m)
 
     def attempt(count):
-        systems = np.broadcast_to(est.S_priv, (count, k, k)).copy()
+        systems = np.broadcast_to(est.repairs.matrix[0], (count, k, k)).copy()
         if privacy_noise and not est.gram_noise.is_zero:
             systems += laplace_symmetric_sample(est.gram_noise.scale, k, rng, count) / m
         return systems, np.abs(np.linalg.eigvalsh(systems)).min(axis=1) < floor
@@ -614,7 +614,7 @@ class TestRegressionBootstrap:
                 assert failed == ref[1]
                 assert np.array_equal(draws, ref[0])
                 compared += 1
-                clipped += est.repair.shift > 0.0
+                clipped += est.repairs.shift[0] > 0.0
         assert compared > 3 and clipped > 0
 
     def test_noiseless_draws_match_per_draw_solves(self):
@@ -642,8 +642,8 @@ class TestRegressionBootstrap:
         est = regression_private_mle(data, math.inf, rng)
         draws, failed = est.bootstrap_draws(2000, np.random.default_rng(4))
         assert failed == 0
-        scaled = math.sqrt(est.n) * (draws - est.beta_priv)
-        target = est.sigma2_priv * np.linalg.inv(est.S_priv)
+        scaled = math.sqrt(est.sizes[0]) * (draws - est.betas[0])
+        target = est.sigma2s[0] * np.linalg.inv(est.repairs.matrix[0])
         sample_cov = np.cov(scaled.T)
         assert np.all(np.abs(sample_cov - target) <= 0.10 * np.abs(target))
 
@@ -655,7 +655,7 @@ class TestRegressionBootstrap:
         est._root = None
         draws, failed = est.bootstrap_draws(1, np.random.default_rng(0))
         assert failed == 0
-        assert np.allclose(draws[0], est.beta_priv, atol=1e-14)
+        assert np.allclose(draws[0], est.betas[0], atol=1e-14)
 
     def test_every_draw_failing_is_counted(self):
         est = make_degenerate_regression_estimate()
@@ -685,7 +685,7 @@ class TestRegressionBootstrap:
         ]
         # the last set's other eigenvalues are raised by 30, and its floor with
         # them (to 2e-7), so a floor taken from another set would miss its failures
-        s = estimates[-1].S_priv
+        s = estimates[-1].repairs.matrix[0]
         v = np.linalg.eigh(s)[1][:, :1]
         estimates[-1].repairs = psd_repair_stack((s + 30.0 * (np.eye(3) - v @ v.T))[None])
         est = stack_regression_estimates(estimates)

@@ -10,7 +10,7 @@ import pytest
 from dpextrema.cli import main
 from dpextrema.extrema import ppb_lower_limit
 from dpextrema.models import GaussianData, RegressionData, gaussian_private_mle, regression_private_mle
-from dpextrema.partial import PartitionedGaussianData, partial_gaussian_private_mle
+from dpextrema.partial import partial_gaussian_private_mle
 from dpextrema.privacy import Bounds
 
 
@@ -39,14 +39,12 @@ def assert_nuisance_unreleased(x1, x2, half_width, tmp_path):
     """Check that no nuisance statistic of a partitioned Gaussian is released.
 
     The nuisance mean and the covariance blocks sigma12 and sigma22 are
-    computed here from the data.  None may appear in the estimate's
-    ``to_dict`` or ``repr``, or in the JSON of ``ci gaussian --partial K1``.
+    computed here from the data.  None may appear in the estimate's released
+    arrays or ``repr``, or in the JSON of ``ci gaussian --partial K1``.
     """
     k1 = x1.shape[1]
     bounds = Bounds.symmetric(half_width, k1)
-    est = partial_gaussian_private_mle(
-        PartitionedGaussianData(x1, x2, bounds), 1.5, np.random.default_rng(0)
-    )
+    est = partial_gaussian_private_mle(GaussianData(x1, bounds), 1.5, np.random.default_rng(0))
     path, out = tmp_path / "partitioned.csv", tmp_path / "partitioned.json"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -58,13 +56,19 @@ def assert_nuisance_unreleased(x1, x2, half_width, tmp_path):
     ]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(args) == 0
-    released = json.dumps(est.to_dict()) + repr(est) + out.read_text()
+    released = released_text(est) + out.read_text()
 
     cov = np.cov(np.hstack([bounds.clamp(x1), x2]), rowvar=False)
     nuisance = np.concatenate([x2.mean(axis=0), cov[:k1, k1:].ravel(), cov[k1:, k1:].ravel()])
     for value in nuisance:
         assert repr(float(value)) not in released
     assert "mu2" not in released and "sigma12" not in released
+
+
+def released_text(est):
+    """Every array of a released estimate at full precision, and its repr."""
+    arrays = [v for v in vars(est).values() if isinstance(v, np.ndarray)] + list(est.repairs)
+    return json.dumps([np.asarray(a).tolist() for a in arrays]) + repr(est)
 
 
 def trial_design(rng, n=400, k1=2, k2=2, beta=(0.0, 0.5), gamma=(0.5, -0.5), sigma=1.0):
@@ -99,25 +103,23 @@ class TestPartialGaussian:
             ScriptedRng([w1_full, w2_full]),
         )
         partial = partial_gaussian_private_mle(
-            PartitionedGaussianData(x[:, :k1], x[:, k1:], Bounds.symmetric(4.0, k1)),
+            GaussianData(x[:, :k1], Bounds.symmetric(4.0, k1)),
             1.5,
             ScriptedRng([w1_full[:k1], np.zeros(3)]),
         )
-        assert np.array_equal(partial.mu_priv, full.mu_priv[:k1])
+        assert np.array_equal(partial.betas[0], full.betas[0, :k1])
 
     def test_reduction_recomputes_from_noisy_statistic_alone(self):
         rng = np.random.default_rng(52)
-        data = PartitionedGaussianData(
-            rng.standard_normal((150, 2)), rng.standard_normal((150, 3)), Bounds.symmetric(3.0, 2)
-        )
+        data = GaussianData(rng.standard_normal((150, 2)), Bounds.symmetric(3.0, 2))
+        rng.standard_normal((150, 3))  # the nuisance block, drawn and never read
         est = partial_gaussian_private_mle(data, 1.5, rng)
-        assert np.array_equal(est.noisy_sum / est.n, est.mu_priv)
+        assert np.array_equal(est.noisy_sums[0] / est.sizes[0], est.betas[0])
 
     def test_ledger_charges_only_block_statistics(self):
         rng = np.random.default_rng(53)
-        data = PartitionedGaussianData(
-            rng.standard_normal((100, 2)), rng.standard_normal((100, 2)), Bounds.symmetric(3.0, 2)
-        )
+        data = GaussianData(rng.standard_normal((100, 2)), Bounds.symmetric(3.0, 2))
+        rng.standard_normal((100, 2))  # the nuisance block, drawn and never read
         est = partial_gaussian_private_mle(data, 1.5, rng)
         assert len(est.ledger.charges) == 2
         assert est.ledger.total() == pytest.approx(1.5)
@@ -127,7 +129,7 @@ class TestPartialGaussian:
         x = rng.standard_normal((100, 4))
         full = gaussian_private_mle(GaussianData(x, Bounds.symmetric(3.0, 4)), 1.5, rng)
         partial = partial_gaussian_private_mle(
-            PartitionedGaussianData(x[:, :2], x[:, 2:], Bounds.symmetric(3.0, 2)), 1.5, rng
+            GaussianData(x[:, :2], Bounds.symmetric(3.0, 2)), 1.5, rng
         )
         assert partial.sum_noise.scale < full.sum_noise.scale
         assert partial.gram_noise.scale < full.gram_noise.scale
@@ -140,14 +142,13 @@ class TestPartialGaussian:
 
     def test_bootstrap_uses_block_sample_size(self):
         rng = np.random.default_rng(56)
-        data = PartitionedGaussianData(
-            rng.standard_normal((180, 2)), rng.standard_normal((180, 2)), Bounds.symmetric(3.0, 2)
-        )
+        data = GaussianData(rng.standard_normal((180, 2)), Bounds.symmetric(3.0, 2))
+        rng.standard_normal((180, 2))  # the nuisance block, drawn and never read
         est = partial_gaussian_private_mle(data, 1.5, rng)
-        assert est.n == 180
+        assert est.sizes[0] == 180
         res = ppb_lower_limit(est, 0.1, np.random.default_rng(1), B=300)
         assert res.lower_limit + res.c_alpha / math.sqrt(180) == pytest.approx(
-            est.beta_priv.max(), abs=1e-15
+            est.betas[0].max(), abs=1e-15
         )
 
     def test_partial_interval_shorter_than_full_at_matched_budget(self):
@@ -162,13 +163,13 @@ class TestPartialGaussian:
             full = gaussian_private_mle(GaussianData(x, Bounds.symmetric(3.0, 4)), 1.5, rng)
             res_full = ppb_lower_limit(full, 0.1, rng, B=300)
             partial = partial_gaussian_private_mle(
-                PartitionedGaussianData(x[:, :2], x[:, 2:], Bounds.symmetric(3.0, 2)), 1.5, rng
+                GaussianData(x[:, :2], Bounds.symmetric(3.0, 2)), 1.5, rng
             )
             res_partial = ppb_lower_limit(partial, 0.1, rng, B=300)
             # compare on the shared interest coordinates (the first two)
-            lengths_full[rep] = 0.0 - res_full.lower_limit if full.beta_priv[
-                :2
-            ].max() == full.beta_priv.max() else np.nan
+            lengths_full[rep] = 0.0 - res_full.lower_limit if full.betas[
+                0, :2
+            ].max() == full.betas[0].max() else np.nan
             lengths_partial[rep] = 0.0 - res_partial.lower_limit
         assert np.nanmean(lengths_partial) < np.nanmean(lengths_full)
 
@@ -181,8 +182,8 @@ class TestPartialRegression:
         x_only = np.linalg.solve(data.X.T @ data.X, data.X.T @ data.y)
         full_design = np.hstack([data.X, data.nuisance])
         full_ols = np.linalg.solve(full_design.T @ full_design, full_design.T @ data.y)
-        assert np.allclose(est.beta_priv, x_only, rtol=1e-10, atol=1e-12)
-        assert np.allclose(est.beta_priv, full_ols[: data.k], rtol=1e-8, atol=1e-10)
+        assert np.allclose(est.betas[0], x_only, rtol=1e-10, atol=1e-12)
+        assert np.allclose(est.betas[0], full_ols[: data.k], rtol=1e-8, atol=1e-10)
 
     def test_no_nuisance_reduces_to_plain_regression(self):
         # an empty (n, 0) nuisance block is no block at all
@@ -194,9 +195,9 @@ class TestPartialRegression:
             RegressionData(X, y, xb, yb, nuisance=np.zeros((400, 0))), 1.5, np.random.default_rng(7)
         )
         plain = regression_private_mle(RegressionData(X, y, xb, yb), 1.5, np.random.default_rng(7))
-        assert np.array_equal(partial.beta_priv, plain.beta_priv)
-        assert partial.sigma2_priv == plain.sigma2_priv
-        assert np.array_equal(partial.S_priv, plain.S_priv)
+        assert np.array_equal(partial.betas[0], plain.betas[0])
+        assert partial.sigma2s[0] == plain.sigma2s[0]
+        assert np.array_equal(partial.repairs.matrix[0], plain.repairs.matrix[0])
 
     def test_nuisance_statistics_are_internal_only(self):
         # the release removes the nuisance fit through W^T W, W^T X and W^T y;
@@ -206,7 +207,7 @@ class TestPartialRegression:
         est = regression_private_mle(data, 1.5, rng)
         X, y, W = data.x_bounds.clamp(data.X), data.y_bounds.clamp(data.y), data.nuisance
         nuisance = np.concatenate([(W.T @ W).ravel(), (W.T @ X).ravel(), W.T @ y])
-        serialized = json.dumps(est.to_dict()) + repr(est)
+        serialized = released_text(est)
         for value in nuisance[nuisance != 0.0]:
             assert repr(float(value)) not in serialized
         for name in ("gamma", "xtx", "xtz", "wtw", "wtx"):
@@ -218,9 +219,10 @@ class TestPartialRegression:
         est = regression_private_mle(data, 1.5, rng)
         from dpextrema.linalg import psd_repair
 
-        s = psd_repair(est.noisy_gram / est.n).matrix
-        beta = np.linalg.solve(est.n * s, est.noisy_xty)
-        assert np.array_equal(beta, est.beta_priv)
+        n = est.sizes[0]
+        s = psd_repair(est.noisy_grams[0] / n).matrix
+        beta = np.linalg.solve(n * s, est.noisy_xtys[0])
+        assert np.array_equal(beta, est.betas[0])
 
     def test_zero_noise_draw_covariance(self):
         rng = np.random.default_rng(66)
@@ -229,8 +231,8 @@ class TestPartialRegression:
         B = 2000
         draws, failed = est.bootstrap_draws(B, np.random.default_rng(3))
         assert failed == 0
-        scaled = math.sqrt(est.n) * (draws - est.beta_priv)
-        target = est.sigma2_priv * np.linalg.inv(est.S_priv)
+        scaled = math.sqrt(est.sizes[0]) * (draws - est.betas[0])
+        target = est.sigma2s[0] * np.linalg.inv(est.repairs.matrix[0])
         sample_cov = np.cov(scaled.T)
         # indicator columns make the target off-diagonals structural zeros,
         # so allow the exact sampling error of a covariance estimate there
@@ -247,7 +249,7 @@ class TestPartialRegression:
         est._root = None
         draws, failed = est.bootstrap_draws(1, np.random.default_rng(0))
         assert failed == 0
-        assert np.allclose(draws[0], est.beta_priv, atol=1e-14)
+        assert np.allclose(draws[0], est.betas[0], atol=1e-14)
 
     def test_draw_determinism(self):
         rng = np.random.default_rng(68)
