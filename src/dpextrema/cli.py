@@ -174,9 +174,9 @@ def _budget(args):
 def _cv_block(cv) -> dict:
     """A cross-validation result as the JSON of ``ci --r cv`` and of ``cv`` carry it."""
     return {
-        "chosen_r": cv.chosen_r,
+        "chosen_r": float(cv.chosen_rs[0]),
         "grid": list(cv.grid),
-        "criterion": cv.criterion.tolist(),
+        "criterion": cv.criteria[0].tolist(),
         "budget": cv.budget,
     }
 
@@ -234,8 +234,8 @@ def _cmd_ci(args) -> int:
     extra: dict = {}
     if args.r.strip().lower() == "cv":
         cv = cv_choose_r(data, budget, rng, CVConfig(folds=args.folds, b_inner=args.b_inner))
-        r = cv.chosen_r
         extra["cv"] = _cv_block(cv)
+        r = extra["cv"]["chosen_r"]
     else:
         r = parse_r_token(args.r)
     result = ppb_lower_limit(est, r, rng, alpha=args.alpha, B=args.B)
@@ -249,9 +249,9 @@ def _cmd_cv(args) -> int:
     grid = DEFAULT_GRID if args.grid is None else parse_grid(args.grid)
     config = CVConfig(folds=args.folds, grid=grid, b_inner=args.b_inner)
     cv = cv_choose_r(data, _budget(args), rng, config)
-    print(f"chosen_r = {format_r_token(cv.chosen_r)}")
+    print(f"chosen_r = {format_r_token(cv.chosen_rs[0])}")
     print("criterion by grid value:")
-    for r, c in zip(cv.grid, cv.criterion):
+    for r, c in zip(cv.grid, cv.criteria[0]):
         print(f"  r = {format_r_token(r):>6} : {c:.6g}")
     print(f"budget   = {cv.budget:g}")
     print(f"seed     = {args.seed}")

@@ -41,7 +41,7 @@ reports that total.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,23 +94,17 @@ def check_cv(
 
 @dataclass(eq=False)
 class CVResult:
-    """The choices for R data sets; the scalar accessors read data set 0."""
+    """The choices for R data sets, and the fold releases they were made from."""
 
     chosen_rs: np.ndarray            # (R,) chosen grid value per data set
     grid: tuple[float, ...]
     criteria: np.ndarray             # (R, grid) aggregated scores
     hs: np.ndarray                   # (R, grid, fold, coordinate) scores
-    fold_sizes: tuple[int, ...]
+    betas: np.ndarray                # (R, 2, fold, coordinate) training, then held-out releases
+    sizes: np.ndarray                # (R, 2, fold) their row counts
+    reduced: np.ndarray              # (R, grid, fold) bias-reduced maxima of the training releases
+    fold_sizes: tuple[int, ...]      # held-out fold sizes, alike in every data set
     budget: float                    # v times one estimation's total
-    per_fold: list[dict] = field(default_factory=list)  # of data set 0
-
-    @property
-    def chosen_r(self) -> float:
-        return float(self.chosen_rs[0])
-
-    @property
-    def criterion(self) -> np.ndarray:
-        return self.criteria[0]
 
 
 def _estimate(stats, budget, rng: GeneratorStack, b_inner: int):
@@ -200,17 +194,9 @@ def cv_choose_r(
         grid=config.grid,
         criteria=criteria.T,
         hs=np.moveaxis(h, 1, 0),
+        betas=beta,
+        sizes=sizes,
+        reduced=np.moveaxis(reduced, 1, 0),
         fold_sizes=tuple(f.size for f in folds[0]),
         budget=v * release.ledger.total(),
-        per_fold=[
-            {
-                "fold": j,
-                "train_n": int(sizes[0, 0, j]),
-                "ref_n": int(sizes[0, 1, j]),
-                "train_beta": beta[0, 0, j].tolist(),
-                "ref_beta": beta[0, 1, j].tolist(),
-                "reduced_max": reduced[:, 0, j].tolist(),
-            }
-            for j in range(v)
-        ],
     )

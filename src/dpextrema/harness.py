@@ -402,26 +402,35 @@ def _generate_data(config: ExperimentConfig, rng: np.random.Generator, fixed_des
 BLOCK_VALUES = 64_000
 
 
-def _replication_values(config: ExperimentConfig) -> int:
-    """The larger of one replication's bootstrap array and its data, in values.
+def _cross_validates(config: ExperimentConfig) -> bool:
+    return any("cv" in spec.r_tokens for spec in config.methods)
 
-    The bootstrap array holds B draws of d values: k per Gaussian replica,
-    k^2 per regression system.  The data hold n rows of the k interest
-    columns, the nuisance columns and, in regression, the response.
+
+def _replication_values(config: ExperimentConfig) -> int:
+    """What one replication adds to a block's largest stacked array, in values.
+
+    That is its B bootstrap replicas of k values, in both models; a
+    regression replication's B (k, k) systems do not stack, since they are
+    drawn and solved one replication at a time.  Only when cross-validation
+    reads the rows again does a block hold every replication's data, n rows
+    of the k interest columns, the nuisance columns and, in regression, the
+    response, and then the larger of the two counts.
     """
-    regression = config.model in ("regression", "partial_regression")
-    d = config.k**2 if regression else config.k
-    width = config.k + max(config.k_nuisance, len(config.gamma or ())) + regression
-    return max(config.B * d, config.n * width)
+    values = config.B * config.k
+    if _cross_validates(config):
+        regression = config.model in ("regression", "partial_regression")
+        width = config.k + max(config.k_nuisance, len(config.gamma or ())) + regression
+        values = max(values, config.n * width)
+    return values
 
 
 def _block_size(config: ExperimentConfig) -> int:
-    """Replications per block: BLOCK_VALUES / :func:`_replication_values`, at
-    least 1, at most reps.
+    """Most replications per block: BLOCK_VALUES / :func:`_replication_values`,
+    at least 1, at most reps.
 
-    So a block's largest array is no larger than one replication's bootstrap
-    array at B = 1000, k = 8 in regression, and a study whose data alone
-    exceed that runs one replication at a time.
+    So the regression study at B = 1000, k = 8 runs 8 replications per block,
+    and a cross-validated study whose data alone exceed BLOCK_VALUES runs one
+    replication at a time.
     """
     return min(config.reps, max(1, BLOCK_VALUES // _replication_values(config)))
 
@@ -440,12 +449,12 @@ def _block_outcomes(config: ExperimentConfig, eps_index: int, reps: range, fixed
         for i in reps
     )
     budget = divide_budget(config.epsilons[eps_index], config.split)
-    data = [_generate_data(config, g, fixed_design) for g in rng.generators]
+    # only cross-validation reads the rows again; otherwise each replication's
+    # rows are reduced to statistics as they are generated, and dropped
+    data = (_generate_data(config, g, fixed_design) for g in rng.generators)
+    if _cross_validates(config):
+        data = list(data)
     stats = stack_statistics([d.fold_statistics([slice(None)]) for d in data])
-    if not any("cv" in spec.r_tokens for spec in config.methods):
-        # only cross-validation reads the rows again; dropping them here keeps
-        # the rows and their clamped copies out of the bootstrap's peak memory
-        data = None
     releases = {}  # private -> stacked estimate
     draws = {}  # (private, privacy_noise) -> (draws, failed counts)
 
@@ -519,13 +528,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every configured method over ``reps`` replications per epsilon.
 
     Returns one aggregated report row per (method, r, epsilon) combination.
-    Replications run in blocks of :func:`_block_size`, mapped over a process
-    pool when ``workers > 1``.  Deterministic given the configuration; the
-    block size and the worker count only affect wall time.
+    Replications run in the fewest blocks of at most :func:`_block_size`,
+    whose sizes differ by at most one (10 replications at 8 per block run as
+    5 + 5), mapped over a process pool when ``workers > 1``.  Deterministic
+    given the configuration; the block size and the worker count only affect
+    wall time.
     """
     fixed_design = _fixed_design_for(config)
-    size = _block_size(config)
-    blocks = [range(s, min(s + size, config.reps)) for s in range(0, config.reps, size)]
+    count = -(-config.reps // _block_size(config))
+    ends = [config.reps * i // count for i in range(count + 1)]
+    blocks = [range(start, end) for start, end in zip(ends, ends[1:])]
     rows: list[ReportRow] = []
     for eps_index, epsilon in enumerate(config.epsilons):
         tasks = [(config, eps_index, block, fixed_design) for block in blocks]

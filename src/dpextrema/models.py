@@ -37,9 +37,11 @@ touches the design matrix again.  Each regression replica solves its own
 noisy system S + W/n.  The symmetric noise W is drawn as its upper triangle,
 which is scaled by 1/n and bounded there and then mirrored into the systems
 by one gather (:func:`~dpextrema.privacy.symmetric_layout`).  A Weyl bound on
-the noise certifies most systems non-singular without an eigenvalue check,
-in one pass over every set's systems, and without simulated gram noise each
-set's S is checked once and solved against all of its replicas at once.
+the noise certifies most systems non-singular without an eigenvalue check.
+The systems are drawn and solved one generator's sets at a time, so a block
+of replications holds one replication's systems, not all of them; without
+simulated gram noise each set's S is checked once and solved against all of
+its replicas at once.
 """
 
 from __future__ import annotations
@@ -361,10 +363,11 @@ class PrivatizedRegressionEstimate(_Stacked):
         with C ~ N(0, sigma2 S) and fresh simulation-only noise W1, W2 of the
         estimation scales.  A draw whose noisy matrix is numerically singular
         is retried once with fresh W1; a second failure marks the draw failed.
-        The generator serves every set's scores, then every set's systems,
-        then the retries of all sets together.  With a :class:`GeneratorStack`
-        of R generators, generator i serves the i-th of R equal groups of sets
-        so, in that order, and draws its own retries.
+        With a :class:`GeneratorStack` of R generators, generator i serves the
+        i-th of R equal groups of sets (one generator serves every set), in
+        this order: its sets' scores, their W2, their systems, then their
+        retries.  The systems are drawn, screened, retried and solved one
+        generator at a time, so at most one generator's systems are held.
 
         Only systems that may be singular get an eigenvalue check.  By Weyl's
         inequality every eigenvalue of S + W1/n lies within
@@ -384,7 +387,10 @@ class PrivatizedRegressionEstimate(_Stacked):
 
         rhs = rng.standard_normal((sets, size, self.k)) @ np.swapaxes(self._root[:sets], -1, -2)
         if privacy_noise and not self.xty_noise.is_zero:
-            rhs += self.xty_noise.sample(rng, (sets, size)) / root_n
+            noise = self.xty_noise.sample(rng, (sets, size))
+            noise /= root_n  # in place, and dropped: only rhs stays beside the systems
+            rhs += noise
+            del noise
         rhs /= root_n
         rhs += (S @ self.betas[:sets, :, None])[:, None, :, 0]
 
@@ -397,19 +403,23 @@ class PrivatizedRegressionEstimate(_Stacked):
             return draws, np.repeat(singular[:, None], size, axis=1)
 
         s_eigvals = np.linalg.eigvalsh(S)
-        owners = np.arange(sets)[:, None]  # one per set: each S_f is broadcast over its draws
-        systems, bad = self._noisy_systems(owners, (sets, size), rng, floor, s_eigvals)
-        if bad.any():
-            retry = np.flatnonzero(bad)
-            retries, failed = self._noisy_systems(
-                retry // size, retry.shape, rng, floor, s_eigvals, rng.owners(sets)[retry // size]
-            )
-            systems.reshape(-1, self.k, self.k)[retry] = retries
-            bad.reshape(-1)[retry] = failed
-            systems[bad] = eye
-        draws = _solve_batch(systems, rhs)
-        draws[bad] = np.nan
-        return draws, bad
+        bad = np.empty((sets, size), dtype=bool)
+        for generator, rows in zip(rng.generators, rng.chunks(sets)):
+            owners = np.arange(rows.start, rows.stop)[:, None]  # each S_f serves its draws
+            systems, flags = self._noisy_systems(owners, (len(owners), size), generator, floor, s_eigvals)
+            if flags.any():
+                retry = np.flatnonzero(flags)
+                retries, failed = self._noisy_systems(
+                    rows.start + retry // size, retry.shape, generator, floor, s_eigvals
+                )
+                systems.reshape(-1, self.k, self.k)[retry] = retries
+                flags.reshape(-1)[retry] = failed
+                systems[flags] = eye
+            bad[rows] = flags
+            rhs[rows] = _solve_batch(systems, rhs[rows])
+            del systems  # before the next generator's systems are drawn
+        rhs[bad] = np.nan
+        return rhs, bad
 
     def bootstrap_draws(
         self, size: int, rng: np.random.Generator, privacy_noise: bool = True
@@ -418,12 +428,12 @@ class PrivatizedRegressionEstimate(_Stacked):
         return self._set_zero_draws(size, rng, privacy_noise)
 
     def _noisy_systems(
-        self, owner: np.ndarray, shape: tuple, rng: GeneratorStack, floor, s_eigvals, generator=None
+        self, owner: np.ndarray, shape: tuple, rng: np.random.Generator, floor, s_eigvals
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Systems S_f + W1/n_f of ``shape`` and their near-singularity flags.
+        """Systems S_f + W1/n_f of ``shape``, all drawn by the one generator
+        ``rng``, and their near-singularity flags.
 
-        ``owner`` holds the set f of each system and broadcasts to ``shape``;
-        ``generator`` names the generator of each system of a ragged draw.
+        ``owner`` holds the set f of each system and broadcasts to ``shape``.
         ``floor`` and ``s_eigvals`` (ascending) are per set; only the systems
         that the Weyl bound does not certify go through :meth:`_near_singular`.
         W1 is the draw :func:`laplace_symmetric_sample` makes, taken as its
@@ -431,7 +441,7 @@ class PrivatizedRegressionEstimate(_Stacked):
         the systems.
         """
         index, weights = symmetric_layout(self.k)
-        tri = rng.laplace(0.0, self.gram_noise.scale, (math.prod(shape), weights.size), generator)
+        tri = rng.laplace(0.0, self.gram_noise.scale, (math.prod(shape), weights.size))
         tri = tri.reshape(*shape, weights.size)
         tri /= self.sizes[owner][..., None]
         bound = np.sqrt((tri * tri) @ weights)

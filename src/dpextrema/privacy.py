@@ -271,7 +271,7 @@ def symmetric_layout(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def laplace_symmetric_sample(
-    scale: float, k: int, rng: np.random.Generator, size: int | None = None, owner=None
+    scale: float, k: int, rng: np.random.Generator, size: int | None = None
 ) -> np.ndarray:
     """Symmetric k x k Laplace noise matrix, or a (size, k, k) stack of them.
 
@@ -279,8 +279,7 @@ def laplace_symmetric_sample(
     (..., k(k+1)/2) draw in :func:`symmetric_layout` order, and mirrored
     below by one gather, so the noisy matrix stays symmetric.  Mirrored pairs
     count twice in the matrix L1 norm, which the gram/cross sensitivity
-    bounds already cover.  ``rng`` may be a :class:`GeneratorStack`, and
-    ``owner`` then names the generator of each matrix of a ragged stack.
+    bounds already cover.  ``rng`` may be a :class:`GeneratorStack`.
     """
     if k < 1:
         raise ParameterError("matrix dimension must be >= 1")
@@ -290,7 +289,7 @@ def laplace_symmetric_sample(
     if not math.isfinite(scale) or scale < 0:
         raise ParameterError("Laplace scale must be finite and >= 0")
     index, weights = symmetric_layout(k)
-    tri = GeneratorStack.of(rng).laplace(0.0, scale, (*lead, weights.size), owner)
+    tri = GeneratorStack.of(rng).laplace(0.0, scale, (*lead, weights.size))
     return np.take(tri, index, axis=-1)
 
 

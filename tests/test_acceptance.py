@@ -231,8 +231,8 @@ def test_criterion_8_cross_validated_choice(separated_report):
     data = dp.GaussianData(x, dp.Bounds.centered([0.0, 1.0], 2.8))
     first = dp.cv_choose_r(data, 1.5, np.random.default_rng(31), dp.CVConfig(b_inner=100))
     second = dp.cv_choose_r(data, 1.5, np.random.default_rng(31), dp.CVConfig(b_inner=100))
-    in_grid = first.chosen_r in first.grid and first.chosen_r == second.chosen_r
-    print(f"criterion 8 [{'PASS' if in_grid else 'FAIL'}] chosen r {first.chosen_r:g} "
+    in_grid = first.chosen_rs[0] in first.grid and first.chosen_rs[0] == second.chosen_rs[0]
+    print(f"criterion 8 [{'PASS' if in_grid else 'FAIL'}] chosen r {first.chosen_rs[0]:g} "
           "in grid and seed-stable")
     assert in_grid
     row = separated_report.find("ppb", r="cv")

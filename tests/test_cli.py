@@ -97,7 +97,7 @@ class TestCiGaussian:
         x = GaussianData(np.loadtxt(data, delimiter=",", skiprows=1), Bounds.symmetric(5.0, 2))
         rng = np.random.default_rng(np.random.SeedSequence(8))
         est = x.fold_statistics([slice(None)]).release(1.5, rng)
-        r_used = cv_choose_r(x, 1.5, rng, CVConfig(b_inner=60)).chosen_r if r == "cv" else 1 / 10
+        r_used = cv_choose_r(x, 1.5, rng, CVConfig(b_inner=60)).chosen_rs[0] if r == "cv" else 1 / 10
         draws, failed = est.replica_draws(300, rng, 1)
         lower, c_alpha = ppb_limits(est.betas, draws, failed.sum(axis=1), r_used, est.sizes)
         assert result["r_used"] == r_used

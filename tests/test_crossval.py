@@ -29,36 +29,35 @@ class TestCvChooseR:
         config = CVConfig(b_inner=80)
         for seed in range(5):
             cv = cv_choose_r(gaussian_data(seed=seed), 1.5, np.random.default_rng(seed), config)
-            assert cv.chosen_r in config.grid
+            assert cv.chosen_rs[0] in config.grid
 
     def test_deterministic_under_seed(self):
         data = gaussian_data(seed=3)
         a = cv_choose_r(data, 1.5, np.random.default_rng(21), CVConfig(b_inner=80))
         b = cv_choose_r(data, 1.5, np.random.default_rng(21), CVConfig(b_inner=80))
-        assert a.chosen_r == b.chosen_r
-        assert np.array_equal(a.criterion, b.criterion)
+        assert a.chosen_rs[0] == b.chosen_rs[0]
+        assert np.array_equal(a.criteria[0], b.criteria[0])
         assert np.array_equal(a.hs, b.hs)
 
     def test_single_element_grid(self):
         config = CVConfig(grid=(0.2,), b_inner=60)
         cv = cv_choose_r(gaussian_data(seed=4), 1.5, np.random.default_rng(0), config)
-        assert cv.chosen_r == 0.2
+        assert cv.chosen_rs[0] == 0.2
 
     def test_duplicate_grid_value_ties_exactly_and_breaks_late(self):
         # duplicated r: same shared draws, identical criterion, deterministic
         # tie-break toward the larger index
         config = CVConfig(grid=(0.1, 0.1), b_inner=60)
         cv = cv_choose_r(gaussian_data(seed=5), 1.5, np.random.default_rng(1), config)
-        assert cv.criterion[0] == cv.criterion[1]
-        assert cv.chosen_r == config.grid[1]
+        assert cv.criteria[0][0] == cv.criteria[0][1]
+        assert cv.chosen_rs[0] == config.grid[1]
 
     def test_partition_sizes(self):
         data = gaussian_data(seed=6, n=203)
         cv = cv_choose_r(data, 1.5, np.random.default_rng(2), CVConfig(b_inner=60))
         assert sum(cv.fold_sizes) == 203
         assert max(cv.fold_sizes) - min(cv.fold_sizes) <= 1
-        for fold in cv.per_fold:
-            assert fold["train_n"] + fold["ref_n"] == 203
+        assert (cv.sizes[0, 0] + cv.sizes[0, 1] == 203).all()
 
     def test_budget_views(self):
         # each record lies in v of the 2v fold releases (v - 1 training sets
@@ -79,7 +78,7 @@ class TestCvChooseR:
         data = gaussian_data(seed=12, n=n)
         config = CVConfig(folds=v, b_inner=60)
         cv = cv_choose_r(data, 1.5, np.random.default_rng(v), config)
-        assert sum(fold["train_n"] + fold["ref_n"] for fold in cv.per_fold) == v * n
+        assert cv.sizes.shape == (1, 2, v) and cv.sizes.sum() == v * n
         estimate = gaussian_private_mle(data, 1.5, np.random.default_rng(0))
         assert cv.budget == v * estimate.ledger.total()
         assert cv_choose_r(data, math.inf, np.random.default_rng(v), config).budget == 0.0
@@ -105,7 +104,7 @@ class TestCvChooseR:
         y = X @ np.array([0.0, 1.0]) + rng.standard_normal(3000)
         data = RegressionData(X, y, Bounds.symmetric(1.0, 2), Bounds.symmetric(5.0, 1))
         cv = cv_choose_r(data, 3.0, np.random.default_rng(5), CVConfig(b_inner=60))
-        assert cv.chosen_r in CVConfig().grid
+        assert cv.chosen_rs[0] in CVConfig().grid
 
     def test_degenerate_regression_fold_raises(self):
         rng = np.random.default_rng(11)
@@ -123,14 +122,14 @@ class TestCvChooseR:
         y = X @ [0.0, 0.5] + np.random.default_rng(4).standard_normal(X.shape[0])
         data = RegressionData(X, y, Bounds.symmetric(1.0, 2), Bounds.symmetric(6.0, 1))
         config = CVConfig(b_inner=60)
-        assert cv_choose_r(data, 1e6, np.random.default_rng(3), config).chosen_r in config.grid
+        assert cv_choose_r(data, 1e6, np.random.default_rng(3), config).chosen_rs[0] in config.grid
         with pytest.raises(DegeneracyError, match="^1 of 60 bootstrap draws failed"):
             cv_choose_r(data, 1e7, np.random.default_rng(3), config)
 
     def test_supports_nuisance_regression_data(self):
         data = nuisance_regression_data(seed=14, n=2000)
         cv = cv_choose_r(data, 3.0, np.random.default_rng(8), CVConfig(b_inner=60))
-        assert cv.chosen_r in CVConfig().grid
+        assert cv.chosen_rs[0] in CVConfig().grid
         assert cv.hs.shape == (1, len(CVConfig().grid), CVConfig().folds, data.k)
 
     def test_supports_partitioned_gaussian(self):
@@ -140,7 +139,7 @@ class TestCvChooseR:
         # the interest columns of the joint matrix, as ci --partial 2 reads them
         data = GaussianData(np.hstack([x1, x2])[:, :2], Bounds.symmetric(3.0, 2))
         cv = cv_choose_r(data, 1.5, np.random.default_rng(6), CVConfig(b_inner=60))
-        assert cv.chosen_r in CVConfig().grid
+        assert cv.chosen_rs[0] in CVConfig().grid
 
     def test_h_scores_shape(self):
         config = CVConfig(b_inner=60)
@@ -221,14 +220,14 @@ class TestFoldStatisticsReference:
         seed, v = 23, 5
         cv = cv_choose_r(data, math.inf, np.random.default_rng(seed), CVConfig(folds=v, b_inner=60))
         folds = np.array_split(np.random.default_rng(seed).permutation(data.n), v)
-        for j, fold in enumerate(cv.per_fold):
+        for j in range(v):
             train = estimate_subset(np.sort(np.concatenate(folds[:j] + folds[j + 1:])))
             ref = estimate_subset(np.sort(folds[j]))
-            assert (fold["train_n"], fold["ref_n"]) == (train.sizes[0], ref.sizes[0])
-            np.testing.assert_allclose(fold["train_beta"], train.betas[0], rtol=1e-9, atol=1e-12)
-            np.testing.assert_allclose(fold["ref_beta"], ref.betas[0], rtol=1e-9, atol=1e-12)
+            assert tuple(cv.sizes[0, :, j]) == (train.sizes[0], ref.sizes[0])
+            np.testing.assert_allclose(cv.betas[0, 0, j], train.betas[0], rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(cv.betas[0, 1, j], ref.betas[0], rtol=1e-9, atol=1e-12)
             expected_h = (
-                (np.asarray(fold["reduced_max"])[:, None] - ref.betas[0][None, :]) ** 2
+                (cv.reduced[0][:, j, None] - ref.betas[0][None, :]) ** 2
                 - ref.variances()[0][None, :]
             )
             np.testing.assert_allclose(cv.hs[0][:, j, :], expected_h, rtol=1e-9, atol=1e-12)

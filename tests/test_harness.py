@@ -1,6 +1,8 @@
 import csv
 import math
 import textwrap
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -213,7 +215,7 @@ def oracle_replication(config, eps_index, rep, fixed_design):
         e = release(private)
         if token == "cv":
             cv_config = CVConfig(folds=config.cv_folds, grid=config.cv_grid, b_inner=config.b_inner)
-            r = cv_choose_r(data, budget if private else math.inf, rng, cv_config).chosen_r
+            r = cv_choose_r(data, budget if private else math.inf, rng, cv_config).chosen_rs[0]
         else:
             r = parse_r_token(token)
         if (private, privacy_noise) not in draws:
@@ -302,17 +304,82 @@ class TestBlocks:
         assert_block_matches_oracle(config, harness._fixed_design_for(config))
 
     def test_replications_with_retried_systems_match_the_oracle(self, monkeypatch):
-        retried_by = set()
+        retried_by = set()  # the generators whose block draws were retried
         noisy_systems = PrivatizedRegressionEstimate._noisy_systems
 
-        def spy(self, owner, shape, rng, floor, s_eigvals, generator=None):
-            if generator is not None and len(rng) > 1:  # a block's retries
-                retried_by.update(np.unique(generator).tolist())
-            return noisy_systems(self, owner, shape, rng, floor, s_eigvals, generator)
+        def spy(self, owner, shape, rng, floor, s_eigvals):
+            if len(shape) == 1 and self.sizes.size > 1:  # a block's retries
+                retried_by.add(rng)
+            return noisy_systems(self, owner, shape, rng, floor, s_eigvals)
 
         monkeypatch.setattr(PrivatizedRegressionEstimate, "_noisy_systems", spy)
         assert_block_matches_oracle(collinear_config(1e6), collinear_design())
         assert len(retried_by) >= 2
+
+    def test_regression_block_holds_one_replications_systems(self, monkeypatch):
+        # the benchmark's k = 8, B = 1000 study stacks 8 replications, while
+        # its (B, k, k) systems are drawn and solved one replication at a time
+        config = replace(load_config(REPO / "bench" / "configs" / "regression_k8.ini"), reps=8)
+        assert harness._block_size(config) == 8
+        calls = []  # (sets in the stack, values in the systems array)
+        noisy_systems = PrivatizedRegressionEstimate._noisy_systems
+
+        def spy(self, *args):
+            systems, flags = noisy_systems(self, *args)
+            calls.append((self.sizes.size, systems.size))
+            return systems, flags
+
+        monkeypatch.setattr(PrivatizedRegressionEstimate, "_noisy_systems", spy)
+        run_experiment(config)
+        assert max(sets for sets, _ in calls) == 8
+        assert max(values for _, values in calls) <= harness.BLOCK_VALUES
+
+    def test_rows_count_toward_a_block_only_under_cross_validation(self, monkeypatch):
+        # 40,000 rows of two columns and the response exceed BLOCK_VALUES
+        config = small_config(
+            model="regression", n=40_000, beta=(0.0, 0.5), reps=3,
+            methods=(MethodSpec("ppb", ("1/10", "cv")),),
+        )
+        assert config.n * (config.k + 1) > harness.BLOCK_VALUES
+        assert harness._block_size(config) == 1
+        assert harness._block_size(replace(config, methods=(MethodSpec("ppb", ("1/10",)),))) == 3
+        blocks = []
+        monkeypatch.setattr(harness, "_run_block", lambda c, e, reps, d: blocks.append(reps) or {})
+        run_experiment(config)
+        assert blocks == [range(0, 1), range(1, 2), range(2, 3)]
+
+    @pytest.mark.parametrize("reps, per_block", [(10, 8), (7, 3), (9, 3), (1, 8), (1000, 8), (13, 13)])
+    def test_blocks_are_near_equal_and_in_order(self, monkeypatch, reps, per_block):
+        config = small_config(reps=reps)
+        monkeypatch.setattr(harness, "BLOCK_VALUES", per_block * harness._replication_values(config))
+        blocks = []
+        monkeypatch.setattr(harness, "_run_block", lambda c, e, reps, d: blocks.append(reps) or {})
+        run_experiment(config)
+        sizes = [len(block) for block in blocks]
+        assert [rep for block in blocks for rep in block] == list(range(reps))
+        assert len(blocks) == -(-reps // per_block) and max(sizes) <= per_block
+        assert max(sizes) - min(sizes) <= 1
+
+    def test_block_memory_grows_by_its_replicas_not_its_systems(self):
+        # at k = 8, B = 1000 one replication's draws are 64 kB and its
+        # systems 512 kB; each replication a block adds may cost its draws
+        # and a quarter more, never another set of systems
+        config = replace(
+            load_config(REPO / "bench" / "configs" / "regression_k8.ini"),
+            methods=(MethodSpec("ppb", ("1/10",)),), reps=8,
+        )
+        harness._block_outcomes(config, 0, range(1), None)  # first-call set-up
+        peaks = []
+        for reps in (1, 8):
+            tracemalloc.start()
+            try:
+                harness._block_outcomes(config, 0, range(reps), None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        draws = config.B * config.k * 8  # bytes of one replication's (B, k) draws
+        assert peaks[1] - peaks[0] <= 7 * 1.25 * draws
+        assert peaks[0] > config.B * config.k**2 * 8
 
     def test_single_set_limit_counts_failed_draws_in_b(self):
         # a release of one set on the collinear design: its failed draws are

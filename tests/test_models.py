@@ -769,13 +769,12 @@ class TestRegressionBootstrap:
         assert (np.abs(np.linalg.eigvalsh(certified)).min(axis=1) >= floor[0]).all()
 
     def test_each_generator_draws_its_own_sets_and_retries(self, monkeypatch):
-        retried_by = []
+        retried_by, calls = [], []
         noisy_systems = PrivatizedRegressionEstimate._noisy_systems
 
-        def spy(self, owner, shape, rng, floor, s_eigvals, generator=None):
-            if generator is not None and len(rng) > 1:  # a stacked call's retries
-                retried_by.extend(np.unique(generator))
-            return noisy_systems(self, owner, shape, rng, floor, s_eigvals, generator)
+        def spy(self, owner, shape, rng, floor, s_eigvals):
+            calls.append((rng, len(shape) == 1))  # a 1-D shape is a retry
+            return noisy_systems(self, owner, shape, rng, floor, s_eigvals)
 
         monkeypatch.setattr(PrivatizedRegressionEstimate, "_noisy_systems", spy)
         # two near-floor sets per generator, whose systems are retried
@@ -786,7 +785,13 @@ class TestRegressionBootstrap:
         )
         for seed in range(3):
             stack = GeneratorStack(np.random.default_rng((seed, i)) for i in range(2))
+            calls.clear()
             draws, failed = est.replica_draws(300, stack, 4)
+            # each call draws from one generator of the stack, at most one retry each
+            owners = [stack.generators.index(rng) for rng, _ in calls]
+            retries = [i for i, (_, retry) in zip(owners, calls) if retry]
+            assert sorted(set(owners)) == [0, 1] and len(retries) == len(set(retries))
+            retried_by.extend(retries)
             for i in range(2):
                 pair = est.take(np.arange(2 * i, 2 * i + 2))
                 alone, alone_failed = pair.replica_draws(300, np.random.default_rng((seed, i)), 2)

@@ -20,6 +20,7 @@ from dpextrema.privacy import (
     sensitivity_gram_bounded,
     sensitivity_sum_bounded,
     split_budget,
+    symmetric_layout,
 )
 
 
@@ -93,8 +94,10 @@ class TestLaplaceSampling:
         assert np.array_equal(single, reference(np.random.default_rng(k), ()))
         stack = laplace_symmetric_sample(1.5, k, np.random.default_rng(k), size=5)
         assert np.array_equal(stack, reference(np.random.default_rng(k), (5,)))
+        # a ragged stack's triangles, drawn by their owners and mirrored alike
         owner = np.array([0, 0, 2, 2, 2])
-        ragged = laplace_symmetric_sample(1.5, k, GeneratorStack(generators((4, 5, 6))), 5, owner)
+        tri = GeneratorStack(generators((4, 5, 6))).laplace(0.0, 1.5, (5, k * (k + 1) // 2), owner)
+        ragged = np.take(tri, symmetric_layout(k)[0], axis=-1)
         first, _, third = generators((4, 5, 6))
         assert np.array_equal(ragged[:2], reference(first, (2,)))
         assert np.array_equal(ragged[2:], reference(third, (3,)))
@@ -122,7 +125,7 @@ class TestGeneratorStack:
         owner = np.array([0, 0, 2, 2, 2])
         scales = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         noise = stack.laplace(0.0, scales, owner=owner)
-        symmetric = laplace_symmetric_sample(0.5, 3, stack, 5, owner)
+        symmetric = np.take(stack.laplace(0.0, 0.5, (5, 6), owner), symmetric_layout(3)[0], axis=-1)
         first, second, third = generators((4, 5, 6))
         assert np.array_equal(noise[:2], first.laplace(0.0, scales[:2]))
         assert np.array_equal(noise[2:], third.laplace(0.0, scales[2:]))
