@@ -47,7 +47,7 @@ from .harness import (
     parse_split,
     run_experiment,
 )
-from .models import GaussianData, PrivatizedGaussianEstimate, RegressionData
+from .models import GaussianData, RegressionData
 from .privacy import Bounds
 
 
@@ -187,26 +187,17 @@ def _write_json(path, payload: dict) -> None:
     print(f"wrote {path}")
 
 
-def _noise_scales(estimate) -> dict:
-    """The Laplace scales of the released statistics of set 0, in budget-split order."""
-    if isinstance(estimate, PrivatizedGaussianEstimate):
-        return {"sum": estimate.sum_noise.scale, "gram": estimate.gram_noise.scale}
-    return {
-        "gram": estimate.gram_noise.scale,
-        "xty": estimate.xty_noise.scale,
-        "rss": float(estimate.rss_scales[0]),
-    }
-
-
 def _print_result(result, estimate, seed: int, extra: dict, output=None):
     ledger = estimate.ledger
     repair = {
         "shift": float(estimate.repairs.shift[0]),
         "degenerate": bool(estimate.repairs.degenerate[0]),
     }
+    # the noise scales of set 0, in budget-split order
+    scales = {name: float(np.ravel(scale)[0]) for name, scale in estimate.noise_scales.items()}
     payload = {
         "result": asdict(result),
-        "estimate": {"noise_scales": _noise_scales(estimate), "repair": repair},
+        "estimate": {"noise_scales": scales, "repair": repair},
         "ledger": ledger.to_dict(),
         "seed": seed,
         **extra,

@@ -103,7 +103,6 @@ class CVResult:
     betas: np.ndarray                # (R, 2, fold, coordinate) training, then held-out releases
     sizes: np.ndarray                # (R, 2, fold) their row counts
     reduced: np.ndarray              # (R, grid, fold) bias-reduced maxima of the training releases
-    fold_sizes: tuple[int, ...]      # held-out fold sizes, alike in every data set
     budget: float                    # v times one estimation's total
 
 
@@ -197,6 +196,5 @@ def cv_choose_r(
         betas=beta,
         sizes=sizes,
         reduced=np.moveaxis(reduced, 1, 0),
-        fold_sizes=tuple(f.size for f in folds[0]),
         budget=v * release.ledger.total(),
     )

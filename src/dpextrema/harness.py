@@ -59,7 +59,6 @@ from .extrema import (
 from .models import GaussianData, RegressionData, stack_statistics
 from .privacy import Bounds, GeneratorStack
 
-MODELS = ("gaussian", "regression", "partial_gaussian", "partial_regression")
 BOOTSTRAP_METHODS = ("ppb", "npb", "rppb", "semi_naive")
 BASELINE_METHODS = ("naive", "bonferroni")
 
@@ -197,7 +196,7 @@ class ExperimentConfig:
     # gaussian truth
     mu: tuple[float, ...] | None = None
     sigma_diag: tuple[float, ...] | None = None
-    # partitioned gaussian and partitioned regression
+    # partitioned regression
     k_nuisance: int = 0
     # regression truth
     beta: tuple[float, ...] | None = None
@@ -208,8 +207,10 @@ class ExperimentConfig:
     y_half_width: float | None = None
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ParameterError(f"unknown model {self.model!r}")
+        if self.model not in _MODELS:
+            raise ParameterError(
+                f"unknown model {self.model!r}; the supported models are {', '.join(_MODELS)}"
+            )
         for key in ("n", "k"):
             value = getattr(self, key)
             if value is None or value < 1:
@@ -249,39 +250,27 @@ class ExperimentConfig:
             self, "cv_grid",
             check_cv(self.cv_folds, self.cv_grid, self.b_inner, "cv_folds", "cv_grid"),
         )
-        if self.model in ("gaussian", "partial_gaussian"):
-            mu = self.mu if self.mu is not None else (0.0,) * self.k
-            if len(mu) != self.k:
-                raise ParameterError("mu length does not match k")
-            object.__setattr__(self, "mu", tuple(float(v) for v in mu))
-            var = self.sigma_diag if self.sigma_diag is not None else (1.0,) * self.k
-            if len(var) != self.k:
-                raise ParameterError("sigma_diag length does not match k")
-            object.__setattr__(self, "sigma_diag", tuple(float(v) for v in var))
-        if self.model == "partial_gaussian" and self.k_nuisance < 1:
-            raise ParameterError("partial_gaussian needs k_nuisance >= 1")
-        if self.model in ("regression", "partial_regression"):
-            beta = self.beta if self.beta is not None else (0.0,) * self.k
-            if len(beta) != self.k:
-                raise ParameterError("beta length does not match k")
-            object.__setattr__(self, "beta", tuple(float(v) for v in beta))
-        if self.model == "partial_regression":
-            gamma = self.gamma if self.gamma is not None else (0.0,) * max(self.k_nuisance, 0)
-            if self.k_nuisance and len(gamma) != self.k_nuisance:  # gamma alone sets the width
-                raise ParameterError("gamma length does not match k_nuisance")
-            object.__setattr__(self, "gamma", tuple(float(v) for v in gamma))
+        # the model's truth (zeros by default), and sigma_diag and gamma, which
+        # are filled and checked whatever the model, as every value given is
+        for key, size_key, default in (
+            (_MODELS[self.model].truth, "k", 0.0),
+            ("sigma_diag", "k", 1.0),
+            ("gamma", "k_nuisance", 0.0),
+        ):
+            value, size = getattr(self, key), getattr(self, size_key)
+            value = (default,) * size if value is None else value
+            if size and len(value) != size:  # k_nuisance = 0 leaves gamma's length free
+                raise ParameterError(f"{key} length does not match {size_key}")
+            object.__setattr__(self, key, tuple(float(v) for v in value))
 
     @property
     def truth_label(self) -> str:
-        if self.model in ("gaussian", "partial_gaussian"):
-            return "mu=(" + ",".join(f"{v:g}" for v in self.mu) + ")"
-        return "beta=(" + ",".join(f"{v:g}" for v in self.beta) + ")"
+        key = _MODELS[self.model].truth
+        return f"{key}=(" + ",".join(f"{v:g}" for v in getattr(self, key)) + ")"
 
     @property
     def true_max(self) -> float:
-        if self.model in ("gaussian", "partial_gaussian"):
-            return max(self.mu)
-        return max(self.beta)
+        return max(getattr(self, _MODELS[self.model].truth))
 
 
 @dataclass(frozen=True)
@@ -346,29 +335,26 @@ class ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def _generate_data(config: ExperimentConfig, rng: np.random.Generator, fixed_design):
-    h = config.bounds_half_width
-    if config.model in ("gaussian", "partial_gaussian"):
-        mu = np.asarray(config.mu)
-        x = mu + rng.standard_normal((config.n, config.k)) * np.sqrt(config.sigma_diag)
-        if config.model == "partial_gaussian":
-            # the nuisance block is never released, so it is drawn and
-            # discarded: the draw keeps every later draw where it was
-            rng.standard_normal((config.n, config.k_nuisance))
-        return GaussianData(x, Bounds.centered(mu, h))
-    if config.model == "regression":
-        beta = np.asarray(config.beta, dtype=float)
-        hx = config.x_half_width
-        X = fixed_design if fixed_design is not None else rng.uniform(-hx, hx, (config.n, config.k))
-        y = X @ beta + math.sqrt(config.sigma2) * rng.standard_normal(config.n)
-        y_hw = config.y_half_width
-        if y_hw is None:
-            y_hw = float(np.sum(np.abs(beta)) * hx + 4.0 * math.sqrt(config.sigma2))
-        return RegressionData(
-            X, y, Bounds.symmetric(hx, config.k), Bounds.symmetric(y_hw, 1)
-        )
-    # partial_regression: interest design = subgroup x treatment indicators,
-    # nuisance covariates centered within treated cells so X^T W = 0 exactly
+def _gaussian_data(config: ExperimentConfig, rng: np.random.Generator, fixed_design):
+    mu = np.asarray(config.mu)
+    x = mu + rng.standard_normal((config.n, config.k)) * np.sqrt(config.sigma_diag)
+    return GaussianData(x, Bounds.centered(mu, config.bounds_half_width))
+
+
+def _regression_data(config: ExperimentConfig, rng: np.random.Generator, fixed_design):
+    beta = np.asarray(config.beta, dtype=float)
+    hx = config.x_half_width
+    X = fixed_design if fixed_design is not None else rng.uniform(-hx, hx, (config.n, config.k))
+    y = X @ beta + math.sqrt(config.sigma2) * rng.standard_normal(config.n)
+    y_hw = config.y_half_width
+    if y_hw is None:
+        y_hw = float(np.sum(np.abs(beta)) * hx + 4.0 * math.sqrt(config.sigma2))
+    return RegressionData(X, y, Bounds.symmetric(hx, config.k), Bounds.symmetric(y_hw, 1))
+
+
+def _partial_regression_data(config: ExperimentConfig, rng: np.random.Generator, fixed_design):
+    """Interest design = subgroup x treatment indicators, nuisance covariates
+    centered within treated cells so X^T W = 0 exactly."""
     beta = np.asarray(config.beta, dtype=float)
     gamma = np.asarray(config.gamma, dtype=float)
     groups = rng.integers(0, config.k, size=config.n)
@@ -391,6 +377,26 @@ def _generate_data(config: ExperimentConfig, rng: np.random.Generator, fixed_des
     return RegressionData(
         X, y, Bounds(np.zeros(config.k), np.ones(config.k)), Bounds.symmetric(y_hw, 1), W
     )
+
+
+class _Model(typing.NamedTuple):
+    """What the harness knows of one simulated model."""
+
+    truth: str  # the config key of the truth vector, whose maximum the limits bound
+    generate: typing.Callable  # (config, rng, fixed design or None) -> one data set
+    width: typing.Callable  # config -> values in one data row
+
+
+_MODELS = {
+    "gaussian": _Model("mu", _gaussian_data, lambda c: c.k),
+    "regression": _Model("beta", _regression_data, lambda c: c.k + 1),
+    "partial_regression": _Model("beta", _partial_regression_data, lambda c: c.k + len(c.gamma) + 1),
+}
+
+
+def _generate_data(config: ExperimentConfig, rng: np.random.Generator, fixed_design):
+    """One replication's data set; the traced benchmark times it by this name."""
+    return _MODELS[config.model].generate(config, rng, fixed_design)
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +424,7 @@ def _replication_values(config: ExperimentConfig) -> int:
     """
     values = config.B * config.k
     if _cross_validates(config):
-        regression = config.model in ("regression", "partial_regression")
-        width = config.k + max(config.k_nuisance, len(config.gamma or ())) + regression
-        values = max(values, config.n * width)
+        values = max(values, config.n * _MODELS[config.model].width(config))
     return values
 
 
@@ -517,7 +521,8 @@ def _run_block(config: ExperimentConfig, eps_index: int, reps: range, fixed_desi
 
 
 def _fixed_design_for(config: ExperimentConfig):
-    if config.model != "regression" or config.design != "fixed":
+    """The design of ``design = fixed``, which only plain regression reads."""
+    if config.design != "fixed":
         return None
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
     hx = config.x_half_width

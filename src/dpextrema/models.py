@@ -1,47 +1,31 @@
 """Privatized point estimation and parametric bootstrap draws.
 
-Two concrete model families are implemented:
+Two model families are implemented: multivariate Gaussian observations, whose
+coordinates of interest are the component means, and linear regression, whose
+coordinates of interest are the coefficients.  ``RegressionData(X, y,
+x_bounds, y_bounds, nuisance=W)`` adds covariates W orthogonal to X, whose fit
+is removed from the residual variance but never released.
 
-* multivariate Gaussian observations, where the coordinates of interest are
-  the component means, and
-* linear regression, where the coordinates of interest are the coefficients;
-  ``RegressionData(X, y, x_bounds, y_bounds, nuisance=W)`` adds nuisance
-  covariates W orthogonal to X, whose fit is removed from the residual
-  variance but never released, so only the statistics of X are noised.
-
-Both estimators add Laplace noise to the sufficient statistics (sums, gram
-matrices, cross products) and post-process the noisy statistics into point
-estimates; they never look at rows after forming the statistics.  One recipe
-per model does this, ``GaussianStatistics.release`` and
-``RegressionStatistics.release``, on a stack of data sets, and it returns the
-model's one estimate class, which holds all F sets along a leading axis.  A
-single estimate is that class with F = 1, whose arrays hold one row;
-cross-validation releases all of its folds' training and held-out sets at
-once and draws every training set's replicas in one ``replica_draws`` call,
-and the single-estimate limits of :mod:`~dpextrema.extrema` draw set 0's
-replicas as one ``replica_draws`` call on a stack of one.  The Monte Carlo
-harness releases a block of replications the same way, with a
+Both estimators add Laplace noise to clamped sufficient statistics (sums, gram
+matrices, cross products) and post-process the noisy statistics; they never
+look at rows again.  One release per model, ``GaussianStatistics.release`` and
+``RegressionStatistics.release``, runs on a stack of F data sets and returns
+the model's one estimate class, which holds all F sets along a leading axis.
+A single estimate is a stack of one; cross-validation releases all of its
+folds at once, and the Monte Carlo harness a block of replications, with a
 :class:`~dpextrema.privacy.GeneratorStack` holding one generator per
-replication, so each replication draws what it would draw alone.  The
-bootstrap draws replay the estimation recipe on data simulated from the
-fitted model, adding fresh simulation-only Laplace noise of the same scale so
-the extra randomness of privatization is reflected in the bootstrap
-distribution.
+replication, so each replication draws what it would draw alone.
 
-The Gaussian bootstrap never materializes the n simulated observations: the
-resample mean of n i.i.d. N(mu, Sigma) draws has the exact law N(mu, Sigma/n),
-so the mean is drawn directly from that law.  This is an identity, not an
-approximation, and keeps Monte Carlo studies tractable.  The regression
-bootstrap is already formulated in terms of the released statistics and never
-touches the design matrix again.  Each regression replica solves its own
-noisy system S + W/n.  The symmetric noise W is drawn as its upper triangle,
-which is scaled by 1/n and bounded there and then mirrored into the systems
-by one gather (:func:`~dpextrema.privacy.symmetric_layout`).  A Weyl bound on
-the noise certifies most systems non-singular without an eigenvalue check.
-The systems are drawn and solved one generator's sets at a time, so a block
-of replications holds one replication's systems, not all of them; without
-simulated gram noise each set's S is checked once and solved against all of
-its replicas at once.
+Both models bootstrap by one recipe, :meth:`_Stacked.replica_draws`.  It
+replays the estimation on data simulated from the fitted model, with fresh
+simulation-only Laplace noise of the estimation scales, so the randomness of
+privatization is reflected in the bootstrap distribution: a replica solves
+(S + W1/n) b = C/sqrt(n) + S beta + W2/n with normal scores C.  Regression
+has the scaled gram S, scores of covariance sigma2 S, and the noise W1 of
+X^T X and W2 of X^T y.  The Gaussian mean is the case S = I without W1, with
+scores of covariance Sigma and the noise W2 of the sum, so nothing is solved:
+the mean of n simulated observations is drawn from its exact law
+N(mu, Sigma/n).  Neither bootstrap materializes simulated rows.
 """
 
 from __future__ import annotations
@@ -130,8 +114,15 @@ class GaussianData:
 class _Stacked:
     """What both models' estimates share: F released data sets stacked along a
     leading axis, with ``betas`` (F, k), ``sizes`` (F,) and the repaired
-    matrices ``repairs``.  A single estimate is a stack of one, so its
-    release is row 0 of each array (``betas[0]``, ``repairs.shift[0]``).
+    matrices ``repairs``, and the one bootstrap of both models.  A single
+    estimate is a stack of one, so its release is row 0 of each array.
+
+    A model gives the bootstrap four things: ``systems``, its (F, k, k) stack
+    S, or None for the identity; ``covariance``, the (F, k, k) covariance of
+    the scores, whose root is cached in ``_root``; ``response_noise``, the
+    Laplace noise of the right-hand side's statistic; and ``system_noise``,
+    that of S.  ``noise_scales`` holds the Laplace scale of each released
+    statistic, in budget-split order, one that differs by set as an (F,) array.
 
     Each model defines its own ``bootstrap_draws`` over :meth:`_set_zero_draws`
     because the traced benchmark (``bench/spans.py``) times it by class name;
@@ -157,6 +148,134 @@ class _Stacked:
         }
         return replace(self, **per_set, repairs=RepairResult(*(a[rows] for a in self.repairs)))
 
+    def replica_draws(
+        self, size: int, rng: np.random.Generator, sets: int, privacy_noise: bool = True
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(sets, size, k) bootstrap replicas of the first ``sets`` releases,
+        and their (sets, size) failure mask; a failed draw is a NaN row.
+
+        A replica of set f solves (S + W1/n) b = C/sqrt(n) + S beta + W2/n,
+        summed in that order, with scores C ~ N(0, covariance) and fresh noise
+        W1 (``system_noise``) and W2 (``response_noise``); without S it is the
+        right-hand side.  ``privacy_noise=False`` skips W1 and W2 (the
+        ablation that ignores privatization randomness).  A numerically
+        singular system is retried once with fresh W1; a second failure fails
+        the draw.  With a :class:`GeneratorStack` of R generators, generator i
+        serves the i-th of R equal groups of sets, in this order: their
+        scores, their W2, their systems, then their retries.  The systems are
+        drawn, screened, retried and solved one generator at a time.
+
+        By Weyl's inequality every eigenvalue of S + W1/n lies within
+        ||W1/n||_2 <= ||W1/n||_F of one of S, so a system whose Frobenius bound
+        leaves the least eigenvalue of S above the floor, by a margin that
+        covers rounding, is certified non-singular; only the others get an
+        eigenvalue check.  Without W1 each S is checked once: a singular one
+        fails every draw of its set, and a regular one is solved against all
+        its right-hand sides at once.
+        """
+        rng = GeneratorStack.of(rng)
+        if self._root is None:
+            self._root = sym_sqrt(self.covariance)
+        S = None if self.systems is None else self.systems[:sets]
+        n = self.sizes[:sets, None, None]
+
+        rhs = rng.standard_normal((sets, size, self.k)) @ np.swapaxes(self._root[:sets], -1, -2)
+        rhs /= np.sqrt(n)
+        rhs += self.betas[:sets, None, :] if S is None else (S @ self.betas[:sets, :, None])[:, None, :, 0]
+        if privacy_noise and not self.response_noise.is_zero:
+            noise = self.response_noise.sample(rng, (sets, size))
+            noise /= n
+            # summed into the later of the two arrays, and the first dropped:
+            # summed into the first, glibc trims and faults in the heap top again
+            noise += rhs
+            rhs = noise
+        if S is None:
+            return rhs, np.zeros((sets, size), dtype=bool)
+
+        floor = psd_floor(S)
+        eye = np.eye(self.k)  # stands in for a failed system, so one solve serves the rest
+        if not privacy_noise or self.system_noise.is_zero:
+            singular = self._near_singular(S, floor)
+            systems = np.where(singular[:, None, None], eye, S)
+            draws = np.swapaxes(np.linalg.solve(systems, np.swapaxes(rhs, -1, -2)), -1, -2)
+            draws[singular] = np.nan
+            return draws, np.repeat(singular[:, None], size, axis=1)
+
+        s_eigvals = np.linalg.eigvalsh(S)
+        bad = np.empty((sets, size), dtype=bool)
+        for generator, rows in zip(rng.generators, rng.chunks(sets)):
+            owners = np.arange(rows.start, rows.stop)[:, None]  # each S_f serves its draws
+            systems, flags = self._noisy_systems(owners, (len(owners), size), generator, floor, s_eigvals)
+            if flags.any():
+                retry = np.flatnonzero(flags)
+                retries, failed = self._noisy_systems(
+                    rows.start + retry // size, retry.shape, generator, floor, s_eigvals
+                )
+                systems.reshape(-1, self.k, self.k)[retry] = retries
+                flags.reshape(-1)[retry] = failed
+                systems[flags] = eye
+            bad[rows] = flags
+            rhs[rows] = np.linalg.solve(systems, rhs[rows, ..., None])[..., 0]
+            del systems  # before the next generator's systems are drawn
+        rhs[bad] = np.nan
+        return rhs, bad
+
+    def _noisy_systems(
+        self, owner: np.ndarray, shape: tuple, rng: np.random.Generator, floor, s_eigvals
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Systems S_f + W1/n_f of ``shape``, all drawn by the one generator
+        ``rng``, and their near-singularity flags.
+
+        ``owner`` holds the set f of each system and broadcasts to ``shape``.
+        ``floor`` and ``s_eigvals`` (ascending) are per set; only the systems
+        that the Weyl bound does not certify go through :meth:`_near_singular`.
+        W1 is the draw :func:`laplace_symmetric_sample` makes, taken as its
+        upper triangle: it is scaled and bounded there, and gathered once into
+        the systems.
+        """
+        index, weights = symmetric_layout(self.k)
+        tri = rng.laplace(0.0, self.system_noise.scale, (math.prod(shape), weights.size))
+        tri = tri.reshape(*shape, weights.size)
+        tri /= self.sizes[owner][..., None]
+        bound = np.sqrt((tri * tri) @ weights)
+        systems = np.take(tri, index, axis=-1)
+        systems += self.systems[owner]
+        eigvals = s_eigvals[owner]
+        margin = _CERTIFY_MARGIN * (eigvals[..., -1] + bound)
+        floor = np.broadcast_to(floor[owner], shape)
+        flags = eigvals[..., 0] - bound - margin < floor
+        if flags.any():
+            flags[flags] = self._near_singular(systems[flags], floor[flags])
+        return systems, flags
+
+    @staticmethod
+    def _near_singular(systems: np.ndarray, floor) -> np.ndarray:
+        eigvals = np.linalg.eigvalsh(systems)
+        return np.abs(eigvals).min(axis=1) < floor
+
+    def variances(self, private: bool = True) -> np.ndarray:
+        """(F, k) plug-in variances of the released coordinates.
+
+        The sampling part is diag(covariance) / n without S, and
+        sigma2 diag(S^{-1}) / n for the covariance sigma2 S of regression.
+        The private variant adds the propagated Laplace variance of the
+        response-side statistic, 2 b^2 diag(S^{-2}) / n^2 (2 b^2 / n^2 without
+        S).  Both variants use only released quantities.
+        """
+        n = self.sizes[:, None]
+        if self.systems is None:
+            # reconstruction rounding in the PSD repair can leave a diagonal entry
+            # a few ulps below zero in extreme-noise regimes
+            v = np.maximum(np.diagonal(self.covariance, axis1=-2, axis2=-1), 0.0) / n
+            s_inv2 = 1.0
+        else:
+            s_inv = np.linalg.inv(self.systems)
+            v = self.sigma2s[:, None] * np.diagonal(s_inv, axis1=-2, axis2=-1) / n
+            s_inv2 = np.diagonal(s_inv @ s_inv, axis1=-2, axis2=-1)
+        if private and not self.response_noise.is_zero:
+            v = v + 2.0 * self.response_noise.scale**2 * s_inv2 / n**2
+        return v
+
 
 @dataclass(eq=False)
 class PrivatizedGaussianEstimate(_Stacked):
@@ -173,49 +292,17 @@ class PrivatizedGaussianEstimate(_Stacked):
     noisy_grams: np.ndarray  # (F, k, k) released second-moment matrices, noise included
     _root: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    def replica_draws(
-        self, size: int, rng: np.random.Generator, sets: int, privacy_noise: bool = True
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(sets, size, k) bootstrap replicas of the first ``sets`` privatized
-        means, and their (sets, size) failure mask, all False.
-
-        Each replica of set f is the mean of n simulated observations from
-        N(betas[f], repairs.matrix[f]) plus a fresh simulation-only Laplace
-        noise of the estimation scale, divided by n.  ``privacy_noise=False``
-        skips the Laplace term (the ablation that ignores privatization
-        randomness).
-        With a :class:`GeneratorStack` of R generators, generator i draws the
-        i-th of R equal groups of sets.
-        """
-        rng = GeneratorStack.of(rng)
-        if self._root is None:
-            self._root = sym_sqrt(self.repairs.matrix)
-        n = self.sizes[:sets, None, None]
-        z = rng.standard_normal((sets, size, self.k)) @ np.swapaxes(self._root[:sets], -1, -2)
-        draws = self.betas[:sets, None, :] + z / np.sqrt(n)
-        if privacy_noise and not self.sum_noise.is_zero:
-            draws = draws + self.sum_noise.sample(rng, (sets, size)) / n
-        return draws, np.zeros((sets, size), dtype=bool)
+    # the bootstrap's model: S = I, with no noise in it
+    systems = system_noise = None
+    covariance = property(lambda self: self.repairs.matrix)
+    response_noise = property(lambda self: self.sum_noise)
+    noise_scales = property(lambda self: {"sum": self.sum_noise.scale, "gram": self.gram_noise.scale})
 
     def bootstrap_draws(
         self, size: int, rng: np.random.Generator, privacy_noise: bool = True
     ) -> tuple[np.ndarray, int]:
         """``size`` replicas of set 0 and the failure count, which is 0."""
         return self._set_zero_draws(size, rng, privacy_noise)
-
-    def variances(self, private: bool = True) -> np.ndarray:
-        """(F, k) plug-in variances of the released mean coordinates.
-
-        The private variant adds the Laplace noise variance 2 b^2 / n^2 of the
-        privatized sum; both variants use only released quantities.
-        """
-        n = self.sizes[:, None]
-        # reconstruction rounding in the PSD repair can leave a diagonal entry
-        # a few ulps below zero in extreme-noise regimes
-        v = np.maximum(np.diagonal(self.repairs.matrix, axis1=-2, axis2=-1), 0.0) / n
-        if private and not self.sum_noise.is_zero:
-            v = v + 2.0 * self.sum_noise.scale**2 / n**2
-        return v
 
 
 def _gaussian_from_noisy_stats(noisy_sum: np.ndarray, noisy_gram: np.ndarray, n):
@@ -230,16 +317,10 @@ def _gaussian_from_noisy_stats(noisy_sum: np.ndarray, noisy_gram: np.ndarray, n)
     return mu, 0.5 * (sigma + np.swapaxes(sigma, -1, -2))
 
 
-def _gaussian_noise_specs(bounds: Bounds, eps_sum: float, eps_gram: float):
-    """Laplace noise of the coordinate sums and of the gram matrix's free entries."""
-    k = bounds.k
-    sum_spec = LaplaceSpec.from_budget(
-        sensitivity_sum_bounded(bounds.lower, bounds.upper), eps_sum, k
-    )
-    gram_spec = LaplaceSpec.from_budget(
-        sensitivity_gram_bounded(bounds.lower, bounds.upper), eps_gram, k * (k + 1) // 2
-    )
-    return sum_spec, gram_spec
+def _gram_noise(bounds: Bounds, epsilon: float) -> LaplaceSpec:
+    """Laplace noise of the free entries of a gram matrix of rows in ``bounds``."""
+    delta = sensitivity_gram_bounded(bounds.lower, bounds.upper)
+    return LaplaceSpec.from_budget(delta, epsilon, bounds.k * (bounds.k + 1) // 2)
 
 
 def _ledger(prefix: str, names: tuple[str, ...], epsilons: tuple[float, ...]) -> PrivacyLedger:
@@ -267,11 +348,6 @@ def gaussian_private_mle(
 # ---------------------------------------------------------------------------
 # linear regression
 # ---------------------------------------------------------------------------
-
-
-def _solve_batch(systems: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a stack of k x k systems against a stack of k-vectors."""
-    return np.linalg.solve(systems, rhs[..., None])[..., 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,73 +429,14 @@ class PrivatizedRegressionEstimate(_Stacked):
     noisy_xtys: np.ndarray   # (F, k)
     _root: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    def replica_draws(
-        self, size: int, rng: np.random.Generator, sets: int, privacy_noise: bool = True
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(sets, size, k) bootstrap replicas of the first ``sets`` coefficient
-        releases, and their (sets, size) failure mask; a failed draw is a NaN row.
-
-        Each replica of set f solves (S + W1/n) b = S beta + (C + W2/sqrt(n)) / sqrt(n)
-        with C ~ N(0, sigma2 S) and fresh simulation-only noise W1, W2 of the
-        estimation scales.  A draw whose noisy matrix is numerically singular
-        is retried once with fresh W1; a second failure marks the draw failed.
-        With a :class:`GeneratorStack` of R generators, generator i serves the
-        i-th of R equal groups of sets (one generator serves every set), in
-        this order: its sets' scores, their W2, their systems, then their
-        retries.  The systems are drawn, screened, retried and solved one
-        generator at a time, so at most one generator's systems are held.
-
-        Only systems that may be singular get an eigenvalue check.  By Weyl's
-        inequality every eigenvalue of S + W1/n lies within
-        ||W1/n||_2 <= ||W1/n||_F of one of S, so a system whose Frobenius bound
-        leaves the least eigenvalue of S above the floor, by a margin relative
-        to the scale that covers rounding, is certified non-singular.  Without
-        gram noise every system of a set is its S: each S is checked once, and
-        a singular one fails every draw of its set, while a regular one is
-        solved against all its right-hand sides at once.
-        """
-        rng = GeneratorStack.of(rng)
-        if self._root is None:
-            self._root = sym_sqrt(self.sigma2s[:, None, None] * self.repairs.matrix)
-        S = self.repairs.matrix[:sets]
-        root_n = np.sqrt(self.sizes[:sets, None, None])
-        floor = psd_floor(S)
-
-        rhs = rng.standard_normal((sets, size, self.k)) @ np.swapaxes(self._root[:sets], -1, -2)
-        if privacy_noise and not self.xty_noise.is_zero:
-            noise = self.xty_noise.sample(rng, (sets, size))
-            noise /= root_n  # in place, and dropped: only rhs stays beside the systems
-            rhs += noise
-            del noise
-        rhs /= root_n
-        rhs += (S @ self.betas[:sets, :, None])[:, None, :, 0]
-
-        eye = np.eye(self.k)  # stands in for a failed system, so one solve serves the rest
-        if not privacy_noise or self.gram_noise.is_zero:
-            singular = self._near_singular(S, floor)
-            systems = np.where(singular[:, None, None], eye, S)
-            draws = np.swapaxes(np.linalg.solve(systems, np.swapaxes(rhs, -1, -2)), -1, -2)
-            draws[singular] = np.nan
-            return draws, np.repeat(singular[:, None], size, axis=1)
-
-        s_eigvals = np.linalg.eigvalsh(S)
-        bad = np.empty((sets, size), dtype=bool)
-        for generator, rows in zip(rng.generators, rng.chunks(sets)):
-            owners = np.arange(rows.start, rows.stop)[:, None]  # each S_f serves its draws
-            systems, flags = self._noisy_systems(owners, (len(owners), size), generator, floor, s_eigvals)
-            if flags.any():
-                retry = np.flatnonzero(flags)
-                retries, failed = self._noisy_systems(
-                    rows.start + retry // size, retry.shape, generator, floor, s_eigvals
-                )
-                systems.reshape(-1, self.k, self.k)[retry] = retries
-                flags.reshape(-1)[retry] = failed
-                systems[flags] = eye
-            bad[rows] = flags
-            rhs[rows] = _solve_batch(systems, rhs[rows])
-            del systems  # before the next generator's systems are drawn
-        rhs[bad] = np.nan
-        return rhs, bad
+    # the bootstrap's model: S with gram noise, and scores of covariance sigma2 S
+    systems = property(lambda self: self.repairs.matrix)
+    covariance = property(lambda self: self.sigma2s[:, None, None] * self.repairs.matrix)
+    response_noise = property(lambda self: self.xty_noise)
+    system_noise = property(lambda self: self.gram_noise)
+    noise_scales = property(
+        lambda self: {"gram": self.gram_noise.scale, "xty": self.xty_noise.scale, "rss": self.rss_scales}
+    )
 
     def bootstrap_draws(
         self, size: int, rng: np.random.Generator, privacy_noise: bool = True
@@ -427,70 +444,8 @@ class PrivatizedRegressionEstimate(_Stacked):
         """``size`` replicas of set 0, with the failed draws dropped, and their count."""
         return self._set_zero_draws(size, rng, privacy_noise)
 
-    def _noisy_systems(
-        self, owner: np.ndarray, shape: tuple, rng: np.random.Generator, floor, s_eigvals
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Systems S_f + W1/n_f of ``shape``, all drawn by the one generator
-        ``rng``, and their near-singularity flags.
-
-        ``owner`` holds the set f of each system and broadcasts to ``shape``.
-        ``floor`` and ``s_eigvals`` (ascending) are per set; only the systems
-        that the Weyl bound does not certify go through :meth:`_near_singular`.
-        W1 is the draw :func:`laplace_symmetric_sample` makes, taken as its
-        upper triangle: it is scaled and bounded there, and gathered once into
-        the systems.
-        """
-        index, weights = symmetric_layout(self.k)
-        tri = rng.laplace(0.0, self.gram_noise.scale, (math.prod(shape), weights.size))
-        tri = tri.reshape(*shape, weights.size)
-        tri /= self.sizes[owner][..., None]
-        bound = np.sqrt((tri * tri) @ weights)
-        systems = np.take(tri, index, axis=-1)
-        systems += self.repairs.matrix[owner]
-        eigvals = s_eigvals[owner]
-        margin = _CERTIFY_MARGIN * (eigvals[..., -1] + bound)
-        floor = np.broadcast_to(floor[owner], shape)
-        flags = eigvals[..., 0] - bound - margin < floor
-        if flags.any():
-            flags[flags] = self._near_singular(systems[flags], floor[flags])
-        return systems, flags
-
-    @staticmethod
-    def _near_singular(systems: np.ndarray, floor) -> np.ndarray:
-        eigvals = np.linalg.eigvalsh(systems)
-        return np.abs(eigvals).min(axis=1) < floor
-
-    def variances(self, private: bool = True) -> np.ndarray:
-        """(F, k) plug-in variances of the released coefficients.
-
-        sigma2 * S^{-1} / n for the sampling part; the private variant adds
-        the propagated Laplace variance of the noisy cross product,
-        S^{-1} (2 b^2 I) S^{-1} / n^2.
-        """
-        s_inv = np.linalg.inv(self.repairs.matrix)
-        n = self.sizes[:, None]
-        v = self.sigma2s[:, None] * np.diagonal(s_inv, axis1=-2, axis2=-1) / n
-        if private and not self.xty_noise.is_zero:
-            s_inv2 = np.diagonal(s_inv @ s_inv, axis1=-2, axis2=-1)
-            v = v + 2.0 * self.xty_noise.scale**2 * s_inv2 / n**2
-        return v
-
 
 _SINGULAR_GRAM = "noisy gram matrix is irreparably singular; widen the budget or bounds"
-
-
-def _regression_noise_specs(x_bounds: Bounds, y_bounds: Bounds, eps_gram: float, eps_xty: float):
-    """Laplace noise of the gram matrix's free entries and of the cross product."""
-    k = x_bounds.k
-    gram_spec = LaplaceSpec.from_budget(
-        sensitivity_gram_bounded(x_bounds.lower, x_bounds.upper), eps_gram, k * (k + 1) // 2
-    )
-    xty_spec = LaplaceSpec.from_budget(
-        sensitivity_cross_bounded(x_bounds.lower, x_bounds.upper, y_bounds.lower, y_bounds.upper),
-        eps_xty,
-        k,
-    )
-    return gram_spec, xty_spec
 
 
 def regression_private_mle(
@@ -570,7 +525,9 @@ class GaussianStatistics:
     def release(self, budget, rng: np.random.Generator) -> PrivatizedGaussianEstimate:
         """Every set's Gaussian release, as one stacked estimate."""
         eps_sum, eps_gram = split_budget(budget, 2)
-        sum_spec, gram_spec = _gaussian_noise_specs(self.bounds, eps_sum, eps_gram)
+        b = self.bounds
+        sum_spec = LaplaceSpec.from_budget(sensitivity_sum_bounded(b.lower, b.upper), eps_sum, b.k)
+        gram_spec = _gram_noise(b, eps_gram)
         sets, k = self.sums.shape
         noisy_sum = self.sums + sum_spec.sample(rng, sets)
         noisy_gram = self.grams + laplace_symmetric_sample(gram_spec.scale, k, rng, sets)
@@ -658,8 +615,10 @@ class RegressionStatistics:
         """
         rng = GeneratorStack.of(rng)
         eps_gram, eps_xty, eps_rss = split_budget(budget, 3)
-        gram_spec, xty_spec = _regression_noise_specs(
-            self.x_bounds, self.y_bounds, eps_gram, eps_xty
+        xb, yb = self.x_bounds, self.y_bounds
+        gram_spec = _gram_noise(xb, eps_gram)
+        xty_spec = LaplaceSpec.from_budget(
+            sensitivity_cross_bounded(xb.lower, xb.upper, yb.lower, yb.upper), eps_xty, xb.k
         )
         sets, k = self.xty.shape
         noisy_gram = self.xtx + laplace_symmetric_sample(gram_spec.scale, k, rng, sets)
@@ -668,7 +627,7 @@ class RegressionStatistics:
         repairs = psd_repair_stack(noisy_gram / n)
         if repairs.degenerate.any():
             raise NumericError(_SINGULAR_GRAM)
-        beta = _solve_batch(n * repairs.matrix, noisy_xty)
+        beta = np.linalg.solve(n * repairs.matrix, noisy_xty[..., None])[..., 0]
         # einsum's summation order depends on how many sets it sees, so each
         # generator's sets are summed as a stack of their own, as they are alone
         rss = np.concatenate([self._rss(beta, rows) for rows in rng.chunks(sets)])

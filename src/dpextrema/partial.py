@@ -5,8 +5,7 @@ privatized, so noise (and budget) is spent on their statistics alone.  The
 interest block is plain :class:`~dpextrema.models.GaussianData`: the nuisance
 columns are never handed to the release, so nothing computed from them can
 reach the released surface.  ``ci gaussian --partial K1`` loads the first K1
-columns this way, and the ``partial_gaussian`` simulation draws its nuisance
-block and discards it.
+columns this way.
 
 Regression with nuisance covariates needs no class of its own: it is
 ``RegressionData(X, y, x_bounds, y_bounds, nuisance=W)`` in

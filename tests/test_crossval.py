@@ -55,8 +55,8 @@ class TestCvChooseR:
     def test_partition_sizes(self):
         data = gaussian_data(seed=6, n=203)
         cv = cv_choose_r(data, 1.5, np.random.default_rng(2), CVConfig(b_inner=60))
-        assert sum(cv.fold_sizes) == 203
-        assert max(cv.fold_sizes) - min(cv.fold_sizes) <= 1
+        assert cv.sizes[0, 1].sum() == 203
+        assert cv.sizes[0, 1].max() - cv.sizes[0, 1].min() <= 1
         assert (cv.sizes[0, 0] + cv.sizes[0, 1] == 203).all()
 
     def test_budget_views(self):

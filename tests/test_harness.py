@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpextrema import harness
+from dpextrema import cli, harness
 from dpextrema.crossval import CVConfig, cv_choose_r
 from dpextrema.errors import DegeneracyError, NumericError, ParameterError
 from dpextrema.harness import (
@@ -30,7 +30,7 @@ from dpextrema.extrema import (
     ppb_limits,
     ppb_lower_limit,
 )
-from dpextrema.models import GaussianData, PrivatizedRegressionEstimate, RegressionData
+from dpextrema.models import PrivatizedRegressionEstimate, RegressionData
 from dpextrema.privacy import Bounds
 
 REPO = Path(__file__).resolve().parent.parent
@@ -106,7 +106,6 @@ class TestRunExperiment:
     def test_every_model_runs(self):
         for model, extra in (
             ("gaussian", {}),
-            ("partial_gaussian", {"k_nuisance": 2}),
             ("regression", {"beta": (0.0, 1.0)}),
             (
                 "partial_regression",
@@ -180,7 +179,6 @@ ALL_METHODS = (
 #: short last block at block size 3.
 MODEL_CONFIGS = {
     "gaussian": dict(model="gaussian", mu=(0.0, 0.2)),
-    "partial_gaussian": dict(model="partial_gaussian", k_nuisance=2),
     "regression": dict(model="regression", n=2000, beta=(0.0, 0.5), epsilons=(20.0, math.inf)),
     "fixed_regression": dict(
         model="regression", n=2000, beta=(0.0, 0.5), epsilons=(20.0,), design="fixed"
@@ -268,19 +266,6 @@ def collinear_config(epsilon):
         methods=(MethodSpec("ppb", ("1/10",)), MethodSpec("naive")),
         seed=3, reps=6,
     )
-
-
-def test_partial_gaussian_draws_and_discards_its_nuisance_block():
-    # the nuisance block is never released, but its draw stays, so every
-    # later draw of a replication is where it was
-    config = small_config(model="partial_gaussian", n=50, k=2, k_nuisance=3, sigma_diag=(1.0, 4.0))
-    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
-    data = harness._generate_data(config, rng, None)
-    normals = ref.standard_normal(config.n * (config.k + config.k_nuisance))
-    expected = normals[: config.n * config.k].reshape(config.n, config.k) * [1.0, 2.0]
-    assert type(data) is GaussianData
-    assert np.array_equal(data.x, expected)
-    assert np.array_equal(rng.standard_normal(4), ref.standard_normal(4))
 
 
 class TestBlocks:
@@ -658,6 +643,34 @@ class TestConfigFile:
         key = line.split(" = ")[0]
         with pytest.raises(ParameterError, match=key):
             load_config(path)
+
+    def test_unknown_model_is_refused_with_the_supported_ones(self, tmp_path, capsys):
+        # a model the harness does not simulate, such as partial_gaussian, is named
+        path = self.write(
+            tmp_path,
+            """
+            [experiment]
+            model = partial_gaussian
+            n = 100
+            k = 2
+            k_nuisance = 2
+            epsilon = 1.5
+            seed = 1
+
+            [methods]
+            ppb = 1/10
+            """,
+        )
+        message = (
+            "unknown model 'partial_gaussian'; "
+            "the supported models are gaussian, regression, partial_regression"
+        )
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            load_config(path)
+        out = tmp_path / "report.csv"
+        assert cli.main(["simulate", "--config", str(path), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_gamma_must_match_k_nuisance(self, tmp_path):
         text = """

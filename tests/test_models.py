@@ -10,6 +10,7 @@ from dpextrema.models import (
     SIGMA2_FLOOR,
     GaussianData,
     GaussianStatistics,
+    PrivatizedGaussianEstimate,
     PrivatizedRegressionEstimate,
     RegressionData,
     gaussian_private_mle,
@@ -512,10 +513,10 @@ def reference_replica_draws(est, size, rng, sets, privacy_noise=True):
 
     z = rng.standard_normal((sets, size, k))
     c = np.stack([z[f] @ sym_sqrt(est.sigma2s[f] * S[f]).T for f in range(sets)])
-    if privacy_noise and not est.xty_noise.is_zero:
-        c = c + est.xty_noise.sample(rng, (sets, size)) / np.sqrt(n)[:, None, None]
     s_beta = np.stack([S[f] @ est.betas[f] for f in range(sets)])
-    rhs = s_beta[:, None, :] + c / np.sqrt(n)[:, None, None]
+    rhs = c / np.sqrt(n)[:, None, None] + s_beta[:, None, :]
+    if privacy_noise and not est.xty_noise.is_zero:
+        rhs = rhs + est.xty_noise.sample(rng, (sets, size)) / n[:, None, None]
 
     def attempt(owners):
         systems = S[owners]
@@ -540,9 +541,9 @@ def reference_bootstrap_draws(est, size, rng, privacy_noise=True):
     floor = psd_floor(est.repairs.matrix[0])
 
     c = rng.standard_normal((size, k)) @ sym_sqrt(est.sigma2s[0] * est.repairs.matrix[0]).T
+    rhs = c / math.sqrt(m) + (est.repairs.matrix[0] @ est.betas[0])[None, :]
     if privacy_noise and not est.xty_noise.is_zero:
-        c = c + est.xty_noise.sample(rng, size) / math.sqrt(m)
-    rhs = (est.repairs.matrix[0] @ est.betas[0])[None, :] + c / math.sqrt(m)
+        rhs = rhs + est.xty_noise.sample(rng, size) / m
 
     def attempt(count):
         systems = np.broadcast_to(est.repairs.matrix[0], (count, k, k)).copy()
@@ -805,3 +806,38 @@ class TestRegressionBootstrap:
         assert np.all(
             est.variances(private=True)[0] > est.variances(private=False)[0]
         )
+
+
+def test_gaussian_bootstrap_is_the_regression_bootstrap_with_identity_systems():
+    # a Gaussian with covariance Sigma and a regression with S = I and
+    # sigma2 S = Sigma, the same response-side noise and no gram noise: one
+    # recipe gives both the same replicas and variances, bit for bit
+    k, sizes = 3, np.array([50, 120, 400])
+    rng = np.random.default_rng(7)
+    betas, sigma2s = rng.standard_normal((3, k)), np.array([0.5, 2.0, 1.3])
+    eye = np.broadcast_to(np.eye(k), (3, k, k)).copy()
+
+    def repairs(matrices):
+        return RepairResult(matrices, np.zeros(3), psd_floor(matrices), np.zeros(3, dtype=bool))
+
+    gaussian = PrivatizedGaussianEstimate(
+        betas=betas, repairs=repairs(sigma2s[:, None, None] * eye), sizes=sizes,
+        ledger=PrivacyLedger(), sum_noise=LaplaceSpec(0.7, k), gram_noise=LaplaceSpec(2.0, 6),
+        noisy_sums=sizes[:, None] * betas, noisy_grams=np.zeros((3, k, k)),
+    )
+    regression = PrivatizedRegressionEstimate(
+        betas=betas, sigma2s=sigma2s, repairs=repairs(eye), sizes=sizes, ledger=PrivacyLedger(),
+        gram_noise=LaplaceSpec(0.0, 6), xty_noise=LaplaceSpec(0.7, k), rss_scales=np.zeros(3),
+        noisy_grams=sizes[:, None, None] * eye, noisy_xtys=sizes[:, None] * betas,
+    )
+    for privacy_noise in (True, False):
+        for seed in range(3):
+            stacks = [
+                GeneratorStack(np.random.default_rng((seed, i)) for i in range(3)) for _ in range(2)
+            ]
+            for rngs in (stacks, [np.random.default_rng(seed), np.random.default_rng(seed)]):
+                draws, failed = gaussian.replica_draws(200, rngs[0], 3, privacy_noise)
+                ref_draws, ref_failed = regression.replica_draws(200, rngs[1], 3, privacy_noise)
+                assert np.array_equal(draws, ref_draws) and not failed.any()
+                assert np.array_equal(failed, ref_failed)
+        assert np.array_equal(gaussian.variances(privacy_noise), regression.variances(privacy_noise))
