@@ -11,7 +11,9 @@ Subcommands:
 
 ``ci`` and ``cv`` share one input path.  Their common flags come from one
 parent parser, one loader turns the CSV and the bounds into a data class
-(``cv`` always reads whole data, as ``--partial 0``), and ``ci`` releases it
+(``cv`` always reads whole data, as ``--partial 0``; ``ci gaussian --partial
+K1`` converts only the first K1 cells of each row, while every row is still
+counted against the header), and ``ci`` releases it
 as a stack of one set and bootstraps it with the stacked calls that the Monte
 Carlo harness runs on a block of replications.  Epsilon, split shares and the
 printed epsilon go through the parsers and the formatter that config files
@@ -70,13 +72,17 @@ def _parse_bounds(text: str, k: int, what: str) -> Bounds:
     return Bounds(lower, upper)
 
 
-def _read_csv_matrix(path) -> tuple[list[str], np.ndarray]:
-    """Read a numeric CSV with a header row, reporting bad cells by position.
+def _read_csv_matrix(path, columns=None) -> tuple[list[str], np.ndarray]:
+    """Read a CSV with a header row as numbers, reporting bad cells by position.
 
-    numpy's C parser reads the body.  A body it refuses, or that is not one or
-    more rows of ``len(header)`` numbers, goes to the row reader, which accepts
-    what ``float`` accepts (quoted cells, blank rows) and raises every error.
-    A file that does not decode is refused by name.
+    The matrix holds the first ``columns`` cells of each row (every cell when
+    ``columns`` is ``None`` or not less than the header's length), and only
+    those cells must be numbers; every row must still have as many cells as
+    the header.  numpy's C parser reads the body in one call, keeping one
+    character of each other cell, and its dtype refuses a row of any other
+    length.  A body it refuses, or one with no row, goes to the row reader,
+    which accepts what ``float`` accepts (quoted cells, blank rows) and raises
+    every error.  A file that does not decode is refused by name.
     """
     try:
         with open(path, newline="") as fh:
@@ -84,18 +90,21 @@ def _read_csv_matrix(path) -> tuple[list[str], np.ndarray]:
             header = next(reader, None)
             plain = header is not None and _numpy_reads_as_float(fh)
         if plain:
+            width = len(header) if columns is None else min(columns, len(header))
+            cells = [("x", float, (width,)), ("rest", "U1", (len(header) - width,))]
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on an empty body
                     data = np.loadtxt(
-                        path, delimiter=",", skiprows=reader.line_num, ndmin=2, comments=None
+                        path, delimiter=",", skiprows=reader.line_num, dtype=cells, ndmin=1,
+                        comments=None,
                     )
             except ValueError:
                 pass
             else:
-                if len(data) and data.shape[1] == len(header):
-                    return header, data
-        return _read_csv_rows(path)
+                if len(data):
+                    return header, np.ascontiguousarray(data["x"])
+        return _read_csv_rows(path, columns)
     except UnicodeDecodeError as exc:
         raise ParameterError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
 
@@ -109,8 +118,9 @@ def _numpy_reads_as_float(fh) -> bool:
     return True
 
 
-def _read_csv_rows(path) -> tuple[list[str], np.ndarray]:
-    """The row-by-row reader: every cell through ``float``, errors by row and column."""
+def _read_csv_rows(path, columns=None) -> tuple[list[str], np.ndarray]:
+    """The row-by-row reader: the first ``columns`` cells of each row (every
+    cell when ``None``) through ``float``, errors by row and column."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -124,7 +134,7 @@ def _read_csv_rows(path) -> tuple[list[str], np.ndarray]:
             if len(row) != len(header):
                 raise ParameterError(f"{path}: row {i} has {len(row)} cells, header has {len(header)}")
             try:
-                rows.append([float(cell) for cell in row])
+                rows.append([float(cell) for cell in row[:columns]])
             except ValueError:
                 bad = next(j for j, cell in enumerate(row, start=1) if not _is_float(cell))
                 raise ParameterError(f"{path}: row {i}, column {bad}: not a number") from None
@@ -147,19 +157,22 @@ def _load_data(args):
     Regression input has the response as its last column.  ``--partial K1``
     keeps the first K1 columns (of the design, for regression) as the ones of
     interest; 0 reads every column as of interest.  A Gaussian is its first K1
-    columns alone, while regression keeps the rest as its nuisance block.
+    columns alone, so only those are read as numbers, while regression keeps
+    the rest as its nuisance block.  A file error comes before an out-of-range
+    K1, since a K1 outside 1..k reads every column.
     """
-    _, data = _read_csv_matrix(args.input)
     regression = args.model == "regression"
+    interest = None if regression or args.partial < 1 else args.partial
+    header, data = _read_csv_matrix(args.input, interest)
     if regression and data.shape[1] < 2:
         raise ParameterError("regression input needs at least one design column plus y")
     x = data[:, :-1] if regression else data
-    k = x.shape[1]
+    k = len(header) - 1 if regression else len(header)
     k1 = args.partial if args.partial else k
     if not (1 <= k1 <= k):
         raise ParameterError(f"--partial must name between 1 and {k} interest columns")
     if not regression:
-        return GaussianData(x[:, :k1], _parse_bounds(args.bounds, k1, "coordinate"))
+        return GaussianData(x, _parse_bounds(args.bounds, k1, "coordinate"))
     if args.y_bounds is None:
         raise ParameterError("response bounds are mandatory: sensitivity is undefined without bounds")
     y, y_bounds = data[:, -1], _parse_bounds(args.y_bounds, 1, "response")

@@ -235,6 +235,12 @@ class ExperimentConfig:
         for key in ("mu", "beta", "gamma"):
             if not all(map(math.isfinite, getattr(self, key) or ())):
                 raise ParameterError(f"{key} must be finite")
+        # keys that only one model reads are refused by the others
+        if self.design == "fixed" and self.model != "regression":
+            raise ParameterError(f"model {self.model!r} does not read design = fixed")
+        for key in ("k_nuisance", "gamma"):
+            if getattr(self, key) and self.model != "partial_regression":
+                raise ParameterError(f"model {self.model!r} does not read {key}")
         if not self.epsilons:
             raise ParameterError("at least one epsilon is required")
         for eps in self.epsilons:

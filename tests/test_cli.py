@@ -211,6 +211,68 @@ class TestCiGaussian:
         err = capsys.readouterr().err
         assert "row 3" in err and "column 2" in err
 
+    @staticmethod
+    def write_labelled(tmp_path, ragged=False):
+        """Two numeric columns and a text label, and the same numbers alone."""
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((300, 2))
+        labelled, numbers = tmp_path / "labelled.csv", tmp_path / "numbers.csv"
+        rows = [f"{a!r},{b!r}" for a, b in x.tolist()]
+        numbers.write_text("\n".join(["x0,x1", *rows]) + "\n")
+        labels = [f"{row},id{i}" for i, row in enumerate(rows)]
+        if ragged:
+            labels[6] = rows[6]
+        labelled.write_text("\n".join(["x0,x1,label", *labels]) + "\n")
+        return labelled, numbers
+
+    def test_partial_reads_only_the_interest_columns_as_numbers(self, tmp_path, capsys):
+        labelled, numbers = self.write_labelled(tmp_path)
+        args = ["--bounds=-3:3", "--epsilon", "1.5", "--B", "200", "--seed", "5"]
+        outputs = []
+        for path, partial in ((labelled, ["--partial", "2"]), (numbers, [])):
+            out = tmp_path / f"{path.stem}.json"
+            assert run_cli(["ci", "gaussian", "--input", str(path), *args, *partial,
+                            "--output", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["ci", "gaussian"],
+            ["ci", "gaussian", "--partial", "3"],
+            ["ci", "regression", "--partial", "2", "--y-bounds=-3:3"],
+            ["cv"],
+        ],
+        ids=["gaussian", "gaussian-partial-all", "regression-partial", "cv"],
+    )
+    def test_every_other_path_reads_every_cell(self, tmp_path, capsys, command):
+        labelled, _ = self.write_labelled(tmp_path)
+        args = command + [
+            "--input", str(labelled), "--bounds=-3:3", "--epsilon", "1.5", "--seed", "5",
+        ]
+        assert run_cli(args) == 2
+        assert capsys.readouterr().err == f"error: {labelled}: row 2, column 3: not a number\n"
+
+    def test_partial_refuses_a_ragged_row(self, tmp_path, capsys):
+        labelled, _ = self.write_labelled(tmp_path, ragged=True)
+        args = ["ci", "gaussian", "--input", str(labelled), "--bounds=-3:3", "--epsilon", "1.5",
+                "--seed", "5", "--partial", "1"]
+        assert run_cli(args) == 2
+        assert capsys.readouterr().err == f"error: {labelled}: row 8 has 2 cells, header has 3\n"
+
+    @pytest.mark.parametrize("partial", ["4", "-1"])
+    def test_out_of_range_partial_comes_after_file_errors(self, tmp_path, capsys, partial):
+        labelled, _ = self.write_labelled(tmp_path)
+        plain = write_gaussian_csv(tmp_path / "plain.csv", k=3)
+        base = ["ci", "gaussian", "--bounds=-3:3", "--epsilon", "1.5", "--seed", "5",
+                f"--partial={partial}"]
+        assert run_cli(base + ["--input", str(labelled)]) == 2
+        assert capsys.readouterr().err == f"error: {labelled}: row 2, column 3: not a number\n"
+        assert run_cli(base + ["--input", str(plain)]) == 2
+        message = "error: --partial must name between 1 and 3 interest columns\n"
+        assert capsys.readouterr().err == message
+
 
 @pytest.mark.parametrize(
     "model, bounds",
@@ -311,6 +373,16 @@ EDGE_CASES = {
     "inner_space": "a\n1 2\n",
     "only_blank_rows": "a\n\n\n",
     "nul": "a\n1\x00\n",
+    # cells after the first ones, which a read of fewer columns skips
+    "text_after": "a,b,c\n1,x,yes\n2,abc,no\n",
+    "quoted_comma_after": 'a,b,c\n1,"x,y",2\n3,"",4\n',
+    "empty_after": "a,b,c\n1,,\n2,,3\n",
+    "file_separator_after": "a,b\n1,\x1c\n",
+    "ragged_after": "a,b,c\n1,x,y\n2,x\n",
+    "long_after": "a,b\n1,x\n2,x,y\n",
+    "crlf_text_after": "a,b\r\n1,x\r\n2,y\r\n",
+    "cr_only_text_after": "a,b\r1,x\r2,y\r",
+    "bom_text_after": "\ufeffa,b\n1,x\n",
 }
 
 
@@ -323,23 +395,30 @@ def _read_outcome(read, path):
 
 
 def assert_reader_matches_row_reader(path):
-    """``_read_csv_matrix`` raises the row reader's error text, or returns its
-    header and a bitwise-equal matrix (NaN counted equal to NaN)."""
-    got = _read_outcome(cli._read_csv_matrix, path)
-    want = _read_outcome(cli._read_csv_rows, path)
-    if isinstance(want, str) or isinstance(got, str):
-        assert got == want
-        return
-    assert got[0] == want[0]
-    matrix, want_matrix = got[1], want[1]
-    assert matrix.shape == want_matrix.shape and matrix.flags.c_contiguous
-    nan = np.isnan(want_matrix)
-    assert np.array_equal(np.isnan(matrix), nan)
-    assert matrix[~nan].tobytes() == want_matrix[~nan].tobytes()
+    """For every ``columns`` (``None``, each count up to the header's and one
+    past it), ``_read_csv_matrix`` raises the row reader's error text, or
+    returns its header and a bitwise-equal C-contiguous matrix (NaN counted
+    equal to NaN)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        width = len(next(csv.reader(fh), []))
+    for columns in [None, *range(1, width + 2)]:
+        got = _read_outcome(lambda path: cli._read_csv_matrix(path, columns), path)
+        want = _read_outcome(lambda path: cli._read_csv_rows(path, columns), path)
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want, columns
+            continue
+        assert got[0] == want[0]
+        matrix, want_matrix = got[1], want[1]
+        assert matrix.shape == want_matrix.shape and matrix.flags.c_contiguous
+        assert matrix.shape[1] == min(width, columns or width)
+        nan = np.isnan(want_matrix)
+        assert np.array_equal(np.isnan(matrix), nan)
+        assert matrix[~nan].tobytes() == want_matrix[~nan].tobytes()
 
 
 class TestCsvReader:
-    """The C-parsed fast path returns exactly what the row reader returns or raises."""
+    """The C-parsed fast path returns exactly what the row reader returns or
+    raises, whether it reads every column or only the first ones."""
 
     @pytest.mark.filterwarnings("error")  # stderr carries the error line only
     @pytest.mark.parametrize("name", EDGE_CASES)
@@ -382,13 +461,14 @@ class TestCsvReader:
         np.savetxt(path, rng.standard_normal((200, 3)), delimiter=",",
                    header="x0,x1,x2", comments="", fmt="%.17g")
 
-        def refuse(path):
+        def refuse(path, columns=None):
             raise AssertionError("the row reader ran on a plain file")
 
         monkeypatch.setattr(cli, "_read_csv_rows", refuse)
         args = ["ci", "gaussian", "--input", str(path), "--bounds=-3:3", "--epsilon", "1.5",
                 "--B", "200", "--seed", "5"]
         assert run_cli(args) == 0
+        assert run_cli(args + ["--partial", "2"]) == 0
 
 
 class TestCiRegression:

@@ -743,12 +743,16 @@ class TestConfigFile:
             ("n = 100\ngamma = 0.5, -inf", "^gamma must be finite$"),
             ("n = 100\nsigma2 = nan", "^sigma2 must be positive and finite$"),
             ("n = 100\nsigma2 = inf", "^sigma2 must be positive and finite$"),
+            ("n = 100\ndesign = fixed", "^model 'gaussian' does not read design = fixed$"),
+            ("n = 100\nk_nuisance = 2", "^model 'gaussian' does not read k_nuisance$"),
+            ("n = 100\ngamma = 0.5, -0.5", "^model 'gaussian' does not read gamma$"),
         ],
         ids=["rep", "bounds_halfwidth", "n", "reps", "duplicate", "cv_grid", "cv_grid-range",
              "cv_grid-order", "B", "alpha", "b_inner", "cv_folds", "bounds_half_width",
              "x_half_width-negative", "x_half_width-inf", "x_half_width-zero", "y_half_width",
              "mu_nuisance", "sigma_diag-nan", "sigma_diag-inf", "sigma_diag-zero",
-             "sigma_diag-length", "mu-inf", "beta-nan", "gamma-inf", "sigma2-nan", "sigma2-inf"],
+             "sigma_diag-length", "mu-inf", "beta-nan", "gamma-inf", "sigma2-nan", "sigma2-inf",
+             "design-fixed", "k_nuisance", "gamma"],
     )
     def test_unknown_or_malformed_key_is_named(self, tmp_path, lines, message):
         path = tmp_path / "exp.ini"
@@ -758,6 +762,28 @@ class TestConfigFile:
         )
         with pytest.raises(ParameterError, match=message):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "model, line, refused",
+        [
+            ("regression", "k_nuisance = 2", "k_nuisance"),
+            ("regression", "gamma = 0.5, -0.5", "gamma"),
+            ("partial_regression", "design = fixed", "design = fixed"),
+        ],
+    )
+    def test_key_another_model_reads_is_refused(self, tmp_path, capsys, model, line, refused):
+        message = f"model {model!r} does not read {refused}"
+        path = tmp_path / "exp.ini"
+        path.write_text(
+            f"[experiment]\nmodel = {model}\nn = 400\nk = 2\nepsilon = 1.5\nseed = 1\n{line}\n"
+            "\n[methods]\nppb = 1/10\n"
+        )
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            load_config(path)
+        out = tmp_path / "report.csv"
+        assert cli.main(["simulate", "--config", str(path), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "methods, message",
