@@ -28,10 +28,8 @@ and the data are clamped into it, so the stated privacy guarantee is honest.
 One input path with the CLI: config values and the CLI flags are read by the
 same parsers (:func:`parse_number`, :func:`parse_floats`, :func:`parse_split`,
 :func:`parse_grid`), so a malformed value is a :class:`ParameterError` that
-names its key; so is an unknown key.  A ``split`` is checked here without a
-statistic count (positive shares summing to 1); whether it has one share per
-released statistic is checked by the model's release, at the first private
-estimate of :func:`run_experiment`.
+names its key; so is an unknown key, a key that the model does not read and
+a ``split`` without one share per statistic that the model releases.
 """
 
 from __future__ import annotations
@@ -56,8 +54,10 @@ from .extrema import (
     naive_limits,
     ppb_limits,
 )
-from .models import GaussianData, RegressionData, stack_statistics
-from .privacy import Bounds, GeneratorStack
+from .models import (
+    GaussianData, GaussianStatistics, RegressionData, RegressionStatistics, stack_statistics,
+)
+from .privacy import Bounds, GeneratorStack, split_budget
 
 BOOTSTRAP_METHODS = ("ppb", "npb", "rppb", "semi_naive")
 BASELINE_METHODS = ("naive", "bonferroni")
@@ -128,10 +128,7 @@ def parse_floats(text: str, what: str) -> tuple[float, ...]:
 
 
 def check_shares(shares) -> tuple[float, ...]:
-    """Budget shares as floats, which must be positive and sum to 1.
-
-    How many statistics share the budget is left to the model's release.
-    """
+    """Budget shares as floats, which must be positive and sum to 1; the model checks their count."""
     shares = tuple(float(s) for s in shares)
     if not (all(s > 0 for s in shares) and abs(sum(shares) - 1.0) <= 1e-9):  # False on NaN, inf
         raise ParameterError("split must be positive shares summing to 1")
@@ -193,16 +190,13 @@ class ExperimentConfig:
     split: tuple[float, ...] | None = None
     bounds_half_width: float = 3.0
     workers: int = 1
-    # gaussian truth
+    # the truth and data of each model; see _Model.reads for which reads which
     mu: tuple[float, ...] | None = None
     sigma_diag: tuple[float, ...] | None = None
-    # partitioned regression
-    k_nuisance: int = 0
-    # regression truth
     beta: tuple[float, ...] | None = None
     sigma2: float = 1.0
     gamma: tuple[float, ...] | None = None
-    design: str = "resampled"
+    design: str | None = None  # resampled (by default) or fixed
     x_half_width: float = 1.0
     y_half_width: float | None = None
 
@@ -211,6 +205,7 @@ class ExperimentConfig:
             raise ParameterError(
                 f"unknown model {self.model!r}; the supported models are {', '.join(_MODELS)}"
             )
+        model = _MODELS[self.model]
         for key in ("n", "k"):
             value = getattr(self, key)
             if value is None or value < 1:
@@ -235,12 +230,10 @@ class ExperimentConfig:
         for key in ("mu", "beta", "gamma"):
             if not all(map(math.isfinite, getattr(self, key) or ())):
                 raise ParameterError(f"{key} must be finite")
-        # keys that only one model reads are refused by the others
-        if self.design == "fixed" and self.model != "regression":
-            raise ParameterError(f"model {self.model!r} does not read design = fixed")
-        for key in ("k_nuisance", "gamma"):
-            if getattr(self, key) and self.model != "partial_regression":
-                raise ParameterError(f"model {self.model!r} does not read {key}")
+        # then a key of another model is refused unless it holds its default
+        for f in fields(self):
+            if f.name in _MODEL_KEYS.difference(model.reads) and getattr(self, f.name) != f.default:
+                raise ParameterError(f"model {self.model!r} does not read {f.name}")
         if not self.epsilons:
             raise ParameterError("at least one epsilon is required")
         for eps in self.epsilons:
@@ -248,26 +241,27 @@ class ExperimentConfig:
                 raise ParameterError("every epsilon must be positive (inf allowed)")
         if not self.methods:
             raise ParameterError("at least one method is required")
-        if self.design not in ("resampled", "fixed"):
+        if self.design not in (None, "resampled", "fixed"):
             raise ParameterError("design must be 'resampled' or 'fixed'")
         if self.split is not None:
             object.__setattr__(self, "split", check_shares(self.split))
+            split_budget(self.split, len(model.statistics.RELEASED))  # one share per statistic
         object.__setattr__(
             self, "cv_grid",
             check_cv(self.cv_folds, self.cv_grid, self.b_inner, "cv_folds", "cv_grid"),
         )
-        # the model's truth (zeros by default), and sigma_diag and gamma, which
-        # are filled and checked whatever the model, as every value given is
-        for key, size_key, default in (
-            (_MODELS[self.model].truth, "k", 0.0),
-            ("sigma_diag", "k", 1.0),
-            ("gamma", "k_nuisance", 0.0),
+        # the model's own vectors: its truth (zeros by default), sigma_diag (ones), gamma (none)
+        for key, size, default in (
+            (model.truth, self.k, 0.0),
+            ("sigma_diag", self.k, 1.0),
+            ("gamma", len(self.gamma or ()), 0.0),
         ):
-            value, size = getattr(self, key), getattr(self, size_key)
-            value = (default,) * size if value is None else value
-            if size and len(value) != size:  # k_nuisance = 0 leaves gamma's length free
-                raise ParameterError(f"{key} length does not match {size_key}")
-            object.__setattr__(self, key, tuple(float(v) for v in value))
+            if key in model.reads:
+                value = getattr(self, key)
+                value = (default,) * size if value is None else value
+                if len(value) != size:
+                    raise ParameterError(f"{key} length does not match k")
+                object.__setattr__(self, key, tuple(float(v) for v in value))
 
     @property
     def truth_label(self) -> str:
@@ -391,13 +385,25 @@ class _Model(typing.NamedTuple):
     truth: str  # the config key of the truth vector, whose maximum the limits bound
     generate: typing.Callable  # (config, rng, fixed design or None) -> one data set
     width: typing.Callable  # config -> values in one data row
+    reads: tuple[str, ...]  # its own config keys, which the other models refuse
+    statistics: type  # the statistics class of its data sets, which names what it releases
 
 
 _MODELS = {
-    "gaussian": _Model("mu", _gaussian_data, lambda c: c.k),
-    "regression": _Model("beta", _regression_data, lambda c: c.k + 1),
-    "partial_regression": _Model("beta", _partial_regression_data, lambda c: c.k + len(c.gamma) + 1),
+    "gaussian": _Model(
+        "mu", _gaussian_data, lambda c: c.k, ("mu", "sigma_diag", "bounds_half_width"), GaussianStatistics
+    ),
+    "regression": _Model(
+        "beta", _regression_data, lambda c: c.k + 1,
+        ("beta", "sigma2", "x_half_width", "y_half_width", "design"), RegressionStatistics,
+    ),
+    "partial_regression": _Model(
+        "beta", _partial_regression_data, lambda c: c.k + len(c.gamma) + 1,
+        ("beta", "gamma", "sigma2", "y_half_width"), RegressionStatistics,
+    ),
 }
+#: The config keys that some model reads.
+_MODEL_KEYS = {key for model in _MODELS.values() for key in model.reads}
 
 
 def _generate_data(config: ExperimentConfig, rng: np.random.Generator, fixed_design):
@@ -614,9 +620,7 @@ def _parse_int(text: str, what: str) -> int:
 #: once the sizes are known.  Any other key is refused.
 _EXPERIMENT_KEYS = {
     **dict.fromkeys(("model", "design"), lambda text, key: text),
-    **dict.fromkeys(
-        ("n", "k", "seed", "reps", "b", "b_inner", "cv_folds", "workers", "k_nuisance"), _parse_int
-    ),
+    **dict.fromkeys(("n", "k", "seed", "reps", "b", "b_inner", "cv_folds", "workers"), _parse_int),
     **dict.fromkeys(
         ("alpha", "bounds_half_width", "sigma2", "x_half_width", "y_half_width"), parse_number
     ),

@@ -8,9 +8,11 @@ is removed from the residual variance but never released.
 
 Both estimators add Laplace noise to clamped sufficient statistics (sums, gram
 matrices, cross products) and post-process the noisy statistics; they never
-look at rows again.  One release per model, ``GaussianStatistics.release`` and
-``RegressionStatistics.release``, runs on a stack of F data sets and returns
-the model's one estimate class, which holds all F sets along a leading axis.
+look at rows again.  ``fold_statistics`` forms each fold's statistics, and one
+release per model, ``GaussianStatistics.release`` and
+``RegressionStatistics.release``, splits the budget over its ``RELEASED``
+statistics, runs on a stack of F data sets and returns the model's one
+estimate class, which holds all F sets along a leading axis.
 A single estimate is a stack of one; cross-validation releases all of its
 folds at once, and the Monte Carlo harness a block of replications, with a
 :class:`~dpextrema.privacy.GeneratorStack` holding one generator per
@@ -55,8 +57,6 @@ SIGMA2_FLOOR = 1e-8
 #: far above the rounding error of eigvalsh, so a certified system can never
 #: be one that the eigenvalue check would have flagged.
 _CERTIFY_MARGIN = 1e-8
-#: Released statistics of a regression estimate, in budget-split order.
-REGRESSION_STATISTICS = ("gram", "xty", "rss")
 #: Largest |X^T W| entry, per row, of a nuisance block W counted as orthogonal.
 ORTHOGONALITY_TOLERANCE = 1e-8
 
@@ -108,7 +108,14 @@ class GaussianData:
         return self.bounds.clamp(self.x)
 
     def fold_statistics(self, folds: list[np.ndarray]) -> "GaussianStatistics":
-        return GaussianStatistics.of_folds(self.clamped, self.bounds, folds)
+        """Statistics of the clamped rows of each fold (an index array or a slice)."""
+        parts = [self.clamped[f] for f in folds]
+        return GaussianStatistics(
+            self.bounds,
+            np.array([p.shape[0] for p in parts]),
+            np.array([p.sum(axis=0) for p in parts]),
+            np.array([p.T @ p for p in parts]),
+        )
 
 
 class _Stacked:
@@ -305,21 +312,9 @@ class PrivatizedGaussianEstimate(_Stacked):
         return self._set_zero_draws(size, rng, privacy_noise)
 
 
-def _gaussian_from_noisy_stats(noisy_sum: np.ndarray, noisy_gram: np.ndarray, n):
-    """Mean and (unrepaired) covariance implied by the noisy sufficient statistics.
-
-    Also takes a stack of releases, with one count per release in ``n``.
-    """
-    n = np.asarray(n, dtype=float)[..., None]
-    mu = noisy_sum / n
-    outer = noisy_sum[..., :, None] * noisy_sum[..., None, :]
-    sigma = noisy_gram / (n[..., None] - 1) - outer / (n * (n - 1))[..., None]
-    return mu, 0.5 * (sigma + np.swapaxes(sigma, -1, -2))
-
-
 def _gram_noise(bounds: Bounds, epsilon: float) -> LaplaceSpec:
     """Laplace noise of the free entries of a gram matrix of rows in ``bounds``."""
-    delta = sensitivity_gram_bounded(bounds.lower, bounds.upper)
+    delta = sensitivity_gram_bounded(bounds)
     return LaplaceSpec.from_budget(delta, epsilon, bounds.k * (bounds.k + 1) // 2)
 
 
@@ -407,9 +402,17 @@ class RegressionData:
         return self.x_bounds.clamp(self.X), self.y_bounds.clamp(self.y)
 
     def fold_statistics(self, folds: list[np.ndarray]) -> "RegressionStatistics":
-        return RegressionStatistics.of_folds(
-            *self.clamped, self.nuisance, folds, self.x_bounds, self.y_bounds,
-        )
+        """Statistics of each fold's rows (an index array or a slice); W is never clamped."""
+        (X, y), W = self.clamped, self.nuisance
+        rows = []
+        for f in folds:
+            x, t = X[f], y[f]
+            row = [t.size, x.T @ x, x.T @ t, t @ t]
+            if W is not None:
+                w = W[f]
+                row += [w.T @ w, w.T @ x, w.T @ t]
+            rows.append(row)
+        return RegressionStatistics(self.x_bounds, self.y_bounds, *(np.array(s) for s in zip(*rows)))
 
 
 @dataclass(eq=False)
@@ -503,40 +506,30 @@ class GaussianStatistics:
     sums: np.ndarray   # (F, k)
     grams: np.ndarray  # (F, k, k)
 
-    # class attributes, not fields: the statistics that add up over sets, and
-    # the fewest rows a set needs (the covariance divides by n - 1)
+    # class attributes, not fields: the statistics that add up over sets, the
+    # released ones in budget-split order, and the fewest rows a set needs (the
+    # covariance divides by n - 1)
     ADDITIVE = ("n", "sums", "grams")
+    RELEASED = ("sum", "gram")
     min_rows = 2
-
-    @classmethod
-    def of_folds(
-        cls, x: np.ndarray, bounds: Bounds, folds: list[np.ndarray]
-    ) -> "GaussianStatistics":
-        """Statistics of the rows of the clamped ``x`` indexed by each fold
-        (an index array or a slice)."""
-        parts = [x[f] for f in folds]
-        return cls(
-            bounds,
-            np.array([p.shape[0] for p in parts]),
-            np.array([p.sum(axis=0) for p in parts]),
-            np.array([p.T @ p for p in parts]),
-        )
 
     def release(self, budget, rng: np.random.Generator) -> PrivatizedGaussianEstimate:
         """Every set's Gaussian release, as one stacked estimate."""
-        eps_sum, eps_gram = split_budget(budget, 2)
-        b = self.bounds
-        sum_spec = LaplaceSpec.from_budget(sensitivity_sum_bounded(b.lower, b.upper), eps_sum, b.k)
-        gram_spec = _gram_noise(b, eps_gram)
+        epsilons = eps_sum, eps_gram = split_budget(budget, len(self.RELEASED))
+        sum_spec = LaplaceSpec.from_budget(sensitivity_sum_bounded(self.bounds), eps_sum, self.bounds.k)
+        gram_spec = _gram_noise(self.bounds, eps_gram)
         sets, k = self.sums.shape
         noisy_sum = self.sums + sum_spec.sample(rng, sets)
         noisy_gram = self.grams + laplace_symmetric_sample(gram_spec.scale, k, rng, sets)
-        mu, sigma = _gaussian_from_noisy_stats(noisy_sum, noisy_gram, self.n)
+        # the mean and the (unrepaired) covariance the noisy statistics imply
+        n = self.n.astype(float)[:, None]
+        outer = noisy_sum[:, :, None] * noisy_sum[:, None, :]
+        sigma = noisy_gram / (n[..., None] - 1) - outer / (n * (n - 1))[..., None]
         return PrivatizedGaussianEstimate(
-            betas=mu,
-            repairs=psd_repair_stack(sigma),
+            betas=noisy_sum / n,
+            repairs=psd_repair_stack(0.5 * (sigma + np.swapaxes(sigma, -1, -2))),
             sizes=self.n,
-            ledger=_ledger("gaussian", ("sum", "gram"), (eps_sum, eps_gram)),
+            ledger=_ledger("gaussian", self.RELEASED, epsilons),
             sum_noise=sum_spec,
             gram_noise=gram_spec,
             noisy_sums=noisy_sum,
@@ -562,30 +555,10 @@ class RegressionStatistics:
     wtx: np.ndarray | None = None
     wty: np.ndarray | None = None
 
-    # a class attribute, not a field: the statistics that add up over sets
+    # class attributes, not fields: the statistics that add up over sets, and
+    # the released ones in budget-split order
     ADDITIVE = ("n", "xtx", "xty", "yty", "wtw", "wtx", "wty")
-
-    @classmethod
-    def of_folds(
-        cls,
-        X: np.ndarray,
-        y: np.ndarray,
-        W: np.ndarray | None,
-        folds: list[np.ndarray],
-        x_bounds: Bounds,
-        y_bounds: Bounds,
-    ) -> "RegressionStatistics":
-        """Statistics of the rows indexed by each fold (an index array or a
-        slice); X and y come clamped, the nuisance block W is never clamped."""
-        rows = []
-        for f in folds:
-            x, t = X[f], y[f]
-            row = [t.size, x.T @ x, x.T @ t, t @ t]
-            if W is not None:
-                w = W[f]
-                row += [w.T @ w, w.T @ x, w.T @ t]
-            rows.append(row)
-        return cls(x_bounds, y_bounds, *(np.array(s) for s in zip(*rows)))
+    RELEASED = ("gram", "xty", "rss")
 
     @property
     def min_rows(self) -> int:
@@ -614,11 +587,10 @@ class RegressionStatistics:
         irreparably singular.
         """
         rng = GeneratorStack.of(rng)
-        eps_gram, eps_xty, eps_rss = split_budget(budget, 3)
-        xb, yb = self.x_bounds, self.y_bounds
-        gram_spec = _gram_noise(xb, eps_gram)
+        epsilons = eps_gram, eps_xty, eps_rss = split_budget(budget, len(self.RELEASED))
+        gram_spec = _gram_noise(self.x_bounds, eps_gram)
         xty_spec = LaplaceSpec.from_budget(
-            sensitivity_cross_bounded(xb.lower, xb.upper, yb.lower, yb.upper), eps_xty, xb.k
+            sensitivity_cross_bounded(self.x_bounds, self.y_bounds), eps_xty, self.x_bounds.k
         )
         sets, k = self.xty.shape
         noisy_gram = self.xtx + laplace_symmetric_sample(gram_spec.scale, k, rng, sets)
@@ -659,7 +631,7 @@ class RegressionStatistics:
             sigma2s=np.maximum(sigma2, SIGMA2_FLOOR),
             repairs=repairs,
             sizes=self.n,
-            ledger=_ledger("regression", REGRESSION_STATISTICS, (eps_gram, eps_xty, eps_rss)),
+            ledger=_ledger("regression", self.RELEASED, epsilons),
             gram_noise=gram_spec,
             xty_noise=xty_spec,
             rss_scales=rss_scales,

@@ -3,12 +3,13 @@
 Every privatized statistic in this package is released through the Laplace
 mechanism: noise with scale b = delta / epsilon is added to the statistic,
 where delta is its L1 sensitivity under substitution of a single record.
-Sensitivities are derived from user-declared data bounds; raw data are clamped
-into the declared box before sufficient statistics are formed, which makes the
-derived sensitivities exact or conservative.
+Sensitivities read the declared data box, a :class:`Bounds` checked once when
+it is made; raw data are clamped into it before sufficient statistics are
+formed, which makes the derived sensitivities exact or conservative.
 
 ``epsilon = math.inf`` is an explicit, supported sentinel: the noise scale
-collapses to zero, the sampler returns exact zeros, and no budget is charged.
+collapses to zero, :meth:`LaplaceSpec.sample` (which the symmetric gram
+noise goes through too) returns exact zeros, and no budget is charged.
 Non-private baselines and oracle tests run through the same code path as the
 private estimators.
 
@@ -41,18 +42,6 @@ __all__ = [
     "split_budget",
     "symmetric_layout",
 ]
-
-
-def _as_bound_arrays(lower, upper) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.atleast_1d(np.asarray(lower, dtype=float))
-    up = np.atleast_1d(np.asarray(upper, dtype=float))
-    if lo.ndim != 1 or up.ndim != 1 or lo.shape != up.shape or lo.size == 0:
-        raise ParameterError("bounds must be matching non-empty vectors")
-    if not (np.isfinite(lo).all() and np.isfinite(up).all()):
-        raise ParameterError("bounds must be finite; sensitivity is undefined on an unbounded domain")
-    if np.any(lo > up):
-        raise ParameterError("lower bound exceeds upper bound")
-    return lo, up
 
 
 class GeneratorStack:
@@ -124,15 +113,20 @@ class Bounds:
     upper: np.ndarray
 
     def __post_init__(self):
-        lo, up = _as_bound_arrays(self.lower, self.upper)
+        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
+        up = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        if lo.ndim != 1 or up.ndim != 1 or lo.shape != up.shape or lo.size == 0:
+            raise ParameterError("bounds must be matching non-empty vectors")
+        if not (np.isfinite(lo).all() and np.isfinite(up).all()):
+            raise ParameterError("bounds must be finite; sensitivity is undefined on an unbounded domain")
+        if np.any(lo > up):
+            raise ParameterError("lower bound exceeds upper bound")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
 
     @classmethod
     def symmetric(cls, half_width: float, k: int) -> "Bounds":
-        if half_width <= 0:
-            raise ParameterError("half_width must be positive")
-        return cls(np.full(k, -half_width), np.full(k, half_width))
+        return cls.centered(np.zeros(k), half_width)
 
     @classmethod
     def centered(cls, centers, half_width: float) -> "Bounds":
@@ -158,40 +152,34 @@ class Bounds:
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
 
 
-def sensitivity_sum_bounded(lower, upper) -> float:
-    """Sensitivity of a coordinatewise sum over data clamped into [lower, upper].
+def sensitivity_sum_bounded(bounds: Bounds) -> float:
+    """Sensitivity of a coordinatewise sum over data clamped into ``bounds``.
 
     Substituting one clamped record moves the sum by at most the box width in
     each coordinate, so delta is the total width.
     """
-    lo, up = _as_bound_arrays(lower, upper)
     with np.errstate(over="ignore"):  # bounds too wide give inf, which laplace_scale refuses
-        return float(np.sum(up - lo))
+        return float(np.sum(bounds.widths))
 
 
-def sensitivity_gram_bounded(lower, upper) -> float:
-    """Sensitivity of the second-moment matrix sum over the clamped box.
+def sensitivity_gram_bounded(bounds: Bounds) -> float:
+    """Sensitivity of the second-moment matrix sum over data clamped into ``bounds``.
 
     For a single record x in the box, the full-matrix L1 norm of x x^T is at
-    most (sum_j m_j)^2 with m_j = max(|lower_j|, |upper_j|); a substitution
+    most (sum_j m_j)^2 with m_j the coordinate magnitudes; a substitution
     changes the sum by at most twice that.  The bound counts each mirrored
     off-diagonal pair twice, so it also covers the symmetric noise layout used
     by :func:`laplace_symmetric_sample`.
     """
-    lo, up = _as_bound_arrays(lower, upper)
-    m = np.maximum(np.abs(lo), np.abs(up))
     with np.errstate(over="ignore"):
-        return float(2.0 * np.sum(m) ** 2)
+        return float(2.0 * np.sum(bounds.magnitudes) ** 2)
 
 
-def sensitivity_cross_bounded(x_lower, x_upper, y_lower: float, y_upper: float) -> float:
-    """Sensitivity of sum_i x_i * y_i for x in a box and scalar y in a range."""
-    lo, up = _as_bound_arrays(x_lower, x_upper)
-    ylo, yup = _as_bound_arrays(y_lower, y_upper)
-    mx = np.maximum(np.abs(lo), np.abs(up))
-    my = float(np.max(np.maximum(np.abs(ylo), np.abs(yup))))
+def sensitivity_cross_bounded(x_bounds: Bounds, y_bounds: Bounds) -> float:
+    """Sensitivity of sum_i x_i * y_i for x in ``x_bounds`` and scalar y in ``y_bounds``."""
+    my = float(np.max(y_bounds.magnitudes))
     with np.errstate(over="ignore"):
-        return float(2.0 * my * np.sum(mx))
+        return float(2.0 * my * np.sum(x_bounds.magnitudes))
 
 
 def laplace_scale(delta: float, epsilon: float) -> float:
@@ -276,21 +264,16 @@ def laplace_symmetric_sample(
     """Symmetric k x k Laplace noise matrix, or a (size, k, k) stack of them.
 
     Entries are drawn i.i.d. on the diagonal and upper triangle, as one
-    (..., k(k+1)/2) draw in :func:`symmetric_layout` order, and mirrored
-    below by one gather, so the noisy matrix stays symmetric.  Mirrored pairs
-    count twice in the matrix L1 norm, which the gram/cross sensitivity
-    bounds already cover.  ``rng`` may be a :class:`GeneratorStack`.
+    (..., k(k+1)/2) :meth:`LaplaceSpec.sample` in :func:`symmetric_layout`
+    order, and mirrored below by one gather, so the noisy matrix stays
+    symmetric.  Mirrored pairs count twice in the matrix L1 norm, which the
+    gram/cross sensitivity bounds already cover.  ``rng`` may be a
+    :class:`GeneratorStack`.
     """
     if k < 1:
         raise ParameterError("matrix dimension must be >= 1")
-    lead = () if size is None else (size,)
-    if scale == 0.0:
-        return np.zeros((*lead, k, k))
-    if not math.isfinite(scale) or scale < 0:
-        raise ParameterError("Laplace scale must be finite and >= 0")
     index, weights = symmetric_layout(k)
-    tri = GeneratorStack.of(rng).laplace(0.0, scale, (*lead, weights.size))
-    return np.take(tri, index, axis=-1)
+    return np.take(LaplaceSpec(scale, weights.size).sample(rng, size), index, axis=-1)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,6 @@ def small_config(**overrides):
         model="gaussian",
         n=200,
         k=2,
-        mu=(0.0, 0.0),
         epsilons=(1.5,),
         methods=(MethodSpec("ppb", ("1/10",)), MethodSpec("naive")),
         seed=11,
@@ -109,7 +108,7 @@ class TestRunExperiment:
             ("regression", {"beta": (0.0, 1.0)}),
             (
                 "partial_regression",
-                {"beta": (0.0, 0.0), "k_nuisance": 2, "gamma": (0.5, -0.5), "n": 400},
+                {"beta": (0.0, 0.0), "gamma": (0.5, -0.5), "n": 400},
             ),
         ):
             cfg = small_config(model=model, reps=5, B=200, **extra)
@@ -142,12 +141,6 @@ class TestRunExperiment:
             small_config(split=(0.9, 0.9))
         with pytest.raises(ParameterError):
             MethodSpec("ppb")  # bootstrap method without r values
-
-    def test_split_share_count_is_checked_by_the_release(self):
-        # the shares fit any model until the release, which knows its count
-        cfg = small_config(split=(0.3, 0.3, 0.4), reps=2)
-        with pytest.raises(ParameterError, match="split"):
-            run_experiment(cfg)
 
     @pytest.mark.parametrize("B", [0, 50])
     def test_too_few_bootstrap_draws_rejected(self, B):
@@ -184,7 +177,7 @@ MODEL_CONFIGS = {
         model="regression", n=2000, beta=(0.0, 0.5), epsilons=(20.0,), design="fixed"
     ),
     "partial_regression": dict(
-        model="partial_regression", n=2000, epsilons=(20.0,), k_nuisance=2, gamma=(0.5, -0.5)
+        model="partial_regression", n=2000, epsilons=(20.0,), gamma=(0.5, -0.5)
     ),
 }
 
@@ -653,7 +646,6 @@ class TestConfigFile:
             model = partial_gaussian
             n = 100
             k = 2
-            k_nuisance = 2
             epsilon = 1.5
             seed = 1
 
@@ -672,27 +664,41 @@ class TestConfigFile:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    def test_gamma_must_match_k_nuisance(self, tmp_path):
-        text = """
+    @pytest.mark.parametrize(
+        "model, split, released",
+        [("gaussian", "0.3, 0.3, 0.4", 2), ("regression", "0.5, 0.5", 3)],
+        ids=["gaussian", "regression"],
+    )
+    def test_split_share_count_is_checked_at_load(self, tmp_path, capsys, model, split, released):
+        # one share per statistic that the model releases, refused before any
+        # replication runs; a library caller's release still checks it too
+        message = f"the budget split has {len(split.split(','))} parts for {released} statistics"
+        path = self.write(
+            tmp_path,
+            f"""
             [experiment]
-            model = partial_regression
+            model = {model}
             n = 400
             k = 2
             epsilon = 1.5
             seed = 1
-            {lines}
+            split = {split}
 
             [methods]
             ppb = 1/10
-            """
-        path = self.write(tmp_path, text.format(lines="k_nuisance = 3\n            gamma = 0.5, -0.5"))
-        with pytest.raises(ParameterError, match="gamma"):
+            """,
+        )
+        with pytest.raises(ParameterError, match=f"^{message}$"):
             load_config(path)
-        # gamma alone sets the width, and a matching k_nuisance is accepted
-        path = self.write(tmp_path, text.format(lines="gamma = 0.5, -0.5"))
-        assert load_config(path).gamma == (0.5, -0.5)
-        path = self.write(tmp_path, text.format(lines="k_nuisance = 2\n            gamma = 0.5, -0.5"))
-        assert load_config(path).gamma == (0.5, -0.5)
+        out = tmp_path / "report.csv"
+        assert cli.main(["simulate", "--config", str(path), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        data = RegressionData(
+            np.eye(4, 2), np.zeros(4), Bounds.symmetric(1.0, 2), Bounds.symmetric(1.0, 1)
+        )
+        with pytest.raises(ParameterError, match="^the budget split has 2 parts for 3 statistics$"):
+            data.fold_statistics([slice(None)]).release((0.5, 0.5), np.random.default_rng(0))
 
     @pytest.mark.parametrize(
         "key, lines",
@@ -743,8 +749,8 @@ class TestConfigFile:
             ("n = 100\ngamma = 0.5, -inf", "^gamma must be finite$"),
             ("n = 100\nsigma2 = nan", "^sigma2 must be positive and finite$"),
             ("n = 100\nsigma2 = inf", "^sigma2 must be positive and finite$"),
-            ("n = 100\ndesign = fixed", "^model 'gaussian' does not read design = fixed$"),
-            ("n = 100\nk_nuisance = 2", "^model 'gaussian' does not read k_nuisance$"),
+            ("n = 100\ndesign = fixed", "^model 'gaussian' does not read design$"),
+            ("n = 100\nk_nuisance = 2", "^unknown \\[experiment\\] key 'k_nuisance'$"),
             ("n = 100\ngamma = 0.5, -0.5", "^model 'gaussian' does not read gamma$"),
         ],
         ids=["rep", "bounds_halfwidth", "n", "reps", "duplicate", "cv_grid", "cv_grid-range",
@@ -766,9 +772,21 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "model, line, refused",
         [
-            ("regression", "k_nuisance = 2", "k_nuisance"),
             ("regression", "gamma = 0.5, -0.5", "gamma"),
-            ("partial_regression", "design = fixed", "design = fixed"),
+            ("regression", "mu = 0, 0", "mu"),
+            ("regression", "sigma_diag = 2, 2", "sigma_diag"),
+            ("regression", "bounds_half_width = 2", "bounds_half_width"),
+            ("partial_regression", "design = fixed", "design"),
+            ("partial_regression", "design = resampled", "design"),
+            ("partial_regression", "mu = 0, 0", "mu"),
+            ("partial_regression", "sigma_diag = 2, 2", "sigma_diag"),
+            ("partial_regression", "bounds_half_width = 2", "bounds_half_width"),
+            ("partial_regression", "x_half_width = 2", "x_half_width"),
+            ("gaussian", "beta = 5, 7", "beta"),
+            ("gaussian", "sigma2 = 4", "sigma2"),
+            ("gaussian", "x_half_width = 2", "x_half_width"),
+            ("gaussian", "y_half_width = 3", "y_half_width"),
+            ("gaussian", "design = resampled", "design"),
         ],
     )
     def test_key_another_model_reads_is_refused(self, tmp_path, capsys, model, line, refused):

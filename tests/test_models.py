@@ -9,7 +9,6 @@ from dpextrema.models import (
     _CERTIFY_MARGIN,
     SIGMA2_FLOOR,
     GaussianData,
-    GaussianStatistics,
     PrivatizedGaussianEstimate,
     PrivatizedRegressionEstimate,
     RegressionData,
@@ -202,13 +201,11 @@ class TestGaussianBootstrap:
         # folds of different sizes, small enough at eps = 0.3 that some
         # covariance repairs clip
         rng = np.random.default_rng(25)
-        x = make_gaussian(rng, n=90, k=3, half_width=3.0).x
+        data = make_gaussian(rng, n=90, k=3, half_width=3.0)
         folds = [slice(0, 8), slice(8, 20), slice(20, 50), slice(50, 90)]
         clipped = 0
         for seed in range(6):
-            est = GaussianStatistics.of_folds(x, Bounds.symmetric(3.0, 3), folds).release(
-                0.3, np.random.default_rng(seed)
-            )
+            est = data.fold_statistics(folds).release(0.3, np.random.default_rng(seed))
             clipped += int((est.repairs.shift > 0.0).sum())
             for privacy_noise in (True, False):
                 rng = np.random.default_rng(seed)
@@ -349,14 +346,8 @@ def reference_regression_release(X, y, x_bounds, y_bounds, budget, rng, nuisance
     eps_gram, eps_xty, eps_rss = split_budget(budget, 3)
     X, y = x_bounds.clamp(X), y_bounds.clamp(y)
     n, k = X.shape
-    gram_spec = LaplaceSpec.from_budget(
-        sensitivity_gram_bounded(x_bounds.lower, x_bounds.upper), eps_gram, k * (k + 1) // 2
-    )
-    xty_spec = LaplaceSpec.from_budget(
-        sensitivity_cross_bounded(x_bounds.lower, x_bounds.upper, y_bounds.lower, y_bounds.upper),
-        eps_xty,
-        k,
-    )
+    gram_spec = LaplaceSpec.from_budget(sensitivity_gram_bounded(x_bounds), eps_gram, k * (k + 1) // 2)
+    xty_spec = LaplaceSpec.from_budget(sensitivity_cross_bounded(x_bounds, y_bounds), eps_xty, k)
     noisy_gram = X.T @ X + laplace_symmetric_sample(gram_spec.scale, k, rng)
     noisy_xty = X.T @ y + xty_spec.sample(rng)
     repair = psd_repair(noisy_gram / n)

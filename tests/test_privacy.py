@@ -79,6 +79,25 @@ class TestLaplaceSampling:
         assert np.array_equal(stack[0], laplace_symmetric_sample(1.5, 3, rng))
         assert laplace_symmetric_sample(0.0, 3, rng, size=2).shape == (2, 3, 3)
 
+    @pytest.mark.parametrize(
+        "stack, size", [(False, None), (False, 4), (True, 4)], ids=["single", "stack-of-one", "stack"]
+    )
+    def test_symmetric_sample_is_the_gathered_spec_sample(self, stack, size):
+        # the same generator calls as one LaplaceSpec draw of the k(k+1)/2
+        # free entries, gathered into matrices
+        def rng():
+            return GeneratorStack(generators((8, 9))) if stack else np.random.default_rng(8)
+
+        index = symmetric_layout(3)[0]
+        expected = np.take(LaplaceSpec(1.5, 6).sample(rng(), size), index, axis=-1)
+        assert np.array_equal(laplace_symmetric_sample(1.5, 3, rng(), size), expected)
+        # at scale 0 every generator is left as it was
+        drawn = rng()
+        states = [g.bit_generator.state for g in GeneratorStack.of(drawn).generators]
+        zeros = laplace_symmetric_sample(0.0, 3, drawn, size)
+        assert zeros.shape == expected.shape and not zeros.any()
+        assert [g.bit_generator.state for g in GeneratorStack.of(drawn).generators] == states
+
     @pytest.mark.parametrize("k", [1, 2, 3, 8])
     def test_symmetric_layout_is_the_upper_triangle_in_row_order(self, k):
         # one (..., k(k+1)/2) draw filled into np.triu_indices(k) order and
@@ -148,14 +167,14 @@ class TestGeneratorStack:
 
 class TestSensitivities:
     def test_sum_unit_box(self):
-        assert sensitivity_sum_bounded([0, 0], [1, 1]) == 2.0
+        assert sensitivity_sum_bounded(Bounds([0, 0], [1, 1])) == 2.0
 
     def test_sum_interval_width(self):
-        assert sensitivity_sum_bounded([-1], [1]) == 2.0
+        assert sensitivity_sum_bounded(Bounds([-1], [1])) == 2.0
 
     def test_sum_rectangular_box_matches_corner_search(self):
         lower, upper = np.array([0.0, 0.0]), np.array([2.0, 3.0])
-        delta = sensitivity_sum_bounded(lower, upper)
+        delta = sensitivity_sum_bounded(Bounds(lower, upper))
         assert delta == 5.0
         # brute force: sup of ||x - x'||_1 over the box is attained at corners
         corners = list(itertools.product(*zip(lower, upper)))
@@ -165,18 +184,18 @@ class TestSensitivities:
         assert delta == pytest.approx(sup)
 
     def test_gram_symmetric_interval(self):
-        delta = sensitivity_gram_bounded([-1.0], [1.0])
+        delta = sensitivity_gram_bounded(Bounds([-1.0], [1.0]))
         assert delta == 2.0
         grid = np.linspace(-1, 1, 201)
         sup = max(abs(x * x - y * y) for x in grid for y in grid)
         assert sup <= delta
 
     def test_gram_zero_box(self):
-        assert sensitivity_gram_bounded([0.0, 0.0], [0.0, 0.0]) == 0.0
+        assert sensitivity_gram_bounded(Bounds([0.0, 0.0], [0.0, 0.0])) == 0.0
 
     def test_gram_unit_square_upper_bounds_grid_search(self):
         lower, upper = np.array([0.0, 0.0]), np.array([1.0, 1.0])
-        delta = sensitivity_gram_bounded(lower, upper)
+        delta = sensitivity_gram_bounded(Bounds(lower, upper))
         assert delta == 8.0
         pts = [np.array(c) for c in itertools.product(np.linspace(0, 1, 11), repeat=2)]
         sup = max(
@@ -185,22 +204,50 @@ class TestSensitivities:
         assert sup <= delta
 
     def test_cross_sensitivity(self):
-        assert sensitivity_cross_bounded([-1.0, -1.0], [1.0, 1.0], [-2.0], [2.0]) == 2.0 * 2.0 * 2.0
+        delta = sensitivity_cross_bounded(Bounds([-1.0, -1.0], [1.0, 1.0]), Bounds([-2.0], [2.0]))
+        assert delta == 2.0 * 2.0 * 2.0
 
     def test_inverted_bounds_rejected(self):
-        with pytest.raises(ParameterError):
-            sensitivity_sum_bounded([1.0], [0.0])
+        # a sensitivity reads a Bounds, which refuses a box it cannot bound
+        with pytest.raises(ParameterError, match="lower bound exceeds upper bound"):
+            Bounds([1.0], [0.0])
 
     def test_unbounded_rejected(self):
-        with pytest.raises(ParameterError):
-            sensitivity_sum_bounded([0.0], [math.inf])
+        with pytest.raises(ParameterError, match="bounds must be finite"):
+            Bounds([0.0], [math.inf])
+
+    def test_bounds_forms_equal_the_raw_formulas_bit_for_bit(self):
+        # the formulas as they read raw lower/upper vectors, kept as the
+        # reference: the Bounds forms must give the same float, inf included
+        def reference(lo, up, ylo, yup):
+            mx = np.maximum(np.abs(lo), np.abs(up))
+            my = float(np.max(np.maximum(np.abs(ylo), np.abs(yup))))
+            with np.errstate(over="ignore"):
+                return float(np.sum(up - lo)), float(2.0 * np.sum(mx) ** 2), float(2.0 * my * np.sum(mx))
+
+        rng = np.random.default_rng(29)
+        overflowed = 0
+        for _ in range(400):
+            k = int(rng.integers(1, 6))
+            lo, up = np.sort(rng.uniform(-1.0, 1.0, (2, k)) * 10.0 ** rng.uniform(-3.0, 308.0, k), axis=0)
+            ylo, yup = np.sort(rng.uniform(-1.0, 1.0, (2, 1)) * 10.0 ** rng.uniform(-3.0, 308.0), axis=0)
+            x_bounds, y_bounds = Bounds(lo, up), Bounds(ylo, yup)
+            got = (
+                sensitivity_sum_bounded(x_bounds),
+                sensitivity_gram_bounded(x_bounds),
+                sensitivity_cross_bounded(x_bounds, y_bounds),
+            )
+            expected = reference(lo, up, ylo, yup)
+            assert [v.hex() for v in got] == [v.hex() for v in expected]
+            overflowed += math.inf in expected
+        assert overflowed > 0
 
     @pytest.mark.parametrize("epsilon", [1.5, math.inf])
     def test_overflowing_sensitivity_refused_at_every_epsilon(self, epsilon):
         # finite bounds whose gram sensitivity overflows to inf; the zero-noise
         # shortcut of an infinite epsilon must not let it through
         x = np.zeros((10, 2))
-        assert sensitivity_gram_bounded([-1e200], [1e200]) == math.inf
+        assert sensitivity_gram_bounded(Bounds([-1e200], [1e200])) == math.inf
         with pytest.raises(ParameterError, match="sensitivity"):
             gaussian_private_mle(GaussianData(x, Bounds.symmetric(1e200, 2)), epsilon, rng=None)
 
