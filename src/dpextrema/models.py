@@ -12,7 +12,9 @@ look at rows again.  ``fold_statistics`` forms each fold's statistics, and one
 release per model, ``GaussianStatistics.release`` and
 ``RegressionStatistics.release``, splits the budget over its ``RELEASED``
 statistics, runs on a stack of F data sets and returns the model's one
-estimate class, which holds all F sets along a leading axis.
+estimate class, which holds all F sets along a leading axis, and one
+:class:`~dpextrema.privacy.LaplaceSpec` record per released statistic: the
+ledger, the noise scales and the bootstrap's noise all read those records.
 A single estimate is a stack of one; cross-validation releases all of its
 folds at once, and the Monte Carlo harness a block of replications, with a
 :class:`~dpextrema.privacy.GeneratorStack` holding one generator per
@@ -124,12 +126,13 @@ class _Stacked:
     matrices ``repairs``, and the one bootstrap of both models.  A single
     estimate is a stack of one, so its release is row 0 of each array.
 
-    A model gives the bootstrap four things: ``systems``, its (F, k, k) stack
-    S, or None for the identity; ``covariance``, the (F, k, k) covariance of
-    the scores, whose root is cached in ``_root``; ``response_noise``, the
-    Laplace noise of the right-hand side's statistic; and ``system_noise``,
-    that of S.  ``noise_scales`` holds the Laplace scale of each released
-    statistic, in budget-split order, one that differs by set as an (F,) array.
+    ``mechanisms`` holds the release's :class:`LaplaceSpec` records, one per
+    released statistic in ``RELEASED`` order; the ledger and the noise scales
+    are read from it.  A model gives the bootstrap four things: ``systems``,
+    its (F, k, k) stack S, or None for the identity; ``covariance``, the
+    (F, k, k) covariance of the scores, whose root is cached in ``_root``;
+    ``response_noise``, the record of the right-hand side's statistic; and
+    ``system_noise``, that of S.
 
     Each model defines its own ``bootstrap_draws`` over :meth:`_set_zero_draws`
     because the traced benchmark (``bench/spans.py``) times it by class name;
@@ -146,14 +149,25 @@ class _Stacked:
         count = int(np.count_nonzero(failed))
         return (draws[0][~failed[0]] if count else draws[0]), count
 
+    @property
+    def ledger(self) -> PrivacyLedger:
+        """The charges of one set's release, ``<model>:<statistic>`` per record."""
+        ledger = PrivacyLedger()
+        for m in self.mechanisms:
+            ledger = ledger.charge(f"{self.MODEL}:{m.name}", m.epsilon)
+        return ledger
+
+    # the Laplace scale of each released statistic, an (F,) array if it differs by set
+    noise_scales = property(lambda self: {m.name: m.scale for m in self.mechanisms})
+
     def take(self, rows: np.ndarray):
         """The sets ``rows`` of this stack, as a stack of their own."""
-        per_set = {
-            f.name: value[rows]
-            for f in fields(self)
-            if isinstance(value := getattr(self, f.name), np.ndarray)
-        }
-        return replace(self, **per_set, repairs=RepairResult(*(a[rows] for a in self.repairs)))
+        return replace(
+            self,
+            **_per_set(self, rows),
+            repairs=RepairResult(*(a[rows] for a in self.repairs)),
+            mechanisms=tuple(replace(m, **_per_set(m, rows)) for m in self.mechanisms),
+        )
 
     def replica_draws(
         self, size: int, rng: np.random.Generator, sets: int, privacy_noise: bool = True
@@ -284,6 +298,11 @@ class _Stacked:
         return v
 
 
+def _per_set(record, rows) -> dict:
+    """The array fields of ``record``, each cut to the sets ``rows``."""
+    return {f.name: v[rows] for f in fields(record) if isinstance(v := getattr(record, f.name), np.ndarray)}
+
+
 @dataclass(eq=False)
 class PrivatizedGaussianEstimate(_Stacked):
     """Noisy means and repaired covariances of F data sets, plus everything
@@ -292,37 +311,22 @@ class PrivatizedGaussianEstimate(_Stacked):
     betas: np.ndarray        # (F, k) released means
     repairs: RepairResult    # repaired (F, k, k) covariances, one entry per set
     sizes: np.ndarray        # (F,) row counts
-    ledger: PrivacyLedger    # the charges of one set's release
-    sum_noise: LaplaceSpec
-    gram_noise: LaplaceSpec
+    mechanisms: tuple[LaplaceSpec, ...]  # the sum's and the gram's
     noisy_sums: np.ndarray   # (F, k) released coordinate sums, noise included
     noisy_grams: np.ndarray  # (F, k, k) released second-moment matrices, noise included
     _root: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    # the bootstrap's model: S = I, with no noise in it
+    MODEL = "gaussian"
+    # the bootstrap's model: S = I, with no noise in it, and the sum's noise
     systems = system_noise = None
     covariance = property(lambda self: self.repairs.matrix)
-    response_noise = property(lambda self: self.sum_noise)
-    noise_scales = property(lambda self: {"sum": self.sum_noise.scale, "gram": self.gram_noise.scale})
+    response_noise = property(lambda self: self.mechanisms[0])
 
     def bootstrap_draws(
         self, size: int, rng: np.random.Generator, privacy_noise: bool = True
     ) -> tuple[np.ndarray, int]:
         """``size`` replicas of set 0 and the failure count, which is 0."""
         return self._set_zero_draws(size, rng, privacy_noise)
-
-
-def _gram_noise(bounds: Bounds, epsilon: float) -> LaplaceSpec:
-    """Laplace noise of the free entries of a gram matrix of rows in ``bounds``."""
-    delta = sensitivity_gram_bounded(bounds)
-    return LaplaceSpec.from_budget(delta, epsilon, bounds.k * (bounds.k + 1) // 2)
-
-
-def _ledger(prefix: str, names: tuple[str, ...], epsilons: tuple[float, ...]) -> PrivacyLedger:
-    ledger = PrivacyLedger()
-    for name, eps in zip(names, epsilons):
-        ledger = ledger.charge(f"{prefix}:{name}", eps)
-    return ledger
 
 
 def gaussian_private_mle(
@@ -424,31 +428,23 @@ class PrivatizedRegressionEstimate(_Stacked):
     sigma2s: np.ndarray      # (F,) released residual mean squares
     repairs: RepairResult    # repaired (F, k, k) scaled grams S = (X^T X + noise) / n
     sizes: np.ndarray        # (F,) row counts
-    ledger: PrivacyLedger    # the charges of one set's release
-    gram_noise: LaplaceSpec  # noise on X^T X (per free entry)
-    xty_noise: LaplaceSpec   # noise on X^T y
-    rss_scales: np.ndarray   # (F,) Laplace scales of the residual mean squares
+    mechanisms: tuple[LaplaceSpec, ...]  # X^T X's (per free entry), X^T y's and the rss's
     noisy_grams: np.ndarray  # (F, k, k)
     noisy_xtys: np.ndarray   # (F, k)
     _root: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    # the bootstrap's model: S with gram noise, and scores of covariance sigma2 S
+    MODEL = "regression"
+    # the bootstrap's model: S with the gram's noise, scores of covariance sigma2 S, X^T y's noise
     systems = property(lambda self: self.repairs.matrix)
     covariance = property(lambda self: self.sigma2s[:, None, None] * self.repairs.matrix)
-    response_noise = property(lambda self: self.xty_noise)
-    system_noise = property(lambda self: self.gram_noise)
-    noise_scales = property(
-        lambda self: {"gram": self.gram_noise.scale, "xty": self.xty_noise.scale, "rss": self.rss_scales}
-    )
+    system_noise = property(lambda self: self.mechanisms[0])
+    response_noise = property(lambda self: self.mechanisms[1])
 
     def bootstrap_draws(
         self, size: int, rng: np.random.Generator, privacy_noise: bool = True
     ) -> tuple[np.ndarray, int]:
         """``size`` replicas of set 0, with the failed draws dropped, and their count."""
         return self._set_zero_draws(size, rng, privacy_noise)
-
-
-_SINGULAR_GRAM = "noisy gram matrix is irreparably singular; widen the budget or bounds"
 
 
 def regression_private_mle(
@@ -459,29 +455,18 @@ def regression_private_mle(
     ``data`` may carry a nuisance block (``RegressionData(..., nuisance=W)``);
     only the statistics of X are noised either way.  ``budget`` is a total
     epsilon split equally across the three released statistics (gram matrix,
-    cross product, residual mean square) or an explicit triple.  The data are
-    released by :meth:`RegressionStatistics.release`, as a stack of one set:
-    the residual sum of squares comes from the statistics, less what the
-    nuisance fit explains, and its noisy mean is clipped below at a small
-    positive floor so the bootstrap stays well defined.  Raises
-    :class:`NumericError` when the noisy gram matrix is irreparably singular.
+    cross product, residual mean square) or an explicit triple.  This is
+    :meth:`RegressionStatistics.release` on a stack of one set; the noisy
+    residual mean square is clipped below at ``SIGMA2_FLOOR`` so the bootstrap
+    stays well defined.  Raises :class:`NumericError` when the noisy gram
+    matrix is irreparably singular.
     """
     return data.fold_statistics([slice(None)]).release(budget, rng)
 
 
 # ---------------------------------------------------------------------------
-# stacked releases of many data sets
+# stacked releases of many data sets (see the module docstring)
 # ---------------------------------------------------------------------------
-#
-# Both estimators see the data only through additive sufficient statistics,
-# so a data set is described by one row of clamped statistics, and every
-# release goes through these classes: a single estimate is a stack of one set,
-# cross-validation releases its 2v overlapping sets together, and a Monte
-# Carlo block releases every replication's sets together, with the noise
-# scales derived once, one eigh repairing the whole stack and one vector
-# Laplace draw noising every set's residual mean square.  A release given a
-# GeneratorStack of R generators draws the noise of the i-th of R equal
-# groups of sets from generator i.
 
 
 def stack_statistics(parts):
@@ -515,12 +500,14 @@ class GaussianStatistics:
 
     def release(self, budget, rng: np.random.Generator) -> PrivatizedGaussianEstimate:
         """Every set's Gaussian release, as one stacked estimate."""
-        epsilons = eps_sum, eps_gram = split_budget(budget, len(self.RELEASED))
-        sum_spec = LaplaceSpec.from_budget(sensitivity_sum_bounded(self.bounds), eps_sum, self.bounds.k)
-        gram_spec = _gram_noise(self.bounds, eps_gram)
+        eps_sum, eps_gram = split_budget(budget, len(self.RELEASED))
         sets, k = self.sums.shape
-        noisy_sum = self.sums + sum_spec.sample(rng, sets)
-        noisy_gram = self.grams + laplace_symmetric_sample(gram_spec.scale, k, rng, sets)
+        mechanisms = sum_noise, gram_noise = (
+            LaplaceSpec.from_budget(sensitivity_sum_bounded(self.bounds), eps_sum, k, "sum"),
+            LaplaceSpec.from_budget(sensitivity_gram_bounded(self.bounds), eps_gram, k * (k + 1) // 2, "gram"),
+        )
+        noisy_sum = self.sums + sum_noise.sample(rng, sets)
+        noisy_gram = self.grams + laplace_symmetric_sample(gram_noise.scale, k, rng, sets)
         # the mean and the (unrepaired) covariance the noisy statistics imply
         n = self.n.astype(float)[:, None]
         outer = noisy_sum[:, :, None] * noisy_sum[:, None, :]
@@ -529,9 +516,7 @@ class GaussianStatistics:
             betas=noisy_sum / n,
             repairs=psd_repair_stack(0.5 * (sigma + np.swapaxes(sigma, -1, -2))),
             sizes=self.n,
-            ledger=_ledger("gaussian", self.RELEASED, epsilons),
-            sum_noise=sum_spec,
-            gram_noise=gram_spec,
+            mechanisms=mechanisms,
             noisy_sums=noisy_sum,
             noisy_grams=noisy_gram,
         )
@@ -587,54 +572,50 @@ class RegressionStatistics:
         irreparably singular.
         """
         rng = GeneratorStack.of(rng)
-        epsilons = eps_gram, eps_xty, eps_rss = split_budget(budget, len(self.RELEASED))
-        gram_spec = _gram_noise(self.x_bounds, eps_gram)
-        xty_spec = LaplaceSpec.from_budget(
-            sensitivity_cross_bounded(self.x_bounds, self.y_bounds), eps_xty, self.x_bounds.k
-        )
+        eps_gram, eps_xty, eps_rss = split_budget(budget, len(self.RELEASED))
         sets, k = self.xty.shape
-        noisy_gram = self.xtx + laplace_symmetric_sample(gram_spec.scale, k, rng, sets)
-        noisy_xty = self.xty + xty_spec.sample(rng, sets)
+        gram_noise = LaplaceSpec.from_budget(
+            sensitivity_gram_bounded(self.x_bounds), eps_gram, k * (k + 1) // 2, "gram"
+        )
+        xty_noise = LaplaceSpec.from_budget(
+            sensitivity_cross_bounded(self.x_bounds, self.y_bounds), eps_xty, k, "xty"
+        )
+        noisy_gram = self.xtx + laplace_symmetric_sample(gram_noise.scale, k, rng, sets)
+        noisy_xty = self.xty + xty_noise.sample(rng, sets)
         n = self.n.astype(float)[:, None, None]
         repairs = psd_repair_stack(noisy_gram / n)
         if repairs.degenerate.any():
-            raise NumericError(_SINGULAR_GRAM)
+            raise NumericError("noisy gram matrix is irreparably singular; widen the budget or bounds")
         beta = np.linalg.solve(n * repairs.matrix, noisy_xty[..., None])[..., 0]
         # einsum's summation order depends on how many sets it sees, so each
         # generator's sets are summed as a stack of their own, as they are alone
         rss = np.concatenate([self._rss(beta, rows) for rows in rng.chunks(sets)])
-        # a record's nuisance fit |w^T gamma| is taken to be at most the
-        # response magnitude; W is never clamped, so this is assumed, not enforced
-        m_fit = 0.0 if self.wtw is None else self.y_bounds.magnitudes[0]
         dof = self.n - (self.min_rows - 1)
 
         # The residual mean square is noised last.  Its sensitivity may use the
         # released coefficients (post-processing of a DP output may calibrate
         # the next mechanism): a record's squared residual is at most
-        # (m_y + sum_j m_j |beta_j| + m_fit)^2, over dof.
-        m_res = (
-            self.y_bounds.magnitudes[0]
-            + np.sum(self.x_bounds.magnitudes * np.abs(beta), axis=1)
-            + m_fit
-        )
+        # (m_y + sum_j m_j |beta_j| + m_fit)^2, over dof.  A record's nuisance
+        # fit m_fit = |w^T gamma| is taken to be at most the response magnitude;
+        # W is never clamped, so this is assumed, not enforced.
+        m_y = self.y_bounds.magnitudes[0]
+        m_fit = 0.0 if self.wtw is None else m_y
+        m_res = m_y + np.sum(self.x_bounds.magnitudes * np.abs(beta), axis=1) + m_fit
         with np.errstate(over="ignore"):  # response bounds too wide give inf, refused below
-            rss_scales = np.zeros(sets) if math.isinf(eps_rss) else m_res**2 / dof / eps_rss
-        if not np.isfinite(rss_scales).all():
+            delta = m_res**2 / dof
+        try:
+            rss_noise = LaplaceSpec.from_budget(delta, eps_rss, 1, "rss")
+        except ParameterError:
             raise ParameterError(
                 "residual-variance noise scale overflows; the response bounds are too wide"
-            )
-        sigma2 = rss / dof
-        drawn = rss_scales > 0.0  # a zero scale draws nothing
-        sigma2[drawn] += rng.laplace(0.0, rss_scales[drawn], owner=rng.owners(sets)[drawn])
+            ) from None
+        sigma2 = rss / dof + rss_noise.sample(rng, sets)[:, 0]
         return PrivatizedRegressionEstimate(
             betas=beta,
             sigma2s=np.maximum(sigma2, SIGMA2_FLOOR),
             repairs=repairs,
             sizes=self.n,
-            ledger=_ledger("regression", self.RELEASED, epsilons),
-            gram_noise=gram_spec,
-            xty_noise=xty_spec,
-            rss_scales=rss_scales,
+            mechanisms=(gram_noise, xty_noise, rss_noise),
             noisy_grams=noisy_gram,
             noisy_xtys=noisy_xty,
         )

@@ -7,9 +7,13 @@ Sensitivities read the declared data box, a :class:`Bounds` checked once when
 it is made; raw data are clamped into it before sufficient statistics are
 formed, which makes the derived sensitivities exact or conservative.
 
+Each released statistic has one :class:`LaplaceSpec` record: its name,
+sensitivity, epsilon, dimension and scale.  A release draws its noise with
+:meth:`LaplaceSpec.sample` (the symmetric gram noise too), and its ledger
+and noise scales are read from the same records.
+
 ``epsilon = math.inf`` is an explicit, supported sentinel: the noise scale
-collapses to zero, :meth:`LaplaceSpec.sample` (which the symmetric gram
-noise goes through too) returns exact zeros, and no budget is charged.
+collapses to zero, the noise is exact zeros, and no budget is charged.
 Non-private baselines and oracle tests run through the same code path as the
 private estimators.
 
@@ -88,10 +92,8 @@ class GeneratorStack:
             rng.standard_normal(out=out[rows])
         return out
 
-    def laplace(self, loc: float, scale, size=None, owner=None) -> np.ndarray:
-        """Laplace draws of ``size`` (the shape of an array ``scale`` by default);
-        an array ``scale`` holds one scale per leading row."""
-        size = np.shape(scale) if size is None else size
+    def laplace(self, loc: float, scale, size: tuple[int, ...], owner=None) -> np.ndarray:
+        """Laplace draws of ``size``; an array ``scale`` holds one scale per leading row."""
         if len(self.generators) == 1:
             return self.generators[0].laplace(loc, scale, size)
         out = np.empty(size)
@@ -182,47 +184,58 @@ def sensitivity_cross_bounded(x_bounds: Bounds, y_bounds: Bounds) -> float:
         return float(2.0 * my * np.sum(x_bounds.magnitudes))
 
 
-def laplace_scale(delta: float, epsilon: float) -> float:
+def _finite_nonnegative(x) -> bool:
+    """Whether the float ``x``, or every entry of the array ``x``, is finite and >= 0."""
+    return bool(((0.0 <= x) & (x < math.inf)).all()) if isinstance(x, np.ndarray) else 0.0 <= x < math.inf
+
+
+def laplace_scale(delta, epsilon: float):
     """Noise scale b = delta / epsilon; an infinite epsilon yields scale 0.
 
-    A non-finite delta (bounds so wide that the sensitivity overflows) is
-    refused at every epsilon, the infinite one included.
+    ``delta`` may be an array, one sensitivity per data set, which gives one
+    scale per set.  A non-finite delta (bounds so wide that the sensitivity
+    overflows) is refused at every epsilon, the infinite one included.
     """
     if math.isnan(epsilon) or epsilon <= 0:
         raise ParameterError("epsilon must be positive (math.inf disables noise)")
-    if not math.isfinite(delta) or delta < 0:
+    if not _finite_nonnegative(delta):
         raise ParameterError("sensitivity must be finite and >= 0")
-    if math.isinf(epsilon):
-        return 0.0
-    return delta / epsilon
+    return 0.0 * delta if math.isinf(epsilon) else delta / epsilon
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LaplaceSpec:
-    """Scale and shape of one Laplace noise draw.
+    """The Laplace mechanism of one released statistic, or simulated noise.
 
-    ``scale == 0.0`` is the degenerate zero-noise case produced by an infinite
-    epsilon; any negative or non-finite scale is rejected.
+    A release's record comes from :meth:`from_budget`: the statistic's
+    ``name``, its L1 ``sensitivity`` delta, the ``epsilon`` it spends, its
+    ``dimension`` and ``scale`` = delta / epsilon, (F,) arrays when delta
+    differs by data set.  A record made from a scale alone has no sensitivity
+    and charges nothing.  Any negative or non-finite scale is rejected.
     """
 
-    scale: float
+    scale: float | np.ndarray
     dimension: int = 1
+    name: str = ""
+    sensitivity: float | np.ndarray | None = None
+    epsilon: float = math.inf
 
     def __post_init__(self):
-        if not math.isfinite(self.scale) or self.scale < 0:
+        scale = self.scale if isinstance(self.scale, np.ndarray) and self.scale.ndim else float(self.scale)
+        if not _finite_nonnegative(scale):
             raise ParameterError("Laplace scale must be finite and >= 0")
         if int(self.dimension) < 1:
             raise ParameterError("Laplace dimension must be >= 1")
-        object.__setattr__(self, "scale", float(self.scale))
+        object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "dimension", int(self.dimension))
 
     @classmethod
-    def from_budget(cls, delta: float, epsilon: float, dimension: int = 1) -> "LaplaceSpec":
-        return cls(laplace_scale(delta, epsilon), dimension)
+    def from_budget(cls, delta, epsilon: float, dimension: int = 1, name: str = "") -> "LaplaceSpec":
+        return cls(laplace_scale(delta, epsilon), dimension, name, delta, epsilon)
 
     @property
     def is_zero(self) -> bool:
-        return self.scale == 0.0
+        return not (self.scale.any() if isinstance(self.scale, np.ndarray) else self.scale)
 
     def sample(
         self, rng: np.random.Generator, size: int | tuple[int, ...] | None = None
@@ -230,14 +243,20 @@ class LaplaceSpec:
         """i.i.d. draws with density (1/2b) exp(-|w|/b); zeros when b == 0.
 
         The result has shape ``(dimension,)``, or ``(*size, dimension)`` for an
-        integer or tuple ``size``.  Draws taken through this method are
-        simulation noise (bootstrap replicas of the mechanism); they never
-        touch the privacy ledger.  ``rng`` may be a :class:`GeneratorStack`.
+        integer or tuple ``size``; ``rng`` may be a :class:`GeneratorStack`.
+        A per-set scale needs ``size`` = F: set f draws from its generator
+        with its scale, and a set of scale 0 draws nothing.
         """
         shape = (self.dimension,) if size is None else (*np.atleast_1d(size).tolist(), self.dimension)
         if self.is_zero:
             return np.zeros(shape)
-        return GeneratorStack.of(rng).laplace(0.0, self.scale, shape)
+        rng = GeneratorStack.of(rng)
+        if not isinstance(self.scale, np.ndarray):
+            return rng.laplace(0.0, self.scale, shape)
+        noise, drawn = np.zeros(shape), self.scale > 0.0
+        owner = rng.owners(shape[0])[drawn]
+        noise[drawn] = rng.laplace(0.0, self.scale[drawn, None], noise[drawn].shape, owner)
+        return noise
 
 
 @functools.cache
@@ -280,9 +299,9 @@ def laplace_symmetric_sample(
 class PrivacyLedger:
     """Ordered record of per-statistic budget charges.
 
-    The ledger is a value: :meth:`charge` returns a new ledger.  Charges are
-    recorded at estimation time only; bootstrap-simulated noise draws go
-    through :meth:`LaplaceSpec.sample` and never appear here.  Every charged
+    The ledger is a value: :meth:`charge` returns a new ledger.  A release
+    charges the epsilon of each of its records; bootstrap-simulated noise is
+    drawn from the same records and never appears here.  Every charged
     statistic is computed from the same records, so the charges compose
     sequentially: the total is their sum.
     """

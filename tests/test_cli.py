@@ -293,19 +293,21 @@ def test_overflowing_bounds_give_one_error_line(tmp_path, capsys, model, bounds)
 
 
 def test_overflowing_residual_scale_gives_one_error_line(tmp_path, capsys):
-    # every sensitivity stays finite; the residual-variance scale m_res^2 overflows
+    # every other sensitivity stays finite; the residual-variance one m_res^2
+    # overflows, and it is refused at every epsilon, the infinite one included
     data = write_regression_csv(tmp_path / "data.csv")
-    args = [
-        "ci", "regression", "--input", str(data), "--bounds=-1:1", "--y-bounds=-1e200:1e200",
-        "--epsilon", "1.5", "--seed", "1",
-    ]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert run_cli(args) == 2
-    assert [str(w.message) for w in caught] == []
-    assert capsys.readouterr().err == (
-        "error: residual-variance noise scale overflows; the response bounds are too wide\n"
-    )
+    for epsilon in ("1.5", "inf"):
+        args = [
+            "ci", "regression", "--input", str(data), "--bounds=-1:1", "--y-bounds=-1e200:1e200",
+            "--epsilon", epsilon, "--seed", "1",
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(args) == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == (
+            "error: residual-variance noise scale overflows; the response bounds are too wide\n"
+        )
 
 
 @pytest.mark.skipif(
@@ -504,9 +506,9 @@ class TestCiRegression:
         est = x.fold_statistics([slice(None)]).release(1.5, rng)
         expected = {
             "noise_scales": {
-                "gram": est.gram_noise.scale,
-                "xty": est.xty_noise.scale,
-                "rss": float(est.rss_scales[0]),
+                "gram": est.mechanisms[0].scale,
+                "xty": est.mechanisms[1].scale,
+                "rss": float(est.mechanisms[2].scale[0]),
             },
             "repair": {
                 "shift": float(est.repairs.shift[0]),

@@ -186,7 +186,7 @@ class TestGaussianBootstrap:
         rng = np.random.default_rng(22)
         est = gaussian_private_mle(make_gaussian(rng, n=150, k=2), 2.0, rng)
         draws, _ = est.bootstrap_draws(2000, np.random.default_rng(2))
-        target_var = np.diag(est.repairs.matrix[0]) / est.sizes[0] + 2 * est.sum_noise.scale**2 / est.sizes[0]**2
+        target_var = np.diag(est.repairs.matrix[0]) / est.sizes[0] + 2 * est.mechanisms[0].scale**2 / est.sizes[0]**2
         se = np.sqrt(target_var / 2000)
         assert np.all(np.abs(draws.mean(axis=0) - est.betas[0]) < 3 * se)
         assert np.all(np.abs(draws.var(axis=0) - target_var) < 0.10 * target_var)
@@ -212,7 +212,7 @@ class TestGaussianBootstrap:
                 draws, failed = est.replica_draws(200, rng, 3, privacy_noise)
                 ref = np.random.default_rng(seed)
                 z = ref.standard_normal((3, 200, 3))
-                noise = est.sum_noise.sample(ref, (3, 200))
+                noise = est.mechanisms[0].sample(ref, (3, 200))
                 assert draws.shape == (3, 200, 3) and not failed.any()
                 for f in range(3):
                     n = est.sizes[f]
@@ -227,7 +227,7 @@ class TestGaussianBootstrap:
         rng = np.random.default_rng(24)
         est = gaussian_private_mle(make_gaussian(rng, n=100, k=2), 1.0, rng)
         base = np.diag(est.repairs.matrix[0]) / est.sizes[0]
-        noise = 2 * est.sum_noise.scale**2 / est.sizes[0]**2
+        noise = 2 * est.mechanisms[0].scale**2 / est.sizes[0]**2
         assert np.allclose(est.variances(private=False)[0], base)
         assert np.allclose(est.variances(private=True)[0], base + noise)
 
@@ -410,7 +410,7 @@ class TestSingleSetReleaseReference:
         assert np.array_equal(est.repairs.matrix[0], ref["S"])
         assert np.array_equal(est.noisy_grams[0], ref["noisy_gram"])
         assert np.array_equal(est.noisy_xtys[0], ref["noisy_xty"])
-        assert (est.gram_noise.scale, est.xty_noise.scale, est.rss_scales[0]) == ref["scales"]
+        assert (est.mechanisms[0].scale, est.mechanisms[1].scale, est.mechanisms[2].scale[0]) == ref["scales"]
         assert est.ledger == ref["ledger"]
         assert est.sigma2s[0] == pytest.approx(ref["sigma2"], rel=1e-12, abs=0.0)
         return est
@@ -442,10 +442,7 @@ def make_degenerate_regression_estimate():
         # S itself, not its repair, so the singular matrix reaches the bootstrap
         repairs=RepairResult(s[None], np.zeros(1), np.atleast_1d(psd_floor(s)), np.zeros(1, bool)),
         sizes=np.array([100]),
-        ledger=PrivacyLedger(),
-        gram_noise=LaplaceSpec(0.0, 3),
-        xty_noise=LaplaceSpec(0.0, 2),
-        rss_scales=np.zeros(1),
+        mechanisms=(LaplaceSpec(0.0, 3, "gram"), LaplaceSpec(0.0, 2, "xty"), LaplaceSpec(np.zeros(1), 1, "rss")),
         noisy_grams=100 * s[None],
         noisy_xtys=np.zeros((1, 2)),
     )
@@ -463,10 +460,11 @@ def make_near_floor_regression_estimate(seed, lam, rel_scale, k=3, n=100):
         sigma2s=np.ones(1),
         repairs=psd_repair_stack(s[None]),
         sizes=np.array([n]),
-        ledger=PrivacyLedger(),
-        gram_noise=LaplaceSpec(rel_scale * lam * n, k * (k + 1) // 2),
-        xty_noise=LaplaceSpec(0.5, k),
-        rss_scales=np.zeros(1),
+        mechanisms=(
+            LaplaceSpec(rel_scale * lam * n, k * (k + 1) // 2, "gram"),
+            LaplaceSpec(0.5, k, "xty"),
+            LaplaceSpec(np.zeros(1), 1, "rss"),
+        ),
         noisy_grams=n * s[None],
         noisy_xtys=np.zeros((1, k)),
     )
@@ -474,7 +472,7 @@ def make_near_floor_regression_estimate(seed, lam, rel_scale, k=3, n=100):
 
 def stack_regression_estimates(estimates):
     """One estimate whose sets are the given single estimates, which must share
-    their noise specs."""
+    their gram and X^T y records."""
     first = estimates[0]
 
     def cat(name):
@@ -485,10 +483,10 @@ def stack_regression_estimates(estimates):
         sigma2s=cat("sigma2s"),
         repairs=RepairResult(*(np.concatenate(f) for f in zip(*(e.repairs for e in estimates)))),
         sizes=cat("sizes"),
-        ledger=first.ledger,
-        gram_noise=first.gram_noise,
-        xty_noise=first.xty_noise,
-        rss_scales=cat("rss_scales"),
+        mechanisms=(
+            *first.mechanisms[:2],
+            LaplaceSpec(np.concatenate([e.mechanisms[2].scale for e in estimates]), 1, "rss"),
+        ),
         noisy_grams=cat("noisy_grams"),
         noisy_xtys=cat("noisy_xtys"),
     )
@@ -506,13 +504,13 @@ def reference_replica_draws(est, size, rng, sets, privacy_noise=True):
     c = np.stack([z[f] @ sym_sqrt(est.sigma2s[f] * S[f]).T for f in range(sets)])
     s_beta = np.stack([S[f] @ est.betas[f] for f in range(sets)])
     rhs = c / np.sqrt(n)[:, None, None] + s_beta[:, None, :]
-    if privacy_noise and not est.xty_noise.is_zero:
-        rhs = rhs + est.xty_noise.sample(rng, (sets, size)) / n[:, None, None]
+    if privacy_noise and not est.mechanisms[1].is_zero:
+        rhs = rhs + est.mechanisms[1].sample(rng, (sets, size)) / n[:, None, None]
 
     def attempt(owners):
         systems = S[owners]
-        if privacy_noise and not est.gram_noise.is_zero:
-            noise = laplace_symmetric_sample(est.gram_noise.scale, k, rng, owners.size)
+        if privacy_noise and not est.mechanisms[0].is_zero:
+            noise = laplace_symmetric_sample(est.mechanisms[0].scale, k, rng, owners.size)
             systems = systems + noise / n[owners, None, None]
         return systems, np.abs(np.linalg.eigvalsh(systems)).min(axis=1) < floor[owners]
 
@@ -533,13 +531,13 @@ def reference_bootstrap_draws(est, size, rng, privacy_noise=True):
 
     c = rng.standard_normal((size, k)) @ sym_sqrt(est.sigma2s[0] * est.repairs.matrix[0]).T
     rhs = c / math.sqrt(m) + (est.repairs.matrix[0] @ est.betas[0])[None, :]
-    if privacy_noise and not est.xty_noise.is_zero:
-        rhs = rhs + est.xty_noise.sample(rng, size) / m
+    if privacy_noise and not est.mechanisms[1].is_zero:
+        rhs = rhs + est.mechanisms[1].sample(rng, size) / m
 
     def attempt(count):
         systems = np.broadcast_to(est.repairs.matrix[0], (count, k, k)).copy()
-        if privacy_noise and not est.gram_noise.is_zero:
-            systems += laplace_symmetric_sample(est.gram_noise.scale, k, rng, count) / m
+        if privacy_noise and not est.mechanisms[0].is_zero:
+            systems += laplace_symmetric_sample(est.mechanisms[0].scale, k, rng, count) / m
         return systems, np.abs(np.linalg.eigvalsh(systems)).min(axis=1) < floor
 
     def solve(systems, b):
@@ -614,7 +612,7 @@ class TestRegressionBootstrap:
         est = regression_private_mle(make_regression(rng, n=400, k=4), 20.0, rng)
         for privacy_noise in (False, True):
             if privacy_noise:
-                est.gram_noise = LaplaceSpec(0.0, est.gram_noise.dimension)
+                est.mechanisms = (LaplaceSpec(0.0, est.mechanisms[0].dimension, "gram"), *est.mechanisms[1:])
             draws, failed = est.bootstrap_draws(
                 500, np.random.default_rng(3), privacy_noise=privacy_noise
             )
@@ -738,7 +736,7 @@ class TestRegressionBootstrap:
         # exactly when bound (1 + margin) > t_f (1 - margin), so t_f set just
         # below, then just above, the norm of system f's own draw pins the bound
         index, weights = symmetric_layout(k)
-        tri = np.random.default_rng(2).laplace(0.0, est.gram_noise.scale, (size, weights.size))
+        tri = np.random.default_rng(2).laplace(0.0, est.mechanisms[0].scale, (size, weights.size))
         norms = np.linalg.norm(np.take(tri / n, index, axis=-1), axis=(-2, -1))
         one_per_system = est.take(np.zeros(size, dtype=int))
         for rel, uncertified in ((1.0 - 1e-14, True), (1.0 + 1e-14, False)):
@@ -813,12 +811,12 @@ def test_gaussian_bootstrap_is_the_regression_bootstrap_with_identity_systems():
 
     gaussian = PrivatizedGaussianEstimate(
         betas=betas, repairs=repairs(sigma2s[:, None, None] * eye), sizes=sizes,
-        ledger=PrivacyLedger(), sum_noise=LaplaceSpec(0.7, k), gram_noise=LaplaceSpec(2.0, 6),
+        mechanisms=(LaplaceSpec(0.7, k, "sum"), LaplaceSpec(2.0, 6, "gram")),
         noisy_sums=sizes[:, None] * betas, noisy_grams=np.zeros((3, k, k)),
     )
     regression = PrivatizedRegressionEstimate(
-        betas=betas, sigma2s=sigma2s, repairs=repairs(eye), sizes=sizes, ledger=PrivacyLedger(),
-        gram_noise=LaplaceSpec(0.0, 6), xty_noise=LaplaceSpec(0.7, k), rss_scales=np.zeros(3),
+        betas=betas, sigma2s=sigma2s, repairs=repairs(eye), sizes=sizes,
+        mechanisms=(LaplaceSpec(0.0, 6, "gram"), LaplaceSpec(0.7, k, "xty"), LaplaceSpec(np.zeros(3), 1, "rss")),
         noisy_grams=sizes[:, None, None] * eye, noisy_xtys=sizes[:, None] * betas,
     )
     for privacy_noise in (True, False):
@@ -832,3 +830,35 @@ def test_gaussian_bootstrap_is_the_regression_bootstrap_with_identity_systems():
                 assert np.array_equal(draws, ref_draws) and not failed.any()
                 assert np.array_equal(failed, ref_failed)
         assert np.array_equal(gaussian.variances(privacy_noise), regression.variances(privacy_noise))
+
+
+@pytest.mark.parametrize("model", ["gaussian", "regression"])
+def test_the_records_are_the_ledger_and_the_noise_scales(model):
+    # one record per released statistic, in RELEASED order: the ledger charges
+    # each record's epsilon, and the noise scales are each record's scale
+    rng = np.random.default_rng(61)
+    if model == "gaussian":
+        data, split = make_gaussian(rng, n=200), (1.0, 0.5)
+    else:
+        data, split = make_regression(rng, n=800), (5.0, 7.5, 2.5)
+    stats = data.fold_statistics([slice(0, 100), slice(100, None)])
+    est = stats.release(split, rng)
+    assert tuple(m.name for m in est.mechanisms) == type(stats).RELEASED
+    assert est.ledger.charges == tuple((f"{model}:{m.name}", m.epsilon) for m in est.mechanisms)
+    assert tuple(m.epsilon for m in est.mechanisms) == split
+    assert list(est.noise_scales) == list(type(stats).RELEASED)
+    for m in est.mechanisms:
+        assert np.array_equal(est.noise_scales[m.name], m.scale)
+        assert np.array_equal(m.scale, m.sensitivity / m.epsilon)
+    # a record whose delta differs by set is cut with the sets
+    last = est.take(np.array([1]))
+    for whole, cut in zip(est.mechanisms, last.mechanisms):
+        assert np.array_equal(cut.scale, whole.scale if np.ndim(whole.scale) == 0 else whole.scale[1:])
+    assert last.ledger == est.ledger
+
+
+def test_infinite_epsilon_records_charge_nothing():
+    rng = np.random.default_rng(62)
+    est = regression_private_mle(make_regression(rng, n=200), math.inf, rng)
+    assert est.ledger.charges == ()
+    assert est.mechanisms[2].scale.shape == (1,) and est.mechanisms[2].is_zero

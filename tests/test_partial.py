@@ -131,8 +131,8 @@ class TestPartialGaussian:
         partial = partial_gaussian_private_mle(
             GaussianData(x[:, :2], Bounds.symmetric(3.0, 2)), 1.5, rng
         )
-        assert partial.sum_noise.scale < full.sum_noise.scale
-        assert partial.gram_noise.scale < full.gram_noise.scale
+        assert partial.noise_scales["sum"] < full.noise_scales["sum"]
+        assert partial.noise_scales["gram"] < full.noise_scales["gram"]
 
     def test_released_surface_excludes_nuisance(self, tmp_path):
         rng = np.random.default_rng(55)

@@ -143,7 +143,7 @@ class TestGeneratorStack:
         stack = GeneratorStack(generators((4, 5, 6)))
         owner = np.array([0, 0, 2, 2, 2])
         scales = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        noise = stack.laplace(0.0, scales, owner=owner)
+        noise = stack.laplace(0.0, scales, scales.shape, owner)
         symmetric = np.take(stack.laplace(0.0, 0.5, (5, 6), owner), symmetric_layout(3)[0], axis=-1)
         first, second, third = generators((4, 5, 6))
         assert np.array_equal(noise[:2], first.laplace(0.0, scales[:2]))
@@ -163,6 +163,47 @@ class TestGeneratorStack:
     def test_rows_must_split_evenly(self):
         with pytest.raises(ParameterError):
             GeneratorStack(generators((1, 2))).standard_normal((3, 2))
+
+
+class TestMechanismRecord:
+    def test_from_budget_records_the_mechanism(self):
+        spec = LaplaceSpec.from_budget(3.0, 1.5, 4, "sum")
+        assert (spec.name, spec.sensitivity, spec.epsilon, spec.dimension) == ("sum", 3.0, 1.5, 4)
+        assert spec.scale == laplace_scale(3.0, 1.5) == 2.0
+        # noise given by its scale alone has no sensitivity and spends nothing
+        bare = LaplaceSpec(2.0, 3)
+        assert bare.sensitivity is None and bare.epsilon == math.inf
+
+    def test_a_sensitivity_per_set_gives_a_scale_per_set(self):
+        delta = np.array([1.0, 0.0, 4.0])
+        assert np.array_equal(LaplaceSpec.from_budget(delta, 2.0).scale, [0.5, 0.0, 2.0])
+        assert np.array_equal(LaplaceSpec.from_budget(delta, math.inf).scale, np.zeros(3))
+
+    @pytest.mark.parametrize("epsilon", [1.5, math.inf])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
+    def test_a_bad_sensitivity_per_set_is_refused_at_every_epsilon(self, epsilon, bad):
+        with pytest.raises(ParameterError, match="sensitivity must be finite and >= 0"):
+            LaplaceSpec.from_budget(np.array([1.0, bad]), epsilon)
+
+    @pytest.mark.parametrize("seeds", [(7,), (4, 5, 6)], ids=["plain", "stack"])
+    def test_per_set_scales_draw_only_nonzero_sets_from_their_generators(self, seeds):
+        # each set's draw comes from its own generator, and a set of scale 0
+        # draws nothing, so its generator is left as it was
+        scales = np.array([0.0, 1.0, 2.0, 0.0, 3.0, 0.5])
+        rng = GeneratorStack(generators(seeds)) if len(seeds) > 1 else np.random.default_rng(seeds[0])
+        noise = LaplaceSpec(scales).sample(rng, scales.size)
+        assert noise.shape == (6, 1) and not noise[scales == 0.0].any()
+        ref = GeneratorStack(generators(seeds))
+        drawn = scales > 0.0
+        expected = ref.laplace(0.0, scales[drawn], (drawn.sum(),), ref.owners(6)[drawn])
+        assert np.array_equal(noise[drawn, 0], expected)
+        after = rng.generators if isinstance(rng, GeneratorStack) else (rng,)
+        assert [g.random() for g in after] == [g.random() for g in ref.generators]
+
+    def test_all_zero_per_set_scales_draw_nothing(self):
+        rng = np.random.default_rng(8)
+        assert np.array_equal(LaplaceSpec(np.zeros(4), 2).sample(rng, 4), np.zeros((4, 2)))
+        assert rng.random() == np.random.default_rng(8).random()
 
 
 class TestSensitivities:
