@@ -45,8 +45,9 @@ from dpextrema.harness import load_config, run_experiment  # noqa: E402
 GOLDEN = Path(__file__).with_name("golden.txt")
 REPS, B = 6, 200
 
-#: Configs the matrix writes itself: the nuisance path with a cv token, and
-#: regression with every bootstrap variant, each at a finite and an infinite budget.
+#: Configs the matrix writes itself: the nuisance path with a cv token,
+#: regression with every bootstrap variant, each at a finite and an infinite
+#: budget, and a cv token at an n that 5 folds do not divide.
 CONFIGS = {
     "partial_regression_cv.ini": """
         [experiment]
@@ -76,6 +77,18 @@ CONFIGS = {
         semi_naive = on
         naive = private
     """,
+    "gaussian_cv_unequal_folds.ini": """
+        [experiment]
+        model = gaussian
+        n = 803
+        k = 2
+        mu = 0, 0.1
+        epsilon = 1.5
+        bounds_half_width = 2.8
+        seed = 13
+        [methods]
+        ppb = 1/10, cv
+    """,
 }
 
 
@@ -88,7 +101,8 @@ def _write_csv(path: Path, header, rows) -> str:
 
 
 def write_inputs(tmp: Path) -> dict[str, str]:
-    """The seeded CSVs the command lines read."""
+    """The seeded CSVs the command lines read; the 303-row ones split into
+    unequal folds."""
     rng = np.random.default_rng(2024)
     gauss = rng.standard_normal((300, 2))
     wide = np.array([0.0, 0.3, 0.0, -0.2]) + rng.standard_normal((400, 4))
@@ -99,11 +113,17 @@ def write_inputs(tmp: Path) -> dict[str, str]:
     w = rng.standard_normal(2000)
     w -= Z @ np.linalg.solve(Z.T @ Z, Z.T @ w)
     yz = Z @ np.array([0.0, 0.5]) + 0.8 * w + rng.standard_normal(2000)
+    odd = np.random.default_rng(303)
+    gauss_odd = odd.standard_normal((303, 2))
+    X_odd = odd.uniform(-1.0, 1.0, (303, 2))
+    y_odd = X_odd @ np.array([0.0, 1.0]) + odd.standard_normal(303)
     return {
         "gauss": _write_csv(tmp / "gauss.csv", ["x0", "x1"], gauss),
         "wide": _write_csv(tmp / "wide.csv", [f"x{j}" for j in range(4)], wide),
         "reg": _write_csv(tmp / "reg.csv", ["x0", "x1", "y"], np.column_stack([X, y])),
         "orth": _write_csv(tmp / "orth.csv", ["z0", "z1", "w0", "y"], np.column_stack([Z, w, yz])),
+        "gauss_odd": _write_csv(tmp / "gauss_odd.csv", ["x0", "x1"], gauss_odd),
+        "reg_odd": _write_csv(tmp / "reg_odd.csv", ["x0", "x1", "y"], np.column_stack([X_odd, y_odd])),
     }
 
 
@@ -137,6 +157,13 @@ COMMANDS = {
     "cv-regression": [
         "cv", "--model", "regression", "--input", "{reg}", "--bounds=-1:1", "--y-bounds=-8:8", "--b-inner", "60",
         "--epsilon", "4", "--seed", "10",
+    ],
+    "ci-gaussian-cv-unequal-folds": [
+        "ci", "gaussian", "--input", "{gauss_odd}", *_GAUSS, "--r", "cv", "--epsilon", "1.5", "--seed", "11",
+    ],
+    "cv-regression-unequal-folds": [
+        "cv", "--model", "regression", "--input", "{reg_odd}", "--bounds=-1:1", "--y-bounds=-8:8",
+        "--b-inner", "60", "--epsilon", "4", "--seed", "12",
     ],
     "ci-gaussian-wrong-split": [
         "ci", "gaussian", "--input", "{gauss}", *_GAUSS, "--split", "0.2,0.3,0.5", "--epsilon", "1.5", "--seed", "1",
