@@ -49,7 +49,7 @@ from .harness import (
     parse_split,
     run_experiment,
 )
-from .models import GaussianData, RegressionData
+from .models import GaussianData, RegressionData, fold_statistics
 from .privacy import Bounds
 
 
@@ -234,7 +234,7 @@ def _cmd_ci(args) -> int:
     data = _load_data(args)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     budget = _budget(args)
-    est = data.fold_statistics([slice(None)]).release(budget, rng)
+    est = fold_statistics([data]).release(budget, rng)
     extra: dict = {}
     if args.r.strip().lower() == "cv":
         cv = cv_choose_r(data, budget, rng, CVConfig(folds=args.folds, b_inner=args.b_inner))

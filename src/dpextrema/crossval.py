@@ -17,8 +17,9 @@ estimate, with the noise scales derived once and one eigendecomposition
 repairing every matrix, and the training replicas of all folds are drawn in
 one ``replica_draws`` call.  This is the release every estimate goes through
 (a single estimate is a stack of one), so each fold's release has
-the law of the single-set estimator on that subset.  Any data class with a
-``fold_statistics`` method can be cross-validated: a partitioned Gaussian is
+the law of the single-set estimator on that subset.  Any data class that
+:func:`~dpextrema.models.fold_statistics` reads (its ``clamped`` rows and
+``statistics_of``) can be cross-validated: a partitioned Gaussian is
 its interest block, plain ``GaussianData``, and ``RegressionData(...,
 nuisance=W)`` removes the nuisance fit from each set's residual through the
 blocks W^T W, W^T X and W^T y.
@@ -26,7 +27,12 @@ blocks W^T W, W^T X and W^T y.
 A Monte Carlo block cross-validates R data sets at once: given a sequence of
 data sets and a :class:`~dpextrema.privacy.GeneratorStack` with one generator
 per set, each set shuffles with its own generator, all 2vR fold estimates are
-one stacked release, and the result holds one choice per data set.
+one stacked release, and the result holds one choice per data set.  The fold
+statistics come from one gather per fold across the block: the fold edges
+follow from n and v alone, fold j of all R sets is the one (R, m_j, k) gather
+``clamped[sets, perms[:, a_j:b_j]]``, and its sums, grams and cross products
+are one batched reduction and matmul (:func:`~dpextrema.models.fold_statistics`),
+so a block makes v gathers, not R v.
 
 Cross-validation costs v times the budget of one estimation.  Each of the 2v
 releases spends that budget on its own set of records, and each record lies
@@ -47,7 +53,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .extrema import DEFAULT_B_INNER, _check_failed_draws, bias_reduced_from_draws
-from .models import stack_statistics
+from .models import fold_statistics
 from .privacy import GeneratorStack
 
 DEFAULT_GRID = (1.0 / 30.0, 1.0 / 15.0, 1.0 / 10.0, 1.0 / 5.0)
@@ -149,8 +155,8 @@ def cv_choose_r(
 ) -> CVResult:
     """Pick the correction strength from ``config.grid`` by cross-validation.
 
-    ``data`` is any data class with a ``fold_statistics`` method, or a
-    sequence of R such data sets of one size with ``rng`` a
+    ``data`` is a data set that :func:`~dpextrema.models.fold_statistics`
+    reads, or a sequence of R such data sets of one size and box with ``rng`` a
     :class:`~dpextrema.privacy.GeneratorStack` of R generators, one per set.
     Deterministic given the data, budget, config, and generator states.
     Every fold estimation uses the same per-statistic budget split as a full
@@ -167,9 +173,8 @@ def cv_choose_r(
     if n < 2 * v:
         raise ParameterError(f"need n >= {2 * v} observations for {v} folds")
 
-    folds = [np.array_split(perm, v) for perm in rng.permutation(n)]
-    stats = stack_statistics([d.fold_statistics(f) for d, f in zip(data_sets, folds)])
-    if min(f.size for f in folds[0]) < stats.min_rows:
+    stats = fold_statistics(data_sets, v, rng.permutation(n))
+    if n // v < stats.min_rows:
         raise ParameterError("a fold is too small for the model estimator")
 
     release, draws = _estimate(stats, budget, rng, config.b_inner)

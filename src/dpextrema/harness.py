@@ -55,7 +55,7 @@ from .extrema import (
     ppb_limits,
 )
 from .models import (
-    GaussianData, GaussianStatistics, RegressionData, RegressionStatistics, stack_statistics,
+    GaussianData, GaussianStatistics, RegressionData, RegressionStatistics, fold_statistics, stack_statistics,
 )
 from .privacy import Bounds, GeneratorStack, split_budget
 
@@ -335,28 +335,41 @@ class ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_data(config: ExperimentConfig, rng: np.random.Generator, fixed_design):
-    mu = np.asarray(config.mu)
-    x = mu + rng.standard_normal((config.n, config.k)) * np.sqrt(config.sigma_diag)
-    return GaussianData(x, Bounds.centered(mu, config.bounds_half_width))
+def _gaussian_study(config: ExperimentConfig):
+    return np.asarray(config.mu), np.sqrt(config.sigma_diag), Bounds.centered(config.mu, config.bounds_half_width)
 
 
-def _regression_data(config: ExperimentConfig, rng: np.random.Generator, fixed_design):
-    beta = np.asarray(config.beta, dtype=float)
+def _gaussian_data(config: ExperimentConfig, rng: np.random.Generator, study):
+    mu, scale, bounds = study
+    return GaussianData(mu + rng.standard_normal((config.n, config.k)) * scale, bounds)
+
+
+def _regression_study(config: ExperimentConfig):
+    beta, hx = np.asarray(config.beta, dtype=float), config.x_half_width
+    y_hw = config.y_half_width or float(np.sum(np.abs(beta)) * hx + 4.0 * math.sqrt(config.sigma2))
+    return beta, _fixed_design_for(config), Bounds.symmetric(hx, config.k), Bounds.symmetric(y_hw, 1)
+
+
+def _regression_data(config: ExperimentConfig, rng: np.random.Generator, study):
+    beta, fixed_design, x_bounds, y_bounds = study
     hx = config.x_half_width
     X = fixed_design if fixed_design is not None else rng.uniform(-hx, hx, (config.n, config.k))
     y = X @ beta + math.sqrt(config.sigma2) * rng.standard_normal(config.n)
-    y_hw = config.y_half_width
-    if y_hw is None:
-        y_hw = float(np.sum(np.abs(beta)) * hx + 4.0 * math.sqrt(config.sigma2))
-    return RegressionData(X, y, Bounds.symmetric(hx, config.k), Bounds.symmetric(y_hw, 1))
+    return RegressionData(X, y, x_bounds, y_bounds)
 
 
-def _partial_regression_data(config: ExperimentConfig, rng: np.random.Generator, fixed_design):
+def _partial_regression_study(config: ExperimentConfig):
+    beta, gamma = np.asarray(config.beta, dtype=float), np.asarray(config.gamma, dtype=float)
+    y_hw = config.y_half_width or float(
+        np.max(np.abs(beta), initial=0.0) + 2.0 * np.sum(np.abs(gamma)) + 4.0 * math.sqrt(config.sigma2)
+    )
+    return beta, gamma, Bounds(np.zeros(config.k), np.ones(config.k)), Bounds.symmetric(y_hw, 1)
+
+
+def _partial_regression_data(config: ExperimentConfig, rng: np.random.Generator, study):
     """Interest design = subgroup x treatment indicators, nuisance covariates
     centered within treated cells so X^T W = 0 exactly."""
-    beta = np.asarray(config.beta, dtype=float)
-    gamma = np.asarray(config.gamma, dtype=float)
+    beta, gamma, x_bounds, y_bounds = study
     groups = rng.integers(0, config.k, size=config.n)
     treated = rng.integers(0, 2, size=config.n)
     X = np.zeros((config.n, config.k))
@@ -367,23 +380,15 @@ def _partial_regression_data(config: ExperimentConfig, rng: np.random.Generator,
         if cell.any():
             W[cell] -= W[cell].mean(axis=0)
     y = X @ beta + W @ gamma + math.sqrt(config.sigma2) * rng.standard_normal(config.n)
-    y_hw = config.y_half_width
-    if y_hw is None:
-        y_hw = float(
-            np.max(np.abs(beta), initial=0.0)
-            + 2.0 * np.sum(np.abs(gamma))
-            + 4.0 * math.sqrt(config.sigma2)
-        )
-    return RegressionData(
-        X, y, Bounds(np.zeros(config.k), np.ones(config.k)), Bounds.symmetric(y_hw, 1), W
-    )
+    return RegressionData(X, y, x_bounds, y_bounds, W)
 
 
 class _Model(typing.NamedTuple):
     """What the harness knows of one simulated model."""
 
     truth: str  # the config key of the truth vector, whose maximum the limits bound
-    generate: typing.Callable  # (config, rng, fixed design or None) -> one data set
+    study: typing.Callable  # config -> what every replication's data share (truths, boxes), made once
+    generate: typing.Callable  # (config, rng, study) -> one data set
     width: typing.Callable  # config -> values in one data row
     reads: tuple[str, ...]  # its own config keys, which the other models refuse
     statistics: type  # the statistics class of its data sets, which names what it releases
@@ -391,14 +396,15 @@ class _Model(typing.NamedTuple):
 
 _MODELS = {
     "gaussian": _Model(
-        "mu", _gaussian_data, lambda c: c.k, ("mu", "sigma_diag", "bounds_half_width"), GaussianStatistics
+        "mu", _gaussian_study, _gaussian_data, lambda c: c.k,
+        ("mu", "sigma_diag", "bounds_half_width"), GaussianStatistics,
     ),
     "regression": _Model(
-        "beta", _regression_data, lambda c: c.k + 1,
+        "beta", _regression_study, _regression_data, lambda c: c.k + 1,
         ("beta", "sigma2", "x_half_width", "y_half_width", "design"), RegressionStatistics,
     ),
     "partial_regression": _Model(
-        "beta", _partial_regression_data, lambda c: c.k + len(c.gamma) + 1,
+        "beta", _partial_regression_study, _partial_regression_data, lambda c: c.k + len(c.gamma) + 1,
         ("beta", "gamma", "sigma2", "y_half_width"), RegressionStatistics,
     ),
 }
@@ -406,9 +412,9 @@ _MODELS = {
 _MODEL_KEYS = {key for model in _MODELS.values() for key in model.reads}
 
 
-def _generate_data(config: ExperimentConfig, rng: np.random.Generator, fixed_design):
+def _generate_data(config: ExperimentConfig, rng: np.random.Generator, study):
     """One replication's data set; the traced benchmark times it by this name."""
-    return _MODELS[config.model].generate(config, rng, fixed_design)
+    return _MODELS[config.model].generate(config, rng, study)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +457,7 @@ def _block_size(config: ExperimentConfig) -> int:
     return min(config.reps, max(1, BLOCK_VALUES // _replication_values(config)))
 
 
-def _block_outcomes(config: ExperimentConfig, eps_index: int, reps: range, fixed_design):
+def _block_outcomes(config: ExperimentConfig, eps_index: int, reps: range, study):
     """Every method's outcomes for the replications ``reps``, run as one stack.
 
     Keyed by (method label, r token); each outcome is three (R,) arrays:
@@ -465,12 +471,15 @@ def _block_outcomes(config: ExperimentConfig, eps_index: int, reps: range, fixed
         for i in reps
     )
     budget = divide_budget(config.epsilons[eps_index], config.split)
-    # only cross-validation reads the rows again; otherwise each replication's
+    # only cross-validation reads the rows again, so only then does the block
+    # keep them, and its statistics are one call; otherwise each replication's
     # rows are reduced to statistics as they are generated, and dropped
-    data = (_generate_data(config, g, fixed_design) for g in rng.generators)
+    data = (_generate_data(config, g, study) for g in rng.generators)
     if _cross_validates(config):
         data = list(data)
-    stats = stack_statistics([d.fold_statistics([slice(None)]) for d in data])
+        stats = fold_statistics(data)
+    else:
+        stats = stack_statistics([fold_statistics([d]) for d in data])
     releases = {}  # private -> stacked estimate
     draws = {}  # (private, privacy_noise) -> (draws, failed counts)
 
@@ -518,17 +527,17 @@ def _block_outcomes(config: ExperimentConfig, eps_index: int, reps: range, fixed
     return outcomes
 
 
-def _run_block(config: ExperimentConfig, eps_index: int, reps: range, fixed_design):
+def _run_block(config: ExperimentConfig, eps_index: int, reps: range, study):
     """:func:`_block_outcomes`; on an error, that of the block's first failing
     replication, found by running the block one replication at a time, so
     the study aborts as a serial run of single replications would."""
     try:
-        return _block_outcomes(config, eps_index, reps, fixed_design)
+        return _block_outcomes(config, eps_index, reps, study)
     except (NumericError, ParameterError):
         if len(reps) == 1:
             raise
         for rep in reps:
-            _block_outcomes(config, eps_index, range(rep, rep + 1), fixed_design)
+            _block_outcomes(config, eps_index, range(rep, rep + 1), study)
         raise
 
 
@@ -551,13 +560,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     given the configuration; the block size and the worker count only affect
     wall time.
     """
-    fixed_design = _fixed_design_for(config)
+    study = _MODELS[config.model].study(config)
     count = -(-config.reps // _block_size(config))
     ends = [config.reps * i // count for i in range(count + 1)]
     blocks = [range(start, end) for start, end in zip(ends, ends[1:])]
     rows: list[ReportRow] = []
     for eps_index, epsilon in enumerate(config.epsilons):
-        tasks = [(config, eps_index, block, fixed_design) for block in blocks]
+        tasks = [(config, eps_index, block, study) for block in blocks]
         if config.workers > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
                 chunk = max(1, len(tasks) // (8 * config.workers))

@@ -70,10 +70,19 @@ __all__ = [
     "RegressionStatistics",
     "PrivatizedRegressionEstimate",
     "SIGMA2_FLOOR",
+    "fold_statistics",
     "gaussian_private_mle",
     "regression_private_mle",
     "stack_statistics",
 ]
+
+
+def _refuse_cells(name: str, bad: np.ndarray, what: str = "NaN") -> None:
+    """Refuse the first ``bad`` cell of the array ``name`` by its indices: a NaN
+    passes the clamp, and a sum released with it is NaN whatever the noise."""
+    if bad.any():
+        cell = ", ".join(str(int(i)) for i in np.argwhere(bad)[0])
+        raise ParameterError(f"the data cell {name}[{cell}] is {what} (indices from 0)")
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +103,7 @@ class GaussianData:
             raise ParameterError("Gaussian data needs an (n, k) matrix with n >= 2")
         if x.shape[1] != self.bounds.k:
             raise ParameterError("bounds dimension does not match the data")
+        _refuse_cells("x", np.isnan(x))
         object.__setattr__(self, "x", x)
 
     @property
@@ -105,19 +115,14 @@ class GaussianData:
         return self.x.shape[1]
 
     @cached_property
-    def clamped(self) -> np.ndarray:
-        """The rows clamped into the bounds, computed once per data set."""
-        return self.bounds.clamp(self.x)
+    def clamped(self) -> tuple[np.ndarray]:
+        """The rows the statistics read, x clamped into the box, computed once."""
+        return (self.bounds.clamp(self.x),)
 
-    def fold_statistics(self, folds: list[np.ndarray]) -> "GaussianStatistics":
-        """Statistics of the clamped rows of each fold (an index array or a slice)."""
-        parts = [self.clamped[f] for f in folds]
-        return GaussianStatistics(
-            self.bounds,
-            np.array([p.shape[0] for p in parts]),
-            np.array([p.sum(axis=0) for p in parts]),
-            np.array([p.T @ p for p in parts]),
-        )
+    def statistics_of(self, x: np.ndarray) -> "GaussianStatistics":
+        """Statistics of R blocks of clamped rows in this box, an (R, m, k) array."""
+        sets, rows = x.shape[:2]
+        return GaussianStatistics(self.bounds, np.full(sets, rows), x.sum(axis=1), np.swapaxes(x, 1, 2) @ x)
 
 
 class _Stacked:
@@ -339,9 +344,9 @@ def gaussian_private_mle(
     covariance is repaired onto the PSD cone; a repair that shifts eigenvalue
     mass beyond the budget marks the estimate as degenerate but does not fail.
     The data are released by :meth:`GaussianStatistics.release`, as a stack of
-    one set: the fold ``slice(None)``, a view, so no row is copied.
+    one set of one fold, a view, so no row is copied.
     """
-    return data.fold_statistics([slice(None)]).release(budget, rng)
+    return fold_statistics([data]).release(budget, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +381,16 @@ class RegressionData:
             raise ParameterError("x_bounds dimension does not match the design")
         if self.y_bounds.k != 1:
             raise ParameterError("y_bounds must be a scalar range")
+        _refuse_cells("X", np.isnan(X))
+        _refuse_cells("y", np.isnan(y))
         W = None
         if self.nuisance is not None and np.asarray(self.nuisance).size > 0:
             W = np.atleast_2d(np.asarray(self.nuisance, dtype=float))
             if W.shape[0] != X.shape[0]:
                 raise ParameterError("the nuisance block must have one row per response")
-            if np.abs(X.T @ W).max() > ORTHOGONALITY_TOLERANCE * X.shape[0]:
+            _refuse_cells("nuisance", ~np.isfinite(W), "not finite")  # W is never clamped
+            # not "> tolerance": an inf cell of X next to a 0 of W makes a NaN entry
+            if not np.abs(X.T @ W).max() <= ORTHOGONALITY_TOLERANCE * X.shape[0]:
                 raise ParameterError(
                     "X^T nuisance is not numerically zero; the nuisance block must be "
                     "orthogonal to the design"
@@ -401,22 +410,21 @@ class RegressionData:
         return self.X.shape[1]
 
     @cached_property
-    def clamped(self) -> tuple[np.ndarray, np.ndarray]:
-        """X and y clamped into their bounds, computed once per data set."""
-        return self.x_bounds.clamp(self.X), self.y_bounds.clamp(self.y)
+    def clamped(self) -> tuple[np.ndarray, ...]:
+        """The rows the statistics read, X and y clamped into their boxes and
+        W, which is never clamped; computed once."""
+        clamped = self.x_bounds.clamp(self.X), self.y_bounds.clamp(self.y)
+        return clamped if self.nuisance is None else (*clamped, self.nuisance)
 
-    def fold_statistics(self, folds: list[np.ndarray]) -> "RegressionStatistics":
-        """Statistics of each fold's rows (an index array or a slice); W is never clamped."""
-        (X, y), W = self.clamped, self.nuisance
-        rows = []
-        for f in folds:
-            x, t = X[f], y[f]
-            row = [t.size, x.T @ x, x.T @ t, t @ t]
-            if W is not None:
-                w = W[f]
-                row += [w.T @ w, w.T @ x, w.T @ t]
-            rows.append(row)
-        return RegressionStatistics(self.x_bounds, self.y_bounds, *(np.array(s) for s in zip(*rows)))
+    def statistics_of(self, x: np.ndarray, t: np.ndarray, w=None) -> "RegressionStatistics":
+        """Statistics of R blocks of rows in these boxes: (R, m, k) clamped X,
+        (R, m) clamped y and, with a nuisance block, (R, m, k2) W."""
+        xt, t = np.swapaxes(x, 1, 2), t[..., None]
+        stats = [np.full(len(x), x.shape[1]), xt @ x, (xt @ t)[..., 0], (np.swapaxes(t, 1, 2) @ t)[:, 0, 0]]
+        if w is not None:
+            wt = np.swapaxes(w, 1, 2)
+            stats += [wt @ w, wt @ x, (wt @ t)[..., 0]]
+        return RegressionStatistics(self.x_bounds, self.y_bounds, *stats)
 
 
 @dataclass(eq=False)
@@ -461,7 +469,7 @@ def regression_private_mle(
     stays well defined.  Raises :class:`NumericError` when the noisy gram
     matrix is irreparably singular.
     """
-    return data.fold_statistics([slice(None)]).release(budget, rng)
+    return fold_statistics([data]).release(budget, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -469,15 +477,39 @@ def regression_private_mle(
 # ---------------------------------------------------------------------------
 
 
+def fold_statistics(data_sets, folds: int = 1, perms: np.ndarray | None = None):
+    """The statistics of ``folds`` folds of each of R data sets of one class,
+    size and box, as one stack of R * folds sets, set by set.
+
+    The edges a_j cut n rows as ``np.array_split`` does.  Fold j of set i is
+    its rows a_j:a_{j+1}, or perms[i, a_j:a_{j+1}] with (R, n) row orders
+    ``perms``: one gather across the sets per fold (a view of one set's rows
+    in order), then one batched reduction and matmul.
+    """
+    first = data_sets[0]
+    columns = [c[0][None] if len(c) == 1 else np.stack(c) for c in zip(*(d.clamped for d in data_sets))]
+    sets = np.arange(len(data_sets))[:, None]
+    per, extra = divmod(first.n, folds)
+    edges = [j * per + min(j, extra) for j in range(folds + 1)]  # the first n % folds get one more row
+    return stack_statistics([
+        first.statistics_of(*(c[:, a:b] if perms is None else c[sets, perms[:, a:b]] for c in columns))
+        for a, b in zip(edges, edges[1:])
+    ])
+
+
 def stack_statistics(parts):
-    """One statistics stack holding the sets of every stack in ``parts``, in order."""
+    """One statistics stack holding the sets of every stack in ``parts``, set
+    by set: of P stacks of R sets each, row i P + j is set i of stack j, so P
+    stacks of one set each are one stack in their order."""
     first = parts[0]
+    if len(parts) == 1:
+        return first
     return replace(
         first,
         **{
-            name: np.concatenate([getattr(p, name) for p in parts])
+            name: np.stack([getattr(p, name) for p in parts], axis=1).reshape(-1, *a.shape[1:])
             for name in first.ADDITIVE
-            if getattr(first, name) is not None
+            if (a := getattr(first, name)) is not None
         },
     )
 

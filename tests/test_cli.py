@@ -20,7 +20,7 @@ from dpextrema.cli import build_parser, main
 from dpextrema.crossval import CVConfig, cv_choose_r
 from dpextrema.errors import ParameterError
 from dpextrema.extrema import ppb_limits
-from dpextrema.models import GaussianData, RegressionData
+from dpextrema.models import GaussianData, RegressionData, fold_statistics
 from dpextrema.privacy import Bounds
 
 
@@ -96,7 +96,7 @@ class TestCiGaussian:
 
         x = GaussianData(np.loadtxt(data, delimiter=",", skiprows=1), Bounds.symmetric(5.0, 2))
         rng = np.random.default_rng(np.random.SeedSequence(8))
-        est = x.fold_statistics([slice(None)]).release(1.5, rng)
+        est = fold_statistics([x]).release(1.5, rng)
         r_used = cv_choose_r(x, 1.5, rng, CVConfig(b_inner=60)).chosen_rs[0] if r == "cv" else 1 / 10
         draws, failed = est.replica_draws(300, rng, 1)
         lower, c_alpha = ppb_limits(est.betas, draws, failed.sum(axis=1), r_used, est.sizes)
@@ -210,6 +210,15 @@ class TestCiGaussian:
         assert run_cli(args) == 2
         err = capsys.readouterr().err
         assert "row 3" in err and "column 2" in err
+
+    def test_nan_cell_is_refused_by_cell(self, tmp_path, capsys):
+        # the reader returns NaN; the data class refuses it before any release
+        bad = tmp_path / "nan.csv"
+        bad.write_text("a,b\n1,nan\n2,3\n4,5\n")
+        args = ["ci", "gaussian", "--input", str(bad), "--bounds=-3:3", "--epsilon", "1", "--seed", "1"]
+        assert run_cli(args) == 2
+        captured = capsys.readouterr()
+        assert "x[0, 1] is NaN" in captured.err and "lower_limit" not in captured.out
 
     @staticmethod
     def write_labelled(tmp_path, ragged=False):
@@ -485,6 +494,17 @@ class TestCiRegression:
         assert "budget      = 1.5\n" in out
         assert "repair      = shift " in out
 
+    def test_nan_response_is_refused_by_cell(self, tmp_path, capsys):
+        # not as "the response bounds are too wide", as the rss noise once said
+        data = write_regression_csv(tmp_path / "reg.csv")
+        lines = data.read_text().splitlines()
+        lines[3] = ",".join(lines[3].split(",")[:2] + ["nan"])
+        data.write_text("\n".join(lines) + "\n")
+        args = ["ci", "regression", "--input", str(data), "--bounds=-1:1", "--y-bounds=-6:6", "--epsilon", "1.5", "--seed", "1"]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert "y[2] is NaN" in err and "too wide" not in err
+
     @pytest.mark.parametrize("partial", [[], ["--partial", "2"]], ids=["plain", "partial"])
     def test_estimate_block_is_set_zero_of_the_release(self, tmp_path, capsys, partial):
         data = write_orthogonal_regression_csv(tmp_path / "orth.csv")
@@ -503,7 +523,7 @@ class TestCiRegression:
             rows[:, k1:-1],
         )
         rng = np.random.default_rng(np.random.SeedSequence(3))
-        est = x.fold_statistics([slice(None)]).release(1.5, rng)
+        est = fold_statistics([x]).release(1.5, rng)
         expected = {
             "noise_scales": {
                 "gram": est.mechanisms[0].scale,

@@ -9,6 +9,7 @@ from dpextrema.errors import DegeneracyError, NumericError, ParameterError
 from dpextrema.models import (
     GaussianData,
     RegressionData,
+    fold_statistics,
     gaussian_private_mle,
     regression_private_mle,
 )
@@ -93,7 +94,7 @@ class TestCvChooseR:
         X = rng.uniform(-1, 1, (12, 4))
         y = rng.standard_normal(12)
         data = RegressionData(X, y, Bounds.symmetric(1.0, 4), Bounds.symmetric(5.0, 1))
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="^a fold is too small for the model estimator$"):
             cv_choose_r(data, 1.5, np.random.default_rng(0), CVConfig(folds=3, b_inner=60))
 
     def test_supports_regression_data(self):
@@ -208,6 +209,76 @@ def _nuisance_case():
     return data, estimate_subset
 
 
+def per_fold_reference(data_sets, perms, v):
+    """The per-set, per-fold loop that the block path replaced, kept as the
+    reference: each set's folds from ``np.array_split`` of its row order, each
+    fold's statistics from its own gather.  One dict per fold, set by set."""
+    rows = []
+    for d, perm in zip(data_sets, perms):
+        for f in np.array_split(perm, v):
+            if isinstance(d, GaussianData):
+                p = d.bounds.clamp(d.x)[f]
+                rows.append({"n": p.shape[0], "sums": p.sum(axis=0), "grams": p.T @ p})
+                continue
+            x, t = d.x_bounds.clamp(d.X)[f], d.y_bounds.clamp(d.y)[f]
+            row = {"n": t.size, "xtx": x.T @ x, "xty": x.T @ t, "yty": t @ t}
+            if d.nuisance is not None:
+                w = d.nuisance[f]
+                row |= {"wtw": w.T @ w, "wtx": w.T @ x, "wty": w.T @ t}
+            rows.append(row)
+    return rows
+
+
+def plain_regression_data(seed, n):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1, 1, (n, 2))
+    y = X @ np.array([0.0, 1.0]) + 3.0 * rng.standard_normal(n)  # some responses clamp
+    return RegressionData(X, y, Bounds.symmetric(1.0, 2), Bounds.symmetric(5.0, 1))
+
+
+class TestBlockFoldStatistics:
+    """One gather per fold across the block gives each set's per-fold statistics bit for bit."""
+
+    @pytest.mark.parametrize("n", [800, 803], ids=["equal-folds", "unequal-folds"])
+    @pytest.mark.parametrize("sets", [1, 3])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda seed, n: gaussian_data(seed=seed, n=n), plain_regression_data, nuisance_regression_data],
+        ids=["gaussian", "regression", "nuisance"],
+    )
+    def test_matches_the_per_set_per_fold_loop(self, make, sets, n):
+        v = 5
+        data_sets = [make(40 + i, n) for i in range(sets)]
+        perms = np.stack([np.random.default_rng(i).permutation(n) for i in range(sets)])
+        block = fold_statistics(data_sets, v, perms)
+        reference = per_fold_reference(data_sets, perms, v)
+        assert block.n.shape == (sets * v,)
+        for name, first in reference[0].items():
+            got = getattr(block, name)
+            assert got.shape[1:] == np.shape(first), name
+            for row, want in zip(got, reference):
+                assert [float(a).hex() for a in np.ravel(row)] == [
+                    float(a).hex() for a in np.ravel(want[name])
+                ], name
+
+    def test_without_row_orders_a_set_is_one_fold_in_order(self):
+        data = nuisance_regression_data(seed=19, n=803)
+        whole = fold_statistics([data])
+        (reference,) = per_fold_reference([data], [np.arange(data.n)], 1)
+        for name, want in reference.items():
+            assert np.array_equal(getattr(whole, name)[0], want), name
+
+    def test_the_smallest_fold_decides(self):
+        # 14 rows in 3 folds are 5, 5 and 4 rows, and 4 rows leave k = 4
+        # coefficients no residual degree of freedom
+        rng = np.random.default_rng(10)
+        X = rng.uniform(-1, 1, (14, 4))
+        data = RegressionData(X, rng.standard_normal(14), Bounds.symmetric(1.0, 4), Bounds.symmetric(5.0, 1))
+        assert tuple(fold_statistics([data], 3, rng.permutation(14)[None]).n) == (5, 5, 4)
+        with pytest.raises(ParameterError, match="^a fold is too small for the model estimator$"):
+            cv_choose_r(data, 1e6, np.random.default_rng(0), CVConfig(folds=3, b_inner=60))
+
+
 class TestFoldStatisticsReference:
     """Without noise, CV on fold statistics equals estimation on each subset."""
 
@@ -243,7 +314,7 @@ def test_estimate_then_cv_clamps_each_array_once(monkeypatch, case, clamped_arra
     calls = []
     clamp = Bounds.clamp
     monkeypatch.setattr(Bounds, "clamp", lambda self, x: calls.append(x) or clamp(self, x))
-    data.fold_statistics([slice(None)]).release(math.inf, np.random.default_rng(0))
+    fold_statistics([data]).release(math.inf, np.random.default_rng(0))
     cv_choose_r(data, math.inf, np.random.default_rng(1), CVConfig(b_inner=60))
     assert len(calls) == clamped_arrays
 

@@ -30,7 +30,7 @@ from dpextrema.extrema import (
     ppb_limits,
     ppb_lower_limit,
 )
-from dpextrema.models import PrivatizedRegressionEstimate, RegressionData
+from dpextrema.models import PrivatizedRegressionEstimate, RegressionData, fold_statistics
 from dpextrema.privacy import Bounds
 
 REPO = Path(__file__).resolve().parent.parent
@@ -188,17 +188,17 @@ def model_config(name, **overrides):
     )
 
 
-def oracle_replication(config, eps_index, rep, fixed_design):
+def oracle_replication(config, eps_index, rep, study):
     """One replication as the harness ran it one at a time: its own generator,
     a release of one set, and each estimate and draw made once."""
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, eps_index, rep)))
     budget = divide_budget(config.epsilons[eps_index], config.split)
-    data = harness._generate_data(config, rng, fixed_design)
+    data = harness._generate_data(config, rng, study)
     estimates, draws, results = {}, {}, {}
 
     def release(private):
         if private not in estimates:
-            stats = data.fold_statistics([slice(None)])
+            stats = fold_statistics([data])
             estimates[private] = stats.release(budget if private else math.inf, rng)
         return estimates[private]
 
@@ -235,11 +235,12 @@ def oracle_replication(config, eps_index, rep, fixed_design):
     }
 
 
-def assert_block_matches_oracle(config, fixed_design):
+def assert_block_matches_oracle(config):
+    study = harness._MODELS[config.model].study(config)
     for eps_index in range(len(config.epsilons)):
-        block = harness._block_outcomes(config, eps_index, range(config.reps), fixed_design)
+        block = harness._block_outcomes(config, eps_index, range(config.reps), study)
         for rep in range(config.reps):
-            alone = oracle_replication(config, eps_index, rep, fixed_design)
+            alone = oracle_replication(config, eps_index, rep, study)
             assert list(alone) == list(block)
             for key, outcome in alone.items():
                 assert outcome == tuple(a[rep] for a in block[key]), (key, rep)
@@ -279,7 +280,7 @@ class TestBlocks:
     @pytest.mark.parametrize("name", sorted(MODEL_CONFIGS))
     def test_each_replication_matches_the_single_set_oracle(self, name):
         config = model_config(name)
-        assert_block_matches_oracle(config, harness._fixed_design_for(config))
+        assert_block_matches_oracle(config)
 
     def test_replications_with_retried_systems_match_the_oracle(self, monkeypatch):
         retried_by = set()  # the generators whose block draws were retried
@@ -291,7 +292,8 @@ class TestBlocks:
             return noisy_systems(self, owner, shape, rng, floor, s_eigvals)
 
         monkeypatch.setattr(PrivatizedRegressionEstimate, "_noisy_systems", spy)
-        assert_block_matches_oracle(collinear_config(1e6), collinear_design())
+        monkeypatch.setattr(harness, "_fixed_design_for", lambda config: collinear_design())
+        assert_block_matches_oracle(collinear_config(1e6))
         assert len(retried_by) >= 2
 
     def test_regression_block_holds_one_replications_systems(self, monkeypatch):
@@ -346,12 +348,13 @@ class TestBlocks:
             load_config(REPO / "bench" / "configs" / "regression_k8.ini"),
             methods=(MethodSpec("ppb", ("1/10",)),), reps=8,
         )
-        harness._block_outcomes(config, 0, range(1), None)  # first-call set-up
+        study = harness._MODELS[config.model].study(config)
+        harness._block_outcomes(config, 0, range(1), study)  # first-call set-up
         peaks = []
         for reps in (1, 8):
             tracemalloc.start()
             try:
-                harness._block_outcomes(config, 0, range(reps), None)
+                harness._block_outcomes(config, 0, range(reps), study)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -368,7 +371,7 @@ class TestBlocks:
             x, x @ [0.0, 0.5] + rng.standard_normal(x.shape[0]),
             Bounds.symmetric(1.0, 2), Bounds.symmetric(6.0, 1),
         )
-        estimate = data.fold_statistics([slice(None)]).release(1e6, rng)
+        estimate = fold_statistics([data]).release(1e6, rng)
         result = ppb_lower_limit(estimate, 0.1, rng, B=1000)
         assert result.failed_draws > 0
         assert result.B + result.failed_draws == 1000
@@ -388,7 +391,7 @@ class TestBlocks:
     def test_block_error_is_that_of_its_first_failing_replication(self, monkeypatch):
         # replication 3 fails early in the block and replication 1 late, so
         # the block stops at 3's error; a serial run stops at 1's
-        def outcomes(config, eps_index, reps, fixed_design):
+        def outcomes(config, eps_index, reps, study):
             if 3 in reps:
                 raise DegeneracyError("replication 3")
             if 1 in reps:
@@ -698,7 +701,7 @@ class TestConfigFile:
             np.eye(4, 2), np.zeros(4), Bounds.symmetric(1.0, 2), Bounds.symmetric(1.0, 1)
         )
         with pytest.raises(ParameterError, match="^the budget split has 2 parts for 3 statistics$"):
-            data.fold_statistics([slice(None)]).release((0.5, 0.5), np.random.default_rng(0))
+            fold_statistics([data]).release((0.5, 0.5), np.random.default_rng(0))
 
     @pytest.mark.parametrize(
         "key, lines",

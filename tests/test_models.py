@@ -12,7 +12,9 @@ from dpextrema.models import (
     PrivatizedGaussianEstimate,
     PrivatizedRegressionEstimate,
     RegressionData,
+    fold_statistics,
     gaussian_private_mle,
+    stack_statistics,
     regression_private_mle,
 )
 from dpextrema.privacy import (
@@ -203,9 +205,10 @@ class TestGaussianBootstrap:
         rng = np.random.default_rng(25)
         data = make_gaussian(rng, n=90, k=3, half_width=3.0)
         folds = [slice(0, 8), slice(8, 20), slice(20, 50), slice(50, 90)]
+        stats = stack_statistics([fold_statistics([GaussianData(data.x[f], data.bounds)]) for f in folds])
         clipped = 0
         for seed in range(6):
-            est = data.fold_statistics(folds).release(0.3, np.random.default_rng(seed))
+            est = stats.release(0.3, np.random.default_rng(seed))
             clipped += int((est.repairs.shift > 0.0).sum())
             for privacy_noise in (True, False):
                 rng = np.random.default_rng(seed)
@@ -329,7 +332,7 @@ class TestRegressionDataNuisance:
         X = rng.uniform(0.0, 1.0, (50, 2))
         data = RegressionData(X, rng.standard_normal(50), *self.BOUNDS, nuisance=X[:, 2:])
         assert data.nuisance is None
-        stats = data.fold_statistics([slice(None)])
+        stats = fold_statistics([data])
         assert stats.wtw is None and stats.min_rows == 3
 
 
@@ -383,6 +386,57 @@ def orthogonal_nuisance_data(rng, n, with_w=True):
     return RegressionData(
         X, y, Bounds.symmetric(1.0, 2), Bounds.symmetric(8.0, 1), W if with_w else None
     )
+
+
+class TestNanCellsRefused:
+    """The clamp passes NaN through, so one NaN cell would make a released
+    statistic NaN whatever the noise; every data class refuses it by cell."""
+
+    BOUNDS = (Bounds.symmetric(3.0, 2), Bounds.symmetric(5.0, 1))
+
+    @staticmethod
+    def design(rng, n=40):
+        return rng.uniform(-1.0, 1.0, (n, 2))
+
+    def test_gaussian_x(self):
+        x = np.array([[1.0, 2.0], [3.0, np.nan], [4.0, 5.0]])
+        with pytest.raises(ParameterError, match=r"^the data cell x\[1, 1\] is NaN"):
+            GaussianData(x, self.BOUNDS[0])
+
+    def test_regression_design(self):
+        X = self.design(np.random.default_rng(70))
+        X[7, 0] = np.nan
+        with pytest.raises(ParameterError, match=r"^the data cell X\[7, 0\] is NaN"):
+            RegressionData(X, np.zeros(40), *self.BOUNDS)
+
+    def test_regression_response(self):
+        y = np.zeros(40)
+        y[3] = np.nan
+        with pytest.raises(ParameterError, match=r"^the data cell y\[3\] is NaN"):
+            RegressionData(self.design(np.random.default_rng(71)), y, *self.BOUNDS)
+
+    def test_regression_nuisance(self):
+        # NaN > tolerance is False, so the orthogonality check alone let it in
+        rng = np.random.default_rng(72)
+        X = self.design(rng)
+        W = orthogonal_block(X, rng.standard_normal((40, 2)))
+        W[5, 1] = np.nan
+        with pytest.raises(ParameterError, match=r"^the data cell nuisance\[5, 1\] is not finite"):
+            RegressionData(X, np.zeros(40), *self.BOUNDS, nuisance=W)
+
+    def test_nuisance_infinity(self):
+        # W is never clamped; and 0 * inf in X^T W was a NaN entry, which made
+        # the whole orthogonality check pass
+        X = np.repeat(np.eye(2), 20, axis=0)
+        W = np.zeros((40, 1))
+        W[0, 0] = np.inf
+        with pytest.raises(ParameterError, match=r"^the data cell nuisance\[0, 0\] is not finite"):
+            RegressionData(X, np.zeros(40), *self.BOUNDS, nuisance=W)
+
+    def test_infinities_still_clamp_to_the_box(self):
+        x = np.array([[np.inf, 0.0], [0.0, -np.inf], [1.0, 1.0]])
+        stats = fold_statistics([GaussianData(x, self.BOUNDS[0])])
+        assert stats.sums.tolist() == [[4.0, -2.0]]
 
 
 class TestSingleSetReleaseReference:
@@ -841,7 +895,7 @@ def test_the_records_are_the_ledger_and_the_noise_scales(model):
         data, split = make_gaussian(rng, n=200), (1.0, 0.5)
     else:
         data, split = make_regression(rng, n=800), (5.0, 7.5, 2.5)
-    stats = data.fold_statistics([slice(0, 100), slice(100, None)])
+    stats = fold_statistics([data], 2)
     est = stats.release(split, rng)
     assert tuple(m.name for m in est.mechanisms) == type(stats).RELEASED
     assert est.ledger.charges == tuple((f"{model}:{m.name}", m.epsilon) for m in est.mechanisms)

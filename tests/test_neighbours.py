@@ -21,7 +21,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpextrema.models import GaussianData, RegressionData
+from dpextrema.models import GaussianData, RegressionData, fold_statistics
 from dpextrema.privacy import Bounds
 
 #: Relative slack for the rounding of sums of a few dozen products.
@@ -30,7 +30,7 @@ ROUNDING = 1e-12
 
 def gaussian_distances(x, x_prime, bounds):
     """L1 distances of the sum and the gram, and the deltas the release declares."""
-    stats, other = (GaussianData(rows, bounds).fold_statistics([slice(None)]) for rows in (x, x_prime))
+    stats, other = (fold_statistics([GaussianData(rows, bounds)]) for rows in (x, x_prime))
     sum_noise, gram_noise = stats.release(math.inf, None).mechanisms
     return (
         (np.abs(stats.sums - other.sums).sum(), sum_noise.sensitivity),
@@ -41,7 +41,7 @@ def gaussian_distances(x, x_prime, bounds):
 def regression_distances(xy, xy_prime, x_bounds, y_bounds):
     """L1 distances of X^T X and X^T y, and the deltas the release declares."""
     stats, other = (
-        RegressionData(rows[:, :-1], rows[:, -1], x_bounds, y_bounds).fold_statistics([slice(None)])
+        fold_statistics([RegressionData(rows[:, :-1], rows[:, -1], x_bounds, y_bounds)])
         for rows in (xy, xy_prime)
     )
     gram_noise, xty_noise, _ = stats.release(math.inf, None).mechanisms
