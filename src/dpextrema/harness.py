@@ -471,15 +471,12 @@ def _block_outcomes(config: ExperimentConfig, eps_index: int, reps: range, study
         for i in reps
     )
     budget = divide_budget(config.epsilons[eps_index], config.split)
-    # only cross-validation reads the rows again, so only then does the block
-    # keep them, and its statistics are one call; otherwise each replication's
+    # only cross-validation reads the rows again; otherwise each replication's
     # rows are reduced to statistics as they are generated, and dropped
     data = (_generate_data(config, g, study) for g in rng.generators)
     if _cross_validates(config):
         data = list(data)
-        stats = fold_statistics(data)
-    else:
-        stats = stack_statistics([fold_statistics([d]) for d in data])
+    stats = stack_statistics([fold_statistics([d]) for d in data])
     releases = {}  # private -> stacked estimate
     draws = {}  # (private, privacy_noise) -> (draws, failed counts)
 

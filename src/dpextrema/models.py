@@ -388,8 +388,10 @@ class RegressionData:
             W = np.atleast_2d(np.asarray(self.nuisance, dtype=float))
             if W.shape[0] != X.shape[0]:
                 raise ParameterError("the nuisance block must have one row per response")
-            _refuse_cells("nuisance", ~np.isfinite(W), "not finite")  # W is never clamped
-            # not "> tolerance": an inf cell of X next to a 0 of W makes a NaN entry
+            # W is never clamped, and X^T W is undefined on an infinite design cell
+            _refuse_cells("nuisance", ~np.isfinite(W), "not finite")
+            _refuse_cells("X", ~np.isfinite(X), "not finite")
+            # not "> tolerance", which an entry that overflows to NaN would pass
             if not np.abs(X.T @ W).max() <= ORTHOGONALITY_TOLERANCE * X.shape[0]:
                 raise ParameterError(
                     "X^T nuisance is not numerically zero; the nuisance block must be "
@@ -484,32 +486,60 @@ def fold_statistics(data_sets, folds: int = 1, perms: np.ndarray | None = None):
     The edges a_j cut n rows as ``np.array_split`` does.  Fold j of set i is
     its rows a_j:a_{j+1}, or perms[i, a_j:a_{j+1}] with (R, n) row orders
     ``perms``: one gather across the sets per fold (a view of one set's rows
-    in order), then one batched reduction and matmul.
+    in order), then one batched reduction and matmul.  Sets that differ in
+    class, size, width or box are refused: one release calibrates its noise
+    to the first set's box.
     """
     first = data_sets[0]
+    if not all(_same_layout(first, d, lambda d: [c.shape for c in d.clamped]) for d in data_sets[1:]):
+        raise ParameterError("the data sets of one stack need one class, size, width and box")
     columns = [c[0][None] if len(c) == 1 else np.stack(c) for c in zip(*(d.clamped for d in data_sets))]
     sets = np.arange(len(data_sets))[:, None]
     per, extra = divmod(first.n, folds)
     edges = [j * per + min(j, extra) for j in range(folds + 1)]  # the first n % folds get one more row
-    return stack_statistics([
+    stacks = [
         first.statistics_of(*(c[:, a:b] if perms is None else c[sets, perms[:, a:b]] for c in columns))
         for a, b in zip(edges, edges[1:])
-    ])
+    ]
+    if folds == 1:
+        return stacks[0]
+    # set by set: row i * folds + j is fold j of set i
+    return replace(
+        stacks[0],
+        **{
+            name: np.stack([getattr(s, name) for s in stacks], axis=1).reshape(-1, *a.shape[1:])
+            for name in stacks[0].ADDITIVE
+            if (a := getattr(stacks[0], name)) is not None
+        },
+    )
+
+
+def _same_layout(a, b, shapes) -> bool:
+    """Whether two data sets, or two statistics stacks, have one class, equal
+    boxes and equal ``shapes``."""
+    if type(a) is not type(b) or shapes(a) != shapes(b):
+        return False
+    return all(
+        (p := getattr(a, f.name)) is (q := getattr(b, f.name))
+        or not isinstance(p, Bounds)
+        or (np.array_equal(p.lower, q.lower) and np.array_equal(p.upper, q.upper))
+        for f in fields(a)
+    )
 
 
 def stack_statistics(parts):
-    """One statistics stack holding the sets of every stack in ``parts``, set
-    by set: of P stacks of R sets each, row i P + j is set i of stack j, so P
-    stacks of one set each are one stack in their order."""
+    """One statistics stack holding the sets of every stack in ``parts``, in
+    order.  The stacks must have one class, width and box."""
     first = parts[0]
-    if len(parts) == 1:
-        return first
+    widths = lambda s: [None if (a := getattr(s, name)) is None else a.shape[1:] for name in s.ADDITIVE]
+    if not all(_same_layout(first, p, widths) for p in parts[1:]):
+        raise ParameterError("the stacks need one class, width and box")
     return replace(
         first,
         **{
-            name: np.stack([getattr(p, name) for p in parts], axis=1).reshape(-1, *a.shape[1:])
+            name: np.concatenate([getattr(p, name) for p in parts])
             for name in first.ADDITIVE
-            if (a := getattr(first, name)) is not None
+            if getattr(first, name) is not None
         },
     )
 

@@ -505,6 +505,18 @@ class TestCiRegression:
         err = capsys.readouterr().err
         assert "y[2] is NaN" in err and "too wide" not in err
 
+    def test_infinite_interest_cell_beside_a_nuisance_block_is_refused_by_cell(self, tmp_path, capsys):
+        # X^T W is undefined on it; without a nuisance block the box clamps it
+        data = write_orthogonal_regression_csv(tmp_path / "orth.csv")
+        lines = data.read_text().splitlines()
+        lines[3] = ",".join(["inf"] + lines[3].split(",")[1:])
+        data.write_text("\n".join(lines) + "\n")
+        args = ["ci", "regression", "--input", str(data), "--bounds=-1:1", "--y-bounds=-8:8", "--epsilon", "1.5", "--seed", "1"]
+        assert run_cli([*args, "--partial", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "X[2, 0] is not finite" in err and "orthogonal" not in err
+        assert run_cli(args) == 0
+
     @pytest.mark.parametrize("partial", [[], ["--partial", "2"]], ids=["plain", "partial"])
     def test_estimate_block_is_set_zero_of_the_release(self, tmp_path, capsys, partial):
         data = write_orthogonal_regression_csv(tmp_path / "orth.csv")

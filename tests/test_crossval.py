@@ -279,6 +279,35 @@ class TestBlockFoldStatistics:
             cv_choose_r(data, 1e6, np.random.default_rng(0), CVConfig(folds=3, b_inner=60))
 
 
+    @pytest.mark.parametrize(
+        "other",
+        [
+            lambda data: plain_regression_data(41, data.n),
+            lambda data: RegressionData(data.X, data.y, Bounds.symmetric(2.0, 2), data.y_bounds, data.nuisance),
+            lambda data: RegressionData(data.X, data.y, data.x_bounds, Bounds.symmetric(9.0, 1), data.nuisance),
+            lambda data: RegressionData(data.X, data.y, data.x_bounds, data.y_bounds, data.nuisance[:, :1]),
+            lambda data: gaussian_data(seed=41, n=data.n),
+            lambda data: nuisance_regression_data(41, data.n + 1),
+        ],
+        ids=["without-nuisance", "x-box", "y-box", "nuisance-width", "class", "size"],
+    )
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+    def test_sets_of_one_stack_share_their_layout(self, other, first):
+        # one release calibrates its noise to the first set's box, and the
+        # statistics of sets of unlike shape cannot stack
+        data = nuisance_regression_data(40, 200)
+        pair = [data, other(data)] if first else [other(data), data]
+        with pytest.raises(ParameterError, match="one class, size, width and box"):
+            fold_statistics(pair)
+        with pytest.raises(ParameterError, match="one class, size, width and box|one size"):
+            cv_choose_r(pair, 1.5, GeneratorStack(np.random.default_rng(s) for s in (1, 2)), CVConfig(b_inner=60))
+
+    def test_equal_boxes_of_distinct_objects_stack(self):
+        data = nuisance_regression_data(40, 200)
+        copy = RegressionData(data.X, data.y, Bounds.symmetric(1.0, 2), Bounds.symmetric(8.0, 1), data.nuisance)
+        assert fold_statistics([data, copy]).n.tolist() == [200, 200]
+
+
 class TestFoldStatisticsReference:
     """Without noise, CV on fold statistics equals estimation on each subset."""
 

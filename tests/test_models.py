@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -388,6 +389,30 @@ def orthogonal_nuisance_data(rng, n, with_w=True):
     )
 
 
+class TestStackStatistics:
+    """Stacks of statistics concatenate, and only stacks of one layout."""
+
+    def test_stacks_of_unequal_set_counts_concatenate(self):
+        rng = np.random.default_rng(26)
+        data = [make_gaussian(rng) for _ in range(5)]
+        stats = stack_statistics([fold_statistics(data[:2]), fold_statistics(data[2:])])
+        assert np.array_equal(stats.sums, np.concatenate([fold_statistics([d]).sums for d in data]))
+
+    def test_stacks_of_another_box_or_width_are_refused(self):
+        # the release calibrates its noise to the first stack's box
+        rng = np.random.default_rng(27)
+        data = make_gaussian(rng, half_width=3.0)
+        other_box = GaussianData(data.x, Bounds.symmetric(4.0, 3))
+        X, y = rng.uniform(-1.0, 1.0, (40, 2)), rng.standard_normal(40)
+        plain = RegressionData(X, y, Bounds.symmetric(1.0, 2), Bounds.symmetric(4.0, 1))
+        nuisance = RegressionData(X, y, plain.x_bounds, plain.y_bounds, orthogonal_block(X, rng.standard_normal((40, 1))))
+        for parts in ([data, other_box], [plain, nuisance], [nuisance, plain], [data, plain]):
+            with pytest.raises(ParameterError, match="^the stacks need one class, width and box$"):
+                stack_statistics([fold_statistics([d]) for d in parts])
+        same = GaussianData(data.x, Bounds.symmetric(3.0, 3))  # an equal box, another object
+        assert stack_statistics([fold_statistics([d]) for d in (data, same)]).n.tolist() == [40, 40]
+
+
 class TestNanCellsRefused:
     """The clamp passes NaN through, so one NaN cell would make a released
     statistic NaN whatever the noise; every data class refuses it by cell."""
@@ -433,10 +458,27 @@ class TestNanCellsRefused:
         with pytest.raises(ParameterError, match=r"^the data cell nuisance\[0, 0\] is not finite"):
             RegressionData(X, np.zeros(40), *self.BOUNDS, nuisance=W)
 
+    def test_design_infinity_next_to_a_nuisance_block(self):
+        # X^T W is undefined there: an inf next to a 0 of W made a NaN entry,
+        # refused as "not orthogonal" with a RuntimeWarning from the matmul
+        X = np.repeat(np.eye(2), 20, axis=0)
+        X[0, 1] = np.inf
+        W = np.concatenate([[0.0, 0.0], np.resize([1.0, -1.0], 38)])[:, None]  # orthogonal to the finite X
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=r"^the data cell X\[0, 1\] is not finite"):
+                RegressionData(X, np.zeros(40), *self.BOUNDS, nuisance=W)
+
     def test_infinities_still_clamp_to_the_box(self):
         x = np.array([[np.inf, 0.0], [0.0, -np.inf], [1.0, 1.0]])
         stats = fold_statistics([GaussianData(x, self.BOUNDS[0])])
         assert stats.sums.tolist() == [[4.0, -2.0]]
+        X = self.design(np.random.default_rng(73))
+        X[2, 0], y = -np.inf, np.zeros(40)
+        y[4] = np.inf
+        stats = fold_statistics([RegressionData(X, y, *self.BOUNDS)])
+        clamped = np.clip(X, -3.0, 3.0)
+        assert stats.xtx[0, 0, 0] == clamped[:, 0] @ clamped[:, 0] and stats.yty[0] == 25.0
 
 
 class TestSingleSetReleaseReference:
