@@ -39,7 +39,6 @@ from .privacy import (
     LaplaceSpec,
     PrivacyLedger,
     laplace_scale,
-    laplace_symmetric_sample,
     sensitivity_cross_bounded,
     sensitivity_gram_bounded,
     sensitivity_sum_bounded,

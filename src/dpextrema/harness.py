@@ -322,9 +322,7 @@ class ExperimentReport:
                 continue
             if r is not None and row.r != r:
                 continue
-            if epsilon is not None and not (
-                row.epsilon == epsilon or (math.isinf(row.epsilon) and math.isinf(epsilon))
-            ):
+            if epsilon is not None and row.epsilon != epsilon:
                 continue
             return row
         raise KeyError(f"no report row for method={method!r} r={r!r} epsilon={epsilon!r}")

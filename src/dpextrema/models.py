@@ -34,7 +34,6 @@ N(mu, Sigma/n).  Neither bootstrap materializes simulated rows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 import numpy as np
@@ -46,7 +45,6 @@ from .privacy import (
     GeneratorStack,
     LaplaceSpec,
     PrivacyLedger,
-    laplace_symmetric_sample,
     sensitivity_cross_bounded,
     sensitivity_gram_bounded,
     sensitivity_sum_bounded,
@@ -255,13 +253,13 @@ class _Stacked:
         ``owner`` holds the set f of each system and broadcasts to ``shape``.
         ``floor`` and ``s_eigvals`` (ascending) are per set; only the systems
         that the Weyl bound does not certify go through :meth:`_near_singular`.
-        W1 is the draw :func:`laplace_symmetric_sample` makes, taken as its
-        upper triangle: it is scaled and bounded there, and gathered once into
-        the systems.
+        W1 is drawn as the release drew the gram noise, by
+        ``system_noise.sample``, on the free entries of
+        :func:`~dpextrema.privacy.symmetric_layout`: it is scaled and bounded
+        there, and gathered once into the systems.
         """
         index, weights = symmetric_layout(self.k)
-        tri = rng.laplace(0.0, self.system_noise.scale, (math.prod(shape), weights.size))
-        tri = tri.reshape(*shape, weights.size)
+        tri = self.system_noise.sample(rng, shape)
         tri /= self.sizes[owner][..., None]
         bound = np.sqrt((tri * tri) @ weights)
         systems = np.take(tri, index, axis=-1)
@@ -569,7 +567,7 @@ class GaussianStatistics:
             LaplaceSpec.from_budget(sensitivity_gram_bounded(self.bounds), eps_gram, k * (k + 1) // 2, "gram"),
         )
         noisy_sum = self.sums + sum_noise.sample(rng, sets)
-        noisy_gram = self.grams + laplace_symmetric_sample(gram_noise.scale, k, rng, sets)
+        noisy_gram = self.grams + np.take(gram_noise.sample(rng, sets), symmetric_layout(k)[0], axis=-1)
         # the mean and the (unrepaired) covariance the noisy statistics imply
         n = self.n.astype(float)[:, None]
         outer = noisy_sum[:, :, None] * noisy_sum[:, None, :]
@@ -642,7 +640,7 @@ class RegressionStatistics:
         xty_noise = LaplaceSpec.from_budget(
             sensitivity_cross_bounded(self.x_bounds, self.y_bounds), eps_xty, k, "xty"
         )
-        noisy_gram = self.xtx + laplace_symmetric_sample(gram_noise.scale, k, rng, sets)
+        noisy_gram = self.xtx + np.take(gram_noise.sample(rng, sets), symmetric_layout(k)[0], axis=-1)
         noisy_xty = self.xty + xty_noise.sample(rng, sets)
         n = self.n.astype(float)[:, None, None]
         repairs = psd_repair_stack(noisy_gram / n)

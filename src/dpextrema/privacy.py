@@ -8,9 +8,11 @@ it is made; raw data are clamped into it before sufficient statistics are
 formed, which makes the derived sensitivities exact or conservative.
 
 Each released statistic has one :class:`LaplaceSpec` record: its name,
-sensitivity, epsilon, dimension and scale.  A release draws its noise with
-:meth:`LaplaceSpec.sample` (the symmetric gram noise too), and its ledger
-and noise scales are read from the same records.
+sensitivity, epsilon, dimension and scale.  :meth:`LaplaceSpec.sample` is the
+one Laplace draw: a release draws its noise there (the symmetric gram noise
+as its free entries, mirrored by :func:`symmetric_layout`), the bootstrap
+replays the same records there, and the ledger and noise scales are read from
+them too.
 
 ``epsilon = math.inf`` is an explicit, supported sentinel: the noise scale
 collapses to zero, the noise is exact zeros, and no budget is charged.
@@ -18,10 +20,10 @@ Non-private baselines and oracle tests run through the same code path as the
 private estimators.
 
 Every draw goes through a :class:`GeneratorStack`: R generators, one per
-replication of a Monte Carlo block, that fill the rows of one array together.
-A plain ``numpy.random.Generator`` is a stack of one, so a single release and
-a block of releases run the same code, and each generator draws exactly what
-it would draw alone.
+replication of a Monte Carlo block, that fill R equal chunks of the rows of
+one array together.  A plain ``numpy.random.Generator`` is a stack of one, so
+a single release and a block of releases run the same code, and each
+generator draws exactly what it would draw alone.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ __all__ = [
     "LaplaceSpec",
     "PrivacyLedger",
     "laplace_scale",
-    "laplace_symmetric_sample",
     "sensitivity_cross_bounded",
     "sensitivity_gram_bounded",
     "sensitivity_sum_bounded",
@@ -54,8 +55,7 @@ class GeneratorStack:
     The leading axis of a draw is split into R equal chunks, and generator i
     fills chunk i with the draw of that chunk's shape; so a stacked estimate
     whose sets are grouped by replication draws every replication's sets from
-    that replication's generator.  A ragged draw names the generator of each
-    leading row in ``owner`` instead (ascending).  :meth:`of` turns a plain
+    that replication's generator.  :meth:`of` turns a plain
     ``numpy.random.Generator`` into a stack of one, which draws straight from
     its generator, with no split and no copy.
     """
@@ -70,19 +70,12 @@ class GeneratorStack:
     def __len__(self) -> int:
         return len(self.generators)
 
-    def owners(self, rows: int) -> np.ndarray:
-        """The generator of each of ``rows`` leading rows split into equal chunks."""
+    def chunks(self, rows: int) -> list[slice]:
+        """The leading rows of each generator, ``rows`` split into equal chunks."""
         per, rest = divmod(rows, len(self.generators))
         if rest:
             raise ParameterError(f"{rows} rows do not split among {len(self.generators)} generators")
-        return np.arange(rows) // per
-
-    def chunks(self, rows: int, owner=None) -> list[slice]:
-        """The leading rows of each generator: equal chunks, or by ``owner``."""
-        if owner is None:
-            owner = self.owners(rows)
-        ends = np.searchsorted(owner, np.arange(len(self.generators)), side="right")
-        return [slice(start, end) for start, end in zip([0, *ends[:-1]], ends)]
+        return [slice(i * per, (i + 1) * per) for i in range(len(self.generators))]
 
     def standard_normal(self, size: tuple[int, ...]) -> np.ndarray:
         if len(self.generators) == 1:
@@ -92,14 +85,15 @@ class GeneratorStack:
             rng.standard_normal(out=out[rows])
         return out
 
-    def laplace(self, loc: float, scale, size: tuple[int, ...], owner=None) -> np.ndarray:
-        """Laplace draws of ``size``; an array ``scale`` holds one scale per leading row."""
+    def laplace(self, loc: float, scale, size: tuple[int, ...]) -> np.ndarray:
+        """Laplace draws of ``size``; an array ``scale`` broadcasts against it
+        and is cut along the leading axis with the rows."""
         if len(self.generators) == 1:
             return self.generators[0].laplace(loc, scale, size)
         out = np.empty(size)
-        for rng, rows in zip(self.generators, self.chunks(size[0], owner)):
+        for rng, rows in zip(self.generators, self.chunks(size[0])):
             part = scale if np.ndim(scale) == 0 else scale[rows]
-            out[rows] = rng.laplace(loc, part, out[rows].shape)  # an empty chunk draws nothing
+            out[rows] = rng.laplace(loc, part, out[rows].shape)
         return out
 
     def permutation(self, n: int) -> np.ndarray:
@@ -170,8 +164,8 @@ def sensitivity_gram_bounded(bounds: Bounds) -> float:
     For a single record x in the box, the full-matrix L1 norm of x x^T is at
     most (sum_j m_j)^2 with m_j the coordinate magnitudes; a substitution
     changes the sum by at most twice that.  The bound counts each mirrored
-    off-diagonal pair twice, so it also covers the symmetric noise layout used
-    by :func:`laplace_symmetric_sample`.
+    off-diagonal pair twice, so it also covers noise drawn on the free entries
+    of :func:`symmetric_layout` and mirrored into the full matrix.
     """
     with np.errstate(over="ignore"):
         return float(2.0 * np.sum(bounds.magnitudes) ** 2)
@@ -237,26 +231,21 @@ class LaplaceSpec:
     def is_zero(self) -> bool:
         return not (self.scale.any() if isinstance(self.scale, np.ndarray) else self.scale)
 
-    def sample(
-        self, rng: np.random.Generator, size: int | tuple[int, ...] | None = None
-    ) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
         """i.i.d. draws with density (1/2b) exp(-|w|/b); zeros when b == 0.
 
-        The result has shape ``(dimension,)``, or ``(*size, dimension)`` for an
-        integer or tuple ``size``; ``rng`` may be a :class:`GeneratorStack`.
-        A per-set scale needs ``size`` = F: set f draws from its generator
-        with its scale, and a set of scale 0 draws nothing.
+        The result has shape ``(*size, dimension)`` for an integer or tuple
+        ``size``, ``(dimension,)`` for ``size=()``; ``rng`` may be a
+        :class:`GeneratorStack`.  A per-set scale needs ``size`` = F: set f
+        draws from its generator with its scale, as one broadcast draw.  Every
+        Laplace draw of the package, released or replayed by the bootstrap,
+        is made here.
         """
-        shape = (self.dimension,) if size is None else (*np.atleast_1d(size).tolist(), self.dimension)
+        shape = (*np.atleast_1d(size).tolist(), self.dimension)
         if self.is_zero:
             return np.zeros(shape)
-        rng = GeneratorStack.of(rng)
-        if not isinstance(self.scale, np.ndarray):
-            return rng.laplace(0.0, self.scale, shape)
-        noise, drawn = np.zeros(shape), self.scale > 0.0
-        owner = rng.owners(shape[0])[drawn]
-        noise[drawn] = rng.laplace(0.0, self.scale[drawn, None], noise[drawn].shape, owner)
-        return noise
+        scale = self.scale[:, None] if isinstance(self.scale, np.ndarray) else self.scale
+        return GeneratorStack.of(rng).laplace(0.0, scale, shape)
 
 
 @functools.cache
@@ -275,24 +264,6 @@ def symmetric_layout(k: int) -> tuple[np.ndarray, np.ndarray]:
     weights = np.where(rows == cols, 1.0, 2.0)
     index.flags.writeable = weights.flags.writeable = False
     return index, weights
-
-
-def laplace_symmetric_sample(
-    scale: float, k: int, rng: np.random.Generator, size: int | None = None
-) -> np.ndarray:
-    """Symmetric k x k Laplace noise matrix, or a (size, k, k) stack of them.
-
-    Entries are drawn i.i.d. on the diagonal and upper triangle, as one
-    (..., k(k+1)/2) :meth:`LaplaceSpec.sample` in :func:`symmetric_layout`
-    order, and mirrored below by one gather, so the noisy matrix stays
-    symmetric.  Mirrored pairs count twice in the matrix L1 norm, which the
-    gram/cross sensitivity bounds already cover.  ``rng`` may be a
-    :class:`GeneratorStack`.
-    """
-    if k < 1:
-        raise ParameterError("matrix dimension must be >= 1")
-    index, weights = symmetric_layout(k)
-    return np.take(LaplaceSpec(scale, weights.size).sample(rng, size), index, axis=-1)
 
 
 @dataclass(frozen=True)

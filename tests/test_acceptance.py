@@ -158,7 +158,7 @@ def test_criterion_7_property_suite(tmp_path):
     rng = np.random.default_rng(1707)
 
     # Laplace moments and distribution
-    draws = dp.LaplaceSpec(scale=1.0, dimension=100_000).sample(rng)
+    draws = dp.LaplaceSpec(scale=1.0, dimension=100_000).sample(rng, ())
     assert abs(draws.mean()) < 3 * math.sqrt(2 / 100_000)
     assert abs(draws.var() - 2.0) < 0.1
     assert stats.kstest(draws, stats.laplace(scale=1.0).cdf).pvalue > 0.001

@@ -418,6 +418,7 @@ class TestReportIO:
         report.to_csv(path)
         back = ExperimentReport.from_csv(path)
         assert math.isinf(back.rows[0].epsilon)
+        assert back.find("ppb", "1/10", math.inf) is back.rows[0]
 
     def test_column_order_is_stable(self, tmp_path):
         report = run_experiment(small_config())

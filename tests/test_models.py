@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dpextrema.crossval import CVConfig, cv_choose_r
 from dpextrema.errors import NumericError, ParameterError
 from dpextrema.linalg import RepairResult, psd_floor, psd_repair, psd_repair_stack, sym_sqrt
 from dpextrema.models import (
@@ -13,6 +14,7 @@ from dpextrema.models import (
     PrivatizedGaussianEstimate,
     PrivatizedRegressionEstimate,
     RegressionData,
+    RegressionStatistics,
     fold_statistics,
     gaussian_private_mle,
     stack_statistics,
@@ -23,7 +25,6 @@ from dpextrema.privacy import (
     GeneratorStack,
     LaplaceSpec,
     PrivacyLedger,
-    laplace_symmetric_sample,
     sensitivity_cross_bounded,
     sensitivity_gram_bounded,
     split_budget,
@@ -352,8 +353,8 @@ def reference_regression_release(X, y, x_bounds, y_bounds, budget, rng, nuisance
     n, k = X.shape
     gram_spec = LaplaceSpec.from_budget(sensitivity_gram_bounded(x_bounds), eps_gram, k * (k + 1) // 2)
     xty_spec = LaplaceSpec.from_budget(sensitivity_cross_bounded(x_bounds, y_bounds), eps_xty, k)
-    noisy_gram = X.T @ X + laplace_symmetric_sample(gram_spec.scale, k, rng)
-    noisy_xty = X.T @ y + xty_spec.sample(rng)
+    noisy_gram = X.T @ X + np.take(gram_spec.sample(rng, ()), symmetric_layout(k)[0], axis=-1)
+    noisy_xty = X.T @ y + xty_spec.sample(rng, ())
     repair = psd_repair(noisy_gram / n)
     if repair.degenerate:
         raise NumericError("irreparable")
@@ -369,7 +370,7 @@ def reference_regression_release(X, y, x_bounds, y_bounds, budget, rng, nuisance
         fit_bound = y_bounds.magnitudes[0]
     m_res = y_bounds.magnitudes[0] + np.sum(x_bounds.magnitudes * np.abs(beta)) + fit_bound
     rss_spec = LaplaceSpec.from_budget(float(m_res) ** 2 / dof, eps_rss, 1)
-    sigma2 = max(float(resid @ resid) / dof + float(rss_spec.sample(rng)[0]), SIGMA2_FLOOR)
+    sigma2 = max(float(resid @ resid) / dof + float(rss_spec.sample(rng, ())[0]), SIGMA2_FLOOR)
     ledger = PrivacyLedger()
     for name, eps in zip(("gram", "xty", "rss"), (eps_gram, eps_xty, eps_rss)):
         ledger = ledger.charge(f"regression:{name}", eps)
@@ -606,7 +607,7 @@ def reference_replica_draws(est, size, rng, sets, privacy_noise=True):
     def attempt(owners):
         systems = S[owners]
         if privacy_noise and not est.mechanisms[0].is_zero:
-            noise = laplace_symmetric_sample(est.mechanisms[0].scale, k, rng, owners.size)
+            noise = np.take(est.mechanisms[0].sample(rng, owners.size), symmetric_layout(k)[0], axis=-1)
             systems = systems + noise / n[owners, None, None]
         return systems, np.abs(np.linalg.eigvalsh(systems)).min(axis=1) < floor[owners]
 
@@ -633,7 +634,7 @@ def reference_bootstrap_draws(est, size, rng, privacy_noise=True):
     def attempt(count):
         systems = np.broadcast_to(est.repairs.matrix[0], (count, k, k)).copy()
         if privacy_noise and not est.mechanisms[0].is_zero:
-            systems += laplace_symmetric_sample(est.mechanisms[0].scale, k, rng, count) / m
+            systems += np.take(est.mechanisms[0].sample(rng, count), symmetric_layout(k)[0], axis=-1) / m
         return systems, np.abs(np.linalg.eigvalsh(systems)).min(axis=1) < floor
 
     def solve(systems, b):
@@ -958,3 +959,53 @@ def test_infinite_epsilon_records_charge_nothing():
     est = regression_private_mle(make_regression(rng, n=200), math.inf, rng)
     assert est.ledger.charges == ()
     assert est.mechanisms[2].scale.shape == (1,) and est.mechanisms[2].is_zero
+
+
+class TestRssScalesPerSet:
+    """The rss record is the only one whose scale differs by set, m_res^2 / dof
+    with m_res >= m_y.  So every set's scale is positive for a response box of
+    nonzero magnitude, and every set's is 0 for the box [0, 0], where y, X^T y
+    and so every beta are 0.  No release mixes zero and positive scales, which
+    ``LaplaceSpec.sample`` draws as one broadcast."""
+
+    def test_positive_for_a_response_box_of_nonzero_magnitude(self):
+        rng = np.random.default_rng(63)
+        scale = regression_private_mle(make_regression(rng, n=200), 15.0, rng).noise_scales["rss"]
+        assert scale.shape == (1,) and (scale > 0.0).all()
+
+    def test_positive_on_every_fold_of_a_cross_validated_block(self, monkeypatch):
+        releases, release = [], RegressionStatistics.release
+
+        def spy(self, budget, rng):
+            releases.append(release(self, budget, rng))
+            return releases[-1]
+
+        monkeypatch.setattr(RegressionStatistics, "release", spy)
+        rng = np.random.default_rng(64)
+        data = [make_regression(rng, n=803) for _ in range(3)]
+        cv_choose_r(data, 30.0, GeneratorStack(generators(64, 3)), CVConfig(b_inner=50))
+        (est,) = releases
+        # each set's 5 training sets of 642 or 643 rows, then its 5 held-out
+        # folds of 161 or 160: four degrees of freedom among the 30 sets
+        assert est.sizes.size == 30 and set(est.sizes.tolist()) == {642, 643, 161, 160}
+        assert (est.noise_scales["rss"] > 0.0).all()
+
+    @pytest.mark.parametrize("sets", [1, 3])
+    def test_zero_for_a_zero_response_box_where_no_generator_advances(self, sets):
+        rng = np.random.default_rng(65)
+        X = rng.uniform(-1.0, 1.0, (200, 3))
+        data = RegressionData(X, rng.standard_normal(200), Bounds.symmetric(1.0, 3), Bounds(0.0, 0.0))
+        stack = GeneratorStack(generators(65, sets))
+        est = fold_statistics([data] * sets).release(30.0, stack)
+        assert np.array_equal(est.noise_scales["rss"], np.zeros(sets)) and not est.betas.any()
+        # each generator stands where the gram draw alone left it: the X^T y
+        # and rss records, of scale 0, draw nothing
+        ref = GeneratorStack(generators(65, sets))
+        est.mechanisms[0].sample(ref, sets)
+        assert [g.bit_generator.state for g in stack.generators] == [
+            g.bit_generator.state for g in ref.generators
+        ]
+
+
+def generators(seed, count):
+    return [np.random.default_rng((seed, i)) for i in range(count)]

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,14 +10,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from dpextrema.errors import LedgerError, ParameterError
-from dpextrema.models import GaussianData, gaussian_private_mle
+from dpextrema.models import GaussianData, GaussianStatistics, gaussian_private_mle
 from dpextrema.privacy import (
     Bounds,
     GeneratorStack,
     LaplaceSpec,
     PrivacyLedger,
     laplace_scale,
-    laplace_symmetric_sample,
     sensitivity_cross_bounded,
     sensitivity_gram_bounded,
     sensitivity_sum_bounded,
@@ -23,19 +24,28 @@ from dpextrema.privacy import (
     symmetric_layout,
 )
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "dpextrema"
+
+
+def symmetric_noise(scale, k, rng, size=()):
+    """Symmetric k x k noise as a release draws its gram noise: one record
+    draw of the k(k+1)/2 free entries, mirrored by ``symmetric_layout``."""
+    index, weights = symmetric_layout(k)
+    return np.take(LaplaceSpec(scale, weights.size).sample(rng, size), index, axis=-1)
+
 
 class TestLaplaceSampling:
     def test_moments_large_sample(self):
         # Laplace(0, b) has mean 0 and variance 2 b^2
         rng = np.random.default_rng(101)
-        draws = LaplaceSpec(scale=1.0, dimension=100_000).sample(rng)
+        draws = LaplaceSpec(scale=1.0, dimension=100_000).sample(rng, ())
         assert abs(draws.mean()) < 3.0 * 1.0 * math.sqrt(2.0 / 100_000)
         assert abs(draws.var() - 2.0) < 0.05 * 2.0
 
     def test_kolmogorov_smirnov_against_analytic_cdf(self):
         rng = np.random.default_rng(2024)
         b = 1.7
-        draws = LaplaceSpec(scale=b, dimension=100_000).sample(rng)
+        draws = LaplaceSpec(scale=b, dimension=100_000).sample(rng, ())
         result = stats.kstest(draws, stats.laplace(scale=b).cdf)
         assert result.pvalue > 0.001
 
@@ -43,7 +53,7 @@ class TestLaplaceSampling:
         rng = np.random.default_rng(0)
         spec = LaplaceSpec.from_budget(5.0, math.inf, dimension=7)
         assert spec.scale == 0.0
-        assert np.array_equal(spec.sample(rng), np.zeros(7))
+        assert np.array_equal(spec.sample(rng, ()), np.zeros(7))
 
     def test_scale_from_budget(self):
         assert LaplaceSpec.from_budget(2.0, 0.5).scale == 4.0
@@ -61,41 +71,47 @@ class TestLaplaceSampling:
 
     def test_determinism(self):
         spec = LaplaceSpec(scale=2.0, dimension=10)
-        a = spec.sample(np.random.default_rng(5))
-        b = spec.sample(np.random.default_rng(5))
+        a = spec.sample(np.random.default_rng(5), ())
+        b = spec.sample(np.random.default_rng(5), ())
         assert np.array_equal(a, b)
 
     def test_symmetric_sample_is_symmetric(self):
         rng = np.random.default_rng(3)
-        w = laplace_symmetric_sample(1.5, 5, rng)
+        w = symmetric_noise(1.5, 5, rng)
         assert np.array_equal(w, w.T)
-        assert laplace_symmetric_sample(0.0, 4, rng).sum() == 0.0
+        assert symmetric_noise(0.0, 4, rng).sum() == 0.0
 
     def test_symmetric_stack_draws_like_single_matrices(self):
-        stack = laplace_symmetric_sample(1.5, 3, np.random.default_rng(4), size=5)
+        stack = symmetric_noise(1.5, 3, np.random.default_rng(4), size=5)
         assert stack.shape == (5, 3, 3)
         assert np.array_equal(stack, np.swapaxes(stack, 1, 2))
         rng = np.random.default_rng(4)
-        assert np.array_equal(stack[0], laplace_symmetric_sample(1.5, 3, rng))
-        assert laplace_symmetric_sample(0.0, 3, rng, size=2).shape == (2, 3, 3)
+        assert np.array_equal(stack[0], symmetric_noise(1.5, 3, rng))
+        assert symmetric_noise(0.0, 3, rng, size=2).shape == (2, 3, 3)
 
     @pytest.mark.parametrize(
-        "stack, size", [(False, None), (False, 4), (True, 4)], ids=["single", "stack-of-one", "stack"]
+        "stack, sets", [(False, 1), (False, 4), (True, 4)], ids=["single", "stack-of-one", "stack"]
     )
-    def test_symmetric_sample_is_the_gathered_spec_sample(self, stack, size):
-        # the same generator calls as one LaplaceSpec draw of the k(k+1)/2
-        # free entries, gathered into matrices
+    def test_symmetric_sample_is_the_gathered_spec_sample(self, stack, sets):
+        # a release's gram noise is the same generator calls as one draw of
+        # its record's k(k+1)/2 free entries, gathered into matrices, after
+        # the sum's draw
         def rng():
             return GeneratorStack(generators((8, 9))) if stack else np.random.default_rng(8)
 
-        index = symmetric_layout(3)[0]
-        expected = np.take(LaplaceSpec(1.5, 6).sample(rng(), size), index, axis=-1)
-        assert np.array_equal(laplace_symmetric_sample(1.5, 3, rng(), size), expected)
+        zeros = np.zeros((sets, 3, 3))
+        statistics = GaussianStatistics(Bounds.symmetric(1.0, 3), np.full(sets, 10), zeros[..., 0], zeros)
+        released = statistics.release(2.0, rng())
+        sum_noise, gram_noise = released.mechanisms
+        ref = rng()
+        sum_noise.sample(ref, sets)
+        expected = np.take(gram_noise.sample(ref, sets), symmetric_layout(3)[0], axis=-1)
+        assert np.array_equal(released.noisy_grams, expected)
         # at scale 0 every generator is left as it was
         drawn = rng()
         states = [g.bit_generator.state for g in GeneratorStack.of(drawn).generators]
-        zeros = laplace_symmetric_sample(0.0, 3, drawn, size)
-        assert zeros.shape == expected.shape and not zeros.any()
+        exact = statistics.release(math.inf, drawn).noisy_grams
+        assert exact.shape == expected.shape and not exact.any()
         assert [g.bit_generator.state for g in GeneratorStack.of(drawn).generators] == states
 
     @pytest.mark.parametrize("k", [1, 2, 3, 8])
@@ -109,17 +125,14 @@ class TestLaplaceSampling:
                 w[..., i, j] = w[..., j, i] = tri[..., pos]
             return w
 
-        single = laplace_symmetric_sample(1.5, k, np.random.default_rng(k))
+        single = symmetric_noise(1.5, k, np.random.default_rng(k))
         assert np.array_equal(single, reference(np.random.default_rng(k), ()))
-        stack = laplace_symmetric_sample(1.5, k, np.random.default_rng(k), size=5)
+        stack = symmetric_noise(1.5, k, np.random.default_rng(k), size=5)
         assert np.array_equal(stack, reference(np.random.default_rng(k), (5,)))
-        # a ragged stack's triangles, drawn by their owners and mirrored alike
-        owner = np.array([0, 0, 2, 2, 2])
-        tri = GeneratorStack(generators((4, 5, 6))).laplace(0.0, 1.5, (5, k * (k + 1) // 2), owner)
-        ragged = np.take(tri, symmetric_layout(k)[0], axis=-1)
-        first, _, third = generators((4, 5, 6))
-        assert np.array_equal(ragged[:2], reference(first, (2,)))
-        assert np.array_equal(ragged[2:], reference(third, (3,)))
+        # a stack's triangles, drawn chunk by chunk by their generators and mirrored alike
+        stacked = symmetric_noise(1.5, k, GeneratorStack(generators((4, 5, 6))), size=6)
+        for i, alone in enumerate(generators((4, 5, 6))):
+            assert np.array_equal(stacked[2 * i : 2 * i + 2], reference(alone, (2,)))
 
 
 def generators(seeds):
@@ -139,20 +152,6 @@ class TestGeneratorStack:
             assert np.array_equal(noise[2 * i : 2 * i + 2], alone.laplace(0.0, 1.5, (2, 5)))
             assert np.array_equal(perms[i], alone.permutation(9))
 
-    def test_ragged_rows_follow_their_owners(self):
-        stack = GeneratorStack(generators((4, 5, 6)))
-        owner = np.array([0, 0, 2, 2, 2])
-        scales = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        noise = stack.laplace(0.0, scales, scales.shape, owner)
-        symmetric = np.take(stack.laplace(0.0, 0.5, (5, 6), owner), symmetric_layout(3)[0], axis=-1)
-        first, second, third = generators((4, 5, 6))
-        assert np.array_equal(noise[:2], first.laplace(0.0, scales[:2]))
-        assert np.array_equal(noise[2:], third.laplace(0.0, scales[2:]))
-        assert np.array_equal(symmetric[:2], laplace_symmetric_sample(0.5, 3, first, 2))
-        assert np.array_equal(symmetric[2:], laplace_symmetric_sample(0.5, 3, third, 3))
-        # the generator without rows drew nothing
-        assert second.random() == np.random.default_rng(5).random()
-
     def test_a_plain_generator_is_a_stack_of_one(self):
         spec = LaplaceSpec(2.0, 3)
         stacked = spec.sample(GeneratorStack(generators((7,))), (4, 2))
@@ -161,8 +160,26 @@ class TestGeneratorStack:
         assert GeneratorStack.of(rng).generators == (rng,)
 
     def test_rows_must_split_evenly(self):
+        stack = GeneratorStack(generators((1, 2)))
         with pytest.raises(ParameterError):
-            GeneratorStack(generators((1, 2))).standard_normal((3, 2))
+            stack.standard_normal((3, 2))
+        with pytest.raises(ParameterError):
+            LaplaceSpec(np.ones(3)).sample(stack, 3)
+
+
+def test_every_laplace_draw_is_made_in_privacy():
+    # LaplaceSpec.sample is the one draw path, so a mechanism that replaces
+    # the Laplace draw (a snapping mechanism, say) has one place to change
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "privacy.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "laplace"
+    ]
+    assert not calls, f"Laplace draws outside privacy.py: {calls}"
 
 
 class TestMechanismRecord:
@@ -186,19 +203,20 @@ class TestMechanismRecord:
             LaplaceSpec.from_budget(np.array([1.0, bad]), epsilon)
 
     @pytest.mark.parametrize("seeds", [(7,), (4, 5, 6)], ids=["plain", "stack"])
-    def test_per_set_scales_draw_only_nonzero_sets_from_their_generators(self, seeds):
-        # each set's draw comes from its own generator, and a set of scale 0
-        # draws nothing, so its generator is left as it was
-        scales = np.array([0.0, 1.0, 2.0, 0.0, 3.0, 0.5])
+    def test_per_set_scales_draw_each_set_from_its_generator(self, seeds):
+        # one broadcast draw: each generator fills its equal chunk of sets,
+        # each set with its own scale
+        scales = np.array([0.5, 1.0, 2.0, 4.0, 3.0, 0.5])
         rng = GeneratorStack(generators(seeds)) if len(seeds) > 1 else np.random.default_rng(seeds[0])
-        noise = LaplaceSpec(scales).sample(rng, scales.size)
-        assert noise.shape == (6, 1) and not noise[scales == 0.0].any()
-        ref = GeneratorStack(generators(seeds))
-        drawn = scales > 0.0
-        expected = ref.laplace(0.0, scales[drawn], (drawn.sum(),), ref.owners(6)[drawn])
-        assert np.array_equal(noise[drawn, 0], expected)
+        noise = LaplaceSpec(scales, 2).sample(rng, scales.size)
+        assert noise.shape == (6, 2)
+        per = scales.size // len(seeds)
+        alone = generators(seeds)
+        for i, ref in enumerate(alone):
+            rows = slice(i * per, (i + 1) * per)
+            assert np.array_equal(noise[rows], ref.laplace(0.0, scales[rows, None], (per, 2)))
         after = rng.generators if isinstance(rng, GeneratorStack) else (rng,)
-        assert [g.random() for g in after] == [g.random() for g in ref.generators]
+        assert [g.random() for g in after] == [g.random() for g in alone]
 
     def test_all_zero_per_set_scales_draw_nothing(self):
         rng = np.random.default_rng(8)

@@ -70,3 +70,20 @@ def test_bootstrap_draws_fits_the_draw_counter(est):
     counters = collections.Counter()
     spans._count_draws(counters, (est, size, rng), {}, result)
     assert counters == {"draws.attempted": size, "draws.failed": failed}
+
+
+@pytest.mark.parametrize("model, draws", [("gaussian", 2), ("regression", 3)])
+def test_the_trace_counts_each_laplace_draw_once(model, draws):
+    # a Gaussian release draws the noise of its sum and gram, a regression
+    # release that of its gram, X^T y and rss: one LaplaceSpec.sample each
+    rng = np.random.default_rng(7)
+    X = rng.uniform(-1.0, 1.0, (400, 2))
+    if model == "gaussian":
+        data, release = GaussianData(X, Bounds.symmetric(1.0, 2)), gaussian_private_mle
+    else:
+        y = X @ [1.0, -1.0] + rng.standard_normal(400)
+        data = RegressionData(X, y, Bounds.symmetric(1.0, 2), Bounds.symmetric(5.0, 1))
+        release = regression_private_mle
+    recorder = load_spans().Recorder()
+    recorder.trace(0, lambda: release(data, 5.0, rng))
+    assert recorder.layer_metrics(1)["privacy.laplace.calls"] == draws
