@@ -6,8 +6,11 @@
 The matrix is:
 
 * ``run_experiment`` at reps = 6 and B = 200 on every ``configs/*.ini``, on
-  ``bench/configs/regression_k8.ini`` and on the two configs in ``CONFIGS``,
+  ``bench/configs/regression_k8.ini`` and on the configs in ``CONFIGS``,
   one line per report row with every float as ``float.hex``;
+* the runs of ``MULTI_BLOCK``, at reps and B that split each study into
+  several blocks of replications, so that a fault in how blocks are
+  scheduled or gathered moves a line;
 * the ``ci`` and ``cv`` command lines in ``COMMANDS``, run in-process on CSVs
   written from fixed seeds: the exit code, stdout, stderr and the ``--output``
   JSON of each, line by line.
@@ -89,6 +92,14 @@ CONFIGS = {
         [methods]
         ppb = 1/10, cv
     """,
+}
+
+
+#: config path below the repo root -> (reps, B) of a run in several blocks:
+#: 2 blocks of 6 at k = 8, B = 1000, and 7 + 7 + 6 for the Gaussian k = 8.
+MULTI_BLOCK = {
+    "bench/configs/regression_k8.ini": (12, 1000),
+    "configs/gaussian_k8.ini": (20, 1000),
 }
 
 
@@ -177,16 +188,18 @@ def row_lines(tmp: Path) -> list[str]:
         path = tmp / name
         path.write_text("\n".join(line.strip() for line in text.strip().splitlines()) + "\n")
         paths.append(path)
+    runs = [(path.name, path, REPS, B) for path in paths]
+    runs += [(f"{Path(name).name}@reps={reps}", ROOT / name, reps, b) for name, (reps, b) in MULTI_BLOCK.items()]
     lines = []
-    for path in paths:
-        config = dataclasses.replace(load_config(path), reps=REPS, B=B)
+    for label, path, reps, b in runs:
+        config = dataclasses.replace(load_config(path), reps=reps, B=b)
         for i, row in enumerate(run_experiment(config).rows):
             cells = (
                 f"{f.name}={v.hex() if isinstance(v, float) else v}"
                 for f in dataclasses.fields(row)
                 if (v := getattr(row, f.name)) is not None
             )
-            lines.append(f"row {path.name}[{i}]: " + " ".join(cells))
+            lines.append(f"row {label}[{i}]: " + " ".join(cells))
     return lines
 
 
