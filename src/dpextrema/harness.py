@@ -8,8 +8,8 @@ lower limit covered the true maximum and the distance between the two.
 Reproducibility contract: replication ``i`` at sweep position ``e`` draws all
 of its randomness from ``SeedSequence(seed, spawn_key=(0, e, i))``; a fixed
 regression design uses ``spawn_key=(1,)``.  Reports are therefore a pure
-function of the configuration, independent of worker count and execution
-order.
+function of the configuration, independent of the worker count, the thread
+count and execution order.
 
 Replications run in blocks of R, as stacks: each replication generates its
 data with its own generator, and then every release, bootstrap draw,
@@ -19,6 +19,13 @@ rows from that replication's generator, in the order it would draw them
 alone.  So the block size, like the worker count, changes no result; a
 failing block is rerun one replication at a time, so a study aborts with the
 error of its first failing replication.
+
+A study's blocks, of every epsilon, run concurrently: on a process pool of
+``workers`` when ``workers > 1``, and otherwise on a thread pool of one
+thread per usable CPU (the process's affinity mask, which ``taskset``
+narrows), whose numpy draws and solves release the GIL.  Block outcomes are
+gathered in plan order, so every report row is summed as a serial run sums
+it, and the error raised is that of the first failing block in plan order.
 
 Simulation bounds: experiments declare the data box as truth +/- a configured
 half-width (3 sigma-equivalents by default), mirroring how a practitioner
@@ -34,10 +41,12 @@ a ``split`` without one share per statistic that the model releases.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import configparser
 import csv
 import math
+import os
 import typing
 from dataclasses import dataclass, field, fields
 import numpy as np
@@ -477,13 +486,19 @@ def _block_outcomes(config: ExperimentConfig, eps_index: int, reps: range, study
     stats = stack_statistics([fold_statistics([d]) for d in data])
     releases = {}  # private -> stacked estimate
     draws = {}  # (private, privacy_noise) -> (draws, failed counts)
+    # rows still to read each draws entry, which is dropped after its last one
+    reads = collections.Counter(
+        (private, privacy_noise)
+        for spec in config.methods if spec.name in BOOTSTRAP_METHODS
+        for _, private, privacy_noise in _bootstrap_rows(spec)
+    )
 
     def release(private):
         if private not in releases:
             releases[private] = stats.release(budget if private else math.inf, rng)
         return releases[private]
 
-    def bootstrap_limits(private, token, privacy_noise=True):
+    def bootstrap_limits(private, token, privacy_noise):
         e = release(private)
         if token == "cv":
             cv_config = CVConfig(folds=config.cv_folds, grid=config.cv_grid, b_inner=config.b_inner)
@@ -495,6 +510,9 @@ def _block_outcomes(config: ExperimentConfig, eps_index: int, reps: range, study
             d, failed = e.replica_draws(config.B, rng, len(reps), privacy_noise)
             draws[key] = d, failed.sum(axis=1)
         d, failed = draws[key]
+        reads[key] -= 1
+        if not reads[key]:
+            del draws[key]
         return ppb_limits(e.betas, d, failed, r, e.sizes, config.alpha)[0], failed
 
     def baseline_limits(limits, private):
@@ -508,18 +526,20 @@ def _block_outcomes(config: ExperimentConfig, eps_index: int, reps: range, study
         outcomes[key] = (lower <= true_max, true_max - lower, np.broadcast_to(failed, lower.shape))
 
     for spec in config.methods:
-        if spec.name in ("ppb", "npb", "rppb"):
-            for token in spec.r_tokens:
-                record(
-                    (spec.label, token),
-                    *bootstrap_limits(spec.name != "npb", token, privacy_noise=spec.name != "rppb"),
-                )
-        elif spec.name == "semi_naive":
-            record((spec.label, "0.5"), *bootstrap_limits(True, "0.5"))
+        if spec.name in BOOTSTRAP_METHODS:
+            for token, private, privacy_noise in _bootstrap_rows(spec):
+                record((spec.label, token), *bootstrap_limits(private, token, privacy_noise))
         else:
             limits = naive_limits if spec.name == "naive" else bonferroni_limits
             record((spec.label, ""), *baseline_limits(limits, spec.private))
     return outcomes
+
+
+def _bootstrap_rows(spec: MethodSpec):
+    """(r token, private, privacy noise) of each row that a bootstrap method reports."""
+    if spec.name == "semi_naive":
+        return [("0.5", True, True)]
+    return [(token, spec.name != "npb", spec.name != "rppb") for token in spec.r_tokens]
 
 
 def _run_block(config: ExperimentConfig, eps_index: int, reps: range, study):
@@ -545,30 +565,63 @@ def _fixed_design_for(config: ExperimentConfig):
     return rng.uniform(-hx, hx, (config.n, config.k))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one (so ``taskset`` limits it), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_blocks(tasks: list, workers: int) -> list:
+    """:func:`_run_block` of every task, in task order.
+
+    ``workers > 1`` maps the tasks over a process pool.  Otherwise they run
+    on a thread pool of one thread per usable CPU, at most one per task;
+    the draws and solves that dominate a block release the GIL.  Each block
+    draws from its own generators, so threads change no result.  The error
+    raised is that of the first failing task in task order, as in a serial
+    run, and tasks not yet started are cancelled.  One task or one usable
+    CPU runs the tasks inline, one after another.
+    """
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(tasks) // (8 * workers))
+            return list(pool.map(_run_block, *zip(*tasks), chunksize=chunk))
+    threads = min(len(tasks), _usable_cpus())
+    if threads <= 1:
+        return [_run_block(*task) for task in tasks]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(_run_block, *task) for task in tasks]
+        try:
+            return [future.result() for future in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every configured method over ``reps`` replications per epsilon.
 
     Returns one aggregated report row per (method, r, epsilon) combination.
     Replications run in the fewest blocks of at most :func:`_block_size`,
     whose sizes differ by at most one (10 replications at 8 per block run as
-    5 + 5), mapped over a process pool when ``workers > 1``.  Deterministic
-    given the configuration; the block size and the worker count only affect
-    wall time.
+    5 + 5).  The blocks of every epsilon are mapped, in sweep and block
+    order, over a process pool of ``workers`` when ``workers > 1``, and
+    otherwise over a thread pool of the usable CPUs (:func:`_map_blocks`);
+    outcomes are gathered in that order, so the rows are summed as a serial
+    run sums them.  Deterministic given the configuration; the block size,
+    the worker count and the thread count only affect wall time.
     """
     study = _MODELS[config.model].study(config)
     count = -(-config.reps // _block_size(config))
     ends = [config.reps * i // count for i in range(count + 1)]
     blocks = [range(start, end) for start, end in zip(ends, ends[1:])]
+    tasks = [(config, eps_index, block, study) for eps_index in range(len(config.epsilons)) for block in blocks]
+    per_task = _map_blocks(tasks, config.workers)
     rows: list[ReportRow] = []
     for eps_index, epsilon in enumerate(config.epsilons):
-        tasks = [(config, eps_index, block, study) for block in blocks]
-        if config.workers > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
-                chunk = max(1, len(tasks) // (8 * config.workers))
-                per_block = list(pool.map(_run_block, *zip(*tasks), chunksize=chunk))
-        else:
-            per_block = [_run_block(*task) for task in tasks]
-
+        per_block = per_task[eps_index * count:(eps_index + 1) * count]
         for key in per_block[0]:
             covered, lengths, failed = (
                 np.concatenate([outcomes[key][i] for outcomes in per_block]) for i in range(3)

@@ -1,6 +1,10 @@
 import csv
 import math
+import os
+import sys
 import textwrap
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -262,6 +266,21 @@ def collinear_config(epsilon):
     )
 
 
+def spy_on_plan(monkeypatch):
+    """The blocks of every task that ``run_experiment`` maps, in plan order;
+    each block then runs as a stub that reports nothing."""
+    blocks = []
+    map_blocks = harness._map_blocks
+
+    def spy(tasks, workers):
+        blocks.extend(reps for _, _, reps, _ in tasks)
+        return map_blocks(tasks, workers)
+
+    monkeypatch.setattr(harness, "_map_blocks", spy)
+    monkeypatch.setattr(harness, "_run_block", lambda config, eps_index, reps, study: {})
+    return blocks
+
+
 class TestBlocks:
     """A block of replications gives each replication what it gets alone."""
 
@@ -323,8 +342,7 @@ class TestBlocks:
         assert config.n * (config.k + 1) > harness.BLOCK_VALUES
         assert harness._block_size(config) == 1
         assert harness._block_size(replace(config, methods=(MethodSpec("ppb", ("1/10",)),))) == 3
-        blocks = []
-        monkeypatch.setattr(harness, "_run_block", lambda c, e, reps, d: blocks.append(reps) or {})
+        blocks = spy_on_plan(monkeypatch)
         run_experiment(config)
         assert blocks == [range(0, 1), range(1, 2), range(2, 3)]
 
@@ -332,8 +350,7 @@ class TestBlocks:
     def test_blocks_are_near_equal_and_in_order(self, monkeypatch, reps, per_block):
         config = small_config(reps=reps)
         monkeypatch.setattr(harness, "BLOCK_VALUES", per_block * harness._replication_values(config))
-        blocks = []
-        monkeypatch.setattr(harness, "_run_block", lambda c, e, reps, d: blocks.append(reps) or {})
+        blocks = spy_on_plan(monkeypatch)
         run_experiment(config)
         sizes = [len(block) for block in blocks]
         assert [rep for block in blocks for rep in block] == list(range(reps))
@@ -361,6 +378,23 @@ class TestBlocks:
         draws = config.B * config.k * 8  # bytes of one replication's (B, k) draws
         assert peaks[1] - peaks[0] <= 7 * 1.25 * draws
         assert peaks[0] > config.B * config.k**2 * 8
+
+    def test_draws_are_dropped_after_their_last_row(self):
+        # ppb's draws are dropped before rppb draws its own, so a block that
+        # runs both peaks like one that runs ppb alone (their systems loop)
+        config = replace(load_config(REPO / "bench" / "configs" / "regression_k8.ini"), reps=8)
+        study = harness._MODELS[config.model].study(config)
+        peaks = []
+        for methods in ((MethodSpec("ppb", ("1/10",)),), (MethodSpec("ppb", ("1/10",)), MethodSpec("rppb", ("1/10",)))):
+            block = replace(config, methods=methods)
+            harness._block_outcomes(block, 0, range(1), study)  # first-call set-up
+            tracemalloc.start()
+            try:
+                harness._block_outcomes(block, 0, range(config.reps), study)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.03 * peaks[0]
 
     def test_single_set_limit_counts_failed_draws_in_b(self):
         # a release of one set on the collinear design: its failed draws are
@@ -402,6 +436,112 @@ class TestBlocks:
         with pytest.raises(NumericError, match="replication 1") as info:
             harness._run_block(small_config(), 0, range(0, 5), None)
         assert type(info.value) is NumericError
+
+
+def usable_cpus(monkeypatch, count):
+    """Let the harness see ``count`` usable CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+class TestThreads:
+    """With workers = 1 a study's blocks run on a thread pool of the usable
+    CPUs, with the report and the error of a serial run."""
+
+    @pytest.mark.parametrize("config", [
+        replace(load_config(REPO / "bench" / "configs" / "regression_k8.ini"), reps=12),
+        small_config(epsilons=(0.5, 1.5), reps=7, B=100),
+        model_config("partial_regression", methods=(MethodSpec("ppb", ("1/10", "cv")), MethodSpec("naive"))),
+    ], ids=["regression_k8", "gaussian_sweep", "partial_regression_cv"])
+    def test_threads_change_no_report(self, monkeypatch, config):
+        if config.model != "regression":  # 3 blocks of each epsilon
+            monkeypatch.setattr(harness, "BLOCK_VALUES", 3 * harness._replication_values(config))
+        assert harness._block_size(config) < config.reps
+        blocks_ran_on = set()
+        run_block = harness._run_block
+
+        def spy(*task):
+            blocks_ran_on.add(threading.current_thread() is threading.main_thread())
+            return run_block(*task)
+
+        monkeypatch.setattr(harness, "_run_block", spy)
+        reports = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # threads swap often, more of them than this host may have CPUs
+        try:
+            for cpus in (1, 2, 3):
+                usable_cpus(monkeypatch, cpus)
+                reports.append(run_experiment(config))
+                assert blocks_ran_on == {cpus == 1}  # inline on one CPU, on pool threads otherwise
+                blocks_ran_on.clear()
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
+    def test_usable_cpus_fall_back_to_the_cpu_count(self, monkeypatch):
+        usable_cpus(monkeypatch, 3)
+        assert harness._usable_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert harness._usable_cpus() == 5
+
+    def test_a_failing_study_raises_the_serial_error_on_threads(self, monkeypatch):
+        config = collinear_config(1e7)
+        monkeypatch.setattr(harness, "_fixed_design_for", lambda config: collinear_design())
+        monkeypatch.setattr(harness, "BLOCK_VALUES", 2 * harness._replication_values(config))
+        errors = []
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            with pytest.raises(DegeneracyError) as info:
+                run_experiment(config)
+            errors.append(str(info.value))
+        assert errors[1] == errors[0]
+
+    def test_an_earlier_block_that_fails_slowly_raises_its_error(self, monkeypatch):
+        # block 0 fails after block 1 has failed; a serial run stops at block 0
+        failed = threading.Event()
+
+        def run_block(config, eps_index, reps, study):
+            if reps.start == 0:
+                failed.wait(timeout=10)
+                raise NumericError("block 0")
+            failed.set()
+            raise DegeneracyError("block 1")
+
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(harness, "_run_block", run_block)
+        monkeypatch.setattr(harness, "BLOCK_VALUES", harness._replication_values(small_config()))
+        with pytest.raises(NumericError, match="block 0") as info:
+            run_experiment(small_config(reps=2))
+        assert type(info.value) is NumericError and failed.is_set()
+
+    def test_blocks_not_started_are_cancelled(self, monkeypatch):
+        started = []
+
+        def run_block(config, eps_index, reps, study):
+            started.append(reps.start)
+            if reps.start == 0:
+                raise NumericError("block 0")
+            time.sleep(0.1)
+            return {}
+
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(harness, "_run_block", run_block)
+        monkeypatch.setattr(harness, "BLOCK_VALUES", harness._replication_values(small_config()))
+        with pytest.raises(NumericError, match="block 0"):
+            run_experiment(small_config(reps=10))
+        assert 0 in started and len(started) < 10
+
+    def test_no_thread_outlives_a_study(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        run_experiment(small_config(epsilons=(0.5, 1.5), reps=6, B=100))
+        assert threading.active_count() == before
+
+    def test_a_process_pool_after_threads_matches(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        config = small_config(epsilons=(0.5, 1.5), reps=16, B=100)
+        threaded = run_experiment(config)
+        assert run_experiment(replace(config, workers=2)) == threaded
 
 
 class TestReportIO:
