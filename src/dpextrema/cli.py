@@ -34,7 +34,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from .crossval import DEFAULT_FOLDS, DEFAULT_GRID, CVConfig, cv_choose_r
-from .errors import DegeneracyError, NumericError, ParameterError
+from .errors import NumericError, ParameterError
 from .extrema import DEFAULT_B, DEFAULT_B_INNER, ppb_lower_limit
 from .harness import (
     ExperimentReport,
@@ -362,7 +362,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DegeneracyError, NumericError) as exc:
+    except NumericError as exc:  # DegeneracyError included
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

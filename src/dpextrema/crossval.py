@@ -12,12 +12,14 @@ larger (weaker) correction.
 The estimators see the data only through additive sufficient statistics, so
 CV runs on per-fold sufficient statistics: the data are clamped once, each
 fold's statistics are computed once, and each training set's statistics are
-the total minus its fold.  All 2v estimates are released as one stacked
-estimate, with the noise scales derived once and one eigendecomposition
-repairing every matrix, and the training replicas of all folds are drawn in
-one ``replica_draws`` call.  This is the release every estimate goes through
-(a single estimate is a stack of one), so each fold's release has
-the law of the single-set estimator on that subset.  Any data class that
+the total minus its fold, mapped over the additive statistics by the helper
+of :mod:`~dpextrema.models`, the one module that names them.  All 2v
+estimates are released as one stacked estimate, with the noise scales
+derived once and one eigendecomposition repairing every matrix, and the
+training replicas of all folds are drawn in one ``replica_draws`` call.
+This is the release every estimate goes through (a single estimate is a
+stack of one), so each fold's release has the law of the single-set
+estimator on that subset.  Any data class that
 :func:`~dpextrema.models.fold_statistics` reads (its ``clamped`` rows and
 ``statistics_of``) can be cross-validated: a partitioned Gaussian is
 its interest block, plain ``GaussianData``, and ``RegressionData(...,
@@ -47,13 +49,13 @@ reports that total.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
 from .extrema import DEFAULT_B_INNER, _check_failed_draws, bias_reduced_from_draws
-from .models import fold_statistics
+from .models import _map_additive, fold_statistics
 from .privacy import GeneratorStack
 
 DEFAULT_GRID = (1.0 / 30.0, 1.0 / 15.0, 1.0 / 10.0, 1.0 / 5.0)
@@ -132,15 +134,7 @@ def _estimate(stats, budget, rng: GeneratorStack, b_inner: int):
             2 * R * v, *a.shape[2:]
         )
 
-    sets = replace(
-        stats,
-        **{
-            name: train_then_folds(a)
-            for name in stats.ADDITIVE
-            if (a := getattr(stats, name)) is not None
-        },
-    )
-    release = sets.release(budget, rng)
+    release = _map_additive(train_then_folds, stats).release(budget, rng)
     train = release.take((2 * v * np.arange(R)[:, None] + np.arange(v)).ravel())
     draws, failed = train.replica_draws(b_inner, rng, R * v)
     _check_failed_draws(failed.sum(axis=1), b_inner)

@@ -12,20 +12,22 @@ function of the configuration, independent of the worker count, the thread
 count and execution order.
 
 Replications run in blocks of R, as stacks: each replication generates its
-data with its own generator, and then every release, bootstrap draw,
-cross-validation and limit of the block is one stacked computation, while a
-:class:`~dpextrema.privacy.GeneratorStack` keeps drawing each replication's
-rows from that replication's generator, in the order it would draw them
-alone.  So the block size, like the worker count, changes no result; a
-failing block is rerun one replication at a time, so a study aborts with the
-error of its first failing replication.
+data with its own generator, one :func:`~dpextrema.models.fold_statistics`
+call reduces the block's data sets to statistics as they are generated, and
+then every release, bootstrap draw, cross-validation and limit of the block
+is one stacked computation, while a :class:`~dpextrema.privacy.GeneratorStack`
+keeps drawing each replication's rows from that replication's generator, in
+the order it would draw them alone.  So the block size, like the worker
+count, changes no result; a failing block is rerun one replication at a
+time, so a study aborts with the error of its first failing replication.
 
-A study's blocks, of every epsilon, run concurrently: on a process pool of
-``workers`` when ``workers > 1``, and otherwise on a thread pool of one
-thread per usable CPU (the process's affinity mask, which ``taskset``
-narrows), whose numpy draws and solves release the GIL.  Block outcomes are
-gathered in plan order, so every report row is summed as a serial run sums
-it, and the error raised is that of the first failing block in plan order.
+A study's blocks, of every epsilon, run concurrently when there is more than
+one block and more than one usable CPU (the process's affinity mask, which
+``taskset`` narrows): on a process pool of ``workers`` when ``workers > 1``,
+and otherwise on a thread pool of one thread per usable CPU, whose numpy
+draws and solves release the GIL.  Block outcomes are gathered in plan
+order, so every report row is summed as a serial run sums it, and the error
+raised is that of the first failing block in plan order.
 
 Simulation bounds: experiments declare the data box as truth +/- a configured
 half-width (3 sigma-equivalents by default), mirroring how a practitioner
@@ -63,12 +65,11 @@ from .extrema import (
     naive_limits,
     ppb_limits,
 )
-from .models import (
-    GaussianData, GaussianStatistics, RegressionData, RegressionStatistics, fold_statistics, stack_statistics,
-)
+from .models import GaussianData, GaussianStatistics, RegressionData, RegressionStatistics, fold_statistics
 from .privacy import Bounds, GeneratorStack, split_budget
 
-BOOTSTRAP_METHODS = ("ppb", "npb", "rppb", "semi_naive")
+R_METHODS = ("ppb", "npb", "rppb")
+BOOTSTRAP_METHODS = R_METHODS + ("semi_naive",)
 BASELINE_METHODS = ("naive", "bonferroni")
 
 __all__ = [
@@ -157,7 +158,7 @@ def divide_budget(epsilon: float, shares: tuple[float, ...] | None):
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One configured method: a bootstrap variant with r tokens, or a baseline."""
+    """One configured method, a bootstrap variant with r tokens or a baseline; it refuses unread fields."""
 
     name: str
     r_tokens: tuple[str, ...] = ()
@@ -166,8 +167,12 @@ class MethodSpec:
     def __post_init__(self):
         if self.name not in BOOTSTRAP_METHODS + BASELINE_METHODS:
             raise ParameterError(f"unknown method {self.name!r}")
-        if self.name in ("ppb", "npb", "rppb") and not self.r_tokens:
+        if self.name in R_METHODS and not self.r_tokens:
             raise ParameterError(f"{self.name} needs at least one r value")
+        if self.r_tokens and self.name not in R_METHODS:
+            raise ParameterError(f"method {self.name!r} does not read r_tokens")
+        if not self.private and self.name not in BASELINE_METHODS:
+            raise ParameterError(f"method {self.name!r} does not read private")
         for token in self.r_tokens:
             if token == "cv":
                 continue
@@ -317,10 +322,23 @@ class ExperimentReport:
 
     @classmethod
     def from_csv(cls, path) -> "ExperimentReport":
+        """The report of a :meth:`to_csv` file; a missing column or a cell
+        that does not read as its column's type is refused by row and column."""
         kinds = typing.get_type_hints(ReportRow)  # column -> type, e.g. "n" -> int
+        rows = []
         with open(path, newline="") as fh:
-            records = list(csv.DictReader(fh))
-        return cls([ReportRow(**{c: kinds[c](rec[c]) for c in REPORT_COLUMNS}) for rec in records])
+            reader = csv.DictReader(fh, restval="")  # a short row's missing cells read as empty
+            if missing := [c for c in REPORT_COLUMNS if c not in (reader.fieldnames or ())]:
+                raise ParameterError(f"{path}: row 1, column {missing[0]}: not in the header")
+            for rec in reader:
+                for c in REPORT_COLUMNS:
+                    try:
+                        rec[c] = kinds[c](rec[c])
+                    except ValueError:
+                        where = f"{path}: row {reader.line_num}, column {c}"
+                        raise ParameterError(f"{where}: cannot read {rec[c]!r} as {kinds[c].__name__}") from None
+                rows.append(ReportRow(**{c: rec[c] for c in REPORT_COLUMNS}))
+        return cls(rows)
 
     def merge(self, other: "ExperimentReport") -> "ExperimentReport":
         return ExperimentReport(self.rows + other.rows)
@@ -483,7 +501,7 @@ def _block_outcomes(config: ExperimentConfig, eps_index: int, reps: range, study
     data = (_generate_data(config, g, study) for g in rng.generators)
     if _cross_validates(config):
         data = list(data)
-    stats = stack_statistics([fold_statistics([d]) for d in data])
+    stats = fold_statistics(data)
     releases = {}  # private -> stacked estimate
     draws = {}  # (private, privacy_noise) -> (draws, failed counts)
     # rows still to read each draws entry, which is dropped after its last one
@@ -576,22 +594,21 @@ def _usable_cpus() -> int:
 def _map_blocks(tasks: list, workers: int) -> list:
     """:func:`_run_block` of every task, in task order.
 
-    ``workers > 1`` maps the tasks over a process pool.  Otherwise they run
-    on a thread pool of one thread per usable CPU, at most one per task;
-    the draws and solves that dominate a block release the GIL.  Each block
-    draws from its own generators, so threads change no result.  The error
-    raised is that of the first failing task in task order, as in a serial
-    run, and tasks not yet started are cancelled.  One task or one usable
-    CPU runs the tasks inline, one after another.
+    ``workers`` chooses the pool: a process pool of ``workers`` when it is
+    above 1, and otherwise a thread pool of one thread per usable CPU, at
+    most one per task; the draws and solves that dominate a block release
+    the GIL.  Each block draws from its own generators, so neither changes a
+    result.  The error raised is that of the first failing task in task
+    order, as in a serial run, and tasks not yet started are cancelled.  One
+    task or one usable CPU runs the tasks inline, one after another, whatever
+    ``workers`` is.
     """
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(tasks) // (8 * workers))
-            return list(pool.map(_run_block, *zip(*tasks), chunksize=chunk))
     threads = min(len(tasks), _usable_cpus())
     if threads <= 1:
         return [_run_block(*task) for task in tasks]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+    # named through the package, which imports multiprocessing only for a process pool
+    executor = concurrent.futures.ProcessPoolExecutor if workers > 1 else concurrent.futures.ThreadPoolExecutor
+    with executor(workers if workers > 1 else threads) as pool:
         futures = [pool.submit(_run_block, *task) for task in tasks]
         try:
             return [future.result() for future in futures]
@@ -728,7 +745,7 @@ def load_config(path) -> ExperimentConfig:
         value = value.strip().lower()
         if value in ("off", "false", "no", ""):
             continue
-        if name in ("ppb", "npb", "rppb"):
+        if name in R_METHODS:
             tokens = tuple(tok.strip() for tok in value.split(",") if tok.strip())
             methods.append(MethodSpec(name, tokens))
         elif name == "semi_naive":

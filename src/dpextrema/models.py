@@ -8,8 +8,9 @@ is removed from the residual variance but never released.
 
 Both estimators add Laplace noise to clamped sufficient statistics (sums, gram
 matrices, cross products) and post-process the noisy statistics; they never
-look at rows again.  ``fold_statistics`` forms each fold's statistics, and one
-release per model, ``GaussianStatistics.release`` and
+look at rows again.  ``fold_statistics`` is the one way from data sets to a
+stack of statistics, and this module alone maps their additive statistics
+(``_map_additive``).  One release per model, ``GaussianStatistics.release`` and
 ``RegressionStatistics.release``, splits the budget over its ``RELEASED``
 statistics, runs on a stack of F data sets and returns the model's one
 estimate class, which holds all F sets along a leading axis, and one
@@ -71,7 +72,6 @@ __all__ = [
     "fold_statistics",
     "gaussian_private_mle",
     "regression_private_mle",
-    "stack_statistics",
 ]
 
 
@@ -481,65 +481,52 @@ def fold_statistics(data_sets, folds: int = 1, perms: np.ndarray | None = None):
     """The statistics of ``folds`` folds of each of R data sets of one class,
     size and box, as one stack of R * folds sets, set by set.
 
-    The edges a_j cut n rows as ``np.array_split`` does.  Fold j of set i is
-    its rows a_j:a_{j+1}, or perms[i, a_j:a_{j+1}] with (R, n) row orders
-    ``perms``: one gather across the sets per fold (a view of one set's rows
-    in order), then one batched reduction and matmul.  Sets that differ in
-    class, size, width or box are refused: one release calibrates its noise
-    to the first set's box.
+    With one fold in row order, ``data_sets`` may be any iterable: each set's
+    statistics are formed from its rows as it is read.  Otherwise the edges
+    a_j cut n rows as ``np.array_split`` does.  Fold j of set i is its rows
+    a_j:a_{j+1}, or perms[i, a_j:a_{j+1}] with (R, n) row orders ``perms``:
+    one gather across the sets per fold (a view of one set's rows in order),
+    then one batched reduction and matmul.  Sets that differ in class, size,
+    width or box are refused: one release calibrates its noise to the first
+    set's box.
     """
-    first = data_sets[0]
-    if not all(_same_layout(first, d, lambda d: [c.shape for c in d.clamped]) for d in data_sets[1:]):
-        raise ParameterError("the data sets of one stack need one class, size, width and box")
+    data_sets = _one_layout(data_sets)
+    if folds == 1 and perms is None:
+        parts = [d.statistics_of(*(c[None] for c in d.clamped)) for d in data_sets]
+        return _map_additive(lambda *a: np.concatenate(a), *parts)
+    data_sets = list(data_sets)
     columns = [c[0][None] if len(c) == 1 else np.stack(c) for c in zip(*(d.clamped for d in data_sets))]
     sets = np.arange(len(data_sets))[:, None]
-    per, extra = divmod(first.n, folds)
+    per, extra = divmod(data_sets[0].n, folds)
     edges = [j * per + min(j, extra) for j in range(folds + 1)]  # the first n % folds get one more row
-    stacks = [
-        first.statistics_of(*(c[:, a:b] if perms is None else c[sets, perms[:, a:b]] for c in columns))
+    parts = [
+        data_sets[0].statistics_of(*(c[:, a:b] if perms is None else c[sets, perms[:, a:b]] for c in columns))
         for a, b in zip(edges, edges[1:])
     ]
-    if folds == 1:
-        return stacks[0]
     # set by set: row i * folds + j is fold j of set i
-    return replace(
-        stacks[0],
-        **{
-            name: np.stack([getattr(s, name) for s in stacks], axis=1).reshape(-1, *a.shape[1:])
-            for name in stacks[0].ADDITIVE
-            if (a := getattr(stacks[0], name)) is not None
-        },
-    )
+    return _map_additive(lambda *a: np.stack(a, axis=1).reshape(-1, *a[0].shape[1:]), *parts)
 
 
-def _same_layout(a, b, shapes) -> bool:
-    """Whether two data sets, or two statistics stacks, have one class, equal
-    boxes and equal ``shapes``."""
-    if type(a) is not type(b) or shapes(a) != shapes(b):
-        return False
-    return all(
-        (p := getattr(a, f.name)) is (q := getattr(b, f.name))
-        or not isinstance(p, Bounds)
-        or (np.array_equal(p.lower, q.lower) and np.array_equal(p.upper, q.upper))
-        for f in fields(a)
-    )
+def _one_layout(data_sets):
+    """The data sets one by one, each refused unless its class, array shapes and
+    boxes are the first set's, which alone are kept.  Nothing is clamped here,
+    so a set is clamped only once the consumer has dropped the set before it."""
+    first = None
+    for d in data_sets:
+        layout = [type(d)] + [
+            v.shape if isinstance(v, np.ndarray) else (v.lower.tolist(), v.upper.tolist())
+            for v in vars(d).values() if isinstance(v, (np.ndarray, Bounds))
+        ]
+        first = first or layout
+        if layout != first:
+            raise ParameterError("the data sets of one stack need one class, size, width and box")
+        yield d
 
 
-def stack_statistics(parts):
-    """One statistics stack holding the sets of every stack in ``parts``, in
-    order.  The stacks must have one class, width and box."""
-    first = parts[0]
-    widths = lambda s: [None if (a := getattr(s, name)) is None else a.shape[1:] for name in s.ADDITIVE]
-    if not all(_same_layout(first, p, widths) for p in parts[1:]):
-        raise ParameterError("the stacks need one class, width and box")
-    return replace(
-        first,
-        **{
-            name: np.concatenate([getattr(p, name) for p in parts])
-            for name in first.ADDITIVE
-            if getattr(first, name) is not None
-        },
-    )
+def _map_additive(fn, *stacks):
+    """The first stack with each additive statistic replaced by ``fn`` of the stacks' own."""
+    names = [name for name in stacks[0].ADDITIVE if getattr(stacks[0], name) is not None]
+    return replace(stacks[0], **{name: fn(*(getattr(s, name) for s in stacks)) for name in names})
 
 
 @dataclass(frozen=True, eq=False)

@@ -824,3 +824,27 @@ class TestSimulateAndPlot:
              "--output", str(tmp_path / "plot.csv")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda rows: [row[:2] + row[3:] for row in rows], "row 1, column r: not in the header"),
+            (
+                lambda rows: rows[:2] + [rows[2][:6] + ["2.5"] + rows[2][7:]],
+                "row 3, column k: cannot read '2.5' as int",
+            ),
+        ],
+        ids=["missing-column", "non-integer-cell"],
+    )
+    def test_malformed_report_exits_2_naming_row_and_column(self, tmp_path, capsys, edit, error):
+        header = ["model", "method", "r", "epsilon", "truth", "n", "k", "coverage", "coverage_se",
+                  "mean_length", "reps", "B", "seed", "failed_draws"]
+        rows = [header] + [["gaussian", "ppb", "0.1", eps, "mu=(0,0)", "200", "2", "0.95", "0.01",
+                            "0.3", "20", "200", "4", "0"] for eps in ("0.5", "1.5")]
+        report_csv = tmp_path / "report.csv"
+        with open(report_csv, "w", newline="") as fh:
+            csv.writer(fh).writerows(edit(rows))
+        code = run_cli(["plot-data", "--report", str(report_csv), "--axis", "epsilon",
+                        "--output", str(tmp_path / "plot.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {report_csv}: {error}\n"

@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import subprocess
 import sys
 import textwrap
 import threading
@@ -145,6 +146,24 @@ class TestRunExperiment:
             small_config(split=(0.9, 0.9))
         with pytest.raises(ParameterError):
             MethodSpec("ppb")  # bootstrap method without r values
+
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            (lambda: MethodSpec("ppb", ("1/10",), private=False), "private"),
+            (lambda: MethodSpec("rppb", ("1/10",), private=False), "private"),
+            (lambda: MethodSpec("semi_naive", private=False), "private"),
+            (lambda: MethodSpec("semi_naive", ("1/10", "cv")), "r_tokens"),
+            (lambda: MethodSpec("naive", ("cv",)), "r_tokens"),
+            (lambda: MethodSpec("bonferroni", ("1/10",), private=False), "r_tokens"),
+        ],
+        ids=["ppb-private", "rppb-private", "semi_naive-private", "semi_naive-r", "naive-r", "bonferroni-r"],
+    )
+    def test_a_field_the_method_does_not_read_is_refused(self, spec, field):
+        # npb is the nonprivate bootstrap, semi_naive reports r = 0.5 alone and
+        # the baselines take no r; such a field would be dropped, not applied
+        with pytest.raises(ParameterError, match=f"^method '[a-z_]+' does not read {field}$"):
+            spec()
 
     @pytest.mark.parametrize("B", [0, 50])
     def test_too_few_bootstrap_draws_rejected(self, B):
@@ -536,6 +555,13 @@ class TestThreads:
         before = threading.active_count()
         run_experiment(small_config(epsilons=(0.5, 1.5), reps=6, B=100))
         assert threading.active_count() == before
+
+    def test_importing_the_package_leaves_multiprocessing_unloaded(self):
+        # only a process pool needs it, and loading it costs every run about 1 MB of peak RSS
+        code = "import sys, dpextrema.cli; print('multiprocessing' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert run.stdout == "False\n", run.stderr
 
     def test_a_process_pool_after_threads_matches(self, monkeypatch):
         usable_cpus(monkeypatch, 2)

@@ -1,5 +1,9 @@
+import ast
 import math
 import warnings
+import weakref
+from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +15,13 @@ from dpextrema.models import (
     _CERTIFY_MARGIN,
     SIGMA2_FLOOR,
     GaussianData,
+    GaussianStatistics,
     PrivatizedGaussianEstimate,
     PrivatizedRegressionEstimate,
     RegressionData,
     RegressionStatistics,
     fold_statistics,
     gaussian_private_mle,
-    stack_statistics,
     regression_private_mle,
 )
 from dpextrema.privacy import (
@@ -32,6 +36,8 @@ from dpextrema.privacy import (
 )
 
 WIDE = 5.0  # box that never clips the small test datasets below
+ONE_LAYOUT = "^the data sets of one stack need one class, size, width and box$"
+SRC = Path(__file__).resolve().parents[1] / "src" / "dpextrema"
 
 
 def make_gaussian(rng, n=40, k=3, half_width=WIDE):
@@ -207,7 +213,10 @@ class TestGaussianBootstrap:
         rng = np.random.default_rng(25)
         data = make_gaussian(rng, n=90, k=3, half_width=3.0)
         folds = [slice(0, 8), slice(8, 20), slice(20, 50), slice(50, 90)]
-        stats = stack_statistics([fold_statistics([GaussianData(data.x[f], data.bounds)]) for f in folds])
+        parts = [fold_statistics([GaussianData(data.x[f], data.bounds)]) for f in folds]
+        stats = GaussianStatistics(
+            data.bounds, *(np.concatenate([getattr(p, name) for p in parts]) for name in ("n", "sums", "grams"))
+        )
         clipped = 0
         for seed in range(6):
             est = stats.release(0.3, np.random.default_rng(seed))
@@ -391,16 +400,56 @@ def orthogonal_nuisance_data(rng, n, with_w=True):
 
 
 class TestStackStatistics:
-    """Stacks of statistics concatenate, and only stacks of one layout."""
+    """A stack's data sets are read one by one, and only sets of one layout stack."""
 
-    def test_stacks_of_unequal_set_counts_concatenate(self):
+    @pytest.mark.parametrize("nuisance", [False, True], ids=["gaussian", "nuisance"])
+    def test_a_stream_of_sets_is_their_statistics_concatenated(self, nuisance):
         rng = np.random.default_rng(26)
-        data = [make_gaussian(rng) for _ in range(5)]
-        stats = stack_statistics([fold_statistics(data[:2]), fold_statistics(data[2:])])
-        assert np.array_equal(stats.sums, np.concatenate([fold_statistics([d]).sums for d in data]))
+        data = [orthogonal_nuisance_data(rng, 40) if nuisance else make_gaussian(rng) for _ in range(5)]
+        stats = fold_statistics(d for d in data)
+        alone = [fold_statistics([d]) for d in data]
+        for name in type(stats).ADDITIVE:
+            if getattr(stats, name) is not None:
+                want = np.concatenate([getattr(a, name) for a in alone])
+                assert getattr(stats, name).tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            lambda data: GaussianData(data.x, Bounds.symmetric(4.0, 3)),
+            lambda data: GaussianData(data.x[:-1], data.bounds),
+            lambda data: RegressionData(data.x, data.x[:, 0], Bounds.symmetric(WIDE, 3), Bounds.symmetric(4.0, 1)),
+        ],
+        ids=["box", "size", "class"],
+    )
+    def test_a_set_of_another_layout_is_refused_mid_stream(self, other):
+        rng = np.random.default_rng(29)
+        data = [make_gaussian(rng) for _ in range(3)]
+        stream = (d for d in [*data, other(data[0])])
+        with pytest.raises(ParameterError, match=ONE_LAYOUT):
+            fold_statistics(stream)
+
+    def test_a_stream_clamps_each_set_once_the_set_before_it_is_dropped(self):
+        # so a Monte Carlo block holds one replication's clamped rows at a time
+        made, alive_at_clamp = [], []
+
+        class Watched(GaussianData):
+            @cached_property
+            def clamped(self):
+                alive_at_clamp.append(sum(ref() is not None for ref in made))
+                return GaussianData.clamped.func(self)
+
+        def stream(rng):
+            for _ in range(4):
+                d = Watched(rng.uniform(-2.0, 2.0, (40, 3)), Bounds.symmetric(WIDE, 3))
+                made.append(weakref.ref(d))
+                yield d
+
+        fold_statistics(stream(np.random.default_rng(30)))
+        assert alive_at_clamp == [1, 1, 1, 1]
 
     def test_stacks_of_another_box_or_width_are_refused(self):
-        # the release calibrates its noise to the first stack's box
+        # the release calibrates its noise to the first set's box
         rng = np.random.default_rng(27)
         data = make_gaussian(rng, half_width=3.0)
         other_box = GaussianData(data.x, Bounds.symmetric(4.0, 3))
@@ -408,10 +457,23 @@ class TestStackStatistics:
         plain = RegressionData(X, y, Bounds.symmetric(1.0, 2), Bounds.symmetric(4.0, 1))
         nuisance = RegressionData(X, y, plain.x_bounds, plain.y_bounds, orthogonal_block(X, rng.standard_normal((40, 1))))
         for parts in ([data, other_box], [plain, nuisance], [nuisance, plain], [data, plain]):
-            with pytest.raises(ParameterError, match="^the stacks need one class, width and box$"):
-                stack_statistics([fold_statistics([d]) for d in parts])
+            with pytest.raises(ParameterError, match=ONE_LAYOUT):
+                fold_statistics(parts)
         same = GaussianData(data.x, Bounds.symmetric(3.0, 3))  # an equal box, another object
-        assert stack_statistics([fold_statistics([d]) for d in (data, same)]).n.tolist() == [40, 40]
+        assert fold_statistics([data, same]).n.tolist() == [40, 40]
+
+
+def test_only_models_maps_the_additive_statistics():
+    # how each model's statistics add up over sets and subsets is known in
+    # models.py alone; another module maps them through its helper
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "models.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "ADDITIVE"
+    ]
+    assert not reads, f"ADDITIVE read outside models.py: {reads}"
 
 
 class TestNanCellsRefused:
