@@ -266,9 +266,9 @@ def _cmd_cv(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = load_config(args.config)
-    if args.reps:
+    if args.reps is not None:
         config = replace(config, reps=args.reps)
-    if args.workers:
+    if args.workers is not None:
         config = replace(config, workers=args.workers)
     report = run_experiment(config)
     report.to_csv(args.output)
@@ -342,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="Monte Carlo coverage/length experiment")
     sim.add_argument("--config", required=True, help="key = value sections file")
     sim.add_argument("--output", required=True, help="report CSV path")
-    sim.add_argument("--reps", type=int, default=0, help="override the configured replication count")
-    sim.add_argument("--workers", type=int, default=0, help="override the configured worker count")
+    sim.add_argument("--reps", type=int, help="override the configured replication count")
+    sim.add_argument("--workers", type=int, help="override the configured worker count")
     sim.set_defaults(func=_cmd_simulate)
 
     plot = sub.add_parser("plot-data", help="tidy CSV for plotting from report CSVs")

@@ -34,11 +34,13 @@ half-width (3 sigma-equivalents by default), mirroring how a practitioner
 declares plausible data ranges a priori.  Sensitivities derive from that box
 and the data are clamped into it, so the stated privacy guarantee is honest.
 
-One input path with the CLI: config values and the CLI flags are read by the
-same parsers (:func:`parse_number`, :func:`parse_floats`, :func:`parse_split`,
-:func:`parse_grid`), so a malformed value is a :class:`ParameterError` that
-names its key; so is an unknown key, a key that the model does not read and
-a ``split`` without one share per statistic that the model releases.
+One table of config keys: each :class:`ExperimentConfig` field declares its
+``[experiment]`` key, the parser of its text (the parsers of the CLI flags,
+such as :func:`parse_number` and :func:`parse_split`), the check of its
+value, the models that read it and the fill of an unset vector.
+:func:`load_config`, the checks of a config from any source and the refusal
+of a key the model does not read all read that table, so each bad key or
+value is a :class:`ParameterError` that names its key.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ import concurrent.futures
 import configparser
 import csv
 import math
+import numbers
 import os
 import typing
 from dataclasses import dataclass, field, fields
@@ -187,95 +190,144 @@ class MethodSpec:
         return self.name
 
 
+def _parse_int(text: str, key: str) -> int:
+    """One integer from a config value named ``key``."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ParameterError(f"cannot parse {key} {text!r}") from exc
+
+
+_SHORTHANDS = {"zeros": lambda k: (0.0,) * k, "zeros+1": lambda k: (0.0,) * (k - 1) + (1.0,)}
+
+
+def _parse_truth(text: str, key: str):
+    """A truth vector: numbers, or ``zeros`` or ``zeros+1`` (a last 1), which its check sizes by k."""
+    t = text.strip().lower()
+    return t if t in _SHORTHANDS else parse_floats(text, key)
+
+
+def _at_least(low, wording, kind=numbers.Integral, then=None):  # NaN is not below low
+    def check(config, name, value):
+        if not isinstance(value, kind) or value < low:
+            raise ParameterError(f"{name} must be {wording}, got {value!r}")
+        if then:
+            then(value)
+    return check
+
+
+def _positive_finite(config, name, value):
+    if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):  # False on NaN and None
+        raise ParameterError(f"{name} must be positive and finite")
+
+
+def _vector(low, wording, sized=True):  # numbers above low and finite; sized, k of them
+    def check(config, name, value):
+        if isinstance(value, str):
+            value = _SHORTHANDS[value](config.k)
+        value = tuple(float(v) for v in value)
+        if not all(low < v < math.inf for v in value):
+            raise ParameterError(f"{name} must be {wording}")
+        if sized and len(value) != config.k:
+            raise ParameterError(f"{name} length does not match k")
+        return value
+    return check
+
+
+def _check_model(config, name, value):
+    if value not in _MODELS:
+        raise ParameterError(f"unknown model {value!r}; the supported models are {', '.join(_MODELS)}")
+
+
+def _check_epsilons(config, name, value):
+    if not value:
+        raise ParameterError("at least one epsilon is required")
+    if not all(eps > 0 for eps in value):  # False on NaN
+        raise ParameterError("every epsilon must be positive (inf allowed)")
+
+
+def _check_methods(config, name, value):
+    if not value:
+        raise ParameterError("at least one method is required")
+
+
+def _check_split(config, name, value):  # one share per statistic that the model releases
+    return split_budget(check_shares(value), len(_MODELS[config.model].statistics.RELEASED))
+
+
+def _check_design(config, name, value):  # an unset design is resampled
+    if value not in ("resampled", "fixed"):
+        raise ParameterError("design must be 'resampled' or 'fixed'")
+
+
+_INTEGER, _POSITIVE = _at_least(-math.inf, "an integer"), _at_least(1, "a positive integer")
+_FINITE = _vector(-math.inf, "finite")
+_GAUSSIAN, _REGRESSIONS = ("gaussian",), ("regression", "partial_regression")
+
+
+def _key(parse, check, models=None, fill=None, key=None, **kwargs):
+    """A field of :class:`ExperimentConfig` with its row of the table of config keys."""
+    return field(metadata={"parse": parse, "check": check, "models": models, "fill": fill, "key": key}, **kwargs)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    model: str
-    n: int
-    k: int
-    epsilons: tuple[float, ...]
-    methods: tuple[MethodSpec, ...]
-    seed: int
-    reps: int = 1000
-    alpha: float = 0.05
-    B: int = DEFAULT_B
-    b_inner: int = DEFAULT_B_INNER
-    cv_folds: int = DEFAULT_FOLDS
-    cv_grid: tuple[float, ...] = DEFAULT_GRID
-    split: tuple[float, ...] | None = None
-    bounds_half_width: float = 3.0
-    workers: int = 1
-    # the truth and data of each model; see _Model.reads for which reads which
-    mu: tuple[float, ...] | None = None
-    sigma_diag: tuple[float, ...] | None = None
-    beta: tuple[float, ...] | None = None
-    sigma2: float = 1.0
-    gamma: tuple[float, ...] | None = None
-    design: str | None = None  # resampled (by default) or fixed
-    x_half_width: float = 1.0
-    y_half_width: float | None = None
+    """A Monte Carlo study, whose fields are the one table of config keys.
+
+    Each field's metadata (:func:`_key`) holds ``parse(text, key)``, which
+    reads its ``[experiment]`` value (None: it has no key), named ``key`` or
+    else as the field; ``check(config, name, value)``, which refuses a bad
+    value, naming the field, and returns it normalized, or None to keep it;
+    the ``models`` that read it (None: all), the others refusing a value
+    other than its default; and ``fill(k)``, an unset vector's value.  The
+    fields are checked in order, whatever their source: a config file, the
+    constructor or ``dataclasses.replace``.  A field whose default is None
+    is unset when None, and then only filled.
+    """
+
+    model: str = _key(lambda text, key: text, _check_model)
+    n: int = _key(_parse_int, _POSITIVE)
+    k: int = _key(_parse_int, _POSITIVE)
+    epsilons: tuple[float, ...] = _key(parse_floats, _check_epsilons, key="epsilon")
+    methods: tuple[MethodSpec, ...] = _key(None, _check_methods)  # the [methods] section
+    seed: int = _key(_parse_int, _at_least(0, "a non-negative integer"))
+    reps: int = _key(_parse_int, _POSITIVE, default=1000)
+    alpha: float = _key(parse_number, _at_least(-math.inf, "a number", numbers.Real, _check_alpha), default=0.05)
+    B: int = _key(_parse_int, _at_least(-math.inf, "an integer", then=_check_B), key="b", default=DEFAULT_B)
+    b_inner: int = _key(_parse_int, _INTEGER, default=DEFAULT_B_INNER)
+    cv_folds: int = _key(_parse_int, _INTEGER, default=DEFAULT_FOLDS)
+    cv_grid: tuple[float, ...] = _key(  # with cv_folds and b_inner, by the one check of cross-validation
+        parse_grid, lambda c, name, v: check_cv(c.cv_folds, v, c.b_inner, "cv_folds", name), default=DEFAULT_GRID
+    )
+    split: tuple[float, ...] | None = _key(lambda text, key: parse_split(text), _check_split, default=None)
+    bounds_half_width: float = _key(parse_number, _positive_finite, _GAUSSIAN, default=3.0)
+    workers: int = _key(_parse_int, _POSITIVE, default=1)
+    mu: tuple[float, ...] | None = _key(_parse_truth, _FINITE, _GAUSSIAN, _SHORTHANDS["zeros"], default=None)
+    sigma_diag: tuple[float, ...] | None = _key(
+        parse_floats, _vector(0.0, "positive and finite"), _GAUSSIAN, lambda k: (1.0,) * k, default=None
+    )
+    beta: tuple[float, ...] | None = _key(_parse_truth, _FINITE, _REGRESSIONS, _SHORTHANDS["zeros"], default=None)
+    sigma2: float = _key(parse_number, _positive_finite, _REGRESSIONS, default=1.0)
+    gamma: tuple[float, ...] | None = _key(  # its length sets the nuisance columns, none by default
+        parse_floats, _vector(-math.inf, "finite", sized=False), ("partial_regression",), lambda k: (), default=None
+    )
+    design: str | None = _key(lambda text, key: text, _check_design, ("regression",), default=None)
+    x_half_width: float = _key(parse_number, _positive_finite, ("regression",), default=1.0)
+    y_half_width: float | None = _key(parse_number, _positive_finite, _REGRESSIONS, default=None)
 
     def __post_init__(self):
-        if self.model not in _MODELS:
-            raise ParameterError(
-                f"unknown model {self.model!r}; the supported models are {', '.join(_MODELS)}"
-            )
-        model = _MODELS[self.model]
-        for key in ("n", "k"):
-            value = getattr(self, key)
-            if value is None or value < 1:
-                raise ParameterError(f"{key} must be a positive integer, got {value!r}")
-        if self.reps < 1:
-            raise ParameterError("reps must be >= 1")
-        if self.workers < 1:
-            raise ParameterError(f"workers must be a positive integer, got {self.workers!r}")
-        if self.seed is None:
-            raise ParameterError("a seed is mandatory")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
-        _check_alpha(self.alpha)
-        _check_B(self.B)
-        # a value given is checked whatever the model, so a config refuses it at load
-        for key in ("bounds_half_width", "x_half_width", "y_half_width", "sigma2"):
-            value = getattr(self, key)
-            if value is not None and not (0.0 < value < math.inf):
-                raise ParameterError(f"{key} must be positive and finite")
-        if not all(0.0 < v < math.inf for v in self.sigma_diag or ()):
-            raise ParameterError("sigma_diag must be positive and finite")
-        for key in ("mu", "beta", "gamma"):
-            if not all(map(math.isfinite, getattr(self, key) or ())):
-                raise ParameterError(f"{key} must be finite")
-        # then a key of another model is refused unless it holds its default
         for f in fields(self):
-            if f.name in _MODEL_KEYS.difference(model.reads) and getattr(self, f.name) != f.default:
+            value, models = getattr(self, f.name), f.metadata["models"]
+            reads = models is None or self.model in models
+            if value is None and f.default is None:
+                if not (reads and f.metadata["fill"]):
+                    continue
+                value = f.metadata["fill"](self.k)
+            checked = f.metadata["check"](self, f.name, value)
+            value = value if checked is None else checked
+            if not reads and value != f.default:
                 raise ParameterError(f"model {self.model!r} does not read {f.name}")
-        if not self.epsilons:
-            raise ParameterError("at least one epsilon is required")
-        for eps in self.epsilons:
-            if math.isnan(eps) or eps <= 0:
-                raise ParameterError("every epsilon must be positive (inf allowed)")
-        if not self.methods:
-            raise ParameterError("at least one method is required")
-        if self.design not in (None, "resampled", "fixed"):
-            raise ParameterError("design must be 'resampled' or 'fixed'")
-        if self.split is not None:
-            object.__setattr__(self, "split", check_shares(self.split))
-            split_budget(self.split, len(model.statistics.RELEASED))  # one share per statistic
-        object.__setattr__(
-            self, "cv_grid",
-            check_cv(self.cv_folds, self.cv_grid, self.b_inner, "cv_folds", "cv_grid"),
-        )
-        # the model's own vectors: its truth (zeros by default), sigma_diag (ones), gamma (none)
-        for key, size, default in (
-            (model.truth, self.k, 0.0),
-            ("sigma_diag", self.k, 1.0),
-            ("gamma", len(self.gamma or ()), 0.0),
-        ):
-            if key in model.reads:
-                value = getattr(self, key)
-                value = (default,) * size if value is None else value
-                if len(value) != size:
-                    raise ParameterError(f"{key} length does not match k")
-                object.__setattr__(self, key, tuple(float(v) for v in value))
+            object.__setattr__(self, f.name, value)
 
     @property
     def truth_label(self) -> str:
@@ -415,26 +467,17 @@ class _Model(typing.NamedTuple):
     study: typing.Callable  # config -> what every replication's data share (truths, boxes), made once
     generate: typing.Callable  # (config, rng, study) -> one data set
     width: typing.Callable  # config -> values in one data row
-    reads: tuple[str, ...]  # its own config keys, which the other models refuse
     statistics: type  # the statistics class of its data sets, which names what it releases
 
 
 _MODELS = {
-    "gaussian": _Model(
-        "mu", _gaussian_study, _gaussian_data, lambda c: c.k,
-        ("mu", "sigma_diag", "bounds_half_width"), GaussianStatistics,
-    ),
-    "regression": _Model(
-        "beta", _regression_study, _regression_data, lambda c: c.k + 1,
-        ("beta", "sigma2", "x_half_width", "y_half_width", "design"), RegressionStatistics,
-    ),
+    "gaussian": _Model("mu", _gaussian_study, _gaussian_data, lambda c: c.k, GaussianStatistics),
+    "regression": _Model("beta", _regression_study, _regression_data, lambda c: c.k + 1, RegressionStatistics),
     "partial_regression": _Model(
         "beta", _partial_regression_study, _partial_regression_data, lambda c: c.k + len(c.gamma) + 1,
-        ("beta", "gamma", "sigma2", "y_half_width"), RegressionStatistics,
+        RegressionStatistics,
     ),
 }
-#: The config keys that some model reads.
-_MODEL_KEYS = {key for model in _MODELS.values() for key in model.reads}
 
 
 def _generate_data(config: ExperimentConfig, rng: np.random.Generator, study):
@@ -594,8 +637,8 @@ def _usable_cpus() -> int:
 def _map_blocks(tasks: list, workers: int) -> list:
     """:func:`_run_block` of every task, in task order.
 
-    ``workers`` chooses the pool: a process pool of ``workers`` when it is
-    above 1, and otherwise a thread pool of one thread per usable CPU, at
+    ``workers`` chooses the pool: a process pool of ``workers``, at most one
+    per task, when it is above 1, and otherwise a thread pool of one thread per usable CPU, at
     most one per task; the draws and solves that dominate a block release
     the GIL.  Each block draws from its own generators, so neither changes a
     result.  The error raised is that of the first failing task in task
@@ -608,7 +651,7 @@ def _map_blocks(tasks: list, workers: int) -> list:
         return [_run_block(*task) for task in tasks]
     # named through the package, which imports multiprocessing only for a process pool
     executor = concurrent.futures.ProcessPoolExecutor if workers > 1 else concurrent.futures.ThreadPoolExecutor
-    with executor(workers if workers > 1 else threads) as pool:
+    with executor(min(workers, len(tasks)) if workers > 1 else threads) as pool:
         futures = [pool.submit(_run_block, *task) for task in tasks]
         try:
             return [future.result() for future in futures]
@@ -670,43 +713,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def _parse_truth(text: str, k: int, what: str) -> tuple[float, ...]:
-    """A truth vector: numbers, or the shorthands ``zeros`` and ``zeros+1``."""
-    t = text.strip().lower()
-    if t == "zeros":
-        return (0.0,) * k
-    if t == "zeros+1":
-        return (0.0,) * (k - 1) + (1.0,)
-    return parse_floats(text, what)
-
-
-def _parse_int(text: str, what: str) -> int:
-    """One integer from a config value named ``what``."""
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ParameterError(f"cannot parse {what} {text!r}") from exc
-
-
-#: The parser of each ``[experiment]`` key's value, called with the value and
-#: the key, which its error names.  ``b`` and ``epsilon`` fill the fields
-#: ``B`` and ``epsilons``; the truth keys of :data:`_TRUTH_SIZES` are read
-#: once the sizes are known.  Any other key is refused.
-_EXPERIMENT_KEYS = {
-    **dict.fromkeys(("model", "design"), lambda text, key: text),
-    **dict.fromkeys(("n", "k", "seed", "reps", "b", "b_inner", "cv_folds", "workers"), _parse_int),
-    **dict.fromkeys(
-        ("alpha", "bounds_half_width", "sigma2", "x_half_width", "y_half_width"), parse_number
-    ),
-    **dict.fromkeys(("epsilon", "sigma_diag", "gamma"), parse_floats),
-    "cv_grid": parse_grid,
-    "split": lambda text, key: parse_split(text),
-}
-_FIELDS = {"b": "B", "epsilon": "epsilons"}
-#: Truth vectors and the size key their ``zeros`` shorthands take the length of.
-_TRUTH_SIZES = {"mu": "k", "beta": "k"}
-
-
 def load_config(path) -> ExperimentConfig:
     """Read an experiment configuration from a key = value sections file.
 
@@ -727,18 +733,14 @@ def load_config(path) -> ExperimentConfig:
         raise ParameterError("config needs [experiment] and [methods] sections")
     exp = parser["experiment"]
 
+    by_key = {f.metadata["key"] or f.name: f for f in fields(ExperimentConfig) if f.metadata["parse"]}
     kwargs = {"model": "gaussian", "n": None, "k": None, "seed": None}
     for key, text in exp.items():
-        if key in _TRUTH_SIZES:
-            continue
-        if key not in _EXPERIMENT_KEYS:
+        if key not in by_key:
             raise ParameterError(f"unknown [experiment] key {key!r}")
-        kwargs[_FIELDS.get(key, key)] = _EXPERIMENT_KEYS[key](text, key)
+        kwargs[by_key[key].name] = by_key[key].metadata["parse"](text, key)
     if not kwargs.get("epsilons"):
         raise ParameterError("the epsilon key is mandatory (a privacy budget must be declared)")
-    for key, size in _TRUTH_SIZES.items():
-        if key in exp:
-            kwargs[key] = _parse_truth(exp[key], kwargs.get(size) or 0, key)
 
     methods: list[MethodSpec] = []
     for name, value in parser["methods"].items():

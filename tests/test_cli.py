@@ -20,6 +20,7 @@ from dpextrema.cli import build_parser, main
 from dpextrema.crossval import CVConfig, cv_choose_r
 from dpextrema.errors import ParameterError
 from dpextrema.extrema import ppb_limits
+from dpextrema.harness import ExperimentReport
 from dpextrema.models import GaussianData, RegressionData, fold_statistics
 from dpextrema.privacy import Bounds
 
@@ -765,7 +766,44 @@ class TestSimulateAndPlot:
         assert code == 2
         assert "error: workers must be a positive integer" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
-        assert run_cli(args + ["--workers", "0"]) == 0  # 0 keeps the configured count
+        assert run_cli(args + ["--workers", "0"]) == 2  # a flag given is checked, 0 included
+        assert "error: workers must be a positive integer, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--reps", "0"], "reps must be a positive integer, got 0"),
+            (["--reps", "-1"], "reps must be a positive integer, got -1"),
+            (["--reps", "0", "--workers", "0"], "reps must be a positive integer, got 0"),
+            (["--workers", "0"], "workers must be a positive integer, got 0"),
+        ],
+        ids=["reps-0", "reps-negative", "both-0", "workers-0"],
+    )
+    def test_zero_or_negative_override_exits_2_before_running(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        # 0 was read as "no override", so --reps 0 --workers 0 ran the configured 3 replications
+        monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("the study ran"))
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            "[experiment]\nmodel = gaussian\nn = 200\nk = 2\n"
+            "epsilon = 1.5\nseed = 4\nreps = 3\nB = 200\n\n[methods]\nppb = 1/10\n"
+        )
+        code = run_cli(["simulate", "--config", str(cfg), "--output", str(tmp_path / "r.csv")] + flags)
+        assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_an_override_flag_sets_the_study(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment", lambda config: seen.append(config) or ExperimentReport())
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            "[experiment]\nmodel = gaussian\nn = 200\nk = 2\n"
+            "epsilon = 1.5\nseed = 4\nreps = 3\nB = 200\n\n[methods]\nppb = 1/10\n"
+        )
+        args = ["simulate", "--config", str(cfg), "--output", str(tmp_path / "r.csv")]
+        assert run_cli(args) == 0 and run_cli(args + ["--reps", "5", "--workers", "2"]) == 0
+        assert [(c.reps, c.workers) for c in seen] == [(3, 1), (5, 2)]
 
     def test_negative_seed_config_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("the study ran"))

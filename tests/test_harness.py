@@ -1,13 +1,15 @@
+import concurrent.futures
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
 import threading
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +180,34 @@ class TestRunExperiment:
         # SeedSequence takes non-negative integers only; refuse before any run
         with pytest.raises(ParameterError, match="^seed must be a non-negative integer, got -3$"):
             small_config(seed=-3)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(n=2.5), "n must be a positive integer, got 2.5"),
+            (dict(k=None), "k must be a positive integer, got None"),
+            (dict(seed=1.5), "seed must be a non-negative integer, got 1.5"),
+            (dict(seed=None), "seed must be a non-negative integer, got None"),
+            (dict(reps=2.5), "reps must be a positive integer, got 2.5"),
+            (dict(reps=None), "reps must be a positive integer, got None"),
+            (dict(workers=None), "workers must be a positive integer, got None"),
+            (dict(B=None), "B must be an integer, got None"),
+            (dict(B=150.5), "B must be an integer, got 150.5"),
+            (dict(b_inner=60.5), "b_inner must be an integer, got 60.5"),
+            (dict(cv_folds=None), "cv_folds must be an integer, got None"),
+            (dict(alpha=None), "alpha must be a number, got None"),
+            (dict(bounds_half_width=None), "bounds_half_width must be positive and finite"),
+            (dict(model="regression", sigma2=None), "sigma2 must be positive and finite"),
+            (dict(model="regression", x_half_width=None), "x_half_width must be positive and finite"),
+        ],
+        ids=["n-float", "k-None", "seed-float", "seed-None", "reps-float", "reps-None", "workers-None",
+             "B-None", "B-float", "b_inner-float", "cv_folds-None", "alpha-None", "bounds_half_width-None",
+             "sigma2-None", "x_half_width-None"],
+    )
+    def test_a_constructor_value_of_the_wrong_type_names_its_field(self, overrides, message):
+        # each was accepted, or raised TypeError, before the fields' checks refused them
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            small_config(**overrides)
 
 
 ALL_METHODS = (
@@ -562,6 +592,24 @@ class TestThreads:
         env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
         assert run.stdout == "False\n", run.stderr
+
+    @pytest.mark.parametrize("workers, tasks, pool", [(8, 2, 2), (3, 4, 3)])
+    def test_a_process_pool_has_at_most_one_worker_per_task(self, monkeypatch, workers, tasks, pool):
+        # a fork-started pool forks all its workers up front, whatever the task count
+        sizes = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):  # starts no process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        usable_cpus(monkeypatch, 4)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        config = small_config(reps=2 * tasks, B=100, workers=workers)
+        monkeypatch.setattr(harness, "BLOCK_VALUES", 2 * harness._replication_values(config))
+        report = run_experiment(config)
+        assert sizes == [pool]
+        assert report == run_experiment(replace(config, workers=1)) and sizes == [pool]
 
     def test_a_process_pool_after_threads_matches(self, monkeypatch):
         usable_cpus(monkeypatch, 2)
@@ -995,3 +1043,25 @@ class TestConfigFile:
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: str(p.relative_to(REPO)))
 def test_every_shipped_config_loads(path):
     assert load_config(path).reps >= 1
+
+
+def test_readme_lists_every_config_key_and_what_each_model_reads():
+    text = (REPO / "README.md").read_text()
+    section = text[text.index("## Experiment configs"):text.index("## Reproducibility")]
+    table = {
+        f.metadata["key"] or f.name: f.metadata["models"]
+        for f in fields(ExperimentConfig) if f.metadata["parse"]
+    }
+    missing = [key for key in table if not re.search(rf"(?im)^{key} *=|`{key}`", section)]
+    assert not missing, f"README's Experiment configs section does not name {missing}"
+    sentence = section[section.index("Each model reads its own:"):]
+    sentence = sentence[len("Each model reads its own:"):sentence.index(". ")]
+    listed = {}
+    for clause in sentence.split(";"):
+        model, *keys = re.findall(r"`(\w+)`", clause)
+        listed[model] = set(keys)
+    readers = {
+        model: {key for key, models in table.items() if models is not None and model in models}
+        for model in harness._MODELS
+    }
+    assert listed == readers
