@@ -21,6 +21,10 @@ the order it would draw them alone.  So the block size, like the worker
 count, changes no result; a failing block is rerun one replication at a
 time, so a study aborts with the error of its first failing replication.
 
+A block is one loop over the report rows that :attr:`MethodSpec.rows` lists:
+a release is made on its first use, and each replica draw once, dropped
+after the last row that reads it.
+
 A study's blocks, of every epsilon, run concurrently when there is more than
 one block and more than one usable CPU (the process's affinity mask, which
 ``taskset`` narrows): on a process pool of ``workers`` when ``workers > 1``,
@@ -72,7 +76,6 @@ from .models import GaussianData, GaussianStatistics, RegressionData, Regression
 from .privacy import Bounds, GeneratorStack, split_budget
 
 R_METHODS = ("ppb", "npb", "rppb")
-BOOTSTRAP_METHODS = R_METHODS + ("semi_naive",)
 BASELINE_METHODS = ("naive", "bonferroni")
 
 __all__ = [
@@ -168,7 +171,7 @@ class MethodSpec:
     private: bool = True
 
     def __post_init__(self):
-        if self.name not in BOOTSTRAP_METHODS + BASELINE_METHODS:
+        if self.name not in R_METHODS + ("semi_naive",) + BASELINE_METHODS:
             raise ParameterError(f"unknown method {self.name!r}")
         if self.name in R_METHODS and not self.r_tokens:
             raise ParameterError(f"{self.name} needs at least one r value")
@@ -188,6 +191,15 @@ class MethodSpec:
         if self.name in BASELINE_METHODS:
             return f"{self.name}_{'private' if self.private else 'nonprivate'}"
         return self.name
+
+    @property
+    def rows(self) -> tuple:
+        """(r token, private, privacy noise, baseline limits or None) of each row it reports, in report order."""
+        if self.name in BASELINE_METHODS:
+            return (("", self.private, False, naive_limits if self.name == "naive" else bonferroni_limits),)
+        if self.name == "semi_naive":
+            return (("0.5", True, True, None),)
+        return tuple((token, self.name != "npb", self.name != "rppb", None) for token in self.r_tokens)
 
 
 def _parse_int(text: str, key: str) -> int:
@@ -223,11 +235,11 @@ def _positive_finite(config, name, value):
 
 def _vector(low, wording, sized=True):  # numbers above low and finite; sized, k of them
     def check(config, name, value):
-        if isinstance(value, str):
+        if isinstance(value, str) and value in _SHORTHANDS:
             value = _SHORTHANDS[value](config.k)
-        value = tuple(float(v) for v in value)
-        if not all(low < v < math.inf for v in value):
+        if not all(isinstance(v, numbers.Real) and low < v < math.inf for v in value):  # False on NaN
             raise ParameterError(f"{name} must be {wording}")
+        value = tuple(float(v) for v in value)
         if sized and len(value) != config.k:
             raise ParameterError(f"{name} length does not match k")
         return value
@@ -242,13 +254,20 @@ def _check_model(config, name, value):
 def _check_epsilons(config, name, value):
     if not value:
         raise ParameterError("at least one epsilon is required")
-    if not all(eps > 0 for eps in value):  # False on NaN
+    if not all(isinstance(eps, numbers.Real) and eps > 0 for eps in value):  # False on NaN
         raise ParameterError("every epsilon must be positive (inf allowed)")
 
 
-def _check_methods(config, name, value):
+def _check_methods(config, name, value):  # each (label, r token) row once
     if not value:
         raise ParameterError("at least one method is required")
+    seen = set()
+    for spec in value:
+        for token, *_ in spec.rows:
+            if (spec.label, token) in seen:
+                what = f"{spec.label} r token {token!r}" if spec.r_tokens else f"method {spec.label!r}"
+                raise ParameterError(f"{what} is given twice")
+            seen.add((spec.label, token))
 
 
 def _check_split(config, name, value):  # one share per statistic that the model releases
@@ -545,62 +564,33 @@ def _block_outcomes(config: ExperimentConfig, eps_index: int, reps: range, study
     if _cross_validates(config):
         data = list(data)
     stats = fold_statistics(data)
-    releases = {}  # private -> stacked estimate
-    draws = {}  # (private, privacy_noise) -> (draws, failed counts)
+    rows = [(spec.label, *row) for spec in config.methods for row in spec.rows]
     # rows still to read each draws entry, which is dropped after its last one
-    reads = collections.Counter(
-        (private, privacy_noise)
-        for spec in config.methods if spec.name in BOOTSTRAP_METHODS
-        for _, private, privacy_noise in _bootstrap_rows(spec)
-    )
-
-    def release(private):
-        if private not in releases:
-            releases[private] = stats.release(budget if private else math.inf, rng)
-        return releases[private]
-
-    def bootstrap_limits(private, token, privacy_noise):
-        e = release(private)
-        if token == "cv":
-            cv_config = CVConfig(folds=config.cv_folds, grid=config.cv_grid, b_inner=config.b_inner)
-            r = cv_choose_r(data, budget if private else math.inf, rng, cv_config).chosen_rs
-        else:
-            r = parse_r_token(token)
-        key = (private, privacy_noise)
-        if key not in draws:
-            d, failed = e.replica_draws(config.B, rng, len(reps), privacy_noise)
-            draws[key] = d, failed.sum(axis=1)
-        d, failed = draws[key]
-        reads[key] -= 1
-        if not reads[key]:
-            del draws[key]
-        return ppb_limits(e.betas, d, failed, r, e.sizes, config.alpha)[0], failed
-
-    def baseline_limits(limits, private):
-        e = release(private)
-        return limits(e.betas, e.variances(private), e.sizes, config.alpha)[0], 0
-
+    reads = collections.Counter((private, noise) for _, _, private, noise, limits in rows if limits is None)
+    releases, draws, outcomes = {}, {}, {}  # private -> estimate; (private, privacy noise) -> (draws, failed counts)
     true_max = config.true_max
-    outcomes = {}
-
-    def record(key, lower, failed):
-        outcomes[key] = (lower <= true_max, true_max - lower, np.broadcast_to(failed, lower.shape))
-
-    for spec in config.methods:
-        if spec.name in BOOTSTRAP_METHODS:
-            for token, private, privacy_noise in _bootstrap_rows(spec):
-                record((spec.label, token), *bootstrap_limits(private, token, privacy_noise))
+    for label, token, private, privacy_noise, limits in rows:
+        epsilon = budget if private else math.inf
+        if private not in releases:
+            releases[private] = stats.release(epsilon, rng)
+        e = releases[private]
+        if limits is not None:
+            lower, failed = limits(e.betas, e.variances(private), e.sizes, config.alpha)[0], 0
         else:
-            limits = naive_limits if spec.name == "naive" else bonferroni_limits
-            record((spec.label, ""), *baseline_limits(limits, spec.private))
+            if token == "cv":
+                r = cv_choose_r(data, epsilon, rng, CVConfig(config.cv_folds, config.cv_grid, config.b_inner)).chosen_rs
+            else:
+                r = parse_r_token(token)
+            key = (private, privacy_noise)
+            if key not in draws:
+                d, failed = e.replica_draws(config.B, rng, len(reps), privacy_noise)
+                draws[key] = d, failed.sum(axis=1)
+            reads[key] -= 1
+            d, failed = draws[key] if reads[key] else draws.pop(key)
+            lower = ppb_limits(e.betas, d, failed, r, e.sizes, config.alpha)[0]
+            del d  # so no name holds these draws while the next row draws its own
+        outcomes[label, token] = (lower <= true_max, true_max - lower, np.broadcast_to(failed, lower.shape))
     return outcomes
-
-
-def _bootstrap_rows(spec: MethodSpec):
-    """(r token, private, privacy noise) of each row that a bootstrap method reports."""
-    if spec.name == "semi_naive":
-        return [("0.5", True, True)]
-    return [(token, spec.name != "npb", spec.name != "rppb") for token in spec.r_tokens]
 
 
 def _run_block(config: ExperimentConfig, eps_index: int, reps: range, study):
@@ -641,10 +631,10 @@ def _map_blocks(tasks: list, workers: int) -> list:
     per task, when it is above 1, and otherwise a thread pool of one thread per usable CPU, at
     most one per task; the draws and solves that dominate a block release
     the GIL.  Each block draws from its own generators, so neither changes a
-    result.  The error raised is that of the first failing task in task
-    order, as in a serial run, and tasks not yet started are cancelled.  One
-    task or one usable CPU runs the tasks inline, one after another, whatever
-    ``workers`` is.
+    result.  ``Executor.map`` raises the error of the first failing task in
+    task order, as a serial run does, and cancels the tasks not yet started.
+    One task or one usable CPU runs the tasks inline, one after another,
+    whatever ``workers`` is.
     """
     threads = min(len(tasks), _usable_cpus())
     if threads <= 1:
@@ -652,12 +642,7 @@ def _map_blocks(tasks: list, workers: int) -> list:
     # named through the package, which imports multiprocessing only for a process pool
     executor = concurrent.futures.ProcessPoolExecutor if workers > 1 else concurrent.futures.ThreadPoolExecutor
     with executor(min(workers, len(tasks)) if workers > 1 else threads) as pool:
-        futures = [pool.submit(_run_block, *task) for task in tasks]
-        try:
-            return [future.result() for future in futures]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+        return list(pool.map(_run_block, *zip(*tasks)))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:

@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import csv
 import math
@@ -209,6 +210,49 @@ class TestRunExperiment:
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             small_config(**overrides)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(mu=(None, 0.0)), "mu must be finite"),
+            (dict(mu=("x", 1.0)), "mu must be finite"),
+            (dict(mu="ones"), "mu must be finite"),
+            (dict(sigma_diag=(1.0, None)), "sigma_diag must be positive and finite"),
+            (dict(sigma_diag=("1", 1.0)), "sigma_diag must be positive and finite"),
+            (dict(model="regression", beta=(None, 0.5)), "beta must be finite"),
+            (dict(model="regression", beta=(0.0, "x")), "beta must be finite"),
+            (dict(model="partial_regression", gamma=(None,)), "gamma must be finite"),
+            (dict(model="partial_regression", gamma=(0.5, "x")), "gamma must be finite"),
+            (dict(epsilons=(None,)), "every epsilon must be positive (inf allowed)"),
+            (dict(epsilons=("a",)), "every epsilon must be positive (inf allowed)"),
+            (dict(epsilons=(1.5, "2")), "every epsilon must be positive (inf allowed)"),
+        ],
+        ids=["mu-None", "mu-str", "mu-unknown-shorthand", "sigma_diag-None", "sigma_diag-str", "beta-None",
+             "beta-str", "gamma-None", "gamma-str", "epsilons-None", "epsilons-str", "epsilons-str-second"],
+    )
+    def test_an_entry_of_the_wrong_type_is_refused_with_its_vectors_message(self, overrides, message):
+        # a config file reads every entry as a number; from Python these raised TypeError or ValueError
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            small_config(**overrides)
+
+    @pytest.mark.parametrize(
+        "methods, message",
+        [
+            ((MethodSpec("ppb", ("cv", "cv")),), "ppb r token 'cv' is given twice"),
+            ((MethodSpec("npb", ("1/10",)), MethodSpec("npb", ("cv", "1/10"))), "npb r token '1/10' is given twice"),
+            ((MethodSpec("naive"), MethodSpec("naive")), "method 'naive_private' is given twice"),
+            ((MethodSpec("bonferroni", private=False),) * 2, "method 'bonferroni_nonprivate' is given twice"),
+            ((MethodSpec("semi_naive"), MethodSpec("ppb", ("1/10",)), MethodSpec("semi_naive")),
+             "method 'semi_naive' is given twice"),
+        ],
+        ids=["one-spec", "two-specs", "naive", "bonferroni", "semi_naive"],
+    )
+    def test_a_repeated_report_row_is_refused(self, methods, message):
+        # a repeated row ran twice and was reported once, its first run's draws spent for nothing
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            small_config(methods=methods)
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            replace(small_config(), methods=methods)
+
 
 ALL_METHODS = (
     MethodSpec("ppb", ("1/10", "cv")),
@@ -297,6 +341,23 @@ def assert_block_matches_oracle(config):
             assert list(alone) == list(block)
             for key, outcome in alone.items():
                 assert outcome == tuple(a[rep] for a in block[key]), (key, rep)
+
+
+def test_only_the_method_table_names_a_method():
+    # MethodSpec.rows tells how each method becomes report rows, so the
+    # block, the checks and the report loop over rows and name no method
+    names = {"ppb", "npb", "rppb", "semi_naive", "naive", "bonferroni"}
+    table = {"R_METHODS", "BASELINE_METHODS", "MethodSpec", "load_config"}
+    named = []
+    for top in ast.parse((REPO / "src" / "dpextrema" / "harness.py").read_text()).body:
+        defines = {getattr(top, "name", None)} | {getattr(t, "id", None) for t in getattr(top, "targets", ())}
+        if not defines & table:  # a class, function or assignment outside the table
+            named += [
+                f"harness.py:{node.lineno}"
+                for node in ast.walk(top)
+                if isinstance(node, ast.Constant) and node.value in names
+            ]
+    assert not named, f"a method named outside its table: {named}"
 
 
 def collinear_design(n=400):
@@ -1038,6 +1099,27 @@ class TestConfigFile:
         )
         with pytest.raises(ParameterError, match=f"^{message}"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "methods, message",
+        [
+            ("ppb = cv, cv", "ppb r token 'cv' is given twice"),
+            ("rppb = 1/10, full, 1/10", "rppb r token '1/10' is given twice"),
+        ],
+        ids=["cv", "fraction"],
+    )
+    def test_a_repeated_r_token_is_refused(self, tmp_path, capsys, methods, message):
+        path = tmp_path / "exp.ini"
+        path.write_text(
+            "[experiment]\nmodel = gaussian\nn = 100\nk = 2\nepsilon = 1.5\nseed = 1\n"
+            f"\n[methods]\n{methods}\nnaive = both\n"
+        )
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+        out = tmp_path / "report.csv"
+        assert cli.main(["simulate", "--config", str(path), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: str(p.relative_to(REPO)))

@@ -1,17 +1,21 @@
 """Each released statistic moves by at most the sensitivity its release declares.
 
-For the sum and the gram of the Gaussian release, and the gram and X^T y of
-the regression release, one record of a data set is replaced by another: a
-box corner, or a point anywhere, which the clamp brings into the box.  The L1
-distance between the two data sets' statistics, as ``fold_statistics`` forms
-them, must not exceed delta read from the release's own record of that
-statistic.  The gram's distance is the L1 norm of the full matrix, so every
-mirrored off-diagonal pair counts twice, as ``sensitivity_gram_bounded``
-states.
+For the sum and the gram of the Gaussian release, and the gram, X^T y and
+the residual mean square of the regression release, one record of a data set
+is replaced by another: a box corner, or a point anywhere, which the clamp
+brings into the box.  The L1 distance between the two data sets' statistics,
+as ``fold_statistics`` forms them, must not exceed delta read from the
+release's own record of that statistic.  The gram's distance is the L1 norm
+of the full matrix, so every mirrored off-diagonal pair counts twice, as
+``sensitivity_gram_bounded`` states.  The residual mean square rss / dof is
+released after the coefficients, whose released values calibrate its delta,
+so both neighbours' residuals are taken at the coefficients released from
+the first data set.
 
-The residual mean square is left out on purpose: its declared sensitivity
-takes a record's nuisance fit to be at most the response magnitude, which is
-assumed, not enforced (the residual-sensitivity item of ROADMAP.md).
+The residual mean square with a nuisance block W is left out on purpose: its
+declared sensitivity takes a record's nuisance fit to be at most the response
+magnitude, which is assumed, not enforced (the residual-sensitivity item of
+ROADMAP.md).
 """
 
 import itertools
@@ -24,7 +28,12 @@ from hypothesis import strategies as st
 from dpextrema.models import GaussianData, RegressionData, fold_statistics
 from dpextrema.privacy import Bounds
 
-#: Relative slack for the rounding of sums of a few dozen products.
+#: Relative slack for the rounding of sums of a few dozen products.  rss =
+#: y^T y - 2 beta^T X^T y + beta^T X^T X beta cancels: each of its three terms
+#: may reach n m^2, where m^2 is one record's largest squared residual and
+#: delta * dof, and each is a sum of about n + k rounded products.  So the two
+#: rss differ from their exact values by at most about 8 n (n + k + 2) 2^-53
+#: of delta * dof: 3.5e-13 at the largest data set drawn (n = 17, k = 4).
 ROUNDING = 1e-12
 
 
@@ -49,6 +58,18 @@ def regression_distances(xy, xy_prime, x_bounds, y_bounds):
         (np.abs(stats.xtx - other.xtx).sum(), gram_noise.sensitivity),
         (np.abs(stats.xty - other.xty).sum(), xty_noise.sensitivity),
     )
+
+
+def rss_distance(xy, xy_prime, x_bounds, y_bounds):
+    """How far rss / dof moves at the coefficients released from ``xy``, and the delta the release declares."""
+    stats, other = (
+        fold_statistics([RegressionData(rows[:, :-1], rows[:, -1], x_bounds, y_bounds)])
+        for rows in (xy, xy_prime)
+    )
+    estimate = stats.release(math.inf, None)
+    beta, every, dof = estimate.betas, slice(None), stats.n - (stats.min_rows - 1)
+    moved = np.abs(stats._rss(beta, every) - other._rss(beta, every)) / dof
+    return [(moved[0], estimate.mechanisms[2].sensitivity[0])]
 
 
 def assert_within(pairs):
@@ -117,3 +138,26 @@ class TestRegressionRelease:
             other = rows.copy()
             other[j] = corner
             assert_within(regression_distances(rows, other, x_bounds, y_bounds))
+
+    @settings(max_examples=300, deadline=None)
+    @given(neighbours(width_extra=1))
+    def test_rss_without_nuisance_moves_within_its_declared_sensitivity(self, case):
+        rows, other, lo, up = case
+        x_bounds, y_bounds = Bounds(lo[:-1], up[:-1]), Bounds(lo[-1:], up[-1:])
+        assert_within(rss_distance(rows, other, x_bounds, y_bounds))
+
+    def test_rss_without_nuisance_reaches_its_declared_sensitivity(self):
+        # records on the line y = X beta leave no residual; the corner farthest
+        # from the line leaves (m_y + sum_j m_j |beta_j|)^2, which is delta * dof
+        lo, up = np.array([-1.0, -1.0, -3.0]), np.array([1.0, 1.0, 3.0])
+        x = np.random.default_rng(3).uniform(-1.0, 1.0, (10, 2))
+        rows = np.column_stack([x, x @ [0.5, -1.0]])
+        x_bounds, y_bounds = Bounds(lo[:2], up[:2]), Bounds(lo[2:], up[2:])
+        ratios = []
+        for corner in itertools.product(*zip(lo, up)):
+            other = rows.copy()
+            other[0] = corner
+            pairs = rss_distance(rows, other, x_bounds, y_bounds)
+            assert_within(pairs)
+            ratios.append(pairs[0][0] / pairs[0][1])
+        assert max(ratios) > 1.0 - 1e-9
