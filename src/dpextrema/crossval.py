@@ -161,8 +161,6 @@ def cv_choose_r(
     data_sets = list(data) if isinstance(data, (list, tuple)) else [data]
     rng = GeneratorStack.of(rng)
     n = data_sets[0].n
-    if any(d.n != n for d in data_sets):
-        raise ParameterError("cross-validated data sets must have one size")
     v = config.folds
     if n < 2 * v:
         raise ParameterError(f"need n >= {2 * v} observations for {v} folds")

@@ -49,7 +49,7 @@ value is a :class:`ParameterError` that names its key.
 
 from __future__ import annotations
 
-import collections
+import collections.abc
 import concurrent.futures
 import configparser
 import csv
@@ -73,7 +73,7 @@ from .extrema import (
     ppb_limits,
 )
 from .models import GaussianData, GaussianStatistics, RegressionData, RegressionStatistics, fold_statistics
-from .privacy import Bounds, GeneratorStack, split_budget
+from .privacy import Bounds, GeneratorStack, check_epsilon, split_budget
 
 R_METHODS = ("ppb", "npb", "rppb")
 BASELINE_METHODS = ("naive", "bonferroni")
@@ -254,8 +254,8 @@ def _check_model(config, name, value):
 def _check_epsilons(config, name, value):
     if not value:
         raise ParameterError("at least one epsilon is required")
-    if not all(isinstance(eps, numbers.Real) and eps > 0 for eps in value):  # False on NaN
-        raise ParameterError("every epsilon must be positive (inf allowed)")
+    for eps in value:
+        check_epsilon(eps, "every epsilon")
 
 
 def _check_methods(config, name, value):  # each (label, r token) row once
@@ -263,6 +263,8 @@ def _check_methods(config, name, value):  # each (label, r token) row once
         raise ParameterError("at least one method is required")
     seen = set()
     for spec in value:
+        if not isinstance(spec, MethodSpec):
+            raise ParameterError(f"{name} must hold MethodSpec entries, got {spec!r}")
         for token, *_ in spec.rows:
             if (spec.label, token) in seen:
                 what = f"{spec.label} r token {token!r}" if spec.r_tokens else f"method {spec.label!r}"
@@ -342,6 +344,9 @@ class ExperimentConfig:
                 if not (reads and f.metadata["fill"]):
                     continue
                 value = f.metadata["fill"](self.k)
+            sequence = value in _SHORTHANDS if isinstance(value, str) else isinstance(value, collections.abc.Iterable)
+            if f.type.startswith("tuple") and not sequence:  # a tuple field, or a shorthand its check sizes
+                raise ParameterError(f"{f.name} must be a sequence, got {value!r}")
             checked = f.metadata["check"](self, f.name, value)
             value = value if checked is None else checked
             if not reads and value != f.default:

@@ -132,10 +132,10 @@ class _Stacked:
     ``mechanisms`` holds the release's :class:`LaplaceSpec` records, one per
     released statistic in ``RELEASED`` order; the ledger and the noise scales
     are read from it.  A model gives the bootstrap four things: ``systems``,
-    its (F, k, k) stack S, or None for the identity; ``covariance``, the
-    (F, k, k) covariance of the scores, whose root is cached in ``_root``;
-    ``response_noise``, the record of the right-hand side's statistic; and
-    ``system_noise``, that of S.
+    its (F, k, k) stack S as released, or None for the identity;
+    ``covariance``, the (F, k, k) covariance of the scores, whose root is
+    cached in ``_root``; ``response_noise``, the record of the right-hand
+    side's statistic; and ``system_noise``, that of S.
 
     Each model defines its own ``bootstrap_draws`` over :meth:`_set_zero_draws`
     because the traced benchmark (``bench/spans.py``) times it by class name;
@@ -182,8 +182,8 @@ class _Stacked:
         summed in that order, with scores C ~ N(0, covariance) and fresh noise
         W1 (``system_noise``) and W2 (``response_noise``); without S it is the
         right-hand side.  ``privacy_noise=False`` skips W1 and W2 (the
-        ablation that ignores privatization randomness).  A numerically
-        singular system is retried once with fresh W1; a second failure fails
+        ablation that ignores privatization randomness).  A near-singular
+        noisy system is retried once with fresh W1; a second failure fails
         the draw.  With a :class:`GeneratorStack` of R generators, generator i
         serves the i-th of R equal groups of sets, in this order: their
         scores, their W2, their systems, then their retries.  The systems are
@@ -193,9 +193,9 @@ class _Stacked:
         ||W1/n||_2 <= ||W1/n||_F of one of S, so a system whose Frobenius bound
         leaves the least eigenvalue of S above the floor, by a margin that
         covers rounding, is certified non-singular; only the others get an
-        eigenvalue check.  Without W1 each S is checked once: a singular one
-        fails every draw of its set, and a regular one is solved against all
-        its right-hand sides at once.
+        eigenvalue check.  Without W1 each S is solved as released, against
+        all its right-hand sides at once, and no draw fails: the release is
+        the one judge of S.
         """
         rng = GeneratorStack.of(rng)
         if self._root is None:
@@ -215,16 +215,15 @@ class _Stacked:
             rhs = noise
         if S is None:
             return rhs, np.zeros((sets, size), dtype=bool)
-
-        floor = psd_floor(S)
-        eye = np.eye(self.k)  # stands in for a failed system, so one solve serves the rest
         if not privacy_noise or self.system_noise.is_zero:
-            singular = self._near_singular(S, floor)
-            systems = np.where(singular[:, None, None], eye, S)
-            draws = np.swapaxes(np.linalg.solve(systems, np.swapaxes(rhs, -1, -2)), -1, -2)
-            draws[singular] = np.nan
-            return draws, np.repeat(singular[:, None], size, axis=1)
+            # psd_repair_stack clips every eigenvalue up to the unrepaired floor,
+            # at least 1e-8 trace/k, and the release refuses a degenerate repair:
+            # S has a condition number of at most about 1e8 k and no zero pivot
+            draws = np.swapaxes(np.linalg.solve(S, np.swapaxes(rhs, -1, -2)), -1, -2)
+            return draws, np.zeros((sets, size), dtype=bool)
 
+        floor = psd_floor(S)  # screens only S + W1/n, new matrices no release judged
+        eye = np.eye(self.k)  # stands in for a failed system, so one solve serves the rest
         s_eigvals = np.linalg.eigvalsh(S)
         bad = np.empty((sets, size), dtype=bool)
         for generator, rows in zip(rng.generators, rng.chunks(sets)):

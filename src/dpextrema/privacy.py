@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 import numpy as np
 
@@ -40,6 +41,7 @@ __all__ = [
     "GeneratorStack",
     "LaplaceSpec",
     "PrivacyLedger",
+    "check_epsilon",
     "laplace_scale",
     "sensitivity_cross_bounded",
     "sensitivity_gram_bounded",
@@ -56,8 +58,8 @@ class GeneratorStack:
     fills chunk i with the draw of that chunk's shape; so a stacked estimate
     whose sets are grouped by replication draws every replication's sets from
     that replication's generator.  :meth:`of` turns a plain
-    ``numpy.random.Generator`` into a stack of one, which draws straight from
-    its generator, with no split and no copy.
+    ``numpy.random.Generator`` into a stack of one, whose one chunk is the
+    whole draw.
     """
 
     def __init__(self, generators):
@@ -78,8 +80,6 @@ class GeneratorStack:
         return [slice(i * per, (i + 1) * per) for i in range(len(self.generators))]
 
     def standard_normal(self, size: tuple[int, ...]) -> np.ndarray:
-        if len(self.generators) == 1:
-            return self.generators[0].standard_normal(size)
         out = np.empty(size)
         for rng, rows in zip(self.generators, self.chunks(size[0])):
             rng.standard_normal(out=out[rows])
@@ -88,8 +88,6 @@ class GeneratorStack:
     def laplace(self, loc: float, scale, size: tuple[int, ...]) -> np.ndarray:
         """Laplace draws of ``size``; an array ``scale`` broadcasts against it
         and is cut along the leading axis with the rows."""
-        if len(self.generators) == 1:
-            return self.generators[0].laplace(loc, scale, size)
         out = np.empty(size)
         for rng, rows in zip(self.generators, self.chunks(size[0])):
             part = scale if np.ndim(scale) == 0 else scale[rows]
@@ -183,6 +181,13 @@ def _finite_nonnegative(x) -> bool:
     return bool(((0.0 <= x) & (x < math.inf)).all()) if isinstance(x, np.ndarray) else 0.0 <= x < math.inf
 
 
+def check_epsilon(epsilon, subject: str = "epsilon") -> float:
+    """The one epsilon rule, a positive real with ``math.inf`` allowed; refusals name ``subject``."""
+    if not (isinstance(epsilon, numbers.Real) and epsilon > 0):  # False on NaN
+        raise ParameterError(f"{subject} must be positive (inf allowed)")
+    return float(epsilon)
+
+
 def laplace_scale(delta, epsilon: float):
     """Noise scale b = delta / epsilon; an infinite epsilon yields scale 0.
 
@@ -190,8 +195,7 @@ def laplace_scale(delta, epsilon: float):
     scale per set.  A non-finite delta (bounds so wide that the sensitivity
     overflows) is refused at every epsilon, the infinite one included.
     """
-    if math.isnan(epsilon) or epsilon <= 0:
-        raise ParameterError("epsilon must be positive (math.inf disables noise)")
+    epsilon = check_epsilon(epsilon)
     if not _finite_nonnegative(delta):
         raise ParameterError("sensitivity must be finite and >= 0")
     return 0.0 * delta if math.isinf(epsilon) else delta / epsilon
@@ -281,13 +285,12 @@ class PrivacyLedger:
 
     def charge(self, statistic_id: str, epsilon: float) -> "PrivacyLedger":
         """Append a charge; an infinite epsilon spends nothing and is not logged."""
-        if math.isnan(epsilon) or epsilon <= 0:
-            raise ParameterError("epsilon must be positive")
+        epsilon = check_epsilon(epsilon)
         if math.isinf(epsilon):
             return self
         if any(sid == statistic_id for sid, _ in self.charges):
             raise LedgerError(f"statistic {statistic_id!r} already charged in this estimation")
-        return replace(self, charges=self.charges + ((statistic_id, float(epsilon)),))
+        return replace(self, charges=self.charges + ((statistic_id, epsilon),))
 
     def total(self) -> float:
         # fsum is exactly rounded, so the total is order-independent
@@ -309,15 +312,10 @@ def split_budget(budget, count: int) -> tuple[float, ...]:
     """
     if count < 1:
         raise ParameterError("budget split needs at least one statistic")
-    if np.isscalar(budget) or isinstance(budget, float):
-        eps = float(budget)
-        if math.isnan(eps) or eps <= 0:
-            raise ParameterError("total epsilon must be positive")
+    if np.ndim(budget) == 0:
+        eps = check_epsilon(budget, "total epsilon")
         return (eps / count if math.isfinite(eps) else math.inf,) * count
-    parts = tuple(float(e) for e in budget)
+    parts = tuple(budget)
     if len(parts) != count:
         raise ParameterError(f"the budget split has {len(parts)} parts for {count} statistics")
-    for e in parts:
-        if math.isnan(e) or e <= 0:
-            raise ParameterError("every per-statistic epsilon must be positive")
-    return parts
+    return tuple(check_epsilon(e, "every per-statistic epsilon") for e in parts)

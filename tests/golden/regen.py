@@ -50,7 +50,8 @@ REPS, B = 6, 200
 
 #: Configs the matrix writes itself: the nuisance path with a cv token,
 #: regression with every bootstrap variant, each at a finite and an infinite
-#: budget, and a cv token at an n that 5 folds do not divide.
+#: budget, a cv token at an n that 5 folds do not divide, and a k = 8
+#: regression at n = 800 whose clipped releases rppb solves as released.
 CONFIGS = {
     "partial_regression_cv.ini": """
         [experiment]
@@ -91,6 +92,19 @@ CONFIGS = {
         seed = 13
         [methods]
         ppb = 1/10, cv
+    """,
+    "regression_k8_n800.ini": """
+        [experiment]
+        model = regression
+        n = 800
+        k = 8
+        beta = zeros
+        epsilon = 10
+        seed = 1
+        [methods]
+        ppb = 1/10
+        rppb = 1/10
+        naive = private
     """,
 }
 

@@ -150,7 +150,7 @@ class TestCvChooseR:
     def test_data_sets_of_different_sizes_rejected(self):
         data_sets = [gaussian_data(seed=1), gaussian_data(seed=2, n=150)]
         rng = GeneratorStack(np.random.default_rng(seed) for seed in (1, 2))
-        with pytest.raises(ParameterError, match="one size"):
+        with pytest.raises(ParameterError, match="one class, size, width and box"):
             cv_choose_r(data_sets, 1.5, rng, CVConfig(b_inner=60))
 
 
@@ -299,7 +299,7 @@ class TestBlockFoldStatistics:
         pair = [data, other(data)] if first else [other(data), data]
         with pytest.raises(ParameterError, match="one class, size, width and box"):
             fold_statistics(pair)
-        with pytest.raises(ParameterError, match="one class, size, width and box|one size"):
+        with pytest.raises(ParameterError, match="one class, size, width and box"):
             cv_choose_r(pair, 1.5, GeneratorStack(np.random.default_rng(s) for s in (1, 2)), CVConfig(b_inner=60))
 
     def test_equal_boxes_of_distinct_objects_stack(self):

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpextrema import cli, harness
+from dpextrema import cli, harness, models
 from dpextrema.crossval import CVConfig, cv_choose_r
 from dpextrema.errors import DegeneracyError, NumericError, ParameterError
 from dpextrema.harness import (
@@ -200,10 +200,19 @@ class TestRunExperiment:
             (dict(bounds_half_width=None), "bounds_half_width must be positive and finite"),
             (dict(model="regression", sigma2=None), "sigma2 must be positive and finite"),
             (dict(model="regression", x_half_width=None), "x_half_width must be positive and finite"),
+            (dict(mu=1.0), "mu must be a sequence, got 1.0"),
+            (dict(sigma_diag=2.0), "sigma_diag must be a sequence, got 2.0"),
+            (dict(epsilons=1.5), "epsilons must be a sequence, got 1.5"),
+            (dict(split=1.0), "split must be a sequence, got 1.0"),
+            (dict(cv_grid=0.1), "cv_grid must be a sequence, got 0.1"),
+            (dict(methods=MethodSpec("naive")),
+             "methods must be a sequence, got MethodSpec(name='naive', r_tokens=(), private=True)"),
+            (dict(methods=("ppb",)), "methods must hold MethodSpec entries, got 'ppb'"),
         ],
         ids=["n-float", "k-None", "seed-float", "seed-None", "reps-float", "reps-None", "workers-None",
              "B-None", "B-float", "b_inner-float", "cv_folds-None", "alpha-None", "bounds_half_width-None",
-             "sigma2-None", "x_half_width-None"],
+             "sigma2-None", "x_half_width-None", "mu-float", "sigma_diag-float", "epsilons-float", "split-float",
+             "cv_grid-float", "methods-one-spec", "methods-str-entry"],
     )
     def test_a_constructor_value_of_the_wrong_type_names_its_field(self, overrides, message):
         # each was accepted, or raised TypeError, before the fields' checks refused them
@@ -215,7 +224,7 @@ class TestRunExperiment:
         [
             (dict(mu=(None, 0.0)), "mu must be finite"),
             (dict(mu=("x", 1.0)), "mu must be finite"),
-            (dict(mu="ones"), "mu must be finite"),
+            (dict(mu="ones"), "mu must be a sequence, got 'ones'"),
             (dict(sigma_diag=(1.0, None)), "sigma_diag must be positive and finite"),
             (dict(sigma_diag=("1", 1.0)), "sigma_diag must be positive and finite"),
             (dict(model="regression", beta=(None, 0.5)), "beta must be finite"),
@@ -531,6 +540,27 @@ class TestBlocks:
                 run_experiment(config)
             errors.add(str(info.value))
         assert len(errors) == 1
+
+    def test_rppb_solves_a_clipped_regression_release_as_released(self, monkeypatch):
+        # at n = 800 this k = 8 study clips some of its released grams; a screen
+        # of S against the floor of its repair, which clipping raised, failed
+        # all 200 draws of every clipped set and aborted the study
+        clipped = []
+        repair = models.psd_repair_stack
+
+        def spy(matrices):
+            result = repair(matrices)
+            clipped.append(int((result.shift > 0.0).sum()))
+            return result
+
+        monkeypatch.setattr(models, "psd_repair_stack", spy)
+        config = replace(
+            load_config(REPO / "bench" / "configs" / "regression_k8.ini"),
+            n=800, reps=4, B=200, seed=3, methods=(MethodSpec("rppb", ("1/10",)),),
+        )
+        (row,) = run_experiment(config).rows
+        assert sum(clipped) > 0
+        assert row.failed_draws == 0 and row.reps == 4
 
     def test_block_error_is_that_of_its_first_failing_replication(self, monkeypatch):
         # replication 3 fails early in the block and replication 1 late, so

@@ -593,7 +593,8 @@ class TestSingleSetReleaseReference:
 
 
 def make_degenerate_regression_estimate():
-    """An estimate whose bootstrap systems are singular on every attempt."""
+    """An estimate whose noisy bootstrap systems are singular on every attempt:
+    its gram noise, about 1e-14 per scaled entry, is far below the floor."""
     s = np.diag([1e-20, 1.0])  # min |eig| far below the repair floor
     return PrivatizedRegressionEstimate(
         betas=np.array([[0.0, 1.0]]),
@@ -601,7 +602,7 @@ def make_degenerate_regression_estimate():
         # S itself, not its repair, so the singular matrix reaches the bootstrap
         repairs=RepairResult(s[None], np.zeros(1), np.atleast_1d(psd_floor(s)), np.zeros(1, bool)),
         sizes=np.array([100]),
-        mechanisms=(LaplaceSpec(0.0, 3, "gram"), LaplaceSpec(0.0, 2, "xty"), LaplaceSpec(np.zeros(1), 1, "rss")),
+        mechanisms=(LaplaceSpec(1e-12, 3, "gram"), LaplaceSpec(0.0, 2, "xty"), LaplaceSpec(np.zeros(1), 1, "rss")),
         noisy_grams=100 * s[None],
         noisy_xtys=np.zeros((1, 2)),
     )
@@ -652,9 +653,10 @@ def stack_regression_estimates(estimates):
 
 
 def reference_replica_draws(est, size, rng, sets, privacy_noise=True):
-    """The stacked regression bootstrap with an eigenvalue check and a solve of
-    every system, in the stacked draw order: every set's scores, then every
-    set's systems, then the retries of all sets together."""
+    """The stacked regression bootstrap with an eigenvalue check of every
+    noisy system and a solve of every system, in the stacked draw order: every
+    set's scores, then every set's systems, then the retries of all sets
+    together.  Without gram noise S is solved as released, unchecked."""
     k = est.k
     S, n = est.repairs.matrix[:sets], est.sizes[:sets]
     floor = psd_floor(S)
@@ -668,9 +670,10 @@ def reference_replica_draws(est, size, rng, sets, privacy_noise=True):
 
     def attempt(owners):
         systems = S[owners]
-        if privacy_noise and not est.mechanisms[0].is_zero:
-            noise = np.take(est.mechanisms[0].sample(rng, owners.size), symmetric_layout(k)[0], axis=-1)
-            systems = systems + noise / n[owners, None, None]
+        if not privacy_noise or est.mechanisms[0].is_zero:
+            return systems, np.zeros(owners.size, dtype=bool)
+        noise = np.take(est.mechanisms[0].sample(rng, owners.size), symmetric_layout(k)[0], axis=-1)
+        systems = systems + noise / n[owners, None, None]
         return systems, np.abs(np.linalg.eigvalsh(systems)).min(axis=1) < floor[owners]
 
     owners = np.repeat(np.arange(sets), size)
@@ -684,7 +687,8 @@ def reference_replica_draws(est, size, rng, sets, privacy_noise=True):
 
 
 def reference_bootstrap_draws(est, size, rng, privacy_noise=True):
-    """The regression bootstrap with an eigenvalue check of every system."""
+    """The regression bootstrap with an eigenvalue check of every noisy system;
+    without gram noise S is solved as released, unchecked."""
     m, k = est.sizes[0], est.k
     floor = psd_floor(est.repairs.matrix[0])
 
@@ -695,8 +699,9 @@ def reference_bootstrap_draws(est, size, rng, privacy_noise=True):
 
     def attempt(count):
         systems = np.broadcast_to(est.repairs.matrix[0], (count, k, k)).copy()
-        if privacy_noise and not est.mechanisms[0].is_zero:
-            systems += np.take(est.mechanisms[0].sample(rng, count), symmetric_layout(k)[0], axis=-1) / m
+        if not privacy_noise or est.mechanisms[0].is_zero:
+            return systems, np.zeros(count, dtype=bool)
+        systems += np.take(est.mechanisms[0].sample(rng, count), symmetric_layout(k)[0], axis=-1) / m
         return systems, np.abs(np.linalg.eigvalsh(systems)).min(axis=1) < floor
 
     def solve(systems, b):
@@ -812,8 +817,27 @@ class TestRegressionBootstrap:
         assert failed == 50 and draws.shape == (0, 2)
         draws, failed = est.bootstrap_draws(1, np.random.default_rng(1))
         assert failed == 1 and draws.shape == (0, 2)
-        draws, failed = est.bootstrap_draws(50, np.random.default_rng(1), privacy_noise=False)
-        assert failed == 50 and draws.shape == (0, 2)
+
+    def test_a_clipped_release_is_solved_as_released(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(
+            PrivatizedRegressionEstimate, "_near_singular",
+            staticmethod(lambda systems, floor: checked.append(len(systems))),
+        )
+        # S is the repair of an indefinite matrix: clipping raised the trace,
+        # so psd_floor of the repaired S exceeds the eigenvalue it clipped up
+        # to, and a screen of S against it would fail every draw
+        est = make_near_floor_regression_estimate(6, -1e-3, 0.0)
+        S = est.repairs.matrix
+        assert est.repairs.shift[0] > 0.0 and np.linalg.eigvalsh(S)[0, 0] < psd_floor(S)[0]
+        # no gram noise: privacy noise off, or a zero gram scale (epsilon = inf)
+        for privacy_noise in (False, True):
+            draws, failed = est.replica_draws(300, np.random.default_rng(2), 1, privacy_noise)
+            ref, ref_failed = reference_replica_draws(est, 300, np.random.default_rng(2), 1, privacy_noise)
+            assert checked == [] and failed.shape == (1, 300) and not failed.any() and not ref_failed.any()
+            # one solve against many right-hand sides rounds apart from one
+            # solve per draw, by up to the condition number (2e8 here) times eps
+            assert np.allclose(draws, ref, rtol=1e-7, atol=0.0)
 
     def test_stacked_draws_match_checking_every_system(self, monkeypatch):
         checked = []
@@ -853,18 +877,18 @@ class TestRegressionBootstrap:
         assert 4 in failed_sets and failed_sets <= {0, 2, 4}
         assert 0 < sum(checked) < 4 * size * sets
 
-        # without gram noise, each set's S is checked once and solved once
+        # without gram noise, each set's S is solved once, as released, unchecked
         checked.clear()
         draws, failed = est.replica_draws(size, np.random.default_rng(9), 3, privacy_noise=False)
         ref_draws, ref_failed = reference_replica_draws(
             est, size, np.random.default_rng(9), 3, privacy_noise=False
         )
-        assert checked == [3] and not failed.any() and not ref_failed.any()
+        assert checked == [] and not failed.any() and not ref_failed.any()
         # one solve against many right-hand sides rounds apart from one solve
         # per draw, by up to the condition number (3e7 here) times eps
         assert np.allclose(draws, ref_draws, rtol=1e-7, atol=0.0)
 
-        # a singular S fails every draw of its set, as NaN rows, and only those
+        # a singular noisy system fails every draw of its set, as NaN rows, and only those
         est = stack_regression_estimates(
             [make_degenerate_regression_estimate(), make_near_floor_regression_estimate(5, 0.3, 0.0, k=2)]
         )

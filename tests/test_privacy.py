@@ -390,3 +390,23 @@ class TestSplitBudget:
             split_budget(0.0, 2)
         with pytest.raises(ParameterError):
             split_budget((1.0, -0.5), 2)
+
+
+#: The four privacy entry points that take an epsilon, each with the subject
+#: its refusal names.
+EPSILON_ENTRY_POINTS = {
+    "split_budget-total": (lambda eps: split_budget(eps, 2), "total epsilon"),
+    "split_budget-part": (lambda eps: split_budget((eps, 1.0), 2), "every per-statistic epsilon"),
+    "laplace_scale": (lambda eps: laplace_scale(1.0, eps), "epsilon"),
+    "charge": (lambda eps: PrivacyLedger().charge("x", eps), "epsilon"),
+}
+
+
+@pytest.mark.parametrize("entry", EPSILON_ENTRY_POINTS)
+@pytest.mark.parametrize("eps", [None, "1.5", math.nan, 0, -1], ids=["None", "str", "nan", "zero", "negative"])
+def test_every_entry_point_refuses_a_bad_epsilon_by_one_rule(entry, eps):
+    # one rule, a positive real with inf allowed: a string was read as a
+    # number by split_budget, and None raised TypeError
+    call, subject = EPSILON_ENTRY_POINTS[entry]
+    with pytest.raises(ParameterError, match=rf"^{subject} must be positive \(inf allowed\)$"):
+        call(eps)
