@@ -35,9 +35,10 @@ import numpy as np
 
 from .crossval import DEFAULT_FOLDS, DEFAULT_GRID, CVConfig, cv_choose_r
 from .errors import NumericError, ParameterError
-from .extrema import DEFAULT_B, DEFAULT_B_INNER, ppb_lower_limit
+from .extrema import DEFAULT_B, DEFAULT_B_INNER, _check_alpha, _check_B, ppb_lower_limit
 from .harness import (
     ExperimentReport,
+    MethodSpec,
     divide_budget,
     emit_plot_data,
     format_epsilon,
@@ -232,16 +233,20 @@ def _print_result(result, estimate, seed: int, extra: dict, output=None):
 
 def _cmd_ci(args) -> int:
     data = _load_data(args)
+    token = args.r.strip().lower()
+    MethodSpec("ppb", (token,))  # r by the [methods] token rule: bad flags go before any release or draw
+    _check_B(args.B)
+    _check_alpha(args.alpha)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     budget = _budget(args)
     est = fold_statistics([data]).release(budget, rng)
     extra: dict = {}
-    if args.r.strip().lower() == "cv":
+    if token == "cv":
         cv = cv_choose_r(data, budget, rng, CVConfig(folds=args.folds, b_inner=args.b_inner))
         extra["cv"] = _cv_block(cv)
         r = extra["cv"]["chosen_r"]
     else:
-        r = parse_r_token(args.r)
+        r = parse_r_token(token)
     result = ppb_lower_limit(est, r, rng, alpha=args.alpha, B=args.B)
     _print_result(result, est, args.seed, extra, args.output)
     return 0

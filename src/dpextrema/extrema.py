@@ -215,8 +215,9 @@ def ppb_lower_limit(
     ``privacy_noise=False`` reproduces the ablation that skips the simulated
     privatization noise (and undercovers).
     """
-    # ppb_limits refuses a B below 100; a negative one draws nothing
-    draws, failed = estimate.replica_draws(max(B, 0), rng, 1, privacy_noise)
+    _check_B(B)
+    _check_alpha(alpha)
+    draws, failed = estimate.replica_draws(B, rng, 1, privacy_noise)
     failed = failed.sum(axis=1)
     lower, c_alpha = ppb_limits(estimate.betas[:1], draws, failed, r, estimate.sizes[:1], alpha)
     return ConfidenceResult(

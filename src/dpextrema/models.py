@@ -355,12 +355,12 @@ def gaussian_private_mle(
 class RegressionData:
     """Design matrix and response with declared bounds for rows of X and for y.
 
-    ``nuisance`` is an optional (n, k2) block of covariates W orthogonal to X
-    (|X^T W| at most ``ORTHOGONALITY_TOLERANCE * n`` per entry), as in a
-    randomized trial with covariates centered within its arms.  The
-    coefficients of X then depend on the statistics of X alone, so only those
-    are noised; the nuisance fit is removed from the residual and never
-    released.  ``None`` or an empty (n, 0) block is plain regression.
+    ``nuisance`` is an (n, k2) block of covariates W orthogonal to X (|X^T W|
+    at most ``ORTHOGONALITY_TOLERANCE * n`` per entry), as in a randomized
+    trial with covariates centered within its arms.  The coefficients of X
+    then depend on the statistics of X alone, so only those are noised; the
+    nuisance fit is removed from the residual and never released.  Plain
+    regression is the block ``np.empty((n, 0))``, which ``None`` is read as.
     """
 
     X: np.ndarray
@@ -380,11 +380,11 @@ class RegressionData:
             raise ParameterError("y_bounds must be a scalar range")
         _refuse_cells("X", np.isnan(X))
         _refuse_cells("y", np.isnan(y))
-        W = None
-        if self.nuisance is not None and np.asarray(self.nuisance).size > 0:
-            W = np.atleast_2d(np.asarray(self.nuisance, dtype=float))
-            if W.shape[0] != X.shape[0]:
-                raise ParameterError("the nuisance block must have one row per response")
+        W = np.atleast_2d(np.asarray([] if self.nuisance is None else self.nuisance, dtype=float))
+        W = W if W.size else np.empty((X.shape[0], 0))  # any empty block, None included
+        if W.shape[0] != X.shape[0]:
+            raise ParameterError("the nuisance block must have one row per response")
+        if W.shape[1]:
             # W is never clamped, and X^T W is undefined on an infinite design cell
             _refuse_cells("nuisance", ~np.isfinite(W), "not finite")
             _refuse_cells("X", ~np.isfinite(X), "not finite")
@@ -394,7 +394,7 @@ class RegressionData:
                     "X^T nuisance is not numerically zero; the nuisance block must be "
                     "orthogonal to the design"
                 )
-        if X.shape[0] <= X.shape[1] + (0 if W is None else W.shape[1]):
+        if X.shape[0] <= X.shape[1] + W.shape[1]:
             raise ParameterError("regression needs n > k plus the nuisance columns")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
@@ -409,21 +409,17 @@ class RegressionData:
         return self.X.shape[1]
 
     @cached_property
-    def clamped(self) -> tuple[np.ndarray, ...]:
+    def clamped(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The rows the statistics read, X and y clamped into their boxes and
         W, which is never clamped; computed once."""
-        clamped = self.x_bounds.clamp(self.X), self.y_bounds.clamp(self.y)
-        return clamped if self.nuisance is None else (*clamped, self.nuisance)
+        return self.x_bounds.clamp(self.X), self.y_bounds.clamp(self.y), self.nuisance
 
-    def statistics_of(self, x: np.ndarray, t: np.ndarray, w=None) -> "RegressionStatistics":
+    def statistics_of(self, x: np.ndarray, t: np.ndarray, w: np.ndarray) -> "RegressionStatistics":
         """Statistics of R blocks of rows in these boxes: (R, m, k) clamped X,
-        (R, m) clamped y and, with a nuisance block, (R, m, k2) W."""
-        xt, t = np.swapaxes(x, 1, 2), t[..., None]
-        stats = [np.full(len(x), x.shape[1]), xt @ x, (xt @ t)[..., 0], (np.swapaxes(t, 1, 2) @ t)[:, 0, 0]]
-        if w is not None:
-            wt = np.swapaxes(w, 1, 2)
-            stats += [wt @ w, wt @ x, (wt @ t)[..., 0]]
-        return RegressionStatistics(self.x_bounds, self.y_bounds, *stats)
+        (R, m) clamped y and (R, m, k2) W."""
+        xt, wt, t = np.swapaxes(x, 1, 2), np.swapaxes(w, 1, 2), t[..., None]
+        stats = xt @ x, (xt @ t)[..., 0], (np.swapaxes(t, 1, 2) @ t)[:, 0, 0], wt @ w, wt @ x, (wt @ t)[..., 0]
+        return RegressionStatistics(self.x_bounds, self.y_bounds, np.full(len(x), x.shape[1]), *stats)
 
 
 @dataclass(eq=False)
@@ -502,8 +498,8 @@ def fold_statistics(data_sets, folds: int = 1, perms: np.ndarray | None = None):
         data_sets[0].statistics_of(*(c[:, a:b] if perms is None else c[sets, perms[:, a:b]] for c in columns))
         for a, b in zip(edges, edges[1:])
     ]
-    # set by set: row i * folds + j is fold j of set i
-    return _map_additive(lambda *a: np.stack(a, axis=1).reshape(-1, *a[0].shape[1:]), *parts)
+    # set by set: row i * folds + j is fold j of set i (a count, not -1: a stack may have no values)
+    return _map_additive(lambda *a: np.stack(a, axis=1).reshape(len(a) * len(a[0]), *a[0].shape[1:]), *parts)
 
 
 def _one_layout(data_sets):
@@ -524,8 +520,7 @@ def _one_layout(data_sets):
 
 def _map_additive(fn, *stacks):
     """The first stack with each additive statistic replaced by ``fn`` of the stacks' own."""
-    names = [name for name in stacks[0].ADDITIVE if getattr(stacks[0], name) is not None]
-    return replace(stacks[0], **{name: fn(*(getattr(s, name) for s in stacks)) for name in names})
+    return replace(stacks[0], **{name: fn(*(getattr(s, name) for s in stacks)) for name in stacks[0].ADDITIVE})
 
 
 @dataclass(frozen=True, eq=False)
@@ -570,10 +565,11 @@ class GaussianStatistics:
 
 @dataclass(frozen=True, eq=False)
 class RegressionStatistics:
-    """Clamped X^T X, X^T y and y^T y, with the count, of each of F data sets.
+    """Clamped X^T X, X^T y and y^T y, with the count, and the nuisance
+    block's W^T W, W^T X and W^T y, of each of F data sets.
 
-    A nuisance block W adds W^T W, W^T X and W^T y.  Its fit is never
-    released: it is removed from each set's residual.
+    The nuisance fit is removed from each set's residual, never released; with
+    k2 = 0 (plain regression) the W blocks hold no values and the fit is 0.
     """
 
     x_bounds: Bounds
@@ -582,9 +578,9 @@ class RegressionStatistics:
     xtx: np.ndarray               # (F, k, k)
     xty: np.ndarray               # (F, k)
     yty: np.ndarray               # (F,)
-    wtw: np.ndarray | None = None
-    wtx: np.ndarray | None = None
-    wty: np.ndarray | None = None
+    wtw: np.ndarray               # (F, k2, k2)
+    wtx: np.ndarray               # (F, k2, k)
+    wty: np.ndarray               # (F, k2)
 
     # class attributes, not fields: the statistics that add up over sets, and
     # the released ones in budget-split order
@@ -594,22 +590,19 @@ class RegressionStatistics:
     @property
     def min_rows(self) -> int:
         """Fewest rows a set needs for one residual degree of freedom."""
-        k2 = 0 if self.wtw is None else self.wtw.shape[-1]
-        return self.xty.shape[1] + k2 + 1
+        return self.xty.shape[1] + self.wtw.shape[-1] + 1
 
     def _rss(self, beta: np.ndarray, rows: slice) -> np.ndarray:
         """|y - X beta|^2 of the sets ``rows`` from the statistics, less what
         the nuisance fit explains."""
         beta = beta[rows]
-        rss = (
+        wtr = self.wty[rows] - np.einsum("fij,fj->fi", self.wtx[rows], beta)
+        return (
             self.yty[rows]
             - 2.0 * np.einsum("fi,fi->f", beta, self.xty[rows])
             + np.einsum("fi,fij,fj->f", beta, self.xtx[rows], beta)
+            - np.einsum("fi,fij,fj->f", wtr, np.linalg.pinv(self.wtw[rows]), wtr)
         )
-        if self.wtw is not None:
-            wtr = self.wty[rows] - np.einsum("fij,fj->fi", self.wtx[rows], beta)
-            rss = rss - np.einsum("fi,fij,fj->f", wtr, np.linalg.pinv(self.wtw[rows]), wtr)
-        return rss
 
     def release(self, budget, rng: np.random.Generator) -> PrivatizedRegressionEstimate:
         """Every set's regression release, as one stacked estimate.
@@ -645,7 +638,7 @@ class RegressionStatistics:
         # fit m_fit = |w^T gamma| is taken to be at most the response magnitude;
         # W is never clamped, so this is assumed, not enforced.
         m_y = self.y_bounds.magnitudes[0]
-        m_fit = 0.0 if self.wtw is None else m_y
+        m_fit = m_y if self.wtw.shape[-1] else 0.0
         m_res = m_y + np.sum(self.x_bounds.magnitudes * np.abs(beta), axis=1) + m_fit
         with np.errstate(over="ignore"):  # response bounds too wide give inf, refused below
             delta = m_res**2 / dof

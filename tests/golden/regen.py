@@ -50,8 +50,9 @@ REPS, B = 6, 200
 
 #: Configs the matrix writes itself: the nuisance path with a cv token,
 #: regression with every bootstrap variant, each at a finite and an infinite
-#: budget, a cv token at an n that 5 folds do not divide, and a k = 8
-#: regression at n = 800 whose clipped releases rppb solves as released.
+#: budget, a cv token at an n that 5 folds do not divide, a k = 8
+#: regression at n = 800 whose clipped releases rppb solves as released, and
+#: plain regression with a cv token, whose 6 sets cross-validate as one block.
 CONFIGS = {
     "partial_regression_cv.ini": """
         [experiment]
@@ -104,6 +105,18 @@ CONFIGS = {
         [methods]
         ppb = 1/10
         rppb = 1/10
+        naive = private
+    """,
+    "regression_cv.ini": """
+        [experiment]
+        model = regression
+        n = 800
+        k = 2
+        beta = 0, 0.2
+        epsilon = 3, inf
+        seed = 14
+        [methods]
+        ppb = 1/10, cv
         naive = private
     """,
 }

@@ -21,7 +21,13 @@ from dpextrema.crossval import CVConfig, cv_choose_r
 from dpextrema.errors import ParameterError
 from dpextrema.extrema import ppb_limits
 from dpextrema.harness import ExperimentReport
-from dpextrema.models import GaussianData, RegressionData, fold_statistics
+from dpextrema.models import (
+    GaussianData,
+    GaussianStatistics,
+    PrivatizedGaussianEstimate,
+    RegressionData,
+    fold_statistics,
+)
 from dpextrema.privacy import Bounds
 
 
@@ -331,6 +337,35 @@ def test_undecodable_input_gives_one_error_line(tmp_path, capsys, command):
     args = command + ["--input", str(data), "--bounds=-5:5", "--epsilon", "1.5", "--seed", "1"]
     assert run_cli(args) == 2
     assert capsys.readouterr().err == f"error: {data}: not utf-8 text (invalid start byte)\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--r", "0.7"], "ppb r token '0.7' must lie in (0, 0.5] or be full"),
+        (["--r", "nan"], "ppb r token 'nan' must lie in (0, 0.5] or be full"),
+        (["--r", "0"], "ppb r token '0' must lie in (0, 0.5] or be full"),
+        (["--B", "99"], "B must be >= 100"),
+        (["--alpha", "0.7"], "alpha must lie in (0, 0.5)"),
+    ],
+    ids=["r-above-half", "r-nan", "r-zero", "B-small", "alpha-above-half"],
+)
+def test_a_bad_ci_flag_is_refused_before_any_release_or_draw(tmp_path, capsys, monkeypatch, flags, message):
+    spy = lambda *args, **kwargs: pytest.fail("a release or a draw ran")  # noqa: E731
+    monkeypatch.setattr(GaussianStatistics, "release", spy)
+    monkeypatch.setattr(PrivatizedGaussianEstimate, "replica_draws", spy)
+    data = write_gaussian_csv(tmp_path / "data.csv")
+    args = ["ci", "gaussian", "--input", str(data), "--bounds=-5:5", "--epsilon", "1.5", "--seed", "1"]
+    assert run_cli(args + flags) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_file_error_comes_before_a_bad_ci_flag(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("a,b\n1.0,oops\n")
+    args = ["ci", "gaussian", "--input", str(bad), "--bounds=-5:5", "--epsilon", "1.5", "--seed", "1"]
+    assert run_cli(args + ["--B", "99"]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: row 2, column 2: not a number\n"
 
 
 @pytest.mark.parametrize("command", [["ci", "gaussian"], ["cv"]])

@@ -220,12 +220,12 @@ def per_fold_reference(data_sets, perms, v):
                 p = d.bounds.clamp(d.x)[f]
                 rows.append({"n": p.shape[0], "sums": p.sum(axis=0), "grams": p.T @ p})
                 continue
-            x, t = d.x_bounds.clamp(d.X)[f], d.y_bounds.clamp(d.y)[f]
-            row = {"n": t.size, "xtx": x.T @ x, "xty": x.T @ t, "yty": t @ t}
-            if d.nuisance is not None:
-                w = d.nuisance[f]
-                row |= {"wtw": w.T @ w, "wtx": w.T @ x, "wty": w.T @ t}
-            rows.append(row)
+            # w has no columns in plain regression
+            x, t, w = d.x_bounds.clamp(d.X)[f], d.y_bounds.clamp(d.y)[f], d.nuisance[f]
+            rows.append({
+                "n": t.size, "xtx": x.T @ x, "xty": x.T @ t, "yty": t @ t,
+                "wtw": w.T @ w, "wtx": w.T @ x, "wty": w.T @ t,
+            })
     return rows
 
 

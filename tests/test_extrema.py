@@ -195,15 +195,19 @@ class TestPpbLowerLimit:
         assert permuted[0][0] == base[0][0]
         assert permuted[1][0] == base[1][0]
 
-    def test_small_b_rejected(self):
+    def test_small_b_rejected(self, monkeypatch):
+        # before any draw, a negative B included
         est = gaussian_estimate()
-        with pytest.raises(ParameterError):
-            ppb_lower_limit(est, 0.1, np.random.default_rng(0), B=99)
+        monkeypatch.setattr(est, "replica_draws", lambda *args: pytest.fail("a draw ran"))
+        for B in (99, -5):
+            with pytest.raises(ParameterError, match="^B must be >= 100$"):
+                ppb_lower_limit(est, 0.1, np.random.default_rng(0), B=B)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.7, math.nan])
-    def test_bad_alpha_rejected(self, alpha):
+    def test_bad_alpha_rejected(self, monkeypatch, alpha):  # before any draw
         est = gaussian_estimate()
-        with pytest.raises(ParameterError):
+        monkeypatch.setattr(est, "replica_draws", lambda *args: pytest.fail("a draw ran"))
+        with pytest.raises(ParameterError, match=r"^alpha must lie in \(0, 0.5\)$"):
             ppb_lower_limit(est, 0.1, np.random.default_rng(0), alpha=alpha)
 
     def test_failed_draw_budget(self):

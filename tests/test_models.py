@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import warnings
 import weakref
@@ -339,12 +340,25 @@ class TestRegressionDataNuisance:
             RegressionData(X, y, *self.BOUNDS, nuisance=W)
 
     def test_empty_block_is_no_block(self):
+        # the default, None and a block of no columns are one layout, released alike
         rng = np.random.default_rng(37)
-        X = rng.uniform(0.0, 1.0, (50, 2))
-        data = RegressionData(X, rng.standard_normal(50), *self.BOUNDS, nuisance=X[:, 2:])
-        assert data.nuisance is None
-        stats = fold_statistics([data])
-        assert stats.wtw is None and stats.min_rows == 3
+        X, y = rng.uniform(0.0, 1.0, (50, 2)), rng.standard_normal(50)
+        sets = [
+            RegressionData(X, y, *self.BOUNDS),
+            RegressionData(X, y, *self.BOUNDS, nuisance=None),
+            RegressionData(X, y, *self.BOUNDS, nuisance=X[:, 2:]),
+        ]
+        releases = []
+        for data in sets:
+            assert data.nuisance.shape == (50, 0)
+            stats = fold_statistics([data])
+            assert (stats.wtw.shape, stats.wtx.shape, stats.wty.shape) == ((1, 0, 0), (1, 0, 2), (1, 0))
+            assert stats.min_rows == 3
+            releases.append(stats.release(1.5, np.random.default_rng(38)))
+        for est in releases[1:]:
+            for name in ("betas", "sigma2s", "noisy_grams", "noisy_xtys"):
+                assert getattr(est, name).tobytes() == getattr(releases[0], name).tobytes(), name
+            assert est.mechanisms[2].scale.tobytes() == releases[0].mechanisms[2].scale.tobytes()
 
 
 def reference_regression_release(X, y, x_bounds, y_bounds, budget, rng, nuisance=None):
@@ -372,7 +386,7 @@ def reference_regression_release(X, y, x_bounds, y_bounds, budget, rng, nuisance
     resid = y - X @ beta
     dof = n - k
     fit_bound = 0.0
-    if nuisance is not None:
+    if nuisance is not None and nuisance.shape[1]:  # a block of no columns is no block
         gamma, *_ = np.linalg.lstsq(nuisance, resid, rcond=None)
         resid = resid - nuisance @ gamma
         dof -= nuisance.shape[1]
@@ -409,9 +423,8 @@ class TestStackStatistics:
         stats = fold_statistics(d for d in data)
         alone = [fold_statistics([d]) for d in data]
         for name in type(stats).ADDITIVE:
-            if getattr(stats, name) is not None:
-                want = np.concatenate([getattr(a, name) for a in alone])
-                assert getattr(stats, name).tobytes() == want.tobytes(), name
+            want = np.concatenate([getattr(a, name) for a in alone])
+            assert getattr(stats, name).tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize(
         "other",
@@ -474,6 +487,36 @@ def test_only_models_maps_the_additive_statistics():
         if isinstance(node, ast.Attribute) and node.attr == "ADDITIVE"
     ]
     assert not reads, f"ADDITIVE read outside models.py: {reads}"
+
+
+def test_no_code_in_models_tests_a_nuisance_block_for_none():
+    # every regression set carries its nuisance block, (n, 0) for plain
+    # regression, so the statistics have no optional fields: the public
+    # default None is read once, where RegressionData stores the block
+    def none_tests(root):
+        return [
+            node for node in ast.walk(root)
+            if isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+            and any(isinstance(c, ast.Constant) and c.value is None for c in node.comparators)
+        ]
+
+    def named(tree, kind, name):
+        return next(node for node in tree.body if isinstance(node, kind) and node.name == name)
+
+    tree = ast.parse((SRC / "models.py").read_text())
+    post_init = named(named(tree, ast.ClassDef, "RegressionData"), ast.FunctionDef, "__post_init__")
+    default = [node for node in none_tests(post_init) if ast.unparse(node) == "self.nuisance is None"][:1]
+    map_additive = named(tree, ast.FunctionDef, "_map_additive")
+    found = [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in sorted(none_tests(tree), key=lambda node: node.lineno)
+        if node not in default and (
+            getattr(node.left, "attr", getattr(node.left, "id", "")).lower() in {"nuisance", "w", "wtw", "wtx", "wty"}
+            or map_additive.lineno <= node.lineno <= map_additive.end_lineno
+        )
+    ]
+    assert len(default) == 1 and not found, f"None tests of a nuisance block in models.py: {found}"
+    assert all(f.default is dataclasses.MISSING for f in dataclasses.fields(RegressionStatistics))
 
 
 class TestNanCellsRefused:
