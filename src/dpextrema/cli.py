@@ -235,14 +235,15 @@ def _cmd_ci(args) -> int:
     data = _load_data(args)
     token = args.r.strip().lower()
     MethodSpec("ppb", (token,))  # r by the [methods] token rule: bad flags go before any release or draw
+    cv_config = CVConfig(folds=args.folds, b_inner=args.b_inner) if token == "cv" else None
     _check_B(args.B)
     _check_alpha(args.alpha)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     budget = _budget(args)
     est = fold_statistics([data]).release(budget, rng)
     extra: dict = {}
-    if token == "cv":
-        cv = cv_choose_r(data, budget, rng, CVConfig(folds=args.folds, b_inner=args.b_inner))
+    if cv_config:
+        cv = cv_choose_r(data, budget, rng, cv_config)
         extra["cv"] = _cv_block(cv)
         r = extra["cv"]["chosen_r"]
     else:

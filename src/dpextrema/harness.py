@@ -18,8 +18,8 @@ then every release, bootstrap draw, cross-validation and limit of the block
 is one stacked computation, while a :class:`~dpextrema.privacy.GeneratorStack`
 keeps drawing each replication's rows from that replication's generator, in
 the order it would draw them alone.  So the block size, like the worker
-count, changes no result; a failing block is rerun one replication at a
-time, so a study aborts with the error of its first failing replication.
+count, changes no result.  A block returns its lower limits; only
+:func:`run_experiment` reads the true maximum, and scores them.
 
 A block is one loop over the report rows that :attr:`MethodSpec.rows` lists:
 a release is made on its first use, and each replica draw once, dropped
@@ -61,7 +61,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .crossval import DEFAULT_FOLDS, DEFAULT_GRID, CVConfig, check_cv, cv_choose_r
-from .errors import NumericError, ParameterError
+from .errors import ParameterError
 from .extrema import (
     DEFAULT_B,
     DEFAULT_B_INNER,
@@ -552,8 +552,8 @@ def _block_size(config: ExperimentConfig) -> int:
 def _block_outcomes(config: ExperimentConfig, eps_index: int, reps: range, study):
     """Every method's outcomes for the replications ``reps``, run as one stack.
 
-    Keyed by (method label, r token); each outcome is three (R,) arrays:
-    covered, lower-limit distance below the true maximum, failed draws.
+    Keyed by (method label, r token); each outcome is two (R,) arrays: the
+    lower limits and the failed draws.  The block reads no truth.
     Replication i draws from its own generator, exactly what it would draw
     alone: the stacked releases, bootstrap draws and cross-validation give
     generator i the rows of replication i.
@@ -573,7 +573,6 @@ def _block_outcomes(config: ExperimentConfig, eps_index: int, reps: range, study
     # rows still to read each draws entry, which is dropped after its last one
     reads = collections.Counter((private, noise) for _, _, private, noise, limits in rows if limits is None)
     releases, draws, outcomes = {}, {}, {}  # private -> estimate; (private, privacy noise) -> (draws, failed counts)
-    true_max = config.true_max
     for label, token, private, privacy_noise, limits in rows:
         epsilon = budget if private else math.inf
         if private not in releases:
@@ -594,22 +593,8 @@ def _block_outcomes(config: ExperimentConfig, eps_index: int, reps: range, study
             d, failed = draws[key] if reads[key] else draws.pop(key)
             lower = ppb_limits(e.betas, d, failed, r, e.sizes, config.alpha)[0]
             del d  # so no name holds these draws while the next row draws its own
-        outcomes[label, token] = (lower <= true_max, true_max - lower, np.broadcast_to(failed, lower.shape))
+        outcomes[label, token] = (lower, np.broadcast_to(failed, lower.shape))
     return outcomes
-
-
-def _run_block(config: ExperimentConfig, eps_index: int, reps: range, study):
-    """:func:`_block_outcomes`; on an error, that of the block's first failing
-    replication, found by running the block one replication at a time, so
-    the study aborts as a serial run of single replications would."""
-    try:
-        return _block_outcomes(config, eps_index, reps, study)
-    except (NumericError, ParameterError):
-        if len(reps) == 1:
-            raise
-        for rep in reps:
-            _block_outcomes(config, eps_index, range(rep, rep + 1), study)
-        raise
 
 
 def _fixed_design_for(config: ExperimentConfig):
@@ -630,7 +615,7 @@ def _usable_cpus() -> int:
 
 
 def _map_blocks(tasks: list, workers: int) -> list:
-    """:func:`_run_block` of every task, in task order.
+    """:func:`_block_outcomes` of every task, in task order.
 
     ``workers`` chooses the pool: a process pool of ``workers``, at most one
     per task, when it is above 1, and otherwise a thread pool of one thread per usable CPU, at
@@ -643,11 +628,11 @@ def _map_blocks(tasks: list, workers: int) -> list:
     """
     threads = min(len(tasks), _usable_cpus())
     if threads <= 1:
-        return [_run_block(*task) for task in tasks]
+        return [_block_outcomes(*task) for task in tasks]
     # named through the package, which imports multiprocessing only for a process pool
     executor = concurrent.futures.ProcessPoolExecutor if workers > 1 else concurrent.futures.ThreadPoolExecutor
     with executor(min(workers, len(tasks)) if workers > 1 else threads) as pool:
-        return list(pool.map(_run_block, *zip(*tasks)))
+        return list(pool.map(_block_outcomes, *zip(*tasks)))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -660,8 +645,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     order, over a process pool of ``workers`` when ``workers > 1``, and
     otherwise over a thread pool of the usable CPUs (:func:`_map_blocks`);
     outcomes are gathered in that order, so the rows are summed as a serial
-    run sums them.  Deterministic given the configuration; the block size,
-    the worker count and the thread count only affect wall time.
+    run sums them.  Only here are the limits scored against the true
+    maximum: coverage is the share of limits at or below it, and mean length
+    their mean distance below it.  A failing study raises the first error of
+    its first failing block in plan order, a pure function of the
+    configuration, as the plan is.  Deterministic given the configuration;
+    the block size, the worker count and the thread count only affect wall
+    time.
     """
     study = _MODELS[config.model].study(config)
     count = -(-config.reps // _block_size(config))
@@ -669,14 +659,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     blocks = [range(start, end) for start, end in zip(ends, ends[1:])]
     tasks = [(config, eps_index, block, study) for eps_index in range(len(config.epsilons)) for block in blocks]
     per_task = _map_blocks(tasks, config.workers)
+    true_max = config.true_max
     rows: list[ReportRow] = []
     for eps_index, epsilon in enumerate(config.epsilons):
         per_block = per_task[eps_index * count:(eps_index + 1) * count]
         for key in per_block[0]:
-            covered, lengths, failed = (
-                np.concatenate([outcomes[key][i] for outcomes in per_block]) for i in range(3)
-            )
-            coverage = float(covered.mean())
+            lower, failed = (np.concatenate([outcomes[key][i] for outcomes in per_block]) for i in range(2))
+            coverage = float((lower <= true_max).mean())
             rows.append(
                 ReportRow(
                     model=config.model,
@@ -688,7 +677,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     k=config.k,
                     coverage=coverage,
                     coverage_se=math.sqrt(coverage * (1.0 - coverage) / config.reps),
-                    mean_length=float(lengths.mean()),
+                    mean_length=float((true_max - lower).mean()),
                     reps=config.reps,
                     B=config.B,
                     seed=config.seed,

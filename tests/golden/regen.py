@@ -123,10 +123,13 @@ CONFIGS = {
 
 
 #: config path below the repo root -> (reps, B) of a run in several blocks:
-#: 2 blocks of 6 at k = 8, B = 1000, and 7 + 7 + 6 for the Gaussian k = 8.
+#: 2 blocks of 6 at k = 8, B = 1000, 7 + 7 + 6 for the Gaussian k = 8, and
+#: 3 blocks of 30 for the tied Gaussian k = 2, whose cv token's rows are
+#: gathered from every block.
 MULTI_BLOCK = {
     "bench/configs/regression_k8.ini": (12, 1000),
     "configs/gaussian_k8.ini": (20, 1000),
+    "configs/gaussian_k2_tied.ini": (90, 200),
 }
 
 

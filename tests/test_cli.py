@@ -347,8 +347,10 @@ def test_undecodable_input_gives_one_error_line(tmp_path, capsys, command):
         (["--r", "0"], "ppb r token '0' must lie in (0, 0.5] or be full"),
         (["--B", "99"], "B must be >= 100"),
         (["--alpha", "0.7"], "alpha must lie in (0, 0.5)"),
+        (["--r", "cv", "--folds", "1"], "folds must be >= 2 (cross-validation needs at least 2 folds)"),
+        (["--r", "cv", "--b-inner", "49"], "b_inner must be >= 50"),
     ],
-    ids=["r-above-half", "r-nan", "r-zero", "B-small", "alpha-above-half"],
+    ids=["r-above-half", "r-nan", "r-zero", "B-small", "alpha-above-half", "cv-one-fold", "cv-b-inner-small"],
 )
 def test_a_bad_ci_flag_is_refused_before_any_release_or_draw(tmp_path, capsys, monkeypatch, flags, message):
     spy = lambda *args, **kwargs: pytest.fail("a release or a draw ran")  # noqa: E731

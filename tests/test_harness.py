@@ -296,7 +296,8 @@ def model_config(name, **overrides):
 
 def oracle_replication(config, eps_index, rep, study):
     """One replication as the harness ran it one at a time: its own generator,
-    a release of one set, and each estimate and draw made once."""
+    a release of one set, and each estimate and draw made once.  Each row is
+    its (lower limit, failed draws)."""
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, eps_index, rep)))
     budget = divide_budget(config.epsilons[eps_index], config.split)
     data = harness._generate_data(config, rng, study)
@@ -334,11 +335,7 @@ def oracle_replication(config, eps_index, rep, study):
             limit = naive_lower_limit if spec.name == "naive" else bonferroni_lower_limit
             res = limit(release(spec.private), config.alpha, spec.private)
             results[spec.label, ""] = res.lower_limit, res.failed_draws
-    true_max = config.true_max
-    return {
-        key: (lower <= true_max, true_max - lower, failed)
-        for key, (lower, failed) in results.items()
-    }
+    return results
 
 
 def assert_block_matches_oracle(config):
@@ -396,7 +393,7 @@ def spy_on_plan(monkeypatch):
         return map_blocks(tasks, workers)
 
     monkeypatch.setattr(harness, "_map_blocks", spy)
-    monkeypatch.setattr(harness, "_run_block", lambda config, eps_index, reps, study: {})
+    monkeypatch.setattr(harness, "_block_outcomes", lambda config, eps_index, reps, study: {})
     return blocks
 
 
@@ -562,20 +559,23 @@ class TestBlocks:
         assert sum(clipped) > 0
         assert row.failed_draws == 0 and row.reps == 4
 
-    def test_block_error_is_that_of_its_first_failing_replication(self, monkeypatch):
-        # replication 3 fails early in the block and replication 1 late, so
-        # the block stops at 3's error; a serial run stops at 1's
-        def outcomes(config, eps_index, reps, study):
-            if 3 in reps:
-                raise DegeneracyError("replication 3")
-            if 1 in reps:
-                raise NumericError("replication 1")
-            return {}
+    def test_a_failing_block_runs_once(self, monkeypatch):
+        # the block's own error stops the study; the block is not run again
+        config = collinear_config(1e7)
+        monkeypatch.setattr(harness, "_fixed_design_for", lambda config: collinear_design())
+        monkeypatch.setattr(harness, "BLOCK_VALUES", 3 * harness._replication_values(config))
+        usable_cpus(monkeypatch, 1)
+        calls = []
+        block_outcomes = harness._block_outcomes
 
-        monkeypatch.setattr(harness, "_block_outcomes", outcomes)
-        with pytest.raises(NumericError, match="replication 1") as info:
-            harness._run_block(small_config(), 0, range(0, 5), None)
-        assert type(info.value) is NumericError
+        def spy(config, eps_index, reps, study):
+            calls.append(reps)
+            return block_outcomes(config, eps_index, reps, study)
+
+        monkeypatch.setattr(harness, "_block_outcomes", spy)
+        with pytest.raises(DegeneracyError):
+            run_experiment(config)
+        assert calls == [range(0, 3)]
 
 
 def usable_cpus(monkeypatch, count):
@@ -597,13 +597,13 @@ class TestThreads:
             monkeypatch.setattr(harness, "BLOCK_VALUES", 3 * harness._replication_values(config))
         assert harness._block_size(config) < config.reps
         blocks_ran_on = set()
-        run_block = harness._run_block
+        block_outcomes = harness._block_outcomes
 
         def spy(*task):
             blocks_ran_on.add(threading.current_thread() is threading.main_thread())
-            return run_block(*task)
+            return block_outcomes(*task)
 
-        monkeypatch.setattr(harness, "_run_block", spy)
+        monkeypatch.setattr(harness, "_block_outcomes", spy)
         reports = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # threads swap often, more of them than this host may have CPUs
@@ -640,7 +640,7 @@ class TestThreads:
         # block 0 fails after block 1 has failed; a serial run stops at block 0
         failed = threading.Event()
 
-        def run_block(config, eps_index, reps, study):
+        def block_outcomes(config, eps_index, reps, study):
             if reps.start == 0:
                 failed.wait(timeout=10)
                 raise NumericError("block 0")
@@ -648,7 +648,7 @@ class TestThreads:
             raise DegeneracyError("block 1")
 
         usable_cpus(monkeypatch, 2)
-        monkeypatch.setattr(harness, "_run_block", run_block)
+        monkeypatch.setattr(harness, "_block_outcomes", block_outcomes)
         monkeypatch.setattr(harness, "BLOCK_VALUES", harness._replication_values(small_config()))
         with pytest.raises(NumericError, match="block 0") as info:
             run_experiment(small_config(reps=2))
@@ -657,7 +657,7 @@ class TestThreads:
     def test_blocks_not_started_are_cancelled(self, monkeypatch):
         started = []
 
-        def run_block(config, eps_index, reps, study):
+        def block_outcomes(config, eps_index, reps, study):
             started.append(reps.start)
             if reps.start == 0:
                 raise NumericError("block 0")
@@ -665,7 +665,7 @@ class TestThreads:
             return {}
 
         usable_cpus(monkeypatch, 2)
-        monkeypatch.setattr(harness, "_run_block", run_block)
+        monkeypatch.setattr(harness, "_block_outcomes", block_outcomes)
         monkeypatch.setattr(harness, "BLOCK_VALUES", harness._replication_values(small_config()))
         with pytest.raises(NumericError, match="block 0"):
             run_experiment(small_config(reps=10))
