@@ -157,10 +157,12 @@ def _load_data(args):
 
     Regression input has the response as its last column.  ``--partial K1``
     keeps the first K1 columns (of the design, for regression) as the ones of
-    interest; 0 reads every column as of interest.  A Gaussian is its first K1
-    columns alone, so only those are read as numbers, while regression keeps
-    the rest as its nuisance block.  A file error comes before an out-of-range
-    K1, since a K1 outside 1..k reads every column.
+    interest; 0 reads every column as of interest.  The remaining columns are
+    not part of the data: a Gaussian is its first K1 columns alone, so only
+    those are read as numbers, and regression, whose response is the last
+    cell, parses every cell but regresses y on the first K1 design columns
+    alone.  A file error comes before an out-of-range K1, since a K1 outside
+    1..k reads every column.
     """
     regression = args.model == "regression"
     interest = None if regression or args.partial < 1 else args.partial
@@ -177,7 +179,7 @@ def _load_data(args):
     if args.y_bounds is None:
         raise ParameterError("response bounds are mandatory: sensitivity is undefined without bounds")
     y, y_bounds = data[:, -1], _parse_bounds(args.y_bounds, 1, "response")
-    return RegressionData(x[:, :k1], y, _parse_bounds(args.bounds, k1, "design"), y_bounds, x[:, k1:])
+    return RegressionData(x[:, :k1], y, _parse_bounds(args.bounds, k1, "design"), y_bounds)
 
 
 def _budget(args):
@@ -336,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, default=0.05)
         p.add_argument("--B", type=int, default=DEFAULT_B)
         p.add_argument("--partial", type=int, default=0, metavar="K1",
-                       help="privatize only the first K1 columns; the rest are nuisance")
+                       help="privatize only the first K1 columns; the rest are not read")
         p.set_defaults(func=_cmd_ci, model=model)
 
     cv = sub.add_parser("cv", parents=[shared, response],

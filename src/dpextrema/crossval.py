@@ -22,9 +22,9 @@ stack of one), so each fold's release has the law of the single-set
 estimator on that subset.  Any data class that
 :func:`~dpextrema.models.fold_statistics` reads (its ``clamped`` rows and
 ``statistics_of``) can be cross-validated: a partitioned Gaussian is
-its interest block, plain ``GaussianData``, and every ``RegressionData``
-removes its nuisance fit from each set's residual through the blocks W^T W,
-W^T X and W^T y, which hold no values in plain regression (k2 = 0).
+its interest block, plain ``GaussianData``, and a partial regression is
+``RegressionData`` of its design columns of interest, whose nuisance fit
+stays in y.
 
 A Monte Carlo block cross-validates R data sets at once: given a sequence of
 data sets and a :class:`~dpextrema.privacy.GeneratorStack` with one generator

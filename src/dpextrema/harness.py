@@ -329,7 +329,9 @@ class ExperimentConfig:
     )
     beta: tuple[float, ...] | None = _key(_parse_truth, _FINITE, _REGRESSIONS, _SHORTHANDS["zeros"], default=None)
     sigma2: float = _key(parse_number, _positive_finite, _REGRESSIONS, default=1.0)
-    gamma: tuple[float, ...] | None = _key(  # its length sets the nuisance columns, none by default
+    # nuisance covariates W, one column per entry (none by default), are drawn
+    # and W gamma is added to y; the release never reads W
+    gamma: tuple[float, ...] | None = _key(
         parse_floats, _vector(-math.inf, "finite", sized=False), ("partial_regression",), lambda k: (), default=None
     )
     design: str | None = _key(lambda text, key: text, _check_design, ("regression",), default=None)
@@ -468,8 +470,10 @@ def _partial_regression_study(config: ExperimentConfig):
 
 
 def _partial_regression_data(config: ExperimentConfig, rng: np.random.Generator, study):
-    """Interest design = subgroup x treatment indicators, nuisance covariates
-    centered within treated cells so X^T W = 0 exactly."""
+    """Interest design = subgroup x treatment indicators; nuisance covariates
+    W, centered within treated cells so X^T W = 0 exactly, are drawn and
+    added to y as W gamma.  The data set holds X and y only, so the release
+    never reads W."""
     beta, gamma, x_bounds, y_bounds = study
     groups = rng.integers(0, config.k, size=config.n)
     treated = rng.integers(0, 2, size=config.n)
@@ -481,7 +485,7 @@ def _partial_regression_data(config: ExperimentConfig, rng: np.random.Generator,
         if cell.any():
             W[cell] -= W[cell].mean(axis=0)
     y = X @ beta + W @ gamma + math.sqrt(config.sigma2) * rng.standard_normal(config.n)
-    return RegressionData(X, y, x_bounds, y_bounds, W)
+    return RegressionData(X, y, x_bounds, y_bounds)
 
 
 class _Model(typing.NamedTuple):
@@ -498,8 +502,7 @@ _MODELS = {
     "gaussian": _Model("mu", _gaussian_study, _gaussian_data, lambda c: c.k, GaussianStatistics),
     "regression": _Model("beta", _regression_study, _regression_data, lambda c: c.k + 1, RegressionStatistics),
     "partial_regression": _Model(
-        "beta", _partial_regression_study, _partial_regression_data, lambda c: c.k + len(c.gamma) + 1,
-        RegressionStatistics,
+        "beta", _partial_regression_study, _partial_regression_data, lambda c: c.k + 1, RegressionStatistics
     ),
 }
 
@@ -529,8 +532,9 @@ def _replication_values(config: ExperimentConfig) -> int:
     regression replication's B (k, k) systems do not stack, since they are
     drawn and solved one replication at a time.  Only when cross-validation
     reads the rows again does a block hold every replication's data, n rows
-    of the k interest columns, the nuisance columns and, in regression, the
-    response, and then the larger of the two counts.
+    of the k interest columns and, in regression, the response (a
+    partial-regression set holds no nuisance column), and then the larger of
+    the two counts.
     """
     values = config.B * config.k
     if _cross_validates(config):

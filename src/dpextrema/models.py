@@ -2,9 +2,9 @@
 
 Two model families are implemented: multivariate Gaussian observations, whose
 coordinates of interest are the component means, and linear regression, whose
-coordinates of interest are the coefficients.  ``RegressionData(X, y,
-x_bounds, y_bounds, nuisance=W)`` adds covariates W orthogonal to X, whose fit
-is removed from the residual variance but never released.
+coordinates of interest are the coefficients.  A regression release reads
+the design X and the response y alone: covariates W that the analyst declares
+orthogonal to X are left in the response, so they never reach the release.
 
 Both estimators add Laplace noise to clamped sufficient statistics (sums, gram
 matrices, cross products) and post-process the noisy statistics; they never
@@ -58,8 +58,6 @@ SIGMA2_FLOOR = 1e-8
 #: far above the rounding error of eigvalsh, so a certified system can never
 #: be one that the eigenvalue check would have flagged.
 _CERTIFY_MARGIN = 1e-8
-#: Largest |X^T W| entry, per row, of a nuisance block W counted as orthogonal.
-ORTHOGONALITY_TOLERANCE = 1e-8
 
 __all__ = [
     "GaussianData",
@@ -75,12 +73,12 @@ __all__ = [
 ]
 
 
-def _refuse_cells(name: str, bad: np.ndarray, what: str = "NaN") -> None:
+def _refuse_cells(name: str, bad: np.ndarray) -> None:
     """Refuse the first ``bad`` cell of the array ``name`` by its indices: a NaN
     passes the clamp, and a sum released with it is NaN whatever the noise."""
     if bad.any():
         cell = ", ".join(str(int(i)) for i in np.argwhere(bad)[0])
-        raise ParameterError(f"the data cell {name}[{cell}] is {what} (indices from 0)")
+        raise ParameterError(f"the data cell {name}[{cell}] is NaN (indices from 0)")
 
 
 # ---------------------------------------------------------------------------
@@ -355,19 +353,16 @@ def gaussian_private_mle(
 class RegressionData:
     """Design matrix and response with declared bounds for rows of X and for y.
 
-    ``nuisance`` is an (n, k2) block of covariates W orthogonal to X (|X^T W|
-    at most ``ORTHOGONALITY_TOLERANCE * n`` per entry), as in a randomized
-    trial with covariates centered within its arms.  The coefficients of X
-    then depend on the statistics of X alone, so only those are noised; the
-    nuisance fit is removed from the residual and never released.  Plain
-    regression is the block ``np.empty((n, 0))``, which ``None`` is read as.
+    Covariates W orthogonal to X, as in a randomized trial with covariates
+    centered within its arms, leave the coefficients of X unchanged, so they
+    are not part of the data: their fit W gamma stays in y, and so in the
+    residual.
     """
 
     X: np.ndarray
     y: np.ndarray
     x_bounds: Bounds
     y_bounds: Bounds
-    nuisance: np.ndarray | None = None
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
@@ -380,25 +375,10 @@ class RegressionData:
             raise ParameterError("y_bounds must be a scalar range")
         _refuse_cells("X", np.isnan(X))
         _refuse_cells("y", np.isnan(y))
-        W = np.atleast_2d(np.asarray([] if self.nuisance is None else self.nuisance, dtype=float))
-        W = W if W.size else np.empty((X.shape[0], 0))  # any empty block, None included
-        if W.shape[0] != X.shape[0]:
-            raise ParameterError("the nuisance block must have one row per response")
-        if W.shape[1]:
-            # W is never clamped, and X^T W is undefined on an infinite design cell
-            _refuse_cells("nuisance", ~np.isfinite(W), "not finite")
-            _refuse_cells("X", ~np.isfinite(X), "not finite")
-            # not "> tolerance", which an entry that overflows to NaN would pass
-            if not np.abs(X.T @ W).max() <= ORTHOGONALITY_TOLERANCE * X.shape[0]:
-                raise ParameterError(
-                    "X^T nuisance is not numerically zero; the nuisance block must be "
-                    "orthogonal to the design"
-                )
-        if X.shape[0] <= X.shape[1] + W.shape[1]:
-            raise ParameterError("regression needs n > k plus the nuisance columns")
+        if X.shape[0] <= X.shape[1]:
+            raise ParameterError("regression needs n > k")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "nuisance", W)
 
     @property
     def n(self) -> int:
@@ -409,16 +389,16 @@ class RegressionData:
         return self.X.shape[1]
 
     @cached_property
-    def clamped(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows the statistics read, X and y clamped into their boxes and
-        W, which is never clamped; computed once."""
-        return self.x_bounds.clamp(self.X), self.y_bounds.clamp(self.y), self.nuisance
+    def clamped(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows the statistics read, X and y clamped into their boxes,
+        computed once."""
+        return self.x_bounds.clamp(self.X), self.y_bounds.clamp(self.y)
 
-    def statistics_of(self, x: np.ndarray, t: np.ndarray, w: np.ndarray) -> "RegressionStatistics":
-        """Statistics of R blocks of rows in these boxes: (R, m, k) clamped X,
-        (R, m) clamped y and (R, m, k2) W."""
-        xt, wt, t = np.swapaxes(x, 1, 2), np.swapaxes(w, 1, 2), t[..., None]
-        stats = xt @ x, (xt @ t)[..., 0], (np.swapaxes(t, 1, 2) @ t)[:, 0, 0], wt @ w, wt @ x, (wt @ t)[..., 0]
+    def statistics_of(self, x: np.ndarray, t: np.ndarray) -> "RegressionStatistics":
+        """Statistics of R blocks of rows in these boxes: (R, m, k) clamped X
+        and (R, m) clamped y."""
+        xt, t = np.swapaxes(x, 1, 2), t[..., None]
+        stats = xt @ x, (xt @ t)[..., 0], (np.swapaxes(t, 1, 2) @ t)[:, 0, 0]
         return RegressionStatistics(self.x_bounds, self.y_bounds, np.full(len(x), x.shape[1]), *stats)
 
 
@@ -455,8 +435,7 @@ def regression_private_mle(
 ) -> PrivatizedRegressionEstimate:
     """Privatized OLS coefficients and residual variance.
 
-    ``data`` may carry a nuisance block (``RegressionData(..., nuisance=W)``);
-    only the statistics of X are noised either way.  ``budget`` is a total
+    Only the statistics of X and y are read and noised.  ``budget`` is a total
     epsilon split equally across the three released statistics (gram matrix,
     cross product, residual mean square) or an explicit triple.  This is
     :meth:`RegressionStatistics.release` on a stack of one set; the noisy
@@ -498,8 +477,8 @@ def fold_statistics(data_sets, folds: int = 1, perms: np.ndarray | None = None):
         data_sets[0].statistics_of(*(c[:, a:b] if perms is None else c[sets, perms[:, a:b]] for c in columns))
         for a, b in zip(edges, edges[1:])
     ]
-    # set by set: row i * folds + j is fold j of set i (a count, not -1: a stack may have no values)
-    return _map_additive(lambda *a: np.stack(a, axis=1).reshape(len(a) * len(a[0]), *a[0].shape[1:]), *parts)
+    # set by set: row i * folds + j is fold j of set i
+    return _map_additive(lambda *a: np.stack(a, axis=1).reshape(-1, *a[0].shape[1:]), *parts)
 
 
 def _one_layout(data_sets):
@@ -565,12 +544,7 @@ class GaussianStatistics:
 
 @dataclass(frozen=True, eq=False)
 class RegressionStatistics:
-    """Clamped X^T X, X^T y and y^T y, with the count, and the nuisance
-    block's W^T W, W^T X and W^T y, of each of F data sets.
-
-    The nuisance fit is removed from each set's residual, never released; with
-    k2 = 0 (plain regression) the W blocks hold no values and the fit is 0.
-    """
+    """Clamped X^T X, X^T y and y^T y, with the count, of each of F data sets."""
 
     x_bounds: Bounds
     y_bounds: Bounds
@@ -578,30 +552,24 @@ class RegressionStatistics:
     xtx: np.ndarray               # (F, k, k)
     xty: np.ndarray               # (F, k)
     yty: np.ndarray               # (F,)
-    wtw: np.ndarray               # (F, k2, k2)
-    wtx: np.ndarray               # (F, k2, k)
-    wty: np.ndarray               # (F, k2)
 
     # class attributes, not fields: the statistics that add up over sets, and
     # the released ones in budget-split order
-    ADDITIVE = ("n", "xtx", "xty", "yty", "wtw", "wtx", "wty")
+    ADDITIVE = ("n", "xtx", "xty", "yty")
     RELEASED = ("gram", "xty", "rss")
 
     @property
     def min_rows(self) -> int:
         """Fewest rows a set needs for one residual degree of freedom."""
-        return self.xty.shape[1] + self.wtw.shape[-1] + 1
+        return self.xty.shape[1] + 1
 
     def _rss(self, beta: np.ndarray, rows: slice) -> np.ndarray:
-        """|y - X beta|^2 of the sets ``rows`` from the statistics, less what
-        the nuisance fit explains."""
+        """|y - X beta|^2 of the sets ``rows`` from the statistics."""
         beta = beta[rows]
-        wtr = self.wty[rows] - np.einsum("fij,fj->fi", self.wtx[rows], beta)
         return (
             self.yty[rows]
             - 2.0 * np.einsum("fi,fi->f", beta, self.xty[rows])
             + np.einsum("fi,fij,fj->f", beta, self.xtx[rows], beta)
-            - np.einsum("fi,fij,fj->f", wtr, np.linalg.pinv(self.wtw[rows]), wtr)
         )
 
     def release(self, budget, rng: np.random.Generator) -> PrivatizedRegressionEstimate:
@@ -629,17 +597,14 @@ class RegressionStatistics:
         # einsum's summation order depends on how many sets it sees, so each
         # generator's sets are summed as a stack of their own, as they are alone
         rss = np.concatenate([self._rss(beta, rows) for rows in rng.chunks(sets)])
-        dof = self.n - (self.min_rows - 1)
+        dof = self.n - k
 
         # The residual mean square is noised last.  Its sensitivity may use the
         # released coefficients (post-processing of a DP output may calibrate
-        # the next mechanism): a record's squared residual is at most
-        # (m_y + sum_j m_j |beta_j| + m_fit)^2, over dof.  A record's nuisance
-        # fit m_fit = |w^T gamma| is taken to be at most the response magnitude;
-        # W is never clamped, so this is assumed, not enforced.
-        m_y = self.y_bounds.magnitudes[0]
-        m_fit = m_y if self.wtw.shape[-1] else 0.0
-        m_res = m_y + np.sum(self.x_bounds.magnitudes * np.abs(beta), axis=1) + m_fit
+        # the next mechanism): a record's clamped row has a squared residual of
+        # at most (m_y + sum_j m_j |beta_j|)^2, over dof.  The clamps of X and y
+        # enforce that bound, for every record.
+        m_res = self.y_bounds.magnitudes[0] + np.sum(self.x_bounds.magnitudes * np.abs(beta), axis=1)
         with np.errstate(over="ignore"):  # response bounds too wide give inf, refused below
             delta = m_res**2 / dof
         try:

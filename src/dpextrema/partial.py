@@ -7,9 +7,11 @@ columns are never handed to the release, so nothing computed from them can
 reach the released surface.  ``ci gaussian --partial K1`` loads the first K1
 columns this way.
 
-Regression with nuisance covariates needs no class of its own: it is
-``RegressionData(X, y, x_bounds, y_bounds, nuisance=W)`` in
-:mod:`~dpextrema.models`, released like plain regression data.
+Regression with nuisance covariates orthogonal to the design needs no class
+of its own either: they leave the coefficients of X unchanged, so it is
+``RegressionData(X, y, x_bounds, y_bounds)`` in :mod:`~dpextrema.models` with
+their fit left in y, and ``ci regression --partial K1`` never reads the
+columns past K1.
 """
 
 from __future__ import annotations

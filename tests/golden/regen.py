@@ -48,7 +48,7 @@ from dpextrema.harness import load_config, run_experiment  # noqa: E402
 GOLDEN = Path(__file__).with_name("golden.txt")
 REPS, B = 6, 200
 
-#: Configs the matrix writes itself: the nuisance path with a cv token,
+#: Configs the matrix writes itself: partial regression with a cv token,
 #: regression with every bootstrap variant, each at a finite and an infinite
 #: budget, a cv token at an n that 5 folds do not divide, a k = 8
 #: regression at n = 800 whose clipped releases rppb solves as released, and
@@ -149,7 +149,7 @@ def write_inputs(tmp: Path) -> dict[str, str]:
     wide = np.array([0.0, 0.3, 0.0, -0.2]) + rng.standard_normal((400, 4))
     X = rng.uniform(-1.0, 1.0, (400, 2))
     y = X @ np.array([0.0, 1.0]) + rng.standard_normal(400)
-    # two interest columns, one nuisance column orthogonal to them, then y
+    # two interest columns, one nuisance column orthogonal to them and never read, then y
     Z = rng.uniform(-1.0, 1.0, (2000, 2))
     w = rng.standard_normal(2000)
     w -= Z @ np.linalg.solve(Z.T @ Z, Z.T @ w)

@@ -34,8 +34,8 @@ other statistic of the release is given an infinite budget, so no noise:
   both sides, so is the rss noise scale m_y^2 / dof, and rss / dof moves by
   exactly that (tightness).
 
-Cross-validation, the rss with a nuisance block and the mutation checks are
-not audited yet.
+Cross-validation and the mutation checks are not audited yet.  No release
+reads a nuisance column, so the rss case covers every regression release.
 """
 
 import math

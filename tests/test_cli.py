@@ -59,7 +59,9 @@ def write_regression_csv(path, n=400, seed=0):
 
 
 def write_orthogonal_regression_csv(path, n=2000, seed=0):
-    """Two interest columns, one nuisance column orthogonal to them, then y."""
+    """Two interest columns, one nuisance column orthogonal to them, then y.
+
+    The nuisance column's fit 0.8 x is part of y."""
     rng = np.random.default_rng(seed)
     Z = rng.uniform(-1.0, 1.0, (n, 2))
     x = rng.standard_normal(n)
@@ -543,17 +545,30 @@ class TestCiRegression:
         err = capsys.readouterr().err
         assert "y[2] is NaN" in err and "too wide" not in err
 
-    def test_infinite_interest_cell_beside_a_nuisance_block_is_refused_by_cell(self, tmp_path, capsys):
-        # X^T W is undefined on it; without a nuisance block the box clamps it
-        data = write_orthogonal_regression_csv(tmp_path / "orth.csv")
-        lines = data.read_text().splitlines()
-        lines[3] = ",".join(["inf"] + lines[3].split(",")[1:])
-        data.write_text("\n".join(lines) + "\n")
-        args = ["ci", "regression", "--input", str(data), "--bounds=-1:1", "--y-bounds=-8:8", "--epsilon", "1.5", "--seed", "1"]
-        assert run_cli([*args, "--partial", "2"]) == 2
-        err = capsys.readouterr().err
-        assert "X[2, 0] is not finite" in err and "orthogonal" not in err
-        assert run_cli(args) == 0
+    def test_a_column_past_partial_is_not_read(self, tmp_path, capsys):
+        # neighbours that differ only in the last record's w cell, 0 against 1:
+        # w is orthogonal to x on both sides, and a nuisance fit on it would
+        # move rss / dof by about 1.0 against its declared delta of 0.0101
+        signs = [1.0 if i % 2 == 0 else -1.0 for i in range(199)]
+        shared = [row for s in signs for row in ([1.0, 1e-3 * s, s], [-1.0, 1e-3 * s, s])]
+        tables = {
+            "zero": [*shared, [0.0, 0.0, 0.0]],
+            "one": [*shared, [0.0, 1.0, 0.0]],
+            "skew": [[x, x + 0.5, y] for x, _, y in [*shared, [0.0, 0.0, 0.0]]],  # w not orthogonal to x
+        }
+        args = ["--bounds=-1:1", "--y-bounds=-1:1", "--epsilon", "1.5", "--B", "200", "--seed", "3"]
+        outputs = {}
+        for name, rows in tables.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_text("x,w,y\n" + "".join(f"{x!r},{w!r},{y!r}\n" for x, w, y in rows))
+            outputs[name] = tmp_path / f"{name}.json"
+            assert run_cli(["ci", "regression", "--input", str(path), "--partial", "1", *args,
+                            "--output", str(outputs[name])]) == 0
+        plain = tmp_path / "xy.csv"
+        plain.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, _, y in tables["zero"]))
+        assert run_cli(["ci", "regression", "--input", str(plain), *args, "--output", str(tmp_path / "xy.json")]) == 0
+        assert outputs["zero"].read_bytes() == outputs["one"].read_bytes()
+        assert outputs["skew"].read_bytes() == (tmp_path / "xy.json").read_bytes()
 
     @pytest.mark.parametrize("partial", [[], ["--partial", "2"]], ids=["plain", "partial"])
     def test_estimate_block_is_set_zero_of_the_release(self, tmp_path, capsys, partial):
@@ -568,10 +583,7 @@ class TestCiRegression:
 
         rows = np.loadtxt(data, delimiter=",", skiprows=1)
         k1 = 2 if partial else 3
-        x = RegressionData(
-            rows[:, :k1], rows[:, -1], Bounds.symmetric(1.0, k1), Bounds.symmetric(8.0, 1),
-            rows[:, k1:-1],
-        )
+        x = RegressionData(rows[:, :k1], rows[:, -1], Bounds.symmetric(1.0, k1), Bounds.symmetric(8.0, 1))
         rng = np.random.default_rng(np.random.SeedSequence(3))
         est = fold_statistics([x]).release(1.5, rng)
         expected = {
@@ -597,7 +609,7 @@ class TestCiRegression:
         assert "sensitivity is undefined without bounds" in capsys.readouterr().err
 
     def test_partial_with_every_column_is_plain_regression(self, tmp_path, capsys):
-        # --partial 2 on a two-column design leaves an empty nuisance block
+        # --partial 2 on a two-column design reads every design column
         data = write_regression_csv(tmp_path / "reg.csv")
         args = [
             "ci", "regression", "--input", str(data), "--bounds=-1:1",

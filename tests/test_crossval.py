@@ -155,12 +155,12 @@ class TestCvChooseR:
 
 
 def nuisance_regression_data(seed, n):
-    """Design X with nuisance covariates W orthogonal to it."""
+    """Design X, with the fit of nuisance covariates W orthogonal to it left in y."""
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1, 1, (n, 2))
     W = orthogonal_block(X, rng.standard_normal((n, 2)))
     y = X @ np.array([0.2, 0.5]) + W @ np.array([1.0, -0.5]) + rng.standard_normal(n)
-    return RegressionData(X, y, Bounds.symmetric(1.0, 2), Bounds.symmetric(8.0, 1), W)
+    return RegressionData(X, y, Bounds.symmetric(1.0, 2), Bounds.symmetric(8.0, 1))
 
 
 def _gaussian_case():
@@ -194,12 +194,10 @@ def _regression_case():
 def _nuisance_case():
     data = nuisance_regression_data(seed=18, n=300)
 
-    # a subset of an orthogonal design is not orthogonal, so it is no valid
-    # RegressionData; the row-based reference releases it from its rows
+    # the row-based reference releases each subset from its rows
     def estimate_subset(idx):
         ref = reference_regression_release(
-            data.X[idx], data.y[idx], data.x_bounds, data.y_bounds, math.inf,
-            np.random.default_rng(0), data.nuisance[idx],
+            data.X[idx], data.y[idx], data.x_bounds, data.y_bounds, math.inf, np.random.default_rng(0)
         )
         variances = ref["sigma2"] * np.diag(np.linalg.inv(ref["S"])) / idx.size
         return SimpleNamespace(
@@ -220,12 +218,8 @@ def per_fold_reference(data_sets, perms, v):
                 p = d.bounds.clamp(d.x)[f]
                 rows.append({"n": p.shape[0], "sums": p.sum(axis=0), "grams": p.T @ p})
                 continue
-            # w has no columns in plain regression
-            x, t, w = d.x_bounds.clamp(d.X)[f], d.y_bounds.clamp(d.y)[f], d.nuisance[f]
-            rows.append({
-                "n": t.size, "xtx": x.T @ x, "xty": x.T @ t, "yty": t @ t,
-                "wtw": w.T @ w, "wtx": w.T @ x, "wty": w.T @ t,
-            })
+            x, t = d.x_bounds.clamp(d.X)[f], d.y_bounds.clamp(d.y)[f]
+            rows.append({"n": t.size, "xtx": x.T @ x, "xty": x.T @ t, "yty": t @ t})
     return rows
 
 
@@ -282,14 +276,13 @@ class TestBlockFoldStatistics:
     @pytest.mark.parametrize(
         "other",
         [
-            lambda data: plain_regression_data(41, data.n),
-            lambda data: RegressionData(data.X, data.y, Bounds.symmetric(2.0, 2), data.y_bounds, data.nuisance),
-            lambda data: RegressionData(data.X, data.y, data.x_bounds, Bounds.symmetric(9.0, 1), data.nuisance),
-            lambda data: RegressionData(data.X, data.y, data.x_bounds, data.y_bounds, data.nuisance[:, :1]),
+            lambda data: RegressionData(data.X, data.y, Bounds.symmetric(2.0, 2), data.y_bounds),
+            lambda data: RegressionData(data.X, data.y, data.x_bounds, Bounds.symmetric(9.0, 1)),
+            lambda data: RegressionData(data.X[:, :1], data.y, Bounds.symmetric(1.0, 1), data.y_bounds),
             lambda data: gaussian_data(seed=41, n=data.n),
             lambda data: nuisance_regression_data(41, data.n + 1),
         ],
-        ids=["without-nuisance", "x-box", "y-box", "nuisance-width", "class", "size"],
+        ids=["x-box", "y-box", "width", "class", "size"],
     )
     @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
     def test_sets_of_one_stack_share_their_layout(self, other, first):
@@ -304,7 +297,7 @@ class TestBlockFoldStatistics:
 
     def test_equal_boxes_of_distinct_objects_stack(self):
         data = nuisance_regression_data(40, 200)
-        copy = RegressionData(data.X, data.y, Bounds.symmetric(1.0, 2), Bounds.symmetric(8.0, 1), data.nuisance)
+        copy = RegressionData(data.X, data.y, Bounds.symmetric(1.0, 2), Bounds.symmetric(8.0, 1))
         assert fold_statistics([data, copy]).n.tolist() == [200, 200]
 
 

@@ -462,6 +462,25 @@ class TestBlocks:
         run_experiment(config)
         assert blocks == [range(0, 1), range(1, 2), range(2, 3)]
 
+    def test_a_partial_regression_set_holds_its_design_and_response_alone(self):
+        # W is drawn in its old order and added to y as W gamma; the data set,
+        # and so a cross-validated block, holds no nuisance column
+        config = model_config("partial_regression", n=400, methods=(MethodSpec("ppb", ("cv",)),))
+        n, k = config.n, config.k
+        data = harness._generate_data(config, np.random.default_rng(5), harness._MODELS[config.model].study(config))
+        rng = np.random.default_rng(5)
+        groups, treated = rng.integers(0, k, size=n), rng.integers(0, 2, size=n)
+        X = np.zeros((n, k))
+        X[np.arange(n), groups] = treated
+        W = rng.uniform(-1.0, 1.0, (n, len(config.gamma)))
+        for s in range(k):
+            cell = (groups == s) & (treated == 1)
+            W[cell] -= W[cell].mean(axis=0)
+        y = X @ np.asarray(config.beta) + W @ np.asarray(config.gamma) + math.sqrt(config.sigma2) * rng.standard_normal(n)
+        assert [f.name for f in fields(data)] == ["X", "y", "x_bounds", "y_bounds"]
+        assert np.array_equal(data.X, X) and np.array_equal(data.y, y)
+        assert harness._replication_values(config) == n * (k + 1) > config.B * k
+
     @pytest.mark.parametrize("reps, per_block", [(10, 8), (7, 3), (9, 3), (1, 8), (1000, 8), (13, 13)])
     def test_blocks_are_near_equal_and_in_order(self, monkeypatch, reps, per_block):
         config = small_config(reps=reps)

@@ -1,7 +1,5 @@
 import ast
-import dataclasses
 import math
-import warnings
 import weakref
 from functools import cached_property
 from pathlib import Path
@@ -310,66 +308,22 @@ def orthogonal_block(X, w):
     return w - X @ np.linalg.solve(X.T @ X, X.T @ w)
 
 
-class TestRegressionDataNuisance:
-    """``RegressionData`` validates its optional nuisance block once."""
-
-    BOUNDS = (Bounds(np.zeros(2), np.ones(2)), Bounds.symmetric(5.0, 1))
-
-    def test_rows_must_line_up_with_the_design(self):
-        rng = np.random.default_rng(35)
-        X = rng.uniform(0.0, 1.0, (50, 2))
-        W = orthogonal_block(X, rng.standard_normal((50, 2)))
-        with pytest.raises(ParameterError, match="one row per response"):
-            RegressionData(X, rng.standard_normal(50), *self.BOUNDS, nuisance=W[:49])
-
-    def test_orthogonality_violation_rejected(self):
-        rng = np.random.default_rng(63)
-        X = rng.uniform(0.0, 1.0, (50, 2))
-        W = rng.uniform(-1.0, 1.0, (50, 2))  # not orthogonal to X
-        y = rng.standard_normal(50)
-        with pytest.raises(ParameterError):
-            RegressionData(X, y, *self.BOUNDS, nuisance=W)
-
-    def test_needs_a_residual_degree_of_freedom(self):
-        rng = np.random.default_rng(36)
-        X = rng.uniform(0.0, 1.0, (6, 2))
-        W = orthogonal_block(X, rng.standard_normal((6, 4)))
-        y = rng.standard_normal(6)
-        assert RegressionData(X, y, *self.BOUNDS, nuisance=W[:, :3]).nuisance.shape == (6, 3)
-        with pytest.raises(ParameterError, match="n > k"):
-            RegressionData(X, y, *self.BOUNDS, nuisance=W)
-
-    def test_empty_block_is_no_block(self):
-        # the default, None and a block of no columns are one layout, released alike
-        rng = np.random.default_rng(37)
-        X, y = rng.uniform(0.0, 1.0, (50, 2)), rng.standard_normal(50)
-        sets = [
-            RegressionData(X, y, *self.BOUNDS),
-            RegressionData(X, y, *self.BOUNDS, nuisance=None),
-            RegressionData(X, y, *self.BOUNDS, nuisance=X[:, 2:]),
-        ]
-        releases = []
-        for data in sets:
-            assert data.nuisance.shape == (50, 0)
-            stats = fold_statistics([data])
-            assert (stats.wtw.shape, stats.wtx.shape, stats.wty.shape) == ((1, 0, 0), (1, 0, 2), (1, 0))
-            assert stats.min_rows == 3
-            releases.append(stats.release(1.5, np.random.default_rng(38)))
-        for est in releases[1:]:
-            for name in ("betas", "sigma2s", "noisy_grams", "noisy_xtys"):
-                assert getattr(est, name).tobytes() == getattr(releases[0], name).tobytes(), name
-            assert est.mechanisms[2].scale.tobytes() == releases[0].mechanisms[2].scale.tobytes()
+def test_regression_needs_a_residual_degree_of_freedom():
+    rng = np.random.default_rng(36)
+    bounds = (Bounds(np.zeros(2), np.ones(2)), Bounds.symmetric(5.0, 1))
+    X, y = rng.uniform(0.0, 1.0, (3, 2)), rng.standard_normal(3)
+    assert fold_statistics([RegressionData(X, y, *bounds)]).min_rows == 3
+    with pytest.raises(ParameterError, match="n > k"):
+        RegressionData(X[:2], y[:2], *bounds)
 
 
-def reference_regression_release(X, y, x_bounds, y_bounds, budget, rng, nuisance=None):
+def reference_regression_release(X, y, x_bounds, y_bounds, budget, rng):
     """The row-based regression release, kept as the reference.
 
-    Takes the rows themselves, so it also releases a subset whose nuisance
-    block is not orthogonal to its design.  Solves the noisy normal
-    equations, takes the residuals of the clamped rows, removes the nuisance
-    fit by least squares on the nuisance block, and noises the residual mean
-    square, whose sensitivity takes the nuisance fit to be at most the
-    response magnitude.  Returns the released values by name.
+    Takes the rows themselves, solves the noisy normal equations, takes the
+    residuals of the clamped rows and noises the residual mean square, whose
+    sensitivity bounds a clamped row's residual.  Returns the released values
+    by name.
     """
     eps_gram, eps_xty, eps_rss = split_budget(budget, 3)
     X, y = x_bounds.clamp(X), y_bounds.clamp(y)
@@ -385,13 +339,7 @@ def reference_regression_release(X, y, x_bounds, y_bounds, budget, rng, nuisance
 
     resid = y - X @ beta
     dof = n - k
-    fit_bound = 0.0
-    if nuisance is not None and nuisance.shape[1]:  # a block of no columns is no block
-        gamma, *_ = np.linalg.lstsq(nuisance, resid, rcond=None)
-        resid = resid - nuisance @ gamma
-        dof -= nuisance.shape[1]
-        fit_bound = y_bounds.magnitudes[0]
-    m_res = y_bounds.magnitudes[0] + np.sum(x_bounds.magnitudes * np.abs(beta)) + fit_bound
+    m_res = y_bounds.magnitudes[0] + np.sum(x_bounds.magnitudes * np.abs(beta))
     rss_spec = LaplaceSpec.from_budget(float(m_res) ** 2 / dof, eps_rss, 1)
     sigma2 = max(float(resid @ resid) / dof + float(rss_spec.sample(rng, ())[0]), SIGMA2_FLOOR)
     ledger = PrivacyLedger()
@@ -403,23 +351,21 @@ def reference_regression_release(X, y, x_bounds, y_bounds, budget, rng, nuisance
     )
 
 
-def orthogonal_nuisance_data(rng, n, with_w=True):
-    """Design X and, optionally, nuisance covariates W orthogonal to it."""
+def partial_design_data(rng, n):
+    """Design X, with the fit of nuisance covariates W orthogonal to it left in y."""
     X = rng.uniform(-1.0, 1.0, (n, 2))
     W = orthogonal_block(X, rng.standard_normal((n, 2)))
     y = X @ np.array([0.2, 0.5]) + W @ np.array([1.0, -0.5]) + rng.standard_normal(n)
-    return RegressionData(
-        X, y, Bounds.symmetric(1.0, 2), Bounds.symmetric(8.0, 1), W if with_w else None
-    )
+    return RegressionData(X, y, Bounds.symmetric(1.0, 2), Bounds.symmetric(8.0, 1))
 
 
 class TestStackStatistics:
     """A stack's data sets are read one by one, and only sets of one layout stack."""
 
-    @pytest.mark.parametrize("nuisance", [False, True], ids=["gaussian", "nuisance"])
-    def test_a_stream_of_sets_is_their_statistics_concatenated(self, nuisance):
+    @pytest.mark.parametrize("regression", [False, True], ids=["gaussian", "regression"])
+    def test_a_stream_of_sets_is_their_statistics_concatenated(self, regression):
         rng = np.random.default_rng(26)
-        data = [orthogonal_nuisance_data(rng, 40) if nuisance else make_gaussian(rng) for _ in range(5)]
+        data = [partial_design_data(rng, 40) if regression else make_gaussian(rng) for _ in range(5)]
         stats = fold_statistics(d for d in data)
         alone = [fold_statistics([d]) for d in data]
         for name in type(stats).ADDITIVE:
@@ -468,8 +414,8 @@ class TestStackStatistics:
         other_box = GaussianData(data.x, Bounds.symmetric(4.0, 3))
         X, y = rng.uniform(-1.0, 1.0, (40, 2)), rng.standard_normal(40)
         plain = RegressionData(X, y, Bounds.symmetric(1.0, 2), Bounds.symmetric(4.0, 1))
-        nuisance = RegressionData(X, y, plain.x_bounds, plain.y_bounds, orthogonal_block(X, rng.standard_normal((40, 1))))
-        for parts in ([data, other_box], [plain, nuisance], [nuisance, plain], [data, plain]):
+        wider = RegressionData(rng.uniform(-1.0, 1.0, (40, 3)), y, Bounds.symmetric(1.0, 3), plain.y_bounds)
+        for parts in ([data, other_box], [plain, wider], [wider, plain], [data, plain]):
             with pytest.raises(ParameterError, match=ONE_LAYOUT):
                 fold_statistics(parts)
         same = GaussianData(data.x, Bounds.symmetric(3.0, 3))  # an equal box, another object
@@ -487,36 +433,6 @@ def test_only_models_maps_the_additive_statistics():
         if isinstance(node, ast.Attribute) and node.attr == "ADDITIVE"
     ]
     assert not reads, f"ADDITIVE read outside models.py: {reads}"
-
-
-def test_no_code_in_models_tests_a_nuisance_block_for_none():
-    # every regression set carries its nuisance block, (n, 0) for plain
-    # regression, so the statistics have no optional fields: the public
-    # default None is read once, where RegressionData stores the block
-    def none_tests(root):
-        return [
-            node for node in ast.walk(root)
-            if isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.Is, ast.IsNot))
-            and any(isinstance(c, ast.Constant) and c.value is None for c in node.comparators)
-        ]
-
-    def named(tree, kind, name):
-        return next(node for node in tree.body if isinstance(node, kind) and node.name == name)
-
-    tree = ast.parse((SRC / "models.py").read_text())
-    post_init = named(named(tree, ast.ClassDef, "RegressionData"), ast.FunctionDef, "__post_init__")
-    default = [node for node in none_tests(post_init) if ast.unparse(node) == "self.nuisance is None"][:1]
-    map_additive = named(tree, ast.FunctionDef, "_map_additive")
-    found = [
-        f"line {node.lineno}: {ast.unparse(node)}"
-        for node in sorted(none_tests(tree), key=lambda node: node.lineno)
-        if node not in default and (
-            getattr(node.left, "attr", getattr(node.left, "id", "")).lower() in {"nuisance", "w", "wtw", "wtx", "wty"}
-            or map_additive.lineno <= node.lineno <= map_additive.end_lineno
-        )
-    ]
-    assert len(default) == 1 and not found, f"None tests of a nuisance block in models.py: {found}"
-    assert all(f.default is dataclasses.MISSING for f in dataclasses.fields(RegressionStatistics))
 
 
 class TestNanCellsRefused:
@@ -546,35 +462,6 @@ class TestNanCellsRefused:
         with pytest.raises(ParameterError, match=r"^the data cell y\[3\] is NaN"):
             RegressionData(self.design(np.random.default_rng(71)), y, *self.BOUNDS)
 
-    def test_regression_nuisance(self):
-        # NaN > tolerance is False, so the orthogonality check alone let it in
-        rng = np.random.default_rng(72)
-        X = self.design(rng)
-        W = orthogonal_block(X, rng.standard_normal((40, 2)))
-        W[5, 1] = np.nan
-        with pytest.raises(ParameterError, match=r"^the data cell nuisance\[5, 1\] is not finite"):
-            RegressionData(X, np.zeros(40), *self.BOUNDS, nuisance=W)
-
-    def test_nuisance_infinity(self):
-        # W is never clamped; and 0 * inf in X^T W was a NaN entry, which made
-        # the whole orthogonality check pass
-        X = np.repeat(np.eye(2), 20, axis=0)
-        W = np.zeros((40, 1))
-        W[0, 0] = np.inf
-        with pytest.raises(ParameterError, match=r"^the data cell nuisance\[0, 0\] is not finite"):
-            RegressionData(X, np.zeros(40), *self.BOUNDS, nuisance=W)
-
-    def test_design_infinity_next_to_a_nuisance_block(self):
-        # X^T W is undefined there: an inf next to a 0 of W made a NaN entry,
-        # refused as "not orthogonal" with a RuntimeWarning from the matmul
-        X = np.repeat(np.eye(2), 20, axis=0)
-        X[0, 1] = np.inf
-        W = np.concatenate([[0.0, 0.0], np.resize([1.0, -1.0], 38)])[:, None]  # orthogonal to the finite X
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ParameterError, match=r"^the data cell X\[0, 1\] is not finite"):
-                RegressionData(X, np.zeros(40), *self.BOUNDS, nuisance=W)
-
     def test_infinities_still_clamp_to_the_box(self):
         x = np.array([[np.inf, 0.0], [0.0, -np.inf], [1.0, 1.0]])
         stats = fold_statistics([GaussianData(x, self.BOUNDS[0])])
@@ -592,8 +479,7 @@ class TestSingleSetReleaseReference:
 
     CASES = {
         "regression": lambda rng, n: make_regression(rng, n=n, k=3),
-        "nuisance": lambda rng, n: orthogonal_nuisance_data(rng, n),
-        "no-nuisance": lambda rng, n: orthogonal_nuisance_data(rng, n, with_w=False),
+        "partial-design": partial_design_data,
     }
 
     @staticmethod
@@ -601,7 +487,7 @@ class TestSingleSetReleaseReference:
         try:
             ref = reference_regression_release(
                 data.X, data.y, data.x_bounds, data.y_bounds, budget,
-                np.random.default_rng(seed), data.nuisance,
+                np.random.default_rng(seed),
             )
         except NumericError:
             with pytest.raises(NumericError):

@@ -12,10 +12,9 @@ released after the coefficients, whose released values calibrate its delta,
 so both neighbours' residuals are taken at the coefficients released from
 the first data set.
 
-The residual mean square with a nuisance block W is left out on purpose: its
-declared sensitivity takes a record's nuisance fit to be at most the response
-magnitude, which is assumed, not enforced (the residual-sensitivity item of
-ROADMAP.md).
+No release reads a nuisance column: covariates that ``ci regression
+--partial`` leaves out, and the harness's nuisance covariates, stay in y.  So
+the rss property test covers every regression release.
 """
 
 import itertools

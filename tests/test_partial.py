@@ -72,6 +72,7 @@ def released_text(est):
 
 
 def trial_design(rng, n=400, k1=2, k2=2, beta=(0.0, 0.5), gamma=(0.5, -0.5), sigma=1.0):
+    """A randomized trial: its data (X, y), with W gamma left in y, and W."""
     groups = rng.integers(0, k1, size=n)
     treated = rng.integers(0, 2, size=n)
     X = np.zeros((n, k1))
@@ -83,9 +84,7 @@ def trial_design(rng, n=400, k1=2, k2=2, beta=(0.0, 0.5), gamma=(0.5, -0.5), sig
             W[cell] -= W[cell].mean(axis=0)
     y = X @ np.asarray(beta) + W @ np.asarray(gamma) + sigma * rng.standard_normal(n)
     y_hw = float(np.max(np.abs(beta)) + 2 * np.sum(np.abs(gamma)) + 4 * sigma)
-    return RegressionData(
-        X, y, Bounds(np.zeros(k1), np.ones(k1)), Bounds.symmetric(y_hw, 1), nuisance=W
-    )
+    return RegressionData(X, y, Bounds(np.zeros(k1), np.ones(k1)), Bounds.symmetric(y_hw, 1)), W
 
 
 class TestPartialGaussian:
@@ -177,35 +176,34 @@ class TestPartialGaussian:
 class TestPartialRegression:
     def test_zero_noise_matches_block_ols(self):
         rng = np.random.default_rng(61)
-        data = trial_design(rng)
+        data, W = trial_design(rng)
         est = regression_private_mle(data, math.inf, rng)
         x_only = np.linalg.solve(data.X.T @ data.X, data.X.T @ data.y)
-        full_design = np.hstack([data.X, data.nuisance])
+        full_design = np.hstack([data.X, W])
         full_ols = np.linalg.solve(full_design.T @ full_design, full_design.T @ data.y)
         assert np.allclose(est.betas[0], x_only, rtol=1e-10, atol=1e-12)
         assert np.allclose(est.betas[0], full_ols[: data.k], rtol=1e-8, atol=1e-10)
 
-    def test_no_nuisance_reduces_to_plain_regression(self):
-        # an empty (n, 0) nuisance block is no block at all
+    def test_residual_keeps_the_nuisance_fit(self):
+        # W is not part of the data, so at eps = inf the residual mean square
+        # is that of y on X alone, above that of y on X and W
         rng = np.random.default_rng(62)
-        X = rng.uniform(0.0, 1.0, (400, 2))
-        y = X @ np.array([0.0, 1.0]) + rng.standard_normal(400)
-        xb, yb = Bounds(np.zeros(2), np.ones(2)), Bounds.symmetric(5.0, 1)
-        partial = regression_private_mle(
-            RegressionData(X, y, xb, yb, nuisance=np.zeros((400, 0))), 1.5, np.random.default_rng(7)
-        )
-        plain = regression_private_mle(RegressionData(X, y, xb, yb), 1.5, np.random.default_rng(7))
-        assert np.array_equal(partial.betas[0], plain.betas[0])
-        assert partial.sigma2s[0] == plain.sigma2s[0]
-        assert np.array_equal(partial.repairs.matrix[0], plain.repairs.matrix[0])
+        data, W = trial_design(rng)
+        est = regression_private_mle(data, math.inf, rng)
+        X, y = data.x_bounds.clamp(data.X), data.y_bounds.clamp(data.y)
+        resid = y - X @ est.betas[0]
+        assert est.sigma2s[0] == pytest.approx(resid @ resid / (data.n - data.k), rel=1e-12)
+        full_design = np.hstack([X, W])
+        full_resid = y - full_design @ np.linalg.lstsq(full_design, y, rcond=None)[0]
+        assert est.sigma2s[0] > 1.1 * (full_resid @ full_resid) / (data.n - data.k - W.shape[1])
 
     def test_nuisance_statistics_are_internal_only(self):
-        # the release removes the nuisance fit through W^T W, W^T X and W^T y;
-        # none of them may reach the released surface
+        # the release never reads W, so none of W^T W, W^T X and W^T y may
+        # reach the released surface
         rng = np.random.default_rng(64)
-        data = trial_design(rng)
+        data, W = trial_design(rng)
         est = regression_private_mle(data, 1.5, rng)
-        X, y, W = data.x_bounds.clamp(data.X), data.y_bounds.clamp(data.y), data.nuisance
+        X, y = data.x_bounds.clamp(data.X), data.y_bounds.clamp(data.y)
         nuisance = np.concatenate([(W.T @ W).ravel(), (W.T @ X).ravel(), W.T @ y])
         serialized = released_text(est)
         for value in nuisance[nuisance != 0.0]:
@@ -215,7 +213,7 @@ class TestPartialRegression:
 
     def test_reduction_recomputes_from_noisy_statistics_alone(self):
         rng = np.random.default_rng(65)
-        data = trial_design(rng)
+        data, _ = trial_design(rng)
         est = regression_private_mle(data, 1.5, rng)
         from dpextrema.linalg import psd_repair
 
@@ -226,7 +224,7 @@ class TestPartialRegression:
 
     def test_zero_noise_draw_covariance(self):
         rng = np.random.default_rng(66)
-        data = trial_design(rng, n=600)
+        data, _ = trial_design(rng, n=600)
         est = regression_private_mle(data, math.inf, rng)
         B = 2000
         draws, failed = est.bootstrap_draws(B, np.random.default_rng(3))
@@ -243,7 +241,7 @@ class TestPartialRegression:
 
     def test_zero_score_identity_draw(self):
         rng = np.random.default_rng(67)
-        data = trial_design(rng)
+        data, _ = trial_design(rng)
         est = regression_private_mle(data, math.inf, rng)
         est.sigma2s[0] = 0.0
         est._root = None
@@ -253,7 +251,7 @@ class TestPartialRegression:
 
     def test_draw_determinism(self):
         rng = np.random.default_rng(68)
-        data = trial_design(rng)
+        data, _ = trial_design(rng)
         est = regression_private_mle(data, 1.5, rng)
         d1, _ = est.bootstrap_draws(1, np.random.default_rng(9))
         d2, _ = est.bootstrap_draws(1, np.random.default_rng(9))
@@ -267,7 +265,7 @@ class TestPartialRegression:
         covered = 0
         for rep in range(reps):
             rng = np.random.default_rng(np.random.SeedSequence(505, spawn_key=(rep,)))
-            data = trial_design(rng, n=800, beta=beta)
+            data, _ = trial_design(rng, n=800, beta=beta)
             est = regression_private_mle(data, 1.5, rng)
             res = ppb_lower_limit(est, 0.1, rng, B=400)
             covered += res.lower_limit <= max(beta)
