@@ -570,6 +570,36 @@ class TestCiRegression:
         assert outputs["zero"].read_bytes() == outputs["one"].read_bytes()
         assert outputs["skew"].read_bytes() == (tmp_path / "xy.json").read_bytes()
 
+    def test_infinite_interest_cell_beside_an_unread_column_clamps_to_the_box(self, tmp_path, capsys):
+        # only a NaN cell is refused: an infinity of X clamps to the box edge
+        # with a column past --partial beside it, as without one
+        lines = write_orthogonal_regression_csv(tmp_path / "orth.csv").read_text().splitlines()
+        outputs = []
+        for cell in ("inf", "1.0"):
+            path = tmp_path / f"{cell}.csv"
+            lines[3] = ",".join([cell] + lines[3].split(",")[1:])
+            path.write_text("\n".join(lines) + "\n")
+            outputs.append(tmp_path / f"{cell}.json")
+            assert run_cli(["ci", "regression", "--input", str(path), "--partial", "2", "--bounds=-1:1",
+                            "--y-bounds=-8:8", "--epsilon", "1.5", "--B", "200", "--seed", "1",
+                            "--output", str(outputs[-1])]) == 0
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_a_non_finite_cell_past_partial_is_not_read(self, tmp_path, capsys, cell):
+        # a NaN of X or y is refused by cell; past --partial no cell is read
+        data = write_orthogonal_regression_csv(tmp_path / "orth.csv")
+        lines = data.read_text().splitlines()
+        fields = lines[3].split(",")
+        lines[3] = ",".join([*fields[:2], cell, fields[3]])
+        edited = tmp_path / "edited.csv"
+        edited.write_text("\n".join(lines) + "\n")
+        args = ["--partial", "2", "--bounds=-1:1", "--y-bounds=-8:8", "--epsilon", "1.5", "--B", "200", "--seed", "1"]
+        outputs = {path: tmp_path / f"{path.stem}.json" for path in (data, edited)}
+        for path, out in outputs.items():
+            assert run_cli(["ci", "regression", "--input", str(path), *args, "--output", str(out)]) == 0
+        assert outputs[data].read_bytes() == outputs[edited].read_bytes()
+
     @pytest.mark.parametrize("partial", [[], ["--partial", "2"]], ids=["plain", "partial"])
     def test_estimate_block_is_set_zero_of_the_release(self, tmp_path, capsys, partial):
         data = write_orthogonal_regression_csv(tmp_path / "orth.csv")

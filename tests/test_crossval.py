@@ -278,11 +278,13 @@ class TestBlockFoldStatistics:
         [
             lambda data: RegressionData(data.X, data.y, Bounds.symmetric(2.0, 2), data.y_bounds),
             lambda data: RegressionData(data.X, data.y, data.x_bounds, Bounds.symmetric(9.0, 1)),
+            # the magnitudes that calibrate the noise are the first set's, the clamp is not
+            lambda data: RegressionData(data.X, data.y, Bounds(-np.ones(2), np.full(2, 0.5)), data.y_bounds),
             lambda data: RegressionData(data.X[:, :1], data.y, Bounds.symmetric(1.0, 1), data.y_bounds),
             lambda data: gaussian_data(seed=41, n=data.n),
             lambda data: nuisance_regression_data(41, data.n + 1),
         ],
-        ids=["x-box", "y-box", "width", "class", "size"],
+        ids=["x-box", "y-box", "x-box-of-one-magnitude", "width", "class", "size"],
     )
     @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
     def test_sets_of_one_stack_share_their_layout(self, other, first):

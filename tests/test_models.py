@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import weakref
 from functools import cached_property
@@ -317,6 +318,33 @@ def test_regression_needs_a_residual_degree_of_freedom():
         RegressionData(X[:2], y[:2], *bounds)
 
 
+def test_rows_must_line_up_with_the_design():
+    rng = np.random.default_rng(35)
+    X = rng.uniform(0.0, 1.0, (50, 2))
+    with pytest.raises(ParameterError, match="one response per row"):
+        RegressionData(X, rng.standard_normal(49), Bounds(np.zeros(2), np.ones(2)), Bounds.symmetric(5.0, 1))
+
+
+def test_models_holds_no_nuisance_statistics():
+    # the release reads the clamped X and y alone: no name of a nuisance
+    # block, its statistics or its fit is left to read an unclamped column
+    tree = ast.parse((SRC / "models.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            names.add(node.arg)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    gone = {"wtw", "wtx", "wty", "pinv", "m_fit", "nuisance", "ORTHOGONALITY_TOLERANCE"}
+    assert not names & gone, sorted(names & gone)
+    assert [f.name for f in dataclasses.fields(RegressionData)] == ["X", "y", "x_bounds", "y_bounds"]
+    assert RegressionStatistics.ADDITIVE == ("n", "xtx", "xty", "yty")
+
+
 def reference_regression_release(X, y, x_bounds, y_bounds, budget, rng):
     """The row-based regression release, kept as the reference.
 
@@ -357,6 +385,13 @@ def partial_design_data(rng, n):
     W = orthogonal_block(X, rng.standard_normal((n, 2)))
     y = X @ np.array([0.2, 0.5]) + W @ np.array([1.0, -0.5]) + rng.standard_normal(n)
     return RegressionData(X, y, Bounds.symmetric(1.0, 2), Bounds.symmetric(8.0, 1))
+
+
+def unit_box_data(rng, n):
+    """Group indicators in the box [0, 1]^2, whose lower corner is the origin."""
+    X = np.eye(2)[rng.integers(0, 2, size=n)]
+    y = X @ np.array([0.2, 0.5]) + rng.standard_normal(n)
+    return RegressionData(X, y, Bounds(np.zeros(2), np.ones(2)), Bounds.symmetric(5.0, 1))
 
 
 class TestStackStatistics:
@@ -480,7 +515,11 @@ class TestSingleSetReleaseReference:
     CASES = {
         "regression": lambda rng, n: make_regression(rng, n=n, k=3),
         "partial-design": partial_design_data,
+        "unit-box": unit_box_data,
     }
+    # a 1 x 1 gram is released as it is or refused, never clipped: its
+    # eigenvalue floor is relative to itself
+    UNCLIPPED_CASES = {**CASES, "one-column": lambda rng, n: make_regression(rng, n=n, k=1)}
 
     @staticmethod
     def compare(data, budget, seed):
@@ -503,10 +542,10 @@ class TestSingleSetReleaseReference:
         assert est.sigma2s[0] == pytest.approx(ref["sigma2"], rel=1e-12, abs=0.0)
         return est
 
-    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("case", UNCLIPPED_CASES)
     def test_matches_row_recipe(self, case):
         for seed in range(5):
-            data = self.CASES[case](np.random.default_rng(seed), 400)
+            data = self.UNCLIPPED_CASES[case](np.random.default_rng(seed), 400)
             assert self.compare(data, 1.5, seed) is not None
             assert self.compare(data, math.inf, seed) is not None
 

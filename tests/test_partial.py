@@ -197,6 +197,17 @@ class TestPartialRegression:
         full_resid = y - full_design @ np.linalg.lstsq(full_design, y, rcond=None)[0]
         assert est.sigma2s[0] > 1.1 * (full_resid @ full_resid) / (data.n - data.k - W.shape[1])
 
+    def test_coefficients_do_not_read_the_nuisance_fit(self):
+        # W is centred within every cell of the design, so X^T W = 0: at
+        # eps = inf the fit W gamma moves the residual alone
+        fits = [trial_design(np.random.default_rng(63), gamma=gamma) for gamma in ((0.0, 0.0), (2.0, -2.0))]
+        (bare, _), (data, W) = fits
+        assert np.array_equal(data.y_bounds.clamp(data.y), data.y)
+        assert np.allclose(data.y - bare.y, W @ np.array([2.0, -2.0]), rtol=0.0, atol=1e-12)
+        bare_est, est = (regression_private_mle(d, math.inf, np.random.default_rng(0)) for d, _ in fits)
+        assert np.allclose(est.betas[0], bare_est.betas[0], rtol=0.0, atol=1e-12)
+        assert est.sigma2s[0] > 2.0 * bare_est.sigma2s[0]
+
     def test_nuisance_statistics_are_internal_only(self):
         # the release never reads W, so none of W^T W, W^T X and W^T y may
         # reach the released surface
